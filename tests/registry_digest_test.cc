@@ -1,0 +1,48 @@
+// Pins the result digest of every registry scenario — the fixed point any
+// scheduler or engine change must keep. A digest moving here means the
+// allocation stream changed; that is a behaviour change, never a speedup.
+// Values are what `saath_sim --scenario=<name> [--scheduler=<s>] --digest`
+// prints.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+
+#include "replay/journal.h"
+#include "workload/scenario.h"
+
+namespace saath {
+namespace {
+
+std::string digest_of(const std::string& scenario,
+                      const std::string& scheduler) {
+  return replay::result_digest_hex(
+      workload::run_scenario(scenario, {}, scheduler).result);
+}
+
+TEST(RegistryDigest, EveryScenarioUnderSaath) {
+  const std::map<std::string, std::string> pinned = {
+      {"failure-storm", "cb25e1d2bfd19814"},
+      {"fb-replay", "ecb66aa036602501"},
+      {"multi-tenant-merge", "f87eee827198da47"},
+      {"osp-replay", "2c3d5c047a71a991"},
+      {"pipeline-dag", "073b52f7dfba2bd9"},
+      {"steady-churn", "8384c0a57d73e062"},
+  };
+  const auto registry = workload::known_scenarios();
+  ASSERT_EQ(registry.size(), pinned.size())
+      << "a scenario was added or removed: pin its digest here";
+  for (const auto& info : registry) {
+    const auto it = pinned.find(info.name);
+    ASSERT_NE(it, pinned.end()) << info.name << " has no pinned digest";
+    EXPECT_EQ(digest_of(info.name, "saath"), it->second) << info.name;
+  }
+}
+
+TEST(RegistryDigest, SteadyChurnUnderTheBaselines) {
+  EXPECT_EQ(digest_of("steady-churn", "aalo"), "ef81ed69e9b73775");
+  EXPECT_EQ(digest_of("steady-churn", "uc-tcp"), "260b09f1f62af8f0");
+}
+
+}  // namespace
+}  // namespace saath
