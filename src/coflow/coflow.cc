@@ -254,6 +254,8 @@ CoflowState::CoflowState(CoflowSpec spec, FlowId first_flow_id)
             true);
   build_csr(receivers_, receiver_order_, receiver_slot_flows_,
             receiver_slot_begin_, false);
+  walk_flows_.resize(flows_.size());
+  std::iota(walk_flows_.begin(), walk_flows_.end(), 0u);
   unfinished_ = static_cast<int>(flows_.size());
   g_occupancy_epoch.fetch_add(1, std::memory_order_relaxed);
 }
@@ -364,6 +366,26 @@ OccupancyDelta CoflowState::on_flow_complete(FlowState& flow, SimTime now) {
   auto& rload = receivers_[static_cast<std::size_t>(r)];
   SAATH_EXPECTS(sload.unfinished_flows > 0);
   SAATH_EXPECTS(rload.unfinished_flows > 0);
+  // Drop the flow from its two slot lists (still ascending), then from the
+  // walk list once finished entries make up half of it.
+  const auto unlist = [i = flow.pool_index()](std::vector<std::uint32_t>& csr,
+                                              std::uint32_t begin, int live) {
+    const auto first = csr.begin() + begin;
+    const auto last = first + live;
+    const auto it = std::lower_bound(first, last, i);
+    SAATH_EXPECTS(it != last && *it == i);
+    std::copy(it + 1, last, it);
+  };
+  unlist(sender_slot_flows_, sender_slot_begin_[static_cast<std::size_t>(s)],
+         sload.unfinished_flows);
+  unlist(receiver_slot_flows_,
+         receiver_slot_begin_[static_cast<std::size_t>(r)],
+         rload.unfinished_flows);
+  if (2 * ++walk_finished_ >= walk_flows_.size()) {
+    std::erase_if(walk_flows_,
+                  [this](std::uint32_t i) { return pool_.finished[i] != 0; });
+    walk_finished_ = 0;
+  }
   OccupancyDelta delta;
   delta.sender_freed = --sload.unfinished_flows == 0;
   delta.receiver_freed = --rload.unfinished_flows == 0;

@@ -247,24 +247,33 @@ class CoflowState {
     return find_slot(receivers_, receiver_order_, port);
   }
 
-  /// Indices into flows() of the flows sourced at sender_loads()[slot].port
-  /// (resp. sinked at receiver_loads()[slot].port), ascending. The
-  /// flow->port mapping is immutable, so the lists are built once at
-  /// construction; finished flows stay listed and callers skip them. This
-  /// is the per-port flow membership the work-conservation backfill joins
-  /// against residually-live ports — without it, reaching "the flows on
-  /// port p" means scanning every flow.
+  /// Indices into flows() of the UNFINISHED flows sourced at
+  /// sender_loads()[slot].port (resp. sinked at receiver_loads()[slot].port),
+  /// ascending; the length is that slot's unfinished_flows. The flow->port
+  /// mapping is immutable, so each slot's storage is laid out once at
+  /// construction, and on_flow_complete removes the completed flow from its
+  /// two lists, order kept. This is the per-port flow membership the
+  /// work-conservation backfill joins against residually-live ports —
+  /// without it, reaching "the flows on port p" means scanning every flow.
   [[nodiscard]] std::span<const std::uint32_t> sender_slot_flows(
       std::size_t slot) const {
     return std::span<const std::uint32_t>(sender_slot_flows_)
         .subspan(sender_slot_begin_[slot],
-                 sender_slot_begin_[slot + 1] - sender_slot_begin_[slot]);
+                 static_cast<std::size_t>(senders_[slot].unfinished_flows));
   }
   [[nodiscard]] std::span<const std::uint32_t> receiver_slot_flows(
       std::size_t slot) const {
     return std::span<const std::uint32_t>(receiver_slot_flows_)
         .subspan(receiver_slot_begin_[slot],
-                 receiver_slot_begin_[slot + 1] - receiver_slot_begin_[slot]);
+                 static_cast<std::size_t>(receivers_[slot].unfinished_flows));
+  }
+
+  /// Ascending indices into flows() covering every unfinished flow — the
+  /// visit order of the per-round dense walks. Finished flows are dropped
+  /// lazily, once they make up half the list, so it holds fewer than twice
+  /// unfinished_flows() entries and callers still skip finished ones.
+  [[nodiscard]] std::span<const std::uint32_t> walk_flows() const {
+    return walk_flows_;
   }
 
   /// Bumped on every port-occupancy change (currently: each flow
@@ -290,7 +299,8 @@ class CoflowState {
   [[nodiscard]] double bottleneck_seconds(Rate port_bandwidth, SimTime now) const;
 
   /// Engine hooks --------------------------------------------------------
-  /// Completes `flow` at `now`, updating port loads and finish bookkeeping.
+  /// Completes `flow` at `now`, updating port loads, the unfinished-only
+  /// flow views, and finish bookkeeping — the only place those views change.
   /// Reports which of the flow's two port memberships dropped to zero.
   OccupancyDelta on_flow_complete(FlowState& flow, SimTime now);
   /// Node failure on `port`: restarts every unfinished flow touching it.
@@ -310,8 +320,9 @@ class CoflowState {
   void restore_flow_progress(std::size_t i, double sent_base, Rate rate,
                              SimTime anchor, SimTime predicted_finish);
   /// Checkpoint restore of an already-finished flow: routes through the
-  /// normal completion bookkeeping (port loads, finished lengths,
-  /// occupancy version) at the recorded finish instant.
+  /// normal completion bookkeeping (port loads, unfinished-only flow
+  /// views, finished lengths, occupancy version) at the recorded finish
+  /// instant.
   void restore_flow_finished(std::size_t i, SimTime finish_time);
 
   /// Scheduler-owned annotations ------------------------------------------
@@ -398,11 +409,15 @@ class CoflowState {
   std::vector<std::uint32_t> sender_order_;
   std::vector<std::uint32_t> receiver_order_;
   /// CSR layout of flow indices grouped by sender / receiver slot (see
-  /// sender_slot_flows): begin_[s]..begin_[s+1] bound slot s's flows.
+  /// sender_slot_flows): slot s owns begin_[s]..begin_[s+1], of which the
+  /// first unfinished_flows entries are its live list.
   std::vector<std::uint32_t> sender_slot_flows_;
   std::vector<std::uint32_t> sender_slot_begin_;
   std::vector<std::uint32_t> receiver_slot_flows_;
   std::vector<std::uint32_t> receiver_slot_begin_;
+  /// See walk_flows(); walk_finished_ counts the finished entries it holds.
+  std::vector<std::uint32_t> walk_flows_;
+  std::size_t walk_finished_ = 0;
   std::vector<double> finished_lengths_;
   /// finished_lengths_.size() the cached median was computed at; 0 = none.
   mutable std::size_t median_for_count_ = 0;

@@ -18,9 +18,9 @@ double allocate_greedy_fair(CoflowState& c, Fabric& fabric,
   // zero: a sub-epsilon rate moves no meaningful bytes but would still
   // churn the flow's rate version — and with it trajectory_version()
   // memoization and the crossing heap — every epoch.
-  // Each sender slot's flows come from the CSR slot list (ascending flow
-  // index — the same order the old filtered full scan visited them) with
-  // the trajectory reads on the dense pool arrays.
+  // Each sender slot's flows come from the CSR slot list (its unfinished
+  // flows in ascending index — the same order the old filtered full scan
+  // visited them) with the trajectory reads on the dense pool arrays.
   const auto flows = c.flows();
   const FlowPool& pool = c.pool();
   const auto loads = c.sender_loads();
@@ -30,7 +30,6 @@ double allocate_greedy_fair(CoflowState& c, Fabric& fabric,
     const Rate share = fabric.send_remaining(load.port) / load.unfinished_flows;
     if (share <= Fabric::kRateEpsilon) continue;
     for (const std::uint32_t i : c.sender_slot_flows(s)) {
-      if (pool.finished[i]) continue;
       FlowState& f = flows[i];
       const Rate r = std::min(share, fabric.recv_remaining(f.dst()));
       if (r <= Fabric::kRateEpsilon) continue;
@@ -54,13 +53,12 @@ bool allocate_madd(CoflowState& c, Fabric& fabric, RateAssignment& rates) {
       const auto& load = loads[s];
       if (load.unfinished_flows == 0) continue;
       double bytes = 0;
-      // CSR slot list: the slot's flows in ascending index order — the
-      // same sequence (and therefore the same sum) as the old filtered
-      // scan over all flows.
+      // CSR slot list: the slot's unfinished flows in ascending index
+      // order — the same sequence (and therefore the same sum) as the old
+      // filtered scan over all flows.
       const auto slot_flows =
           side == 0 ? c.sender_slot_flows(s) : c.receiver_slot_flows(s);
       for (const std::uint32_t i : slot_flows) {
-        if (pool.finished[i]) continue;
         bytes += pool.remaining_of(i, now);
       }
       const Rate budget = side == 0 ? fabric.send_remaining(load.port)

@@ -32,11 +32,11 @@ using Clock = std::chrono::steady_clock;
                                             SimTime now) {
   double cross = std::numeric_limits<double>::infinity();
   if (!std::isfinite(bound)) return cross;
-  // Dense walk over the SoA pool (same order and arithmetic as the old
-  // per-handle loop, so the crossing instants are bit-identical).
+  // Walk over the SoA pool in walk_flows() order — ascending, like the old
+  // per-handle loop, with the same arithmetic — so the crossing instants
+  // are bit-identical.
   const FlowPool& pool = c.pool();
-  const std::size_t n = pool.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (const std::uint32_t i : c.walk_flows()) {
     if (pool.finished[i] || pool.rate[i] <= 0 || pool.size_bytes[i] < bound) {
       continue;
     }
@@ -81,8 +81,7 @@ double SaathScheduler::dynamics_remaining_estimate(const CoflowState& coflow,
   // remaining work m_c is the max since the CCT tracks the last flow.
   double m_c = 0;
   const FlowPool& pool = coflow.pool();
-  const std::size_t n = pool.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (const std::uint32_t i : coflow.walk_flows()) {
     if (pool.finished[i]) continue;
     m_c = std::max(m_c, std::max(0.0, f_e - pool.sent(i, now)));
   }
@@ -283,7 +282,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::replay_equal_rate(
     CoflowState& c, Rate rate, Fabric& fabric, RateAssignment& rates) const {
   const auto flows = c.flows();
   const FlowPool& pool = c.pool();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
+  for (const std::uint32_t i : c.walk_flows()) {
     if (pool.finished[i]) continue;
     FlowState& f = flows[i];
     rates.set(c, f, rate);
@@ -517,16 +516,14 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
             const std::size_t listed = c->flows().size();
             std::size_t live_src_flows = 0;
             std::size_t live_dst_flows = 0;
-            for (std::size_t s = 0; s < send_loads.size(); ++s) {
-              if (send_loads[s].unfinished_flows > 0 &&
-                  fabric.send_is_live(send_loads[s].port)) {
-                live_src_flows += c->sender_slot_flows(s).size();
+            for (const PortLoad& l : send_loads) {
+              if (l.unfinished_flows > 0 && fabric.send_is_live(l.port)) {
+                live_src_flows += static_cast<std::size_t>(l.unfinished_flows);
               }
             }
-            for (std::size_t s = 0; s < recv_loads.size(); ++s) {
-              if (recv_loads[s].unfinished_flows > 0 &&
-                  fabric.recv_is_live(recv_loads[s].port)) {
-                live_dst_flows += c->receiver_slot_flows(s).size();
+            for (const PortLoad& l : recv_loads) {
+              if (l.unfinished_flows > 0 && fabric.recv_is_live(l.port)) {
+                live_dst_flows += static_cast<std::size_t>(l.unfinished_flows);
               }
             }
             if (std::min(live_src_flows, live_dst_flows) * 4 <= listed) {
@@ -564,10 +561,10 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
               }
               continue;
             }
-            stats_.backfill_flows += static_cast<std::int64_t>(listed);
+            stats_.backfill_flows +=
+                static_cast<std::int64_t>(c->walk_flows().size());
           }
-          const auto n = static_cast<std::uint32_t>(pool.size());
-          for (std::uint32_t i = 0; i < n; ++i) try_alloc(c, pool, i);
+          for (const std::uint32_t i : c->walk_flows()) try_alloc(c, pool, i);
         }
       }
       conserve_cache_valid_ = conserve_track;

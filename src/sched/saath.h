@@ -116,8 +116,9 @@ struct SaathPhaseStats {
   std::int64_t backfill_rounds = 0;
   std::int64_t backfill_candidates = 0;
   std::int64_t backfill_missed = 0;
-  /// Flow visits the indexed walk actually performed (the dense loop would
-  /// have visited every unfinished flow of every missed CoFlow).
+  /// Flow visits the indexed walk actually performed: walk_flows() entries
+  /// on a plain walk, gathered flows on a flow-level cut. The dense loop
+  /// visits every flow of every missed CoFlow, finished ones included.
   std::int64_t backfill_flows = 0;
   std::int64_t conserve_replays = 0;
   /// Backfill rounds that ran the sharded (pool) gather instead of the

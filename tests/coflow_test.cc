@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
+#include <random>
+#include <span>
+#include <vector>
 
 #include "coflow/coflow.h"
 #include "coflow/job.h"
@@ -158,6 +164,145 @@ TEST(CoflowState, PortLoadLookupOnWideCoflow) {
   EXPECT_EQ(c.unfinished_on_sender(0), 0);
   EXPECT_EQ(c.unfinished_on_sender(99), 0);
   EXPECT_EQ(c.unfinished_on_receiver(1), 0);
+}
+
+// 150 flows over 12 senders and 10 receivers, in an order that interleaves
+// ports so no slot's flows sit contiguously in flows(); every
+// sender/receiver pair in use carries two or three flows.
+CoflowSpec interleaved_mesh() {
+  CoflowSpec spec;
+  spec.id = CoflowId{9};
+  for (int k = 0; k < 150; ++k) {
+    spec.flows.push_back({static_cast<PortIndex>((k * 7) % 12),
+                          static_cast<PortIndex>(20 + (k * 3) % 10),
+                          10 + k});
+  }
+  return spec;
+}
+
+std::vector<std::uint32_t> shuffled_indices(std::size_t n, unsigned seed) {
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::shuffle(order.begin(), order.end(), std::mt19937(seed));
+  return order;
+}
+
+std::vector<std::uint32_t> as_vector(std::span<const std::uint32_t> s) {
+  return {s.begin(), s.end()};
+}
+
+/// Checks every unfinished-only view against a from-scratch scan.
+void expect_views_match_scan(const CoflowState& c) {
+  const auto flows = c.flows();
+  std::vector<std::uint32_t> unfinished;
+  for (std::uint32_t i = 0; i < flows.size(); ++i) {
+    if (!flows[i].finished()) unfinished.push_back(i);
+  }
+  for (const bool senders : {true, false}) {
+    const auto loads = senders ? c.sender_loads() : c.receiver_loads();
+    for (std::size_t s = 0; s < loads.size(); ++s) {
+      std::vector<std::uint32_t> want;
+      for (const std::uint32_t i : unfinished) {
+        if ((senders ? flows[i].src() : flows[i].dst()) == loads[s].port) {
+          want.push_back(i);
+        }
+      }
+      const auto got =
+          senders ? c.sender_slot_flows(s) : c.receiver_slot_flows(s);
+      EXPECT_EQ(as_vector(got), want)
+          << (senders ? "sender" : "receiver") << " port " << loads[s].port;
+      EXPECT_EQ(got.size(),
+                static_cast<std::size_t>(loads[s].unfinished_flows));
+    }
+  }
+  const auto walk = c.walk_flows();
+  EXPECT_EQ(std::adjacent_find(walk.begin(), walk.end(),
+                               std::greater_equal<std::uint32_t>()),
+            walk.end())
+      << "walk list not strictly ascending";
+  std::vector<std::uint32_t> listed_unfinished;
+  for (const std::uint32_t i : walk) {
+    if (!flows[i].finished()) listed_unfinished.push_back(i);
+  }
+  EXPECT_EQ(listed_unfinished, unfinished);
+  EXPECT_LE(walk.size(), 2 * unfinished.size());
+}
+
+TEST(CoflowState, UnfinishedViewsTrackShuffledCompletions) {
+  CoflowState c(interleaved_mesh(), FlowId{0});
+  expect_views_match_scan(c);
+  SimTime t = 0;
+  for (const std::uint32_t i : shuffled_indices(c.flows().size(), 7)) {
+    c.on_flow_complete(c.flows()[i], t += msec(1));
+    expect_views_match_scan(c);
+  }
+  EXPECT_TRUE(c.finished());
+  EXPECT_TRUE(c.walk_flows().empty());
+}
+
+TEST(CoflowState, RestoredStateHasIdenticalViews) {
+  const CoflowSpec spec = interleaved_mesh();
+  CoflowState live(spec, FlowId{0});
+  const auto order = shuffled_indices(spec.flows.size(), 11);
+  const std::vector<std::uint32_t> done(order.begin(), order.begin() + 110);
+  SimTime t = 0;
+  for (const std::uint32_t i : done) {
+    live.on_flow_complete(live.flows()[i], t += msec(1));
+  }
+  // Checkpoint restore replays the finished flows in index order, unlike
+  // the live run; the slot lists hold exactly the unfinished flows either
+  // way, and the walk list covers the same unfinished flows.
+  CoflowState restored(spec, FlowId{0});
+  for (std::size_t i = 0; i < spec.flows.size(); ++i) {
+    if (live.flows()[i].finished()) {
+      restored.restore_flow_finished(i, live.flows()[i].finish_time());
+    }
+  }
+  expect_views_match_scan(live);
+  expect_views_match_scan(restored);
+  for (std::size_t s = 0; s < live.sender_loads().size(); ++s) {
+    EXPECT_EQ(as_vector(restored.sender_slot_flows(s)),
+              as_vector(live.sender_slot_flows(s)));
+  }
+  for (std::size_t s = 0; s < live.receiver_loads().size(); ++s) {
+    EXPECT_EQ(as_vector(restored.receiver_slot_flows(s)),
+              as_vector(live.receiver_slot_flows(s)));
+  }
+  // Which finished flows still linger in the walk list depends only on the
+  // completion sequence: a restore in the live order reproduces it exactly.
+  CoflowState replayed(spec, FlowId{0});
+  for (const std::uint32_t i : done) {
+    replayed.restore_flow_finished(i, live.flows()[i].finish_time());
+  }
+  EXPECT_EQ(as_vector(replayed.walk_flows()), as_vector(live.walk_flows()));
+}
+
+TEST(CoflowState, RestartLeavesViewsUnchanged) {
+  CoflowState c(interleaved_mesh(), FlowId{0});
+  const auto order = shuffled_indices(c.flows().size(), 3);
+  for (std::size_t k = 0; k < 60; ++k) {
+    c.on_flow_complete(c.flows()[order[k]], msec(1));
+  }
+  for (auto& f : c.flows()) f.set_rate(10.0, msec(1));
+  const auto walk_before = as_vector(c.walk_flows());
+  std::vector<std::vector<std::uint32_t>> slots_before;
+  for (std::size_t s = 0; s < c.sender_loads().size(); ++s) {
+    slots_before.push_back(as_vector(c.sender_slot_flows(s)));
+  }
+  for (std::size_t s = 0; s < c.receiver_loads().size(); ++s) {
+    slots_before.push_back(as_vector(c.receiver_slot_flows(s)));
+  }
+  EXPECT_GT(c.restart_flows_on_port(0, seconds(1)), 0);
+  EXPECT_GT(c.restart_flows_on_port(25, seconds(1)), 0);
+  EXPECT_EQ(as_vector(c.walk_flows()), walk_before);
+  std::size_t k = 0;
+  for (std::size_t s = 0; s < c.sender_loads().size(); ++s) {
+    EXPECT_EQ(as_vector(c.sender_slot_flows(s)), slots_before[k++]);
+  }
+  for (std::size_t s = 0; s < c.receiver_loads().size(); ++s) {
+    EXPECT_EQ(as_vector(c.receiver_slot_flows(s)), slots_before[k++]);
+  }
+  expect_views_match_scan(c);
 }
 
 TEST(JobSpec, ValidateRejectsForwardDeps) {
