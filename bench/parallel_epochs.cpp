@@ -1,29 +1,16 @@
-// Sharded parallel epoch engine benchmark — the perf trajectory anchor
-// for the parallel/ layer.
+// Concurrent campaign benchmark — the perf trajectory anchor for the
+// parallel/ layer.
 //
-// Three measurements, every one digest-verified against the serial oracle
-// (the numbers are meaningless if the streams diverge — exit 2):
+// K independent steady-churn cells run through run_campaign() at jobs=1
+// and at jobs=N; the bench reports the wall ratio and digests every
+// cell's aggregate (count, makespan, CCT bits). The numbers are
+// meaningless if the two digests differ, so that exits 2.
 //
-//  * conserve shards: the FB-scale trace end-to-end, serial
-//    (parallel_shards = 0) vs sharded (default 8); reports the Saath
-//    conserve-phase wall ratio and requires the sharded gather to have
-//    actually engaged (sharded_rounds > 0) and the full completion stream
-//    to match the oracle byte for byte.
-//
-//  * campaign jobs: K independent steady-churn cells through
-//    run_campaign() at jobs=1 vs jobs=N; reports the wall ratio and
-//    digests every cell's aggregate (count, makespan, CCT bits).
-//
-//  * engine telemetry: the sharded run's per-phase wall breakdown
-//    (ingest/schedule/advance vs whole-run) and the shard_imbalance
-//    (max/mean shard busy-ns) the partition produced.
-//
-// Speedup ratios are only meaningful with enough cores; the JSON carries
-// `cores` so the CI gate can scale its thresholds (digest checks are
+// The speedup ratio is only meaningful with enough cores; the JSON carries
+// `cores` so the CI gate can scale its thresholds (the digest check is
 // unconditional).
 //
-//   $ ./parallel_epochs [--coflows N] [--cells K] [--jobs N] [--shards N]
-//                       [--out BENCH_parallel.json]
+//   $ ./parallel_epochs [--cells K] [--jobs N] [--out BENCH_parallel.json]
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -34,9 +21,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "sched/saath.h"
-#include "sim/engine.h"
-#include "trace/synth.h"
 #include "workload/scenario.h"
 
 namespace saath {
@@ -52,41 +36,6 @@ using Clock = std::chrono::steady_clock;
 
 void mix(std::uint64_t& digest, std::uint64_t v) {
   digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
-}
-
-[[nodiscard]] std::uint64_t result_digest(const SimResult& result) {
-  std::uint64_t digest = 0;
-  for (const auto& c : result.coflows) {
-    mix(digest, static_cast<std::uint64_t>(c.id.value));
-    mix(digest, static_cast<std::uint64_t>(c.finish));
-  }
-  mix(digest, static_cast<std::uint64_t>(result.makespan));
-  return digest;
-}
-
-struct ConserveRun {
-  double wall_ms = 0;
-  double conserve_ms = 0;
-  std::int64_t sharded_rounds = 0;
-  std::uint64_t digest = 0;
-  EngineStats stats;
-};
-
-ConserveRun run_conserve(const trace::Trace& trace, int shards) {
-  SaathScheduler sched{SaathConfig{}};
-  SimConfig cfg = bench::paper_sim_config();
-  cfg.parallel_shards = shards;
-  Engine engine(trace, sched, cfg);
-  const auto t0 = Clock::now();
-  const auto result = engine.run();
-  ConserveRun out;
-  out.wall_ms = ms_since(t0);
-  out.conserve_ms =
-      static_cast<double>(sched.phase_stats().conserve_ns) / 1e6;
-  out.sharded_rounds = sched.phase_stats().sharded_rounds;
-  out.digest = result_digest(result);
-  out.stats = engine.stats();
-  return out;
 }
 
 struct CampaignRun {
@@ -111,43 +60,21 @@ CampaignRun run_cells(const std::vector<workload::CampaignCell>& cells,
 }
 
 int run(int argc, char** argv) {
-  int coflows = 526;
   int cells = 6;
   int jobs = 8;
-  int shards = 8;
   std::string out = "BENCH_parallel.json";
   for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--coflows") == 0) coflows = std::atoi(argv[i + 1]);
     if (std::strcmp(argv[i], "--cells") == 0) cells = std::atoi(argv[i + 1]);
     if (std::strcmp(argv[i], "--jobs") == 0) jobs = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--shards") == 0) shards = std::atoi(argv[i + 1]);
     if (std::strcmp(argv[i], "--out") == 0) out = argv[i + 1];
   }
   out = bench::bench_out_path(out);
   const int cores =
       static_cast<int>(std::thread::hardware_concurrency());
 
-  bench::print_header("parallel epoch engine: sharded conserve + campaigns",
+  bench::print_header("parallel campaigns: run_campaign at jobs=1 vs jobs=N",
                       "");
 
-  trace::SynthConfig synth;
-  synth.num_coflows = coflows;
-  const auto trace = trace::synth_fb_trace(synth);
-
-  // --- conserve shards --------------------------------------------------
-  const ConserveRun serial = run_conserve(trace, 0);
-  const ConserveRun sharded = run_conserve(trace, shards);
-  const bool conserve_match = serial.digest == sharded.digest;
-  const bool engaged = sharded.sharded_rounds > 0;
-  const double conserve_ratio =
-      sharded.conserve_ms > 0 ? serial.conserve_ms / sharded.conserve_ms : 0;
-  std::printf("conserve: serial %.1f ms, sharded(%d) %.1f ms — ratio %.2fx, "
-              "sharded rounds %lld, digests %s\n",
-              serial.conserve_ms, shards, sharded.conserve_ms, conserve_ratio,
-              static_cast<long long>(sharded.sharded_rounds),
-              conserve_match ? "identical" : "DIVERGED");
-
-  // --- campaign jobs ----------------------------------------------------
   std::vector<workload::CampaignCell> campaign;
   for (int i = 0; i < cells; ++i) {
     workload::CampaignCell cell;
@@ -167,17 +94,8 @@ int run(int argc, char** argv) {
               "%.2fx, digests %s\n",
               cells, camp_serial.wall_ms, jobs, camp_jobs.wall_ms,
               campaign_ratio, campaign_match ? "identical" : "DIVERGED");
-
-  // --- engine telemetry -------------------------------------------------
-  const EngineStats& st = sharded.stats;
-  std::printf("phases: ingest %.1f ms, schedule %.1f ms, advance %.1f ms, "
-              "wall %.1f ms, shard imbalance %.2f\n",
-              static_cast<double>(st.ingest_ns) / 1e6,
-              static_cast<double>(st.schedule_ns) / 1e6,
-              static_cast<double>(st.advance_ns) / 1e6,
-              static_cast<double>(st.run_wall_ns) / 1e6, st.shard_imbalance);
   std::printf("cores: %d (ratios need >= %d cores to mean anything)\n", cores,
-              shards);
+              jobs);
 
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
@@ -189,28 +107,15 @@ int run(int argc, char** argv) {
       "{\n"
       "  \"bench\": \"parallel_epochs\",\n"
       "  \"cores\": %d,\n"
-      "  \"shards\": %d,\n"
       "  \"jobs\": %d,\n"
-      "  \"conserve\": {\"serial_conserve_ms\": %.3f, "
-      "\"sharded_conserve_ms\": %.3f, \"ratio\": %.3f, "
-      "\"sharded_rounds\": %lld, \"engaged\": %s, \"digest_match\": %s},\n"
       "  \"campaign\": {\"cells\": %d, \"serial_ms\": %.3f, "
-      "\"parallel_ms\": %.3f, \"ratio\": %.3f, \"digest_match\": %s},\n"
-      "  \"engine\": {\"ingest_ms\": %.3f, \"schedule_ms\": %.3f, "
-      "\"advance_ms\": %.3f, \"wall_ms\": %.3f, \"shard_imbalance\": %.3f}\n"
+      "\"parallel_ms\": %.3f, \"ratio\": %.3f, \"digest_match\": %s}\n"
       "}\n",
-      cores, shards, jobs, serial.conserve_ms, sharded.conserve_ms,
-      conserve_ratio, static_cast<long long>(sharded.sharded_rounds),
-      engaged ? "true" : "false", conserve_match ? "true" : "false", cells,
-      camp_serial.wall_ms, camp_jobs.wall_ms, campaign_ratio,
-      campaign_match ? "true" : "false",
-      static_cast<double>(st.ingest_ns) / 1e6,
-      static_cast<double>(st.schedule_ns) / 1e6,
-      static_cast<double>(st.advance_ns) / 1e6,
-      static_cast<double>(st.run_wall_ns) / 1e6, st.shard_imbalance);
+      cores, jobs, cells, camp_serial.wall_ms, camp_jobs.wall_ms,
+      campaign_ratio, campaign_match ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());
-  return (conserve_match && campaign_match && engaged) ? 0 : 2;
+  return campaign_match ? 0 : 2;
 }
 
 }  // namespace

@@ -165,8 +165,6 @@ int run_direct(const DirectOptions& opt) {
     cfg = setup.config;
     apply_scheduler_sim_overrides(sched_name, cfg);
     if (opt.params.get_int("records", 1) == 0) cfg.record_results = false;
-    cfg.parallel_shards =
-        static_cast<int>(opt.params.get_int("shards", cfg.parallel_shards));
     cfg.max_stall_epochs = static_cast<int>(
         opt.params.get_int("stall_epochs", cfg.max_stall_epochs));
     cfg.max_requeue_attempts = static_cast<int>(
@@ -270,8 +268,6 @@ struct ServiceModeOptions {
 void apply_scenario_param_overrides(SimConfig& cfg,
                                     workload::ScenarioParams& params) {
   if (params.get_int("records", 1) == 0) cfg.record_results = false;
-  cfg.parallel_shards =
-      static_cast<int>(params.get_int("shards", cfg.parallel_shards));
   cfg.max_stall_epochs =
       static_cast<int>(params.get_int("stall_epochs", cfg.max_stall_epochs));
   cfg.max_requeue_attempts =

@@ -236,17 +236,6 @@ class CoflowState {
   [[nodiscard]] int unfinished_on_sender(PortIndex port) const;
   [[nodiscard]] int unfinished_on_receiver(PortIndex port) const;
 
-  /// Slot index of `port` in sender_loads()/receiver_loads() (-1 when the
-  /// CoFlow never touched it) — the key into sender_slot_flows()/
-  /// receiver_slot_flows() for a port reached from the outside (the
-  /// sharded backfill walks ports, not slots). O(log ports).
-  [[nodiscard]] int sender_slot_of(PortIndex port) const {
-    return find_slot(senders_, sender_order_, port);
-  }
-  [[nodiscard]] int receiver_slot_of(PortIndex port) const {
-    return find_slot(receivers_, receiver_order_, port);
-  }
-
   /// Indices into flows() of the UNFINISHED flows sourced at
   /// sender_loads()[slot].port (resp. sinked at receiver_loads()[slot].port),
   /// ascending; the length is that slot's unfinished_flows. The flow->port
@@ -340,13 +329,6 @@ class CoflowState {
   /// Data-availability gate (§4.3 pipelining): flows before this count are
   /// ready; engine-level injectors may hold data back.
   bool data_available = true;
-  /// Sharded work-conservation scratch (SaathScheduler): this CoFlow's
-  /// rank in the round's missed list, trusted only while conserve_stamp
-  /// equals the round's globally-unique stamp (stale stamps from other
-  /// rounds or other scheduler instances can never collide). Written
-  /// serially before the gather fan-out, read-only inside it.
-  std::uint32_t conserve_rank = 0;
-  std::uint64_t conserve_stamp = 0;
 
   /// Lengths (bytes) of flows that already finished; used by the §4.3
   /// approximate-SRTF estimator.

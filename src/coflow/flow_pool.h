@@ -20,10 +20,10 @@
 //    CoflowState's lifetime.
 //  - Index identity: slot i of every array describes flows()[i], which is
 //    also what the CSR sender/receiver slot lists index.
-//  - Shard ownership: a pool belongs to exactly one CoflowState and is
-//    only ever written by the shard that owns that CoFlow; each array
-//    starts on its own 64-byte boundary so cross-pool false sharing is
-//    impossible (see parallel::AlignedBuffer).
+//  - One block per pool: a pool belongs to exactly one CoflowState and
+//    its arrays are carved from one cache-aligned allocation, each
+//    starting on its own 64-byte boundary — one allocation per admitted
+//    CoFlow, one free on reclamation (see parallel::AlignedBuffer).
 #pragma once
 
 #include <algorithm>

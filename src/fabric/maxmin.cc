@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/expect.h"
-#include "parallel/thread_pool.h"
 
 namespace saath {
 
@@ -61,13 +60,10 @@ struct CapLater {
 
 namespace detail {
 
-// The full water-level solve over one (sub)problem, writing `rates`
-// (pre-zeroed, one slot per demand). Extracted so the component-parallel
-// overload can run it on remapped sub-problems; every code path below is
-// shared between the serial oracle and the sharded solves. This is the
-// heap (event-queue) formulation — kept as the bit-identity oracle for
-// solve_waterlevel_dense, which replaces the heaps with dense per-round
-// level scans the compiler can vectorize.
+// The full water-level solve, writing `rates` (pre-zeroed, one slot per
+// demand). This is the heap (event-queue) formulation — kept as the
+// bit-identity oracle for solve_waterlevel_dense, which replaces the heaps
+// with dense per-round level scans the compiler can vectorize.
 SAATH_HOT void solve_waterlevel_heap(std::span<const MaxMinDemand> demands,
                                      std::span<const Rate> send_caps,
                                      std::span<const Rate> recv_caps,
@@ -367,125 +363,6 @@ std::vector<Rate> maxmin_fair_rates(std::span<const MaxMinDemand> demands,
                                     std::span<const Rate> recv_caps) {
   std::vector<Rate> rates(demands.size(), 0.0);
   solve_waterlevel(demands, send_caps, recv_caps, rates);
-  return rates;
-}
-
-std::vector<Rate> maxmin_fair_rates(std::span<const MaxMinDemand> demands,
-                                    std::span<const Rate> send_caps,
-                                    std::span<const Rate> recv_caps,
-                                    parallel::ThreadPool* pool) {
-  // Below this size the component discovery costs more than it saves.
-  constexpr std::size_t kMinParallelDemands = 256;
-  std::vector<Rate> rates(demands.size(), 0.0);
-  if (pool == nullptr || pool->workers() < 2 ||
-      demands.size() < kMinParallelDemands) {
-    solve_waterlevel(demands, send_caps, recv_caps, rates);
-    return rates;
-  }
-  SAATH_EXPECTS(!send_caps.empty());
-  SAATH_EXPECTS(send_caps.size() == recv_caps.size());
-  const std::size_t num_ports = send_caps.size();
-  const std::size_t n = demands.size();
-
-  // Union-find over 2P directed port nodes (send p -> p, recv p -> P + p):
-  // two demands share water only when they are port-connected, so the
-  // connected components are independent sub-problems. Degenerate caps
-  // (> 0 but <= 1e-12) freeze at rate 0 before ever joining a bucket in
-  // the solver, so they join no component here either.
-  std::vector<std::uint32_t> uf(2 * num_ports);
-  for (std::size_t i = 0; i < uf.size(); ++i) {
-    uf[i] = static_cast<std::uint32_t>(i);
-  }
-  const auto find = [&](std::uint32_t x) {
-    while (uf[x] != x) {
-      uf[x] = uf[uf[x]];
-      x = uf[x];
-    }
-    return x;
-  };
-  for (const MaxMinDemand& d : demands) {
-    SAATH_EXPECTS(d.src >= 0 && static_cast<std::size_t>(d.src) < num_ports);
-    SAATH_EXPECTS(d.dst >= 0 && static_cast<std::size_t>(d.dst) < num_ports);
-    if (d.cap > 0 && d.cap <= 1e-12) continue;
-    const std::uint32_t a = find(static_cast<std::uint32_t>(d.src));
-    const std::uint32_t b = find(
-        static_cast<std::uint32_t>(num_ports + static_cast<std::size_t>(d.dst)));
-    if (a != b) uf[b] = a;
-  }
-
-  // Components in first-seen demand order; demand lists stay ascending in
-  // original index, so the per-component flow numbering is monotone.
-  std::vector<std::int32_t> comp_of_root(2 * num_ports, -1);
-  std::vector<std::vector<std::uint32_t>> comp_demands;
-  for (std::size_t i = 0; i < n; ++i) {
-    const MaxMinDemand& d = demands[i];
-    if (d.cap > 0 && d.cap <= 1e-12) continue;  // stays rate 0
-    const std::uint32_t root = find(static_cast<std::uint32_t>(d.src));
-    std::int32_t c = comp_of_root[root];
-    if (c < 0) {
-      c = static_cast<std::int32_t>(comp_demands.size());
-      comp_of_root[root] = c;
-      comp_demands.emplace_back();
-    }
-    comp_demands[static_cast<std::size_t>(c)].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  const int num_components = static_cast<int>(comp_demands.size());
-  if (num_components < 2) {
-    solve_waterlevel(demands, send_caps, recv_caps, rates);
-    return rates;
-  }
-
-  // One sub-solve per component. Each builds a sorted (therefore monotone)
-  // remap of its send and recv ports — monotone remaps preserve every
-  // (level, side, port) and (level, flow) heap tie-break of the global
-  // solve restricted to the component, and cross-component events commute
-  // (disjoint ports, disjoint flows), so the scattered rates are bitwise
-  // identical to the serial solve. Workers write disjoint rates[] slots.
-  pool->parallel_for_shards(num_components, [&](int comp) {
-    const std::vector<std::uint32_t>& mine =
-        comp_demands[static_cast<std::size_t>(comp)];
-    std::vector<PortIndex> send_ports;
-    std::vector<PortIndex> recv_ports;
-    for (const std::uint32_t i : mine) {
-      send_ports.push_back(demands[i].src);
-      recv_ports.push_back(demands[i].dst);
-    }
-    const auto sort_unique = [](std::vector<PortIndex>& v) {
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-    };
-    sort_unique(send_ports);
-    sort_unique(recv_ports);
-    // The solver wants one shared port-id space; lay out the component's
-    // send ports first, recv ports after, padding the shorter side's caps
-    // with zero-capacity ports no demand references.
-    const std::size_t local_ports =
-        std::max(send_ports.size(), recv_ports.size());
-    std::vector<Rate> local_send(local_ports, 0.0);
-    std::vector<Rate> local_recv(local_ports, 0.0);
-    for (std::size_t p = 0; p < send_ports.size(); ++p) {
-      local_send[p] = send_caps[static_cast<std::size_t>(send_ports[p])];
-    }
-    for (std::size_t p = 0; p < recv_ports.size(); ++p) {
-      local_recv[p] = recv_caps[static_cast<std::size_t>(recv_ports[p])];
-    }
-    const auto local_id = [](const std::vector<PortIndex>& v, PortIndex p) {
-      return static_cast<PortIndex>(
-          std::lower_bound(v.begin(), v.end(), p) - v.begin());
-    };
-    std::vector<MaxMinDemand> local(mine.size());
-    for (std::size_t k = 0; k < mine.size(); ++k) {
-      const MaxMinDemand& d = demands[mine[k]];
-      local[k] = {local_id(send_ports, d.src), local_id(recv_ports, d.dst),
-                  d.cap};
-    }
-    std::vector<Rate> local_rates(local.size(), 0.0);
-    solve_waterlevel(local, local_send, local_recv, local_rates);
-    for (std::size_t k = 0; k < mine.size(); ++k) {
-      rates[mine[k]] = local_rates[k];
-    }
-  });
   return rates;
 }
 

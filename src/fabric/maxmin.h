@@ -17,10 +17,6 @@
 
 namespace saath {
 
-namespace parallel {
-class ThreadPool;
-}
-
 struct MaxMinDemand {
   PortIndex src = kInvalidPort;
   PortIndex dst = kInvalidPort;
@@ -54,18 +50,5 @@ void solve_waterlevel_dense(std::span<const MaxMinDemand> demands,
                             std::span<const Rate> recv_caps,
                             std::span<Rate> rates);
 }  // namespace detail
-
-/// Pool-parallel variant: partitions the demands into connected port
-/// components (a send port and a recv port are connected when some demand
-/// uses both; disjoint components share no water level) and solves each
-/// component concurrently on `pool`. Results are BITWISE identical to the
-/// serial overload for any pool and any worker count: component sub-solves
-/// touch disjoint state, the per-component port remap is monotone (so every
-/// heap tie-break resolves as in the global solve), and rates scatter back
-/// by original demand index. Falls back to the serial solve when `pool` is
-/// null, the problem is small, or everything is one component.
-[[nodiscard]] std::vector<Rate> maxmin_fair_rates(
-    std::span<const MaxMinDemand> demands, std::span<const Rate> send_caps,
-    std::span<const Rate> recv_caps, parallel::ThreadPool* pool);
 
 }  // namespace saath

@@ -3,12 +3,12 @@
 // AlignedBuffer is the allocation substrate under coflow::FlowPool: one
 // ::operator new block aligned to the cache line, carved into parallel
 // arrays that each start on their own 64-byte boundary. Keeping the whole
-// pool in a single allocation (instead of one vector per array) matters
-// for the sharded engine: a CoflowState — and therefore its pool — is
-// owned by exactly one shard, so one aligned block per CoFlow means no
-// two shards ever write the same cache line through different pools (see
-// ShardArena in thread_pool.h for the same rule applied to per-shard
-// scratch).
+// pool in a single allocation (instead of one vector per array) makes
+// admitting a CoFlow one allocation and reclaiming it one free, and the
+// block's address never changes, so the raw lane pointers and FlowState
+// handles carved from it stay valid for the pool's lifetime. Starting
+// each array on a line boundary keeps a dense walk over one lane from
+// sharing its first line with the previous lane's tail.
 #pragma once
 
 #include <cstddef>

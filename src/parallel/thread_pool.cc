@@ -1,27 +1,12 @@
 #include "parallel/thread_pool.h"
 
-#include <chrono>
 #include <exception>
-#include <thread>
-#include <utility>
 
 #include "common/expect.h"
 
 namespace saath::parallel {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-[[nodiscard]] std::int64_t ns_since(Clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                              start)
-      .count();
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(int workers) : workers_(workers) {
+ThreadPool::ThreadPool(int workers) {
   SAATH_EXPECTS(workers >= 1);
   threads_.reserve(static_cast<std::size_t>(workers - 1));
   for (int w = 0; w < workers - 1; ++w) {
@@ -38,20 +23,15 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-int ThreadPool::drain_job() {
-  int ran = 0;
+void ThreadPool::drain_job() {
   for (;;) {
     const int shard = next_shard_.fetch_add(1, std::memory_order_relaxed);
     if (shard >= job_shards_) break;
-    ShardOutcome& out = outcomes_[static_cast<std::size_t>(shard)];
-    const auto start = Clock::now();
     try {
       (*job_fn_)(shard);
     } catch (...) {
-      out.error = std::current_exception();
+      errors_[static_cast<std::size_t>(shard)] = std::current_exception();
     }
-    out.busy_ns = ns_since(start);
-    ++ran;
     if (completed_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         job_shards_) {
       // The caller may already be waiting; the lock pairs the notify with
@@ -60,27 +40,22 @@ int ThreadPool::drain_job() {
       job_done_.notify_all();
     }
   }
-  return ran;
 }
 
 void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
+  std::unique_lock lock(mutex_);
   for (;;) {
-    {
-      std::unique_lock lock(mutex_);
-      job_ready_.wait(lock,
-                      [&] { return stopping_ || generation_ != seen; });
-      if (stopping_) return;
-      seen = generation_;
-      // Must happen under the lock: once this worker is visible past the
-      // wait, the caller's drain spin has to see it before publishing the
-      // next job's state. An increment after the unlock leaves a window
-      // where the caller sees draining_ == 0 while this worker is about
-      // to read job state.
-      draining_.fetch_add(1, std::memory_order_relaxed);
-    }
+    job_ready_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+    if (stopping_) return;
+    seen = generation_;
+    // Counted under the lock: a publisher that reads draining_ == 0 while
+    // holding it knows no worker can touch job state until it unlocks.
+    ++draining_;
+    lock.unlock();
     drain_job();
-    draining_.fetch_sub(1, std::memory_order_release);
+    lock.lock();
+    if (--draining_ == 0) job_done_.notify_all();
   }
 }
 
@@ -90,28 +65,18 @@ void ThreadPool::parallel_for_shards(int shards,
   SAATH_EXPECTS(fn != nullptr);
   if (shards == 0) return;
   SAATH_EXPECTS(!in_flight_);  // no nesting: one barrier at a time
-  // A worker from the previous job may still be mid-claim (one failed
-  // fetch_add past its barrier); publishing new job state under it would
-  // be a race. This drains in a handful of instructions.
-  while (draining_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
-
-  if (static_cast<std::size_t>(shards) > outcomes_.size()) {
-    outcomes_.resize(static_cast<std::size_t>(shards));
-  }
-  for (int s = 0; s < shards; ++s) {
-    outcomes_[static_cast<std::size_t>(s)] = ShardOutcome{};
-  }
 
   in_flight_ = true;
   {
-    // Job state is published under the mutex: a worker consumes the
-    // generation bump under the same mutex, so every job-state read in
-    // its drain_job() happens-after this publish. Stale wakeups from an
-    // older notify either re-wait (generation unchanged) or drain with
-    // draining_ held, which the spin above waits out.
-    std::lock_guard lock(mutex_);
+    // A worker from the previous job may still be mid-claim (one failed
+    // fetch_add past its barrier), and publishing new job state under it
+    // would be a race, so wait until no worker is inside drain_job().
+    // Workers join draining_ under this mutex before entering it, and the
+    // mutex stays held from that check through the publish, so every
+    // job-state read in drain_job() happens-after the publish.
+    std::unique_lock lock(mutex_);
+    job_done_.wait(lock, [&] { return draining_ == 0; });
+    errors_.assign(static_cast<std::size_t>(shards), nullptr);
     job_fn_ = &fn;
     job_shards_ = shards;
     next_shard_.store(0, std::memory_order_relaxed);
@@ -131,16 +96,9 @@ void ThreadPool::parallel_for_shards(int shards,
   job_fn_ = nullptr;
   in_flight_ = false;
 
-  if (shard_busy_ns_.size() < static_cast<std::size_t>(shards)) {
-    shard_busy_ns_.resize(static_cast<std::size_t>(shards), 0);
+  for (const std::exception_ptr& error : errors_) {
+    if (error) std::rethrow_exception(error);
   }
-  std::exception_ptr first_error;
-  for (int s = 0; s < shards; ++s) {
-    const ShardOutcome& out = outcomes_[static_cast<std::size_t>(s)];
-    shard_busy_ns_[static_cast<std::size_t>(s)] += out.busy_ns;
-    if (!first_error && out.error) first_error = out.error;
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace saath::parallel

@@ -1,17 +1,16 @@
-// Fixed-size worker pool for intra-epoch and campaign parallelism.
+// Fixed-size worker pool for campaign parallelism.
 //
-// The coordinator's per-epoch passes (sharded work-conservation gather,
-// component-parallel max-min) and the campaign drivers (saath_sim --jobs,
-// run_schedulers, run_campaign) all fan work out through one primitive:
-// parallel_for_shards(n, fn) runs fn(0..n-1) across the pool and the
-// calling thread, and returns only when every shard finished (a barrier).
-// Shard claiming is dynamic (an atomic cursor), so n may exceed the worker
-// count — campaign cells queue up and drain as workers free.
+// The campaign drivers (saath_sim --jobs, run_schedulers, run_campaign)
+// fan independent runs out through one primitive: parallel_for_shards(n,
+// fn) runs fn(0..n-1) across the pool and the calling thread, and returns
+// only when every shard finished (a barrier). Shard claiming is dynamic
+// (an atomic cursor), so n may exceed the worker count — campaign cells
+// queue up and drain as workers free.
 //
-// Determinism contract: the pool never imposes an order on results. Callers
-// write into per-shard slots (see ShardArena) and merge serially after the
-// barrier in shard order, which is what keeps every parallel phase
-// byte-identical to its serial oracle regardless of worker interleaving.
+// Determinism contract: the pool never imposes an order on results.
+// Callers write each shard's result into its own slot and read them after
+// the barrier in shard order, which keeps campaign output byte-identical
+// to a serial run regardless of worker interleaving.
 //
 // Exceptions thrown inside a shard are captured; after the barrier the
 // lowest-indexed shard's exception is rethrown in the caller and the pool
@@ -24,45 +23,10 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
 namespace saath::parallel {
-
-/// Destructive-interference padding for per-shard slots. The C++17
-/// hardware_destructive_interference_size constant is compiler-shaky
-/// (GCC warns it is ABI-unstable); 64 covers x86-64 and most arm64.
-inline constexpr std::size_t kCacheLine = 64;
-
-/// Per-shard scratch slots, cache-line padded so concurrent writers never
-/// share a line. Capacity persists across rounds (clear, don't shrink):
-/// the gather buffers behave like per-shard arenas.
-template <typename T>
-class ShardArena {
- public:
-  ShardArena() = default;
-  explicit ShardArena(int shards) { resize(shards); }
-
-  /// Grows/shrinks to `shards` slots; surviving slots keep their contents.
-  void resize(int shards) {
-    slots_.resize(static_cast<std::size_t>(shards < 0 ? 0 : shards));
-  }
-  [[nodiscard]] int shards() const { return static_cast<int>(slots_.size()); }
-
-  [[nodiscard]] T& operator[](int shard) {
-    return slots_[static_cast<std::size_t>(shard)].value;
-  }
-  [[nodiscard]] const T& operator[](int shard) const {
-    return slots_[static_cast<std::size_t>(shard)].value;
-  }
-
- private:
-  struct alignas(kCacheLine) Slot {
-    T value{};
-  };
-  std::vector<Slot> slots_;
-};
 
 class ThreadPool {
  public:
@@ -74,8 +38,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] int workers() const { return workers_; }
-
   /// Runs fn(shard) for every shard in [0, shards), distributing shards
   /// dynamically over the pool plus the calling thread, and returns after
   /// all of them completed (barrier). Reentrant calls (fn itself calling
@@ -84,27 +46,11 @@ class ThreadPool {
   /// the barrier; the remaining shards still ran and the pool is reusable.
   void parallel_for_shards(int shards, const std::function<void(int)>& fn);
 
-  /// Cumulative busy time per shard index across every parallel_for_shards
-  /// call so far (grown to the largest shard count seen). Accumulated by
-  /// the calling thread at each barrier — reading between calls is safe.
-  /// Feeds EngineStats::shard_imbalance.
-  [[nodiscard]] std::span<const std::int64_t> shard_busy_ns() const {
-    return shard_busy_ns_;
-  }
-  void reset_shard_stats() { shard_busy_ns_.assign(shard_busy_ns_.size(), 0); }
-
  private:
-  struct alignas(kCacheLine) ShardOutcome {
-    std::int64_t busy_ns = 0;
-    std::exception_ptr error;
-  };
-
   void worker_loop();
-  /// Claims and runs shards of the current job until none remain; returns
-  /// the number it executed.
-  int drain_job();
+  /// Claims and runs shards of the current job until none remain.
+  void drain_job();
 
-  const int workers_;
   std::vector<std::thread> threads_;
 
   std::mutex mutex_;
@@ -119,18 +65,16 @@ class ThreadPool {
   int job_shards_ = 0;
   std::atomic<int> next_shard_{0};
   std::atomic<int> completed_{0};
-  /// Workers currently inside drain_job(). After a barrier, a losing
-  /// worker may still issue one failed claim on the cursor; the next
-  /// publish spins this to zero first so job state is never mutated under
-  /// a stale reader.
-  std::atomic<int> draining_{0};
-  /// One padded outcome per shard of the in-flight job; indexed writes
-  /// from whichever executor claimed the shard, read by the caller after
-  /// the barrier.
-  std::vector<ShardOutcome> outcomes_;
+  /// Workers currently inside drain_job(), guarded by mutex_. After a
+  /// barrier, a losing worker may still make one failed claim on the
+  /// cursor; the next publish waits (on job_done_) for this to reach zero
+  /// so job state is never mutated under a stale reader.
+  int draining_ = 0;
+  /// One captured exception slot per shard of the in-flight job; written
+  /// by whichever executor claimed the shard, read by the caller after the
+  /// barrier.
+  std::vector<std::exception_ptr> errors_;
   bool in_flight_ = false;
-
-  std::vector<std::int64_t> shard_busy_ns_;
 };
 
 }  // namespace saath::parallel

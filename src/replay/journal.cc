@@ -74,7 +74,7 @@ void write_config(std::string& line, const SimConfig& c) {
   append_token(line, std::to_string(static_cast<int>(c.event_driven)));
   append_token(line, std::to_string(static_cast<int>(c.record_results)));
   append_token(line, std::to_string(c.max_sim_time));
-  append_token(line, std::to_string(c.parallel_shards));
+  append_token(line, "0");  // reserved slot, see the format note
   append_token(line, std::to_string(c.max_stall_epochs));
   append_token(line, std::to_string(c.max_requeue_attempts));
   append_token(line, std::to_string(static_cast<int>(c.strict_input)));
@@ -91,7 +91,7 @@ void write_config(std::string& line, const SimConfig& c) {
   c.event_driven = parse_int(take(ss, line_no), line_no) != 0;
   c.record_results = parse_int(take(ss, line_no), line_no) != 0;
   c.max_sim_time = parse_int(take(ss, line_no), line_no);
-  c.parallel_shards = static_cast<int>(parse_int(take(ss, line_no), line_no));
+  (void)parse_int(take(ss, line_no), line_no);  // reserved slot
   c.max_stall_epochs = static_cast<int>(parse_int(take(ss, line_no), line_no));
   c.max_requeue_attempts =
       static_cast<int>(parse_int(take(ss, line_no), line_no));

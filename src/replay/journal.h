@@ -1,8 +1,8 @@
 // Deterministic capture/replay of workload event streams.
 //
 // The engine's result is a pure function of (merged event stream, SimConfig,
-// scheduler) — every other degree of freedom (heap history, skip decisions,
-// shard count) is fenced to bit-identity by the oracle invariants. A
+// scheduler) — every other degree of freedom (heap history, skip
+// decisions) is fenced to bit-identity by the oracle invariants. A
 // RecordingSource therefore journals exactly the stream the engine consumed:
 // each next() is appended (and flushed — the journal must survive a kill)
 // before the event is handed over, so a journal prefix is always a valid
@@ -20,7 +20,10 @@
 // round-trips are bit-exact):
 //   SAATHJ1 <num_ports> <seed> <name...>
 //   C <bandwidth> <delta> <realloc> <checkcap> <skip> <event> <record>
-//     <max_sim_time> <shards> <stall> <requeue> <strict>
+//     <max_sim_time> <reserved> <stall> <requeue> <strict>
+//   (<reserved> held the retired intra-epoch shard count: written as 0 and
+//   ignored on read, so journals written before and after its removal
+//   load in either build)
 //   A <time> <id> <job> <stage> <arrival> <data_ready> <nflows>
 //     {<src> <dst> <size>}*
 //   D <time> <kind> <port> <factor>

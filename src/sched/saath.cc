@@ -1,7 +1,6 @@
 #include "sched/saath.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -46,13 +45,6 @@ using Clock = std::chrono::steady_clock;
   }
   return cross;
 }
-
-/// Round identifier for the sharded conserve gather's CoflowState rank
-/// stamps. Process-globally unique (never reused, never zero), so a stale
-/// stamp left on a CoflowState by ANY earlier round — including one driven
-/// by a different scheduler instance sharing the same states — can never
-/// alias a fresh one and misdirect a rank lookup.
-std::atomic<std::uint64_t> g_conserve_round{0};
 
 }  // namespace
 
@@ -431,141 +423,132 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
       // anywhere can clear the epsilon — the dense loop would allocate
       // nothing more.
       const bool indexed = config_.incremental_backfill && tracks_index();
-      if (indexed && pool_ != nullptr && parallel_shards_ > 1 &&
-          !missed.empty()) {
-        // Worker pool installed: gather candidates shard-parallel over the
-        // port partition and merge at the epoch barrier. The allocation
-        // stream is byte-identical to the serial walk below (see
-        // conserve_sharded for the argument).
-        conserve_sharded(fabric, rates, missed, conserve_track);
-      } else {
-        // Candidate gating has two regimes. Drained (few live ports, the
-        // state the backfill converges to): join the residual sets against
-        // the occupancy index once — O(live-bucket memberships) — and gate
-        // on the resulting set. Contended (many live ports): a per-CoFlow
-        // scan of its own port slots exits on the first live one, which is
-        // near-O(1) per CoFlow and beats paying the join's hash lookups
-        // for a set almost every CoFlow is in. Both gates over-approximate
-        // the same condition (a flow with both endpoints live exists), so
-        // the walk is byte-identical either way.
-        bool use_join = false;
-        if (indexed && !missed.empty()) {
-          ++stats_.backfill_rounds;
-          stats_.backfill_missed += static_cast<std::int64_t>(missed.size());
-          use_join =
-              (fabric.send_live().size() + fabric.recv_live().size()) * 4 <
-              missed.size();
-          if (use_join) {
-            backfill_ids_.clear();
-            spatial_.occupancy().collect_live_occupants(
-                fabric.send_live(), fabric.recv_live(), backfill_ids_);
-            backfill_set_.clear();
-            for (const CoflowId id : backfill_ids_) backfill_set_.insert(id);
+      // Candidate gating has two regimes. Drained (few live ports, the
+      // state the backfill converges to): join the residual sets against
+      // the occupancy index once — O(live-bucket memberships) — and gate
+      // on the resulting set. Contended (many live ports): a per-CoFlow
+      // scan of its own port slots exits on the first live one, which is
+      // near-O(1) per CoFlow and beats paying the join's hash lookups
+      // for a set almost every CoFlow is in. Both gates over-approximate
+      // the same condition (a flow with both endpoints live exists), so
+      // the walk is byte-identical either way.
+      bool use_join = false;
+      if (indexed && !missed.empty()) {
+        ++stats_.backfill_rounds;
+        stats_.backfill_missed += static_cast<std::int64_t>(missed.size());
+        use_join =
+            (fabric.send_live().size() + fabric.recv_live().size()) * 4 <
+            missed.size();
+        if (use_join) {
+          backfill_ids_.clear();
+          spatial_.occupancy().collect_live_occupants(
+              fabric.send_live(), fabric.recv_live(), backfill_ids_);
+          backfill_set_.clear();
+          for (const CoflowId id : backfill_ids_) backfill_set_.insert(id);
+        }
+      }
+      // Pool-indexed: the walk reads only the dense finished/src/dst/rate
+      // lanes (most visits exit on the epsilon check without ever loading
+      // a FlowState handle); the handle is materialized only for the rare
+      // flow that actually receives budget. Same checks, same arithmetic,
+      // same visit order — the allocation stream is unchanged.
+      const auto try_alloc = [&](CoflowState* c, const FlowPool& pool,
+                                 std::uint32_t i) {
+        if (pool.finished[i]) return;
+        const Rate r = std::min(fabric.send_remaining(pool.src[i]),
+                                fabric.recv_remaining(pool.dst[i]));
+        if (r <= Fabric::kRateEpsilon) return;
+        FlowState& f = c->flows()[i];
+        rates.set(*c, f, pool.rate[i] + r);
+        fabric.consume(pool.src[i], pool.dst[i], r);
+        if (conserve_track) conserve_cache_.push_back({c, &f, r});
+      };
+      const auto any_live_slot = [&fabric](std::span<const PortLoad> loads,
+                                           bool senders) {
+        for (const PortLoad& l : loads) {
+          if (l.unfinished_flows == 0) continue;
+          if (senders ? fabric.send_is_live(l.port)
+                      : fabric.recv_is_live(l.port)) {
+            return true;
           }
         }
-        // Pool-indexed: the walk reads only the dense finished/src/dst/rate
-        // lanes (most visits exit on the epsilon check without ever loading
-        // a FlowState handle); the handle is materialized only for the rare
-        // flow that actually receives budget. Same checks, same arithmetic,
-        // same visit order — the allocation stream is unchanged.
-        const auto try_alloc = [&](CoflowState* c, const FlowPool& pool,
-                                   std::uint32_t i) {
-          if (pool.finished[i]) return;
-          const Rate r = std::min(fabric.send_remaining(pool.src[i]),
-                                  fabric.recv_remaining(pool.dst[i]));
-          if (r <= Fabric::kRateEpsilon) return;
-          FlowState& f = c->flows()[i];
-          rates.set(*c, f, pool.rate[i] + r);
-          fabric.consume(pool.src[i], pool.dst[i], r);
-          if (conserve_track) conserve_cache_.push_back({c, &f, r});
-        };
-        const auto any_live_slot = [&fabric](std::span<const PortLoad> loads,
-                                             bool senders) {
-          for (const PortLoad& l : loads) {
-            if (l.unfinished_flows == 0) continue;
-            if (senders ? fabric.send_is_live(l.port)
-                        : fabric.recv_is_live(l.port)) {
-              return true;
+        return false;
+      };
+      for (CoflowState* c : missed) {
+        const FlowPool& pool = c->pool();
+        if (indexed) {
+          if (fabric.send_live().empty() || fabric.recv_live().empty()) {
+            break;
+          }
+          if (use_join ? !backfill_set_.contains(c->id())
+                       : (!any_live_slot(c->sender_loads(), true) ||
+                          !any_live_slot(c->receiver_loads(), false))) {
+            continue;
+          }
+          ++stats_.backfill_candidates;
+          // Flow-level cut: flows on an exhausted port can never clear
+          // the epsilon (budgets only shrink during the walk), so gather
+          // the more-drained side's live-slot flow lists — filtering the
+          // other endpoint on the way — and merge them back into
+          // ascending flow order, the dense loop's visit order. A first
+          // O(slots) pass sizes both sides; the gather's per-flow cost
+          // is a small multiple of the plain walk's, so it only pays off
+          // when at most a quarter of the flows survive the side filter
+          // — shallow cuts (uncontended rounds) keep the plain walk.
+          const auto send_loads = c->sender_loads();
+          const auto recv_loads = c->receiver_loads();
+          const std::size_t listed = c->flows().size();
+          std::size_t live_src_flows = 0;
+          std::size_t live_dst_flows = 0;
+          for (const PortLoad& l : send_loads) {
+            if (l.unfinished_flows > 0 && fabric.send_is_live(l.port)) {
+              live_src_flows += static_cast<std::size_t>(l.unfinished_flows);
             }
           }
-          return false;
-        };
-        for (CoflowState* c : missed) {
-          const FlowPool& pool = c->pool();
-          if (indexed) {
-            if (fabric.send_live().empty() || fabric.recv_live().empty()) {
-              break;
+          for (const PortLoad& l : recv_loads) {
+            if (l.unfinished_flows > 0 && fabric.recv_is_live(l.port)) {
+              live_dst_flows += static_cast<std::size_t>(l.unfinished_flows);
             }
-            if (use_join ? !backfill_set_.contains(c->id())
-                         : (!any_live_slot(c->sender_loads(), true) ||
-                            !any_live_slot(c->receiver_loads(), false))) {
-              continue;
-            }
-            ++stats_.backfill_candidates;
-            // Flow-level cut: flows on an exhausted port can never clear
-            // the epsilon (budgets only shrink during the walk), so gather
-            // the more-drained side's live-slot flow lists — filtering the
-            // other endpoint on the way — and merge them back into
-            // ascending flow order, the dense loop's visit order. A first
-            // O(slots) pass sizes both sides; the gather's per-flow cost
-            // is a small multiple of the plain walk's, so it only pays off
-            // when at most a quarter of the flows survive the side filter
-            // — shallow cuts (uncontended rounds) keep the plain walk.
-            const auto send_loads = c->sender_loads();
-            const auto recv_loads = c->receiver_loads();
-            const std::size_t listed = c->flows().size();
-            std::size_t live_src_flows = 0;
-            std::size_t live_dst_flows = 0;
-            for (const PortLoad& l : send_loads) {
-              if (l.unfinished_flows > 0 && fabric.send_is_live(l.port)) {
-                live_src_flows += static_cast<std::size_t>(l.unfinished_flows);
-              }
-            }
-            for (const PortLoad& l : recv_loads) {
-              if (l.unfinished_flows > 0 && fabric.recv_is_live(l.port)) {
-                live_dst_flows += static_cast<std::size_t>(l.unfinished_flows);
-              }
-            }
-            if (std::min(live_src_flows, live_dst_flows) * 4 <= listed) {
-              backfill_flow_idx_.clear();
-              if (live_src_flows <= live_dst_flows) {
-                for (std::size_t s = 0; s < send_loads.size(); ++s) {
-                  if (send_loads[s].unfinished_flows == 0 ||
-                      !fabric.send_is_live(send_loads[s].port)) {
-                    continue;
-                  }
-                  for (const std::uint32_t i : c->sender_slot_flows(s)) {
-                    if (fabric.recv_is_live(pool.dst[i])) {
-                      backfill_flow_idx_.push_back(i);
-                    }
-                  }
+          }
+          if (std::min(live_src_flows, live_dst_flows) * 4 <= listed) {
+            backfill_flow_idx_.clear();
+            if (live_src_flows <= live_dst_flows) {
+              for (std::size_t s = 0; s < send_loads.size(); ++s) {
+                if (send_loads[s].unfinished_flows == 0 ||
+                    !fabric.send_is_live(send_loads[s].port)) {
+                  continue;
                 }
-              } else {
-                for (std::size_t s = 0; s < recv_loads.size(); ++s) {
-                  if (recv_loads[s].unfinished_flows == 0 ||
-                      !fabric.recv_is_live(recv_loads[s].port)) {
-                    continue;
-                  }
-                  for (const std::uint32_t i : c->receiver_slot_flows(s)) {
-                    if (fabric.send_is_live(pool.src[i])) {
-                      backfill_flow_idx_.push_back(i);
-                    }
+                for (const std::uint32_t i : c->sender_slot_flows(s)) {
+                  if (fabric.recv_is_live(pool.dst[i])) {
+                    backfill_flow_idx_.push_back(i);
                   }
                 }
               }
-              std::sort(backfill_flow_idx_.begin(), backfill_flow_idx_.end());
-              stats_.backfill_flows +=
-                  static_cast<std::int64_t>(backfill_flow_idx_.size());
-              for (const std::uint32_t i : backfill_flow_idx_) {
-                try_alloc(c, pool, i);
+            } else {
+              for (std::size_t s = 0; s < recv_loads.size(); ++s) {
+                if (recv_loads[s].unfinished_flows == 0 ||
+                    !fabric.recv_is_live(recv_loads[s].port)) {
+                  continue;
+                }
+                for (const std::uint32_t i : c->receiver_slot_flows(s)) {
+                  if (fabric.send_is_live(pool.src[i])) {
+                    backfill_flow_idx_.push_back(i);
+                  }
+                }
               }
-              continue;
             }
+            std::sort(backfill_flow_idx_.begin(), backfill_flow_idx_.end());
             stats_.backfill_flows +=
-                static_cast<std::int64_t>(c->walk_flows().size());
+                static_cast<std::int64_t>(backfill_flow_idx_.size());
+            for (const std::uint32_t i : backfill_flow_idx_) {
+              try_alloc(c, pool, i);
+            }
+            continue;
           }
-          for (const std::uint32_t i : c->walk_flows()) try_alloc(c, pool, i);
+          stats_.backfill_flows +=
+              static_cast<std::int64_t>(c->walk_flows().size());
         }
+        for (const std::uint32_t i : c->walk_flows()) try_alloc(c, pool, i);
       }
       conserve_cache_valid_ = conserve_track;
       conserve_capacity_version_ = fabric.capacity_version();
@@ -578,109 +561,6 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
   }
   stats_.conserve_ns += ns_since(t2);
   admit_capacity_version_ = fabric.capacity_version();
-}
-
-SAATH_HOT_NOALLOC void SaathScheduler::conserve_sharded(
-    Fabric& fabric, RateAssignment& rates,
-    std::span<CoflowState* const> missed, bool conserve_track) {
-  // Byte-identity argument. (1) Budgets only shrink during the walk, so
-  // epoch-start liveness over-approximates liveness at any flow's turn:
-  // the gathered candidate set is a superset of every flow the serial walk
-  // allocates to, and the merge's recheck (finished / r <= epsilon skips —
-  // identical to the serial try_alloc) drops exactly the surplus. (2) Each
-  // flow lives on exactly one sender port, owned by exactly one shard, so
-  // the k-way merge over sorted per-shard buffers visits candidates in
-  // strictly ascending (rank, flow) order with no duplicates — the serial
-  // walk's visit order for both its gather-cut and plain-walk regimes
-  // (ranks ascend; flows within a CoFlow ascend after its sort). (3) The
-  // serial walk's per-CoFlow early break fires when a residual side
-  // empties, a condition under which NO later flow can clear the epsilon;
-  // checking it at rank transitions stops at the same allocation.
-  ++stats_.backfill_rounds;
-  ++stats_.sharded_rounds;
-  stats_.backfill_missed += static_cast<std::int64_t>(missed.size());
-  if (conserve_partition_.num_ports() != fabric.num_ports() ||
-      conserve_partition_.shards() != parallel_shards_) {
-    conserve_partition_ = PortPartition(fabric.num_ports(), parallel_shards_);
-  }
-  // Rank-stamp the missed CoFlows (serially) so workers can label
-  // candidates straight off the occupancy buckets they walk.
-  const std::uint64_t round =
-      g_conserve_round.fetch_add(1, std::memory_order_relaxed) + 1;
-  for (std::size_t m = 0; m < missed.size(); ++m) {
-    missed[m]->conserve_rank = static_cast<std::uint32_t>(m);
-    missed[m]->conserve_stamp = round;
-  }
-  conserve_shard_bufs_.resize(static_cast<std::size_t>(parallel_shards_));
-  const spatial::OccupancyIndex& occ = spatial_.occupancy();
-  // Parallel gather, read-only over fabric / occupancy / CoFlow state:
-  // each worker walks ITS partition's live sender ports and, for every
-  // missed occupant, emits (rank, flow) for the port's slot flows whose
-  // receiver is also live. Work is proportional to live-port memberships
-  // over the partition, the same cut the serial port-indexed walk takes.
-  pool_->parallel_for_shards(parallel_shards_, [&](int s) {
-    auto& buf = conserve_shard_bufs_[static_cast<std::size_t>(s)];
-    buf.clear();
-    for (const PortIndex p : conserve_partition_.ports_of(s)) {
-      if (!fabric.send_is_live(p)) continue;
-      for (const CoflowState* c :
-           occ.member_states(spatial::sender_bucket(p))) {
-        if (c->conserve_stamp != round) continue;  // not missed this round
-        const int slot = c->sender_slot_of(p);
-        if (slot < 0) continue;
-        const std::uint64_t rank_bits =
-            static_cast<std::uint64_t>(c->conserve_rank) << 32;
-        const FlowPool& cpool = c->pool();
-        for (const std::uint32_t i :
-             c->sender_slot_flows(static_cast<std::size_t>(slot))) {
-          if (fabric.recv_is_live(cpool.dst[i])) {
-            buf.push_back(rank_bits | i);
-          }
-        }
-      }
-    }
-    // Sorting inside the parallel region keeps the serial merge below a
-    // plain cursor walk.
-    std::sort(buf.begin(), buf.end());
-  });
-  // Deterministic apply: k-way min-merge of the sorted shard buffers in
-  // (rank, flow) order, with the serial walk's exact allocation semantics.
-  conserve_cursor_.assign(static_cast<std::size_t>(parallel_shards_), 0);
-  std::uint64_t last_rank = std::numeric_limits<std::uint64_t>::max();
-  for (;;) {
-    int best = -1;
-    std::uint64_t best_v = std::numeric_limits<std::uint64_t>::max();
-    for (int s = 0; s < parallel_shards_; ++s) {
-      const auto& buf = conserve_shard_bufs_[static_cast<std::size_t>(s)];
-      const std::size_t cur = conserve_cursor_[static_cast<std::size_t>(s)];
-      if (cur < buf.size() && buf[cur] < best_v) {
-        best_v = buf[cur];
-        best = s;
-      }
-    }
-    if (best < 0) break;
-    ++conserve_cursor_[static_cast<std::size_t>(best)];
-    const std::uint64_t rank = best_v >> 32;
-    if (rank != last_rank) {
-      // The serial walk's once-per-CoFlow break: an empty residual side
-      // means no remaining flow anywhere can clear the epsilon.
-      if (fabric.send_live().empty() || fabric.recv_live().empty()) break;
-      last_rank = rank;
-      ++stats_.backfill_candidates;
-    }
-    CoflowState* c = missed[static_cast<std::size_t>(rank)];
-    const FlowPool& pool = c->pool();
-    const auto i = static_cast<std::uint32_t>(best_v & 0xFFFFFFFFull);
-    ++stats_.backfill_flows;
-    if (pool.finished[i]) continue;
-    const Rate r = std::min(fabric.send_remaining(pool.src[i]),
-                            fabric.recv_remaining(pool.dst[i]));
-    if (r <= Fabric::kRateEpsilon) continue;
-    FlowState& f = c->flows()[i];
-    rates.set(*c, f, pool.rate[i] + r);
-    fabric.consume(pool.src[i], pool.dst[i], r);
-    if (conserve_track) conserve_cache_.push_back({c, &f, r});
-  }
 }
 
 void SaathScheduler::schedule(SimTime now,

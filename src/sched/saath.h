@@ -38,8 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "fabric/partition.h"
-#include "parallel/thread_pool.h"
 #include "sched/order_index.h"
 #include "sched/queue_structure.h"
 #include "sim/scheduler.h"
@@ -121,10 +119,6 @@ struct SaathPhaseStats {
   /// visits every flow of every missed CoFlow, finished ones included.
   std::int64_t backfill_flows = 0;
   std::int64_t conserve_replays = 0;
-  /// Backfill rounds that ran the sharded (pool) gather instead of the
-  /// serial walk — a subset of backfill_rounds. The allocation stream is
-  /// byte-identical either way; this only records which engine ran.
-  std::int64_t sharded_rounds = 0;
   [[nodiscard]] std::int64_t total_ns() const {
     return order_ns + admit_ns + conserve_ns + crossing_ns;
   }
@@ -263,15 +257,6 @@ class SaathScheduler final : public Scheduler {
   /// remains the fallback and the oracle.
   void admit_and_conserve(SimTime now, Fabric& fabric, RateAssignment& rates,
                           std::size_t first_dirty_rank, bool allow_replay);
-  /// Pool-sharded conservation pass (set_parallelism installed, >= 2
-  /// shards, occupancy index live): workers gather (rank, flow) candidates
-  /// from their port partition's live senders into per-shard buffers; the
-  /// epoch barrier then merges them in (rank, flow) order — the serial
-  /// walk's exact visit order — and applies the same budget recheck, so
-  /// the allocation stream is byte-identical to the serial walk.
-  void conserve_sharded(Fabric& fabric, RateAssignment& rates,
-                        std::span<CoflowState* const> missed,
-                        bool conserve_track);
   /// Oracle-path admission + conservation over a plain ordered span — no
   /// caching, no index state (the reference implementation).
   void admit_and_conserve_span(SimTime now, Fabric& fabric,
@@ -365,13 +350,6 @@ class SaathScheduler final : public Scheduler {
   std::vector<CoflowId> backfill_ids_;
   std::unordered_set<CoflowId> backfill_set_;
   std::vector<std::uint32_t> backfill_flow_idx_;
-  /// Sharded-conserve state: the port partition (pure function of
-  /// (num_ports, shards) — rebuilt only when either changes), the
-  /// per-shard candidate buffers (packed (rank << 32 | flow), capacity
-  /// reused across rounds), and the merge cursors.
-  PortPartition conserve_partition_;
-  parallel::ShardArena<std::vector<std::uint64_t>> conserve_shard_bufs_;
-  std::vector<std::size_t> conserve_cursor_;
   /// sync_spatial O(1)-probe snapshots.
   const CoflowState* const* sync_active_data_ = nullptr;
   std::size_t sync_active_size_ = 0;

@@ -25,9 +25,7 @@ void UcTcpScheduler::schedule(SimTime now, std::span<CoflowState* const> active,
     recv_caps_[static_cast<std::size_t>(p)] = fabric.recv_capacity(p);
   }
 
-  // Pool-aware overload: component-parallel when set_parallelism installed
-  // a pool, serial otherwise — bitwise-identical rates either way.
-  const auto fair = maxmin_fair_rates(demands_, send_caps_, recv_caps_, pool_);
+  const auto fair = maxmin_fair_rates(demands_, send_caps_, recv_caps_);
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     // Progressive filling can land a hair above the port budget through
     // floating-point accumulation; shave it so Fabric's contract holds.

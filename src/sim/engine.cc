@@ -949,19 +949,6 @@ SimResult Engine::run() {
   SAATH_EXPECTS(!running_);
   running_ = true;
   const auto run_t0 = Clock::now();
-  // Stand up the worker pool for pooled scheduler phases. The serial path
-  // (parallel_shards <= 1) is the bit-identity oracle; with a pool the
-  // scheduler's sharded phases must produce byte-identical results.
-  if (config_.parallel_shards > 1) {
-    if (pool_ == nullptr ||
-        pool_->workers() != config_.parallel_shards) {
-      pool_ = std::make_unique<parallel::ThreadPool>(config_.parallel_shards);
-    }
-    pool_->reset_shard_stats();
-    scheduler_.set_parallelism(pool_.get(), config_.parallel_shards);
-  } else {
-    scheduler_.set_parallelism(nullptr, 0);
-  }
   std::stable_sort(dynamics_.begin(), dynamics_.end(),
                    [](const DynamicsEvent& a, const DynamicsEvent& b) {
                      return a.time < b.time;
@@ -1043,24 +1030,6 @@ SimResult Engine::run() {
               return a.id < b.id;
             });
   if (sink_) sink_->on_run_end(result_.makespan);
-  // Detach the pool before returning so a scheduler reused under another
-  // engine (or directly) never holds a dangling pool pointer.
-  scheduler_.set_parallelism(nullptr, 0);
-  if (pool_ != nullptr) {
-    const auto busy = pool_->shard_busy_ns();
-    stats_.shard_busy_ns.assign(busy.begin(), busy.end());
-    std::int64_t max_busy = 0;
-    std::int64_t sum_busy = 0;
-    for (const std::int64_t b : stats_.shard_busy_ns) {
-      max_busy = std::max(max_busy, b);
-      sum_busy += b;
-    }
-    if (sum_busy > 0) {
-      stats_.shard_imbalance =
-          static_cast<double>(max_busy) * static_cast<double>(busy.size()) /
-          static_cast<double>(sum_busy);
-    }
-  }
   stats_.run_wall_ns += ns_since(run_t0);
   running_ = false;
   return std::move(result_);

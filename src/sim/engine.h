@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "parallel/thread_pool.h"
 #include "sim/completion_heap.h"
 #include "sim/dynamics.h"
 #include "sim/rate_assignment.h"
@@ -91,13 +90,6 @@ struct SimConfig {
   /// horizon bound for unbounded sources (e.g. SynthSource with
   /// num_coflows < 0).
   SimTime max_sim_time = seconds(500'000);
-  /// Intra-epoch parallelism: > 1 makes the engine own a parallel::
-  /// ThreadPool and install it on the scheduler for the run (Saath's
-  /// sharded conservation gather, UC-TCP's component-parallel max-min).
-  /// 0 (default) and 1 keep every phase on the caller's thread — the
-  /// serial path is the bit-identity oracle, and results are byte-identical
-  /// for ANY value of this knob; it is purely a wall-clock lever.
-  int parallel_shards = 0;
   /// Graceful degradation: a CoFlow that sits schedulable (data available)
   /// yet fully unrated for this many consecutive scheduling rounds is
   /// *quarantined* — detached from the scheduler, parked, and re-admitted
@@ -169,12 +161,6 @@ struct EngineStats {
   std::int64_t ingest_ns = 0;
   /// Whole-run wall time of run(), the denominator for phase shares.
   std::int64_t run_wall_ns = 0;
-  /// Per-shard-index busy time accumulated across every pooled phase of
-  /// the run (empty when SimConfig::parallel_shards <= 1).
-  std::vector<std::int64_t> shard_busy_ns;
-  /// max/mean over shard_busy_ns — 1.0 is a perfectly balanced partition;
-  /// 0 when the run was serial.
-  double shard_imbalance = 0;
 
   /// Robustness accounting ---------------------------------------------
   /// Source events dropped in tolerant mode (strict_input = false).
@@ -377,11 +363,6 @@ class Engine {
   Scheduler& scheduler_;
   SimConfig config_;
   Fabric fabric_;
-  /// Owned worker pool for pooled phases (created at run() start when
-  /// config_.parallel_shards > 1, installed on the scheduler for the run
-  /// and detached before run() returns so a reused scheduler never holds a
-  /// dangling pool).
-  std::unique_ptr<parallel::ThreadPool> pool_;
   /// The one gateway for rate changes: records touched flows for the
   /// completion heap and keeps the per-port allocation accumulators.
   RateAssignment rates_;

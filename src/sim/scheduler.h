@@ -121,18 +121,10 @@ class Scheduler {
     return now;
   }
 
-  /// Installs a worker pool for intra-epoch parallel phases (the engine
-  /// calls this at run start from SimConfig::parallel_shards; direct
-  /// drivers may call it themselves). `shards` > 0 with a non-null pool
-  /// lets schedulers that support sharded phases (Saath's conservation
-  /// gather, UC-TCP's component-parallel max-min) fan work out; (nullptr,
-  /// 0) restores the fully serial path. The contract is strict: results
-  /// must be byte-identical with and without a pool — the serial path is
-  /// the bit-identity oracle. The pool is borrowed, not owned, and must
-  /// outlive every schedule() call made under it.
+  /// No-op, kept because coordbench's TimedScheduler overrides and calls it.
   virtual void set_parallelism(parallel::ThreadPool* pool, int shards) {
-    pool_ = pool;
-    parallel_shards_ = pool == nullptr ? 0 : shards;
+    (void)pool;
+    (void)shards;
   }
 
   /// Lifecycle notifications (optional overrides).
@@ -160,11 +152,6 @@ class Scheduler {
     (void)coflow;
     (void)now;
   }
-
- protected:
-  /// Borrowed worker pool (see set_parallelism); nullptr = serial.
-  parallel::ThreadPool* pool_ = nullptr;
-  int parallel_shards_ = 0;
 };
 
 }  // namespace saath

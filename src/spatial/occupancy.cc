@@ -4,13 +4,12 @@
 
 namespace saath::spatial {
 
-void OccupancyIndex::join(const CoflowState& c, std::int64_t bucket) {
+void OccupancyIndex::join(CoflowId id, std::int64_t bucket) {
   Bucket& b = buckets_[bucket];
-  const auto [it, inserted] = b.position.emplace(c.id(), b.members.size());
+  const auto [it, inserted] = b.position.emplace(id, b.members.size());
   SAATH_EXPECTS(inserted);
   (void)it;
-  b.members.push_back(c.id());
-  b.states.push_back(&c);
+  b.members.push_back(id);
 }
 
 void OccupancyIndex::leave(CoflowId id, std::int64_t bucket) {
@@ -24,8 +23,6 @@ void OccupancyIndex::leave(CoflowId id, std::int64_t bucket) {
   const CoflowId moved = b.members.back();
   b.members[pos] = moved;
   b.members.pop_back();
-  b.states[pos] = b.states.back();
-  b.states.pop_back();
   if (moved != id) b.position[moved] = pos;
 }
 
@@ -44,7 +41,7 @@ const std::vector<std::int64_t>& OccupancyIndex::add_coflow(
     slots.unfinished.emplace(receiver_bucket(load.port), load.unfinished_flows);
     touched_.push_back(receiver_bucket(load.port));
   }
-  for (const std::int64_t bucket : touched_) join(c, bucket);
+  for (const std::int64_t bucket : touched_) join(c.id(), bucket);
   return touched_;
 }
 
@@ -86,13 +83,6 @@ std::span<const CoflowId> OccupancyIndex::members(std::int64_t bucket) const {
   const auto it = buckets_.find(bucket);
   if (it == buckets_.end()) return {};
   return it->second.members;
-}
-
-std::span<const CoflowState* const> OccupancyIndex::member_states(
-    std::int64_t bucket) const {
-  const auto it = buckets_.find(bucket);
-  if (it == buckets_.end()) return {};
-  return it->second.states;
 }
 
 void OccupancyIndex::collect_live_occupants(

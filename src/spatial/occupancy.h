@@ -63,14 +63,6 @@ class OccupancyIndex {
   /// mutations). Empty span for untouched buckets.
   [[nodiscard]] std::span<const CoflowId> members(std::int64_t bucket) const;
 
-  /// The same membership as members(), index-for-index, as CoflowState
-  /// pointers — what the sharded backfill gather reads so a worker walking
-  /// its partition's live ports reaches each occupant's slot lists without
-  /// a per-occupant id lookup. Pointers are valid exactly as long as the
-  /// CoFlow stays indexed (remove_coflow drops them).
-  [[nodiscard]] std::span<const CoflowState* const> member_states(
-      std::int64_t bucket) const;
-
   /// Residual-budget join (the work-conservation backfill's spatial half):
   /// appends to `out` every distinct CoFlow that occupies at least one of
   /// `live_senders` AND at least one of `live_receivers` — the necessary
@@ -90,9 +82,6 @@ class OccupancyIndex {
  private:
   struct Bucket {
     std::vector<CoflowId> members;
-    /// members[i]'s CoflowState, maintained in lockstep (see
-    /// member_states).
-    std::vector<const CoflowState*> states;
     /// Position of each member in `members` for O(1) swap-removal.
     std::unordered_map<CoflowId, std::size_t> position;
   };
@@ -104,7 +93,7 @@ class OccupancyIndex {
     mutable std::uint64_t join_stamp = 0;
   };
 
-  void join(const CoflowState& c, std::int64_t bucket);
+  void join(CoflowId id, std::int64_t bucket);
   void leave(CoflowId id, std::int64_t bucket);
 
   std::unordered_map<std::int64_t, Bucket> buckets_;

@@ -322,10 +322,6 @@ ScenarioRunResult run_scenario(std::string_view name,
   SimConfig cfg = setup.config;
   apply_scheduler_sim_overrides(sched_name, cfg);
   if (params.get_int("records", 1) == 0) cfg.record_results = false;
-  // Intra-epoch parallelism knob (SimConfig::parallel_shards): purely a
-  // wall-clock lever, results are byte-identical for any value.
-  cfg.parallel_shards = static_cast<int>(
-      params.get_int("shards", cfg.parallel_shards));
   // Robustness knobs (quarantine + tolerant input), valid for any scenario.
   cfg.max_stall_epochs = static_cast<int>(
       params.get_int("stall_epochs", cfg.max_stall_epochs));

@@ -306,6 +306,8 @@ TEST(EngineStats, CountsCompletionsAndPhases) {
   EXPECT_GT(engine.stats().schedule_ns, 0);
   EXPECT_GT(engine.stats().advance_ns, 0);
   EXPECT_GT(engine.stats().heap_pushes, 0);
+  EXPECT_GE(engine.stats().ingest_ns, 0);
+  EXPECT_GT(engine.stats().run_wall_ns, 0);
 }
 
 }  // namespace

@@ -1,26 +1,16 @@
-// Sharded parallel epoch engine: ThreadPool/PortPartition unit tests and
-// the bit-identity matrix — every pooled phase (Saath's sharded
-// conservation gather, component-parallel max-min, concurrent campaigns)
-// must produce byte-identical results to the serial oracle at any shard
-// or job count.
+// Worker pool and concurrent campaigns: ThreadPool unit tests, and
+// campaign outcomes that must be byte-identical to the serial run at any
+// job count.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/metrics.h"
-#include "fabric/fabric.h"
-#include "fabric/maxmin.h"
-#include "fabric/partition.h"
 #include "parallel/thread_pool.h"
-#include "sched/factory.h"
-#include "sched/saath.h"
 #include "sim/engine.h"
-#include "test_util.h"
 #include "trace/synth.h"
 #include "workload/scenario.h"
 
@@ -85,246 +75,6 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolStaysUsable) {
   std::atomic<int> total{0};
   pool.parallel_for_shards(6, [&](int) { ++total; });
   EXPECT_EQ(total.load(), 6);
-}
-
-TEST(ThreadPool, ShardBusyStatsAccumulate) {
-  parallel::ThreadPool pool(2);
-  pool.parallel_for_shards(4, [](int) {});
-  pool.parallel_for_shards(4, [](int) {});
-  const auto busy = pool.shard_busy_ns();
-  ASSERT_GE(busy.size(), 4u);
-  for (const auto ns : busy) EXPECT_GE(ns, 0);
-  pool.reset_shard_stats();
-  for (const auto ns : pool.shard_busy_ns()) EXPECT_EQ(ns, 0);
-}
-
-TEST(ShardArena, SlotsAreIndependentAndPersist) {
-  parallel::ShardArena<std::vector<int>> arena;
-  arena.resize(4);
-  arena[2].push_back(7);
-  arena.resize(4);  // no-op resize keeps contents
-  EXPECT_EQ(arena[2].size(), 1u);
-  EXPECT_TRUE(arena[0].empty());
-}
-
-// ---------------------------------------------------------- PortPartition
-
-void expect_valid_partition(const PortPartition& part, int num_ports,
-                            int shards) {
-  // Every port in exactly one shard, and the CSR view agrees with
-  // shard_of.
-  std::vector<int> seen(static_cast<std::size_t>(num_ports), 0);
-  for (int s = 0; s < shards; ++s) {
-    for (const PortIndex p : part.ports_of(s)) {
-      ASSERT_GE(p, 0);
-      ASSERT_LT(p, num_ports);
-      EXPECT_EQ(part.shard_of(p), s);
-      ++seen[static_cast<std::size_t>(p)];
-    }
-  }
-  for (int p = 0; p < num_ports; ++p)
-    EXPECT_EQ(seen[static_cast<std::size_t>(p)], 1) << "port " << p;
-}
-
-TEST(PortPartition, EveryPortInExactlyOneShard) {
-  for (const auto kind :
-       {PartitionKind::kContiguous, PartitionKind::kHash}) {
-    for (const auto& [ports, shards] :
-         {std::pair{16, 4}, {150, 8}, {7, 3}, {5, 8}, {1, 1}, {64, 64}}) {
-      PortPartition part(ports, shards, kind);
-      expect_valid_partition(part, ports, shards);
-    }
-  }
-}
-
-TEST(PortPartition, ContiguousBlocksAreBalanced) {
-  PortPartition part(150, 8, PartitionKind::kContiguous);
-  for (int s = 0; s < 8; ++s) {
-    const auto size = static_cast<int>(part.ports_of(s).size());
-    EXPECT_GE(size, 150 / 8);
-    EXPECT_LE(size, 150 / 8 + 1);
-  }
-}
-
-TEST(PortPartition, StableAcrossFabricReset) {
-  // The partition is a pure function of (num_ports, shards, kind): two
-  // instances agree, and a Fabric reset between observations changes
-  // nothing — the shard a port lives in never moves during a run.
-  Fabric fabric(24, 100.0);
-  PortPartition before(fabric.num_ports(), 4);
-  std::vector<int> shard_before(24);
-  for (int p = 0; p < 24; ++p)
-    shard_before[static_cast<std::size_t>(p)] = before.shard_of(p);
-  fabric.reset();
-  PortPartition after(fabric.num_ports(), 4);
-  for (int p = 0; p < 24; ++p)
-    EXPECT_EQ(after.shard_of(p), shard_before[static_cast<std::size_t>(p)]);
-}
-
-// --------------------------------------------------- component max-min
-
-TEST(ParallelMaxMin, MatchesSerialExactlyOnRandomDemands) {
-  std::mt19937_64 rng(1234);
-  parallel::ThreadPool pool(4);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int num_ports = 96;
-    std::vector<Rate> send_caps(num_ports), recv_caps(num_ports);
-    for (int p = 0; p < num_ports; ++p) {
-      const auto pi = static_cast<std::size_t>(p);
-      send_caps[pi] = 50.0 + static_cast<double>(rng() % 1000) / 10.0;
-      recv_caps[pi] = 50.0 + static_cast<double>(rng() % 1000) / 10.0;
-    }
-    // Demands clustered into port groups of 12 so the component cut finds
-    // real parallelism; a sprinkle of caps (some degenerate) exercises
-    // every freeze path.
-    std::vector<MaxMinDemand> demands;
-    for (int i = 0; i < 600; ++i) {
-      const int group = static_cast<int>(rng() % 8);
-      MaxMinDemand d;
-      d.src = static_cast<PortIndex>(group * 12 + static_cast<int>(rng() % 12));
-      d.dst = static_cast<PortIndex>(group * 12 + static_cast<int>(rng() % 12));
-      const int kind = static_cast<int>(rng() % 4);
-      if (kind == 1) d.cap = 1.0 + static_cast<double>(rng() % 100);
-      if (kind == 2) d.cap = 1e-13;  // degenerate: frozen at rate 0
-      demands.push_back(d);
-    }
-    const auto serial = maxmin_fair_rates(demands, send_caps, recv_caps);
-    const auto pooled =
-        maxmin_fair_rates(demands, send_caps, recv_caps, &pool);
-    ASSERT_EQ(serial.size(), pooled.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], pooled[i]) << "demand " << i;  // bitwise
-    }
-  }
-}
-
-TEST(ParallelMaxMin, NullPoolAndSmallProblemsFallBackToSerial) {
-  std::vector<MaxMinDemand> demands{{0, 1, 0.0}, {1, 0, 5.0}};
-  std::vector<Rate> caps{10.0, 10.0};
-  const auto serial = maxmin_fair_rates(demands, caps, caps);
-  const auto no_pool = maxmin_fair_rates(demands, caps, caps, nullptr);
-  parallel::ThreadPool pool(2);
-  const auto small = maxmin_fair_rates(demands, caps, caps, &pool);
-  EXPECT_EQ(serial, no_pool);
-  EXPECT_EQ(serial, small);
-}
-
-// ------------------------------------------ engine-level bit-identity
-
-struct IdentityParam {
-  const char* scheduler;
-  bool skip_quiescent;
-  bool event_driven;
-};
-
-void PrintTo(const IdentityParam& p, std::ostream* os) {
-  *os << p.scheduler << (p.skip_quiescent ? "/skip" : "/noskip")
-      << (p.event_driven ? "/event" : "/scan");
-}
-
-class ShardedEngineIdentity : public ::testing::TestWithParam<IdentityParam> {
-};
-
-// The tentpole invariant: for every scheduler and engine mode, the run
-// with SimConfig::parallel_shards in {2, 8} is byte-identical (every
-// finish instant) to the serial run (shards = 0). Serial is the oracle.
-TEST_P(ShardedEngineIdentity, ShardedRunMatchesSerialOracle) {
-  const IdentityParam param = GetParam();
-  for (const std::uint64_t seed : {1ull, 5ull}) {
-    const auto t = trace::synth_small_trace(12, 80, seed);
-    SimConfig cfg;
-    cfg.port_bandwidth = 1e6;
-    cfg.delta = msec(20);
-    cfg.skip_quiescent_epochs = param.skip_quiescent;
-    cfg.event_driven = param.event_driven;
-    auto serial_sched = make_scheduler(param.scheduler);
-    cfg.parallel_shards = 0;
-    const auto serial = simulate(t, *serial_sched, cfg);
-    for (const int shards : {1, 2, 8}) {
-      auto sched = make_scheduler(param.scheduler);
-      SimConfig shard_cfg = cfg;
-      shard_cfg.parallel_shards = shards;
-      const auto run = simulate(t, *sched, shard_cfg);
-      ASSERT_EQ(run.coflows.size(), serial.coflows.size());
-      for (std::size_t i = 0; i < run.coflows.size(); ++i) {
-        ASSERT_EQ(run.coflows[i].id, serial.coflows[i].id);
-        ASSERT_EQ(run.coflows[i].finish, serial.coflows[i].finish)
-            << param.scheduler << " shards=" << shards << " seed=" << seed
-            << " coflow " << i;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, ShardedEngineIdentity,
-    ::testing::Values(IdentityParam{"saath", true, true},
-                      IdentityParam{"saath", true, false},
-                      IdentityParam{"saath", false, true},
-                      IdentityParam{"saath", false, false},
-                      IdentityParam{"saath-an-fifo", true, true},
-                      IdentityParam{"aalo", true, true},
-                      IdentityParam{"aalo", false, false},
-                      IdentityParam{"uc-tcp", true, true}),
-    [](const ::testing::TestParamInfo<IdentityParam>& pinfo) {
-      std::string name = pinfo.param.scheduler;
-      for (auto& ch : name) {
-        if (ch == '-') ch = '_';
-      }
-      name += pinfo.param.skip_quiescent ? "_skip" : "_noskip";
-      name += pinfo.param.event_driven ? "_event" : "_scan";
-      return name;
-    });
-
-// The sharded conserve path must actually ENGAGE (not silently fall back
-// to serial) and still match the oracle allocation stream: compare full
-// finish vectors AND require sharded_rounds > 0.
-TEST(ShardedEngineIdentity, SaathShardedConserveEngagesAndMatches) {
-  const auto t = trace::synth_small_trace(12, 80, 3);
-  SimConfig cfg;
-  cfg.port_bandwidth = 1e6;
-  cfg.delta = msec(20);
-
-  SaathScheduler serial_sched{SaathConfig{}};
-  cfg.parallel_shards = 0;
-  const auto serial = simulate(t, serial_sched, cfg);
-  EXPECT_EQ(serial_sched.phase_stats().sharded_rounds, 0);
-
-  SaathScheduler sharded_sched{SaathConfig{}};
-  cfg.parallel_shards = 8;
-  const auto sharded = simulate(t, sharded_sched, cfg);
-  EXPECT_GT(sharded_sched.phase_stats().sharded_rounds, 0)
-      << "sharded conserve gather never ran — the identity check above "
-         "would be vacuous";
-  ASSERT_EQ(serial.coflows.size(), sharded.coflows.size());
-  for (std::size_t i = 0; i < serial.coflows.size(); ++i) {
-    ASSERT_EQ(serial.coflows[i].finish, sharded.coflows[i].finish);
-  }
-}
-
-// EngineStats phase/shard telemetry: pooled runs report per-shard busy
-// time and an imbalance ratio; serial runs report neither.
-TEST(ShardedEngineIdentity, EngineStatsReportShardTelemetry) {
-  const auto t = trace::synth_small_trace(12, 60, 2);
-  SimConfig cfg;
-  cfg.port_bandwidth = 1e6;
-  cfg.delta = msec(20);
-
-  auto serial_sched = make_scheduler("saath");
-  cfg.parallel_shards = 0;
-  Engine serial_engine(t, *serial_sched, cfg);
-  (void)serial_engine.run();
-  EXPECT_TRUE(serial_engine.stats().shard_busy_ns.empty());
-  EXPECT_EQ(serial_engine.stats().shard_imbalance, 0.0);
-  EXPECT_GT(serial_engine.stats().run_wall_ns, 0);
-  EXPECT_GE(serial_engine.stats().ingest_ns, 0);
-
-  auto sched = make_scheduler("saath");
-  cfg.parallel_shards = 4;
-  Engine engine(t, *sched, cfg);
-  (void)engine.run();
-  ASSERT_GE(engine.stats().shard_busy_ns.size(), 4u);
-  EXPECT_GE(engine.stats().shard_imbalance, 1.0);
 }
 
 // ------------------------------------------------- concurrent campaigns

@@ -41,11 +41,11 @@ the compiler cannot see:
                         thread owns those objects and reclaims finished
                         ones right after the round's sink flush.
   flag-matrix           Every incremental/event-driven mode flag (the
-                        bool incremental_* config knobs plus event_driven,
-                        skip_quiescent_epochs, parallel_shards) must be
-                        exercised by at least one test under tests/ — the
-                        bit-identity oracle matrix is the only thing
-                        keeping the delta paths honest.
+                        bool incremental_* config knobs plus event_driven
+                        and skip_quiescent_epochs) must be exercised by at
+                        least one test under tests/ — the bit-identity
+                        oracle matrix is the only thing keeping the delta
+                        paths honest.
 
 Design: the default backend is a self-contained lexer (comment/string
 stripping + brace matching) so the lint runs anywhere Python does — the CI
@@ -122,8 +122,7 @@ RETENTION_ALLOWLIST = {
 
 # Mode flags that must appear in the digest-matrix tests, beyond the
 # auto-discovered `bool incremental_*` config knobs.
-NAMED_MODE_FLAGS = ("event_driven", "skip_quiescent_epochs",
-                    "parallel_shards")
+NAMED_MODE_FLAGS = ("event_driven", "skip_quiescent_epochs")
 
 ALLOC_CALL_RE = re.compile(
     r"\bnew\b(?!\s*\()"          # new T / new T[n]; `new (addr) T` too —
@@ -513,7 +512,7 @@ def check_digest_float(lf, findings):
 
 INCREMENTAL_DECL_RE = re.compile(r"\bbool\s+(incremental_\w+)\b")
 NAMED_FLAG_RE = re.compile(
-    r"\b(?:bool|int)\s+(" + "|".join(NAMED_MODE_FLAGS) + r")\b")
+    r"\bbool\s+(" + "|".join(NAMED_MODE_FLAGS) + r")\b")
 
 
 def check_flag_matrix(files, findings):
