@@ -57,7 +57,7 @@ class CoflowState;
 /// slot = the flow's position in flows()), and every accessor forwards to
 /// one array element with unchanged arithmetic — trajectory values are
 /// bit-identical to the old interleaved layout. Only cold bookkeeping
-/// (ids, stamps, the resume stash) stays inline.
+/// (ids, stamps, the heap position, the resume stash) stays inline.
 class FlowState {
  public:
   /// Standalone (unit-test / manual-drive) flow: owns a private 1-slot
@@ -129,10 +129,12 @@ class FlowState {
   [[nodiscard]] std::uint64_t touch_stamp() const { return touch_stamp_; }
   void set_touch_stamp(std::uint64_t s) { touch_stamp_ = s; }
 
-  /// CompletionHeap bookkeeping: rate version the heap last enqueued (or
-  /// deliberately skipped). Owned by CompletionHeap; meaningless elsewhere.
-  [[nodiscard]] std::uint64_t heap_stamp() const { return heap_stamp_; }
-  void set_heap_stamp(std::uint64_t s) { heap_stamp_ = s; }
+  /// CompletionHeap bookkeeping: the index of this flow's one heap entry,
+  /// kNoHeapPos when it holds none. Owned by CompletionHeap; meaningless
+  /// elsewhere.
+  static constexpr std::uint32_t kNoHeapPos = ~std::uint32_t{0};
+  [[nodiscard]] std::uint32_t heap_pos() const { return heap_pos_; }
+  void set_heap_pos(std::uint32_t pos) { heap_pos_ = pos; }
 
  private:
   friend class CoflowState;
@@ -149,13 +151,13 @@ class FlowState {
   // pool's parallel arrays.
   FlowPool* pool_ = nullptr;
   std::uint32_t index_ = 0;
+  std::uint32_t heap_pos_ = kNoHeapPos;  // fills the padding after index_
   FlowId id_;
   PortIndex src_;
   PortIndex dst_;
   CoflowState* owner_ = nullptr;    // set by CoflowState's constructor
   SimTime finish_time_ = kNever;
   std::uint64_t touch_stamp_ = 0;
-  std::uint64_t heap_stamp_ = ~std::uint64_t{0};
   /// Trajectory stashed by an epoch-start zeroing, restored bit-exactly if
   /// the scheduler re-assigns the same rate at the same instant (the
   /// quiescent-recompute case). resume_zeroed_at_ == kNever means invalid.

@@ -1,24 +1,21 @@
-// Min-heap of predicted flow completion instants with lazy invalidation
-// and batched maintenance.
+// Indexed min-heap of predicted flow completion instants: at most one entry
+// per flow.
 //
-// Every rate change pushes a fresh event stamped with the flow's rate
-// version; stale events (version mismatch, or the flow already finished)
-// are discarded when they surface at the top. Finding the next completion
-// and harvesting a batch is O(log F) per event instead of a scan over every
-// flow of every active CoFlow.
+// Each flow records the position of its entry (FlowState::heap_pos), so a
+// rate change moves that one entry in place — up when the flow now finishes
+// sooner, down when later — and a prediction of kNever erases it. The heap
+// never holds more entries than there are live flows, however often the
+// scheduler re-rates them, and each push, pop or erase is one O(log F)
+// sift.
 //
-// Pushes are *batched*: an epoch's touched events collect in a pending
-// buffer and are folded into the heap at the next query — one O(n)
-// make_heap rebuild when the batch is large relative to the heap, N sifts
-// otherwise. This is observably identical to eager per-push sifting:
-// among comparator-equal events (same instant, same flow) at most one can
-// be valid (the stamp dedup admits one event per rate version and only one
-// version is current), and popping a stale event has no side effects — so
-// the sequence of *valid* pops is fully determined by the comparator, not
-// by the heap's internal layout.
+// An entry carries the rate version it was pushed at. A rate change made
+// without a push (RateAssignment::begin_epoch's zeroing, a restart) leaves
+// the entry stale until the next push at the flow's version updates it, or
+// until it reaches the top and is dropped there. The valid entries — flows
+// whose latest push carries their current version — pop in (time, flow id)
+// order, and that order is all the engine observes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,115 +26,137 @@ namespace saath {
 
 class CompletionHeap {
  public:
-  /// Queues the flow's current predicted finish. No-op (returns false)
-  /// when the flow is finished, cannot finish at its current rate, or this
-  /// rate version is already queued (the heap stamp — without it, every
-  /// quiescent reassignment would flood the heap with duplicate events).
+  /// Moves the flow's entry to its current predicted finish, inserting it
+  /// if the flow holds none; returns true then. Returns false without a
+  /// change when the flow is finished or its entry already carries the
+  /// current rate version (a quiescent reassignment, or a zeroed rate the
+  /// scheduler restored), and false after erasing the entry when the flow
+  /// cannot finish at its current rate.
   SAATH_HOT_NOALLOC bool push(FlowState* flow, CoflowState* coflow) {
     if (flow->finished()) return false;
-    if (flow->heap_stamp() == flow->rate_version()) return false;
-    flow->set_heap_stamp(flow->rate_version());
+    const std::uint64_t version = flow->rate_version();
+    const std::uint32_t pos = flow->heap_pos();
+    const bool queued = pos != FlowState::kNoHeapPos;
+    if (queued && heap_[pos].version == version) return false;
     const SimTime at = flow->predicted_finish();
-    if (at == kNever) return false;
-    pending_.push_back({at, flow->rate_version(), flow, coflow});
+    if (at == kNever) {
+      if (queued) erase_at(pos);
+      return false;
+    }
+    if (queued) {
+      heap_[pos].time = at;
+      heap_[pos].version = version;
+      fix(pos);
+    } else {
+      heap_.push_back({at, flow->id().value, version, flow, coflow});
+      sift_up(heap_.size() - 1);
+    }
     return true;
+  }
+
+  /// Removes the flow's entry, if it holds one (a CoFlow abandoned mid-run,
+  /// whose state is about to be freed).
+  void erase(const FlowState& flow) {
+    if (flow.heap_pos() != FlowState::kNoHeapPos) erase_at(flow.heap_pos());
   }
 
   /// Earliest still-valid completion instant; kNever when none is queued.
   [[nodiscard]] SAATH_HOT_NOALLOC SimTime next_time() {
-    flush();
     prune();
     return heap_.empty() ? kNever : heap_.front().time;
   }
 
-  /// Pops every valid event with time <= `at`, invoking fn(coflow, flow)
-  /// for each; events invalidated by fn's side effects (the completion
-  /// bumps the flow's rate version) are discarded on the way.
+  /// Pops every valid entry with time <= `at`, invoking fn(coflow, flow)
+  /// for each in (time, flow id) order; fn may push, and entries its side
+  /// effects invalidate are dropped on the way.
   template <typename Fn>
   SAATH_HOT_NOALLOC void pop_due(SimTime at, Fn&& fn) {
     for (;;) {
-      flush();  // fn may have queued follow-on events
       prune();
       if (heap_.empty() || heap_.front().time > at) return;
-      const Event ev = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-      fn(*ev.coflow, *ev.flow);
+      const Entry top = heap_.front();
+      erase_at(0);
+      fn(*top.coflow, *top.flow);
     }
   }
 
-  [[nodiscard]] std::size_t size() const {
-    return heap_.size() + pending_.size();
-  }
-  [[nodiscard]] bool empty() const {
-    return heap_.empty() && pending_.empty();
-  }
-  void clear() {
-    heap_.clear();
-    pending_.clear();
-  }
-
-  /// Removes every event whose owning CoFlow satisfies `dying` (pointer
-  /// identity only — nothing of a dying CoFlow is dereferenced). The
-  /// engine's streaming reclamation calls this right before destroying
-  /// finished CoflowStates, so no stale event can later dereference a freed
-  /// flow in prune()/the comparator. O(n) filter + rebuild.
-  template <typename Pred>
-  void purge_coflows(Pred&& dying) {
-    std::erase_if(heap_, [&](const Event& ev) { return dying(ev.coflow); });
-    std::erase_if(pending_, [&](const Event& ev) { return dying(ev.coflow); });
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-  }
+  /// Entries held, stale ones included; never more than the flows pushed.
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
  private:
-  struct Event {
+  struct Entry {
     SimTime time = 0;
+    /// The flow's id, copied so that ordering never dereferences a flow.
+    std::int64_t id = 0;
     std::uint64_t version = 0;
     FlowState* flow = nullptr;
     CoflowState* coflow = nullptr;
   };
-  struct Later {
-    // Min-heap on (time, flow id) — the id tie-break keeps pop order
-    // deterministic for same-instant completions.
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return b.flow->id() < a.flow->id();
-    }
-  };
 
-  [[nodiscard]] static bool stale(const Event& ev) {
-    return ev.flow->finished() || ev.version != ev.flow->rate_version();
+  /// Min-order on (time, flow id): the id tie-break keeps same-instant
+  /// completions in a deterministic order.
+  [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
+    return a.time != b.time ? a.time < b.time : a.id < b.id;
   }
 
-  /// Folds the pending batch in: one make_heap rebuild when the batch is
-  /// at least an eighth of the combined size (O(n) beats k·O(log n)
-  /// there), per-event sifts for small trickles.
-  SAATH_HOT_NOALLOC void flush() {
-    if (pending_.empty()) return;
-    if (pending_.size() * 8 >= heap_.size() + pending_.size()) {
-      heap_.insert(heap_.end(), pending_.begin(), pending_.end());
-      std::make_heap(heap_.begin(), heap_.end(), Later{});
-    } else {
-      for (const Event& ev : pending_) {
-        heap_.push_back(ev);
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-      }
-    }
-    pending_.clear();
+  [[nodiscard]] static bool stale(const Entry& e) {
+    return e.flow->finished() || e.version != e.flow->rate_version();
   }
 
   SAATH_HOT_NOALLOC void prune() {
-    while (!heap_.empty() && stale(heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
+    while (!heap_.empty() && stale(heap_.front())) erase_at(0);
+  }
+
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    e.flow->set_heap_pos(static_cast<std::uint32_t>(i));
+  }
+
+  void sift_up(std::size_t i) {
+    const Entry e = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!before(e, heap_[parent])) break;
+      place(i, heap_[parent]);
+      i = parent;
+    }
+    place(i, e);
+  }
+
+  void sift_down(std::size_t i) {
+    const Entry e = heap_[i];
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], e)) break;
+      place(i, heap_[child]);
+      i = child;
+    }
+    place(i, e);
+  }
+
+  /// Restores the order around slot i after its entry changed.
+  void fix(std::size_t i) {
+    if (i > 0 && before(heap_[i], heap_[(i - 1) / 2])) {
+      sift_up(i);
+    } else {
+      sift_down(i);
     }
   }
 
-  /// heap_ holds the sifted events (front = min), pending_ the unbatched
-  /// tail; both vectors keep their capacity across epochs (no per-epoch
-  /// allocation in steady state).
-  std::vector<Event> heap_;
-  std::vector<Event> pending_;
+  void erase_at(std::size_t i) {
+    heap_[i].flow->set_heap_pos(FlowState::kNoHeapPos);
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) return;
+    heap_[i] = last;
+    fix(i);
+  }
+
+  /// Keeps its capacity across epochs: no allocation in steady state.
+  std::vector<Entry> heap_;
 };
 
 }  // namespace saath

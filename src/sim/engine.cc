@@ -456,14 +456,7 @@ SAATH_HOT_NOALLOC void Engine::compute_schedule() {
   schedule_dirty_ = false;
   schedule_valid_until_ = scheduler_.schedule_valid_until(now_, active_);
   scheduled_capacity_version_ = fabric_.capacity_version();
-  // Amortize the O(heap) purge: defer freeing until the graveyard is a
-  // meaningful fraction of the heap. The parked states stay alive (so
-  // every stale pointer anywhere remains dereferenceable) and their count
-  // is bounded by that same fraction — memory stays O(live).
-  if (!graveyard_.empty() &&
-      (!config_.event_driven || graveyard_.size() * 8 >= heap_.size() + 8)) {
-    reclaim_finished();
-  }
+  if (!graveyard_.empty()) reclaim_finished();
   // Every CoFlow admitted since the previous schedule just received its
   // first rate decision — close out its admission-latency measurement.
   if (!pending_admit_stamps_.empty()) {
@@ -483,16 +476,12 @@ SAATH_HOT_NOALLOC void Engine::reclaim_finished() {
   // the schedule() call above, Saath/Aalo erased them from their maintained
   // structures (by id / at the hook), the admission-replay fences already
   // re-recorded past their ranks, and begin_epoch() folded the last touched
-  // set that could reference their flows. Purge the completion heap's stale
-  // events (pointer identity only), then free.
-  if (config_.event_driven) {
-    dying_scratch_.clear();
-    for (const auto& c : graveyard_) dying_scratch_.push_back(c.get());
-    std::sort(dying_scratch_.begin(), dying_scratch_.end());
-    heap_.purge_coflows([this](const CoflowState* c) {
-      return std::binary_search(dying_scratch_.begin(), dying_scratch_.end(),
-                                c);
-    });
+  // set that could reference their flows. The completion heap holds nothing
+  // of theirs: each flow finished when its entry was popped.
+  for (const auto& c : graveyard_) {
+    for (const FlowState& f : c->flows()) {
+      SAATH_EXPECTS(f.heap_pos() == FlowState::kNoHeapPos);
+    }
   }
   stats_.reclaimed_coflows += static_cast<std::int64_t>(graveyard_.size());
   graveyard_.clear();
@@ -552,10 +541,7 @@ void Engine::verify_capacity() const {
 SAATH_HOT_NOALLOC void Engine::push_completion_events(CoflowState& coflow) {
   if (!config_.event_driven) return;
   for (auto& f : coflow.flows()) {
-    if (!f.finished() && f.predicted_finish() != kNever &&
-        heap_.push(&f, &coflow)) {
-      ++stats_.heap_pushes;
-    }
+    if (heap_.push(&f, &coflow)) ++stats_.heap_pushes;
   }
 }
 
@@ -584,24 +570,22 @@ void Engine::update_quarantine() {
         c->stall_rounds = 0;
         if (c->requeue_attempts >= config_.max_requeue_attempts) {
           // Abandoned: the state is about to be freed, so the completion
-          // heap must drop its (stale) events first — they hold pointers.
+          // heap must drop its flows' entries first — they hold pointers.
           stats_.abandoned_coflow_ids.push_back(c->id().value);
           SAATH_LOG_INFO("t=%.3fs abandoning stuck coflow %lld after %d "
                          "re-admissions",
                          to_seconds(now_),
                          static_cast<long long>(c->id().value),
                          c->requeue_attempts);
-          if (config_.event_driven) {
-            heap_.purge_coflows(
-                [c](const CoflowState* dead) { return dead == c; });
-          }
+          for (const FlowState& f : c->flows()) heap_.erase(f);
           data_available_at_.erase(c->id());
           owned.reset();
         } else {
           // Exponential backoff in units of the stall window: the CoFlow
           // re-enters through on_coflow_arrival once the fabric has had
           // time to drain whatever starved it. The parked state stays
-          // alive, so stale heap events remain harmless (lazily dropped).
+          // alive, so its flows' stale heap entries stay harmless: each is
+          // dropped at the top or updated by the re-admission's push.
           const SimTime window = config_.delta * config_.max_stall_epochs;
           const int shift = std::min(c->requeue_attempts, 20);
           const SimTime release = now_ + (window << shift);

@@ -21,8 +21,8 @@
 //
 // The advance phase is event-driven: flow progress is lazy (closed-form in
 // FlowState, nothing is mutated per micro-step), the next completion comes
-// from a min-heap of predicted finish instants with lazy invalidation, and
-// capacity verification reads per-port accumulators maintained from the
+// from an indexed min-heap holding one predicted finish instant per flow,
+// and capacity verification reads per-port accumulators maintained from the
 // epoch's touched-flow set. `SimConfig::event_driven = false` swaps the
 // heap for the original full-scan oracle — same lazy arithmetic, O(flows)
 // per completion — which the property suite holds bit-identical.
@@ -80,11 +80,11 @@ struct SimConfig {
   /// carries only run-level fields (makespan, names). false additionally
   /// enables CoflowState reclamation: a finished CoFlow's state is
   /// destroyed at the end of the scheduling round that consumes its
-  /// completion delta (after the scheduler's caches have re-fenced and the
-  /// completion heap is purged), keeping memory O(live CoFlows) over
-  /// unbounded horizons. Schedulers must not retain CoflowState pointers
-  /// past that round — Saath/Aalo drop them at on_coflow_complete / the
-  /// delta-consuming schedule() already.
+  /// completion delta (after the scheduler's caches have re-fenced; the
+  /// completion heap holds no entry of a finished CoFlow), keeping memory
+  /// O(live CoFlows) over unbounded horizons. Schedulers must not retain
+  /// CoflowState pointers past that round — Saath/Aalo drop them at
+  /// on_coflow_complete / the delta-consuming schedule() already.
   bool record_results = true;
   /// Runaway guard: the run throws if simulated time passes this. Also the
   /// horizon bound for unbounded sources (e.g. SynthSource with
@@ -309,11 +309,12 @@ class Engine {
   void apply_dynamics(const DynamicsEvent& ev);
   void compute_schedule();
   /// Streaming-mode storage reclamation (see SimConfig::record_results).
-  /// Called only at the end of compute_schedule(): by then begin_epoch()
-  /// folded the previous epoch's touched flows, the scheduler consumed the
-  /// delta naming these CoFlows, and its caches are re-fenced — the
-  /// completion heap's stale events are the only remaining references, and
-  /// they are purged here before the states are freed.
+  /// Called at the end of every compute_schedule() that has finished states
+  /// parked: by then begin_epoch() folded the previous epoch's touched
+  /// flows, the scheduler consumed the delta naming these CoFlows, and its
+  /// caches are re-fenced. Each flow's heap entry was popped when the flow
+  /// finished, so nothing references the states; this checks that no flow
+  /// holds a heap position, then frees them.
   void reclaim_finished();
   void verify_capacity() const;
   /// Advances the fluid model to `epoch_end`, resolving completions exactly.
@@ -327,8 +328,9 @@ class Engine {
   void harvest_completions(SimTime at);
   void complete_flow(CoflowState& coflow, FlowState& flow, SimTime at);
   void finalize_coflow(CoflowState& coflow, SimTime at);
-  /// Queues completion events for every unfinished flow of `coflow` with a
-  /// valid predicted finish (admission, post-restart); event mode only.
+  /// Pushes every flow of `coflow` to the completion heap (admission,
+  /// post-restart, re-admission): a flow with a finite predicted finish
+  /// gets its entry there, any other loses its entry; event mode only.
   void push_completion_events(CoflowState& coflow);
 
   /// Tolerant-mode fault accounting (strict_input = false): counts the
@@ -389,9 +391,6 @@ class Engine {
   /// Finished states awaiting the next safe reclamation point (the end of
   /// the scheduling round that consumes their completion delta).
   std::vector<std::unique_ptr<CoflowState>> graveyard_;
-  /// Reclamation scratch (sorted dying pointers), reused across calls so
-  /// reclaim_finished() allocates nothing in steady state.
-  std::vector<const CoflowState*> dying_scratch_;
   std::vector<CoflowState*> active_;
   /// Appended freely pre-run; sorted by time once at run() start.
   std::vector<DynamicsEvent> dynamics_;

@@ -130,10 +130,10 @@ TEST(AllocSteady, CompletionHeapPushAndPruneRecycleCapacity) {
   CoflowState* const cp = &c;
 
   const std::uint64_t delta = measure_steady_allocs([&](int e) {
-    // Every epoch re-rates every flow (new rate version), pushes the fresh
-    // event, and queries next_time() — which flushes the pending batch and
-    // prunes newly stale events off the top — then drains everything due,
-    // exercising the full flush/prune/pop cycle on recycled capacity.
+    // Every epoch re-rates every flow (new rate version) and pushes it,
+    // re-inserting the entry the previous epoch's drain popped, queries
+    // next_time(), then drains everything due, exercising the full
+    // insert/sift/pop cycle on recycled capacity.
     const Rate r = (e % 2) == 0 ? 100.0 : 50.0;
     for (auto& f : cp->flows()) {
       f.set_rate(r, seconds(e));

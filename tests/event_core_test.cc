@@ -1,9 +1,11 @@
-// Event-driven core invariants: the completion heap (lazy invalidation
-// across rate changes, restarts and capacity changes) and the bit-identity
-// of SimResults between the heap-based advance phase and the scan-based
-// oracle (`SimConfig::event_driven = false`).
+// Event-driven core invariants: the completion heap (one entry per flow,
+// kept in order across rate changes, restarts and capacity changes, stale
+// entries dropped at the top) and the bit-identity of SimResults between
+// the heap-based advance phase and the scan-based oracle
+// (`SimConfig::event_driven = false`).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sched/factory.h"
@@ -132,6 +134,80 @@ TEST(CompletionHeap, PopDueHarvestsBatchInTimeOrder) {
   EXPECT_EQ(seen[0], seconds(1));
   EXPECT_EQ(seen[1], seconds(2));
   EXPECT_EQ(heap.next_time(), seconds(9));
+}
+
+TEST(CompletionHeap, HoldsOneEntryPerFlow) {
+  CoflowState c(make_coflow(0, 0, {{0, 1, 1000000}}), FlowId{0});
+  CompletionHeap heap;
+  auto& f = c.flows()[0];
+  for (int i = 0; i < 100; ++i) {
+    f.set_rate(100.0 + i, msec(i));
+    ASSERT_TRUE(heap.push(&f, &c));
+  }
+  // Every re-rate moved the flow's one entry instead of adding another.
+  EXPECT_EQ(heap.size(), 1u);
+  EXPECT_EQ(heap.next_time(), f.predicted_finish());
+}
+
+TEST(CompletionHeap, SlowerRateMovesEntryLater) {
+  CoflowState c(make_coflow(0, 0, {{0, 1, 1000}, {2, 3, 2000}}), FlowId{0});
+  CompletionHeap heap;
+  auto& early = c.flows()[0];
+  auto& late = c.flows()[1];
+  early.set_rate(100.0, 0);  // 10 s
+  late.set_rate(100.0, 0);   // 20 s
+  heap.push(&early, &c);
+  heap.push(&late, &c);
+  ASSERT_EQ(heap.next_time(), seconds(10));
+  // 900 bytes left at 10 B/s from 1 s: the entry sinks below the other.
+  early.set_rate(10.0, seconds(1));
+  heap.push(&early, &c);
+  EXPECT_EQ(heap.size(), 2u);
+  EXPECT_EQ(heap.next_time(), seconds(20));
+  std::vector<SimTime> seen;
+  heap.pop_due(seconds(100), [&](CoflowState&, FlowState& f) {
+    seen.push_back(f.predicted_finish());
+  });
+  EXPECT_EQ(seen, (std::vector<SimTime>{seconds(20), seconds(91)}));
+}
+
+TEST(CompletionHeap, SameInstantPopsInFlowIdOrder) {
+  CoflowState c(make_coflow(0, 0,
+                            {{0, 1, 1000}, {1, 2, 1000}, {2, 3, 1000},
+                             {3, 4, 1000}, {4, 5, 1000}}),
+                FlowId{0});
+  CompletionHeap heap;
+  for (auto& f : c.flows()) f.set_rate(100.0, 0);  // all at 10 s
+  for (auto it = c.flows().rbegin(); it != c.flows().rend(); ++it) {
+    heap.push(&*it, &c);
+  }
+  std::vector<std::int64_t> ids;
+  heap.pop_due(seconds(10), [&](CoflowState&, FlowState& f) {
+    ids.push_back(f.id().value);
+  });
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(CompletionHeap, EraseDropsOneFlowAndKeepsOrder) {
+  CoflowState c(make_coflow(0, 0,
+                            {{0, 1, 100}, {1, 2, 200}, {2, 3, 300},
+                             {3, 4, 400}}),
+                FlowId{0});
+  CompletionHeap heap;
+  for (auto& f : c.flows()) {
+    f.set_rate(100.0, 0);  // 1, 2, 3, 4 s
+    heap.push(&f, &c);
+  }
+  // The abandon path: the flow's entry goes, the rest pop in order.
+  heap.erase(c.flows()[1]);
+  EXPECT_EQ(heap.size(), 3u);
+  EXPECT_EQ(c.flows()[1].heap_pos(), FlowState::kNoHeapPos);
+  std::vector<SimTime> seen;
+  heap.pop_due(seconds(10), [&](CoflowState&, FlowState& f) {
+    seen.push_back(f.predicted_finish());
+  });
+  EXPECT_EQ(seen, (std::vector<SimTime>{seconds(1), seconds(3), seconds(4)}));
+  EXPECT_EQ(heap.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

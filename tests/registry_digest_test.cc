@@ -44,5 +44,14 @@ TEST(RegistryDigest, SteadyChurnUnderTheBaselines) {
   EXPECT_EQ(digest_of("steady-churn", "uc-tcp"), "260b09f1f62af8f0");
 }
 
+// The baselines re-rate most live flows every round, so these runs drive
+// the completion heap hardest: each makes over a million heap pushes.
+TEST(RegistryDigest, ReplayTracesUnderTheBaselines) {
+  EXPECT_EQ(digest_of("fb-replay", "aalo"), "c3b552748967f415");
+  EXPECT_EQ(digest_of("fb-replay", "uc-tcp"), "2bac3a9fe2874e8a");
+  EXPECT_EQ(digest_of("osp-replay", "aalo"), "3a2b9fc5cf560b0c");
+  EXPECT_EQ(digest_of("osp-replay", "uc-tcp"), "c28713c0c5c3681c");
+}
+
 }  // namespace
 }  // namespace saath
