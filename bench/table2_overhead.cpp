@@ -14,6 +14,7 @@
 // flat as concurrency grows.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -116,25 +117,58 @@ void BM_ContentionComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_ContentionComputation)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 
-/// Per-event cost of the incremental index under churn: one CoFlow leaves
-/// and rejoins (the arrival + completion delta pair), plus a queue move —
-/// the work the coordinator actually does per event instead of a rebuild.
+/// Per-event cost of the incremental index under churn, over the stream
+/// lifecycle a streaming workload drives through Saath's hooks: one
+/// snapshot CoFlow leaves, a fresh arrival of the same spec joins, each of
+/// its flows completes, it leaves, and the original rejoins and moves
+/// queue. arrival_ns and completion_ns time the arrival and flow-completion
+/// hooks' index calls alone (one steady_clock read pair each, whose own
+/// cost is included); the iteration time covers the whole cycle plus
+/// building the fresh CoflowState.
 void BM_SpatialIndexChurn(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
   Snapshot snap(static_cast<int>(state.range(0)), 11);
   spatial::SpatialIndex index;
   for (const CoflowState* c : snap.active) {
     index.add_coflow(*c, c->queue_index);
   }
+  std::int64_t arrival_ns = 0;
+  std::int64_t completion_ns = 0;
+  std::int64_t arrivals = 0;
+  std::int64_t completions = 0;
+  const auto since = [](Clock::time_point t0) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                t0)
+        .count();
+  };
   std::size_t i = 0;
   for (auto _ : state) {
     CoflowState* c = snap.active[i % snap.active.size()];
+    CoflowState fresh(c->spec(), FlowId{0});
     index.remove_coflow(c->id());
+    auto t0 = Clock::now();
+    index.add_coflow(fresh, c->queue_index);
+    arrival_ns += since(t0);
+    ++arrivals;
+    for (FlowState& f : fresh.flows()) {
+      fresh.on_flow_complete(f, seconds(1));
+      t0 = Clock::now();
+      index.on_flow_complete(fresh, f);
+      completion_ns += since(t0);
+      ++completions;
+    }
+    index.remove_coflow(fresh.id());
     index.add_coflow(*c, c->queue_index);
     index.set_group(c->id(), (c->queue_index + 1) % 10);
     index.set_group(c->id(), c->queue_index);
+    index.clear_contention_changes();
     benchmark::DoNotOptimize(index.contention(c->id()));
     ++i;
   }
+  state.counters["arrival_ns"] =
+      static_cast<double>(arrival_ns) / static_cast<double>(arrivals);
+  state.counters["completion_ns"] =
+      static_cast<double>(completion_ns) / static_cast<double>(completions);
 }
 BENCHMARK(BM_SpatialIndexChurn)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 

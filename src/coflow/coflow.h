@@ -238,6 +238,15 @@ class CoflowState {
   [[nodiscard]] int unfinished_on_sender(PortIndex port) const;
   [[nodiscard]] int unfinished_on_receiver(PortIndex port) const;
 
+  /// Index of `port` in sender_loads() (resp. receiver_loads()), or -1 when
+  /// the CoFlow never touched it. O(log ports) via the sorted slot index.
+  [[nodiscard]] int sender_slot_of(PortIndex port) const {
+    return find_slot(senders_, sender_order_, port);
+  }
+  [[nodiscard]] int receiver_slot_of(PortIndex port) const {
+    return find_slot(receivers_, receiver_order_, port);
+  }
+
   /// Indices into flows() of the UNFINISHED flows sourced at
   /// sender_loads()[slot].port (resp. sinked at receiver_loads()[slot].port),
   /// ascending; the length is that slot's unfinished_flows. The flow->port

@@ -90,19 +90,18 @@ void SaathScheduler::on_coflow_arrival(CoflowState& coflow, SimTime now) {
   if (queue_tracked_.insert(coflow.id()).second) {
     queue_population_.add(coflow.queue_index);
   }
-  if (!tracks_index()) return;
   // The arrival's queue is assigned at the next schedule(); grouping it
   // under its current (default) queue keeps the index exact in between.
-  if (!spatial_.contains(coflow.id())) {
-    spatial_.add_coflow(coflow, coflow.queue_index);
-  }
+  // Already indexed (a direct schedule() saw it first): nothing to do.
+  if (tracks_index()) spatial_.add_coflow(coflow, coflow.queue_index);
 }
 
-void SaathScheduler::on_flow_complete(CoflowState& coflow, FlowState& flow,
-                                      SimTime now) {
+SAATH_HOT_NOALLOC void SaathScheduler::on_flow_complete(CoflowState& coflow,
+                                                        FlowState& flow,
+                                                        SimTime now) {
   (void)now;
-  if (!tracks_index() || !spatial_.contains(coflow.id())) return;
-  spatial_.on_flow_complete(coflow, flow);
+  // A CoFlow the index never saw is a no-op.
+  if (tracks_index()) spatial_.on_flow_complete(coflow, flow);
 }
 
 void SaathScheduler::on_coflow_complete(CoflowState& coflow, SimTime now) {
@@ -114,8 +113,7 @@ void SaathScheduler::on_coflow_complete(CoflowState& coflow, SimTime now) {
   // they are empty or never held it) so nothing retains its pointer.
   pending_deadlines_.erase({coflow.deadline, coflow.id()});
   forget_coflow(coflow.id());
-  if (!tracks_index() || !spatial_.contains(coflow.id())) return;
-  spatial_.remove_coflow(coflow.id());
+  if (tracks_index()) spatial_.remove_coflow(coflow.id());
 }
 
 void SaathScheduler::on_coflow_quarantined(CoflowState& coflow, SimTime now) {
@@ -143,11 +141,10 @@ void SaathScheduler::sync_spatial(std::span<CoflowState* const> active) {
     return;
   }
   for (CoflowState* c : active) {
-    if (!spatial_.contains(c->id())) {
-      spatial_.add_coflow(*c, c->queue_index);
-    } else if (!spatial_.in_sync(*c)) {
-      // Occupancy mutated without our hooks seeing it (snapshot tests,
-      // manual CoflowState drives): re-index this CoFlow from its loads.
+    if (!spatial_.in_sync(*c)) {
+      // Never indexed, or occupancy mutated without our hooks seeing it
+      // (snapshot tests, manual CoflowState drives): (re-)index this
+      // CoFlow from its loads.
       spatial_.remove_coflow(c->id());
       spatial_.add_coflow(*c, c->queue_index);
     }
@@ -426,10 +423,10 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
       // Candidate gating has two regimes. Drained (few live ports, the
       // state the backfill converges to): join the residual sets against
       // the occupancy index once — O(live-bucket memberships) — and gate
-      // on the resulting set. Contended (many live ports): a per-CoFlow
+      // on the marks it leaves. Contended (many live ports): a per-CoFlow
       // scan of its own port slots exits on the first live one, which is
-      // near-O(1) per CoFlow and beats paying the join's hash lookups
-      // for a set almost every CoFlow is in. Both gates over-approximate
+      // near-O(1) per CoFlow and beats walking the memberships of every
+      // live port to mark almost every CoFlow. Both gates over-approximate
       // the same condition (a flow with both endpoints live exists), so
       // the walk is byte-identical either way.
       bool use_join = false;
@@ -440,11 +437,8 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
             (fabric.send_live().size() + fabric.recv_live().size()) * 4 <
             missed.size();
         if (use_join) {
-          backfill_ids_.clear();
-          spatial_.occupancy().collect_live_occupants(
-              fabric.send_live(), fabric.recv_live(), backfill_ids_);
-          backfill_set_.clear();
-          for (const CoflowId id : backfill_ids_) backfill_set_.insert(id);
+          spatial_.occupancy().collect_live_occupants(fabric.send_live(),
+                                                      fabric.recv_live());
         }
       }
       // Pool-indexed: the walk reads only the dense finished/src/dst/rate
@@ -480,7 +474,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
           if (fabric.send_live().empty() || fabric.recv_live().empty()) {
             break;
           }
-          if (use_join ? !backfill_set_.contains(c->id())
+          if (use_join ? !spatial_.occupancy().live_occupant(c->id())
                        : (!any_live_slot(c->sender_loads(), true) ||
                           !any_live_slot(c->receiver_loads(), false))) {
             continue;
@@ -784,9 +778,7 @@ void SaathScheduler::schedule_delta(SimTime now,
       if (queue_tracked_.insert(c->id()).second) {
         queue_population_.add(c->queue_index);
       }
-      if (tracks_index() && !spatial_.contains(c->id())) {
-        spatial_.add_coflow(*c, c->queue_index);
-      }
+      if (tracks_index()) spatial_.add_coflow(*c, c->queue_index);
     }
     const int q = target_queue(*c, now);
     const bool fresh = c->deadline == kNever && config_.deadline_factor > 0;

@@ -344,11 +344,8 @@ class SaathScheduler final : public Scheduler {
   std::vector<ConserveRecord> conserve_cache_;
   bool conserve_cache_valid_ = false;
   std::uint64_t conserve_capacity_version_ = 0;
-  /// Port-indexed backfill scratch: the live-port join's occupant ids,
-  /// their set view for the in-order missed walk, and the merged per-slot
-  /// flow indices of one candidate.
-  std::vector<CoflowId> backfill_ids_;
-  std::unordered_set<CoflowId> backfill_set_;
+  /// Port-indexed backfill scratch: the merged per-slot flow indices of
+  /// one candidate.
   std::vector<std::uint32_t> backfill_flow_idx_;
   /// sync_spatial O(1)-probe snapshots.
   const CoflowState* const* sync_active_data_ = nullptr;

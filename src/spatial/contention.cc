@@ -4,141 +4,144 @@
 
 namespace saath::spatial {
 
-void SpatialIndex::note_contention_change(CoflowId id, Entry& e) {
+void SpatialIndex::note_contention_change(Entry& e) {
   if (e.change_stamp == change_epoch_) return;
   e.change_stamp = change_epoch_;
-  changes_.push_back(id);
+  changes_.push_back(e.id);
 }
 
-void SpatialIndex::add_overlap(CoflowId a, Entry& ea, CoflowId b) {
-  Entry& eb = entries_.at(b);
-  const int ov = ++ea.overlap[b];
-  ++eb.overlap[a];
-  if (ov == 1 && ea.group == eb.group) {
+const SpatialIndex::Entry& SpatialIndex::entry(CoflowId id) const {
+  const Slot slot = occupancy_.find(id);
+  SAATH_EXPECTS(slot != kNoSlot);
+  return entries_[slot];
+}
+
+void SpatialIndex::add_overlap(Slot a, Entry& ea, Slot b) {
+  Entry& eb = entries_[b];
+  const std::size_t ia = ea.overlap.insert(b).index;
+  ++eb.overlap.value(eb.overlap.insert(a).index);
+  if (++ea.overlap.value(ia) == 1 && ea.group == eb.group) {
     ++ea.contention;
     ++eb.contention;
-    note_contention_change(a, ea);
-    note_contention_change(b, eb);
+    note_contention_change(ea);
+    note_contention_change(eb);
   }
 }
 
-void SpatialIndex::drop_overlap(CoflowId a, Entry& ea, CoflowId b) {
-  Entry& eb = entries_.at(b);
-  const auto ita = ea.overlap.find(b);
-  const auto itb = eb.overlap.find(a);
-  SAATH_EXPECTS(ita != ea.overlap.end() && itb != eb.overlap.end());
-  SAATH_EXPECTS(ita->second == itb->second && ita->second > 0);
-  --itb->second;
-  if (--ita->second == 0) {
-    ea.overlap.erase(ita);
-    eb.overlap.erase(itb);
+void SpatialIndex::drop_overlap(Slot a, Entry& ea, Slot b) {
+  Entry& eb = entries_[b];
+  const std::size_t ia = ea.overlap.find(b);
+  const std::size_t ib = eb.overlap.find(a);
+  SAATH_EXPECTS(ia != OverlapTable::npos && ib != OverlapTable::npos);
+  int& ov_a = ea.overlap.value(ia);
+  int& ov_b = eb.overlap.value(ib);
+  SAATH_EXPECTS(ov_a == ov_b && ov_a > 0);
+  --ov_b;
+  if (--ov_a == 0) {
+    ea.overlap.erase_at(ia);
+    eb.overlap.erase_at(ib);
     if (ea.group == eb.group) {
       SAATH_EXPECTS(ea.contention > 0 && eb.contention > 0);
       --ea.contention;
       --eb.contention;
-      note_contention_change(a, ea);
-      note_contention_change(b, eb);
+      note_contention_change(ea);
+      note_contention_change(eb);
     }
   }
 }
 
-void SpatialIndex::add_coflow(const CoflowState& c, int group) {
-  SAATH_EXPECTS(!contains(c.id()));
+void SpatialIndex::drop_bucket(Slot a, Entry& ea, std::uint32_t bucket) {
+  for (const OccupancyIndex::Member& m : occupancy_.members(bucket)) {
+    if (m.slot != a) drop_overlap(a, ea, m.slot);
+  }
+}
+
+SAATH_HOT_NOALLOC bool SpatialIndex::add_coflow(const CoflowState& c,
+                                                int group) {
+  const Slot slot = occupancy_.add_coflow(c);
+  if (slot == kNoSlot) return false;
   ++mutations_;
-  Entry& e = entries_[c.id()];
+  if (slot >= entries_.size()) entries_.resize(slot + 1);
+  Entry& e = entries_[slot];
+  SAATH_EXPECTS(e.overlap.empty());
+  e.id = c.id();
   e.group = group;
+  e.contention = 0;
   e.version = c.occupancy_version();
-  // Join the buckets first: the co-resident scan below then sees the final
-  // membership and just skips the CoFlow itself.
-  const auto& joined = occupancy_.add_coflow(c);
-  for (const std::int64_t bucket : joined) {
-    for (const CoflowId d : occupancy_.members(bucket)) {
-      if (d != c.id()) add_overlap(c.id(), e, d);
+  e.change_stamp = ~std::uint64_t{0};
+  // The CoFlow joined its buckets first: the co-resident scan below sees
+  // the final membership and just skips the CoFlow itself.
+  for (const OccupancyIndex::Place& p : occupancy_.places(slot)) {
+    if (p.pos == OccupancyIndex::Place::kAbsent) continue;
+    for (const OccupancyIndex::Member& m : occupancy_.members(p.bucket)) {
+      if (m.slot != slot) add_overlap(slot, e, m.slot);
     }
   }
+  return true;
 }
 
-void SpatialIndex::remove_coflow(CoflowId id) {
-  const auto it = entries_.find(id);
-  SAATH_EXPECTS(it != entries_.end());
+bool SpatialIndex::remove_coflow(CoflowId id) {
+  const Slot slot = occupancy_.find(id);
+  if (slot == kNoSlot) return false;
   ++mutations_;
-  // Leaving every still-occupied bucket drains the overlap map pair by
+  Entry& e = entries_[slot];
+  // Draining every still-occupied bucket empties the overlap table pair by
   // pair; a finished CoFlow occupies nothing and drops straight out.
-  const auto& left = occupancy_.remove_coflow(id);
-  for (const std::int64_t bucket : left) {
-    for (const CoflowId d : occupancy_.members(bucket)) {
-      drop_overlap(id, it->second, d);
-    }
+  for (const OccupancyIndex::Place& p : occupancy_.places(slot)) {
+    if (p.pos != OccupancyIndex::Place::kAbsent) drop_bucket(slot, e, p.bucket);
   }
-  SAATH_EXPECTS(it->second.overlap.empty());
-  SAATH_EXPECTS(it->second.contention == 0);
-  entries_.erase(it);
+  SAATH_EXPECTS(e.overlap.empty());
+  SAATH_EXPECTS(e.contention == 0);
+  occupancy_.remove(slot);
+  return true;
 }
 
-void SpatialIndex::on_flow_complete(const CoflowState& c,
-                                    const FlowState& flow) {
-  const CoflowId id = c.id();
-  const auto it = entries_.find(id);
-  SAATH_EXPECTS(it != entries_.end());
+SAATH_HOT_NOALLOC bool SpatialIndex::on_flow_complete(const CoflowState& c,
+                                                      const FlowState& flow) {
+  const Slot slot = occupancy_.find(c.id());
+  if (slot == kNoSlot) return false;
   ++mutations_;
-  it->second.version = c.occupancy_version();
-  const SlotDelta delta =
-      occupancy_.on_flow_complete(id, flow.src(), flow.dst());
-  // The index's own slot counters must mirror the CoflowState load lists;
-  // cross-check against its delta accessors so drift fails fast here
-  // instead of surfacing as a wrong LCoF order later.
-  SAATH_EXPECTS((delta.sender_freed != kInvalidPort) ==
-                (c.unfinished_on_sender(flow.src()) == 0));
-  SAATH_EXPECTS((delta.receiver_freed != kInvalidPort) ==
-                (c.unfinished_on_receiver(flow.dst()) == 0));
-  if (delta.sender_freed != kInvalidPort) {
-    for (const CoflowId d : occupancy_.members(sender_bucket(flow.src()))) {
-      drop_overlap(id, it->second, d);
-    }
-  }
-  if (delta.receiver_freed != kInvalidPort) {
-    for (const CoflowId d : occupancy_.members(receiver_bucket(flow.dst()))) {
-      drop_overlap(id, it->second, d);
-    }
-  }
+  Entry& e = entries_[slot];
+  // Each completion bumps the CoFlow's occupancy version by one. Follow it
+  // only while no completion was missed, so in_sync() reports one that was.
+  if (e.version + 1 == c.occupancy_version()) e.version = c.occupancy_version();
+  const OccupancyDelta freed = occupancy_.on_flow_complete(slot, c, flow);
+  if (freed.sender_freed) drop_bucket(slot, e, sender_bucket(flow.src()));
+  if (freed.receiver_freed) drop_bucket(slot, e, receiver_bucket(flow.dst()));
+  return true;
 }
 
 bool SpatialIndex::in_sync(const CoflowState& c) const {
-  const auto it = entries_.find(c.id());
-  return it != entries_.end() && it->second.version == c.occupancy_version();
+  const Slot slot = occupancy_.find(c.id());
+  return slot != kNoSlot && entries_[slot].version == c.occupancy_version();
 }
 
 void SpatialIndex::set_group(CoflowId id, int group) {
-  Entry& e = entries_.at(id);
+  const Slot slot = occupancy_.find(id);
+  SAATH_EXPECTS(slot != kNoSlot);
+  Entry& e = entries_[slot];
   if (e.group == group) return;
   ++mutations_;
-  for (const auto& [d, ov] : e.overlap) {
+  e.overlap.for_each([&](Slot d, int ov) {
     SAATH_EXPECTS(ov > 0);
-    Entry& ed = entries_.at(d);
+    Entry& ed = entries_[d];
     const bool was_same = ed.group == e.group;
     const bool now_same = ed.group == group;
-    if (was_same && !now_same) {
-      --e.contention;
-      --ed.contention;
-      note_contention_change(id, e);
-      note_contention_change(d, ed);
-    } else if (!was_same && now_same) {
-      ++e.contention;
-      ++ed.contention;
-      note_contention_change(id, e);
-      note_contention_change(d, ed);
-    }
-  }
+    if (was_same == now_same) return;
+    const int step = now_same ? 1 : -1;
+    e.contention += step;
+    ed.contention += step;
+    note_contention_change(e);
+    note_contention_change(ed);
+  });
   e.group = group;
 }
 
 int SpatialIndex::contention(CoflowId id) const {
-  return entries_.at(id).contention;
+  return entry(id).contention;
 }
 
-int SpatialIndex::group_of(CoflowId id) const {
-  return entries_.at(id).group;
-}
+int SpatialIndex::group_of(CoflowId id) const { return entry(id).group; }
 
 void SpatialIndex::clear_contention_changes() {
   changes_.clear();

@@ -16,14 +16,15 @@
 //
 // Every update is O(affected neighbors) instead of O(active x ports), which
 // is what makes the coordinator's order phase (Table 2) independent of the
-// epoch rate. The batch oracle in sched/contention.cc is kept as the
-// reference implementation; the property suite asserts equality after every
-// event.
+// epoch rate. Per-CoFlow state lives at the CoFlow's OccupancyIndex slot,
+// and each overlap table is a flat map keyed by neighbor slot, so a public
+// call costs one id -> slot lookup and a warm index allocates nothing. The
+// batch oracle in sched/contention.cc is kept as the reference
+// implementation; the property suite asserts equality after every event.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "spatial/occupancy.h"
@@ -33,15 +34,19 @@ namespace saath::spatial {
 class SpatialIndex {
  public:
   /// Registers an arriving CoFlow with its current unfinished-flow
-  /// occupancy and priority-queue group.
-  void add_coflow(const CoflowState& c, int group);
+  /// occupancy and priority-queue group. Returns false, changing nothing,
+  /// when c is already indexed.
+  bool add_coflow(const CoflowState& c, int group);
 
   /// Unregisters a CoFlow (on completion, or when a consumer resets).
-  void remove_coflow(CoflowId id);
+  /// Returns false when `id` is not indexed.
+  bool remove_coflow(CoflowId id);
 
-  /// A flow of `c` completed; must be called after CoflowState updated its
-  /// own load lists (the engine's hook order guarantees this).
-  void on_flow_complete(const CoflowState& c, const FlowState& flow);
+  /// A flow of `c` completed; must be called once per completion, after
+  /// CoflowState updated its own load lists (the engine's hook order
+  /// guarantees this). A CoFlow that missed a call stays out of sync (see
+  /// in_sync()) until re-added. Returns false when c is not indexed.
+  bool on_flow_complete(const CoflowState& c, const FlowState& flow);
 
   /// True when `c` is indexed and no occupancy change happened behind the
   /// index's back (CoflowState::occupancy_version matches). Consumers that
@@ -56,14 +61,13 @@ class SpatialIndex {
   [[nodiscard]] int contention(CoflowId id) const;
   [[nodiscard]] int group_of(CoflowId id) const;
 
-  /// CoFlows whose k_c value changed since the last
-  /// clear_contention_changes(), deduplicated. This is what lets an order
-  /// index re-key only the CoFlows a completion or queue move actually
-  /// perturbed: every ++/-- of an Entry's contention records its id here.
-  /// May contain CoFlows that were since removed — consumers skip absent
-  /// ids. Unbounded until cleared, so delta consumers must drain it every
-  /// round (non-consumers can ignore it; add/remove churn caps it at the
-  /// live population between clears... it is cleared by clear() too).
+  /// CoFlows whose k_c changed since the last clear_contention_changes().
+  /// Every increment and decrement of a k_c records its CoFlow, once per
+  /// clear (twice if it was removed and re-added in between). This is what
+  /// lets an order index re-key only the CoFlows a completion or queue
+  /// move actually perturbed. It may list CoFlows removed since, which
+  /// consumers skip. The list grows until cleared, so a delta consumer
+  /// drains it every round; clear() also empties it.
   [[nodiscard]] std::span<const CoflowId> contention_changes() const {
     return changes_;
   }
@@ -74,15 +78,19 @@ class SpatialIndex {
   [[nodiscard]] std::uint64_t mutation_count() const { return mutations_; }
 
   [[nodiscard]] bool contains(CoflowId id) const {
-    return entries_.find(id) != entries_.end();
+    return occupancy_.contains(id);
   }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return occupancy_.num_coflows(); }
   [[nodiscard]] const OccupancyIndex& occupancy() const { return occupancy_; }
 
   void clear();
 
  private:
+  /// Neighbor slot -> number of shared occupied port slots (> 0).
+  using OverlapTable = FlatTable<Slot, int, kNoSlot>;
+
   struct Entry {
+    CoflowId id;
     int group = 0;
     int contention = 0;
     /// CoflowState::occupancy_version at index time.
@@ -90,16 +98,20 @@ class SpatialIndex {
     /// change_epoch_ value when this entry last landed in changes_
     /// (dedup stamp; ~0 = never).
     std::uint64_t change_stamp = ~std::uint64_t{0};
-    /// neighbor -> number of shared occupied port slots.
-    std::unordered_map<CoflowId, int> overlap;
+    OverlapTable overlap;
   };
 
-  void add_overlap(CoflowId a, Entry& ea, CoflowId b);
-  void drop_overlap(CoflowId a, Entry& ea, CoflowId b);
-  void note_contention_change(CoflowId id, Entry& e);
+  [[nodiscard]] const Entry& entry(CoflowId id) const;
+  void add_overlap(Slot a, Entry& ea, Slot b);
+  void drop_overlap(Slot a, Entry& ea, Slot b);
+  /// drop_overlap against every member of `bucket` other than `a`.
+  void drop_bucket(Slot a, Entry& ea, std::uint32_t bucket);
+  void note_contention_change(Entry& e);
 
   OccupancyIndex occupancy_;
-  std::unordered_map<CoflowId, Entry> entries_;
+  /// Indexed by OccupancyIndex slot; a recycled slot's entry keeps its
+  /// overlap table's capacity.
+  std::vector<Entry> entries_;
   std::vector<CoflowId> changes_;
   std::uint64_t change_epoch_ = 0;
   std::uint64_t mutations_ = 0;

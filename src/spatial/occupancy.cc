@@ -4,122 +4,130 @@
 
 namespace saath::spatial {
 
-void OccupancyIndex::join(CoflowId id, std::int64_t bucket) {
-  Bucket& b = buckets_[bucket];
-  const auto [it, inserted] = b.position.emplace(id, b.members.size());
-  SAATH_EXPECTS(inserted);
-  (void)it;
-  b.members.push_back(id);
+void OccupancyIndex::join(Slot slot, std::uint32_t place) {
+  Seat& seat = seats_[slot];
+  Place& p = seat.places[place];
+  if (p.bucket >= buckets_.size()) buckets_.resize(p.bucket + 1);
+  std::vector<Member>& members = buckets_[p.bucket];
+  p.pos = static_cast<std::uint32_t>(members.size());
+  members.push_back({slot, place});
+  ++seat.occupied;
 }
 
-void OccupancyIndex::leave(CoflowId id, std::int64_t bucket) {
-  const auto bit = buckets_.find(bucket);
-  SAATH_EXPECTS(bit != buckets_.end());
-  Bucket& b = bit->second;
-  const auto pit = b.position.find(id);
-  SAATH_EXPECTS(pit != b.position.end());
-  const std::size_t pos = pit->second;
-  b.position.erase(pit);
-  const CoflowId moved = b.members.back();
-  b.members[pos] = moved;
-  b.members.pop_back();
-  if (moved != id) b.position[moved] = pos;
+void OccupancyIndex::leave(Slot slot, std::uint32_t place) {
+  Seat& seat = seats_[slot];
+  Place& p = seat.places[place];
+  SAATH_EXPECTS(p.pos != Place::kAbsent);
+  std::vector<Member>& members = buckets_[p.bucket];
+  const Member moved = members.back();
+  members[p.pos] = moved;
+  seats_[moved.slot].places[moved.place].pos = p.pos;
+  members.pop_back();
+  p.pos = Place::kAbsent;
+  --seat.occupied;
 }
 
-const std::vector<std::int64_t>& OccupancyIndex::add_coflow(
-    const CoflowState& c) {
-  SAATH_EXPECTS(!contains(c.id()));
-  Slots& slots = coflows_[c.id()];
-  touched_.clear();
-  for (const auto& load : c.sender_loads()) {
-    if (load.unfinished_flows == 0) continue;
-    slots.unfinished.emplace(sender_bucket(load.port), load.unfinished_flows);
-    touched_.push_back(sender_bucket(load.port));
+SAATH_HOT_NOALLOC Slot OccupancyIndex::add_coflow(const CoflowState& c) {
+  const auto hit = slot_of_.insert(c.id().value);
+  if (!hit.inserted) return kNoSlot;
+  Slot slot;
+  if (free_.empty()) {
+    slot = static_cast<Slot>(seats_.size());
+    seats_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
   }
-  for (const auto& load : c.receiver_loads()) {
-    if (load.unfinished_flows == 0) continue;
-    slots.unfinished.emplace(receiver_bucket(load.port), load.unfinished_flows);
-    touched_.push_back(receiver_bucket(load.port));
-  }
-  for (const std::int64_t bucket : touched_) join(c.id(), bucket);
-  return touched_;
-}
-
-const std::vector<std::int64_t>& OccupancyIndex::remove_coflow(CoflowId id) {
-  const auto it = coflows_.find(id);
-  SAATH_EXPECTS(it != coflows_.end());
-  touched_.clear();
-  for (const auto& [bucket, unfinished] : it->second.unfinished) {
-    SAATH_EXPECTS(unfinished > 0);
-    touched_.push_back(bucket);
-  }
-  for (const std::int64_t bucket : touched_) leave(id, bucket);
-  coflows_.erase(it);
-  return touched_;
-}
-
-SlotDelta OccupancyIndex::on_flow_complete(CoflowId id, PortIndex src,
-                                           PortIndex dst) {
-  const auto it = coflows_.find(id);
-  SAATH_EXPECTS(it != coflows_.end());
-  Slots& slots = it->second;
-  SlotDelta delta;
-  const auto drop = [&](std::int64_t bucket) {
-    const auto sit = slots.unfinished.find(bucket);
-    SAATH_EXPECTS(sit != slots.unfinished.end() && sit->second > 0);
-    if (--sit->second == 0) {
-      slots.unfinished.erase(sit);
-      leave(id, bucket);
-      return true;
+  slot_of_.value(hit.index) = slot;
+  Seat& seat = seats_[slot];
+  seat.id = c.id();
+  seat.occupied = 0;
+  seat.senders = static_cast<std::uint32_t>(c.sender_loads().size());
+  seat.join_stamp = 0;
+  seat.places.clear();
+  const auto add_places = [&](std::span<const PortLoad> loads, bool sender) {
+    for (const PortLoad& load : loads) {
+      const auto place = static_cast<std::uint32_t>(seat.places.size());
+      seat.places.push_back(
+          {sender ? sender_bucket(load.port) : receiver_bucket(load.port),
+           Place::kAbsent});
+      if (load.unfinished_flows > 0) join(slot, place);
     }
-    return false;
   };
-  if (drop(sender_bucket(src))) delta.sender_freed = src;
-  if (drop(receiver_bucket(dst))) delta.receiver_freed = dst;
+  add_places(c.sender_loads(), true);
+  add_places(c.receiver_loads(), false);
+  return slot;
+}
+
+std::size_t OccupancyIndex::remove(Slot slot) {
+  Seat& seat = seats_[slot];
+  const std::size_t left = seat.occupied;
+  for (std::uint32_t place = 0; place < seat.places.size(); ++place) {
+    if (seat.places[place].pos != Place::kAbsent) leave(slot, place);
+  }
+  const bool erased = slot_of_.erase(seat.id.value);
+  SAATH_EXPECTS(erased);
+  free_.push_back(slot);
+  return left;
+}
+
+SAATH_HOT_NOALLOC OccupancyDelta OccupancyIndex::on_flow_complete(
+    Slot slot, const CoflowState& c, const FlowState& flow) {
+  const Seat& seat = seats_[slot];
+  SAATH_EXPECTS(seat.places.size() ==
+                c.sender_loads().size() + c.receiver_loads().size());
+  const int s = c.sender_slot_of(flow.src());
+  const int r = c.receiver_slot_of(flow.dst());
+  SAATH_EXPECTS(s >= 0 && r >= 0);
+  OccupancyDelta delta;
+  delta.sender_freed =
+      c.sender_loads()[static_cast<std::size_t>(s)].unfinished_flows == 0;
+  delta.receiver_freed =
+      c.receiver_loads()[static_cast<std::size_t>(r)].unfinished_flows == 0;
+  if (delta.sender_freed) leave(slot, static_cast<std::uint32_t>(s));
+  if (delta.receiver_freed) {
+    leave(slot, seat.senders + static_cast<std::uint32_t>(r));
+  }
   return delta;
 }
 
-std::span<const CoflowId> OccupancyIndex::members(std::int64_t bucket) const {
-  const auto it = buckets_.find(bucket);
-  if (it == buckets_.end()) return {};
-  return it->second.members;
-}
-
-void OccupancyIndex::collect_live_occupants(
+std::size_t OccupancyIndex::collect_live_occupants(
     std::span<const PortIndex> live_senders,
-    std::span<const PortIndex> live_receivers,
-    std::vector<CoflowId>& out) const {
-  // Two-pass stamp intersection: mark every occupant of a live sender slot,
-  // then emit (once) every marked occupant of a live receiver slot. A
-  // CoFlow missing from either side cannot have a flow with both endpoints
-  // live, so skipping it is exact for any budget-gated consumer.
+    std::span<const PortIndex> live_receivers) const {
+  // Two-pass stamp intersection: stamp every occupant of a live sender
+  // slot, then re-stamp (once) every stamped occupant of a live receiver
+  // slot. A CoFlow missing from either side cannot have a flow with both
+  // endpoints live, so skipping it is exact for any budget-gated consumer.
   const std::uint64_t sender_mark = ++join_epoch_;
   for (const PortIndex p : live_senders) {
-    for (const CoflowId id : members(sender_bucket(p))) {
-      coflows_.find(id)->second.join_stamp = sender_mark;
+    for (const Member& m : members(sender_bucket(p))) {
+      seats_[m.slot].join_stamp = sender_mark;
     }
   }
-  const std::uint64_t emitted_mark = ++join_epoch_;
+  live_mark_ = ++join_epoch_;
+  std::size_t marked = 0;
   for (const PortIndex p : live_receivers) {
-    for (const CoflowId id : members(receiver_bucket(p))) {
-      const Slots& slots = coflows_.find(id)->second;
-      if (slots.join_stamp == sender_mark) {
-        slots.join_stamp = emitted_mark;
-        out.push_back(id);
+    for (const Member& m : members(receiver_bucket(p))) {
+      const Seat& seat = seats_[m.slot];
+      if (seat.join_stamp == sender_mark) {
+        seat.join_stamp = live_mark_;
+        ++marked;
       }
     }
   }
+  return marked;
 }
 
 std::size_t OccupancyIndex::occupied_slots(CoflowId id) const {
-  const auto it = coflows_.find(id);
-  return it == coflows_.end() ? 0 : it->second.unfinished.size();
+  const Slot slot = find(id);
+  return slot == kNoSlot ? 0 : seats_[slot].occupied;
 }
 
 void OccupancyIndex::clear() {
+  slot_of_.clear();
+  seats_.clear();
+  free_.clear();
   buckets_.clear();
-  coflows_.clear();
-  touched_.clear();
 }
 
 }  // namespace saath::spatial

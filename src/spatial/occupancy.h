@@ -4,75 +4,115 @@
 // have an unfinished flow on which sender/receiver port" — used to be
 // rebuilt from CoflowState::sender_loads()/receiver_loads() scans on every
 // scheduling epoch. OccupancyIndex maintains the same state as a
-// delta-driven structure: CoFlow arrival joins its port buckets, each flow
-// completion decrements exactly two slot counters (src uplink, dst
-// downlink) and leaves a bucket only when the last unfinished flow on that
-// slot finishes. Node failures restart flows but never finish them, so
-// dynamics events leave occupancy untouched — exactly matching the oracle
-// in sched/contention.cc.
+// delta-driven structure: CoFlow arrival joins its port buckets, and a flow
+// completion leaves a bucket only when the CoFlow's own
+// PortLoad::unfinished_flows for that port reached zero — the index keeps
+// no second copy of those counts. Node failures restart flows but never
+// finish them, so dynamics events leave occupancy untouched — exactly
+// matching the oracle in sched/contention.cc.
 //
-// Sender and receiver ports are separate resources (machine i's uplink and
-// downlink); buckets are keyed as 2*port for uplinks and 2*port+1 for
-// downlinks so the index needs no a-priori port count.
+// Storage is dense. Each indexed CoFlow holds a slot, assigned on add and
+// recycled on removal; one lookup in a flat id -> slot table per call finds
+// it. Sender and receiver ports are separate resources (machine i's uplink
+// and downlink), so the bucket of a directed port is 2*port (uplink) or
+// 2*port+1 (downlink), an index into a vector that grows on demand as
+// ports are first seen. Buckets list member slots; each slot records its
+// position in every bucket it occupies, so leaving is an O(1) swap-remove.
+// All of it recycles capacity, so a warm index allocates nothing.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "coflow/coflow.h"
 #include "common/ids.h"
+#include "spatial/flat_table.h"
 
 namespace saath::spatial {
 
-/// Bucket key for a directed port slot.
-[[nodiscard]] constexpr std::int64_t sender_bucket(PortIndex p) {
-  return 2 * static_cast<std::int64_t>(p);
-}
-[[nodiscard]] constexpr std::int64_t receiver_bucket(PortIndex p) {
-  return 2 * static_cast<std::int64_t>(p) + 1;
-}
+/// Dense per-CoFlow handle, valid from add to removal.
+using Slot = std::uint32_t;
+inline constexpr Slot kNoSlot = ~Slot{0};
 
-/// Which port memberships a flow completion released (kInvalidPort = none).
-struct SlotDelta {
-  PortIndex sender_freed = kInvalidPort;
-  PortIndex receiver_freed = kInvalidPort;
-};
+/// Bucket index for a directed port slot.
+[[nodiscard]] constexpr std::uint32_t sender_bucket(PortIndex p) {
+  return 2 * static_cast<std::uint32_t>(p);
+}
+[[nodiscard]] constexpr std::uint32_t receiver_bucket(PortIndex p) {
+  return 2 * static_cast<std::uint32_t>(p) + 1;
+}
 
 class OccupancyIndex {
  public:
-  /// Registers `c` on every port slot where it has unfinished flows and
-  /// returns the joined bucket keys. `c` must not already be present.
-  const std::vector<std::int64_t>& add_coflow(const CoflowState& c);
+  /// One CoFlow's entry in a bucket: its slot and which of its places
+  /// (see Place) points back at this bucket.
+  struct Member {
+    Slot slot = kNoSlot;
+    std::uint32_t place = 0;
+  };
+  /// A CoFlow's port slots, aligned with its load lists: place s is
+  /// sender_loads()[s], place senders+r is receiver_loads()[r]. `pos` is
+  /// the CoFlow's index in the bucket's member list, kAbsent while the
+  /// port carries none of its unfinished flows.
+  struct Place {
+    static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+    std::uint32_t bucket = 0;
+    std::uint32_t pos = kAbsent;
+  };
 
-  /// Removes `c` from every bucket it still occupies; returns the left
-  /// bucket keys (empty when all of c's flows already finished).
-  const std::vector<std::int64_t>& remove_coflow(CoflowId id);
+  /// Gives `c` a slot and joins it to every port bucket where it has
+  /// unfinished flows. Returns kNoSlot, changing nothing, when c is
+  /// already indexed.
+  Slot add_coflow(const CoflowState& c);
 
-  /// A flow src->dst of `id` finished: decrements both slot counters and
-  /// reports which (if any) memberships dropped to zero. O(1) amortized.
-  SlotDelta on_flow_complete(CoflowId id, PortIndex src, PortIndex dst);
+  /// Leaves every bucket `slot` still occupies and recycles the slot;
+  /// returns how many buckets it left (0 when all of its flows finished).
+  std::size_t remove(Slot slot);
 
-  [[nodiscard]] bool contains(CoflowId id) const {
-    return coflows_.find(id) != coflows_.end();
+  /// A flow of the CoFlow at `slot` finished; `c` already counts it.
+  /// Leaves each of the flow's two port buckets where c has no unfinished
+  /// flow left, and reports which it left. O(log ports of c).
+  OccupancyDelta on_flow_complete(Slot slot, const CoflowState& c,
+                                  const FlowState& flow);
+
+  /// The slot of `id`, or kNoSlot.
+  [[nodiscard]] Slot find(CoflowId id) const {
+    const std::size_t i = slot_of_.find(id.value);
+    return i == SlotTable::npos ? kNoSlot : slot_of_.value(i);
   }
-  [[nodiscard]] std::size_t num_coflows() const { return coflows_.size(); }
+  [[nodiscard]] bool contains(CoflowId id) const {
+    return find(id) != kNoSlot;
+  }
+  [[nodiscard]] std::size_t num_coflows() const { return slot_of_.size(); }
 
   /// CoFlows currently occupying a bucket (unordered; stable between
-  /// mutations). Empty span for untouched buckets.
-  [[nodiscard]] std::span<const CoflowId> members(std::int64_t bucket) const;
+  /// mutations). Empty span for buckets never joined.
+  [[nodiscard]] std::span<const Member> members(std::uint32_t bucket) const {
+    if (bucket >= buckets_.size()) return {};
+    return buckets_[bucket];
+  }
+  /// The port slots of the CoFlow at `slot` (see Place).
+  [[nodiscard]] std::span<const Place> places(Slot slot) const {
+    return seats_[slot].places;
+  }
 
   /// Residual-budget join (the work-conservation backfill's spatial half):
-  /// appends to `out` every distinct CoFlow that occupies at least one of
-  /// `live_senders` AND at least one of `live_receivers` — the necessary
-  /// condition for any of its flows to have both endpoints unexhausted.
-  /// Cost is O(memberships of the live ports); output order is
-  /// deterministic but unspecified (callers impose their own order).
-  /// Logically const: only the dedup stamps mutate.
-  void collect_live_occupants(std::span<const PortIndex> live_senders,
-                              std::span<const PortIndex> live_receivers,
-                              std::vector<CoflowId>& out) const;
+  /// marks every CoFlow that occupies at least one of `live_senders` AND at
+  /// least one of `live_receivers` — the necessary condition for any of its
+  /// flows to have both endpoints unexhausted — and returns how many it
+  /// marked. live_occupant() reads the marks until the next call. Cost is
+  /// O(memberships of the live ports). Logically const: only the marks
+  /// mutate.
+  std::size_t collect_live_occupants(
+      std::span<const PortIndex> live_senders,
+      std::span<const PortIndex> live_receivers) const;
+  /// Whether the last collect_live_occupants() marked `id`.
+  [[nodiscard]] bool live_occupant(CoflowId id) const {
+    const Slot slot = find(id);
+    return slot != kNoSlot && seats_[slot].join_stamp == live_mark_;
+  }
 
   /// Distinct buckets `id` still occupies.
   [[nodiscard]] std::size_t occupied_slots(CoflowId id) const;
@@ -80,28 +120,34 @@ class OccupancyIndex {
   void clear();
 
  private:
-  struct Bucket {
-    std::vector<CoflowId> members;
-    /// Position of each member in `members` for O(1) swap-removal.
-    std::unordered_map<CoflowId, std::size_t> position;
-  };
-  struct Slots {
-    /// bucket key -> unfinished flows of this CoFlow on that slot.
-    std::unordered_map<std::int64_t, int> unfinished;
-    /// collect_live_occupants dedup stamp (two epochs per call: seen on a
-    /// live sender, then emitted). Mutable bookkeeping, not index state.
+  using SlotTable =
+      FlatTable<std::int64_t, Slot, std::numeric_limits<std::int64_t>::min()>;
+
+  struct Seat {
+    CoflowId id;
+    /// Buckets currently joined.
+    std::uint32_t occupied = 0;
+    /// Places [0, senders) mirror sender_loads(), the rest receiver_loads().
+    std::uint32_t senders = 0;
+    /// collect_live_occupants stamp (two epochs per call: seen on a live
+    /// sender, then marked). Mutable bookkeeping, not index state.
     mutable std::uint64_t join_stamp = 0;
+    std::vector<Place> places;
   };
 
-  void join(CoflowId id, std::int64_t bucket);
-  void leave(CoflowId id, std::int64_t bucket);
+  void join(Slot slot, std::uint32_t place);
+  void leave(Slot slot, std::uint32_t place);
 
-  std::unordered_map<std::int64_t, Bucket> buckets_;
-  std::unordered_map<CoflowId, Slots> coflows_;
-  /// Scratch returned by add_coflow/remove_coflow (valid until next call).
-  std::vector<std::int64_t> touched_;
-  /// Monotone epoch source for the join stamps.
+  SlotTable slot_of_;
+  std::vector<Seat> seats_;
+  /// Recycled slots, reused last-freed first.
+  std::vector<Slot> free_;
+  /// Member lists by bucket index (2*port+side).
+  std::vector<std::vector<Member>> buckets_;
+  /// Monotone epoch source for the join stamps, and the stamp the last
+  /// collect_live_occupants() marked with (no seat carries it initially).
   mutable std::uint64_t join_epoch_ = 0;
+  mutable std::uint64_t live_mark_ = ~std::uint64_t{0};
 };
 
 }  // namespace saath::spatial

@@ -13,7 +13,9 @@
 
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "common/alloc_probe.h"
 #include "coflow/coflow.h"
@@ -21,6 +23,7 @@
 #include "sim/rate_assignment.h"
 #include "sim/scheduler.h"
 #include "sched/order_index.h"
+#include "spatial/contention.h"
 #include "test_util.h"
 
 // --------------------------------------------------------------------------
@@ -162,6 +165,73 @@ TEST(AllocSteady, QueueCrossingHeapReprogramRecyclesCapacity) {
     (void)heap.next();
   });
   EXPECT_EQ(delta, 0u);
+}
+
+TEST(AllocSteady, SpatialIndexChurnRecyclesCapacity) {
+  // A few dozen CoFlows over 16 ports; each spans four senders and four
+  // receivers, so every arrival overlaps most of the population.
+  constexpr int kResident = 32;
+  constexpr int kPorts = 16;
+  constexpr int kWidth = 4;
+  std::int64_t next_flow = 0;
+  const auto fresh = [&next_flow](int id) {
+    CoflowSpec spec = make_coflow(id, 0, {});
+    for (int j = 0; j < kWidth; ++j) {
+      spec.flows.push_back({(id + j) % kPorts, (id + 3 * j + 1) % kPorts, 1000});
+    }
+    auto state = std::make_unique<CoflowState>(spec, FlowId{next_flow});
+    next_flow += kWidth;
+    return state;
+  };
+
+  spatial::SpatialIndex index;
+  std::vector<std::unique_ptr<CoflowState>> resident;
+  for (int i = 0; i < kResident; ++i) {
+    resident.push_back(fresh(i));
+    index.add_coflow(*resident.back(), i % 3);
+  }
+
+  // Only the index calls are counted: building a CoflowState and its own
+  // completion bookkeeping allocate by design and happen outside.
+  std::uint64_t index_allocs = 0;
+  const auto counted = [&index_allocs](auto&& call) {
+    const std::uint64_t before = debug_alloc_count();
+    call();
+    index_allocs += debug_alloc_count() - before;
+  };
+  const auto cycle = [&](int e) {
+    const int v = e % kResident;
+    const CoflowId id{v};
+    // Remove -> re-add as a fresh state (all overlaps drop, then return),
+    // complete every flow (each freed slot drops its pairs), move queues,
+    // then restore the CoFlow so the population stays fully overlapped.
+    auto readded = fresh(v);
+    auto restored = fresh(v);
+    counted([&] {
+      index.remove_coflow(id);
+      index.add_coflow(*readded, v % 3);
+    });
+    for (FlowState& f : readded->flows()) {
+      readded->on_flow_complete(f, seconds(e + 1));
+      counted([&] { index.on_flow_complete(*readded, f); });
+    }
+    counted([&] {
+      index.set_group(id, (v + 1) % 3);
+      index.set_group(CoflowId{(v + 1) % kResident}, (e + 2) % 3);
+      index.remove_coflow(id);
+      index.add_coflow(*restored, v % 3);
+      index.clear_contention_changes();
+    });
+    resident[static_cast<std::size_t>(v)] = std::move(restored);
+  };
+
+  for (int e = 0; e < kWarmupEpochs; ++e) cycle(e);
+  index_allocs = 0;
+  for (int e = kWarmupEpochs; e < kWarmupEpochs + kMeasuredEpochs; ++e) {
+    cycle(e);
+  }
+  EXPECT_EQ(index_allocs, 0u);
+  EXPECT_EQ(index.size(), static_cast<std::size_t>(kResident));
 }
 
 }  // namespace

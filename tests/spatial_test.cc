@@ -3,7 +3,7 @@
 // completion, queue (group) move, CoFlow removal — not just at steady state.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -46,8 +46,11 @@ TEST(OccupancyIndex, TracksSlotMembership) {
   set.add(make_coflow(1, 0, {{0, 2, 10}}));
 
   spatial::OccupancyIndex occ;
-  occ.add_coflow(set.at(0));
-  occ.add_coflow(set.at(1));
+  const spatial::Slot s0 = occ.add_coflow(set.at(0));
+  const spatial::Slot s1 = occ.add_coflow(set.at(1));
+  EXPECT_NE(s0, s1);
+  EXPECT_EQ(occ.find(CoflowId{0}), s0);
+  EXPECT_EQ(occ.add_coflow(set.at(0)), spatial::kNoSlot);  // already indexed
   EXPECT_EQ(occ.members(spatial::sender_bucket(0)).size(), 2u);
   EXPECT_EQ(occ.members(spatial::receiver_bucket(1)).size(), 1u);
   EXPECT_EQ(occ.members(spatial::receiver_bucket(2)).size(), 2u);
@@ -56,20 +59,26 @@ TEST(OccupancyIndex, TracksSlotMembership) {
   // First 0->1 completion frees receiver 1 but not sender 0 (another flow).
   auto& c0 = set.at(0);
   c0.on_flow_complete(c0.flows()[0], seconds(1));
-  const auto delta = occ.on_flow_complete(CoflowId{0}, 0, 1);
-  EXPECT_EQ(delta.sender_freed, kInvalidPort);
-  EXPECT_EQ(delta.receiver_freed, 1);
+  const auto delta = occ.on_flow_complete(s0, c0, c0.flows()[0]);
+  EXPECT_FALSE(delta.sender_freed);
+  EXPECT_TRUE(delta.receiver_freed);
   EXPECT_EQ(occ.members(spatial::sender_bucket(0)).size(), 2u);
   EXPECT_TRUE(occ.members(spatial::receiver_bucket(1)).empty());
 
   // Second completion frees the rest; removal then touches no buckets.
   c0.on_flow_complete(c0.flows()[1], seconds(2));
-  const auto delta2 = occ.on_flow_complete(CoflowId{0}, 0, 2);
-  EXPECT_EQ(delta2.sender_freed, 0);
-  EXPECT_EQ(delta2.receiver_freed, 2);
+  const auto delta2 = occ.on_flow_complete(s0, c0, c0.flows()[1]);
+  EXPECT_TRUE(delta2.sender_freed);
+  EXPECT_TRUE(delta2.receiver_freed);
   EXPECT_EQ(occ.occupied_slots(CoflowId{0}), 0u);
-  EXPECT_TRUE(occ.remove_coflow(CoflowId{0}).empty());
+  EXPECT_EQ(occ.remove(s0), 0u);
   EXPECT_EQ(occ.num_coflows(), 1u);
+  EXPECT_FALSE(occ.contains(CoflowId{0}));
+
+  // The freed slot is recycled for the next arrival.
+  set.add(make_coflow(2, 0, {{3, 4, 10}}));
+  EXPECT_EQ(occ.add_coflow(set.at(2)), s0);
+  EXPECT_EQ(occ.find(CoflowId{2}), s0);
 }
 
 TEST(OccupancyIndex, CollectLiveOccupantsIntersectsBothSides) {
@@ -80,40 +89,42 @@ TEST(OccupancyIndex, CollectLiveOccupantsIntersectsBothSides) {
   spatial::OccupancyIndex occ;
   for (std::size_t i = 0; i < set.size(); ++i) occ.add_coflow(set.at(i));
 
-  const auto collect = [&occ](std::vector<PortIndex> senders,
-                              std::vector<PortIndex> receivers) {
-    std::vector<CoflowId> out;
-    occ.collect_live_occupants(senders, receivers, out);
+  // The marked CoFlows, read back through live_occupant().
+  const auto collect = [&occ, &set](std::vector<PortIndex> senders,
+                                    std::vector<PortIndex> receivers) {
+    const std::size_t marked = occ.collect_live_occupants(senders, receivers);
     std::vector<std::int64_t> ids;
-    for (const CoflowId id : out) ids.push_back(id.value);
-    std::sort(ids.begin(), ids.end());
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      if (occ.live_occupant(set.at(i).id())) ids.push_back(set.at(i).id().value);
+    }
+    EXPECT_EQ(ids.size(), marked);
     return ids;
   };
 
-  // A CoFlow is emitted only when it occupies a live sender AND receiver.
+  // A CoFlow is marked only when it occupies a live sender AND receiver.
   EXPECT_EQ(collect({0}, {1}), (std::vector<std::int64_t>{1}));
   EXPECT_EQ(collect({0}, {3}), (std::vector<std::int64_t>{3}));
   EXPECT_EQ(collect({2}, {1}), (std::vector<std::int64_t>{}));
   EXPECT_EQ(collect({0, 2}, {1, 3}), (std::vector<std::int64_t>{1, 2, 3}));
   EXPECT_EQ(collect({}, {1, 3}), (std::vector<std::int64_t>{}));
   EXPECT_EQ(collect({0, 2}, {}), (std::vector<std::int64_t>{}));
+  EXPECT_FALSE(occ.live_occupant(CoflowId{99}));  // never indexed
 
-  // Dedup: a wide CoFlow on several live ports is emitted once.
+  // Dedup: a wide CoFlow on several live ports is marked once.
   testing::StateSet wide;
   wide.add(make_coflow(9, 0, {{0, 1, 10}, {2, 3, 10}, {4, 5, 10}}));
   spatial::OccupancyIndex occ2;
   occ2.add_coflow(wide.at(0));
-  std::vector<CoflowId> out;
-  occ2.collect_live_occupants(std::vector<PortIndex>{0, 2, 4},
-                              std::vector<PortIndex>{1, 3, 5}, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].value, 9);
+  EXPECT_EQ(occ2.collect_live_occupants(std::vector<PortIndex>{0, 2, 4},
+                                        std::vector<PortIndex>{1, 3, 5}),
+            1u);
+  EXPECT_TRUE(occ2.live_occupant(CoflowId{9}));
 
   // Completions drop membership: once 0->1 finishes, sender 0 is no longer
   // occupied by coflow 1 and the join reflects it.
   auto& c1 = set.at(0);
   c1.on_flow_complete(c1.flows()[0], seconds(1));
-  occ.on_flow_complete(CoflowId{1}, 0, 1);
+  occ.on_flow_complete(occ.find(CoflowId{1}), c1, c1.flows()[0]);
   EXPECT_EQ(collect({0}, {1}), (std::vector<std::int64_t>{}));
 }
 
@@ -122,16 +133,15 @@ TEST(OccupancyIndex, DeltaAgreesWithCoflowState) {
   set.add(make_coflow(0, 0, {{0, 1, 10}, {0, 1, 20}, {2, 1, 30}}));
   auto& c = set.at(0);
   spatial::OccupancyIndex occ;
-  occ.add_coflow(c);
+  const spatial::Slot slot = occ.add_coflow(c);
   for (int i = 0; i < 3; ++i) {
     auto& f = c.flows()[static_cast<std::size_t>(i)];
     const PortIndex src = f.src();
     const PortIndex dst = f.dst();
     const OccupancyDelta state_delta = c.on_flow_complete(f, seconds(i + 1));
-    const auto index_delta = occ.on_flow_complete(c.id(), src, dst);
-    EXPECT_EQ(state_delta.sender_freed, index_delta.sender_freed != kInvalidPort);
-    EXPECT_EQ(state_delta.receiver_freed,
-              index_delta.receiver_freed != kInvalidPort);
+    const OccupancyDelta index_delta = occ.on_flow_complete(slot, c, f);
+    EXPECT_EQ(state_delta.sender_freed, index_delta.sender_freed);
+    EXPECT_EQ(state_delta.receiver_freed, index_delta.receiver_freed);
     EXPECT_EQ(c.unfinished_on_sender(src) == 0,
               state_delta.sender_freed);
     EXPECT_EQ(c.unfinished_on_receiver(dst) == 0,
@@ -186,65 +196,154 @@ TEST(SpatialIndex, StaleOccupancyDetectedByVersion) {
   auto& c = set.at(0);
   c.on_flow_complete(c.flows()[0], seconds(1));
   EXPECT_FALSE(index.in_sync(set.at(0)));
+  // A later completion the index does see must not hide the missed one.
+  c.on_flow_complete(c.flows()[1], seconds(2));
+  EXPECT_TRUE(index.on_flow_complete(c, c.flows()[1]));
+  EXPECT_FALSE(index.in_sync(c));
+  // Re-adding rebuilds the entry from the CoFlow's own loads.
+  EXPECT_TRUE(index.remove_coflow(c.id()));
+  EXPECT_TRUE(index.add_coflow(c, 0));
+  EXPECT_TRUE(index.in_sync(c));
+  EXPECT_EQ(index.occupancy().occupied_slots(c.id()), 0u);
 }
 
 /// Randomized event-stream equivalence: every mutation the scheduler can
-/// feed the index (arrival, flow completion, group move, removal), in
-/// random order over a synthetic workload, checked against the oracle
-/// after each step.
+/// feed the index (arrival, flow completion, group move, removal, and the
+/// re-admission of a removed unfinished CoFlow), in random order over a
+/// synthetic workload, checked against the oracle after each step.
 TEST(SpatialIndex, RandomEventStreamMatchesOracle) {
-  for (const std::uint64_t seed : {7u, 21u, 63u}) {
-    constexpr int kPorts = 12;
-    const auto trace = trace::synth_small_trace(kPorts, 30, seed);
-    Rng rng(seed * 977 + 13);
+  struct Case {
+    std::uint64_t seed;
+    int coflows;
+    int steps;
+    /// Op weights: arrival, group move, removal, re-admission, completion.
+    std::array<int, 5> weight;
+    /// Live-population cap; an arrival or re-admission at the cap removes
+    /// instead.
+    std::size_t max_live;
+    /// Port drift across arrivals. -1: CoFlow i's ports shift up by
+    /// coflows - 1 - i, so each arrival's port range starts one below the
+    /// previous one's and ports are first seen in descending order. +1:
+    /// they shift up by i, so ports are first seen in ascending order and
+    /// the bucket vector keeps growing under live members. 0: no shift.
+    int port_drift;
+  };
+  const Case cases[] = {
+      {7, 30, 400, {2, 2, 1, 0, 5}, 64, 0},
+      {21, 30, 400, {2, 2, 1, 0, 5}, 64, 0},
+      {63, 30, 400, {2, 2, 1, 0, 5}, 64, 0},
+      // Quarantine-style re-admission: removed unfinished CoFlows come back
+      // later as the same state, usually on a different slot.
+      {5, 60, 600, {2, 2, 2, 2, 4}, 64, 0},
+      // Churn at a small live cap, so every slot is recycled many times.
+      {11, 400, 1500, {4, 1, 3, 1, 2}, 8, 0},
+      {42, 40, 500, {2, 2, 1, 1, 4}, 64, -1},
+      {43, 40, 500, {2, 2, 1, 1, 4}, 64, 1},
+  };
+  constexpr int kPorts = 12;
+  for (const Case& k : cases) {
+    SCOPED_TRACE(::testing::Message() << "seed " << k.seed);
+    auto trace = trace::synth_small_trace(kPorts, k.coflows, k.seed);
+    const int num_ports = k.port_drift != 0 ? kPorts + k.coflows : kPorts;
+    if (k.port_drift != 0) {
+      for (std::size_t i = 0; i < trace.coflows.size(); ++i) {
+        const auto up = static_cast<PortIndex>(i);
+        const PortIndex shift =
+            k.port_drift > 0 ? up : static_cast<PortIndex>(k.coflows - 1) - up;
+        for (FlowSpec& f : trace.coflows[i].flows) {
+          f.src += shift;
+          f.dst += shift;
+        }
+      }
+    }
+    Rng rng(k.seed * 977 + 13);
 
     spatial::SpatialIndex index;
     std::vector<std::unique_ptr<CoflowState>> states;
     std::vector<CoflowState*> tracked;
+    /// Removed while unfinished, with the slot each held.
+    std::vector<std::pair<CoflowState*, spatial::Slot>> parked;
+    std::vector<int> slot_uses;
+    int moved_readmissions = 0;
     std::size_t next_spec = 0;
     std::int64_t next_flow = 0;
 
+    const auto index_add = [&](CoflowState* c) {
+      ASSERT_TRUE(index.add_coflow(*c, static_cast<int>(rng.uniform_int(0, 3))));
+      tracked.push_back(c);
+      const spatial::Slot slot = index.occupancy().find(c->id());
+      if (slot >= slot_uses.size()) slot_uses.resize(slot + 1, 0);
+      ++slot_uses[slot];
+    };
     const auto add_next = [&] {
       const auto& spec = trace.coflows[next_spec++];
       states.push_back(std::make_unique<CoflowState>(spec, FlowId{next_flow}));
       next_flow += spec.width();
-      tracked.push_back(states.back().get());
-      index.add_coflow(*tracked.back(), static_cast<int>(rng.uniform_int(0, 3)));
+      index_add(states.back().get());
+    };
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    const auto remove_one = [&] {
+      const std::size_t pos = pick(tracked.size());
+      CoflowState* c = tracked[pos];
+      const spatial::Slot slot = index.occupancy().find(c->id());
+      ASSERT_TRUE(index.remove_coflow(c->id()));
+      EXPECT_FALSE(index.contains(c->id()));
+      tracked.erase(tracked.begin() + static_cast<long>(pos));
+      if (!c->finished() && k.weight[3] > 0) parked.emplace_back(c, slot);
     };
     // Seed with a handful so events have neighbors to hit.
     for (int i = 0; i < 5; ++i) add_next();
 
-    for (int step = 0; step < 400; ++step) {
-      const int op = static_cast<int>(rng.uniform_int(0, 9));
-      if (op <= 1 && next_spec < trace.coflows.size()) {
+    int total_weight = 0;
+    for (const int w : k.weight) total_weight += w;
+    for (int step = 0; step < k.steps; ++step) {
+      int roll = static_cast<int>(rng.uniform_int(0, total_weight - 1));
+      int op = 0;
+      while (roll >= k.weight[static_cast<std::size_t>(op)]) {
+        roll -= k.weight[static_cast<std::size_t>(op)];
+        ++op;
+      }
+      if ((op == 0 || op == 3) && tracked.size() >= k.max_live) {
+        remove_one();
+      } else if (op == 0 && next_spec < trace.coflows.size()) {
         add_next();
-      } else if (op <= 3 && !tracked.empty()) {
-        CoflowState* c =
-            tracked[static_cast<std::size_t>(rng.uniform_int(
-                0, static_cast<int>(tracked.size()) - 1))];
+      } else if (op == 1 && !tracked.empty()) {
+        CoflowState* c = tracked[pick(tracked.size())];
         index.set_group(c->id(), static_cast<int>(rng.uniform_int(0, 3)));
-      } else if (op == 4 && !tracked.empty()) {
-        const auto pos = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(tracked.size()) - 1));
-        index.remove_coflow(tracked[pos]->id());
-        tracked.erase(tracked.begin() + static_cast<long>(pos));
+      } else if (op == 2 && !tracked.empty()) {
+        remove_one();
+      } else if (op == 3 && !parked.empty()) {
+        const std::size_t pos = pick(parked.size());
+        const auto [c, old_slot] = parked[pos];
+        parked.erase(parked.begin() + static_cast<long>(pos));
+        index_add(c);
+        if (index.occupancy().find(c->id()) != old_slot) ++moved_readmissions;
       } else if (!tracked.empty()) {
         // Complete a random unfinished flow of a random tracked CoFlow.
-        CoflowState* c =
-            tracked[static_cast<std::size_t>(rng.uniform_int(
-                0, static_cast<int>(tracked.size()) - 1))];
+        CoflowState* c = tracked[pick(tracked.size())];
         std::vector<FlowState*> open;
         for (auto& f : c->flows()) {
           if (!f.finished()) open.push_back(&f);
         }
         if (open.empty()) continue;
-        FlowState* f = open[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(open.size()) - 1))];
+        FlowState* f = open[pick(open.size())];
         c->on_flow_complete(*f, msec(step + 1));
-        index.on_flow_complete(*c, *f);
+        EXPECT_TRUE(index.on_flow_complete(*c, *f));
+        EXPECT_TRUE(index.in_sync(*c));
       }
-      expect_matches_oracle(index, tracked, kPorts, "after event");
+      expect_matches_oracle(index, tracked, num_ports, "after event");
       if (::testing::Test::HasFailure()) return;
+    }
+    // The stream exercised what its case is for.
+    if (k.weight[3] > 0) {
+      EXPECT_GT(moved_readmissions, 0);
+    }
+    if (k.max_live <= 8) {
+      EXPECT_EQ(slot_uses.size(), k.max_live);
+      for (const int uses : slot_uses) EXPECT_GE(uses, 5);
     }
   }
 }
