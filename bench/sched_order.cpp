@@ -1,21 +1,26 @@
 // Delta-driven schedule phase benchmark — the perf trajectory anchor for
-// the order phase (queue assignment + admission ordering).
+// the order phase (queue assignment + admission ordering) and the
+// port-indexed work-conservation backfill.
 //
-// Two measurements, both against the full scan+sort oracle
-// (SaathConfig::incremental_order = false):
+// Two measurements:
 //
 //  * steady-churn snapshot: 500 CoFlows live on 150 ports, one flow
 //    completion per 8 ms round delivered exactly the way the engine does
-//    (lifecycle hook + SchedulerDelta). The oracle re-buckets and re-sorts
-//    all 500 every round; the delta path re-keys one CoFlow and re-walks
-//    only the dirtied suffix of the materialized order. This is the
-//    ISSUE 3 acceptance gate: order-phase ratio >= 5x at 500 CoFlows.
+//    (lifecycle hook + SchedulerDelta). Three schedulers see the same rounds:
+//    production Saath on the delta route (re-keys one CoFlow and re-walks
+//    only the dirtied suffix of the materialized order), production Saath
+//    on the full-delta route (re-buckets and re-sorts all 500 every round —
+//    the order_ratio baseline, gated >= 5x), and the reference Saath of
+//    tests/reference/ (whose dense missed-list rescan is the conserve_ratio
+//    baseline, gated >= 3x).
 //
-//  * end-to-end engine run: the FB-scale trace through both modes, with
-//    the quiescent-epoch skip on — epochs/sec plus how many rounds ran
-//    incrementally and how many admission ranks were replayed.
+//  * end-to-end engine run: the FB-scale trace through the delta route and
+//    the full-delta route, with the quiescent-epoch skip on (the full route
+//    takes its skip triggers from the reference's O(F·W) scan) —
+//    epochs/sec plus how many rounds ran incrementally and how many
+//    admission ranks were replayed.
 //
-// Both measurements verify the two modes produce identical rate streams /
+// Both measurements verify every side produces identical rate streams /
 // SimResults; the numbers are meaningless otherwise (exit 2).
 //
 //   $ ./sched_order [--coflows N] [--rounds N] [--out BENCH_sched_order.json]
@@ -29,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "reference/reference.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
 #include "trace/synth.h"
@@ -68,8 +74,14 @@ struct SnapshotMeasurement {
   std::int64_t backfill_candidates = 0;
   std::int64_t backfill_missed = 0;
   std::int64_t backfill_flows = 0;
-  std::int64_t conserve_replays = 0;
   std::vector<std::size_t> digests;
+};
+
+/// Who schedules the snapshot rounds.
+enum class Side {
+  kDeltaRoute,  // production Saath fed precise deltas
+  kFullRoute,   // production Saath fed full deltas (re-sort every round)
+  kReference,   // tests/reference/'s from-scratch Saath
 };
 
 /// Drives `rounds` scheduling epochs over a fixed population the way the
@@ -79,17 +91,23 @@ struct SnapshotMeasurement {
 /// where all 500 CoFlows race through the low queues at once and crossing
 /// churn is maximal — are excluded from the per-round phase numbers (the
 /// digest stream still covers them, so identity is checked end to end).
-SnapshotMeasurement run_snapshot(int coflows, int rounds, bool incremental) {
+SnapshotMeasurement run_snapshot(int coflows, int rounds, Side side) {
   constexpr int kWarmup = 300;
   Churn churn(coflows, 7);
-  SaathConfig cfg;
-  cfg.incremental_order = incremental;
-  SaathScheduler sched(cfg);
+  SaathScheduler production;
+  reference::ReferenceSaath ref;
+  Scheduler& sched = side == Side::kReference
+                         ? static_cast<Scheduler&>(ref)
+                         : static_cast<Scheduler&>(production);
+  const auto phase_stats = [&]() -> const SaathPhaseStats& {
+    return side == Side::kReference ? ref.phase_stats()
+                                        : production.phase_stats();
+  };
   Fabric fabric(150, gbps(1));
   RateAssignment rates(150);
   SchedulerDelta delta;
-  delta.full = false;
-  delta.stream_id = incremental ? 900001 : 900002;
+  delta.full = side != Side::kDeltaRoute;
+  delta.stream_id = 900001;
 
   for (CoflowState* c : churn.active) sched.on_coflow_arrival(*c, 0);
 
@@ -98,13 +116,13 @@ SnapshotMeasurement run_snapshot(int coflows, int rounds, bool incremental) {
   SnapshotMeasurement m;
   SaathPhaseStats warm;
   for (int round = 0; round < rounds; ++round) {
-    if (round == kWarmup) warm = sched.phase_stats();
+    if (round == kWarmup) warm = phase_stats();
     fabric.reset();
     rates.begin_epoch(now);
     sched.schedule(now, churn.active, fabric, rates, delta);
     delta.clear_marks();
 
-    // Digest the full rate assignment: both modes must emit identical
+    // Digest the full rate assignment: every side must emit identical
     // streams or the phase comparison is comparing different schedules.
     std::size_t digest = std::hash<long long>{}(now);
     const auto mix = [&digest](std::size_t v) {
@@ -142,7 +160,7 @@ SnapshotMeasurement run_snapshot(int coflows, int rounds, bool incremental) {
       break;
     }
   }
-  const auto& st = sched.phase_stats();
+  const SaathPhaseStats& st = phase_stats();
   const auto rounds_measured = static_cast<double>(st.rounds - warm.rounds);
   m.order_ns_per_round =
       static_cast<double>(st.order_ns - warm.order_ns) / rounds_measured;
@@ -158,7 +176,6 @@ SnapshotMeasurement run_snapshot(int coflows, int rounds, bool incremental) {
   m.backfill_candidates = st.backfill_candidates;
   m.backfill_missed = st.backfill_missed;
   m.backfill_flows = st.backfill_flows;
-  m.conserve_replays = st.conserve_replays;
   return m;
 }
 
@@ -172,12 +189,16 @@ struct EngineMeasurement {
   SimResult result;
 };
 
-EngineMeasurement run_engine(const trace::Trace& trace, bool incremental) {
-  SaathConfig scfg;
-  scfg.incremental_order = incremental;
-  SaathScheduler sched(scfg);
+/// `delta_route` false drives production Saath through the full-delta
+/// route every round, skipping quiescent epochs on the reference's scan.
+EngineMeasurement run_engine(const trace::Trace& trace, bool delta_route) {
+  SaathScheduler sched;
+  const reference::ReferenceSaath scan;
+  reference::FullRoute full_route(sched, scan);
+  Scheduler& driven = delta_route ? static_cast<Scheduler&>(sched)
+                                  : static_cast<Scheduler&>(full_route);
   SimConfig cfg = bench::paper_sim_config();
-  Engine engine(trace, sched, cfg);
+  Engine engine(trace, driven, cfg);
   const auto t0 = Clock::now();
   EngineMeasurement m;
   m.result = engine.run();
@@ -209,49 +230,53 @@ int run(int argc, char** argv) {
           std::to_string(coflows) + " CoFlows on 150 ports",
       "ROADMAP perf trajectory; ISSUE 3 acceptance: order ratio >= 5x");
 
-  const auto inc = run_snapshot(coflows, rounds, /*incremental=*/true);
-  const auto full = run_snapshot(coflows, rounds, /*incremental=*/false);
+  const auto inc = run_snapshot(coflows, rounds, Side::kDeltaRoute);
+  const auto full = run_snapshot(coflows, rounds, Side::kFullRoute);
+  const auto ref = run_snapshot(coflows, rounds, Side::kReference);
 
-  bool identical = inc.digests == full.digests;
+  bool identical = inc.digests == full.digests && inc.digests == ref.digests;
   const double order_ratio = inc.order_ns_per_round > 0
                                  ? full.order_ns_per_round / inc.order_ns_per_round
                                  : 0;
   const double conserve_ratio =
       inc.conserve_ns_per_round > 0
-          ? full.conserve_ns_per_round / inc.conserve_ns_per_round
+          ? ref.conserve_ns_per_round / inc.conserve_ns_per_round
           : 0;
 
-  std::printf("%-26s %14s %14s\n", "snapshot (per round)", "delta-driven",
-              "full sort");
-  std::printf("%-26s %14.0f %14.0f\n", "order ns", inc.order_ns_per_round,
-              full.order_ns_per_round);
-  std::printf("%-26s %14.0f %14.0f\n", "admit ns", inc.admit_ns_per_round,
-              full.admit_ns_per_round);
-  std::printf("%-26s %14.0f %14.0f\n", "conserve ns", inc.conserve_ns_per_round,
-              full.conserve_ns_per_round);
-  std::printf("%-26s %14.0f %14s\n", "crossing ns", inc.crossing_ns_per_round,
-              "-");
-  std::printf("order-phase ratio: %.1fx   delta rounds: %lld   "
-              "replayed ranks: %lld   rates identical: %s\n",
+  std::printf("%-26s %14s %14s %14s\n", "snapshot (per round)",
+              "delta route", "full route", "reference");
+  std::printf("%-26s %14.0f %14.0f %14.0f\n", "order ns",
+              inc.order_ns_per_round, full.order_ns_per_round,
+              ref.order_ns_per_round);
+  std::printf("%-26s %14.0f %14.0f %14.0f\n", "admit ns",
+              inc.admit_ns_per_round, full.admit_ns_per_round,
+              ref.admit_ns_per_round);
+  std::printf("%-26s %14.0f %14.0f %14.0f\n", "conserve ns",
+              inc.conserve_ns_per_round, full.conserve_ns_per_round,
+              ref.conserve_ns_per_round);
+  std::printf("%-26s %14.0f %14s %14s\n", "crossing ns",
+              inc.crossing_ns_per_round, "-", "-");
+  std::printf("order-phase ratio (full route / delta route): %.1fx   "
+              "delta rounds: %lld   replayed ranks: %lld   "
+              "rates identical: %s\n",
               order_ratio, static_cast<long long>(inc.delta_rounds),
               static_cast<long long>(inc.replayed_ranks),
               identical ? "yes" : "NO");
-  std::printf("conserve-phase ratio: %.1fx   backfill rounds: %lld   "
-              "candidates/missed: %lld/%lld   flows walked: %lld   "
-              "conserve replays: %lld\n\n",
+  std::printf("conserve-phase ratio (reference / delta route): %.1fx   "
+              "backfill rounds: %lld   candidates/missed: %lld/%lld   "
+              "flows walked: %lld\n\n",
               conserve_ratio, static_cast<long long>(inc.backfill_rounds),
               static_cast<long long>(inc.backfill_candidates),
               static_cast<long long>(inc.backfill_missed),
-              static_cast<long long>(inc.backfill_flows),
-              static_cast<long long>(inc.conserve_replays));
+              static_cast<long long>(inc.backfill_flows));
 
   trace::SynthConfig tcfg;
   tcfg.num_ports = 150;
   tcfg.num_coflows = 526;
   tcfg.seed = 7;
   const auto trace = trace::synth_fb_trace(tcfg);
-  const auto e_inc = run_engine(trace, /*incremental=*/true);
-  const auto e_full = run_engine(trace, /*incremental=*/false);
+  const auto e_inc = run_engine(trace, /*delta_route=*/true);
+  const auto e_full = run_engine(trace, /*delta_route=*/false);
   bool engine_identical =
       e_inc.result.coflows.size() == e_full.result.coflows.size();
   for (std::size_t i = 0; engine_identical && i < e_inc.result.coflows.size();
@@ -264,8 +289,8 @@ int run(int argc, char** argv) {
   identical = identical && engine_identical;
   const double end_to_end_ratio = e_full.wall_ms / e_inc.wall_ms;
 
-  std::printf("%-26s %14s %14s\n", "engine (FB-scale)", "delta-driven",
-              "full sort");
+  std::printf("%-26s %14s %14s\n", "engine (FB-scale)", "delta route",
+              "full route");
   std::printf("%-26s %14.1f %14.1f\n", "wall ms", e_inc.wall_ms,
               e_full.wall_ms);
   std::printf("%-26s %14.0f %14.0f\n", "epochs/sec", e_inc.epochs_per_sec,
@@ -293,9 +318,10 @@ int run(int argc, char** argv) {
       "\"conserve_ns_per_round\": %.1f, "
       "\"delta_rounds\": %lld, \"replayed_ranks\": %lld, "
       "\"backfill_rounds\": %lld, \"backfill_candidates\": %lld, "
-      "\"backfill_missed\": %lld, \"backfill_flows\": %lld, "
-      "\"conserve_replays\": %lld},\n"
+      "\"backfill_missed\": %lld, \"backfill_flows\": %lld},\n"
       "    \"full\": {\"order_ns_per_round\": %.1f, "
+      "\"admit_ns_per_round\": %.1f, \"conserve_ns_per_round\": %.1f},\n"
+      "    \"reference\": {\"order_ns_per_round\": %.1f, "
       "\"admit_ns_per_round\": %.1f, \"conserve_ns_per_round\": %.1f},\n"
       "    \"order_ratio\": %.2f,\n"
       "    \"conserve_ratio\": %.2f\n"
@@ -317,9 +343,10 @@ int run(int argc, char** argv) {
       static_cast<long long>(inc.backfill_rounds),
       static_cast<long long>(inc.backfill_candidates),
       static_cast<long long>(inc.backfill_missed),
-      static_cast<long long>(inc.backfill_flows),
-      static_cast<long long>(inc.conserve_replays), full.order_ns_per_round,
-      full.admit_ns_per_round, full.conserve_ns_per_round, order_ratio,
+      static_cast<long long>(inc.backfill_flows), full.order_ns_per_round,
+      full.admit_ns_per_round, full.conserve_ns_per_round,
+      ref.order_ns_per_round, ref.admit_ns_per_round,
+      ref.conserve_ns_per_round, order_ratio,
       conserve_ratio, e_inc.wall_ms, e_inc.epochs,
       e_inc.epochs_per_sec, e_inc.order_us_per_round,
       static_cast<long long>(e_inc.delta_rounds),

@@ -6,12 +6,12 @@
 // CoFlow population, and prints the same phase breakdown.
 //
 // The order phase is reported twice: BM_SaathSchedule reads LCoF keys from
-// the incremental spatial::SpatialIndex (the default), while
-// BM_SaathScheduleRebuild reruns the compute_contention_grouped batch
-// oracle every round (the pre-index behavior whenever any event dirtied
-// the cache). Compare the `order_us` counters at the same population —
-// the incremental path is the Table 2 claim that coordinator cost stays
-// flat as concurrency grows.
+// the incremental spatial::SpatialIndex (production Saath), while
+// BM_SaathScheduleRebuild runs the reference Saath of tests/reference/,
+// which recounts k_c in batch every round (the pre-index behavior whenever
+// any event dirtied the cache). Compare the `order_us` counters at the same
+// population — the incremental path is the Table 2 claim that coordinator
+// cost stays flat as concurrency grows.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -20,6 +20,7 @@
 
 #include "coflow/coflow.h"
 #include "fabric/fabric.h"
+#include "reference/reference.h"
 #include "sched/aalo.h"
 #include "sched/contention.h"
 #include "sched/saath.h"
@@ -68,9 +69,10 @@ void report_phases(benchmark::State& state, const SaathPhaseStats& st) {
                                   static_cast<double>(st.rounds);
 }
 
-void run_saath_snapshot(benchmark::State& state, const SaathConfig& cfg) {
+template <typename Sched>
+void run_saath_snapshot(benchmark::State& state) {
   Snapshot snap(static_cast<int>(state.range(0)), 7);
-  SaathScheduler sched(cfg);
+  Sched sched;
   Fabric fabric(150, gbps(1));
   SimTime now = seconds(3);  // past the snapshot's progress folds
   for (auto _ : state) {
@@ -81,18 +83,17 @@ void run_saath_snapshot(benchmark::State& state, const SaathConfig& cfg) {
   report_phases(state, sched.phase_stats());
 }
 
-/// Order phase fed by the incremental SpatialIndex (production default).
+/// Order phase fed by the incremental SpatialIndex (production).
 void BM_SaathSchedule(benchmark::State& state) {
-  run_saath_snapshot(state, SaathConfig{});
+  run_saath_snapshot<SaathScheduler>(state);
 }
 BENCHMARK(BM_SaathSchedule)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 
-/// Order phase rebuilding k_c from the batch oracle every round — what the
-/// coordinator paid per dirtied epoch before the spatial index existed.
+/// Order phase recounting k_c in batch every round (the reference Saath) —
+/// what the coordinator paid per dirtied epoch before the spatial index
+/// existed.
 void BM_SaathScheduleRebuild(benchmark::State& state) {
-  SaathConfig cfg;
-  cfg.incremental_spatial = false;
-  run_saath_snapshot(state, cfg);
+  run_saath_snapshot<reference::ReferenceSaath>(state);
 }
 BENCHMARK(BM_SaathScheduleRebuild)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 
@@ -174,7 +175,9 @@ BENCHMARK(BM_SpatialIndexChurn)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 
 /// End-to-end coordinator cost over a full busy FB-scale engine run:
 /// exercises the event-driven deltas (arrivals/completions) and the
-/// quiescent-epoch skip rather than a frozen snapshot.
+/// quiescent-epoch skip rather than a frozen snapshot. incremental:0 runs
+/// the reference Saath with the skip off: every epoch recomputed from
+/// scratch.
 void BM_SaathEngineRun(benchmark::State& state) {
   trace::SynthConfig cfg;
   cfg.num_ports = 150;
@@ -185,17 +188,20 @@ void BM_SaathEngineRun(benchmark::State& state) {
   std::int64_t rounds = 0;
   std::int64_t order_ns = 0;
   for (auto _ : state) {
-    SaathConfig scfg;
-    scfg.incremental_spatial = incremental;
-    SaathScheduler sched(scfg);
+    SaathScheduler production;
+    reference::ReferenceSaath ref;
+    Scheduler& sched = incremental ? static_cast<Scheduler&>(production)
+                                   : static_cast<Scheduler&>(ref);
     SimConfig sim;
     sim.port_bandwidth = gbps(1);
     sim.delta = msec(8);
     sim.skip_quiescent_epochs = incremental;
     Engine engine(trace, sched, sim);
     benchmark::DoNotOptimize(engine.run());
-    rounds += sched.phase_stats().rounds;
-    order_ns += sched.phase_stats().order_ns;
+    const SaathPhaseStats& st =
+        incremental ? production.phase_stats() : ref.phase_stats();
+    rounds += st.rounds;
+    order_ns += st.order_ns;
   }
   state.counters["order_us"] =
       static_cast<double>(order_ns) / 1e3 / static_cast<double>(rounds);

@@ -11,7 +11,7 @@
 namespace saath {
 
 AaloScheduler::AaloScheduler(AaloConfig config)
-    : config_(config), queues_(config.queues) {}
+    : queues_(config.queues) {}
 
 OrderKey AaloScheduler::make_key(const CoflowState& c) const {
   // Aalo's sort is (queue, arrival, id); expired/deadline never fire and
@@ -46,9 +46,7 @@ void AaloScheduler::schedule(SimTime now, std::span<CoflowState* const> active,
 void AaloScheduler::schedule(SimTime now, std::span<CoflowState* const> active,
                              Fabric& fabric, RateAssignment& rates,
                              const SchedulerDelta& delta) {
-  const bool can_increment =
-      config_.incremental_order && !delta.full && delta.stream_id != 0;
-  if (!can_increment) {
+  if (delta.full || delta.stream_id == 0) {
     primed_stream_ = 0;
     schedule_full(now, active, fabric, rates, /*prime=*/false);
     return;

@@ -10,9 +10,10 @@
 // from a QueueCrossingHeap (programmed off the closed-form flow
 // trajectories) instead of re-scanning every CoFlow, the (queue, arrival,
 // id) order lives in an OrderIndex, and schedule_valid_until() reads the
-// heap top so quiescent epochs can be skipped. Full-delta calls — and
-// incremental_order = false — take the classic scan+sort path, which is
-// the bit-identity oracle.
+// heap top so quiescent epochs can be skipped. Full or unknown-stream
+// calls re-bucket and re-sort every CoFlow without priming. The
+// from-scratch model both routes are tested against lives in
+// tests/reference/.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +28,6 @@ namespace saath {
 
 struct AaloConfig {
   QueueConfig queues;
-  /// Delta-driven queue assignment + ordering (crossing heap + order
-  /// index). Off = recompute queues and re-sort every round (the oracle).
-  bool incremental_order = true;
 };
 
 class AaloScheduler final : public Scheduler {
@@ -71,7 +69,6 @@ class AaloScheduler final : public Scheduler {
   /// programs it (kNever cancels). Early-only guard band, like Saath's.
   void program_crossing(CoflowState& c, SimTime now);
 
-  AaloConfig config_;
   QueueStructure queues_;
   /// Delta-maintained (queue, arrival, id) order + crossing triggers; live
   /// only while primed for the current delta stream.

@@ -4,12 +4,8 @@
 
 namespace saath {
 
-namespace {
-
-/// Shared engine: counts, for each CoFlow, the distinct other CoFlows
-/// sharing a port with it, optionally restricted to the same group.
-std::vector<int> contention_impl(std::span<CoflowState* const> active,
-                                 int num_ports, const int* group) {
+std::vector<int> compute_contention(std::span<CoflowState* const> active,
+                                    int num_ports) {
   SAATH_EXPECTS(num_ports > 0);
   const auto n = active.size();
   std::vector<int> contention(n, 0);
@@ -41,10 +37,6 @@ std::vector<int> contention_impl(std::span<CoflowState* const> active,
     auto visit_port = [&](PortIndex bucket) {
       for (int j : port_members[static_cast<std::size_t>(bucket)]) {
         if (j == static_cast<int>(i)) continue;
-        if (group != nullptr &&
-            group[static_cast<std::size_t>(j)] != group[i]) {
-          continue;
-        }
         if (stamp[static_cast<std::size_t>(j)] != static_cast<int>(i)) {
           stamp[static_cast<std::size_t>(j)] = static_cast<int>(i);
           ++count;
@@ -60,20 +52,6 @@ std::vector<int> contention_impl(std::span<CoflowState* const> active,
     contention[i] = count;
   }
   return contention;
-}
-
-}  // namespace
-
-std::vector<int> compute_contention(std::span<CoflowState* const> active,
-                                    int num_ports) {
-  return contention_impl(active, num_ports, nullptr);
-}
-
-std::vector<int> compute_contention_grouped(
-    std::span<CoflowState* const> active, int num_ports,
-    std::span<const int> group) {
-  SAATH_EXPECTS(group.size() == active.size());
-  return contention_impl(active, num_ports, group.data());
 }
 
 }  // namespace saath

@@ -2,8 +2,9 @@
 //
 // The contention k_c of CoFlow c is the number of *other* CoFlows that have
 // an unfinished flow on any port (sender or receiver) c occupies — i.e. how
-// many CoFlows scheduling c would block. LCoF sorts each queue by ascending
-// k_c; LWTF weighs clairvoyant duration by it.
+// many CoFlows scheduling c would block. LWTF weighs clairvoyant duration by
+// it. Saath's LCoF counts only same-queue CoFlows and reads that k_c from
+// spatial::SpatialIndex.
 #pragma once
 
 #include <span>
@@ -16,13 +17,5 @@ namespace saath {
 /// k_c for every entry of `active`, in input order.
 [[nodiscard]] std::vector<int> compute_contention(
     std::span<CoflowState* const> active, int num_ports);
-
-/// Same, but a pair only counts when both CoFlows share a group (Saath uses
-/// the priority-queue index: a queue's sort should rank CoFlows by how many
-/// of their *actual* same-queue competitors they block). `group` is indexed
-/// like `active`.
-[[nodiscard]] std::vector<int> compute_contention_grouped(
-    std::span<CoflowState* const> active, int num_ports,
-    std::span<const int> group);
 
 }  // namespace saath

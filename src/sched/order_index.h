@@ -125,8 +125,8 @@ class OrderIndex {
 /// the ~9e11 s horizon (≈28k years — clear of int64 µs overflow). The
 /// guard band makes float rounding strictly conservative: predictions may
 /// only ever be EARLY (a due pop that has not actually crossed just
-/// re-programs), never late (a missed queue move diverges from the
-/// full-scan oracle). 1µs absorbs the µs-grid truncation; the dt>>40 term
+/// re-programs), never late (a missed queue move diverges from a full
+/// recompute). 1µs absorbs the µs-grid truncation; the dt>>40 term
 /// scales past double's integer precision for far-future instants. Every
 /// crossing producer (Saath per-flow/total, Aalo total) must derive its
 /// instants through this one formula.
@@ -136,8 +136,8 @@ class OrderIndex {
 /// Seconds until `c`'s total bytes sent reaches `bound` at current rates
 /// (+inf when the bound is infinite or nothing is sending) — the
 /// total-bytes queue-crossing derivation. Every producer (Saath's
-/// total-bytes mode, Aalo, the valid-until scans) must share it: drift
-/// between copies breaks the incremental-vs-oracle bit-identity contract.
+/// total-bytes mode, Aalo) must share it: drift between copies breaks the
+/// bit-identity with a full recompute.
 [[nodiscard]] double total_bytes_cross_seconds(const CoflowState& c,
                                                double bound, SimTime now);
 

@@ -8,7 +8,6 @@
 
 #include "common/expect.h"
 #include "sched/alloc.h"
-#include "sched/contention.h"
 
 namespace saath {
 
@@ -25,8 +24,7 @@ using Clock = std::chrono::steady_clock;
 /// Seconds until c's max_flow_sent reaches the per-flow bound at current
 /// rates: the first flow to get there decides. Flows smaller than the
 /// bound can never reach it (sent is capped at size) — skipping them is
-/// exact, not just conservative. Shared by the crossing-heap producer and
-/// the legacy valid-until scan; the two must never drift.
+/// exact, not just conservative.
 [[nodiscard]] double per_flow_cross_seconds(const CoflowState& c, double bound,
                                             SimTime now) {
   double cross = std::numeric_limits<double>::infinity();
@@ -321,10 +319,9 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(CoflowState& c,
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
-    SimTime now, Fabric& fabric, RateAssignment& rates,
-    std::size_t first_dirty_rank, bool allow_replay) {
-  (void)now;
-  const auto ordered = order_.ordered();
+    Fabric& fabric, RateAssignment& rates,
+    std::span<CoflowState* const> ordered, std::size_t first_dirty_rank,
+    bool allow_replay) {
   const auto t1 = Clock::now();
   // Replay soundness: all-or-none admission of rank i depends only on the
   // fabric state left by ranks < i, each CoFlow's unfinished-flow set, its
@@ -335,23 +332,6 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
   const bool replay = allow_replay && config_.all_or_none &&
                       fabric.capacity_version() == admit_capacity_version_ &&
                       admit_cache_.size() >= first_dirty_rank;
-  // Conservation reuse: if every rank of this round's admission stream —
-  // coflow, decision, rate, occupancy version — matches the stream the
-  // conservation cache was recorded under, the budgets at conservation
-  // start are byte-identical (consumption is replayed per flow in the same
-  // order) and the missed walk would visit the same unfinished flows, so
-  // the cached allocations replay exactly. Replayed ranks match by the
-  // clean-prefix guarantee; only recomputed ranks are compared. The
-  // allow_replay term keeps stale pointers from ever being compared: a
-  // prime re-records the whole stream before any delta round can match.
-  const bool conserve_track = config_.work_conservation &&
-                              config_.all_or_none &&
-                              config_.incremental_backfill;
-  bool conserve_match =
-      conserve_track && allow_replay && conserve_cache_valid_ &&
-      fabric.capacity_version() == conserve_capacity_version_ &&
-      rank_records_.size() == ordered.size();
-  if (conserve_track) rank_records_.resize(ordered.size());
   admit_cache_.resize(ordered.size());
   std::vector<CoflowState*>& missed = missed_scratch_;
   missed.clear();
@@ -383,170 +363,15 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
       missed.push_back(c);
     }
     admit_cache_[rank] = d;
-    if (conserve_track) {
-      RankRecord& rec = rank_records_[rank];
-      if (conserve_match &&
-          (rec.coflow != c || rec.kind != d.kind || rec.rate != d.rate ||
-           rec.occupancy != c->occupancy_version())) {
-        conserve_match = false;
-      }
-      rec = RankRecord{c, d.kind, d.rate, c->occupancy_version()};
-    }
     // Delta rounds re-derive crossings only for changed trajectories; the
     // prime path reprograms every CoFlow wholesale and skips collection.
     if (allow_replay) recross_.push_back(c);
   }
   stats_.admit_ns += ns_since(t1);
 
-  // Work conservation (Fig 7 lines 14, 18–23): missed CoFlows, in order,
-  // soak up whatever budget is left.
   const auto t2 = Clock::now();
   if (config_.work_conservation) {
-    if (conserve_match && conserve_cache_valid_) {
-      // Quiescent admission prefix: the recorded allocations ARE this
-      // round's allocations; skip the join and the walk entirely.
-      for (const ConserveRecord& rec : conserve_cache_) {
-        rates.set(*rec.coflow, *rec.flow, rec.flow->rate() + rec.rate);
-        fabric.consume(rec.flow->src(), rec.flow->dst(), rec.rate);
-      }
-      ++stats_.conserve_replays;
-    } else {
-      if (conserve_track) conserve_cache_.clear();
-      // Port-indexed backfill: only missed CoFlows occupying a live sender
-      // AND a live receiver can receive budget; everything else is exactly
-      // the dense loop's `r <= eps` skip, hoisted out of the flow walk.
-      // Liveness only shrinks during the walk, so the join computed at the
-      // start over-approximates safely, and an empty side means no flow
-      // anywhere can clear the epsilon — the dense loop would allocate
-      // nothing more.
-      const bool indexed = config_.incremental_backfill && tracks_index();
-      // Candidate gating has two regimes. Drained (few live ports, the
-      // state the backfill converges to): join the residual sets against
-      // the occupancy index once — O(live-bucket memberships) — and gate
-      // on the marks it leaves. Contended (many live ports): a per-CoFlow
-      // scan of its own port slots exits on the first live one, which is
-      // near-O(1) per CoFlow and beats walking the memberships of every
-      // live port to mark almost every CoFlow. Both gates over-approximate
-      // the same condition (a flow with both endpoints live exists), so
-      // the walk is byte-identical either way.
-      bool use_join = false;
-      if (indexed && !missed.empty()) {
-        ++stats_.backfill_rounds;
-        stats_.backfill_missed += static_cast<std::int64_t>(missed.size());
-        use_join =
-            (fabric.send_live().size() + fabric.recv_live().size()) * 4 <
-            missed.size();
-        if (use_join) {
-          spatial_.occupancy().collect_live_occupants(fabric.send_live(),
-                                                      fabric.recv_live());
-        }
-      }
-      // Pool-indexed: the walk reads only the dense finished/src/dst/rate
-      // lanes (most visits exit on the epsilon check without ever loading
-      // a FlowState handle); the handle is materialized only for the rare
-      // flow that actually receives budget. Same checks, same arithmetic,
-      // same visit order — the allocation stream is unchanged.
-      const auto try_alloc = [&](CoflowState* c, const FlowPool& pool,
-                                 std::uint32_t i) {
-        if (pool.finished[i]) return;
-        const Rate r = std::min(fabric.send_remaining(pool.src[i]),
-                                fabric.recv_remaining(pool.dst[i]));
-        if (r <= Fabric::kRateEpsilon) return;
-        FlowState& f = c->flows()[i];
-        rates.set(*c, f, pool.rate[i] + r);
-        fabric.consume(pool.src[i], pool.dst[i], r);
-        if (conserve_track) conserve_cache_.push_back({c, &f, r});
-      };
-      const auto any_live_slot = [&fabric](std::span<const PortLoad> loads,
-                                           bool senders) {
-        for (const PortLoad& l : loads) {
-          if (l.unfinished_flows == 0) continue;
-          if (senders ? fabric.send_is_live(l.port)
-                      : fabric.recv_is_live(l.port)) {
-            return true;
-          }
-        }
-        return false;
-      };
-      for (CoflowState* c : missed) {
-        const FlowPool& pool = c->pool();
-        if (indexed) {
-          if (fabric.send_live().empty() || fabric.recv_live().empty()) {
-            break;
-          }
-          if (use_join ? !spatial_.occupancy().live_occupant(c->id())
-                       : (!any_live_slot(c->sender_loads(), true) ||
-                          !any_live_slot(c->receiver_loads(), false))) {
-            continue;
-          }
-          ++stats_.backfill_candidates;
-          // Flow-level cut: flows on an exhausted port can never clear
-          // the epsilon (budgets only shrink during the walk), so gather
-          // the more-drained side's live-slot flow lists — filtering the
-          // other endpoint on the way — and merge them back into
-          // ascending flow order, the dense loop's visit order. A first
-          // O(slots) pass sizes both sides; the gather's per-flow cost
-          // is a small multiple of the plain walk's, so it only pays off
-          // when at most a quarter of the flows survive the side filter
-          // — shallow cuts (uncontended rounds) keep the plain walk.
-          const auto send_loads = c->sender_loads();
-          const auto recv_loads = c->receiver_loads();
-          const std::size_t listed = c->flows().size();
-          std::size_t live_src_flows = 0;
-          std::size_t live_dst_flows = 0;
-          for (const PortLoad& l : send_loads) {
-            if (l.unfinished_flows > 0 && fabric.send_is_live(l.port)) {
-              live_src_flows += static_cast<std::size_t>(l.unfinished_flows);
-            }
-          }
-          for (const PortLoad& l : recv_loads) {
-            if (l.unfinished_flows > 0 && fabric.recv_is_live(l.port)) {
-              live_dst_flows += static_cast<std::size_t>(l.unfinished_flows);
-            }
-          }
-          if (std::min(live_src_flows, live_dst_flows) * 4 <= listed) {
-            backfill_flow_idx_.clear();
-            if (live_src_flows <= live_dst_flows) {
-              for (std::size_t s = 0; s < send_loads.size(); ++s) {
-                if (send_loads[s].unfinished_flows == 0 ||
-                    !fabric.send_is_live(send_loads[s].port)) {
-                  continue;
-                }
-                for (const std::uint32_t i : c->sender_slot_flows(s)) {
-                  if (fabric.recv_is_live(pool.dst[i])) {
-                    backfill_flow_idx_.push_back(i);
-                  }
-                }
-              }
-            } else {
-              for (std::size_t s = 0; s < recv_loads.size(); ++s) {
-                if (recv_loads[s].unfinished_flows == 0 ||
-                    !fabric.recv_is_live(recv_loads[s].port)) {
-                  continue;
-                }
-                for (const std::uint32_t i : c->receiver_slot_flows(s)) {
-                  if (fabric.send_is_live(pool.src[i])) {
-                    backfill_flow_idx_.push_back(i);
-                  }
-                }
-              }
-            }
-            std::sort(backfill_flow_idx_.begin(), backfill_flow_idx_.end());
-            stats_.backfill_flows +=
-                static_cast<std::int64_t>(backfill_flow_idx_.size());
-            for (const std::uint32_t i : backfill_flow_idx_) {
-              try_alloc(c, pool, i);
-            }
-            continue;
-          }
-          stats_.backfill_flows +=
-              static_cast<std::int64_t>(c->walk_flows().size());
-        }
-        for (const std::uint32_t i : c->walk_flows()) try_alloc(c, pool, i);
-      }
-      conserve_cache_valid_ = conserve_track;
-      conserve_capacity_version_ = fabric.capacity_version();
-    }
+    conserve(fabric, rates, missed);
     // Conservation rates depend on the whole round's leftovers, so even
     // replayed-missed CoFlows got fresh trajectories.
     if (allow_replay) {
@@ -555,6 +380,131 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
   }
   stats_.conserve_ns += ns_since(t2);
   admit_capacity_version_ = fabric.capacity_version();
+}
+
+SAATH_HOT_NOALLOC void SaathScheduler::conserve(
+    Fabric& fabric, RateAssignment& rates,
+    std::span<CoflowState* const> missed) {
+  if (missed.empty()) return;
+  // Only missed CoFlows occupying a live sender AND a live receiver can
+  // receive budget; everything else is exactly a dense walk's `r <= eps`
+  // skip, hoisted out of the flow walk. Liveness only shrinks during the
+  // walk, so a gate computed at a CoFlow's turn over-approximates safely,
+  // and an empty side means no flow anywhere can clear the epsilon.
+  //
+  // Candidate gating has two regimes. Drained (few live ports, the state
+  // the backfill converges to) with the occupancy index kept: join the
+  // residual sets against it once — O(live-bucket memberships) — and gate
+  // on the marks it leaves. Otherwise a per-CoFlow scan of its own port
+  // slots exits on the first live one, which is near-O(1) per CoFlow and
+  // beats walking the memberships of every live port to mark almost every
+  // CoFlow. Both gates over-approximate the same condition (a flow with
+  // both endpoints live exists), so the walk is byte-identical either way.
+  ++stats_.backfill_rounds;
+  stats_.backfill_missed += static_cast<std::int64_t>(missed.size());
+  const bool use_join =
+      tracks_index() &&
+      (fabric.send_live().size() + fabric.recv_live().size()) * 4 <
+          missed.size();
+  if (use_join) {
+    spatial_.occupancy().collect_live_occupants(fabric.send_live(),
+                                                fabric.recv_live());
+  }
+  // Pool-indexed: the walk reads only the dense finished/src/dst/rate
+  // lanes (most visits exit on the epsilon check without ever loading a
+  // FlowState handle); the handle is materialized only for the rare flow
+  // that actually receives budget. Every walk visits flows in ascending
+  // index order, so the allocation stream is a dense walk's.
+  const auto try_alloc = [&](CoflowState* c, const FlowPool& pool,
+                             std::uint32_t i) {
+    if (pool.finished[i]) return;
+    const Rate r = std::min(fabric.send_remaining(pool.src[i]),
+                            fabric.recv_remaining(pool.dst[i]));
+    if (r <= Fabric::kRateEpsilon) return;
+    FlowState& f = c->flows()[i];
+    rates.set(*c, f, pool.rate[i] + r);
+    fabric.consume(pool.src[i], pool.dst[i], r);
+  };
+  const auto any_live_slot = [&fabric](std::span<const PortLoad> loads,
+                                       bool senders) {
+    for (const PortLoad& l : loads) {
+      if (l.unfinished_flows == 0) continue;
+      if (senders ? fabric.send_is_live(l.port)
+                  : fabric.recv_is_live(l.port)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (CoflowState* c : missed) {
+    if (fabric.send_live().empty() || fabric.recv_live().empty()) break;
+    if (use_join ? !spatial_.occupancy().live_occupant(c->id())
+                 : (!any_live_slot(c->sender_loads(), true) ||
+                    !any_live_slot(c->receiver_loads(), false))) {
+      continue;
+    }
+    ++stats_.backfill_candidates;
+    const FlowPool& pool = c->pool();
+    // Flow-level cut: flows on an exhausted port can never clear the
+    // epsilon (budgets only shrink during the walk), so gather the
+    // more-drained side's live-slot flow lists — filtering the other
+    // endpoint on the way — and merge them back into ascending flow order.
+    // A first O(slots) pass sizes both sides; the gather's per-flow cost
+    // is a small multiple of the plain walk's, so it only pays off when at
+    // most a quarter of the flows survive the side filter — shallow cuts
+    // (uncontended rounds) keep the plain walk.
+    const auto send_loads = c->sender_loads();
+    const auto recv_loads = c->receiver_loads();
+    const std::size_t listed = c->flows().size();
+    std::size_t live_src_flows = 0;
+    std::size_t live_dst_flows = 0;
+    for (const PortLoad& l : send_loads) {
+      if (l.unfinished_flows > 0 && fabric.send_is_live(l.port)) {
+        live_src_flows += static_cast<std::size_t>(l.unfinished_flows);
+      }
+    }
+    for (const PortLoad& l : recv_loads) {
+      if (l.unfinished_flows > 0 && fabric.recv_is_live(l.port)) {
+        live_dst_flows += static_cast<std::size_t>(l.unfinished_flows);
+      }
+    }
+    if (std::min(live_src_flows, live_dst_flows) * 4 > listed) {
+      stats_.backfill_flows +=
+          static_cast<std::int64_t>(c->walk_flows().size());
+      for (const std::uint32_t i : c->walk_flows()) try_alloc(c, pool, i);
+      continue;
+    }
+    backfill_flow_idx_.clear();
+    if (live_src_flows <= live_dst_flows) {
+      for (std::size_t s = 0; s < send_loads.size(); ++s) {
+        if (send_loads[s].unfinished_flows == 0 ||
+            !fabric.send_is_live(send_loads[s].port)) {
+          continue;
+        }
+        for (const std::uint32_t i : c->sender_slot_flows(s)) {
+          if (fabric.recv_is_live(pool.dst[i])) {
+            backfill_flow_idx_.push_back(i);
+          }
+        }
+      }
+    } else {
+      for (std::size_t s = 0; s < recv_loads.size(); ++s) {
+        if (recv_loads[s].unfinished_flows == 0 ||
+            !fabric.recv_is_live(recv_loads[s].port)) {
+          continue;
+        }
+        for (const std::uint32_t i : c->receiver_slot_flows(s)) {
+          if (fabric.send_is_live(pool.src[i])) {
+            backfill_flow_idx_.push_back(i);
+          }
+        }
+      }
+    }
+    std::sort(backfill_flow_idx_.begin(), backfill_flow_idx_.end());
+    stats_.backfill_flows +=
+        static_cast<std::int64_t>(backfill_flow_idx_.size());
+    for (const std::uint32_t i : backfill_flow_idx_) try_alloc(c, pool, i);
+  }
 }
 
 void SaathScheduler::schedule(SimTime now,
@@ -568,17 +518,9 @@ void SaathScheduler::schedule(SimTime now,
                               Fabric& fabric, RateAssignment& rates,
                               const SchedulerDelta& delta) {
   ++stats_.rounds;
-  // The delta path needs (a) the config switch, (b) a precise delta from a
-  // known stream, and (c) contention keys that are themselves
-  // delta-tracked — the compute_contention_grouped oracle is batch-only,
-  // so lcof without the spatial index always takes the full path (it IS
-  // the reference configuration).
-  const bool can_increment = config_.incremental_order && !delta.full &&
-                             delta.stream_id != 0 &&
-                             (!config_.lcof || config_.incremental_spatial);
-  if (!can_increment) {
-    primed_stream_ = 0;  // any cached structure is now untrustworthy
-    conserve_cache_valid_ = false;
+  if (delta.full || delta.stream_id == 0) {
+    // Unknown provenance: nothing maintained across calls can be trusted.
+    primed_stream_ = 0;
     schedule_full(now, active, fabric, rates, /*prime=*/false);
     return;
   }
@@ -603,25 +545,12 @@ void SaathScheduler::schedule_full(SimTime now,
 
   assign_queues_and_deadlines(now, active, fabric.port_bandwidth());
 
-  // LCoF ranks within a queue, so k_c counts same-queue competitors. The
-  // incremental path reads the event-maintained spatial index (arrivals,
-  // completions and queue moves each applied an O(delta) update); the
-  // reference path rebuilds k_c from the batch oracle every round.
-  std::vector<int> oracle_contention;
-  if (config_.lcof) {
-    if (tracks_index()) {
-      sync_spatial(active);
-      for (CoflowState* c : active) {
-        spatial_.set_group(c->id(), c->queue_index);
-      }
-    } else {
-      std::vector<int> queue_of(active.size());
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        queue_of[i] = active[i]->queue_index;
-      }
-      oracle_contention =
-          compute_contention_grouped(active, fabric.num_ports(), queue_of);
-    }
+  // LCoF ranks within a queue, so k_c counts same-queue competitors: the
+  // event-maintained spatial index (arrivals, completions and queue moves
+  // each applied an O(delta) update) only needs this round's groups.
+  if (tracks_index()) {
+    sync_spatial(active);
+    for (CoflowState* c : active) spatial_.set_group(c->id(), c->queue_index);
   }
   // The from-scratch keys below subsume any recorded contention deltas.
   spatial_.clear_contention_changes();
@@ -630,23 +559,16 @@ void SaathScheduler::schedule_full(SimTime now,
   // first), then LCoF (or FIFO), with (arrival, id) as the total-order tail.
   prime_entries_.clear();
   prime_entries_.reserve(active.size());
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    CoflowState* c = active[i];
-    std::int64_t key;
-    if (!config_.lcof) {
-      key = static_cast<std::int64_t>(c->arrival());
-    } else if (tracks_index()) {
-      key = spatial_.contention(c->id());
-    } else {
-      key = oracle_contention[i];
-    }
-    prime_entries_.emplace_back(make_key(*c, now, key), c);
+  for (CoflowState* c : active) {
+    prime_entries_.emplace_back(make_key(*c, now, order_key_component(*c)), c);
   }
   std::sort(prime_entries_.begin(), prime_entries_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  std::span<CoflowState* const> ordered;
   if (prime) {
     order_.rebuild(prime_entries_);
+    ordered = order_.ordered();
     pending_deadlines_.clear();
     volatile_.clear();
     for (CoflowState* c : active) {
@@ -657,64 +579,25 @@ void SaathScheduler::schedule_full(SimTime now,
       if (is_volatile(*c)) volatile_.insert(c->id());
     }
   } else {
-    // The oracle path must not depend on any index state: build the plain
-    // ordered view locally and run the reference admission over it.
+    // Unprimed: the order index may hold another stream's state, so walk a
+    // plain ordered view instead.
     order_scratch_.clear();
     order_scratch_.reserve(prime_entries_.size());
     for (const auto& [k, c] : prime_entries_) order_scratch_.push_back(c);
+    ordered = order_scratch_;
   }
   stats_.order_ns += ns_since(t0);
 
-  recross_.clear();
+  admit_and_conserve(fabric, rates, ordered, /*first_dirty_rank=*/0,
+                     /*allow_replay=*/false);
   if (prime) {
-    admit_and_conserve(now, fabric, rates, /*first_dirty_rank=*/0,
-                       /*allow_replay=*/false);
     // Program every CoFlow's next threshold crossing off its final rates —
-    // the O(F·W) valid-until scan, paid once at prime instead of per epoch.
+    // an O(F·W) scan paid once at prime instead of per epoch.
     const auto t3 = Clock::now();
     crossings_.clear();
     for (CoflowState* c : active) program_crossing(*c, now);
     stats_.crossing_ns += ns_since(t3);
-  } else {
-    admit_and_conserve_span(now, fabric, rates, order_scratch_);
   }
-}
-
-void SaathScheduler::admit_and_conserve_span(
-    SimTime now, Fabric& fabric, RateAssignment& rates,
-    std::span<CoflowState* const> ordered) {
-  (void)now;
-  const auto t1 = Clock::now();
-  std::vector<CoflowState*>& missed = missed_scratch_;
-  missed.clear();
-  for (CoflowState* c : ordered) {
-    if (config_.respect_data_availability && !c->data_available) continue;
-    if (!config_.all_or_none) {
-      allocate_greedy_fair(*c, fabric, rates);
-      continue;
-    }
-    if (all_ports_available(*c, fabric)) {
-      allocate_equal_rate(*c, fabric, rates);
-    } else {
-      missed.push_back(c);
-    }
-  }
-  stats_.admit_ns += ns_since(t1);
-
-  const auto t2 = Clock::now();
-  if (config_.work_conservation) {
-    for (CoflowState* c : missed) {
-      for (auto& f : c->flows()) {
-        if (f.finished()) continue;
-        const Rate r = std::min(fabric.send_remaining(f.src()),
-                                fabric.recv_remaining(f.dst()));
-        if (r <= Fabric::kRateEpsilon) continue;
-        rates.set(*c, f, f.rate() + r);
-        fabric.consume(f.src(), f.dst(), r);
-      }
-    }
-  }
-  stats_.conserve_ns += ns_since(t2);
 }
 
 void SaathScheduler::schedule_delta(SimTime now,
@@ -847,7 +730,8 @@ void SaathScheduler::schedule_delta(SimTime now,
   //         the dirty floor to their key), so the admission pass itself
   //         collects every trajectory that could have changed into recross_.
   recross_.clear();
-  admit_and_conserve(now, fabric, rates, first_dirty, /*allow_replay=*/true);
+  admit_and_conserve(fabric, rates, order_.ordered(), first_dirty,
+                     /*allow_replay=*/true);
 
   // ---- 8. Re-program crossings for every CoFlow whose trajectory this
   //         round touched; replayed-admitted CoFlows restored theirs
@@ -859,45 +743,10 @@ void SaathScheduler::schedule_delta(SimTime now,
   stats_.crossing_ns += ns_since(t3);
 }
 
-SimTime SaathScheduler::valid_until_scan(
-    SimTime now, std::span<CoflowState* const> active) const {
-  // With no delta, the ordering inputs (queue index, contention, expired
-  // set) drift only through (a) queue-threshold crossings as flows send at
-  // their current fixed rates and (b) starvation deadlines expiring. Both
-  // are exactly predictable in the fluid model; return the earliest,
-  // floored to the µs grid so we never recompute late. No trigger at all
-  // means the assignment stands until the next delta (int64 max, NOT
-  // kNever: kNever is -1 and would read as "already stale").
-  SimTime until = std::numeric_limits<SimTime>::max();
-  for (const CoflowState* c : active) {
-    if (is_volatile(*c)) {
-      // §4.3 estimate path: m_c shrinks continuously with sent bytes, so
-      // the queue can change any epoch — never skip while it is in play.
-      return now;
-    }
-    const double cross_seconds =
-        config_.per_flow_threshold
-            ? per_flow_cross_seconds(
-                  *c, queues_.hi_threshold(c->queue_index) / c->width(), now)
-            : total_bytes_cross_seconds(
-                  *c, queues_.hi_threshold(c->queue_index), now);
-    // 9e11 s ≈ 28k years of simulated time: beyond that treat the crossing
-    // as never (and keep the µs conversion clear of int64 overflow).
-    if (cross_seconds < 9e11) {
-      const auto dt = static_cast<SimTime>(std::max(0.0, cross_seconds) * 1e6);
-      until = std::min(until, now + dt);
-    }
-    if (config_.deadline_factor > 0 && c->deadline != kNever &&
-        c->deadline > now) {
-      until = std::min(until, c->deadline);
-    }
-  }
-  return until;
-}
-
 SimTime SaathScheduler::schedule_valid_until(
     SimTime now, std::span<CoflowState* const> active) const {
-  if (primed_stream_ == 0) return valid_until_scan(now, active);
+  (void)active;
+  if (primed_stream_ == 0) return now;  // unprimed: recompute every epoch
   // Primed: the crossing heap and deadline set ARE the triggers — O(1).
   if (!volatile_.empty()) return now;
   SimTime until = std::numeric_limits<SimTime>::max();

@@ -22,14 +22,17 @@
 // Every mechanism has a config switch so the Fig 10–12 ablations
 // (A/N+FIFO, A/N+PF+FIFO, full Saath) are just configurations.
 //
-// The schedule phase itself is delta-driven when the caller supplies a
-// SchedulerDelta (the engine does): the admission order lives in an
-// OrderIndex updated in O(log F) per event, queue reassignment pops due
+// The schedule phase has two routes, picked by the SchedulerDelta alone. An
+// engine stream primes once (a full pass that seeds the maintained
+// structures) and then runs the delta path: the admission order lives in
+// an OrderIndex updated in O(log F) per event, queue reassignment pops due
 // threshold crossings from a QueueCrossingHeap instead of rescanning every
 // flow, and the all-or-none admission pass replays its cached decisions for
-// the untouched sorted prefix. Full-delta calls (tests, benchmarks driving
-// schedule() directly) take the classic scan+sort path, which doubles as
-// the bit-identity oracle behind SaathConfig::incremental_order = false.
+// the untouched sorted prefix. Full or unknown-stream calls (direct
+// callers, the testbed's PipelinedScheduler) re-bucket and re-sort every
+// CoFlow without priming. Both routes share one admission + work
+// conservation pass. The from-scratch model of Fig 7 that both routes are
+// tested against lives in tests/reference/.
 #pragma once
 
 #include <cstdint>
@@ -61,32 +64,6 @@ struct SaathConfig {
   bool dynamics_srtf = true;
   /// §4.3 pipelining: skip CoFlows whose data is not yet available.
   bool respect_data_availability = true;
-  /// Feed LCoF from the event-driven spatial::SpatialIndex (Table 2's
-  /// incremental order phase). Off = rebuild k_c from the
-  /// compute_contention_grouped oracle every round — kept as the reference
-  /// implementation the property suite compares against.
-  bool incremental_spatial = true;
-  /// Delta-driven schedule phase: maintain the admission order in an
-  /// OrderIndex, pop queue moves from the crossing heap, and replay
-  /// admission for the clean sorted prefix, instead of re-bucketing and
-  /// re-sorting every CoFlow each epoch. Off = the full scan+sort every
-  /// round — the bit-identity oracle, mirroring incremental_spatial's
-  /// oracle pattern. Only engine-style callers that supply precise
-  /// SchedulerDeltas reach the incremental path; full deltas always take
-  /// the oracle code regardless of this flag.
-  bool incremental_order = true;
-  /// Port-indexed work-conservation backfill: instead of rescanning every
-  /// missed CoFlow's flows against (mostly exhausted) port budgets, join
-  /// the fabric's residual live-port sets against the occupancy index and
-  /// walk only missed CoFlows that still touch a live sender AND a live
-  /// receiver, in admission order, stopping when the residuals drain. Also
-  /// enables wholesale conservation replay on rounds whose admission
-  /// decision stream is provably unchanged. Off = the dense flow-by-flow
-  /// loop every round — the bit-identity oracle, mirroring the PR 1–3
-  /// pattern. The port join itself needs the occupancy index (lcof +
-  /// incremental_spatial) and the incremental schedule path; configs
-  /// without them keep the dense loop regardless.
-  bool incremental_backfill = true;
 };
 
 /// Wall-clock cost of each coordinator phase, accumulated across rounds —
@@ -107,17 +84,18 @@ struct SaathPhaseStats {
   std::int64_t candidates = 0;
   std::int64_t rekeys = 0;
   std::int64_t suffix_walked = 0;
-  /// Conserve-phase split: rounds that ran the port-indexed backfill,
-  /// missed CoFlows the live-port join actually surfaced on those rounds
-  /// (vs backfill_missed, all missed CoFlows the dense loop would have
-  /// walked), and rounds served wholesale from the conservation cache.
+  /// Conserve-phase split: rounds with a non-empty missed list, missed
+  /// CoFlows the live-port gate actually surfaced on those rounds (vs
+  /// backfill_missed, every missed CoFlow a dense walk would visit).
   std::int64_t backfill_rounds = 0;
   std::int64_t backfill_candidates = 0;
   std::int64_t backfill_missed = 0;
-  /// Flow visits the indexed walk actually performed: walk_flows() entries
-  /// on a plain walk, gathered flows on a flow-level cut. The dense loop
-  /// visits every flow of every missed CoFlow, finished ones included.
+  /// Flow visits the backfill actually performed: walk_flows() entries on
+  /// a plain walk, gathered flows on a flow-level cut. A dense walk would
+  /// visit every flow of every missed CoFlow, finished ones included.
   std::int64_t backfill_flows = 0;
+  /// Always 0: the conservation-replay cache it counted is gone. Kept only
+  /// because coordbench still reports it.
   std::int64_t conserve_replays = 0;
   [[nodiscard]] std::int64_t total_ns() const {
     return order_ns + admit_ns + conserve_ns + crossing_ns;
@@ -155,14 +133,14 @@ class SaathScheduler final : public Scheduler {
   /// a queue-threshold crossing at current rates or a starvation deadline
   /// expiring. Lets the engine skip quiescent epochs (§4 Table 2: the
   /// coordinator only works when the spatial state moved). O(1) off the
-  /// crossing heap + deadline set once the delta path primed them; the
-  /// pre-index O(F·W) scan remains as the unprimed fallback.
+  /// crossing heap + deadline set once an engine stream primed them; `now`
+  /// (recompute every epoch) until then, as Aalo does.
   [[nodiscard]] SimTime schedule_valid_until(
       SimTime now, std::span<CoflowState* const> active) const override;
 
   /// The incremental spatial-occupancy index feeding LCoF (tests compare it
-  /// against the batch oracle). Meaningful only with
-  /// config().lcof && config().incremental_spatial.
+  /// against the batch k_c of tests/reference/). Meaningful only with
+  /// config().lcof.
   [[nodiscard]] const spatial::SpatialIndex& spatial_index() const {
     return spatial_;
   }
@@ -190,33 +168,10 @@ class SaathScheduler final : public Scheduler {
     Rate rate = 0;
   };
 
-  /// One rank of the last incremental round's admission stream: which
-  /// CoFlow sat at the rank, what was decided, and its occupancy version
-  /// (the unfinished-flow-set fingerprint). Element-wise equality of two
-  /// rounds' streams — with an unchanged capacity version — proves the
-  /// fabric budgets at conservation start are byte-identical AND the missed
-  /// walk would visit the same flows, so the cached conservation
-  /// allocations replay exactly.
-  struct RankRecord {
-    CoflowState* coflow = nullptr;
-    AdmitDecision::Kind kind = AdmitDecision::Kind::kMissed;
-    Rate rate = 0;
-    std::uint64_t occupancy = 0;
-  };
-
-  /// One work-conservation allocation: `rate` is the budget consumed (the
-  /// flow's pre-conservation rate is provably 0, so it is also the rate
-  /// set).
-  struct ConserveRecord {
-    CoflowState* coflow = nullptr;
-    FlowState* flow = nullptr;
-    Rate rate = 0;
-  };
-
-  /// Classic full recompute: re-buckets every CoFlow, rebuilds contention
-  /// keys, sorts, admits. When `prime` is set, additionally (re)seeds the
-  /// delta structures (order index, crossing heap, deadline set, admission
-  /// cache) so the next precise-delta round can run incrementally.
+  /// Full recompute: re-buckets every CoFlow, re-keys, sorts, admits. When
+  /// `prime` is set, additionally (re)seeds the delta structures (order
+  /// index, crossing heap, deadline set, admission cache) so the next
+  /// precise-delta round can run incrementally.
   void schedule_full(SimTime now, std::span<CoflowState* const> active,
                      Fabric& fabric, RateAssignment& rates, bool prime);
   /// Delta path: only CoFlows named by the delta, due crossings, due
@@ -247,21 +202,20 @@ class SaathScheduler final : public Scheduler {
   /// without recomputing the max-min share.
   void replay_equal_rate(CoflowState& c, Rate rate, Fabric& fabric,
                          RateAssignment& rates) const;
-  /// Admission + work conservation over the materialized order, replaying
-  /// cached decisions for ranks below `first_dirty_rank` when sound; also
-  /// records this round's decisions and collects CoFlows needing a crossing
-  /// re-program into recross_. The conservation pass walks only missed
-  /// CoFlows on residually-live ports (incremental_backfill + occupancy
-  /// index), or replays the cached allocations wholesale when the whole
-  /// admission stream is provably unchanged; the dense flow-by-flow loop
-  /// remains the fallback and the oracle.
-  void admit_and_conserve(SimTime now, Fabric& fabric, RateAssignment& rates,
+  /// Admission + work conservation over `ordered`, replaying cached
+  /// decisions for ranks below `first_dirty_rank` when `allow_replay` (a
+  /// delta round) makes that sound; records this round's decisions, and on
+  /// delta rounds collects CoFlows needing a crossing re-program into
+  /// recross_. The conservation pass walks only missed CoFlows that touch a
+  /// residually-live sender AND receiver, in admission order, stopping when
+  /// either residual set drains.
+  void admit_and_conserve(Fabric& fabric, RateAssignment& rates,
+                          std::span<CoflowState* const> ordered,
                           std::size_t first_dirty_rank, bool allow_replay);
-  /// Oracle-path admission + conservation over a plain ordered span — no
-  /// caching, no index state (the reference implementation).
-  void admit_and_conserve_span(SimTime now, Fabric& fabric,
-                               RateAssignment& rates,
-                               std::span<CoflowState* const> ordered);
+  /// Work conservation (Fig 7 lines 14, 18–23): `missed`, in order, soaks
+  /// up whatever budget admission left.
+  void conserve(Fabric& fabric, RateAssignment& rates,
+                std::span<CoflowState* const> missed);
 
   /// The composite admission-order key the sort/index both use.
   [[nodiscard]] OrderKey make_key(const CoflowState& c, SimTime now,
@@ -270,22 +224,18 @@ class SaathScheduler final : public Scheduler {
   [[nodiscard]] std::int64_t order_key_component(const CoflowState& c) const;
 
   /// Predicts c's next queue-threshold crossing at current rates and
-  /// programs it into the heap (kNever cancels). Mirrors the valid-until
-  /// scan's arithmetic, minus a 1µs guard so float rounding can only make
-  /// the prediction early (a spurious recompute), never late (divergence).
+  /// programs it into the heap (kNever cancels). Mirrors the arithmetic of
+  /// the reference scheduler's valid-until scan, minus a 1µs guard so float
+  /// rounding can only make the prediction early (a spurious recompute),
+  /// never late (divergence).
   void program_crossing(CoflowState& c, SimTime now);
   /// §4.3 estimate in play: the queue can change any epoch.
   [[nodiscard]] bool is_volatile(const CoflowState& c) const;
   /// Drops every trace of a finished CoFlow from the delta structures.
   void forget_coflow(CoflowId id);
-  /// Pre-index O(F·W) valid-until scan (the unprimed fallback).
-  [[nodiscard]] SimTime valid_until_scan(
-      SimTime now, std::span<CoflowState* const> active) const;
 
   /// True when the spatial index is the live LCoF source.
-  [[nodiscard]] bool tracks_index() const {
-    return config_.lcof && config_.incremental_spatial;
-  }
+  [[nodiscard]] bool tracks_index() const { return config_.lcof; }
   /// Brings the index in line with `active`: adds CoFlows the lifecycle
   /// hooks never saw (snapshot/bench use), refreshes any whose occupancy
   /// mutated behind the index's back, rebuilds wholesale on set mismatch.
@@ -332,18 +282,6 @@ class SaathScheduler final : public Scheduler {
   std::vector<CoflowState*> missed_scratch_;
   /// CoFlows whose trajectory this round changed → crossing re-program.
   std::vector<CoflowState*> recross_;
-  // --- conservation reuse across quiescent admission prefixes ------------
-  /// Admission decision stream of the round conserve_cache_ was recorded
-  /// for; prefix-replayed ranks are untouched by construction, so only
-  /// recomputed ranks are compared/refreshed each round.
-  std::vector<RankRecord> rank_records_;
-  /// The recorded conservation allocations, replayed wholesale when this
-  /// round's stream matched rank_records_ element-wise (pointers included)
-  /// under an unchanged Fabric::capacity_version(). Invalidated by any
-  /// full-path round (prime re-records from scratch).
-  std::vector<ConserveRecord> conserve_cache_;
-  bool conserve_cache_valid_ = false;
-  std::uint64_t conserve_capacity_version_ = 0;
   /// Port-indexed backfill scratch: the merged per-slot flow indices of
   /// one candidate.
   std::vector<std::uint32_t> backfill_flow_idx_;

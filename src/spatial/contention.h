@@ -3,8 +3,8 @@
 //
 // k_c, the number of *other* CoFlows that share an occupied port with c
 // (restricted, as Saath's LCoF does, to CoFlows in the same priority
-// queue), used to be recomputed from scratch by compute_contention_grouped
-// every time any event invalidated a whole-schedule dirty bit. SpatialIndex
+// queue), used to be recomputed from scratch by a batch count every time
+// any event invalidated a whole-schedule dirty bit. SpatialIndex
 // maintains k_c incrementally on top of OccupancyIndex:
 //
 //  * per pair of CoFlows it tracks the number of shared occupied port
@@ -19,8 +19,8 @@
 // epoch rate. Per-CoFlow state lives at the CoFlow's OccupancyIndex slot,
 // and each overlap table is a flat map keyed by neighbor slot, so a public
 // call costs one id -> slot lookup and a warm index allocates nothing. The
-// batch oracle in sched/contention.cc is kept as the reference
-// implementation; the property suite asserts equality after every event.
+// batch count lives in tests/reference/; the property suite asserts
+// equality with it after every event.
 #pragma once
 
 #include <cstdint>

@@ -2,10 +2,10 @@
 // refactor must be observationally invisible — every trajectory bit, every
 // digest, every handle stays exactly what the AoS layout produced.
 //
-//  (1) Digest identity across the full flag matrix: quiescent-skip ×
-//      event-driven × incremental-order × incremental-backfill ×
-//      {saath, aalo, uc-tcp} all hash to one digest per scheduler. The
-//      scan-based, full-recompute combination is the oracle.
+//  (1) Digest identity across the full mode matrix: quiescent-skip ×
+//      event-driven × {production, reference scheduler} × {saath, aalo,
+//      uc-tcp} all hash to one digest per scheduler. The scan-based run of
+//      the reference scheduler is the oracle.
 //  (2) Checkpoint-shaped round-trip: trajectory scalars captured from a
 //      mid-run CoflowState and written into a fresh one via
 //      restore_flow_progress reproduce the same BITS (sent_base, rate,
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "reference/reference.h"
 #include "replay/journal.h"
 #include "sched/aalo.h"
 #include "sched/saath.h"
@@ -43,55 +44,54 @@ trace::Trace matrix_trace() {
   return trace::synth_fb_trace(cfg);
 }
 
+/// Production, or (`reference`) the from-scratch reference scheduler.
 std::unique_ptr<Scheduler> matrix_scheduler(const std::string& which,
-                                            bool incremental_order,
-                                            bool incremental_backfill) {
+                                            bool reference) {
   if (which == "saath") {
-    SaathConfig cfg;
-    cfg.incremental_order = incremental_order;
-    cfg.incremental_spatial = incremental_order;
-    cfg.incremental_backfill = incremental_backfill;
-    return std::make_unique<SaathScheduler>(cfg);
+    if (reference) return std::make_unique<reference::ReferenceSaath>();
+    return std::make_unique<SaathScheduler>();
   }
   if (which == "aalo") {
-    AaloConfig cfg;
-    cfg.incremental_order = incremental_order;
-    return std::make_unique<AaloScheduler>(cfg);
+    if (reference) return std::make_unique<reference::ReferenceAalo>();
+    return std::make_unique<AaloScheduler>();
   }
   return std::make_unique<UcTcpScheduler>();
 }
 
 TEST(FlowPool, DigestIdentityAcrossFlagAndSchedulerMatrix) {
+  enum class Side { kReference, kFullRoute, kDeltaRoute };
   const auto t = matrix_trace();
   for (const std::string which : {"saath", "aalo", "uc-tcp"}) {
-    // Oracle: scan-based completion search, no quiescent skip, full
-    // (non-incremental) scheduler paths — the least clever combination.
+    // Oracle: scan-based completion search, no quiescent skip, the
+    // reference scheduler — the least clever combination.
     std::uint64_t oracle = 0;
     bool have_oracle = false;
     for (const bool skip : {false, true}) {
       for (const bool event : {false, true}) {
-        for (const bool inc_order : {false, true}) {
-          for (const bool inc_backfill : {false, true}) {
-            // uc-tcp has no incremental structures; collapse those axes.
-            if (which == "uc-tcp" && (inc_order || inc_backfill)) continue;
-            SimConfig cfg;
-            cfg.skip_quiescent_epochs = skip;
-            cfg.event_driven = event;
-            auto sched = matrix_scheduler(which, inc_order, inc_backfill);
-            const SimResult r = simulate(
-                std::make_shared<workload::TraceSource>(trace::Trace(t)),
-                *sched, cfg);
-            const std::uint64_t d = replay::result_digest(r);
-            if (!have_oracle) {
-              oracle = d;
-              have_oracle = true;
-            }
-            EXPECT_EQ(d, oracle)
-                << which << (skip ? "/skip" : "/noskip")
-                << (event ? "/event" : "/scan")
-                << (inc_order ? "/inc-order" : "/full-order")
-                << (inc_backfill ? "/inc-backfill" : "/full-backfill");
+        for (const Side side :
+             {Side::kReference, Side::kFullRoute, Side::kDeltaRoute}) {
+          // uc-tcp has one route and no reference model; collapse the axis.
+          if (which == "uc-tcp" && side != Side::kDeltaRoute) continue;
+          SimConfig cfg;
+          cfg.skip_quiescent_epochs = skip;
+          cfg.event_driven = event;
+          auto sched = matrix_scheduler(which, side == Side::kReference);
+          reference::FullRoute full_route(*sched);
+          Scheduler& driven =
+              side == Side::kFullRoute ? full_route : *sched;
+          const SimResult r = simulate(
+              std::make_shared<workload::TraceSource>(trace::Trace(t)),
+              driven, cfg);
+          const std::uint64_t d = replay::result_digest(r);
+          if (!have_oracle) {
+            oracle = d;
+            have_oracle = true;
           }
+          const char* label = side == Side::kReference   ? "/reference"
+                              : side == Side::kFullRoute ? "/full-route"
+                                                         : "/delta-route";
+          EXPECT_EQ(d, oracle) << which << (skip ? "/skip" : "/noskip")
+                               << (event ? "/event" : "/scan") << label;
         }
       }
     }

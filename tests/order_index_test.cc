@@ -1,9 +1,9 @@
 // The delta-driven schedule phase: OrderIndex / QueueCrossingHeap unit
 // tests, the satellite caches (finished-length median, O(1) spatial sync
 // probe), and the property suite pinning the incremental order path
-// byte-identical to the full scan+sort oracle across churn — arrivals,
-// completions, queue moves, deadline expiry, dynamics SRTF, and the
-// skip × event × order mode matrix.
+// byte-identical to the reference scheduler's full sort across churn —
+// arrivals, completions, queue moves, deadline expiry, dynamics SRTF, and
+// the skip × event mode matrix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "reference/reference.h"
 #include "sched/aalo.h"
-#include "sched/contention.h"
 #include "sched/order_index.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
@@ -199,8 +199,9 @@ TEST(FinishedMedianTest, CachedMedianTracksCompletions) {
 
 // ---------------------------------------------------------------------------
 // Property suite: the delta-driven schedule phase must be indistinguishable
-// from the full scan+sort — in the maintained order, in the admission
-// decisions, and in the end-to-end SimResults — across every churn source.
+// from the reference scheduler's full sort — in the maintained order, in the
+// admission decisions, and in the end-to-end SimResults — across every
+// churn source.
 
 struct ModeParam {
   std::uint64_t seed;
@@ -214,21 +215,21 @@ void PrintTo(const ModeParam& p, std::ostream* os) {
       << (p.event ? "/event" : "/oracle");
 }
 
+/// Production (`reference` false) or the reference model for `name`.
 std::unique_ptr<Scheduler> make_mode_scheduler(const std::string& name,
-                                               bool incremental_order) {
+                                               bool reference) {
   if (name == "aalo") {
-    AaloConfig cfg;
-    cfg.incremental_order = incremental_order;
-    return std::make_unique<AaloScheduler>(cfg);
+    if (reference) return std::make_unique<reference::ReferenceAalo>();
+    return std::make_unique<AaloScheduler>();
   }
   SaathConfig cfg;
-  cfg.incremental_order = incremental_order;
   if (name == "saath-fifo") {
     cfg.lcof = false;
     cfg.per_flow_threshold = false;
   } else if (name == "saath-total") {
     cfg.per_flow_threshold = false;
   }
+  if (reference) return std::make_unique<reference::ReferenceSaath>(cfg);
   return std::make_unique<SaathScheduler>(cfg);
 }
 
@@ -259,12 +260,12 @@ class DeltaOrderProperty : public ::testing::TestWithParam<ModeParam> {
   }
 };
 
-// incremental_order = true vs the full-sort oracle: bit-identical
-// SimResults across the whole mode matrix.
+// Production vs the reference's full sort: bit-identical SimResults across
+// the whole mode matrix.
 TEST_P(DeltaOrderProperty, IncrementalMatchesFullSortOracle) {
   const auto t = make();
-  auto inc = make_mode_scheduler(GetParam().scheduler, true);
-  auto full = make_mode_scheduler(GetParam().scheduler, false);
+  auto inc = make_mode_scheduler(GetParam().scheduler, false);
+  auto full = make_mode_scheduler(GetParam().scheduler, true);
   const auto r_inc = simulate(t, *inc, config());
   const auto r_full = simulate(t, *full, config());
   expect_identical(r_inc, r_full, GetParam().scheduler);
@@ -275,8 +276,8 @@ TEST_P(DeltaOrderProperty, IncrementalMatchesFullSortOracle) {
 TEST_P(DeltaOrderProperty, IncrementalMatchesOracleUnderLoad) {
   auto t = make();
   t = t.scaled_arrivals(8.0);
-  auto inc = make_mode_scheduler(GetParam().scheduler, true);
-  auto full = make_mode_scheduler(GetParam().scheduler, false);
+  auto inc = make_mode_scheduler(GetParam().scheduler, false);
+  auto full = make_mode_scheduler(GetParam().scheduler, true);
   const auto r_inc = simulate(t, *inc, config());
   const auto r_full = simulate(t, *full, config());
   expect_identical(r_inc, r_full, GetParam().scheduler);
@@ -287,8 +288,8 @@ TEST_P(DeltaOrderProperty, IncrementalMatchesOracleUnderLoad) {
 // admission replay) must not open any gap either.
 TEST_P(DeltaOrderProperty, IncrementalMatchesOracleUnderDynamics) {
   const auto t = make();
-  auto run = [&](bool incremental) {
-    auto sched = make_mode_scheduler(GetParam().scheduler, incremental);
+  auto run = [&](bool reference) {
+    auto sched = make_mode_scheduler(GetParam().scheduler, reference);
     Engine engine(t, *sched, config());
     engine.add_dynamics_event({seconds(2), DynamicsEvent::Kind::kNodeFailure,
                                1, 1.0});
@@ -300,14 +301,14 @@ TEST_P(DeltaOrderProperty, IncrementalMatchesOracleUnderDynamics) {
                                2, 1.0});
     return engine.run();
   };
-  expect_identical(run(true), run(false), GetParam().scheduler);
+  expect_identical(run(false), run(true), GetParam().scheduler);
 }
 
 // Data-availability flips (§4.3 pipelining) re-fence cached admissions.
 TEST_P(DeltaOrderProperty, IncrementalMatchesOracleWithDataGates) {
   const auto t = make();
-  auto run = [&](bool incremental) {
-    auto sched = make_mode_scheduler(GetParam().scheduler, incremental);
+  auto run = [&](bool reference) {
+    auto sched = make_mode_scheduler(GetParam().scheduler, reference);
     Engine engine(t, *sched, config());
     for (std::size_t i = 0; i < t.coflows.size(); i += 3) {
       engine.set_data_available_at(t.coflows[i].id,
@@ -315,7 +316,7 @@ TEST_P(DeltaOrderProperty, IncrementalMatchesOracleWithDataGates) {
     }
     return engine.run();
   };
-  expect_identical(run(true), run(false), GetParam().scheduler);
+  expect_identical(run(false), run(true), GetParam().scheduler);
 }
 
 // Mid-epoch reallocation multiplies delta-carrying rounds; the replay
@@ -324,8 +325,8 @@ TEST_P(DeltaOrderProperty, IncrementalMatchesOracleWithReallocation) {
   const auto t = make();
   SimConfig cfg = config();
   cfg.reallocate_on_completion = true;
-  auto inc = make_mode_scheduler(GetParam().scheduler, true);
-  auto full = make_mode_scheduler(GetParam().scheduler, false);
+  auto inc = make_mode_scheduler(GetParam().scheduler, false);
+  auto full = make_mode_scheduler(GetParam().scheduler, true);
   const auto r_inc = simulate(t, *inc, cfg);
   const auto r_full = simulate(t, *full, cfg);
   expect_identical(r_inc, r_full, GetParam().scheduler);
@@ -403,13 +404,13 @@ TEST(DeltaOrderWhiteBox, MaintainedOrderEqualsFromScratchSortEveryRound) {
                   const Fabric& fabric, const SaathScheduler& inner) {
     const auto& idx = inner.order_index();
     ASSERT_EQ(idx.size(), active.size());
-    // Expected keys from current state + the contention oracle.
+    // Expected keys from current state + the reference's batch k_c.
     std::vector<int> queue_of(active.size());
     for (std::size_t i = 0; i < active.size(); ++i) {
       queue_of[i] = active[i]->queue_index;
     }
     const auto contention =
-        compute_contention_grouped(active, fabric.num_ports(), queue_of);
+        reference::batch_contention(active, fabric.num_ports(), queue_of);
     std::vector<OrderKey> expected;
     for (std::size_t i = 0; i < active.size(); ++i) {
       const CoflowState* c = active[i];
@@ -442,19 +443,16 @@ TEST(DeltaOrderWhiteBox, MaintainedOrderEqualsFromScratchSortEveryRound) {
 }
 
 // The O(1) valid-until (crossing-heap top + deadline head) must never be
-// later than the full O(F·W) scan it replaced — later would skip a real
+// later than the reference's full O(F·W) scan — later would skip a real
 // trigger and diverge.
 TEST(DeltaOrderWhiteBox, ValidUntilNeverLaterThanScan) {
   const auto t = trace::synth_small_trace(8, 40, 19);
   DeltaForwardingObserver obs{SaathConfig{}};
-  // An oracle twin fed the same rounds computes the reference scan.
-  SaathConfig scan_cfg;
-  scan_cfg.incremental_order = false;
   int compared = 0;
   obs.check = [&](SimTime now, std::span<CoflowState* const> active,
                   const Fabric& fabric, const SaathScheduler& inner) {
     (void)fabric;
-    SaathScheduler scan_twin(scan_cfg);  // stateless scan: fresh is fine
+    const reference::ReferenceSaath scan_twin;  // the scan is stateless
     const SimTime fast = inner.schedule_valid_until(now, active);
     const SimTime scan = scan_twin.schedule_valid_until(now, active);
     ASSERT_LE(fast, scan) << "at t=" << now;
@@ -508,18 +506,16 @@ TEST(DeltaOrderWhiteBox, SchedulerReuseAcrossEnginesReprimes) {
   EXPECT_EQ(r1.coflows.size(), t1.coflows.size());
 }
 
-// Direct (4-arg) drivers must keep getting the classic full path: same
-// results as the oracle config, and the repeated-snapshot probe satellite
-// keeps the spatial sync O(1) without changing contention values.
+// Direct (4-arg) callers must keep getting the full route: same rates as
+// the reference Saath every round, and the repeated-snapshot probe keeps
+// the spatial sync O(1) without changing contention values.
 TEST(DeltaOrderWhiteBox, DirectDriversTakeFullPath) {
   StateSet set;
   set.add(make_coflow(1, 0, {{0, 1, 1000}, {1, 2, 1000}}));
   set.add(make_coflow(2, 0, {{0, 2, 500}}));
   set.add(make_coflow(3, 0, {{3, 4, 800}}));
-  SaathScheduler inc;  // incremental_order default-on
-  SaathConfig oracle_cfg;
-  oracle_cfg.incremental_order = false;
-  SaathScheduler oracle(oracle_cfg);
+  SaathScheduler inc;
+  reference::ReferenceSaath oracle;
   Fabric f1(6, 100.0);
   Fabric f2(6, 100.0);
   for (int round = 0; round < 5; ++round) {

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "reference/reference.h"
 #include "sched/aalo.h"
-#include "sched/contention.h"
 #include "sched/factory.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
@@ -205,10 +205,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SaathInvariant,
 // ---------------------------------------------------------------------------
 // Spatial-occupancy refactor invariants: the incremental SpatialIndex must be
 // indistinguishable — in contention values and in the schedules it produces —
-// from the compute_contention_grouped oracle it replaced.
+// from the batch k_c of the reference Saath (tests/reference/).
 
 /// Wraps a SaathScheduler; after every schedule() asserts the incremental
-/// index agrees with the batch oracle over the engine's live active set.
+/// index agrees with the batch count over the engine's live active set.
 class IndexOracleObserver final : public Scheduler {
  public:
   explicit IndexOracleObserver(SaathConfig cfg) : inner_(cfg) {}
@@ -223,7 +223,7 @@ class IndexOracleObserver final : public Scheduler {
       queue_of[i] = active[i]->queue_index;
     }
     const auto oracle =
-        compute_contention_grouped(active, fabric.num_ports(), queue_of);
+        reference::batch_contention(active, fabric.num_ports(), queue_of);
     for (std::size_t i = 0; i < active.size(); ++i) {
       ASSERT_EQ(index.contention(active[i]->id()), oracle[i])
           << "coflow " << active[i]->id().value << " at t=" << now;
@@ -270,15 +270,44 @@ TEST_P(SpatialRefactor, IndexMatchesOracleEveryRound) {
 
 /// Records one digest per schedule() round: every flow's id and µs-rounded
 /// rate. Two schedulers produce byte-identical schedules iff the digest
-/// streams match.
+/// streams match. With `forward_delta` the engine's delta reaches the inner
+/// scheduler (production's delta route); without it every round is a
+/// full-delta call.
 class RateDigestObserver final : public Scheduler {
  public:
-  RateDigestObserver(SaathConfig cfg, std::vector<std::size_t>* out)
-      : inner_(cfg), out_(out) {}
-  std::string name() const override { return inner_.name(); }
+  RateDigestObserver(std::unique_ptr<Scheduler> inner, bool forward_delta,
+                     std::vector<std::size_t>* out)
+      : inner_(std::move(inner)), forward_delta_(forward_delta), out_(out) {}
+  std::string name() const override { return inner_->name(); }
   void schedule(SimTime now, std::span<CoflowState* const> active,
                 Fabric& fabric, RateAssignment& rates) override {
-    inner_.schedule(now, active, fabric, rates);
+    inner_->schedule(now, active, fabric, rates);
+    record(now, active);
+  }
+  void schedule(SimTime now, std::span<CoflowState* const> active,
+                Fabric& fabric, RateAssignment& rates,
+                const SchedulerDelta& delta) override {
+    if (!forward_delta_) {
+      schedule(now, active, fabric, rates);
+      return;
+    }
+    inner_->schedule(now, active, fabric, rates, delta);
+    record(now, active);
+  }
+  void on_coflow_arrival(CoflowState& c, SimTime now) override {
+    inner_->on_coflow_arrival(c, now);
+  }
+  void on_flow_complete(CoflowState& c, FlowState& f, SimTime now) override {
+    inner_->on_flow_complete(c, f, now);
+  }
+  void on_coflow_complete(CoflowState& c, SimTime now) override {
+    inner_->on_coflow_complete(c, now);
+  }
+  // Deliberately no schedule_valid_until forward: digests must cover every
+  // epoch, so this observer always requests recomputation.
+
+ private:
+  void record(SimTime now, std::span<CoflowState* const> active) {
     std::size_t digest = std::hash<SimTime>{}(now);
     const auto mix = [&digest](std::size_t v) {
       digest ^= v + 0x9e3779b97f4a7c15ull + (digest << 6) + (digest >> 2);
@@ -293,48 +322,43 @@ class RateDigestObserver final : public Scheduler {
     }
     out_->push_back(digest);
   }
-  void on_coflow_arrival(CoflowState& c, SimTime now) override {
-    inner_.on_coflow_arrival(c, now);
-  }
-  void on_flow_complete(CoflowState& c, FlowState& f, SimTime now) override {
-    inner_.on_flow_complete(c, f, now);
-  }
-  void on_coflow_complete(CoflowState& c, SimTime now) override {
-    inner_.on_coflow_complete(c, now);
-  }
-  // Deliberately no schedule_valid_until forward: digests must cover every
-  // epoch, so this observer always requests recomputation.
-  SaathScheduler inner_;
+
+  std::unique_ptr<Scheduler> inner_;
+  bool forward_delta_;
   std::vector<std::size_t>* out_;
 };
 
 // Saath fed by the incremental index produces the *identical* rate
-// assignment, every epoch, as Saath rebuilding contention from the oracle.
+// assignment, every epoch, as the reference Saath rebuilding k_c from the
+// batch count — on the delta route and on the full-delta route alike.
 TEST_P(SpatialRefactor, IncrementalAndRebuildSchedulesIdentical) {
   const auto t = make();
   SimConfig cfg = config();
   cfg.skip_quiescent_epochs = false;  // align epochs 1:1 across both runs
 
-  std::vector<std::size_t> incremental_digests;
   std::vector<std::size_t> rebuild_digests;
-  SaathConfig inc;  // incremental_spatial = true (default)
-  SaathConfig reb;
-  reb.incremental_spatial = false;
-  RateDigestObserver s_inc(inc, &incremental_digests);
-  RateDigestObserver s_reb(reb, &rebuild_digests);
-
-  const auto r_inc = simulate(t, s_inc, cfg);
+  RateDigestObserver s_reb(std::make_unique<reference::ReferenceSaath>(),
+                           false, &rebuild_digests);
   const auto r_reb = simulate(t, s_reb, cfg);
 
-  ASSERT_EQ(incremental_digests.size(), rebuild_digests.size());
-  for (std::size_t i = 0; i < incremental_digests.size(); ++i) {
-    ASSERT_EQ(incremental_digests[i], rebuild_digests[i]) << "round " << i;
-  }
-  ASSERT_EQ(r_inc.coflows.size(), r_reb.coflows.size());
-  for (std::size_t i = 0; i < r_inc.coflows.size(); ++i) {
-    EXPECT_EQ(r_inc.coflows[i].finish, r_reb.coflows[i].finish);
-    EXPECT_EQ(r_inc.coflows[i].flow_fcts_seconds,
-              r_reb.coflows[i].flow_fcts_seconds);
+  for (const bool delta_route : {true, false}) {
+    std::vector<std::size_t> incremental_digests;
+    RateDigestObserver s_inc(std::make_unique<SaathScheduler>(), delta_route,
+                             &incremental_digests);
+    const auto r_inc = simulate(t, s_inc, cfg);
+    const char* route = delta_route ? "delta route" : "full route";
+    ASSERT_EQ(incremental_digests.size(), rebuild_digests.size()) << route;
+    for (std::size_t i = 0; i < incremental_digests.size(); ++i) {
+      ASSERT_EQ(incremental_digests[i], rebuild_digests[i])
+          << route << " round " << i;
+    }
+    ASSERT_EQ(r_inc.coflows.size(), r_reb.coflows.size()) << route;
+    for (std::size_t i = 0; i < r_inc.coflows.size(); ++i) {
+      EXPECT_EQ(r_inc.coflows[i].finish, r_reb.coflows[i].finish) << route;
+      EXPECT_EQ(r_inc.coflows[i].flow_fcts_seconds,
+                r_reb.coflows[i].flow_fcts_seconds)
+          << route;
+    }
   }
 }
 
@@ -388,17 +412,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpatialRefactor,
                          ::testing::Values(5, 17, 29, 41, 53));
 
 // ---------------------------------------------------------------------------
-// Port-indexed work-conservation backfill: the residual-set-driven walk (and
-// the wholesale conservation replay it enables) must be indistinguishable
-// from the dense missed-list rescan across the skip × event × order mode
-// matrix, under plain runs, heavy load and dynamics churn alike.
+// Port-indexed work-conservation backfill: the residual-set-driven walk must
+// be indistinguishable from the reference Saath's dense missed-list rescan
+// across the skip × event × route matrix, under plain runs, heavy load and
+// dynamics churn alike.
 
 struct BackfillParam {
   std::uint64_t seed;
-  const char* scheduler;  // "saath" (backfill toggled) or "aalo" (guard)
+  const char* scheduler;  // "saath" or "aalo" (shared admit/alloc guard)
   bool skip;
   bool event;
-  bool order;
+  bool order;  // production on the delta route (else the full route)
 };
 
 void PrintTo(const BackfillParam& p, std::ostream* os) {
@@ -432,29 +456,37 @@ class BackfillProperty : public ::testing::TestWithParam<BackfillParam> {
     cfg.event_driven = GetParam().event;
     return cfg;
   }
-  /// For "saath", the pair differs only in incremental_backfill; for
-  /// "aalo" (which has no backfill) the pair is incremental-order vs the
-  /// full sort — guarding the shared admit/alloc plumbing this PR touched.
-  [[nodiscard]] std::unique_ptr<Scheduler> scheduler(bool variant) const {
-    if (std::string(GetParam().scheduler) == "aalo") {
-      AaloConfig cfg;
-      cfg.incremental_order = variant && GetParam().order;
-      return std::make_unique<AaloScheduler>(cfg);
+  [[nodiscard]] bool aalo() const {
+    return std::string(GetParam().scheduler) == "aalo";
+  }
+  /// Runs `t` through production (`reference` false) on the route the
+  /// parameter picks, or through the reference scheduler.
+  [[nodiscard]] SimResult run(const trace::Trace& t, bool reference,
+                              const std::vector<DynamicsEvent>& dynamics = {})
+      const {
+    std::unique_ptr<Scheduler> sched;
+    if (reference) {
+      sched = aalo() ? std::unique_ptr<Scheduler>(
+                           std::make_unique<reference::ReferenceAalo>())
+                     : std::make_unique<reference::ReferenceSaath>();
+    } else {
+      sched = aalo() ? std::unique_ptr<Scheduler>(
+                           std::make_unique<AaloScheduler>())
+                     : std::make_unique<SaathScheduler>();
     }
-    SaathConfig cfg;
-    cfg.incremental_order = GetParam().order;
-    cfg.incremental_backfill = variant;
-    return std::make_unique<SaathScheduler>(cfg);
+    reference::FullRoute full_route(*sched);
+    Scheduler& driven =
+        reference || GetParam().order ? *sched
+                                      : static_cast<Scheduler&>(full_route);
+    Engine engine(t, driven, config());
+    for (const DynamicsEvent& ev : dynamics) engine.add_dynamics_event(ev);
+    return engine.run();
   }
 };
 
 TEST_P(BackfillProperty, IndexedBackfillMatchesDenseOracle) {
   const auto t = make();
-  auto on = scheduler(true);
-  auto off = scheduler(false);
-  const auto r_on = simulate(t, *on, config());
-  const auto r_off = simulate(t, *off, config());
-  expect_identical_results(r_on, r_off, GetParam().scheduler);
+  expect_identical_results(run(t, false), run(t, true), GetParam().scheduler);
 }
 
 // Heavy churn: compressed arrivals keep most CoFlows missed, so the
@@ -462,32 +494,21 @@ TEST_P(BackfillProperty, IndexedBackfillMatchesDenseOracle) {
 TEST_P(BackfillProperty, IndexedBackfillMatchesDenseOracleUnderLoad) {
   auto t = make();
   t = t.scaled_arrivals(8.0);
-  auto on = scheduler(true);
-  auto off = scheduler(false);
-  const auto r_on = simulate(t, *on, config());
-  const auto r_off = simulate(t, *off, config());
-  expect_identical_results(r_on, r_off, GetParam().scheduler);
+  expect_identical_results(run(t, false), run(t, true), GetParam().scheduler);
 }
 
-// Dynamics: stragglers move Fabric::capacity_version (fencing both the
-// admission replay and the conservation cache) and failures reshuffle the
-// missed set mid-stream.
+// Dynamics: stragglers move Fabric::capacity_version (fencing the admission
+// replay) and failures reshuffle the missed set mid-stream.
 TEST_P(BackfillProperty, IndexedBackfillMatchesDenseOracleUnderDynamics) {
   const auto t = make();
-  auto run = [&](bool variant) {
-    auto sched = scheduler(variant);
-    Engine engine(t, *sched, config());
-    engine.add_dynamics_event(
-        {seconds(2), DynamicsEvent::Kind::kNodeFailure, 1, 1.0});
-    engine.add_dynamics_event(
-        {seconds(3), DynamicsEvent::Kind::kStragglerStart, 4, 0.3});
-    engine.add_dynamics_event(
-        {seconds(6), DynamicsEvent::Kind::kStragglerEnd, 4, 1.0});
-    engine.add_dynamics_event(
-        {seconds(7), DynamicsEvent::Kind::kNodeFailure, 2, 1.0});
-    return engine.run();
+  const std::vector<DynamicsEvent> dynamics = {
+      {seconds(2), DynamicsEvent::Kind::kNodeFailure, 1, 1.0},
+      {seconds(3), DynamicsEvent::Kind::kStragglerStart, 4, 0.3},
+      {seconds(6), DynamicsEvent::Kind::kStragglerEnd, 4, 1.0},
+      {seconds(7), DynamicsEvent::Kind::kNodeFailure, 2, 1.0},
   };
-  expect_identical_results(run(true), run(false), GetParam().scheduler);
+  expect_identical_results(run(t, false, dynamics), run(t, true, dynamics),
+                           GetParam().scheduler);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -573,8 +594,8 @@ class ResidualSetObserver final : public Scheduler {
 };
 
 // The port-residual view must equal a from-scratch budget scan after every
-// scheduling round of a real engine run (admissions, backfill and
-// conservation replay all consuming behind it).
+// scheduling round of a real engine run (admissions and the backfill both
+// consuming behind it).
 TEST(ResidualSet, MatchesFromScratchScanEveryRound) {
   const auto t = trace::synth_small_trace(10, 60, 13);
   ResidualSetObserver obs;

@@ -8,7 +8,11 @@
 #include <map>
 #include <string>
 
+#include "reference/reference.h"
 #include "replay/journal.h"
+#include "runtime/testbed.h"
+#include "sched/factory.h"
+#include "trace/synth.h"
 #include "workload/scenario.h"
 
 namespace saath {
@@ -51,6 +55,48 @@ TEST(RegistryDigest, ReplayTracesUnderTheBaselines) {
   EXPECT_EQ(digest_of("fb-replay", "uc-tcp"), "2bac3a9fe2874e8a");
   EXPECT_EQ(digest_of("osp-replay", "aalo"), "3a2b9fc5cf560b0c");
   EXPECT_EQ(digest_of("osp-replay", "uc-tcp"), "c28713c0c5c3681c");
+}
+
+// The from-scratch reference Saath (tests/reference/) reproduces the pins
+// of EveryScenarioUnderSaath: they are Fig 7's schedule, not an artefact of
+// the incremental structures that produce them.
+TEST(RegistryDigest, EveryScenarioUnderTheReferenceSaath) {
+  const std::map<std::string, std::string> pinned = {
+      {"failure-storm", "cb25e1d2bfd19814"},
+      {"fb-replay", "ecb66aa036602501"},
+      {"multi-tenant-merge", "f87eee827198da47"},
+      {"osp-replay", "2c3d5c047a71a991"},
+      {"pipeline-dag", "073b52f7dfba2bd9"},
+      {"steady-churn", "8384c0a57d73e062"},
+  };
+  for (const auto& [name, digest] : pinned) {
+    const workload::ScenarioSetup setup = workload::make_scenario(name);
+    reference::ReferenceSaath sched;
+    Engine engine(setup.source, sched, setup.config);
+    EXPECT_EQ(replay::result_digest_hex(engine.run()), digest) << name;
+  }
+}
+
+// The testbed's PipelinedScheduler drives Saath through the full-delta
+// route (schedule() with no delta stream) on a scratch fabric every epoch,
+// which the registry runs never take.
+TEST(RegistryDigest, TestbedRouteOnSyntheticFbTrace) {
+  trace::SynthConfig cfg;
+  cfg.num_ports = 40;
+  cfg.num_coflows = 120;
+  cfg.arrival_span = seconds(8);
+  cfg.seed = 77;
+  const auto t = trace::synth_fb_trace(cfg);
+  const std::map<std::string, std::string> pinned = {
+      {"saath", "1ce3c88b08fe8dea"},
+      {"saath-an-pf-fifo", "00f68aca267a3808"},
+      {"saath-an-fifo", "1489916e8a1ac051"},
+  };
+  for (const auto& [name, digest] : pinned) {
+    auto sched = make_scheduler(name);
+    const SimResult r = runtime::run_testbed(t, *sched);
+    EXPECT_EQ(replay::result_digest_hex(r), digest) << name;
+  }
 }
 
 }  // namespace

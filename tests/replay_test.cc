@@ -10,6 +10,7 @@
 
 #include "replay/checkpoint.h"
 #include "replay/fault.h"
+#include "reference/reference.h"
 #include "replay/journal.h"
 #include "sched/aalo.h"
 #include "sched/factory.h"
@@ -26,18 +27,15 @@ namespace {
 
 using workload::WorkloadEvent;
 
+/// Production, or (`reference`) the from-scratch reference model.
 std::unique_ptr<Scheduler> matrix_scheduler(const std::string& which,
-                                            bool incremental) {
+                                            bool reference) {
   if (which == "saath") {
-    SaathConfig cfg;
-    cfg.incremental_order = incremental;
-    cfg.incremental_spatial = incremental;
-    cfg.incremental_backfill = incremental;
-    return std::make_unique<SaathScheduler>(cfg);
+    if (reference) return std::make_unique<reference::ReferenceSaath>();
+    return std::make_unique<SaathScheduler>();
   }
-  AaloConfig cfg;
-  cfg.incremental_order = incremental;
-  return std::make_unique<AaloScheduler>(cfg);
+  if (reference) return std::make_unique<reference::ReferenceAalo>();
+  return std::make_unique<AaloScheduler>();
 }
 
 trace::Trace matrix_trace() {
@@ -74,16 +72,16 @@ TEST(RecordReplay, DigestIdentityAcrossConfigAndSchedulerMatrix) {
   for (const std::string which : {"saath", "aalo"}) {
     for (const bool skip : {true, false}) {
       for (const bool event : {true, false}) {
-        for (const bool incremental : {true, false}) {
+        for (const bool reference : {false, true}) {
           SimConfig cfg;
           cfg.skip_quiescent_epochs = skip;
           cfg.event_driven = event;
           const std::string what = which + (skip ? "/skip" : "/noskip") +
                                    (event ? "/event" : "/scan") +
-                                   (incremental ? "/inc" : "/full");
+                                   (reference ? "/reference" : "/production");
 
           // Baseline: the same workload run without any recording layer.
-          auto base_sched = matrix_scheduler(which, incremental);
+          auto base_sched = matrix_scheduler(which, reference);
           const SimResult base =
               simulate(std::make_shared<workload::TraceSource>(trace::Trace(t)),
                        *base_sched, cfg);
@@ -93,7 +91,7 @@ TEST(RecordReplay, DigestIdentityAcrossConfigAndSchedulerMatrix) {
           auto rec = std::make_shared<replay::RecordingSource>(
               std::make_shared<workload::TraceSource>(trace::Trace(t)),
               journal, cfg, /*seed=*/41);
-          auto rec_sched = matrix_scheduler(which, incremental);
+          auto rec_sched = matrix_scheduler(which, reference);
           const SimResult recorded = simulate(rec, *rec_sched, cfg);
           expect_identical(base, recorded, what + " record");
 
@@ -104,7 +102,7 @@ TEST(RecordReplay, DigestIdentityAcrossConfigAndSchedulerMatrix) {
           EXPECT_EQ(rs->recorded_seed(), 41);
           EXPECT_EQ(rs->recorded_config().skip_quiescent_epochs, skip);
           EXPECT_EQ(rs->recorded_config().event_driven, event);
-          auto rep_sched = matrix_scheduler(which, incremental);
+          auto rep_sched = matrix_scheduler(which, reference);
           const SimResult replayed =
               simulate(rs, *rep_sched, rs->recorded_config());
           expect_identical(base, replayed, what + " replay");
@@ -290,7 +288,7 @@ TEST(Checkpoint, ResumeMatchesUninterruptedRunAcrossMatrix) {
         auto rec = std::make_shared<replay::RecordingSource>(
             std::make_shared<workload::TraceSource>(trace::Trace(t)), journal,
             cfg, /*seed=*/41);
-        auto full_sched = matrix_scheduler(which, true);
+        auto full_sched = matrix_scheduler(which, false);
         Engine full(rec, *full_sched, cfg);
         EngineSnapshot snap;
         bool captured = false;
@@ -314,7 +312,7 @@ TEST(Checkpoint, ResumeMatchesUninterruptedRunAcrossMatrix) {
         std::istringstream in(journal.str());
         auto rs = std::make_shared<replay::ReplaySource>(in);
         rs->skip(restored.source_events_consumed);
-        auto res_sched = matrix_scheduler(which, true);
+        auto res_sched = matrix_scheduler(which, false);
         Engine resumed(rs, *res_sched, rs->recorded_config());
         resumed.restore_snapshot(restored);
         const SimResult resumed_result = resumed.run();

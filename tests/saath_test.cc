@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "fabric/fabric.h"
+#include "reference/reference.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
 #include "test_util.h"
@@ -290,9 +291,9 @@ TEST(Saath, SkewedFlowsStillComplete) {
 TEST(Saath, IndexedBackfillEngagesAndMatchesDenseOnDeltaRounds) {
   // Drive precise deltas directly (the engine way) so the incremental
   // schedule path — and with it the port-indexed backfill — actually runs,
-  // and compare every flow rate of every round against the dense oracle.
-  const auto drive = [](bool backfill, std::vector<Rate>* rates_out,
-                        SaathPhaseStats* stats_out) {
+  // and compare every flow rate of every round against the reference
+  // Saath's dense rescan.
+  const auto drive = [](Scheduler& sched, std::vector<Rate>* rates_out) {
     testing::StateSet set;
     // Heavy contention on sender 0/receiver 9: most CoFlows miss admission
     // and live off the backfill.
@@ -302,14 +303,11 @@ TEST(Saath, IndexedBackfillEngagesAndMatchesDenseOnDeltaRounds) {
                            {1, 9, 50'000},
                            {static_cast<PortIndex>(2 + i), 9, 50'000}}));
     }
-    SaathConfig cfg;
-    cfg.incremental_backfill = backfill;
-    SaathScheduler sched(cfg);
     Fabric fabric(10, 1000.0);
     RateAssignment rates(10);
     SchedulerDelta delta;
     delta.full = false;
-    delta.stream_id = backfill ? 77001 : 77002;
+    delta.stream_id = 77001;
     for (CoflowState* c : set.active()) sched.on_coflow_arrival(*c, 0);
     for (int round = 0; round < 40; ++round) {
       const SimTime now = msec(8) * round;
@@ -334,34 +332,30 @@ TEST(Saath, IndexedBackfillEngagesAndMatchesDenseOnDeltaRounds) {
         }
       }
     }
-    *stats_out = sched.phase_stats();
   };
 
   std::vector<Rate> indexed_rates;
   std::vector<Rate> dense_rates;
-  SaathPhaseStats indexed_stats;
-  SaathPhaseStats dense_stats;
-  drive(true, &indexed_rates, &indexed_stats);
-  drive(false, &dense_rates, &dense_stats);
+  SaathScheduler indexed;
+  reference::ReferenceSaath dense;
+  drive(indexed, &indexed_rates);
+  drive(dense, &dense_rates);
 
   ASSERT_EQ(indexed_rates.size(), dense_rates.size());
   for (std::size_t i = 0; i < indexed_rates.size(); ++i) {
     ASSERT_EQ(indexed_rates[i], dense_rates[i]) << "rate stream index " << i;
   }
-  // The machinery must actually engage — and the oracle must not.
-  EXPECT_GT(indexed_stats.backfill_rounds, 0);
-  EXPECT_GT(indexed_stats.backfill_missed, 0);
-  EXPECT_EQ(dense_stats.backfill_rounds, 0);
-  // Rounds with no churn at all replay the recorded conservation stream.
-  EXPECT_GT(indexed_stats.conserve_replays, 0);
-  EXPECT_EQ(dense_stats.conserve_replays, 0);
+  // The machinery must actually engage.
+  const SaathPhaseStats& st = indexed.phase_stats();
+  EXPECT_GT(st.delta_rounds, 0);
+  EXPECT_GT(st.backfill_rounds, 0);
+  EXPECT_GT(st.backfill_missed, 0);
 }
 
 TEST(Saath, ConserveReplayEngagesOnQuiescentEngineRounds) {
   // With the quiescent-epoch skip off, the engine recomputes every epoch;
-  // epochs with no delta replay the whole admission prefix AND the
-  // conservation allocations — and the results must equal the dense
-  // oracle's exactly.
+  // epochs with no delta replay the whole admission prefix, and the
+  // results must equal the reference Saath's exactly.
   const auto t = make_trace(
       6, {make_coflow(0, 0, {{0, 3, 5000}, {1, 4, 5000}}),
           make_coflow(1, usec(1), {{0, 5, 8000}, {2, 3, 8000}}),
@@ -370,9 +364,7 @@ TEST(Saath, ConserveReplayEngagesOnQuiescentEngineRounds) {
   cfg.skip_quiescent_epochs = false;
 
   SaathScheduler indexed;
-  SaathConfig dense_cfg;
-  dense_cfg.incremental_backfill = false;
-  SaathScheduler dense(dense_cfg);
+  reference::ReferenceSaath dense;
   const auto r_indexed = simulate(t, indexed, cfg);
   const auto r_dense = simulate(t, dense, cfg);
 
@@ -382,8 +374,7 @@ TEST(Saath, ConserveReplayEngagesOnQuiescentEngineRounds) {
     EXPECT_EQ(r_indexed.coflows[i].flow_fcts_seconds,
               r_dense.coflows[i].flow_fcts_seconds);
   }
-  EXPECT_GT(indexed.phase_stats().conserve_replays, 0);
-  EXPECT_EQ(dense.phase_stats().conserve_replays, 0);
+  EXPECT_GT(indexed.phase_stats().replayed_ranks, 0);
 }
 
 TEST(Saath, Fig8LcofLimitationReproduced) {

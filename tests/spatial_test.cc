@@ -1,6 +1,7 @@
 // SpatialIndex / OccupancyIndex: the incremental structures must agree with
-// the batch oracle (sched/contention.cc) after EVERY event — arrival, flow
-// completion, queue (group) move, CoFlow removal — not just at steady state.
+// the reference's batch k_c (tests/reference/) after EVERY event — arrival,
+// flow completion, queue (group) move, CoFlow removal — not just at steady
+// state.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -8,7 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "sched/contention.h"
+#include "reference/reference.h"
 #include "spatial/contention.h"
 #include "test_util.h"
 #include "trace/synth.h"
@@ -26,7 +27,7 @@ std::vector<int> oracle_for(const spatial::SpatialIndex& index,
   for (std::size_t i = 0; i < active.size(); ++i) {
     group[i] = index.group_of(active[i]->id());
   }
-  return compute_contention_grouped(active, num_ports, group);
+  return reference::batch_contention(active, num_ports, group);
 }
 
 void expect_matches_oracle(const spatial::SpatialIndex& index,

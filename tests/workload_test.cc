@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "reference/reference.h"
 #include "sched/aalo.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
@@ -44,20 +45,16 @@ void expect_identical(const SimResult& a, const SimResult& b,
   }
 }
 
-/// Schedulers of the identity matrix: {saath, aalo} x incremental order
-/// on/off (the oracle pair of the delta-driven phase).
+/// Schedulers of the identity matrix: {saath, aalo} x {production, the
+/// from-scratch reference model}.
 std::unique_ptr<Scheduler> matrix_scheduler(const std::string& which,
-                                            bool incremental) {
+                                            bool reference) {
   if (which == "saath") {
-    SaathConfig cfg;
-    cfg.incremental_order = incremental;
-    cfg.incremental_spatial = incremental;
-    cfg.incremental_backfill = incremental;
-    return std::make_unique<SaathScheduler>(cfg);
+    if (reference) return std::make_unique<reference::ReferenceSaath>();
+    return std::make_unique<SaathScheduler>();
   }
-  AaloConfig cfg;
-  cfg.incremental_order = incremental;
-  return std::make_unique<AaloScheduler>(cfg);
+  if (reference) return std::make_unique<reference::ReferenceAalo>();
+  return std::make_unique<AaloScheduler>();
 }
 
 trace::Trace matrix_trace() {
@@ -117,21 +114,21 @@ TEST(TraceSource, SharedAndOwnedEmitTheSameStream) {
 TEST(StreamIdentity, FbTraceAcrossSkipEventOrderMatrix) {
   const auto t = matrix_trace();
   for (const std::string which : {"saath", "aalo"}) {
-    for (const bool incremental : {true, false}) {
+    for (const bool reference : {false, true}) {
       for (const bool skip : {true, false}) {
         for (const bool event : {true, false}) {
           SimConfig cfg;
           cfg.skip_quiescent_epochs = skip;
           cfg.event_driven = event;
-          auto s1 = matrix_scheduler(which, incremental);
-          auto s2 = matrix_scheduler(which, incremental);
+          auto s1 = matrix_scheduler(which, reference);
+          auto s2 = matrix_scheduler(which, reference);
           const auto materialized = simulate(t, *s1, cfg);
           const auto streamed = simulate(
               std::make_shared<workload::TraceSource>(trace::Trace(t)), *s2,
               cfg);
           expect_identical(
               materialized, streamed,
-              which + (incremental ? "/inc" : "/oracle") +
+              which + (reference ? "/reference" : "/production") +
                   (skip ? "/skip" : "/noskip") + (event ? "/event" : "/scan"));
         }
       }
@@ -165,7 +162,7 @@ TEST(StreamIdentity, DynamicsAndDataGatesAsStreamEvents) {
         cfg.event_driven = event;
 
         // Legacy side channels.
-        auto s1 = matrix_scheduler(which, true);
+        auto s1 = matrix_scheduler(which, false);
         Engine legacy(t, *s1, cfg);
         for (const auto& ev : dynamics) legacy.add_dynamics_event(ev);
         for (const auto& [id, when] : gates) {
@@ -188,7 +185,7 @@ TEST(StreamIdentity, DynamicsAndDataGatesAsStreamEvents) {
                 arrivals, std::make_shared<workload::ScriptSource>(
                               "script", ports, std::move(script))},
             /*reassign_ids=*/false);
-        auto s2 = matrix_scheduler(which, true);
+        auto s2 = matrix_scheduler(which, false);
         Engine streamed(merged, *s2, cfg);
         for (const auto& [id, when] : gates) {
           streamed.set_data_available_at(CoflowId{id}, when);
@@ -313,8 +310,8 @@ TEST(SynthSource, StreamedEqualsMaterializedThenReplayed) {
 
   // Engine-level equivalence, both schedulers.
   for (const std::string which : {"saath", "aalo"}) {
-    auto s1 = matrix_scheduler(which, true);
-    auto s2 = matrix_scheduler(which, true);
+    auto s1 = matrix_scheduler(which, false);
+    auto s2 = matrix_scheduler(which, false);
     const auto streamed =
         simulate(std::make_shared<workload::SynthSource>(cfg), *s1, {});
     const auto replayed = simulate(materialized, *s2, {});
@@ -658,11 +655,11 @@ TEST(ResultSink, StreamingReclamationIsBitIdenticalAcrossSchedulers) {
   // lifetime test as much as a correctness test).
   const auto t = matrix_trace();
   for (const std::string which : {"saath", "aalo"}) {
-    for (const bool incremental : {true, false}) {
-      auto s1 = matrix_scheduler(which, incremental);
+    for (const bool reference : {false, true}) {
+      auto s1 = matrix_scheduler(which, reference);
       const auto materialized = simulate(t, *s1, {});
 
-      auto s2 = matrix_scheduler(which, incremental);
+      auto s2 = matrix_scheduler(which, reference);
       SimConfig cfg;
       cfg.record_results = false;
       workload::CctAggregator agg;

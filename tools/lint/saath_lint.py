@@ -40,12 +40,14 @@ the compiler cannot see:
                         cross-thread dangle waiting to happen — the engine
                         thread owns those objects and reclaims finished
                         ones right after the round's sink flush.
-  flag-matrix           Every incremental/event-driven mode flag (the
-                        bool incremental_* config knobs plus event_driven
-                        and skip_quiescent_epochs) must be exercised by at
-                        least one test under tests/ — the bit-identity
-                        oracle matrix is the only thing keeping the delta
-                        paths honest.
+  flag-matrix           Every engine mode flag (event_driven and
+                        skip_quiescent_epochs, the two left) and any new
+                        bool incremental_* config knob must be exercised by
+                        at least one test under tests/ — the bit-identity
+                        matrix is what keeps each fast path honest against
+                        the path it replaces. The schedulers carry no mode
+                        flag: their oracle is the reference model under
+                        tests/reference/.
 
 Design: the default backend is a self-contained lexer (comment/string
 stripping + brace matching) so the lint runs anywhere Python does — the CI
@@ -111,10 +113,6 @@ RETENTION_ALLOWLIST = {
         "candidates_", "touch_only_", "entered_", "prime_entries_",
         "order_scratch_", "missed_scratch_", "recross_",
         "sync_active_data_",
-        # RankRecord::coflow / ConserveRecord::{coflow,flow}: entries of
-        # rank_records_/conserve_cache_, invalidated by trajectory version
-        # before any cross-round reuse.
-        "coflow", "flow",
     },
     "src/sched/aalo.h": {"sort_scratch_"},
     "src/sched/uc_tcp.h": {"flows_", "owners_"},
