@@ -1,14 +1,16 @@
 // Event-driven simulation core benchmark — the perf trajectory anchor for
 // the advance phase (completion resolution) and the max-min filler.
 //
-// Runs the FB-scale trace (150 ports, 526 CoFlows) through Saath twice:
-// once with the completion heap (SimConfig::event_driven = true, the
-// default) and once with the scan-based oracle that searches every flow of
-// every active CoFlow per completion micro-step. Reports epochs/sec,
-// advance-phase ns per flow completion, and the oracle/event ratio, plus a
-// maxmin_fair_rates micro-benchmark (ns/flow at FB-snapshot density), and
-// writes everything as machine-readable BENCH_engine_core.json for the CI
-// smoke gate (the advance-phase ratio must hold >= 5x at this scale).
+// Runs the FB-scale trace (150 ports, 526 CoFlows) through production Saath
+// twice: on the production engine (completion heap, quiescent skip) and on
+// the reference engine of tests/reference/ (the "oracle" side: a scan of
+// every unfinished flow per completion micro-step, every epoch scheduled,
+// the 4-arg schedule() so Saath takes its full route). Reports scheduling
+// rounds/sec ("epochs"), advance-phase ns per flow completion, and the
+// oracle/engine ratio, plus a maxmin_fair_rates micro-benchmark (ns/flow at
+// FB-snapshot density), and writes everything as machine-readable
+// BENCH_engine_core.json for the CI smoke gate (the advance-phase ratio
+// must hold >= 5x at this scale).
 //
 //   $ ./engine_core [--coflows N] [--out BENCH_engine_core.json]
 #include <chrono>
@@ -19,6 +21,7 @@
 
 #include "bench_util.h"
 #include "fabric/maxmin.h"
+#include "reference/engine.h"
 #include "replay/journal.h"
 #include "sched/factory.h"
 #include "sched/saath.h"
@@ -42,11 +45,19 @@ struct RunMeasurement {
   SimResult result;
 };
 
-RunMeasurement run_engine(const trace::Trace& trace, bool event_driven) {
+/// Fills the rate fields from a run's counters.
+void finish_measurement(RunMeasurement& m, std::int64_t advance_ns) {
+  m.epochs_per_sec = m.epochs / (m.wall_ms / 1e3);
+  m.advance_ns_per_completion =
+      m.completions > 0 ? static_cast<double>(advance_ns) /
+                              static_cast<double>(m.completions)
+                        : 0;
+  m.advance_ms = static_cast<double>(advance_ns) / 1e6;
+}
+
+RunMeasurement run_engine(const trace::Trace& trace) {
   SaathScheduler sched;
-  SimConfig cfg = bench::paper_sim_config();
-  cfg.event_driven = event_driven;
-  Engine engine(trace, sched, cfg);
+  Engine engine(trace, sched, bench::paper_sim_config());
   const auto t0 = Clock::now();
   RunMeasurement m;
   m.result = engine.run();
@@ -54,13 +65,22 @@ RunMeasurement run_engine(const trace::Trace& trace, bool event_driven) {
   const auto& st = engine.stats();
   m.epochs = engine.scheduling_rounds();
   m.completions = st.flow_completions;
-  m.epochs_per_sec = engine.scheduling_rounds() / (m.wall_ms / 1e3);
-  m.advance_ns_per_completion =
-      st.flow_completions > 0
-          ? static_cast<double>(st.advance_ns) / static_cast<double>(st.flow_completions)
-          : 0;
-  m.advance_ms = static_cast<double>(st.advance_ns) / 1e6;
   m.schedule_ms = static_cast<double>(st.schedule_ns) / 1e6;
+  finish_measurement(m, st.advance_ns);
+  return m;
+}
+
+/// The same run on the reference engine, which times its advance only.
+RunMeasurement run_reference_engine(const trace::Trace& trace) {
+  SaathScheduler sched;
+  reference::ReferenceEngine engine(trace, sched, bench::paper_sim_config());
+  const auto t0 = Clock::now();
+  RunMeasurement m;
+  m.result = engine.run();
+  m.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  m.epochs = engine.scheduling_rounds();
+  m.completions = engine.stats().flow_completions;
+  finish_measurement(m, engine.stats().advance_ns);
   return m;
 }
 
@@ -75,19 +95,25 @@ struct ChurnMeasurement {
 };
 
 ChurnMeasurement run_steady_churn(const std::string& sched_name,
-                                  bool event_driven) {
+                                  bool reference_engine) {
   workload::ScenarioSetup setup = workload::make_scenario("steady-churn");
   auto sched = make_scheduler(sched_name);
   SimConfig cfg = setup.config;
   apply_scheduler_sim_overrides(sched_name, cfg);
-  cfg.event_driven = event_driven;
-  Engine engine(setup.source, *sched, cfg);
-  const auto t0 = Clock::now();
-  const SimResult result = engine.run();
   ChurnMeasurement m;
+  const auto t0 = Clock::now();
+  SimResult result;
+  if (reference_engine) {
+    reference::ReferenceEngine engine(setup.source, *sched, cfg);
+    result = engine.run();
+    m.epochs = engine.scheduling_rounds();
+  } else {
+    Engine engine(setup.source, *sched, cfg);
+    result = engine.run();
+    m.epochs = engine.scheduling_rounds();
+  }
   m.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  m.epochs = engine.scheduling_rounds();
   m.epochs_per_sec = m.epochs / (m.wall_ms / 1e3);
   m.digest = replay::result_digest(result);
   return m;
@@ -129,14 +155,15 @@ int run(int argc, char** argv) {
   const auto trace = trace::synth_fb_trace(cfg);
 
   bench::print_header(
-      "engine core — event-driven advance (heap) vs scan oracle, " +
+      "engine core — production engine (heap advance, skip) vs reference "
+      "engine (scan advance, every epoch), " +
           std::to_string(coflows) + " CoFlows on 150 ports",
-      "ROADMAP perf trajectory; ISSUE 2 acceptance: advance ratio >= 5x");
+      "ROADMAP perf trajectory; CI gate: advance ratio >= 5x");
 
-  const auto event = run_engine(trace, /*event_driven=*/true);
-  const auto oracle = run_engine(trace, /*event_driven=*/false);
+  const auto event = run_engine(trace);
+  const auto oracle = run_reference_engine(trace);
 
-  // The two modes must agree bit-exactly; a silent divergence would make
+  // The two engines must agree bit-exactly; a silent divergence would make
   // every number below meaningless.
   bool identical = event.result.coflows.size() == oracle.result.coflows.size();
   for (std::size_t i = 0; identical && i < event.result.coflows.size(); ++i) {
@@ -148,19 +175,21 @@ int run(int argc, char** argv) {
   int maxmin_flows = 0;
   const double maxmin_ns_per_flow = bench_maxmin(trace, &maxmin_flows);
 
-  // Steady-churn matrix: every scheduler runs event-driven and against the
-  // scan oracle; the digests must agree pairwise (the SoA/batched-heap hot
-  // path is digest-gated, not just epoch-count-gated). The saath
-  // event-driven epochs/sec is the perf-trajectory headline number.
+  // Steady-churn matrix: every scheduler runs on the production engine and
+  // on the reference engine; the digests must agree pairwise (the SoA/heap
+  // hot path is digest-gated, not just round-count-gated). The saath
+  // production rounds/sec is the perf-trajectory headline number.
   const char* kChurnScheds[] = {"saath", "aalo", "uc-tcp"};
   ChurnMeasurement churn_event[3], churn_oracle[3];
   bool churn_identical = true;
-  std::printf("\nsteady-churn scenario (event-driven vs scan oracle)\n");
-  std::printf("%-10s %12s %12s %10s %18s\n", "scheduler", "event ep/s",
-              "oracle ep/s", "ratio", "digest");
+  std::printf("\nsteady-churn scenario (production vs reference engine)\n");
+  std::printf("%-10s %12s %12s %10s %18s\n", "scheduler", "engine rd/s",
+              "ref rd/s", "ratio", "digest");
   for (int s = 0; s < 3; ++s) {
-    churn_event[s] = run_steady_churn(kChurnScheds[s], /*event_driven=*/true);
-    churn_oracle[s] = run_steady_churn(kChurnScheds[s], /*event_driven=*/false);
+    churn_event[s] =
+        run_steady_churn(kChurnScheds[s], /*reference_engine=*/false);
+    churn_oracle[s] =
+        run_steady_churn(kChurnScheds[s], /*reference_engine=*/true);
     const bool same = churn_event[s].digest == churn_oracle[s].digest;
     churn_identical = churn_identical && same;
     const double ratio = churn_oracle[s].epochs_per_sec > 0
@@ -179,10 +208,10 @@ int run(int argc, char** argv) {
           : 0;
   const double end_to_end_ratio = oracle.wall_ms / event.wall_ms;
 
-  std::printf("%-22s %14s %14s\n", "", "event-driven", "scan oracle");
+  std::printf("%-22s %14s %14s\n", "", "production", "reference");
   std::printf("%-22s %14.1f %14.1f\n", "wall ms", event.wall_ms, oracle.wall_ms);
-  std::printf("%-22s %14d %14d\n", "epochs", event.epochs, oracle.epochs);
-  std::printf("%-22s %14.0f %14.0f\n", "epochs/sec", event.epochs_per_sec,
+  std::printf("%-22s %14d %14d\n", "rounds", event.epochs, oracle.epochs);
+  std::printf("%-22s %14.0f %14.0f\n", "rounds/sec", event.epochs_per_sec,
               oracle.epochs_per_sec);
   std::printf("%-22s %14.0f %14.0f\n", "advance ns/completion",
               event.advance_ns_per_completion, oracle.advance_ns_per_completion);
@@ -208,10 +237,10 @@ int run(int argc, char** argv) {
                "\"epochs_per_sec\": %.1f, \"completions\": %lld, "
                "\"advance_ns_per_completion\": %.1f, \"advance_ms\": %.3f, "
                "\"schedule_ms\": %.3f},\n"
-               "  \"oracle\": {\"wall_ms\": %.3f, \"epochs\": %d, "
-               "\"epochs_per_sec\": %.1f, \"completions\": %lld, "
-               "\"advance_ns_per_completion\": %.1f, \"advance_ms\": %.3f, "
-               "\"schedule_ms\": %.3f},\n"
+               "  \"oracle\": {\"engine\": \"reference\", \"wall_ms\": %.3f, "
+               "\"epochs\": %d, \"epochs_per_sec\": %.1f, "
+               "\"completions\": %lld, \"advance_ns_per_completion\": %.1f, "
+               "\"advance_ms\": %.3f},\n"
                "  \"advance_ratio\": %.2f,\n"
                "  \"end_to_end_ratio\": %.2f,\n"
                "  \"maxmin\": {\"flows\": %d, \"ns_per_flow\": %.1f},\n"
@@ -226,7 +255,7 @@ int run(int argc, char** argv) {
                event.schedule_ms, oracle.wall_ms, oracle.epochs,
                oracle.epochs_per_sec, static_cast<long long>(oracle.completions),
                oracle.advance_ns_per_completion, oracle.advance_ms,
-               oracle.schedule_ms, advance_ratio, end_to_end_ratio,
+               advance_ratio, end_to_end_ratio,
                maxmin_flows, maxmin_ns_per_flow,
                churn_identical ? "true" : "false",
                churn_event[0].epochs_per_sec);

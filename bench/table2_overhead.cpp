@@ -20,6 +20,7 @@
 
 #include "coflow/coflow.h"
 #include "fabric/fabric.h"
+#include "reference/engine.h"
 #include "reference/reference.h"
 #include "sched/aalo.h"
 #include "sched/contention.h"
@@ -176,8 +177,8 @@ BENCHMARK(BM_SpatialIndexChurn)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 /// End-to-end coordinator cost over a full busy FB-scale engine run:
 /// exercises the event-driven deltas (arrivals/completions) and the
 /// quiescent-epoch skip rather than a frozen snapshot. incremental:0 runs
-/// the reference Saath with the skip off: every epoch recomputed from
-/// scratch.
+/// the reference Saath on the reference engine (tests/reference/): every
+/// epoch recomputed from scratch.
 void BM_SaathEngineRun(benchmark::State& state) {
   trace::SynthConfig cfg;
   cfg.num_ports = 150;
@@ -188,20 +189,23 @@ void BM_SaathEngineRun(benchmark::State& state) {
   std::int64_t rounds = 0;
   std::int64_t order_ns = 0;
   for (auto _ : state) {
-    SaathScheduler production;
-    reference::ReferenceSaath ref;
-    Scheduler& sched = incremental ? static_cast<Scheduler&>(production)
-                                   : static_cast<Scheduler&>(ref);
     SimConfig sim;
     sim.port_bandwidth = gbps(1);
     sim.delta = msec(8);
-    sim.skip_quiescent_epochs = incremental;
-    Engine engine(trace, sched, sim);
-    benchmark::DoNotOptimize(engine.run());
-    const SaathPhaseStats& st =
-        incremental ? production.phase_stats() : ref.phase_stats();
-    rounds += st.rounds;
-    order_ns += st.order_ns;
+    const SaathPhaseStats* st = nullptr;
+    SaathScheduler production;
+    reference::ReferenceSaath ref;
+    if (incremental) {
+      Engine engine(trace, production, sim);
+      benchmark::DoNotOptimize(engine.run());
+      st = &production.phase_stats();
+    } else {
+      reference::ReferenceEngine engine(trace, ref, sim);
+      benchmark::DoNotOptimize(engine.run());
+      st = &ref.phase_stats();
+    }
+    rounds += st->rounds;
+    order_ns += st->order_ns;
   }
   state.counters["order_us"] =
       static_cast<double>(order_ns) / 1e3 / static_cast<double>(rounds);

@@ -4,8 +4,7 @@
 //
 // The dynamics arrive as workload events: a ScriptSource carrying the
 // failure/straggler timeline is merged with the trace replay, and the whole
-// mix is registered as a scenario — no hand-rolled engine setup, no
-// add_dynamics_event side channel.
+// mix is registered as a scenario — no hand-rolled engine setup.
 //
 //   $ ./cluster_dynamics
 #include <algorithm>

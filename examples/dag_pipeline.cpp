@@ -1,16 +1,33 @@
 // Multi-stage DAG scheduling (§4.3): a Hive-style query with a diamond
 // dependency graph, where each stage is one CoFlow released when its
-// parents finish. Demonstrates JobTracker + Engine::inject_coflow.
+// parents finish. Demonstrates workload::DagSource, which releases the
+// stages off the engine's completion feedback, and a ResultSink watching
+// them finish.
 //
 //   $ ./dag_pipeline
 #include <cstdio>
+#include <memory>
 
 #include "coflow/job.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
-#include "trace/trace.h"
+#include "workload/dag_source.h"
 
 using namespace saath;
+
+namespace {
+
+/// Prints each stage as it finishes.
+class StagePrinter final : public ResultSink {
+ public:
+  void on_coflow_complete(const CoflowRecord& rec, SimTime now) override {
+    std::printf("t=%.3fs: stage %d finished (released t=%.3fs, CCT %.3fs)\n",
+                to_seconds(now), rec.stage, to_seconds(rec.arrival),
+                rec.cct_seconds());
+  }
+};
+
+}  // namespace
 
 int main() {
   // Diamond DAG: stage0 -> {stage1, stage2} -> stage3.
@@ -22,30 +39,15 @@ int main() {
   job.stages.push_back({{{2, 6, 40 * kMB}, {3, 6, 40 * kMB}}, {1, 2}});
   job.validate();
 
-  trace::Trace trace;
-  trace.name = "dag";
-  trace.num_ports = 8;
-  JobTracker tracker(job);
-  trace.coflows.push_back(tracker.make_coflow(0, CoflowId{0}, 0));
-  tracker.mark_released(0);
+  auto dag = std::make_shared<workload::DagSource>("dag", 8);
+  dag->add_job(job);
 
   SaathScheduler scheduler;
-  Engine engine(trace, scheduler, SimConfig{});
-  std::int64_t next_id = 1;
-  engine.set_completion_callback([&](const CoflowRecord& rec, SimTime now,
-                                     Engine& eng) {
-    if (rec.job != job.id) return;
-    std::printf("t=%.3fs: stage %d finished (CCT %.3fs)\n", to_seconds(now),
-                rec.stage, rec.cct_seconds());
-    for (int stage : tracker.mark_finished(rec.stage, now)) {
-      std::printf("t=%.3fs: releasing stage %d\n", to_seconds(now), stage);
-      eng.inject_coflow(tracker.make_coflow(stage, CoflowId{next_id++}, now));
-      tracker.mark_released(stage);
-    }
-  });
-
+  Engine engine(dag, scheduler, SimConfig{});
+  StagePrinter printer;
+  engine.set_result_sink(&printer);
   const auto result = engine.run();
   std::printf("ran %zu coflows; query completed at t=%.3fs\n",
-              result.coflows.size(), to_seconds(tracker.finish_time()));
+              result.coflows.size(), to_seconds(dag->job_finish_time(job.id)));
   return 0;
 }

@@ -102,13 +102,10 @@ void report_run(const char* label, const SimResult& result,
       static_cast<long long>(agg.count()), to_seconds(agg.makespan()),
       agg.mean_cct_seconds(), agg.percentile_cct_seconds(50),
       agg.percentile_cct_seconds(90));
-  std::printf(
-      "  epochs %lld  rounds %d  peak live %lld  source events %lld  "
-      "injected moves %lld\n",
-      static_cast<long long>(stats.epochs), rounds,
-      static_cast<long long>(stats.peak_live_coflows),
-      static_cast<long long>(stats.source_events),
-      static_cast<long long>(stats.injected_moves));
+  std::printf("  epochs %lld  rounds %d  peak live %lld  source events %lld\n",
+              static_cast<long long>(stats.epochs), rounds,
+              static_cast<long long>(stats.peak_live_coflows),
+              static_cast<long long>(stats.source_events));
   if (stats.rejected_events > 0 || stats.quarantine_events > 0 ||
       !stats.abandoned_coflow_ids.empty()) {
     std::printf(
@@ -725,12 +722,10 @@ int main(int argc, char** argv) {
         agg.mean_cct_seconds(), agg.percentile_cct_seconds(50),
         agg.percentile_cct_seconds(90));
     std::printf(
-        "  epochs %lld  rounds %d  peak live %lld  source events %lld  "
-        "injected moves %lld\n",
+        "  epochs %lld  rounds %d  peak live %lld  source events %lld\n",
         static_cast<long long>(run.stats.epochs), run.rounds,
         static_cast<long long>(run.stats.peak_live_coflows),
-        static_cast<long long>(run.stats.source_events),
-        static_cast<long long>(run.stats.injected_moves));
+        static_cast<long long>(run.stats.source_events));
     if (agg.count() == 0) any_empty = true;
   }
   if (any_empty) {

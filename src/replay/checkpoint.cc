@@ -142,9 +142,10 @@ void save_checkpoint(std::ostream& out, const EngineSnapshot& snap) {
       << snap.next_flow_id << ' ' << snap.source_events_consumed << ' '
       << snap.last_source_time << ' ' << snap.last_arrival_id << ' '
       << snap.makespan << '\n';
+  // The two 0s hold the retired injected-arrival and pending-dynamics
+  // counts (see the format note in checkpoint.h).
   out << "N " << snap.active.size() << ' ' << snap.quarantined.size() << ' '
-      << snap.data_gates.size() << ' ' << snap.injected.size() << ' '
-      << snap.pending_dynamics.size() << ' ' << snap.capacity_factors.size()
+      << snap.data_gates.size() << " 0 0 " << snap.capacity_factors.size()
       << ' ' << snap.completed.size() << '\n';
   for (const CoflowSnapshot& cs : snap.active) write_coflow(out, cs);
   for (const QuarantineSnapshot& qs : snap.quarantined) {
@@ -153,21 +154,6 @@ void save_checkpoint(std::ostream& out, const EngineSnapshot& snap) {
   }
   for (const auto& [id, when] : snap.data_gates) {
     out << "G " << id << ' ' << when << '\n';
-  }
-  for (const CoflowSpec& spec : snap.injected) {
-    out << "I " << spec.id.value << ' ' << spec.arrival << ' '
-        << spec.job.value << ' ' << spec.stage << ' ' << spec.flows.size();
-    for (const FlowSpec& f : spec.flows) {
-      out << ' ' << f.src << ' ' << f.dst << ' ' << f.size;
-    }
-    out << '\n';
-  }
-  for (const DynamicsEvent& d : snap.pending_dynamics) {
-    std::string line = "D " + std::to_string(d.time) + ' ' +
-                       std::to_string(static_cast<int>(d.kind)) + ' ' +
-                       std::to_string(d.port);
-    append_double(line, d.capacity_factor);
-    out << line << '\n';
   }
   for (const auto& [port, factor] : snap.capacity_factors) {
     std::string line = "P " + std::to_string(port);
@@ -237,6 +223,18 @@ EngineSnapshot load_checkpoint(std::istream& in) {
       n_factors < 0 || n_done < 0) {
     throw std::runtime_error("checkpoint: negative section count");
   }
+  // Only the retired engine side channels could fill these two sections;
+  // this engine has nowhere to restore them to.
+  if (n_inj != 0) {
+    throw std::runtime_error(
+        "checkpoint: injected-arrival section is no longer supported (" +
+        std::to_string(n_inj) + " entries)");
+  }
+  if (n_dyn != 0) {
+    throw std::runtime_error(
+        "checkpoint: pending-dynamics section is no longer supported (" +
+        std::to_string(n_dyn) + " entries)");
+  }
   snap.active.reserve(static_cast<std::size_t>(n_active));
   for (std::int64_t i = 0; i < n_active; ++i) {
     snap.active.push_back(read_coflow(c));
@@ -253,33 +251,6 @@ EngineSnapshot load_checkpoint(std::istream& in) {
     const std::int64_t id = c.i64();
     const SimTime when = c.i64();
     snap.data_gates.emplace_back(id, when);
-  }
-  for (std::int64_t i = 0; i < n_inj; ++i) {
-    c.expect_tag("I");
-    CoflowSpec spec;
-    spec.id = CoflowId{c.i64()};
-    spec.arrival = c.i64();
-    spec.job = JobId{c.i64()};
-    spec.stage = c.i32();
-    const std::int64_t nf = c.i64();
-    if (nf < 0) throw std::runtime_error("checkpoint: negative flow count");
-    for (std::int64_t k = 0; k < nf; ++k) {
-      FlowSpec f;
-      f.src = static_cast<PortIndex>(c.i64());
-      f.dst = static_cast<PortIndex>(c.i64());
-      f.size = c.i64();
-      spec.flows.push_back(f);
-    }
-    snap.injected.push_back(std::move(spec));
-  }
-  for (std::int64_t i = 0; i < n_dyn; ++i) {
-    c.expect_tag("D");
-    DynamicsEvent d;
-    d.time = c.i64();
-    d.kind = static_cast<DynamicsEvent::Kind>(c.i64());
-    d.port = static_cast<PortIndex>(c.i64());
-    d.capacity_factor = c.f64();
-    snap.pending_dynamics.push_back(d);
   }
   for (std::int64_t i = 0; i < n_factors; ++i) {
     c.expect_tag("P");

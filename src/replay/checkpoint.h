@@ -7,6 +7,13 @@
 // save_checkpoint() is written atomically in one pass and ends with an END
 // sentinel, so a torn write (kill mid-checkpoint) is detected at load, not
 // silently resumed from.
+//
+// The `N` line counts each section in order: active, quarantined, gates,
+// injected arrivals, pending dynamics, capacity factors, completed. The
+// fourth and fifth counts held arrivals injected and dynamics registered
+// through engine side channels that no longer exist: they are written as 0
+// and a checkpoint with either count nonzero is rejected, so checkpoints
+// written before and after the removal keep one layout.
 #pragma once
 
 #include <iosfwd>

@@ -69,9 +69,10 @@ void write_config(std::string& line, const SimConfig& c) {
   append_double(line, c.port_bandwidth);
   append_token(line, std::to_string(c.delta));
   append_token(line, std::to_string(static_cast<int>(c.reallocate_on_completion)));
-  append_token(line, std::to_string(static_cast<int>(c.check_capacity)));
-  append_token(line, std::to_string(static_cast<int>(c.skip_quiescent_epochs)));
-  append_token(line, std::to_string(static_cast<int>(c.event_driven)));
+  // Three retired engine-mode slots, see the format note.
+  append_token(line, "1");
+  append_token(line, "1");
+  append_token(line, "1");
   append_token(line, std::to_string(static_cast<int>(c.record_results)));
   append_token(line, std::to_string(c.max_sim_time));
   append_token(line, "0");  // reserved slot, see the format note
@@ -86,9 +87,9 @@ void write_config(std::string& line, const SimConfig& c) {
   c.port_bandwidth = parse_double(take(ss, line_no), line_no);
   c.delta = parse_int(take(ss, line_no), line_no);
   c.reallocate_on_completion = parse_int(take(ss, line_no), line_no) != 0;
-  c.check_capacity = parse_int(take(ss, line_no), line_no) != 0;
-  c.skip_quiescent_epochs = parse_int(take(ss, line_no), line_no) != 0;
-  c.event_driven = parse_int(take(ss, line_no), line_no) != 0;
+  for (int retired = 0; retired < 3; ++retired) {
+    (void)parse_int(take(ss, line_no), line_no);
+  }
   c.record_results = parse_int(take(ss, line_no), line_no) != 0;
   c.max_sim_time = parse_int(take(ss, line_no), line_no);
   (void)parse_int(take(ss, line_no), line_no);  // reserved slot

@@ -2,7 +2,7 @@
 //
 // The engine's result is a pure function of (merged event stream, SimConfig,
 // scheduler) — every other degree of freedom (heap history, skip
-// decisions) is fenced to bit-identity by the oracle invariants. A
+// decisions) is fenced to bit-identity by the reference-engine invariants. A
 // RecordingSource therefore journals exactly the stream the engine consumed:
 // each next() is appended (and flushed — the journal must survive a kill)
 // before the event is handed over, so a journal prefix is always a valid
@@ -23,7 +23,10 @@
 //     <max_sim_time> <reserved> <stall> <requeue> <strict>
 //   (<reserved> held the retired intra-epoch shard count: written as 0 and
 //   ignored on read, so journals written before and after its removal
-//   load in either build)
+//   load in either build. <checkcap>, <skip> and <event> held the retired
+//   check_capacity, skip_quiescent_epochs and event_driven engine modes:
+//   written as 1, the value every default run wrote, and ignored on read,
+//   so a run records the same bytes it recorded before their removal)
 //   A <time> <id> <job> <stage> <arrival> <data_ready> <nflows>
 //     {<src> <dst> <size>}*
 //   D <time> <kind> <port> <factor>

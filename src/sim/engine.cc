@@ -6,7 +6,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "common/expect.h"
@@ -31,44 +30,7 @@ using Clock = std::chrono::steady_clock;
 /// caches across runs.
 std::atomic<std::uint64_t> g_delta_stream{0};
 
-[[nodiscard]] bool entry_later(const SimTime a_arrival, const std::int64_t a_id,
-                               const SimTime b_arrival, const std::int64_t b_id) {
-  return std::tie(a_arrival, a_id) > std::tie(b_arrival, b_id);
-}
-
 }  // namespace
-
-// ------------------------------------------------------------ InjectedHeap
-
-void Engine::InjectedHeap::push(CoflowSpec spec) {
-  std::uint32_t slot;
-  if (!free_slots.empty()) {
-    slot = free_slots.back();
-    free_slots.pop_back();
-    slots[slot] = std::move(spec);
-  } else {
-    slot = static_cast<std::uint32_t>(slots.size());
-    slots.push_back(std::move(spec));
-  }
-  const CoflowSpec& s = slots[slot];
-  heap.push_back({s.arrival, s.id.value, slot});
-  std::push_heap(heap.begin(), heap.end(), [](const Entry& a, const Entry& b) {
-    return entry_later(a.arrival, a.id, b.arrival, b.id);
-  });
-}
-
-CoflowSpec Engine::InjectedHeap::pop() {
-  SAATH_EXPECTS(!heap.empty());
-  std::pop_heap(heap.begin(), heap.end(), [](const Entry& a, const Entry& b) {
-    return entry_later(a.arrival, a.id, b.arrival, b.id);
-  });
-  const std::uint32_t slot = heap.back().slot;
-  heap.pop_back();
-  CoflowSpec spec = std::move(slots[slot]);
-  slots[slot] = CoflowSpec{};  // leave the moved-from slot well-defined
-  free_slots.push_back(slot);
-  return spec;
-}
 
 // ------------------------------------------------------------------ Engine
 
@@ -93,35 +55,7 @@ Engine::Engine(trace::Trace trace, Scheduler& scheduler, SimConfig config)
     : Engine(std::make_shared<workload::TraceSource>(std::move(trace)),
              scheduler, config) {}
 
-void Engine::add_dynamics_event(DynamicsEvent event) {
-  SAATH_EXPECTS_MSG(!running_,
-                    "add_dynamics_event is pre-run only — emit "
-                    "WorkloadEvent::kDynamics from a workload source "
-                    "(e.g. ScriptSource) for mid-run dynamics");
-  // Consumed in time order, but sorted lazily once at run() start —
-  // re-sorting per insertion made bulk event setup quadratic.
-  dynamics_.push_back(event);
-}
-
-void Engine::set_data_available_at(CoflowId id, SimTime when) {
-  SAATH_EXPECTS_MSG(!running_,
-                    "set_data_available_at is pre-run only — carry "
-                    "WorkloadEvent::data_ready on the arrival or emit "
-                    "WorkloadEvent::kDataAvailable from a workload source");
-  data_available_at_[id] = when;
-}
-
 void Engine::set_result_sink(ResultSink* sink) { sink_ = sink; }
-
-void Engine::set_completion_callback(CompletionCallback cb) {
-  completion_callback_ = std::move(cb);
-}
-
-void Engine::inject_coflow(CoflowSpec spec) {
-  SAATH_EXPECTS(spec.arrival >= now_);
-  SAATH_EXPECTS(!spec.flows.empty());
-  injected_.push(std::move(spec));
-}
 
 void Engine::record_input_fault(InputFault::Kind kind, SimTime time,
                                 std::int64_t id, std::string detail) {
@@ -241,7 +175,7 @@ void Engine::pull_due_source_events() {
             break;
           }
         }
-        source_dynamics_.push_back(ev.dynamics);
+        due_dynamics_.push_back(ev.dynamics);
         break;
       case workload::WorkloadEvent::Kind::kDataAvailable: {
         // Earliest release wins (kNever = no release yet) — a later
@@ -261,19 +195,6 @@ void Engine::pull_due_source_events() {
   }
 }
 
-SimTime Engine::next_input_time() {
-  SimTime best = source_->peek_next_time();
-  if (!injected_.empty() &&
-      (best == kNever || injected_.top().arrival < best)) {
-    best = injected_.top().arrival;
-  }
-  return best;
-}
-
-bool Engine::input_pending() {
-  return source_->peek_next_time() != kNever || !injected_.empty();
-}
-
 void Engine::admit_coflow(CoflowSpec spec, SimTime data_ready) {
   const CoflowId id = spec.id;
   ++stats_.arrivals_admitted;
@@ -285,9 +206,9 @@ void Engine::admit_coflow(CoflowSpec spec, SimTime data_ready) {
   auto state = std::make_unique<CoflowState>(std::move(spec), FlowId{next_flow_id_});
   next_flow_id_ += state->width();
   // Effective release instant = earliest of any already-recorded release
-  // (pre-run setter, or a kDataAvailable delivered in this very epoch's
-  // pull — which must NOT be clobbered by the arrival's own field) and the
-  // arrival-carried data_ready. kNever means "no release known yet";
+  // (a kDataAvailable delivered in this very epoch's pull, or restored from
+  // a checkpoint — which must NOT be clobbered by the arrival's own field)
+  // and the arrival-carried data_ready. kNever means "no release known yet";
   // data_ready <= now carries no gating information.
   SimTime release = 0;
   bool gate_known = false;
@@ -324,29 +245,10 @@ void Engine::admit_coflow(CoflowSpec spec, SimTime data_ready) {
 void Engine::admit_arrivals() {
   // Stage every due source event (non-arrivals route to their phase:
   // dynamics after admission, gate updates into the availability map), then
-  // merge the staged arrivals with the injected heap in (arrival, id) order
-  // — the exact order the legacy single pending-queue admitted.
+  // admit the staged arrivals in stream order.
   pull_due_source_events();
-  std::size_t si = 0;
-  for (;;) {
-    const bool src_due = si < staged_arrivals_.size();
-    const bool inj_due =
-        !injected_.empty() && injected_.top().arrival <= now_;
-    if (!src_due && !inj_due) break;
-    bool take_src = src_due;
-    if (src_due && inj_due) {
-      const auto& staged = staged_arrivals_[si].spec;
-      const auto& top = injected_.top();
-      take_src = std::tie(staged.arrival, staged.id.value) <=
-                 std::tie(top.arrival, top.id);
-    }
-    if (take_src) {
-      StagedArrival& staged = staged_arrivals_[si++];
-      admit_coflow(std::move(staged.spec), staged.data_ready);
-    } else {
-      ++stats_.injected_moves;
-      admit_coflow(injected_.pop(), 0);
-    }
+  for (StagedArrival& staged : staged_arrivals_) {
+    admit_coflow(std::move(staged.spec), staged.data_ready);
   }
   staged_arrivals_.clear();
   // Flip data-availability gates whose release time has passed. The entry
@@ -384,8 +286,8 @@ void Engine::apply_dynamics(const DynamicsEvent& ev) {
           // The restart invalidated the flows' queued events. Normal
           // flows re-enter the heap when a schedule rates them again,
           // but a zero-byte flow keeps a valid finish instant with no
-          // rate — re-push or it only completes once re-rated (the
-          // oracle scan would complete it immediately).
+          // rate — re-push or it only completes once re-rated (a scan
+          // advance would complete it immediately).
           push_completion_events(*c);
         }
       }
@@ -411,25 +313,8 @@ void Engine::apply_dynamics(const DynamicsEvent& ev) {
 }
 
 void Engine::process_dynamics() {
-  for (;;) {
-    const bool legacy_due = next_dynamics_ < dynamics_.size() &&
-                            dynamics_[next_dynamics_].time <= now_;
-    // Streamed dynamics were routed here already due, so no time check.
-    const bool src_due = !source_dynamics_.empty();
-    if (!legacy_due && !src_due) break;
-    bool take_legacy = legacy_due;
-    if (legacy_due && src_due) {
-      take_legacy =
-          dynamics_[next_dynamics_].time <= source_dynamics_.front().time;
-    }
-    if (take_legacy) {
-      apply_dynamics(dynamics_[next_dynamics_++]);
-    } else {
-      const DynamicsEvent ev = source_dynamics_.front();
-      source_dynamics_.pop_front();
-      apply_dynamics(ev);
-    }
-  }
+  for (const DynamicsEvent& ev : due_dynamics_) apply_dynamics(ev);
+  due_dynamics_.clear();
 }
 
 SAATH_HOT_NOALLOC void Engine::compute_schedule() {
@@ -447,11 +332,9 @@ SAATH_HOT_NOALLOC void Engine::compute_schedule() {
   for (CoflowState* c : active_) {
     if (!c->data_available) rates_.nullify(*c);
   }
-  if (config_.check_capacity) verify_capacity();
-  if (config_.event_driven) {
-    for (const auto& touch : rates_.touched()) {
-      if (heap_.push(touch.flow, touch.coflow)) ++stats_.heap_pushes;
-    }
+  verify_capacity();
+  for (const auto& touch : rates_.touched()) {
+    if (heap_.push(touch.flow, touch.coflow)) ++stats_.heap_pushes;
   }
   schedule_dirty_ = false;
   schedule_valid_until_ = scheduler_.schedule_valid_until(now_, active_);
@@ -539,7 +422,6 @@ void Engine::verify_capacity() const {
 }
 
 SAATH_HOT_NOALLOC void Engine::push_completion_events(CoflowState& coflow) {
-  if (!config_.event_driven) return;
   for (auto& f : coflow.flows()) {
     if (heap_.push(&f, &coflow)) ++stats_.heap_pushes;
   }
@@ -605,7 +487,7 @@ void Engine::update_quarantine() {
   active_.resize(w);
   // While any CoFlow is mid-stall the skip must not engage: the counter
   // ticks once per *scheduling round*, and forcing a recompute keeps that
-  // cadence identical whether skip_quiescent_epochs is on or off.
+  // round once per epoch.
   if (any_stalled) schedule_dirty_ = true;
 }
 
@@ -696,18 +578,9 @@ EngineSnapshot Engine::make_snapshot() const {
     s.data_gates.emplace_back(id.value, when);
   }
   std::sort(s.data_gates.begin(), s.data_gates.end());
-  for (const auto& e : injected_.heap) {
-    s.injected.push_back(injected_.slots[e.slot]);
-  }
-  std::sort(s.injected.begin(), s.injected.end(),
-            [](const CoflowSpec& a, const CoflowSpec& b) {
-              return std::tie(a.arrival, a.id.value) <
-                     std::tie(b.arrival, b.id.value);
-            });
-  for (std::size_t i = next_dynamics_; i < dynamics_.size(); ++i) {
-    s.pending_dynamics.push_back(dynamics_[i]);
-  }
-  for (const DynamicsEvent& d : source_dynamics_) s.pending_dynamics.push_back(d);
+  // Dynamics are applied in the epoch that pulls them, so none is ever
+  // pending at the loop top, where snapshots are taken.
+  SAATH_EXPECTS(due_dynamics_.empty());
   for (PortIndex p = 0; p < fabric_.num_ports(); ++p) {
     const double factor = fabric_.port_capacity_factor(p);
     if (factor != 1.0) s.capacity_factors.emplace_back(p, factor);
@@ -771,12 +644,6 @@ void Engine::restore_snapshot(const EngineSnapshot& snap) {
   for (const auto& [port, factor] : snap.capacity_factors) {
     fabric_.set_port_capacity_factor(port, factor);
   }
-  for (const CoflowSpec& spec : snap.injected) {
-    injected_.push(spec);
-  }
-  // run() sorts the legacy list; streamed-but-unapplied dynamics re-enter
-  // through it (ties stay legacy-first, matching the original routing).
-  for (const DynamicsEvent& d : snap.pending_dynamics) dynamics_.push_back(d);
   // Open an epoch before adopting: track() keys on the epoch stamp, and a
   // fresh engine's stamp (0) collides with every flow's initial touch
   // stamp — adoption into epoch 0 would silently not record the touch.
@@ -808,22 +675,6 @@ void Engine::restore_snapshot(const EngineSnapshot& snap) {
   schedule_dirty_ = true;
 }
 
-SAATH_HOT_NOALLOC SimTime Engine::next_completion() {
-  if (config_.event_driven) return heap_.next_time();
-  // Oracle: scan every flow of every active CoFlow for the earliest
-  // predicted finish — the pre-heap behavior, O(F) per micro-step.
-  SimTime best = kNever;
-  for (const CoflowState* c : active_) {
-    for (const auto& f : c->flows()) {
-      if (f.finished()) continue;
-      const SimTime at = f.predicted_finish();
-      if (at == kNever) continue;
-      if (best == kNever || at < best) best = at;
-    }
-  }
-  return best;
-}
-
 SAATH_HOT_NOALLOC void Engine::complete_flow(CoflowState& coflow,
                                              FlowState& flow, SimTime at) {
   rates_.flow_stopped(flow);
@@ -836,27 +687,14 @@ SAATH_HOT_NOALLOC void Engine::complete_flow(CoflowState& coflow,
 
 SAATH_HOT_NOALLOC void Engine::harvest_completions(SimTime at) {
   bool any = false;
-  if (config_.event_driven) {
-    heap_.pop_due(at, [&](CoflowState& c, FlowState& f) {
-      complete_flow(c, f, at);
-      any = true;
-    });
-  } else {
-    for (CoflowState* c : active_) {
-      for (auto& f : c->flows()) {
-        if (f.finished()) continue;
-        const SimTime pf = f.predicted_finish();
-        if (pf != kNever && pf <= at) {
-          complete_flow(*c, f, at);
-          any = true;
-        }
-      }
-    }
-  }
+  heap_.pop_due(at, [&](CoflowState& c, FlowState& f) {
+    complete_flow(c, f, at);
+    any = true;
+  });
   if (!any) return;
   // Finalize finished CoFlows with a stable compaction: the active list
-  // keeps admission order in both modes, so every order-sensitive consumer
-  // (and the oracle's own scan order) stays mode-independent.
+  // keeps admission order, which every order-sensitive consumer (and the
+  // reference engine's scan) relies on.
   std::size_t w = 0;
   for (std::size_t r = 0; r < active_.size(); ++r) {
     if (active_[r]->finished()) {
@@ -892,7 +730,6 @@ void Engine::finalize_coflow(CoflowState& coflow, SimTime at) {
   if (sink_) sink_->on_coflow_complete(rec, at);
   // Reactive sources (DagSource) release dependent work off this feedback.
   source_->on_coflow_complete(rec, at);
-  if (completion_callback_) completion_callback_(rec, at, *this);
   if (config_.record_results) {
     result_.coflows.push_back(std::move(rec));
   } else {
@@ -909,7 +746,7 @@ SAATH_HOT_NOALLOC void Engine::advance_until(SimTime epoch_end) {
   auto t0 = Clock::now();
   SimTime t = now_;
   while (!active_.empty()) {
-    const SimTime next = next_completion();
+    const SimTime next = heap_.next_time();
     if (next == kNever || next > epoch_end) {
       t = epoch_end;
       break;
@@ -933,11 +770,8 @@ SimResult Engine::run() {
   SAATH_EXPECTS(!running_);
   running_ = true;
   const auto run_t0 = Clock::now();
-  std::stable_sort(dynamics_.begin(), dynamics_.end(),
-                   [](const DynamicsEvent& a, const DynamicsEvent& b) {
-                     return a.time < b.time;
-                   });
-  while (input_pending() || !active_.empty() || !quarantined_.empty()) {
+  while (source_->peek_next_time() != kNever || !active_.empty() ||
+         !quarantined_.empty()) {
     if (now_ > config_.max_sim_time) {
       // Name the stuck work: without the ids and the epoch, a starvation
       // hang is undebuggable from the exception alone. The full list also
@@ -962,14 +796,12 @@ SimResult Engine::run() {
           std::to_string(rounds_) + ", scheduler '" + scheduler_.name() +
           "') with " + std::to_string(active_.size()) +
           " coflows unfinished [ids: " + stuck + "], " +
-          std::to_string(quarantined_.size()) + " quarantined, " +
-          std::to_string(injected_.size()) +
-          " injected pending, source " +
-          (input_pending() ? "live" : "exhausted") +
+          std::to_string(quarantined_.size()) + " quarantined, source " +
+          (source_->peek_next_time() != kNever ? "live" : "exhausted") +
           " (scheduler starving, or an unbounded source needs a horizon?)");
     }
     if (active_.empty()) {
-      SimTime next_in = next_input_time();
+      SimTime next_in = source_->peek_next_time();
       const SimTime release = next_quarantine_release();
       if (release != kNever && (next_in == kNever || release < next_in)) {
         next_in = release;
@@ -999,8 +831,7 @@ SimResult Engine::run() {
     // time-driven triggers (threshold crossings, deadlines) fired, a
     // recompute would reproduce the current rates — keep them instead.
     const bool quiescent =
-        config_.skip_quiescent_epochs && !schedule_dirty_ &&
-        now_ < schedule_valid_until_ &&
+        !schedule_dirty_ && now_ < schedule_valid_until_ &&
         fabric_.capacity_version() == scheduled_capacity_version_;
     if (!quiescent) {
       compute_schedule();

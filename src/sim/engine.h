@@ -13,25 +13,28 @@
 // Input is *streamed*: the engine pulls lazily from a workload::
 // WorkloadSource (peek_next_time() merged into the epoch loop), so live
 // memory is O(active CoFlows), not O(workload) — a million-CoFlow streaming
-// run holds only the live set. The legacy Trace constructor wraps the trace
-// in a TraceSource emitting arrivals in the exact (arrival, id) order the
-// old pending-queue admitted, so it is bit-identical by construction.
-// Completion records can be consumed online through a ResultSink instead of
-// materializing a per-CoFlow SimResult (SimConfig::record_results = false).
+// run holds only the live set. Every input (arrivals with their data gates,
+// dynamics, data-availability flips, reactive releases) arrives as a source
+// event; the Trace constructor wraps the trace in a TraceSource emitting
+// arrivals in (arrival, id) order. Completion records can be consumed
+// online through a ResultSink instead of materializing a per-CoFlow
+// SimResult (SimConfig::record_results = false).
 //
 // The advance phase is event-driven: flow progress is lazy (closed-form in
 // FlowState, nothing is mutated per micro-step), the next completion comes
 // from an indexed min-heap holding one predicted finish instant per flow,
 // and capacity verification reads per-port accumulators maintained from the
-// epoch's touched-flow set. `SimConfig::event_driven = false` swaps the
-// heap for the original full-scan oracle — same lazy arithmetic, O(flows)
-// per completion — which the property suite holds bit-identical.
+// epoch's touched-flow set. An epoch with no delta since the last
+// assignment, an unchanged capacity map and a scheduler vouching (through
+// schedule_valid_until) that none of its time-driven triggers fired keeps
+// the standing rates instead of recomputing them. The reference engine of
+// tests/reference/ runs the same loop with a scan advance, a full-scan
+// capacity check and no skip; the tests hold the two bit-identical.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -59,21 +62,6 @@ struct SimConfig {
   /// If true, a flow completion triggers an immediate re-schedule instead of
   /// waiting for the next epoch (idealized coordinator).
   bool reallocate_on_completion = false;
-  /// Verify port budgets after every schedule (cheap; on by default).
-  bool check_capacity = true;
-  /// Skip compute_schedule() on epochs where no delta (arrival, completion,
-  /// dynamics, data flip, capacity change) occurred since the last
-  /// assignment AND the scheduler's schedule_valid_until() says its ordering
-  /// cannot have drifted. Rates simply persist, which is what a recompute
-  /// over unchanged inputs would produce — results are bit-identical, the
-  /// coordinator just stops burning cycles on quiescent epochs.
-  bool skip_quiescent_epochs = true;
-  /// Find/harvest completions through the completion heap (O(log F) per
-  /// event). false = the scan-based oracle: every micro-step searches all
-  /// flows of all active CoFlows, the pre-event-core behavior. Both modes
-  /// produce bit-identical SimResults; the oracle exists as the reference
-  /// the property suite diffs against.
-  bool event_driven = true;
   /// Materialize one CoflowRecord per CoFlow in the returned SimResult.
   /// Streaming runs over huge sources set this false and attach a
   /// ResultSink instead — completions are aggregated online and SimResult
@@ -149,10 +137,6 @@ struct EngineStats {
   /// Workload events pulled from the source (arrivals + dynamics + flips).
   std::int64_t source_events = 0;
   std::int64_t arrivals_admitted = 0;
-  /// Pops of the injected-arrival heap served by moving the spec out of its
-  /// store slot. Each of these was a deep copy (CoflowSpec + flow vector)
-  /// out of a std::priority_queue in the pre-streaming engine.
-  std::int64_t injected_moves = 0;
   /// Finished CoflowStates destroyed mid-run (record_results = false).
   std::int64_t reclaimed_coflows = 0;
   /// Workload ingestion (admit_arrivals + process_dynamics) wall time —
@@ -213,31 +197,10 @@ class Engine {
   /// a workload::TraceSource (bit-identical to the pre-streaming engine).
   Engine(trace::Trace trace, Scheduler& scheduler, SimConfig config = {});
 
-  /// Pre-run configuration -------------------------------------------------
-  /// Pre-run only; mid-run dynamics belong in the workload stream
-  /// (WorkloadEvent::kDynamics from a ScriptSource or custom source).
-  void add_dynamics_event(DynamicsEvent event);
-  /// §4.3 pipelining: the CoFlow's shuffle data only becomes available at
-  /// `when`; spatially-aware schedulers skip it, others waste the slot.
-  /// Pre-run only; streamed workloads carry availability on the arrival
-  /// event (WorkloadEvent::data_ready) or as kDataAvailable events.
-  void set_data_available_at(CoflowId id, SimTime when);
-
   /// Streaming consumer of completion records (see ResultSink contract in
   /// sim/result.h). With config.record_results = false this is the only
   /// place per-CoFlow outcomes are observable. Not owned; must outlive run().
   void set_result_sink(ResultSink* sink);
-
-  /// Invoked when a CoFlow finishes; DAG runners use it to release
-  /// dependent stages via inject_coflow(). (Prefer workload::DagSource,
-  /// which does this inside the source layer.)
-  using CompletionCallback =
-      std::function<void(const CoflowRecord&, SimTime, Engine&)>;
-  void set_completion_callback(CompletionCallback cb);
-
-  /// Adds a CoFlow during the run (arrival must be >= now). Admission
-  /// merges with source arrivals in (arrival, id) order.
-  void inject_coflow(CoflowSpec spec);
 
   /// Checkpointing ----------------------------------------------------------
   /// Captures the full resumable state (see sim/snapshot.h). Taken at the
@@ -268,43 +231,17 @@ class Engine {
   [[nodiscard]] const LiveTelemetry& telemetry() const { return telemetry_; }
 
  private:
-  /// Injected (mid-run) arrivals: an index-into-store min-heap keyed by
-  /// (arrival, id) whose pops MOVE the spec out of its slot.
-  /// std::priority_queue::top() is const, so the old implementation
-  /// deep-copied the CoflowSpec (and its flow vector) on every pop.
-  struct InjectedHeap {
-    struct Entry {
-      SimTime arrival;
-      std::int64_t id;
-      std::uint32_t slot;
-    };
-    std::vector<Entry> heap;
-    std::vector<CoflowSpec> slots;
-    std::vector<std::uint32_t> free_slots;
-
-    [[nodiscard]] bool empty() const { return heap.empty(); }
-    [[nodiscard]] std::size_t size() const { return heap.size(); }
-    [[nodiscard]] const Entry& top() const { return heap.front(); }
-    void push(CoflowSpec spec);
-    [[nodiscard]] CoflowSpec pop();
-  };
-
   /// Pops every source event with time <= now into the staging structures
   /// (ordering spot-checks live here). The engine never holds a future
   /// event: a reactive source may grow an *earlier* event off a completion,
   /// so buffering ahead of time would freeze a stale "next".
   void pull_due_source_events();
-  /// Earliest future input instant across source + injected heap; kNever
-  /// when both are exhausted.
-  [[nodiscard]] SimTime next_input_time();
-  [[nodiscard]] bool input_pending();
-  /// Admits every due arrival (source stream merged with injected heap in
-  /// (arrival, id) order), routes due non-arrival source events, and flips
-  /// data-availability gates whose release time passed.
+  /// Admits every due arrival in stream order (time, id), routes due
+  /// non-arrival source events, and flips data-availability gates whose
+  /// release time passed.
   void admit_arrivals();
   void admit_coflow(CoflowSpec spec, SimTime data_ready);
-  /// Applies due dynamics: the legacy pre-run list merged with streamed
-  /// kDynamics events in time order (legacy first on ties).
+  /// Applies the due streamed kDynamics events in stream order.
   void process_dynamics();
   void apply_dynamics(const DynamicsEvent& ev);
   void compute_schedule();
@@ -319,18 +256,15 @@ class Engine {
   void verify_capacity() const;
   /// Advances the fluid model to `epoch_end`, resolving completions exactly.
   void advance_until(SimTime epoch_end);
-  /// Earliest predicted completion instant (heap or oracle scan); kNever
-  /// when no flow can finish at current rates.
-  [[nodiscard]] SimTime next_completion();
-  /// Completes every flow predicted at or before `at`, then finalizes
-  /// CoFlows that finished (stable compaction of the active list — both
-  /// modes see the same ordering).
+  /// Completes every flow the heap predicts at or before `at`, then
+  /// finalizes CoFlows that finished (stable compaction of the active list,
+  /// which keeps admission order).
   void harvest_completions(SimTime at);
   void complete_flow(CoflowState& coflow, FlowState& flow, SimTime at);
   void finalize_coflow(CoflowState& coflow, SimTime at);
   /// Pushes every flow of `coflow` to the completion heap (admission,
   /// post-restart, re-admission): a flow with a finite predicted finish
-  /// gets its entry there, any other loses its entry; event mode only.
+  /// gets its entry there, any other loses its entry.
   void push_completion_events(CoflowState& coflow);
 
   /// Tolerant-mode fault accounting (strict_input = false): counts the
@@ -348,6 +282,8 @@ class Engine {
   /// Quarantine machinery (SimConfig::max_stall_epochs > 0) ---------------
   /// After a scheduling round: ticks stall counters, detaches CoFlows that
   /// crossed the threshold (scheduler hook + backoff park or abandonment).
+  /// While any CoFlow is mid-stall the next epoch recomputes rather than
+  /// skips, so the counter ticks once per epoch.
   void update_quarantine();
   /// Re-admits every quarantined CoFlow whose backoff expired (loop top).
   void release_quarantined();
@@ -370,8 +306,7 @@ class Engine {
   RateAssignment rates_;
   CompletionHeap heap_;
 
-  /// Due source arrivals staged this epoch, in stream order (time, id) —
-  /// merged against the injected heap by admit_arrivals.
+  /// Due source arrivals staged this epoch, in stream order (time, id).
   struct StagedArrival {
     CoflowSpec spec;
     SimTime data_ready = 0;
@@ -383,7 +318,6 @@ class Engine {
   SimTime last_source_time_ = 0;
   std::int64_t last_arrival_id_ = std::numeric_limits<std::int64_t>::min();
 
-  InjectedHeap injected_;
   /// Ownership of every live CoflowState, keyed by pointer so streaming
   /// reclamation can extract a finished CoFlow's storage in O(1).
   std::unordered_map<const CoflowState*, std::unique_ptr<CoflowState>>
@@ -392,15 +326,12 @@ class Engine {
   /// the scheduling round that consumes their completion delta).
   std::vector<std::unique_ptr<CoflowState>> graveyard_;
   std::vector<CoflowState*> active_;
-  /// Appended freely pre-run; sorted by time once at run() start.
-  std::vector<DynamicsEvent> dynamics_;
-  std::size_t next_dynamics_ = 0;
-  /// Streamed kDynamics events already due, awaiting process_dynamics().
-  std::deque<DynamicsEvent> source_dynamics_;
+  /// Due kDynamics events of this epoch's pull, in stream order, awaiting
+  /// process_dynamics().
+  std::vector<DynamicsEvent> due_dynamics_;
   /// Gate-release instants; kNever = gated until an explicit
   /// kDataAvailable event arrives.
   std::unordered_map<CoflowId, SimTime> data_available_at_;
-  CompletionCallback completion_callback_;
   ResultSink* sink_ = nullptr;
 
   /// Stalled CoFlows detached from scheduling, awaiting their backoff

@@ -4,9 +4,10 @@
 // needs to continue an interrupted run bit-identically: the clock and
 // round counters, every live CoflowState's *exact* flow trajectories
 // (base/rate/anchor/predicted-finish bits, no re-fold and no µs
-// re-rounding), the scheduler-owned annotations, pending injected
-// arrivals and dynamics, data-availability gates, fabric derating
-// factors, quarantine state, and the completed records so far. Paired
+// re-rounding), the scheduler-owned annotations, data-availability gates,
+// fabric derating factors, quarantine state, and the completed records so
+// far. Pending input needs no section: every input is a source event, and
+// the journal suffix past `source_events_consumed` re-feeds it. Paired
 // with the suffix of a recorded event journal (replay::ReplaySource
 // skipped past `source_events_consumed`), restore_snapshot() + run()
 // converges to the same result digest as the uninterrupted run — the
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "coflow/coflow.h"
-#include "sim/dynamics.h"
 #include "sim/result.h"
 
 namespace saath {
@@ -83,10 +83,6 @@ struct EngineSnapshot {
   /// Pending data-availability gates (id -> release instant, kNever = open
   /// question until an explicit release event).
   std::vector<std::pair<std::int64_t, SimTime>> data_gates;
-  /// Injected (inject_coflow) arrivals not yet admitted.
-  std::vector<CoflowSpec> injected;
-  /// Pre-run dynamics not yet consumed.
-  std::vector<DynamicsEvent> pending_dynamics;
   /// Non-nominal port derating factors (straggler state persists).
   std::vector<std::pair<PortIndex, double>> capacity_factors;
   /// Completed records so far (record_results runs only).

@@ -4,8 +4,7 @@
 // job's arrival time, and a stage's CoFlow is emitted the instant its last
 // dependency completes — driven by the completion feedback the engine
 // delivers to every source. This re-expresses the runtime/jobs stage
-// release as stream events: no completion-callback plumbing or manual
-// inject_coflow() in user code.
+// release as stream events, the only way input reaches the engine.
 #pragma once
 
 #include <cstdint>

@@ -17,7 +17,7 @@
 // peek_next_time() == kNever means "no event available now". For a finite
 // source that is exhaustion; for a reactive source more events may appear
 // after the next completion notification — the engine treats a kNever peek
-// with no live or injected CoFlows as end of input, which is correct because
+// with no live CoFlows as end of input, which is correct because
 // completions (the only stimulus) have all been delivered by then.
 #pragma once
 

@@ -15,8 +15,8 @@
 namespace saath::workload {
 
 /// Replays a materialized Trace as an arrival stream in (arrival, id) order
-/// — exactly the order the engine's legacy pending-queue admitted, so an
-/// Engine fed a TraceSource is bit-identical to one fed the Trace.
+/// — the order the source ordering invariant asks for; Engine(Trace) is a
+/// thin wrapper over this source.
 class TraceSource : public WorkloadSource {
  public:
   /// Owning: emitted specs are moved out of the trace, never copied.
@@ -48,9 +48,9 @@ class TraceSource : public WorkloadSource {
 /// A fixed list of events (typically dynamics / data-availability flips)
 /// replayed in time order; the scripted half of a scenario, merged with a
 /// coflow source via MergeSource. Events are stable-sorted by time at
-/// construction (insertion order preserved on ties — the same tie order the
-/// engine's legacy add_dynamics_event path uses); arrival events at equal
-/// times must be added in ascending id order.
+/// construction (insertion order preserved on ties, which is the order the
+/// engine applies same-time dynamics in); arrival events at equal times
+/// must be added in ascending id order.
 class ScriptSource : public WorkloadSource {
  public:
   ScriptSource(std::string name, int num_ports,

@@ -84,10 +84,10 @@ TEST(Aalo, QueueIndexNeverDecreases) {
   SimConfig cfg;
   cfg.port_bandwidth = 10e6;  // 10 MB/s: crosses the 10MB threshold at 1s
   cfg.delta = msec(100);
-  Engine engine(t, sched, cfg);
-  engine.add_dynamics_event(
-      {seconds(2), DynamicsEvent::Kind::kNodeFailure, 0, 1.0});
-  const auto result = engine.run();
+  const auto result = simulate(
+      testing::stream_of(
+          t, {{seconds(2), DynamicsEvent::Kind::kNodeFailure, 0, 1.0}}),
+      sched, cfg);
   // Progress lost at t=2 (20MB sent, queue 1); restart resends 30MB.
   EXPECT_NEAR(result.coflows[0].cct_seconds(), 5.0, 0.3);
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "reference/engine.h"
 #include "sched/aalo.h"
 #include "sched/saath.h"
 #include "sched/uc_tcp.h"
@@ -135,11 +136,10 @@ TEST(Engine, FlowFctsRecordedPerFlow) {
 TEST(Engine, NodeFailureRestartsFlows) {
   auto t = make_trace(2, {make_coflow(0, 0, {{0, 1, 1000}})});
   UcTcpScheduler sched;
-  SimConfig cfg = toy_config();
-  Engine engine(t, sched, cfg);
-  engine.add_dynamics_event(
-      {seconds(5), DynamicsEvent::Kind::kNodeFailure, 0, 1.0});
-  const auto result = engine.run();
+  const auto result = simulate(
+      testing::stream_of(
+          t, {{seconds(5), DynamicsEvent::Kind::kNodeFailure, 0, 1.0}}),
+      sched, toy_config());
   // 5 s of progress lost: total time = 5 + 10 = 15 s.
   EXPECT_NEAR(result.coflows[0].cct_seconds(), 15.0, 0.2);
 }
@@ -147,10 +147,10 @@ TEST(Engine, NodeFailureRestartsFlows) {
 TEST(Engine, StragglerSlowsPort) {
   auto t = make_trace(2, {make_coflow(0, 0, {{0, 1, 1000}})});
   UcTcpScheduler sched;
-  Engine engine(t, sched, toy_config());
-  engine.add_dynamics_event(
-      {seconds(5), DynamicsEvent::Kind::kStragglerStart, 0, 0.1});
-  const auto result = engine.run();
+  const auto result = simulate(
+      testing::stream_of(
+          t, {{seconds(5), DynamicsEvent::Kind::kStragglerStart, 0, 0.1}}),
+      sched, toy_config());
   // 5 s at 100 B/s, remaining 500 bytes at 10 B/s = 50 s -> 55 s total.
   EXPECT_NEAR(result.coflows[0].cct_seconds(), 55.0, 0.5);
 }
@@ -158,12 +158,11 @@ TEST(Engine, StragglerSlowsPort) {
 TEST(Engine, StragglerEndRestoresPort) {
   auto t = make_trace(2, {make_coflow(0, 0, {{0, 1, 1000}})});
   UcTcpScheduler sched;
-  Engine engine(t, sched, toy_config());
-  engine.add_dynamics_event(
-      {seconds(2), DynamicsEvent::Kind::kStragglerStart, 0, 0.1});
-  engine.add_dynamics_event(
-      {seconds(4), DynamicsEvent::Kind::kStragglerEnd, 0, 1.0});
-  const auto result = engine.run();
+  const auto result = simulate(
+      testing::stream_of(
+          t, {{seconds(2), DynamicsEvent::Kind::kStragglerStart, 0, 0.1},
+              {seconds(4), DynamicsEvent::Kind::kStragglerEnd, 0, 1.0}}),
+      sched, toy_config());
   // 2s@100 + 2s@10 + 7.8s@100 = 11.8 s.
   EXPECT_NEAR(result.coflows[0].cct_seconds(), 11.8, 0.3);
 }
@@ -171,27 +170,25 @@ TEST(Engine, StragglerEndRestoresPort) {
 TEST(Engine, DataUnavailabilityDelaysSaath) {
   auto t = make_trace(2, {make_coflow(0, 0, {{0, 1, 1000}})});
   SaathScheduler sched;
-  Engine engine(t, sched, toy_config());
-  engine.set_data_available_at(CoflowId{0}, seconds(3));
-  const auto result = engine.run();
+  const auto result = simulate(testing::stream_of(t, {}, {{0, seconds(3)}}),
+                               sched, toy_config());
   // Saath skips the CoFlow until its data is ready at t=3 s.
   EXPECT_NEAR(result.coflows[0].cct_seconds(), 13.0, 0.3);
 }
 
-TEST(Engine, InjectedCoflowRuns) {
+TEST(Engine, ReleasedCoflowRuns) {
   auto t = make_trace(2, {make_coflow(0, 0, {{0, 1, 100}})});
   UcTcpScheduler sched;
-  Engine engine(t, sched, toy_config());
-  bool injected = false;
-  engine.set_completion_callback(
-      [&](const CoflowRecord& rec, SimTime now, Engine& eng) {
-        if (!injected && rec.id == CoflowId{0}) {
-          injected = true;
-          auto spec = testing::make_coflow(100, now + msec(100), {{1, 0, 200}});
-          eng.inject_coflow(spec);
+  auto source = testing::stream_of(
+      t, {}, {}, [](const CoflowRecord& rec, SimTime now) {
+        std::vector<CoflowSpec> out;
+        if (rec.id == CoflowId{0}) {
+          out.push_back(
+              testing::make_coflow(100, now + msec(100), {{1, 0, 200}}));
         }
+        return out;
       });
-  const auto result = engine.run();
+  const auto result = simulate(source, sched, toy_config());
   ASSERT_EQ(result.coflows.size(), 2u);
   EXPECT_EQ(result.coflows.back().id, CoflowId{100});
 }
@@ -210,6 +207,8 @@ TEST(Engine, ThrowsOnStarvingScheduler) {
   cfg.max_sim_time = seconds(10);
   Engine engine(t, sched, cfg);
   EXPECT_THROW(engine.run(), std::runtime_error);
+  reference::ReferenceEngine reference_engine(t, sched, cfg);
+  EXPECT_THROW((void)reference_engine.run(), std::runtime_error);
 }
 
 TEST(Engine, OverdrawingSchedulerDetected) {
@@ -229,6 +228,23 @@ TEST(Engine, OverdrawingSchedulerDetected) {
   GreedyOverdraw sched;
   Engine engine(t, sched, toy_config());
   EXPECT_THROW(engine.run(), std::logic_error);
+  reference::ReferenceEngine reference_engine(t, sched, toy_config());
+  EXPECT_THROW((void)reference_engine.run(), std::logic_error);
+}
+
+TEST(Engine, ReferenceEngineRejectsConfigsItDoesNotModel) {
+  auto t = make_trace(2, {make_coflow(0, 0, {{0, 1, 100}})});
+  UcTcpScheduler sched;
+  SimConfig quarantine = toy_config();
+  quarantine.max_stall_epochs = 3;
+  SimConfig tolerant = toy_config();
+  tolerant.strict_input = false;
+  SimConfig streaming = toy_config();
+  streaming.record_results = false;
+  for (const SimConfig& cfg : {quarantine, tolerant, streaming}) {
+    EXPECT_THROW((void)reference::ReferenceEngine(t, sched, cfg),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Event-driven core invariants: the completion heap (one entry per flow,
 // kept in order across rate changes, restarts and capacity changes, stale
 // entries dropped at the top) and the bit-identity of SimResults between
-// the heap-based advance phase and the scan-based oracle
-// (`SimConfig::event_driven = false`).
+// the production engine (heap advance, quiescent skip) and the reference
+// engine of tests/reference/ (scan advance, every epoch scheduled).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "reference/engine.h"
+#include "reference/reference.h"
 #include "sched/factory.h"
 #include "sched/saath.h"
 #include "sim/completion_heap.h"
@@ -211,7 +213,8 @@ TEST(CompletionHeap, EraseDropsOneFlowAndKeepsOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Event-driven vs oracle bit-identity, across schedulers and traces.
+// Production engine vs reference engine bit-identity, across schedulers and
+// traces.
 
 struct ParityParam {
   std::uint64_t seed;
@@ -224,11 +227,10 @@ void PrintTo(const ParityParam& p, std::ostream* os) {
 
 class EventOracleParity : public ::testing::TestWithParam<ParityParam> {
  protected:
-  [[nodiscard]] static SimConfig config(bool event_driven) {
+  [[nodiscard]] static SimConfig config() {
     SimConfig cfg;
     cfg.port_bandwidth = 1e6;
     cfg.delta = msec(20);
-    cfg.event_driven = event_driven;
     return cfg;
   }
 };
@@ -237,9 +239,9 @@ TEST_P(EventOracleParity, IdenticalResultsOnSynthTrace) {
   const auto t = trace::synth_small_trace(8, 40, GetParam().seed);
   auto s1 = make_scheduler(GetParam().scheduler);
   auto s2 = make_scheduler(GetParam().scheduler);
-  const auto r_event = simulate(t, *s1, config(true));
-  const auto r_oracle = simulate(t, *s2, config(false));
-  expect_identical(r_event, r_oracle);
+  const auto r_engine = simulate(t, *s1, config());
+  const auto r_reference = reference::reference_simulate(t, *s2, config());
+  expect_identical(r_engine, r_reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -258,60 +260,61 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_seed" + std::to_string(pinfo.param.seed);
     });
 
-/// Builds an engine loaded with the full §4.3 churn menu: node failures,
-/// straggler windows, delayed data availability, and a DAG-style injection
-/// on the first completion.
-[[nodiscard]] SimResult run_churn(bool event_driven, bool reallocate) {
+/// Runs Saath over the full §4.3 churn menu — node failures, straggler
+/// windows, delayed data availability, and a DAG-style release on the
+/// first completion — on the production or the reference engine.
+[[nodiscard]] SimResult run_churn(bool reference_engine, bool reallocate) {
   const auto t = trace::synth_small_trace(8, 30, 7);
+  // Deliberately listed out of order: the stream orders them by time.
+  const std::vector<DynamicsEvent> dynamics = {
+      {seconds(4), DynamicsEvent::Kind::kStragglerStart, 2, 0.3},
+      {seconds(2), DynamicsEvent::Kind::kNodeFailure, 1, 1.0},
+      {seconds(6), DynamicsEvent::Kind::kStragglerEnd, 2, 1.0},
+      {seconds(8), DynamicsEvent::Kind::kNodeFailure, 3, 1.0},
+  };
+  bool released = false;
+  auto source = testing::stream_of(
+      t, dynamics, {{t.coflows[2].id.value, seconds(3)}},
+      [&released](const CoflowRecord&, SimTime now) {
+        std::vector<CoflowSpec> out;
+        if (!released) {
+          released = true;
+          out.push_back(testing::make_coflow(
+              900, now + msec(100), {{0, 5, 40'000}, {1, 6, 40'000}}));
+        }
+        return out;
+      });
   SaathScheduler sched;
   SimConfig cfg;
   cfg.port_bandwidth = 1e6;
   cfg.delta = msec(20);
-  cfg.event_driven = event_driven;
   cfg.reallocate_on_completion = reallocate;
-  Engine engine(t, sched, cfg);
-  // Deliberately inserted out of order: run() sorts lazily.
-  engine.add_dynamics_event(
-      {seconds(4), DynamicsEvent::Kind::kStragglerStart, 2, 0.3});
-  engine.add_dynamics_event(
-      {seconds(2), DynamicsEvent::Kind::kNodeFailure, 1, 1.0});
-  engine.add_dynamics_event(
-      {seconds(6), DynamicsEvent::Kind::kStragglerEnd, 2, 1.0});
-  engine.add_dynamics_event(
-      {seconds(8), DynamicsEvent::Kind::kNodeFailure, 3, 1.0});
-  engine.set_data_available_at(t.coflows[2].id, seconds(3));
-  bool injected = false;
-  engine.set_completion_callback(
-      [&injected](const CoflowRecord& rec, SimTime now, Engine& eng) {
-        if (!injected) {
-          injected = true;
-          eng.inject_coflow(testing::make_coflow(
-              900, now + msec(100), {{0, 5, 40'000}, {1, 6, 40'000}}));
-        }
-        (void)rec;
-      });
-  return engine.run();
+  return reference_engine ? reference::reference_simulate(source, sched, cfg)
+                          : simulate(source, sched, cfg);
 }
 
-TEST(EventOracleParity, IdenticalUnderDynamicsAndInjection) {
-  expect_identical(run_churn(true, false), run_churn(false, false));
+TEST(EventOracleParity, IdenticalUnderDynamicsGatesAndRelease) {
+  const SimResult r = run_churn(false, false);
+  expect_identical(r, run_churn(true, false));
+  EXPECT_NE(r.find(CoflowId{900}), nullptr);
 }
 
 TEST(EventOracleParity, IdenticalWithReallocateOnCompletion) {
-  expect_identical(run_churn(true, true), run_churn(false, true));
+  expect_identical(run_churn(false, true), run_churn(true, true));
 }
 
-TEST(EventOracleParity, ZeroByteFlowCompletesInBothModes) {
+TEST(EventOracleParity, ZeroByteFlowCompletesOnBothEngines) {
   // A zero-byte flow is born finished; its completion event must exist
-  // before any rate touches it, in both modes.
+  // before any rate touches it, on both engines.
   auto spec = make_coflow(0, seconds(1), {{0, 1, 1000}});
   spec.flows.push_back({2, 3, 0});
   auto t = make_trace(4, {spec});
-  for (const bool event_driven : {true, false}) {
+  for (const bool reference_engine : {false, true}) {
     auto sched = make_scheduler("uc-tcp");
-    SimConfig cfg = toy_config();
-    cfg.event_driven = event_driven;
-    const auto result = simulate(t, *sched, cfg);
+    const auto result =
+        reference_engine
+            ? reference::reference_simulate(t, *sched, toy_config())
+            : simulate(t, *sched, toy_config());
     ASSERT_EQ(result.coflows.size(), 1u);
     // The zero-byte flow's FCT is 0 (finished at admission).
     EXPECT_DOUBLE_EQ(result.coflows[0].flow_fcts_seconds[1], 0.0);
@@ -324,7 +327,7 @@ TEST(EventOracleParity, RestartedZeroByteFlowStillCompletes) {
   // engine iteration that admitted it: the restart invalidates the queued
   // completion event, and with all-or-none blocking (no work conservation)
   // no schedule re-rates the flow — the engine must re-queue it itself or
-  // event-driven mode diverges from the oracle.
+  // the production engine diverges from the reference's scan.
   auto blocker = make_coflow(0, 0, {{0, 1, 1000}});
   auto victim = make_coflow(1, seconds(1), {{0, 1, 2000}});
   victim.flows.push_back({2, 3, 0});
@@ -332,15 +335,16 @@ TEST(EventOracleParity, RestartedZeroByteFlowStillCompletes) {
   SaathConfig scfg;
   scfg.work_conservation = false;
   scfg.deadline_factor = 0;
+  const std::vector<DynamicsEvent> failure = {
+      {msec(950), DynamicsEvent::Kind::kNodeFailure, 2, 1.0}};
   std::vector<SimResult> results;
-  for (const bool event_driven : {true, false}) {
+  for (const bool reference_engine : {false, true}) {
     SaathScheduler sched(scfg);
-    SimConfig cfg = toy_config();
-    cfg.event_driven = event_driven;
-    Engine engine(t, sched, cfg);
-    engine.add_dynamics_event(
-        {msec(950), DynamicsEvent::Kind::kNodeFailure, 2, 1.0});
-    results.push_back(engine.run());
+    auto source = testing::stream_of(t, failure);
+    results.push_back(
+        reference_engine
+            ? reference::reference_simulate(source, sched, toy_config())
+            : simulate(source, sched, toy_config()));
   }
   expect_identical(results[0], results[1]);
   // The zero-byte flow finishes at its (restart-preserved) instant, not at
@@ -349,23 +353,22 @@ TEST(EventOracleParity, RestartedZeroByteFlowStillCompletes) {
 }
 
 TEST(EventOracleParity, QuiescentSkipAndHeapCompose) {
-  // All four on/off combinations of (skip, event_driven) agree bit-exactly.
+  // The production engine with its skip, the production engine scheduling
+  // every epoch, and the reference engine agree bit-exactly.
   const auto t = trace::synth_small_trace(8, 30, 13);
-  std::vector<SimResult> results;
-  for (const bool skip : {true, false}) {
-    for (const bool event_driven : {true, false}) {
-      SaathScheduler sched;
-      SimConfig cfg;
-      cfg.port_bandwidth = 1e6;
-      cfg.delta = msec(20);
-      cfg.skip_quiescent_epochs = skip;
-      cfg.event_driven = event_driven;
-      results.push_back(simulate(t, sched, cfg));
-    }
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    expect_identical(results[0], results[i]);
-  }
+  SimConfig cfg;
+  cfg.port_bandwidth = 1e6;
+  cfg.delta = msec(20);
+  SaathScheduler s1;
+  SaathScheduler s2;
+  SaathScheduler s3;
+  reference::EveryEpoch every_epoch(s2);
+  Engine skipping(t, s1, cfg);
+  Engine unskipped(t, every_epoch, cfg);
+  const SimResult r_skip = skipping.run();
+  expect_identical(r_skip, unskipped.run());
+  expect_identical(r_skip, reference::reference_simulate(t, s3, cfg));
+  EXPECT_LT(skipping.scheduling_rounds(), unskipped.scheduling_rounds());
 }
 
 TEST(EngineStats, CountsCompletionsAndPhases) {

@@ -2,10 +2,11 @@
 // refactor must be observationally invisible — every trajectory bit, every
 // digest, every handle stays exactly what the AoS layout produced.
 //
-//  (1) Digest identity across the full mode matrix: quiescent-skip ×
-//      event-driven × {production, reference scheduler} × {saath, aalo,
-//      uc-tcp} all hash to one digest per scheduler. The scan-based run of
-//      the reference scheduler is the oracle.
+//  (1) Digest identity across the full matrix: {reference engine,
+//      production engine scheduling every epoch, production engine with
+//      its skip} × {reference scheduler, full route, delta route} ×
+//      {saath, aalo, uc-tcp} all hash to one digest per scheduler. The
+//      reference scheduler on the reference engine is the oracle.
 //  (2) Checkpoint-shaped round-trip: trajectory scalars captured from a
 //      mid-run CoflowState and written into a fresh one via
 //      restore_flow_progress reproduce the same BITS (sent_base, rate,
@@ -58,41 +59,39 @@ std::unique_ptr<Scheduler> matrix_scheduler(const std::string& which,
   return std::make_unique<UcTcpScheduler>();
 }
 
-TEST(FlowPool, DigestIdentityAcrossFlagAndSchedulerMatrix) {
+TEST(FlowPool, DigestIdentityAcrossEngineAndSchedulerMatrix) {
   enum class Side { kReference, kFullRoute, kDeltaRoute };
   const auto t = matrix_trace();
   for (const std::string which : {"saath", "aalo", "uc-tcp"}) {
-    // Oracle: scan-based completion search, no quiescent skip, the
-    // reference scheduler — the least clever combination.
+    // Oracle: the reference scheduler on the reference engine (scan
+    // advance, every epoch scheduled) — the least clever combination.
     std::uint64_t oracle = 0;
     bool have_oracle = false;
-    for (const bool skip : {false, true}) {
-      for (const bool event : {false, true}) {
-        for (const Side side :
-             {Side::kReference, Side::kFullRoute, Side::kDeltaRoute}) {
-          // uc-tcp has one route and no reference model; collapse the axis.
-          if (which == "uc-tcp" && side != Side::kDeltaRoute) continue;
-          SimConfig cfg;
-          cfg.skip_quiescent_epochs = skip;
-          cfg.event_driven = event;
-          auto sched = matrix_scheduler(which, side == Side::kReference);
-          reference::FullRoute full_route(*sched);
-          Scheduler& driven =
-              side == Side::kFullRoute ? full_route : *sched;
-          const SimResult r = simulate(
-              std::make_shared<workload::TraceSource>(trace::Trace(t)),
-              driven, cfg);
-          const std::uint64_t d = replay::result_digest(r);
-          if (!have_oracle) {
-            oracle = d;
-            have_oracle = true;
-          }
-          const char* label = side == Side::kReference   ? "/reference"
-                              : side == Side::kFullRoute ? "/full-route"
-                                                         : "/delta-route";
-          EXPECT_EQ(d, oracle) << which << (skip ? "/skip" : "/noskip")
-                               << (event ? "/event" : "/scan") << label;
+    for (const testing::Loop loop :
+         {testing::Loop::kReference, testing::Loop::kEveryEpoch,
+          testing::Loop::kProduction}) {
+      for (const Side side :
+           {Side::kReference, Side::kFullRoute, Side::kDeltaRoute}) {
+        // uc-tcp has one route and no reference model; collapse the axis.
+        if (which == "uc-tcp" && side != Side::kDeltaRoute) continue;
+        auto sched = matrix_scheduler(which, side == Side::kReference);
+        reference::FullRoute full_route(*sched);
+        Scheduler& driven = side == Side::kFullRoute ? full_route : *sched;
+        // Every side of a kReference cell runs on the reference engine.
+        const SimResult r = testing::run_on(
+            loop, /*oracle=*/true,
+            std::make_shared<workload::TraceSource>(trace::Trace(t)), driven,
+            SimConfig{});
+        const std::uint64_t d = replay::result_digest(r);
+        if (!have_oracle) {
+          oracle = d;
+          have_oracle = true;
         }
+        const char* label = side == Side::kReference   ? "/reference"
+                            : side == Side::kFullRoute ? "/full-route"
+                                                       : "/delta-route";
+        EXPECT_EQ(d, oracle) << which << "/" << testing::loop_name(loop)
+                             << label;
       }
     }
   }

@@ -8,6 +8,7 @@
 #include "sched/factory.h"
 #include "sim/engine.h"
 #include "trace/synth.h"
+#include "workload/dag_source.h"
 
 namespace saath {
 namespace {
@@ -114,7 +115,7 @@ TEST(IntegrationSensitivity, HigherContentionWidensSaathLead) {
 }
 
 TEST(IntegrationDag, StagePipelineCompletes) {
-  // A 3-stage map-reduce-reduce DAG released through the engine callback.
+  // A 3-stage map-reduce-reduce DAG released stage by stage by a DagSource.
   JobSpec job;
   job.id = JobId{1};
   job.stages.push_back({{{0, 1, 100'000}, {0, 2, 100'000}}, {}});
@@ -122,32 +123,15 @@ TEST(IntegrationDag, StagePipelineCompletes) {
   job.stages.push_back({{{3, 0, 25'000}}, {1}});
   job.validate();
 
-  trace::Trace t;
-  t.name = "dag";
-  t.num_ports = 4;
-  JobTracker tracker(job);
-  auto first = tracker.make_coflow(0, CoflowId{0}, 0);
-  t.coflows.push_back(first);
-  tracker.mark_released(0);
-
+  auto dag = std::make_shared<workload::DagSource>("dag", 4);
+  dag->add_job(job);
   auto sched = make_scheduler("saath");
   SimConfig cfg;
   cfg.port_bandwidth = 1e6;
   cfg.delta = msec(10);
-  Engine engine(t, *sched, cfg);
-  std::int64_t next_id = 1;
-  engine.set_completion_callback(
-      [&](const CoflowRecord& rec, SimTime now, Engine& eng) {
-        if (rec.job != job.id) return;
-        for (int stage : tracker.mark_finished(rec.stage, now)) {
-          eng.inject_coflow(
-              tracker.make_coflow(stage, CoflowId{next_id++}, now));
-          tracker.mark_released(stage);
-        }
-      });
-  const auto result = engine.run();
+  const auto result = simulate(dag, *sched, cfg);
   EXPECT_EQ(result.coflows.size(), 3u);
-  EXPECT_TRUE(tracker.all_finished());
+  EXPECT_TRUE(dag->all_jobs_finished());
   // Stages ran strictly in order.
   EXPECT_LT(result.coflows[0].finish, result.coflows[1].finish);
   EXPECT_LT(result.coflows[1].finish, result.coflows[2].finish);

@@ -2,14 +2,16 @@
 // tests, the satellite caches (finished-length median, O(1) spatial sync
 // probe), and the property suite pinning the incremental order path
 // byte-identical to the reference scheduler's full sort across churn —
-// arrivals, completions, queue moves, deadline expiry, dynamics SRTF, and
-// the skip × event mode matrix.
+// arrivals, completions, queue moves, deadline expiry, dynamics SRTF — on
+// the production engine (skipping or scheduling every epoch) and against
+// the reference engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -203,16 +205,16 @@ TEST(FinishedMedianTest, CachedMedianTracksCompletions) {
 // admission decisions, and in the end-to-end SimResults — across every
 // churn source.
 
+using testing::Loop;
+
 struct ModeParam {
   std::uint64_t seed;
   const char* scheduler;  // "saath", "saath-fifo", "saath-total", "aalo"
-  bool skip;
-  bool event;
+  Loop loop;
 };
 
 void PrintTo(const ModeParam& p, std::ostream* os) {
-  *os << p.scheduler << "/seed" << p.seed << (p.skip ? "/skip" : "/noskip")
-      << (p.event ? "/event" : "/oracle");
+  *os << p.scheduler << "/seed" << p.seed << "/" << testing::loop_name(p.loop);
 }
 
 /// Production (`reference` false) or the reference model for `name`.
@@ -254,9 +256,18 @@ class DeltaOrderProperty : public ::testing::TestWithParam<ModeParam> {
     SimConfig cfg;
     cfg.port_bandwidth = 1e6;
     cfg.delta = msec(20);
-    cfg.skip_quiescent_epochs = GetParam().skip;
-    cfg.event_driven = GetParam().event;
     return cfg;
+  }
+  /// Production (`reference` false) or the reference model over `t` with
+  /// its dynamics and data gates, on the parameter's loop.
+  [[nodiscard]] SimResult run(const trace::Trace& t, bool reference,
+                              const SimConfig& cfg,
+                              const std::vector<DynamicsEvent>& dynamics = {},
+                              const std::map<std::int64_t, SimTime>& gates = {})
+      const {
+    auto sched = make_mode_scheduler(GetParam().scheduler, reference);
+    return testing::run_on(GetParam().loop, reference,
+                           testing::stream_of(t, dynamics, gates), *sched, cfg);
   }
 };
 
@@ -264,11 +275,8 @@ class DeltaOrderProperty : public ::testing::TestWithParam<ModeParam> {
 // the whole mode matrix.
 TEST_P(DeltaOrderProperty, IncrementalMatchesFullSortOracle) {
   const auto t = make();
-  auto inc = make_mode_scheduler(GetParam().scheduler, false);
-  auto full = make_mode_scheduler(GetParam().scheduler, true);
-  const auto r_inc = simulate(t, *inc, config());
-  const auto r_full = simulate(t, *full, config());
-  expect_identical(r_inc, r_full, GetParam().scheduler);
+  expect_identical(run(t, false, config()), run(t, true, config()),
+                   GetParam().scheduler);
 }
 
 // Same, under heavy churn: compressed arrivals force deep queues, deadline
@@ -276,11 +284,8 @@ TEST_P(DeltaOrderProperty, IncrementalMatchesFullSortOracle) {
 TEST_P(DeltaOrderProperty, IncrementalMatchesOracleUnderLoad) {
   auto t = make();
   t = t.scaled_arrivals(8.0);
-  auto inc = make_mode_scheduler(GetParam().scheduler, false);
-  auto full = make_mode_scheduler(GetParam().scheduler, true);
-  const auto r_inc = simulate(t, *inc, config());
-  const auto r_full = simulate(t, *full, config());
-  expect_identical(r_inc, r_full, GetParam().scheduler);
+  expect_identical(run(t, false, config()), run(t, true, config()),
+                   GetParam().scheduler);
 }
 
 // Dynamics churn: node failures (restarts + §4.3 SRTF re-queueing, which
@@ -288,35 +293,25 @@ TEST_P(DeltaOrderProperty, IncrementalMatchesOracleUnderLoad) {
 // admission replay) must not open any gap either.
 TEST_P(DeltaOrderProperty, IncrementalMatchesOracleUnderDynamics) {
   const auto t = make();
-  auto run = [&](bool reference) {
-    auto sched = make_mode_scheduler(GetParam().scheduler, reference);
-    Engine engine(t, *sched, config());
-    engine.add_dynamics_event({seconds(2), DynamicsEvent::Kind::kNodeFailure,
-                               1, 1.0});
-    engine.add_dynamics_event({seconds(3),
-                               DynamicsEvent::Kind::kStragglerStart, 4, 0.3});
-    engine.add_dynamics_event({seconds(6), DynamicsEvent::Kind::kStragglerEnd,
-                               4, 1.0});
-    engine.add_dynamics_event({seconds(7), DynamicsEvent::Kind::kNodeFailure,
-                               2, 1.0});
-    return engine.run();
+  const std::vector<DynamicsEvent> dynamics = {
+      {seconds(2), DynamicsEvent::Kind::kNodeFailure, 1, 1.0},
+      {seconds(3), DynamicsEvent::Kind::kStragglerStart, 4, 0.3},
+      {seconds(6), DynamicsEvent::Kind::kStragglerEnd, 4, 1.0},
+      {seconds(7), DynamicsEvent::Kind::kNodeFailure, 2, 1.0},
   };
-  expect_identical(run(false), run(true), GetParam().scheduler);
+  expect_identical(run(t, false, config(), dynamics),
+                   run(t, true, config(), dynamics), GetParam().scheduler);
 }
 
 // Data-availability flips (§4.3 pipelining) re-fence cached admissions.
 TEST_P(DeltaOrderProperty, IncrementalMatchesOracleWithDataGates) {
   const auto t = make();
-  auto run = [&](bool reference) {
-    auto sched = make_mode_scheduler(GetParam().scheduler, reference);
-    Engine engine(t, *sched, config());
-    for (std::size_t i = 0; i < t.coflows.size(); i += 3) {
-      engine.set_data_available_at(t.coflows[i].id,
-                                   t.coflows[i].arrival + seconds(1));
-    }
-    return engine.run();
-  };
-  expect_identical(run(false), run(true), GetParam().scheduler);
+  std::map<std::int64_t, SimTime> gates;
+  for (std::size_t i = 0; i < t.coflows.size(); i += 3) {
+    gates[t.coflows[i].id.value] = t.coflows[i].arrival + seconds(1);
+  }
+  expect_identical(run(t, false, config(), {}, gates),
+                   run(t, true, config(), {}, gates), GetParam().scheduler);
 }
 
 // Mid-epoch reallocation multiplies delta-carrying rounds; the replay
@@ -325,34 +320,31 @@ TEST_P(DeltaOrderProperty, IncrementalMatchesOracleWithReallocation) {
   const auto t = make();
   SimConfig cfg = config();
   cfg.reallocate_on_completion = true;
-  auto inc = make_mode_scheduler(GetParam().scheduler, false);
-  auto full = make_mode_scheduler(GetParam().scheduler, true);
-  const auto r_inc = simulate(t, *inc, cfg);
-  const auto r_full = simulate(t, *full, cfg);
-  expect_identical(r_inc, r_full, GetParam().scheduler);
+  expect_identical(run(t, false, cfg), run(t, true, cfg),
+                   GetParam().scheduler);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, DeltaOrderProperty,
     ::testing::Values(
-        ModeParam{7, "saath", true, true}, ModeParam{7, "saath", true, false},
-        ModeParam{7, "saath", false, true},
-        ModeParam{7, "saath", false, false},
-        ModeParam{21, "saath", true, true},
-        ModeParam{35, "saath", true, true},
-        ModeParam{7, "saath-fifo", true, true},
-        ModeParam{7, "saath-fifo", false, true},
-        ModeParam{7, "saath-total", true, true},
-        ModeParam{7, "aalo", true, true}, ModeParam{7, "aalo", false, true},
-        ModeParam{21, "aalo", true, true}),
+        ModeParam{7, "saath", Loop::kProduction},
+        ModeParam{7, "saath", Loop::kEveryEpoch},
+        ModeParam{7, "saath", Loop::kReference},
+        ModeParam{21, "saath", Loop::kProduction},
+        ModeParam{35, "saath", Loop::kProduction},
+        ModeParam{7, "saath-fifo", Loop::kProduction},
+        ModeParam{7, "saath-fifo", Loop::kEveryEpoch},
+        ModeParam{7, "saath-total", Loop::kProduction},
+        ModeParam{7, "aalo", Loop::kProduction},
+        ModeParam{7, "aalo", Loop::kEveryEpoch},
+        ModeParam{21, "aalo", Loop::kReference}),
     [](const ::testing::TestParamInfo<ModeParam>& pinfo) {
       std::string name = pinfo.param.scheduler;
       for (auto& ch : name) {
         if (ch == '-') ch = '_';
       }
-      return name + "_seed" + std::to_string(pinfo.param.seed) +
-             (pinfo.param.skip ? "_skip" : "_noskip") +
-             (pinfo.param.event ? "_event" : "_oracle");
+      return name + "_seed" + std::to_string(pinfo.param.seed) + "_" +
+             testing::loop_name(pinfo.param.loop);
     });
 
 // ---------------------------------------------------------------------------

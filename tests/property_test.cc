@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "reference/engine.h"
 #include "reference/reference.h"
 #include "sched/aalo.h"
 #include "sched/factory.h"
@@ -40,13 +41,12 @@ class SchedulerProperty : public ::testing::TestWithParam<PropertyParam> {
     SimConfig cfg;
     cfg.port_bandwidth = 1e6;
     cfg.delta = msec(20);
-    cfg.check_capacity = true;  // invariant 2 enforced by the engine itself
     return cfg;
   }
 };
 
-// Invariants 1 + 2: every CoFlow completes, all bytes delivered, and (via
-// check_capacity) no port is ever overdrawn.
+// Invariants 1 + 2: every CoFlow completes, all bytes delivered, and (the
+// engine checks every round) no port is ever overdrawn.
 TEST_P(SchedulerProperty, CompletesAndConservesBytes) {
   const auto t = make();
   auto sched = make_scheduler(GetParam().scheduler);
@@ -333,8 +333,9 @@ class RateDigestObserver final : public Scheduler {
 // batch count — on the delta route and on the full-delta route alike.
 TEST_P(SpatialRefactor, IncrementalAndRebuildSchedulesIdentical) {
   const auto t = make();
-  SimConfig cfg = config();
-  cfg.skip_quiescent_epochs = false;  // align epochs 1:1 across both runs
+  // The observer never forwards schedule_valid_until, so both runs schedule
+  // every epoch and their rounds align 1:1.
+  const SimConfig cfg = config();
 
   std::vector<std::size_t> rebuild_digests;
   RateDigestObserver s_reb(std::make_unique<reference::ReferenceSaath>(),
@@ -364,25 +365,27 @@ TEST_P(SpatialRefactor, IncrementalAndRebuildSchedulesIdentical) {
 
 // Skipping quiescent epochs must not change any completion time — the
 // skipped recompute would have reproduced the standing rates — while
-// actually skipping rounds on these workloads.
+// actually skipping rounds on these workloads: the production engine
+// matches itself scheduling every epoch, and the reference engine.
 TEST_P(SpatialRefactor, QuiescentEpochSkipPreservesResults) {
   const auto t = make();
-  SimConfig with_skip = config();
-  with_skip.skip_quiescent_epochs = true;
-  SimConfig no_skip = config();
-  no_skip.skip_quiescent_epochs = false;
-
   SaathScheduler s1;
   SaathScheduler s2;
-  Engine e1(t, s1, with_skip);
-  Engine e2(t, s2, no_skip);
+  SaathScheduler s3;
+  reference::EveryEpoch every_epoch(s2);
+  Engine e1(t, s1, config());
+  Engine e2(t, every_epoch, config());
   const auto r1 = e1.run();
   const auto r2 = e2.run();
+  const auto r3 = reference::reference_simulate(t, s3, config());
 
   ASSERT_EQ(r1.coflows.size(), r2.coflows.size());
+  ASSERT_EQ(r1.coflows.size(), r3.coflows.size());
   for (std::size_t i = 0; i < r1.coflows.size(); ++i) {
     EXPECT_EQ(r1.coflows[i].finish, r2.coflows[i].finish) << "coflow " << i;
     EXPECT_EQ(r1.coflows[i].flow_fcts_seconds, r2.coflows[i].flow_fcts_seconds);
+    EXPECT_EQ(r1.coflows[i].finish, r3.coflows[i].finish) << "coflow " << i;
+    EXPECT_EQ(r1.coflows[i].flow_fcts_seconds, r3.coflows[i].flow_fcts_seconds);
   }
   EXPECT_LE(e1.scheduling_rounds(), e2.scheduling_rounds());
 }
@@ -392,14 +395,10 @@ TEST_P(SpatialRefactor, QuiescentEpochSkipPreservesResults) {
 TEST_P(SpatialRefactor, SkipIsNoOpForAlwaysRecomputeSchedulers) {
   const auto t = make();
   for (const char* name : {"aalo", "sebf", "uc-tcp"}) {
-    SimConfig with_skip = config();
-    with_skip.skip_quiescent_epochs = true;
-    SimConfig no_skip = config();
-    no_skip.skip_quiescent_epochs = false;
     auto s1 = make_scheduler(name);
     auto s2 = make_scheduler(name);
-    const auto r1 = simulate(t, *s1, with_skip);
-    const auto r2 = simulate(t, *s2, no_skip);
+    const auto r1 = simulate(t, *s1, config());
+    const auto r2 = reference::reference_simulate(t, *s2, config());
     ASSERT_EQ(r1.coflows.size(), r2.coflows.size());
     for (std::size_t i = 0; i < r1.coflows.size(); ++i) {
       EXPECT_EQ(r1.coflows[i].finish, r2.coflows[i].finish)
@@ -414,20 +413,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpatialRefactor,
 // ---------------------------------------------------------------------------
 // Port-indexed work-conservation backfill: the residual-set-driven walk must
 // be indistinguishable from the reference Saath's dense missed-list rescan
-// across the skip × event × route matrix, under plain runs, heavy load and
-// dynamics churn alike.
+// across the loop × route matrix, under plain runs, heavy load and dynamics
+// churn alike.
+
+using testing::Loop;
+using testing::loop_name;
 
 struct BackfillParam {
   std::uint64_t seed;
   const char* scheduler;  // "saath" or "aalo" (shared admit/alloc guard)
-  bool skip;
-  bool event;
+  Loop loop;
   bool order;  // production on the delta route (else the full route)
 };
 
 void PrintTo(const BackfillParam& p, std::ostream* os) {
-  *os << p.scheduler << "/seed" << p.seed << (p.skip ? "/skip" : "/noskip")
-      << (p.event ? "/event" : "/oracle")
+  *os << p.scheduler << "/seed" << p.seed << "/" << loop_name(p.loop)
       << (p.order ? "/incorder" : "/fullorder");
 }
 
@@ -452,8 +452,6 @@ class BackfillProperty : public ::testing::TestWithParam<BackfillParam> {
     SimConfig cfg;
     cfg.port_bandwidth = 1e6;
     cfg.delta = msec(20);
-    cfg.skip_quiescent_epochs = GetParam().skip;
-    cfg.event_driven = GetParam().event;
     return cfg;
   }
   [[nodiscard]] bool aalo() const {
@@ -475,12 +473,11 @@ class BackfillProperty : public ::testing::TestWithParam<BackfillParam> {
                      : std::make_unique<SaathScheduler>();
     }
     reference::FullRoute full_route(*sched);
-    Scheduler& driven =
+    Scheduler& routed =
         reference || GetParam().order ? *sched
                                       : static_cast<Scheduler&>(full_route);
-    Engine engine(t, driven, config());
-    for (const DynamicsEvent& ev : dynamics) engine.add_dynamics_event(ev);
-    return engine.run();
+    return testing::run_on(GetParam().loop, reference,
+                           testing::stream_of(t, dynamics), routed, config());
   }
 };
 
@@ -514,25 +511,22 @@ TEST_P(BackfillProperty, IndexedBackfillMatchesDenseOracleUnderDynamics) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, BackfillProperty,
     ::testing::Values(
-        BackfillParam{7, "saath", true, true, true},
-        BackfillParam{7, "saath", true, true, false},
-        BackfillParam{7, "saath", true, false, true},
-        BackfillParam{7, "saath", true, false, false},
-        BackfillParam{7, "saath", false, true, true},
-        BackfillParam{7, "saath", false, true, false},
-        BackfillParam{7, "saath", false, false, true},
-        BackfillParam{7, "saath", false, false, false},
-        BackfillParam{21, "saath", true, true, true},
-        BackfillParam{35, "saath", false, true, true},
-        BackfillParam{7, "aalo", true, true, true},
-        BackfillParam{7, "aalo", false, true, true},
-        BackfillParam{7, "aalo", true, false, true},
-        BackfillParam{21, "aalo", false, false, true}),
+        BackfillParam{7, "saath", Loop::kProduction, true},
+        BackfillParam{7, "saath", Loop::kProduction, false},
+        BackfillParam{7, "saath", Loop::kEveryEpoch, true},
+        BackfillParam{7, "saath", Loop::kEveryEpoch, false},
+        BackfillParam{7, "saath", Loop::kReference, true},
+        BackfillParam{7, "saath", Loop::kReference, false},
+        BackfillParam{21, "saath", Loop::kProduction, true},
+        BackfillParam{35, "saath", Loop::kEveryEpoch, true},
+        BackfillParam{7, "aalo", Loop::kProduction, true},
+        BackfillParam{7, "aalo", Loop::kEveryEpoch, true},
+        BackfillParam{7, "aalo", Loop::kReference, true},
+        BackfillParam{21, "aalo", Loop::kReference, true}),
     [](const ::testing::TestParamInfo<BackfillParam>& pinfo) {
       std::string name = pinfo.param.scheduler;
-      return name + "_seed" + std::to_string(pinfo.param.seed) +
-             (pinfo.param.skip ? "_skip" : "_noskip") +
-             (pinfo.param.event ? "_event" : "_oracle") +
+      return name + "_seed" + std::to_string(pinfo.param.seed) + "_" +
+             loop_name(pinfo.param.loop) +
              (pinfo.param.order ? "_incorder" : "_fullorder");
     });
 
@@ -608,24 +602,21 @@ TEST(ResidualSet, MatchesFromScratchScanEveryRound) {
 }
 
 // On a sparse workload (slow ports, long quiet busy periods) the skip must
-// actually fire — an order of magnitude fewer compute_schedule rounds, with
-// the completion schedule untouched. Guards the valid-until plumbing
-// against silently degrading to recompute-every-epoch.
+// actually fire — an order of magnitude fewer compute_schedule rounds than
+// scheduling every epoch, with the completion schedule untouched. Guards
+// the valid-until plumbing against silently degrading to
+// recompute-every-epoch.
 TEST(QuiescentSkip, ReducesRoundsOnSparseWorkload) {
   const auto t = trace::synth_small_trace(8, 20, 3);
-  SimConfig base;
-  base.port_bandwidth = 1e5;
-  base.delta = msec(50);
-
-  SimConfig with_skip = base;
-  with_skip.skip_quiescent_epochs = true;
-  SimConfig no_skip = base;
-  no_skip.skip_quiescent_epochs = false;
+  SimConfig cfg;
+  cfg.port_bandwidth = 1e5;
+  cfg.delta = msec(50);
 
   SaathScheduler s1;
   SaathScheduler s2;
-  Engine e1(t, s1, with_skip);
-  Engine e2(t, s2, no_skip);
+  reference::EveryEpoch every_epoch(s2);
+  Engine e1(t, s1, cfg);
+  Engine e2(t, every_epoch, cfg);
   const auto r1 = e1.run();
   const auto r2 = e2.run();
 

@@ -1,7 +1,8 @@
 // Reference Saath and Aalo: the schedulers written straight from the
 // paper, for obviousness rather than speed. Tests diff the production
 // schedulers (src/sched/) against these; the benches use them as the
-// from-scratch baselines the incremental paths are measured against.
+// from-scratch baselines the incremental paths are measured against. The
+// reference engine they pair with lives in reference/engine.h.
 //
 // Nothing here survives a round except the phase counters. Every
 // schedule() reads the CoFlows' own state and recomputes the round from
@@ -123,6 +124,46 @@ class FullRoute final : public Scheduler {
  private:
   Scheduler& inner_;
   const Scheduler& triggers_;
+};
+
+/// Drives `inner` on its own route — the engine's delta passes through —
+/// but answers schedule_valid_until() with `now`, so the production engine
+/// recomputes every epoch instead of skipping the quiescent ones. Lifecycle
+/// hooks pass through.
+class EveryEpoch final : public Scheduler {
+ public:
+  explicit EveryEpoch(Scheduler& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  void schedule(SimTime now, std::span<CoflowState* const> active,
+                Fabric& fabric, RateAssignment& rates) override {
+    inner_.schedule(now, active, fabric, rates);
+  }
+  void schedule(SimTime now, std::span<CoflowState* const> active,
+                Fabric& fabric, RateAssignment& rates,
+                const SchedulerDelta& delta) override {
+    inner_.schedule(now, active, fabric, rates, delta);
+  }
+  [[nodiscard]] SimTime schedule_valid_until(
+      SimTime now, std::span<CoflowState* const> active) const override {
+    (void)active;
+    return now;
+  }
+  void on_coflow_arrival(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_arrival(c, now);
+  }
+  void on_flow_complete(CoflowState& c, FlowState& f, SimTime now) override {
+    inner_.on_flow_complete(c, f, now);
+  }
+  void on_coflow_complete(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_complete(c, now);
+  }
+  void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_quarantined(c, now);
+  }
+
+ private:
+  Scheduler& inner_;
 };
 
 }  // namespace saath::reference

@@ -8,6 +8,7 @@
 #include <map>
 #include <string>
 
+#include "reference/engine.h"
 #include "reference/reference.h"
 #include "replay/journal.h"
 #include "runtime/testbed.h"
@@ -57,10 +58,13 @@ TEST(RegistryDigest, ReplayTracesUnderTheBaselines) {
   EXPECT_EQ(digest_of("osp-replay", "uc-tcp"), "c28713c0c5c3681c");
 }
 
-// The from-scratch reference Saath (tests/reference/) reproduces the pins
-// of EveryScenarioUnderSaath: they are Fig 7's schedule, not an artefact of
-// the incremental structures that produce them.
-TEST(RegistryDigest, EveryScenarioUnderTheReferenceSaath) {
+// The from-scratch reference Saath (tests/reference/) on the reference
+// engine reproduces the pins of EveryScenarioUnderSaath: they are Fig 7's
+// schedule on the loop sim/engine.h describes, not an artefact of the
+// incremental structures, the completion heap or the quiescent skip that
+// produce them. One case per scenario, each its own ctest entry
+// (CMakeLists.txt), so `ctest -j` runs them side by side.
+void expect_reference_pipeline_pin(const std::string& scenario) {
   const std::map<std::string, std::string> pinned = {
       {"failure-storm", "cb25e1d2bfd19814"},
       {"fb-replay", "ecb66aa036602501"},
@@ -69,12 +73,32 @@ TEST(RegistryDigest, EveryScenarioUnderTheReferenceSaath) {
       {"pipeline-dag", "073b52f7dfba2bd9"},
       {"steady-churn", "8384c0a57d73e062"},
   };
-  for (const auto& [name, digest] : pinned) {
-    const workload::ScenarioSetup setup = workload::make_scenario(name);
-    reference::ReferenceSaath sched;
-    Engine engine(setup.source, sched, setup.config);
-    EXPECT_EQ(replay::result_digest_hex(engine.run()), digest) << name;
-  }
+  ASSERT_EQ(pinned.size(), workload::known_scenarios().size())
+      << "a scenario was added or removed: pin its digest here";
+  const workload::ScenarioSetup setup = workload::make_scenario(scenario);
+  reference::ReferenceSaath sched;
+  reference::ReferenceEngine engine(setup.source, sched, setup.config);
+  EXPECT_EQ(replay::result_digest_hex(engine.run()), pinned.at(scenario))
+      << scenario;
+}
+
+TEST(RegistryDigestReference, FailureStorm) {
+  expect_reference_pipeline_pin("failure-storm");
+}
+TEST(RegistryDigestReference, FbReplay) {
+  expect_reference_pipeline_pin("fb-replay");
+}
+TEST(RegistryDigestReference, MultiTenantMerge) {
+  expect_reference_pipeline_pin("multi-tenant-merge");
+}
+TEST(RegistryDigestReference, OspReplay) {
+  expect_reference_pipeline_pin("osp-replay");
+}
+TEST(RegistryDigestReference, PipelineDag) {
+  expect_reference_pipeline_pin("pipeline-dag");
+}
+TEST(RegistryDigestReference, SteadyChurn) {
+  expect_reference_pipeline_pin("steady-churn");
 }
 
 // The testbed's PipelinedScheduler drives Saath through the full-delta

@@ -9,8 +9,9 @@
 #include <vector>
 
 #include "replay/checkpoint.h"
-#include "replay/fault.h"
+#include "reference/engine.h"
 #include "reference/reference.h"
+#include "replay/fault.h"
 #include "replay/journal.h"
 #include "sched/aalo.h"
 #include "sched/factory.h"
@@ -67,46 +68,44 @@ void expect_identical(const SimResult& a, const SimResult& b,
 
 // -------------------------------------------------------- record / replay
 
-TEST(RecordReplay, DigestIdentityAcrossConfigAndSchedulerMatrix) {
+TEST(RecordReplay, DigestIdentityAcrossLoopAndSchedulerMatrix) {
   const auto t = matrix_trace();
   for (const std::string which : {"saath", "aalo"}) {
-    for (const bool skip : {true, false}) {
-      for (const bool event : {true, false}) {
-        for (const bool reference : {false, true}) {
-          SimConfig cfg;
-          cfg.skip_quiescent_epochs = skip;
-          cfg.event_driven = event;
-          const std::string what = which + (skip ? "/skip" : "/noskip") +
-                                   (event ? "/event" : "/scan") +
-                                   (reference ? "/reference" : "/production");
+    for (const testing::Loop loop :
+         {testing::Loop::kProduction, testing::Loop::kEveryEpoch,
+          testing::Loop::kReference}) {
+      for (const bool reference : {false, true}) {
+        SimConfig cfg;
+        cfg.delta = msec(10);
+        const std::string what = which + "/" + testing::loop_name(loop) +
+                                 (reference ? "/reference" : "/production");
+        // On a kReference cell every run goes through the reference engine.
+        const auto run = [&](std::shared_ptr<workload::WorkloadSource> src,
+                             const SimConfig& run_cfg) {
+          auto sched = matrix_scheduler(which, reference);
+          return testing::run_on(loop, /*oracle=*/true, std::move(src),
+                                 *sched, run_cfg);
+        };
 
-          // Baseline: the same workload run without any recording layer.
-          auto base_sched = matrix_scheduler(which, reference);
-          const SimResult base =
-              simulate(std::make_shared<workload::TraceSource>(trace::Trace(t)),
-                       *base_sched, cfg);
+        // Baseline: the same workload run without any recording layer.
+        const SimResult base = run(
+            std::make_shared<workload::TraceSource>(trace::Trace(t)), cfg);
 
-          // Recorded run: the journaling wrapper must not perturb the run.
-          std::ostringstream journal;
-          auto rec = std::make_shared<replay::RecordingSource>(
-              std::make_shared<workload::TraceSource>(trace::Trace(t)),
-              journal, cfg, /*seed=*/41);
-          auto rec_sched = matrix_scheduler(which, reference);
-          const SimResult recorded = simulate(rec, *rec_sched, cfg);
-          expect_identical(base, recorded, what + " record");
+        // Recorded run: the journaling wrapper must not perturb the run.
+        std::ostringstream journal;
+        auto rec = std::make_shared<replay::RecordingSource>(
+            std::make_shared<workload::TraceSource>(trace::Trace(t)), journal,
+            cfg, /*seed=*/41);
+        expect_identical(base, run(rec, cfg), what + " record");
 
-          // Replayed run: journal in, recorded config out, same digest.
-          std::istringstream in(journal.str());
-          auto rs = std::make_shared<replay::ReplaySource>(in);
-          EXPECT_EQ(rs->num_ports(), t.num_ports);
-          EXPECT_EQ(rs->recorded_seed(), 41);
-          EXPECT_EQ(rs->recorded_config().skip_quiescent_epochs, skip);
-          EXPECT_EQ(rs->recorded_config().event_driven, event);
-          auto rep_sched = matrix_scheduler(which, reference);
-          const SimResult replayed =
-              simulate(rs, *rep_sched, rs->recorded_config());
-          expect_identical(base, replayed, what + " replay");
-        }
+        // Replayed run: journal in, recorded config out, same digest.
+        std::istringstream in(journal.str());
+        auto rs = std::make_shared<replay::ReplaySource>(in);
+        EXPECT_EQ(rs->num_ports(), t.num_ports);
+        EXPECT_EQ(rs->recorded_seed(), 41);
+        EXPECT_EQ(rs->recorded_config().delta, msec(10));
+        expect_identical(base, run(rs, rs->recorded_config()),
+                         what + " replay");
       }
     }
   }
@@ -214,8 +213,92 @@ TEST(RecordReplay, JournalHeaderWritesZeroInReservedSlot) {
   for (std::string tok; tokens >> tok;) fields.push_back(tok);
   ASSERT_EQ(fields.size(), 13u) << config_line;
   EXPECT_EQ(fields[0], "C");
+  EXPECT_EQ(fields[4], "1");  // retired engine-mode slots
+  EXPECT_EQ(fields[5], "1");
+  EXPECT_EQ(fields[6], "1");
   EXPECT_EQ(fields[9], "0");   // reserved slot
   EXPECT_EQ(fields[10], "5");  // max_stall_epochs follows it
+}
+
+// A small run recorded by a build that still had the check_capacity,
+// skip_quiescent_epochs and event_driven engine modes: three arrivals (the
+// second gated until an explicit release), a straggler window on port 0,
+// reallocate_on_completion, δ = 10 ms, seed 7. The C line's fourth to sixth
+// tokens are those retired slots, written as 1 by every default run.
+constexpr const char* kModeSlotJournal = R"J(SAATHJ1 4 7 parent-journal
+C 0x1.dcd65p+26 10000 1 1 1 1 1 500000000000 0 0 3 1
+A 0 0 -1 0 0 0 1 0 1 3000000
+A 5000 1 -1 0 5000 -1 1 1 2 2000000
+D 10000 1 0 0x1p-1
+G 30000 1
+A 40000 2 -1 0 40000 0 1 0 3 1000000
+D 60000 2 0 0x1p+0
+)J";
+
+/// The workload kModeSlotJournal recorded, as a fresh source.
+std::shared_ptr<workload::WorkloadSource> mode_slot_workload() {
+  std::vector<WorkloadEvent> ev;
+  ev.push_back(WorkloadEvent::arrival(
+      testing::make_coflow(0, 0, {{0, 1, 3 * kMB}})));
+  WorkloadEvent gated = WorkloadEvent::arrival(
+      testing::make_coflow(1, msec(5), {{1, 2, 2 * kMB}}));
+  gated.data_ready = kNever;
+  ev.push_back(std::move(gated));
+  ev.push_back(WorkloadEvent::dynamics_at(
+      {msec(10), DynamicsEvent::Kind::kStragglerStart, 0, 0.5}));
+  ev.push_back(WorkloadEvent::data_available(CoflowId{1}, msec(30)));
+  ev.push_back(WorkloadEvent::arrival(
+      testing::make_coflow(2, msec(40), {{0, 3, 1 * kMB}})));
+  ev.push_back(WorkloadEvent::dynamics_at(
+      {msec(60), DynamicsEvent::Kind::kStragglerEnd, 0, 1.0}));
+  return std::make_shared<workload::ScriptSource>("parent-journal", 4,
+                                                  std::move(ev));
+}
+
+[[nodiscard]] SimConfig mode_slot_config() {
+  SimConfig cfg;
+  cfg.delta = msec(10);
+  cfg.reallocate_on_completion = true;
+  return cfg;
+}
+
+TEST(RecordReplay, RecordingMatchesJournalFromBeforeModeRemoval) {
+  std::ostringstream journal;
+  auto rec = std::make_shared<replay::RecordingSource>(
+      mode_slot_workload(), journal, mode_slot_config(), /*seed=*/7);
+  SaathScheduler sched;
+  const SimResult recorded = simulate(rec, sched, mode_slot_config());
+  ASSERT_EQ(recorded.coflows.size(), 3u);
+  EXPECT_EQ(journal.str(), kModeSlotJournal);
+  EXPECT_EQ(replay::result_digest_hex(recorded), "ce4df422f4c1e309");
+
+  std::istringstream in(kModeSlotJournal);
+  auto rs = std::make_shared<replay::ReplaySource>(in);
+  SaathScheduler replay_sched;
+  expect_identical(recorded,
+                   simulate(rs, replay_sched, rs->recorded_config()),
+                   "journal from before the mode removal");
+}
+
+TEST(RecordReplay, RetiredModeSlotsAreIgnoredOnReplay) {
+  std::string zeroed = kModeSlotJournal;
+  const std::string ones = "10000 1 1 1 1 1 ";
+  const std::size_t at = zeroed.find(ones);
+  ASSERT_NE(at, std::string::npos);
+  // realloc stays 1; the three retired slots read 0.
+  zeroed.replace(at, ones.size(), "10000 1 0 0 0 1 ");
+  std::istringstream original_in(kModeSlotJournal);
+  std::istringstream zeroed_in(zeroed);
+  auto original = std::make_shared<replay::ReplaySource>(original_in);
+  auto rewritten = std::make_shared<replay::ReplaySource>(zeroed_in);
+  EXPECT_TRUE(rewritten->recorded_config().reallocate_on_completion);
+  EXPECT_TRUE(rewritten->recorded_config().record_results);
+  SaathScheduler s1;
+  SaathScheduler s2;
+  const SimResult a = simulate(original, s1, original->recorded_config());
+  const SimResult b = simulate(rewritten, s2, rewritten->recorded_config());
+  EXPECT_EQ(replay::result_digest_hex(a), "ce4df422f4c1e309");
+  EXPECT_EQ(replay::result_digest_hex(b), "ce4df422f4c1e309");
 }
 
 // ----------------------------------------------------- checkpoint / resume
@@ -275,51 +358,116 @@ TEST(Checkpoint, TruncatedCheckpointIsRejected) {
 TEST(Checkpoint, ResumeMatchesUninterruptedRunAcrossMatrix) {
   const auto t = matrix_trace();
   for (const std::string which : {"saath", "aalo"}) {
-    for (const bool skip : {true, false}) {
-      for (const bool event : {true, false}) {
-        SimConfig cfg;
-        cfg.skip_quiescent_epochs = skip;
-        cfg.event_driven = event;
-        const std::string what = which + (skip ? "/skip" : "/noskip") +
-                                 (event ? "/event" : "/scan");
+    for (const bool every_epoch : {false, true}) {
+      const SimConfig cfg;
+      const std::string what = which + (every_epoch ? "/everyepoch" : "/skip");
 
-        // Recorded full run, snapshotting mid-flight.
-        std::ostringstream journal;
-        auto rec = std::make_shared<replay::RecordingSource>(
-            std::make_shared<workload::TraceSource>(trace::Trace(t)), journal,
-            cfg, /*seed=*/41);
-        auto full_sched = matrix_scheduler(which, false);
-        Engine full(rec, *full_sched, cfg);
-        EngineSnapshot snap;
-        bool captured = false;
-        full.set_snapshot_hook(60, [&](const EngineSnapshot& s) {
-          if (!captured) snap = s;
-          captured = true;
-        });
-        const SimResult uninterrupted = full.run();
-        ASSERT_TRUE(captured) << what;
-        ASSERT_GT(snap.source_events_consumed, 0) << what;
-        ASSERT_FALSE(snap.active.empty()) << what;
+      // Recorded full run, snapshotting mid-flight.
+      std::ostringstream journal;
+      auto rec = std::make_shared<replay::RecordingSource>(
+          std::make_shared<workload::TraceSource>(trace::Trace(t)), journal,
+          cfg, /*seed=*/41);
+      auto full_sched = matrix_scheduler(which, false);
+      reference::EveryEpoch full_every(*full_sched);
+      Engine full(rec,
+                  every_epoch ? static_cast<Scheduler&>(full_every)
+                              : *full_sched,
+                  cfg);
+      EngineSnapshot snap;
+      bool captured = false;
+      full.set_snapshot_hook(60, [&](const EngineSnapshot& s) {
+        if (!captured) snap = s;
+        captured = true;
+      });
+      const SimResult uninterrupted = full.run();
+      ASSERT_TRUE(captured) << what;
+      ASSERT_GT(snap.source_events_consumed, 0) << what;
+      ASSERT_FALSE(snap.active.empty()) << what;
 
-        // Serialize + reload the snapshot (the crash-recovery path reads it
-        // from disk, never from the dying process's memory).
-        std::ostringstream ckpt;
-        replay::save_checkpoint(ckpt, snap);
-        std::istringstream ckpt_in(ckpt.str());
-        const EngineSnapshot restored = replay::load_checkpoint(ckpt_in);
+      // Serialize + reload the snapshot (the crash-recovery path reads it
+      // from disk, never from the dying process's memory).
+      std::ostringstream ckpt;
+      replay::save_checkpoint(ckpt, snap);
+      std::istringstream ckpt_in(ckpt.str());
+      const EngineSnapshot restored = replay::load_checkpoint(ckpt_in);
 
-        // Resume: journal suffix + restored snapshot on a fresh engine.
-        std::istringstream in(journal.str());
-        auto rs = std::make_shared<replay::ReplaySource>(in);
-        rs->skip(restored.source_events_consumed);
-        auto res_sched = matrix_scheduler(which, false);
-        Engine resumed(rs, *res_sched, rs->recorded_config());
-        resumed.restore_snapshot(restored);
-        const SimResult resumed_result = resumed.run();
-        expect_identical(uninterrupted, resumed_result, what + " resume");
-      }
+      // Resume: journal suffix + restored snapshot on a fresh engine.
+      std::istringstream in(journal.str());
+      auto rs = std::make_shared<replay::ReplaySource>(in);
+      rs->skip(restored.source_events_consumed);
+      auto res_sched = matrix_scheduler(which, false);
+      reference::EveryEpoch res_every(*res_sched);
+      Engine resumed(rs,
+                     every_epoch ? static_cast<Scheduler&>(res_every)
+                                 : *res_sched,
+                     rs->recorded_config());
+      resumed.restore_snapshot(restored);
+      const SimResult resumed_result = resumed.run();
+      expect_identical(uninterrupted, resumed_result, what + " resume");
+
+      // And both equal the reference engine's uninterrupted run.
+      auto ref_sched = matrix_scheduler(which, false);
+      expect_identical(
+          uninterrupted,
+          reference::reference_simulate(
+              std::make_shared<workload::TraceSource>(trace::Trace(t)),
+              *ref_sched, cfg),
+          what + " reference engine");
     }
   }
+}
+
+// A checkpoint that carries an injected-arrival or pending-dynamics entry
+// came from an engine with side channels this one does not have: loading
+// it must fail loudly, naming the section.
+TEST(Checkpoint, RetiredSectionCountsAreRejected) {
+  const auto t = matrix_trace();
+  SaathScheduler sched;
+  Engine engine(std::make_shared<workload::TraceSource>(trace::Trace(t)),
+                sched, SimConfig{});
+  EngineSnapshot snap;
+  bool captured = false;
+  engine.set_snapshot_hook(40, [&](const EngineSnapshot& s) {
+    if (!captured) snap = s;
+    captured = true;
+  });
+  (void)engine.run();
+  ASSERT_TRUE(captured);
+  std::ostringstream out;
+  replay::save_checkpoint(out, snap);
+  const std::string saved = out.str();
+
+  // N <active> <quarantined> <gates> <injected> <dynamics> <factors> <done>
+  const auto with_count = [&](int slot, const char* value) {
+    const std::size_t n_at = saved.find("\nN ");
+    const std::size_t eol = saved.find('\n', n_at + 1);
+    std::istringstream tokens(saved.substr(n_at + 1, eol - n_at - 1));
+    std::vector<std::string> fields;
+    for (std::string tok; tokens >> tok;) fields.push_back(tok);
+    EXPECT_EQ(fields[static_cast<std::size_t>(slot)], "0");
+    fields[static_cast<std::size_t>(slot)] = value;
+    std::string line;
+    for (const std::string& f : fields) {
+      if (!line.empty()) line += ' ';
+      line += f;
+    }
+    return saved.substr(0, n_at + 1) + line + saved.substr(eol);
+  };
+  for (const auto& [slot, section] :
+       {std::pair<int, std::string>{4, "injected-arrival"},
+        std::pair<int, std::string>{5, "pending-dynamics"}}) {
+    std::istringstream in(with_count(slot, "1"));
+    try {
+      (void)replay::load_checkpoint(in);
+      FAIL() << section << " count 1 should be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(section), std::string::npos)
+          << e.what();
+    }
+  }
+  // The unmodified checkpoint still loads.
+  std::istringstream intact(saved);
+  EXPECT_EQ(replay::load_checkpoint(intact).active.size(), snap.active.size());
 }
 
 TEST(Checkpoint, RestoreRefusesMismatchedScheduler) {
@@ -443,22 +591,13 @@ struct StallRig {
     SimConfig cfg = testing::toy_config();
     cfg.max_stall_epochs = max_stall;
     cfg.max_requeue_attempts = max_requeue;
-    engine = std::make_unique<Engine>(
-        std::make_shared<workload::TraceSource>(std::move(t)), sched, cfg);
-    DynamicsEvent down;
-    down.time = msec(1);
-    down.kind = DynamicsEvent::Kind::kStragglerStart;
-    down.port = 0;
-    down.capacity_factor = 0.0;
-    engine->add_dynamics_event(down);
+    std::vector<DynamicsEvent> dynamics = {
+        {msec(1), DynamicsEvent::Kind::kStragglerStart, 0, 0.0}};
     if (heal != kNever) {
-      DynamicsEvent up;
-      up.time = heal;
-      up.kind = DynamicsEvent::Kind::kStragglerEnd;
-      up.port = 0;
-      up.capacity_factor = 1.0;
-      engine->add_dynamics_event(up);
+      dynamics.push_back({heal, DynamicsEvent::Kind::kStragglerEnd, 0, 1.0});
     }
+    engine = std::make_unique<Engine>(testing::stream_of(t, dynamics), sched,
+                                      cfg);
   }
 };
 
@@ -510,23 +649,14 @@ TEST(Quarantine, QuarantinedRunsCheckpointAndResumeBitIdentically) {
   SimConfig cfg = testing::toy_config();
   cfg.max_stall_epochs = 3;
   cfg.max_requeue_attempts = 5;
+  const std::vector<DynamicsEvent> dynamics = {
+      {msec(1), DynamicsEvent::Kind::kStragglerStart, 0, 0.0},
+      {msec(2500), DynamicsEvent::Kind::kStragglerEnd, 0, 1.0}};
   std::ostringstream journal;
   auto rec = std::make_shared<replay::RecordingSource>(
-      std::make_shared<workload::TraceSource>(trace::Trace(t)), journal, cfg,
-      0);
+      testing::stream_of(t, dynamics), journal, cfg, 0);
   SaathScheduler s1;
   Engine full(rec, s1, cfg);
-  DynamicsEvent down;
-  down.time = msec(1);
-  down.kind = DynamicsEvent::Kind::kStragglerStart;
-  down.port = 0;
-  down.capacity_factor = 0.0;
-  full.add_dynamics_event(down);
-  DynamicsEvent up = down;
-  up.time = msec(2500);
-  up.kind = DynamicsEvent::Kind::kStragglerEnd;
-  up.capacity_factor = 1.0;
-  full.add_dynamics_event(up);
   EngineSnapshot snap;
   bool captured = false;
   full.set_snapshot_hook(1, [&](const EngineSnapshot& s) {
@@ -552,8 +682,8 @@ TEST(Quarantine, QuarantinedRunsCheckpointAndResumeBitIdentically) {
   rs->skip(restored.source_events_consumed);
   SaathScheduler s2;
   Engine resumed(rs, s2, rs->recorded_config());
-  // Pre-run dynamics are part of the snapshot (pending_dynamics), not
-  // re-registered here.
+  // The dynamics are journal events: the suffix re-feeds the ones the
+  // snapshot has not consumed.
   resumed.restore_snapshot(restored);
   const SimResult resumed_result = resumed.run();
   expect_identical(uninterrupted, resumed_result, "quarantine resume");
@@ -570,14 +700,10 @@ TEST(RunawayGuard, NamesStuckCoflowsBeforeThrowing) {
   SimConfig cfg = testing::toy_config();
   cfg.max_sim_time = seconds(30);
   SaathScheduler sched;
-  Engine engine(std::make_shared<workload::TraceSource>(std::move(t)), sched,
-                cfg);
-  DynamicsEvent down;
-  down.time = msec(1);
-  down.kind = DynamicsEvent::Kind::kStragglerStart;
-  down.port = 0;
-  down.capacity_factor = 0.0;
-  engine.add_dynamics_event(down);
+  Engine engine(
+      testing::stream_of(
+          t, {{msec(1), DynamicsEvent::Kind::kStragglerStart, 0, 0.0}}),
+      sched, cfg);
   EXPECT_THROW((void)engine.run(), std::runtime_error);
   ASSERT_EQ(engine.stats().stuck_coflow_ids.size(), 1u);
   EXPECT_EQ(engine.stats().stuck_coflow_ids.front(), 0);

@@ -353,19 +353,19 @@ TEST(Saath, IndexedBackfillEngagesAndMatchesDenseOnDeltaRounds) {
 }
 
 TEST(Saath, ConserveReplayEngagesOnQuiescentEngineRounds) {
-  // With the quiescent-epoch skip off, the engine recomputes every epoch;
-  // epochs with no delta replay the whole admission prefix, and the
-  // results must equal the reference Saath's exactly.
+  // Scheduling every epoch (no quiescent skip), epochs with no delta replay
+  // the whole admission prefix, and the results must equal the reference
+  // Saath's exactly.
   const auto t = make_trace(
       6, {make_coflow(0, 0, {{0, 3, 5000}, {1, 4, 5000}}),
           make_coflow(1, usec(1), {{0, 5, 8000}, {2, 3, 8000}}),
           make_coflow(2, usec(2), {{1, 5, 8000}, {2, 4, 8000}})});
-  SimConfig cfg = toy_config();
-  cfg.skip_quiescent_epochs = false;
+  const SimConfig cfg = toy_config();
 
   SaathScheduler indexed;
+  reference::EveryEpoch every_epoch(indexed);
   reference::ReferenceSaath dense;
-  const auto r_indexed = simulate(t, indexed, cfg);
+  const auto r_indexed = simulate(t, every_epoch, cfg);
   const auto r_dense = simulate(t, dense, cfg);
 
   ASSERT_EQ(r_indexed.coflows.size(), r_dense.coflows.size());

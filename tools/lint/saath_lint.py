@@ -40,14 +40,14 @@ the compiler cannot see:
                         cross-thread dangle waiting to happen — the engine
                         thread owns those objects and reclaims finished
                         ones right after the round's sink flush.
-  flag-matrix           Every engine mode flag (event_driven and
-                        skip_quiescent_epochs, the two left) and any new
-                        bool incremental_* config knob must be exercised by
-                        at least one test under tests/ — the bit-identity
-                        matrix is what keeps each fast path honest against
-                        the path it replaces. The schedulers carry no mode
-                        flag: their oracle is the reference model under
-                        tests/reference/.
+  flag-matrix           Any new bool incremental_* config knob must be
+                        exercised by at least one test under tests/ — the
+                        bit-identity matrix is what keeps a fast path
+                        honest against the path it replaces. Neither the
+                        engine nor the schedulers carry such a flag today:
+                        their oracle is the reference model under
+                        tests/reference/ (reference Saath and Aalo, and
+                        the reference engine).
 
 Design: the default backend is a self-contained lexer (comment/string
 stripping + brace matching) so the lint runs anywhere Python does — the CI
@@ -117,10 +117,6 @@ RETENTION_ALLOWLIST = {
     "src/sched/aalo.h": {"sort_scratch_"},
     "src/sched/uc_tcp.h": {"flows_", "owners_"},
 }
-
-# Mode flags that must appear in the digest-matrix tests, beyond the
-# auto-discovered `bool incremental_*` config knobs.
-NAMED_MODE_FLAGS = ("event_driven", "skip_quiescent_epochs")
 
 ALLOC_CALL_RE = re.compile(
     r"\bnew\b(?!\s*\()"          # new T / new T[n]; `new (addr) T` too —
@@ -509,8 +505,6 @@ def check_digest_float(lf, findings):
 # ---------------------------------------------------------------- flag-matrix
 
 INCREMENTAL_DECL_RE = re.compile(r"\bbool\s+(incremental_\w+)\b")
-NAMED_FLAG_RE = re.compile(
-    r"\bbool\s+(" + "|".join(NAMED_MODE_FLAGS) + r")\b")
 
 
 def check_flag_matrix(files, findings):
@@ -522,10 +516,9 @@ def check_flag_matrix(files, findings):
             test_blob.append(lf.code)
         if not lf.path.endswith(".h") or not lf.path.startswith("src/"):
             continue
-        for rx in (INCREMENTAL_DECL_RE, NAMED_FLAG_RE):
-            for m in rx.finditer(lf.code):
-                flags.setdefault(m.group(1),
-                                 (lf.path, line_of(lf.code, m.start())))
+        for m in INCREMENTAL_DECL_RE.finditer(lf.code):
+            flags.setdefault(m.group(1),
+                             (lf.path, line_of(lf.code, m.start())))
     blob = "\n".join(test_blob)
     for name, (path, lineno) in sorted(flags.items()):
         if re.search(rf"\b{name}\b", blob):
@@ -533,8 +526,8 @@ def check_flag_matrix(files, findings):
         findings.append(Finding(
             path, lineno, "flag-matrix",
             f"mode flag '{name}' is exercised by no test under tests/ — "
-            "every incremental/event-driven knob needs a digest-matrix "
-            "test pinning it against its full-recompute oracle"))
+            "every incremental knob needs a digest-matrix test pinning it "
+            "against its full-recompute oracle"))
 
 
 # ------------------------------------------------------- optional AST backend
