@@ -183,7 +183,7 @@ int run(int argc, char** argv) {
   ChurnMeasurement churn_event[3], churn_oracle[3];
   bool churn_identical = true;
   std::printf("\nsteady-churn scenario (production vs reference engine)\n");
-  std::printf("%-10s %12s %12s %10s %18s\n", "scheduler", "engine rd/s",
+  std::printf("%-10s %12s %12s %10s %16s\n", "scheduler", "engine rd/s",
               "ref rd/s", "ratio", "digest");
   for (int s = 0; s < 3; ++s) {
     churn_event[s] =
@@ -196,7 +196,7 @@ int run(int argc, char** argv) {
                              ? churn_event[s].epochs_per_sec /
                                    churn_oracle[s].epochs_per_sec
                              : 0.0;
-    std::printf("%-10s %12.0f %12.0f %9.2fx %018llx%s\n", kChurnScheds[s],
+    std::printf("%-10s %12.0f %12.0f %9.2fx %016llx%s\n", kChurnScheds[s],
                 churn_event[s].epochs_per_sec, churn_oracle[s].epochs_per_sec,
                 ratio, static_cast<unsigned long long>(churn_event[s].digest),
                 same ? "" : "  DIGEST MISMATCH");

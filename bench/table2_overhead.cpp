@@ -74,6 +74,7 @@ template <typename Sched>
 void run_saath_snapshot(benchmark::State& state) {
   Snapshot snap(static_cast<int>(state.range(0)), 7);
   Sched sched;
+  for (CoflowState* c : snap.active) sched.on_coflow_arrival(*c, 0);
   Fabric fabric(150, gbps(1));
   SimTime now = seconds(3);  // past the snapshot's progress folds
   for (auto _ : state) {

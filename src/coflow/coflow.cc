@@ -1,7 +1,6 @@
 #include "coflow/coflow.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -9,19 +8,6 @@
 #include "common/expect.h"
 
 namespace saath {
-
-namespace {
-
-/// See CoflowState::global_occupancy_epoch(). Bumped on construction and on
-/// every flow completion — the two events that can change any consumer-
-/// visible occupancy state.
-std::atomic<std::uint64_t> g_occupancy_epoch{0};
-
-}  // namespace
-
-std::uint64_t CoflowState::global_occupancy_epoch() {
-  return g_occupancy_epoch.load(std::memory_order_relaxed);
-}
 
 Bytes CoflowSpec::total_bytes() const {
   Bytes sum = 0;
@@ -257,7 +243,6 @@ CoflowState::CoflowState(CoflowSpec spec, FlowId first_flow_id)
   walk_flows_.resize(flows_.size());
   std::iota(walk_flows_.begin(), walk_flows_.end(), 0u);
   unfinished_ = static_cast<int>(flows_.size());
-  g_occupancy_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
 SimTime CoflowState::completion_time() const {
@@ -391,7 +376,6 @@ OccupancyDelta CoflowState::on_flow_complete(FlowState& flow, SimTime now) {
   delta.receiver_freed = --rload.unfinished_flows == 0;
   finished_lengths_.push_back(flow.size());
   ++occupancy_version_;
-  g_occupancy_epoch.fetch_add(1, std::memory_order_relaxed);
   --unfinished_;
   if (unfinished_ == 0) finish_time_ = now;
   return delta;

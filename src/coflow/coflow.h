@@ -353,13 +353,6 @@ class CoflowState {
   /// non-empty finished set.
   [[nodiscard]] double finished_length_median() const;
 
-  /// Process-wide counter bumped whenever ANY CoflowState's port occupancy
-  /// (or existence) changes. Lets consumers holding snapshots of many
-  /// CoFlows answer "could anything have drifted since I looked?" in O(1)
-  /// instead of re-probing every CoFlow; over-approximate across engines,
-  /// which only costs a spurious re-probe.
-  [[nodiscard]] static std::uint64_t global_occupancy_epoch();
-
  private:
   friend class FlowState;
   /// Slot of `port` in `loads` via the sorted index; -1 when absent.

@@ -60,6 +60,9 @@ class PipelinedScheduler final : public Scheduler {
   void on_coflow_complete(CoflowState& coflow, SimTime now) override {
     inner_.on_coflow_complete(coflow, now);
   }
+  void on_coflow_quarantined(CoflowState& coflow, SimTime now) override {
+    inner_.on_coflow_quarantined(coflow, now);
+  }
 
  private:
   using Assignment = std::unordered_map<FlowId, Rate>;

@@ -8,7 +8,6 @@
 // that produces the fast queue transition of Fig 5).
 #pragma once
 
-#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -84,14 +83,10 @@ class QueuePopulation {
   [[nodiscard]] int count(int queue) const {
     return count_[checked(queue)];
   }
-  /// Tracked CoFlows across all queues; consumers compare against their
-  /// active-set size to detect membership drift and rebuild.
+  /// Tracked CoFlows across all queues. A consumer fed by lifecycle hooks
+  /// checks it against its active-set size: a mismatch means a caller
+  /// skipped a hook.
   [[nodiscard]] int total() const { return total_; }
-
-  void clear() {
-    std::fill(count_.begin(), count_.end(), 0);
-    total_ = 0;
-  }
 
  private:
   [[nodiscard]] std::size_t checked(int queue) const {

@@ -83,35 +83,40 @@ bool SaathScheduler::is_volatile(const CoflowState& c) const {
          !c.finished_flow_lengths().empty();
 }
 
-void SaathScheduler::on_coflow_arrival(CoflowState& coflow, SimTime now) {
+SAATH_HOT_NOALLOC void SaathScheduler::on_coflow_arrival(CoflowState& coflow,
+                                                         SimTime now) {
   (void)now;
-  if (queue_tracked_.insert(coflow.id()).second) {
-    queue_population_.add(coflow.queue_index);
-  }
   // The arrival's queue is assigned at the next schedule(); grouping it
-  // under its current (default) queue keeps the index exact in between.
-  // Already indexed (a direct schedule() saw it first): nothing to do.
-  if (tracks_index()) spatial_.add_coflow(coflow, coflow.queue_index);
+  // under its current queue keeps the index exact in between.
+  if (tracks_index()) {
+    SAATH_EXPECTS_MSG(spatial_.add_coflow(coflow, coflow.queue_index),
+                      "on_coflow_arrival for a CoFlow already announced");
+  }
+  queue_population_.add(coflow.queue_index);
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::on_flow_complete(CoflowState& coflow,
                                                         FlowState& flow,
                                                         SimTime now) {
   (void)now;
-  // A CoFlow the index never saw is a no-op.
-  if (tracks_index()) spatial_.on_flow_complete(coflow, flow);
+  if (tracks_index()) {
+    SAATH_EXPECTS_MSG(spatial_.on_flow_complete(coflow, flow),
+                      "on_flow_complete for a CoFlow never announced");
+  }
 }
 
-void SaathScheduler::on_coflow_complete(CoflowState& coflow, SimTime now) {
+SAATH_HOT_NOALLOC void SaathScheduler::on_coflow_complete(CoflowState& coflow,
+                                                          SimTime now) {
   (void)now;
-  if (queue_tracked_.erase(coflow.id()) > 0) {
-    queue_population_.remove(coflow.queue_index);
+  if (tracks_index()) {
+    SAATH_EXPECTS_MSG(spatial_.remove_coflow(coflow.id()),
+                      "on_coflow_complete for a CoFlow never announced");
   }
+  queue_population_.remove(coflow.queue_index);
   // Drop the CoFlow from the delta structures right away (all no-ops when
   // they are empty or never held it) so nothing retains its pointer.
   pending_deadlines_.erase({coflow.deadline, coflow.id()});
   forget_coflow(coflow.id());
-  if (tracks_index()) spatial_.remove_coflow(coflow.id());
 }
 
 void SaathScheduler::on_coflow_quarantined(CoflowState& coflow, SimTime now) {
@@ -125,37 +130,6 @@ void SaathScheduler::forget_coflow(CoflowId id) {
   order_.erase(id);
   crossings_.erase(id);
   volatile_.erase(id);
-}
-
-void SaathScheduler::sync_spatial(std::span<CoflowState* const> active) {
-  // O(1) fast path: same active span, no index mutation, and no CoFlow
-  // occupancy event anywhere in the process since the last probe — nothing
-  // can have drifted. (A driver that splices *existing* CoflowStates into
-  // the same span in place without completing any flow defeats the probe;
-  // no supported caller does that.)
-  if (active.data() == sync_active_data_ && active.size() == sync_active_size_ &&
-      spatial_.mutation_count() == sync_spatial_mutations_ &&
-      CoflowState::global_occupancy_epoch() == sync_occupancy_epoch_) {
-    return;
-  }
-  for (CoflowState* c : active) {
-    if (!spatial_.in_sync(*c)) {
-      // Never indexed, or occupancy mutated without our hooks seeing it
-      // (snapshot tests, manual CoflowState drives): (re-)index this
-      // CoFlow from its loads.
-      spatial_.remove_coflow(c->id());
-      spatial_.add_coflow(*c, c->queue_index);
-    }
-  }
-  if (spatial_.size() != active.size()) {
-    // Stale entries for CoFlows no longer active: rebuild wholesale.
-    spatial_.clear();
-    for (CoflowState* c : active) spatial_.add_coflow(*c, c->queue_index);
-  }
-  sync_active_data_ = active.data();
-  sync_active_size_ = active.size();
-  sync_spatial_mutations_ = spatial_.mutation_count();
-  sync_occupancy_epoch_ = CoflowState::global_occupancy_epoch();
 }
 
 int SaathScheduler::target_queue(const CoflowState& c, SimTime now) const {
@@ -195,25 +169,6 @@ void SaathScheduler::stamp_deadlines(SimTime now,
 
 void SaathScheduler::assign_queues_and_deadlines(
     SimTime now, std::span<CoflowState* const> active, Rate port_bandwidth) {
-  // Direct-schedule callers (benchmarks, scheduler-level tests) never fire
-  // the lifecycle hooks; rebuild the population from scratch when the
-  // tracked membership drifted from the active set. Cardinality alone is
-  // not enough — an equal-size set with different members would corrupt
-  // the per-queue counts.
-  bool rebuild = queue_population_.total() != static_cast<int>(active.size());
-  for (const CoflowState* c : active) {
-    if (rebuild) break;
-    rebuild = !queue_tracked_.contains(c->id());
-  }
-  if (rebuild) {
-    queue_population_.clear();
-    queue_tracked_.clear();
-    for (const CoflowState* c : active) {
-      queue_tracked_.insert(c->id());
-      queue_population_.add(c->queue_index);
-    }
-  }
-
   entered_.clear();  // CoFlows needing a fresh deadline
   for (CoflowState* c : active) {
     const int q = target_queue(*c, now);
@@ -518,8 +473,17 @@ void SaathScheduler::schedule(SimTime now,
                               Fabric& fabric, RateAssignment& rates,
                               const SchedulerDelta& delta) {
   ++stats_.rounds;
+  // Both routes take membership from the lifecycle hooks (sim/scheduler.h);
+  // these O(1) counts catch a caller that skipped an arrival or a
+  // completion.
+  const auto live = static_cast<int>(active.size());
+  SAATH_EXPECTS_MSG(queue_population_.total() == live,
+                    "active lists a CoFlow never announced, or one that "
+                    "left without on_coflow_complete");
+  SAATH_EXPECTS(!tracks_index() || spatial_.size() == active.size());
   if (delta.full || delta.stream_id == 0) {
-    // Unknown provenance: nothing maintained across calls can be trusted.
+    // Unknown provenance: no delta structure can be trusted (the
+    // hook-maintained index and populations still can).
     primed_stream_ = 0;
     schedule_full(now, active, fabric, rates, /*prime=*/false);
     return;
@@ -547,10 +511,16 @@ void SaathScheduler::schedule_full(SimTime now,
 
   // LCoF ranks within a queue, so k_c counts same-queue competitors: the
   // event-maintained spatial index (arrivals, completions and queue moves
-  // each applied an O(delta) update) only needs this round's groups.
+  // each applied an O(delta) update) only needs this round's groups. With
+  // the counts equal, in_sync on every CoFlow proves the index holds
+  // exactly `active` and saw every flow completion.
   if (tracks_index()) {
-    sync_spatial(active);
-    for (CoflowState* c : active) spatial_.set_group(c->id(), c->queue_index);
+    for (CoflowState* c : active) {
+      SAATH_EXPECTS_MSG(spatial_.in_sync(*c),
+                        "active lists a CoFlow never announced, or one of "
+                        "its flows completed without on_flow_complete");
+      spatial_.set_group(c->id(), c->queue_index);
+    }
   }
   // The from-scratch keys below subsume any recorded contention deltas.
   spatial_.clear_contention_changes();
@@ -618,22 +588,13 @@ void SaathScheduler::schedule_delta(SimTime now,
   const auto add_candidate = [&](CoflowState* c) {
     if (candidate_ids_.insert(c->id()).second) candidates_.push_back(c);
   };
-  const auto drop_finished = [&](CoflowState* c) {
-    pending_deadlines_.erase({c->deadline, c->id()});
-    forget_coflow(c->id());
-  };
+  // Finished CoFlows in the delta already left every structure through
+  // on_coflow_complete.
   for (CoflowState* c : delta.requeue) {
-    if (c->finished()) {
-      drop_finished(c);
-      continue;
-    }
-    add_candidate(c);
+    if (!c->finished()) add_candidate(c);
   }
   for (CoflowState* c : delta.dirty) {
-    if (c->finished()) {
-      drop_finished(c);
-      continue;
-    }
+    if (c->finished()) continue;
     if (!order_.contains(c->id()) ||
         (is_volatile(*c) && !volatile_.contains(c->id()))) {
       // Arrival (needs its first bucket) or a flagged CoFlow whose first
@@ -650,19 +611,10 @@ void SaathScheduler::schedule_delta(SimTime now,
     add_candidate(order_.state_of(id));
   }
 
-  // ---- 2. Re-bucket candidates (queue moves + arrivals join the
-  //         population / spatial index groups).
+  // ---- 2. Re-bucket candidates (queue moves carry the population and
+  //         the spatial index groups; arrivals joined both at their hook).
   entered_.clear();
   for (CoflowState* c : candidates_) {
-    const bool is_new = !order_.contains(c->id());
-    if (is_new) {
-      // Arrival the hooks may not have seen (direct injection): make the
-      // population and spatial membership whole before re-bucketing.
-      if (queue_tracked_.insert(c->id()).second) {
-        queue_population_.add(c->queue_index);
-      }
-      if (tracks_index()) spatial_.add_coflow(*c, c->queue_index);
-    }
     const int q = target_queue(*c, now);
     const bool fresh = c->deadline == kNever && config_.deadline_factor > 0;
     if (q != c->queue_index || fresh) {

@@ -33,6 +33,13 @@
 // CoFlow without priming. Both routes share one admission + work
 // conservation pass. The from-scratch model of Fig 7 that both routes are
 // tested against lives in tests/reference/.
+//
+// Membership and occupancy come from the lifecycle hooks alone (the
+// contract in sim/scheduler.h): each route checks in O(1) that the
+// hook-maintained queue populations and spatial index hold as many CoFlows
+// as it is handed, and the full route also checks every CoFlow against the
+// index's occupancy version. A caller that skipped a hook aborts; nothing
+// is repaired.
 #pragma once
 
 #include <cstdint>
@@ -118,8 +125,10 @@ class SaathScheduler final : public Scheduler {
                 const SchedulerDelta& delta) override;
 
   /// Port-occupancy (and hence contention) only changes on these events;
-  /// each applies an O(delta) update to the spatial index instead of
-  /// invalidating a whole-schedule cache.
+  /// each applies an O(delta) update to the spatial index and the queue
+  /// populations instead of invalidating a whole-schedule cache. Under
+  /// LCoF each aborts when the index cannot act on it: an arrival of a
+  /// CoFlow already indexed, or a completion of one never announced.
   void on_coflow_arrival(CoflowState& coflow, SimTime now) override;
   void on_flow_complete(CoflowState& coflow, FlowState& flow,
                         SimTime now) override;
@@ -236,13 +245,6 @@ class SaathScheduler final : public Scheduler {
 
   /// True when the spatial index is the live LCoF source.
   [[nodiscard]] bool tracks_index() const { return config_.lcof; }
-  /// Brings the index in line with `active`: adds CoFlows the lifecycle
-  /// hooks never saw (snapshot/bench use), refreshes any whose occupancy
-  /// mutated behind the index's back, rebuilds wholesale on set mismatch.
-  /// O(1) when nothing anywhere could have drifted since the last call
-  /// (same active span, no index mutation, no CoflowState occupancy event
-  /// process-wide); the O(F) probe runs otherwise.
-  void sync_spatial(std::span<CoflowState* const> active);
 
   SaathConfig config_;
   QueueStructure queues_;
@@ -252,8 +254,6 @@ class SaathScheduler final : public Scheduler {
   /// Per-queue population C_q for the D5 deadline, maintained by the same
   /// deltas (arrival, queue move, completion) instead of recounted.
   QueuePopulation queue_population_;
-  /// CoFlows counted in queue_population_ (guards unpaired hook calls).
-  std::unordered_set<CoflowId> queue_tracked_;
 
   // --- delta-driven schedule-phase state (live only between precise-delta
   //     rounds of one stream; a full delta or new stream re-primes) -------
@@ -285,11 +285,6 @@ class SaathScheduler final : public Scheduler {
   /// Port-indexed backfill scratch: the merged per-slot flow indices of
   /// one candidate.
   std::vector<std::uint32_t> backfill_flow_idx_;
-  /// sync_spatial O(1)-probe snapshots.
-  const CoflowState* const* sync_active_data_ = nullptr;
-  std::size_t sync_active_size_ = 0;
-  std::uint64_t sync_spatial_mutations_ = ~std::uint64_t{0};
-  std::uint64_t sync_occupancy_epoch_ = ~std::uint64_t{0};
 };
 
 }  // namespace saath

@@ -43,8 +43,9 @@ class ThreadPool;
 /// Fabric::capacity_version() for those.
 struct SchedulerDelta {
   /// Unknown provenance (direct drivers, tests): the scheduler must
-  /// distrust every cache keyed on prior calls. Default-constructed deltas
-  /// are full, so legacy call paths stay conservative.
+  /// distrust every cache keyed on prior deltas; what it learned from the
+  /// lifecycle hooks below still holds. Default-constructed deltas are
+  /// full, so legacy call paths stay conservative.
   bool full = true;
   /// Identifies the delta stream (one per Engine run). A scheduler seeing
   /// a new stream id must treat its caches as stale even if `full` is
@@ -92,7 +93,8 @@ class Scheduler {
 
   /// Convenience for direct drivers (tests, benchmarks) without an engine:
   /// zeroes every flow's rate at `now` (blank slate) and runs the epoch
-  /// against a scratch RateAssignment. Derived classes re-export it with
+  /// against a scratch RateAssignment. The caller still owes the lifecycle
+  /// hooks below. Derived classes re-export it with
   /// `using Scheduler::schedule;`.
   void schedule(SimTime now, std::span<CoflowState* const> active,
                 Fabric& fabric) {
@@ -127,7 +129,19 @@ class Scheduler {
     (void)shards;
   }
 
-  /// Lifecycle notifications (optional overrides).
+  /// Lifecycle hooks. They are part of the contract, not optional
+  /// notifications: whoever calls schedule() — the engine, a test, a
+  /// benchmark — fires
+  ///   * on_coflow_arrival before the first round whose `active` lists the
+  ///     CoFlow, exactly once per admission;
+  ///   * on_flow_complete right after CoflowState::on_flow_complete, once
+  ///     per completed flow;
+  ///   * on_coflow_complete or on_coflow_quarantined before the CoFlow
+  ///     leaves `active`.
+  /// Schedulers that keep per-CoFlow state (Saath's spatial index and
+  /// queue populations) learn membership and occupancy from these calls
+  /// alone, and abort on a caller that skipped one. A decorator wrapping
+  /// another scheduler forwards all four. The defaults do nothing.
   virtual void on_coflow_arrival(CoflowState& coflow, SimTime now) {
     (void)coflow;
     (void)now;

@@ -60,7 +60,6 @@ SAATH_HOT_NOALLOC bool SpatialIndex::add_coflow(const CoflowState& c,
                                                 int group) {
   const Slot slot = occupancy_.add_coflow(c);
   if (slot == kNoSlot) return false;
-  ++mutations_;
   if (slot >= entries_.size()) entries_.resize(slot + 1);
   Entry& e = entries_[slot];
   SAATH_EXPECTS(e.overlap.empty());
@@ -83,7 +82,6 @@ SAATH_HOT_NOALLOC bool SpatialIndex::add_coflow(const CoflowState& c,
 bool SpatialIndex::remove_coflow(CoflowId id) {
   const Slot slot = occupancy_.find(id);
   if (slot == kNoSlot) return false;
-  ++mutations_;
   Entry& e = entries_[slot];
   // Draining every still-occupied bucket empties the overlap table pair by
   // pair; a finished CoFlow occupies nothing and drops straight out.
@@ -100,7 +98,6 @@ SAATH_HOT_NOALLOC bool SpatialIndex::on_flow_complete(const CoflowState& c,
                                                       const FlowState& flow) {
   const Slot slot = occupancy_.find(c.id());
   if (slot == kNoSlot) return false;
-  ++mutations_;
   Entry& e = entries_[slot];
   // Each completion bumps the CoFlow's occupancy version by one. Follow it
   // only while no completion was missed, so in_sync() reports one that was.
@@ -121,7 +118,6 @@ void SpatialIndex::set_group(CoflowId id, int group) {
   SAATH_EXPECTS(slot != kNoSlot);
   Entry& e = entries_[slot];
   if (e.group == group) return;
-  ++mutations_;
   e.overlap.for_each([&](Slot d, int ov) {
     SAATH_EXPECTS(ov > 0);
     Entry& ed = entries_[d];
@@ -146,13 +142,6 @@ int SpatialIndex::group_of(CoflowId id) const { return entry(id).group; }
 void SpatialIndex::clear_contention_changes() {
   changes_.clear();
   ++change_epoch_;
-}
-
-void SpatialIndex::clear() {
-  occupancy_.clear();
-  entries_.clear();
-  clear_contention_changes();
-  ++mutations_;
 }
 
 }  // namespace saath::spatial

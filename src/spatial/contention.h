@@ -43,14 +43,15 @@ class SpatialIndex {
   bool remove_coflow(CoflowId id);
 
   /// A flow of `c` completed; must be called once per completion, after
-  /// CoflowState updated its own load lists (the engine's hook order
-  /// guarantees this). A CoFlow that missed a call stays out of sync (see
-  /// in_sync()) until re-added. Returns false when c is not indexed.
+  /// CoflowState updated its own load lists (the lifecycle hook order of
+  /// sim/scheduler.h guarantees this). A CoFlow that missed a call stays
+  /// out of sync (see in_sync()) until re-added. Returns false when c is
+  /// not indexed.
   bool on_flow_complete(const CoflowState& c, const FlowState& flow);
 
   /// True when `c` is indexed and no occupancy change happened behind the
-  /// index's back (CoflowState::occupancy_version matches). Consumers that
-  /// cannot guarantee event delivery re-add out-of-sync CoFlows.
+  /// index's back (CoflowState::occupancy_version matches): the detector a
+  /// consumer checks to catch a completion delivered without its hook.
   [[nodiscard]] bool in_sync(const CoflowState& c) const;
 
   /// Moves `id` to priority-queue group `group`, rescoring contention for
@@ -67,23 +68,17 @@ class SpatialIndex {
   /// lets an order index re-key only the CoFlows a completion or queue
   /// move actually perturbed. It may list CoFlows removed since, which
   /// consumers skip. The list grows until cleared, so a delta consumer
-  /// drains it every round; clear() also empties it.
+  /// drains it every round.
   [[nodiscard]] std::span<const CoflowId> contention_changes() const {
     return changes_;
   }
   void clear_contention_changes();
-
-  /// Bumped on every membership mutation (add/remove/flow completion/
-  /// group move). O(1) probe for "has anything changed since I looked".
-  [[nodiscard]] std::uint64_t mutation_count() const { return mutations_; }
 
   [[nodiscard]] bool contains(CoflowId id) const {
     return occupancy_.contains(id);
   }
   [[nodiscard]] std::size_t size() const { return occupancy_.num_coflows(); }
   [[nodiscard]] const OccupancyIndex& occupancy() const { return occupancy_; }
-
-  void clear();
 
  private:
   /// Neighbor slot -> number of shared occupied port slots (> 0).
@@ -114,7 +109,6 @@ class SpatialIndex {
   std::vector<Entry> entries_;
   std::vector<CoflowId> changes_;
   std::uint64_t change_epoch_ = 0;
-  std::uint64_t mutations_ = 0;
 };
 
 }  // namespace saath::spatial

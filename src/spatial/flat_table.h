@@ -94,12 +94,6 @@ class FlatTable {
     }
   }
 
-  /// Empties the table, keeping its capacity.
-  void clear() {
-    for (Cell& c : cells_) c.key = kEmpty;
-    size_ = 0;
-  }
-
  private:
   struct Cell {
     Key key = kEmpty;

@@ -123,11 +123,4 @@ std::size_t OccupancyIndex::occupied_slots(CoflowId id) const {
   return slot == kNoSlot ? 0 : seats_[slot].occupied;
 }
 
-void OccupancyIndex::clear() {
-  slot_of_.clear();
-  seats_.clear();
-  free_.clear();
-  buckets_.clear();
-}
-
 }  // namespace saath::spatial

@@ -117,8 +117,6 @@ class OccupancyIndex {
   /// Distinct buckets `id` still occupies.
   [[nodiscard]] std::size_t occupied_slots(CoflowId id) const;
 
-  void clear();
-
  private:
   using SlotTable =
       FlatTable<std::int64_t, Slot, std::numeric_limits<std::int64_t>::min()>;

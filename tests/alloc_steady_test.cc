@@ -19,6 +19,8 @@
 
 #include "common/alloc_probe.h"
 #include "coflow/coflow.h"
+#include "fabric/fabric.h"
+#include "sched/saath.h"
 #include "sim/completion_heap.h"
 #include "sim/rate_assignment.h"
 #include "sim/scheduler.h"
@@ -232,6 +234,86 @@ TEST(AllocSteady, SpatialIndexChurnRecyclesCapacity) {
   }
   EXPECT_EQ(index_allocs, 0u);
   EXPECT_EQ(index.size(), static_cast<std::size_t>(kResident));
+}
+
+TEST(AllocSteady, SaathLifecycleHooksRecycleCapacity) {
+  // A warm Saath over a resident population sees one stream lifecycle per
+  // epoch, the engine way: a fresh CoFlow arrives, rides a delta round,
+  // completes flow by flow and leaves. Only the hooks are counted: building
+  // the CoflowState, its own completion bookkeeping and the schedule()
+  // rounds allocate by design and happen outside.
+  constexpr int kResident = 32;
+  constexpr int kPorts = 16;
+  constexpr int kWidth = 4;
+  std::int64_t next_flow = 0;
+  const auto fresh = [&next_flow](int id, Bytes bytes) {
+    CoflowSpec spec = make_coflow(id, 0, {});
+    for (int j = 0; j < kWidth; ++j) {
+      const int src = (id + j) % kPorts;
+      spec.flows.push_back({src, (id + 3 * j + 1) % kPorts, bytes});
+    }
+    auto state = std::make_unique<CoflowState>(spec, FlowId{next_flow});
+    next_flow += kWidth;
+    return state;
+  };
+
+  SaathScheduler sched;
+  Fabric fabric(kPorts, 1e9);
+  RateAssignment rates(kPorts);
+  SchedulerDelta delta;
+  delta.full = false;
+  delta.stream_id = 4242;
+  std::vector<std::unique_ptr<CoflowState>> resident;
+  std::vector<CoflowState*> active;
+  for (int i = 0; i < kResident; ++i) {
+    resident.push_back(fresh(i, 1000000000000));
+    active.push_back(resident.back().get());
+    sched.on_coflow_arrival(*active.back(), 0);
+    delta.mark(active.back());
+  }
+  const auto round = [&](SimTime now) {
+    fabric.reset();
+    rates.begin_epoch(now);
+    sched.schedule(now, active, fabric, rates, delta);
+    delta.clear_marks();
+  };
+  round(0);
+
+  std::uint64_t hook_allocs = 0;
+  const auto counted = [&hook_allocs](auto&& call) {
+    const std::uint64_t before = debug_alloc_count();
+    call();
+    hook_allocs += debug_alloc_count() - before;
+  };
+  const auto cycle = [&](int e) {
+    const SimTime now = msec(8) * (e + 1);
+    const auto arrival = fresh(kResident + e, 1000);
+    CoflowState& c = *arrival;
+    counted([&] { sched.on_coflow_arrival(c, now); });
+    active.push_back(&c);
+    delta.mark(&c);
+    round(now);
+    for (FlowState& f : c.flows()) {
+      rates.flow_stopped(f);
+      c.on_flow_complete(f, now);
+      counted([&] { sched.on_flow_complete(c, f, now); });
+      delta.mark(&c);
+    }
+    counted([&] { sched.on_coflow_complete(c, now); });
+    active.pop_back();
+    // The next round still sees the finished CoFlow in its delta, and its
+    // begin_epoch releases the flows the previous round rated.
+    round(now + msec(4));
+  };
+
+  for (int e = 0; e < kWarmupEpochs; ++e) cycle(e);
+  hook_allocs = 0;
+  for (int e = kWarmupEpochs; e < kWarmupEpochs + kMeasuredEpochs; ++e) {
+    cycle(e);
+  }
+  EXPECT_EQ(hook_allocs, 0u);
+  EXPECT_EQ(sched.spatial_index().size(), static_cast<std::size_t>(kResident));
+  EXPECT_GT(sched.phase_stats().delta_rounds, 0);
 }
 
 }  // namespace

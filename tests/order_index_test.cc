@@ -379,6 +379,9 @@ class DeltaForwardingObserver final : public Scheduler {
   void on_coflow_complete(CoflowState& c, SimTime now) override {
     inner_.on_coflow_complete(c, now);
   }
+  void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_quarantined(c, now);
+  }
   std::function<void(SimTime, std::span<CoflowState* const>, const Fabric&,
                      const SaathScheduler&)>
       check;
@@ -498,15 +501,15 @@ TEST(DeltaOrderWhiteBox, SchedulerReuseAcrossEnginesReprimes) {
   EXPECT_EQ(r1.coflows.size(), t1.coflows.size());
 }
 
-// Direct (4-arg) callers must keep getting the full route: same rates as
-// the reference Saath every round, and the repeated-snapshot probe keeps
-// the spatial sync O(1) without changing contention values.
+// Direct (4-arg) callers that announce their CoFlows must keep getting the
+// full route: same rates as the reference Saath every round.
 TEST(DeltaOrderWhiteBox, DirectDriversTakeFullPath) {
   StateSet set;
   set.add(make_coflow(1, 0, {{0, 1, 1000}, {1, 2, 1000}}));
   set.add(make_coflow(2, 0, {{0, 2, 500}}));
   set.add(make_coflow(3, 0, {{3, 4, 800}}));
   SaathScheduler inc;
+  set.announce(inc);
   reference::ReferenceSaath oracle;
   Fabric f1(6, 100.0);
   Fabric f2(6, 100.0);

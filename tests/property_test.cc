@@ -145,6 +145,18 @@ TEST_P(SaathInvariant, AllOrNoneEqualRatesEveryEpoch) {
         }
       }
     }
+    void on_coflow_arrival(CoflowState& c, SimTime now) override {
+      inner_.on_coflow_arrival(c, now);
+    }
+    void on_flow_complete(CoflowState& c, FlowState& f, SimTime now) override {
+      inner_.on_flow_complete(c, f, now);
+    }
+    void on_coflow_complete(CoflowState& c, SimTime now) override {
+      inner_.on_coflow_complete(c, now);
+    }
+    void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+      inner_.on_coflow_quarantined(c, now);
+    }
     SaathScheduler inner_;
   };
 
@@ -186,6 +198,18 @@ TEST_P(SaathInvariant, AaloQueueMonotonicity) {
           it->second = c->queue_index;
         }
       }
+    }
+    void on_coflow_arrival(CoflowState& c, SimTime now) override {
+      inner_.on_coflow_arrival(c, now);
+    }
+    void on_flow_complete(CoflowState& c, FlowState& f, SimTime now) override {
+      inner_.on_flow_complete(c, f, now);
+    }
+    void on_coflow_complete(CoflowState& c, SimTime now) override {
+      inner_.on_coflow_complete(c, now);
+    }
+    void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+      inner_.on_coflow_quarantined(c, now);
     }
     AaloScheduler inner_;
     std::map<CoflowId, int> last_queue_;
@@ -242,6 +266,9 @@ class IndexOracleObserver final : public Scheduler {
   }
   void on_coflow_complete(CoflowState& c, SimTime now) override {
     inner_.on_coflow_complete(c, now);
+  }
+  void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_quarantined(c, now);
   }
   SaathScheduler inner_;
 };
@@ -302,6 +329,9 @@ class RateDigestObserver final : public Scheduler {
   }
   void on_coflow_complete(CoflowState& c, SimTime now) override {
     inner_->on_coflow_complete(c, now);
+  }
+  void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+    inner_->on_coflow_quarantined(c, now);
   }
   // Deliberately no schedule_valid_until forward: digests must cover every
   // epoch, so this observer always requests recomputation.
@@ -559,6 +589,9 @@ class ResidualSetObserver final : public Scheduler {
   }
   void on_coflow_complete(CoflowState& c, SimTime now) override {
     inner_.on_coflow_complete(c, now);
+  }
+  void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_quarantined(c, now);
   }
 
   void verify(const Fabric& fabric) {

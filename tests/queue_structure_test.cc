@@ -89,9 +89,6 @@ TEST(QueuePopulation, DeltasMatchRecount) {
   pop.remove(2);
   EXPECT_EQ(pop.count(2), 0);
   EXPECT_EQ(pop.total(), 2);
-  pop.clear();
-  EXPECT_EQ(pop.total(), 0);
-  EXPECT_EQ(pop.count(3), 0);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "runtime/jobs.h"
 #include "runtime/testbed.h"
 #include "sched/aalo.h"
@@ -87,6 +90,42 @@ TEST(Testbed, SaathUnderTestbedStillBeatsAalo) {
   const auto r_aalo = run_testbed(t, aalo, cfg);
   const auto speedups = r_saath.speedup_over(r_aalo);
   EXPECT_GE(percentile(speedups, 50), 0.95);  // no regression in median
+}
+
+TEST(Testbed, PipelineForwardsEveryLifecycleHook) {
+  // Schedulers learn membership from these hooks alone (sim/scheduler.h),
+  // so the decorator must pass each one through to the coordinator.
+  class Recording final : public Scheduler {
+   public:
+    std::string name() const override { return "recording"; }
+    using Scheduler::schedule;
+    void schedule(SimTime, std::span<CoflowState* const>, Fabric&,
+                  RateAssignment&) override {}
+    void on_coflow_arrival(CoflowState&, SimTime) override {
+      seen.emplace_back("arrival");
+    }
+    void on_flow_complete(CoflowState&, FlowState&, SimTime) override {
+      seen.emplace_back("flow");
+    }
+    void on_coflow_complete(CoflowState&, SimTime) override {
+      seen.emplace_back("complete");
+    }
+    void on_coflow_quarantined(CoflowState&, SimTime) override {
+      seen.emplace_back("quarantined");
+    }
+    std::vector<std::string> seen;
+  };
+  Recording inner;
+  PipelinedScheduler pipelined(inner, TestbedConfig{});
+  Scheduler& outer = pipelined;
+  CoflowState c(make_coflow(0, 0, {{0, 1, 1000}}), FlowId{0});
+  outer.on_coflow_arrival(c, 0);
+  outer.on_flow_complete(c, c.flows()[0], seconds(1));
+  outer.on_coflow_complete(c, seconds(1));
+  outer.on_coflow_quarantined(c, seconds(2));
+  const std::vector<std::string> expected = {"arrival", "flow", "complete",
+                                             "quarantined"};
+  EXPECT_EQ(inner.seen, expected);
 }
 
 TEST(Jobs, SpeedupOneWhenSchedulesEqual) {

@@ -35,6 +35,7 @@ TEST(Saath, AllOrNoneEqualRates) {
   testing::StateSet set;
   set.add(make_coflow(0, 0, {{0, 2, 100}, {0, 3, 100}, {1, 2, 100}, {1, 3, 100}}));
   SaathScheduler sched(no_deadline());
+  set.announce(sched);
   Fabric fabric(4, 100.0);
   sched.schedule(0, set.active(), fabric);
   for (const auto& f : set.at(0).flows()) {
@@ -49,6 +50,7 @@ TEST(Saath, AllOrNoneSkipsWhenAnyPortBusy) {
   SaathConfig cfg = no_deadline();
   cfg.work_conservation = false;
   SaathScheduler sched(cfg);
+  set.announce(sched);
   Fabric fabric(7, 100.0);
   sched.schedule(0, set.active(), fabric);
   // C0 (fewer contention ties broken by arrival) takes ports 0,1; C1 needs
@@ -64,6 +66,7 @@ TEST(Saath, WorkConservationBackfillsIdlePorts) {
   set.add(make_coflow(0, 0, {{0, 2, 1000}, {1, 3, 1000}}));
   set.add(make_coflow(1, usec(1), {{1, 4, 1000}, {5, 6, 1000}}));
   SaathScheduler sched(no_deadline());
+  set.announce(sched);
   Fabric fabric(7, 100.0);
   sched.schedule(0, set.active(), fabric);
   // With WC on, C1's flow on the free port 5 runs; the port-1 flow cannot.
@@ -109,6 +112,7 @@ TEST(Saath, LcofPrefersLowContention) {
   SaathConfig cfg = no_deadline();
   cfg.work_conservation = false;
   SaathScheduler sched(cfg);
+  set.announce(sched);
   Fabric fabric(7, 100.0);
   sched.schedule(0, set.active(), fabric);
   EXPECT_DOUBLE_EQ(set.at(1).flows()[0].rate(), 100.0);
@@ -125,6 +129,7 @@ TEST(Saath, FifoModeIgnoresContention) {
   cfg.lcof = false;
   cfg.work_conservation = false;
   SaathScheduler sched(cfg);
+  set.announce(sched);
   Fabric fabric(7, 100.0);
   sched.schedule(0, set.active(), fabric);
   // FIFO: C0 arrived first and takes both ports.
@@ -147,6 +152,7 @@ TEST(Saath, PerFlowThresholdDemotesFaster) {
   c.flows()[0].set_rate(3e6, 0);  // lazy: 3MB accrued by the 1 s schedule
 
   SaathScheduler pf(no_deadline());
+  set.announce(pf);
   Fabric fabric(8, 100e6);
   pf.schedule(seconds(1), set.active(), fabric);
   EXPECT_EQ(c.queue_index, 1);
@@ -156,6 +162,7 @@ TEST(Saath, PerFlowThresholdDemotesFaster) {
   SaathConfig total_cfg = no_deadline();
   total_cfg.per_flow_threshold = false;
   SaathScheduler total(total_cfg);
+  set.announce(total);
   total.schedule(seconds(1), set.active(), fabric);
   EXPECT_EQ(c.queue_index, 0);
 }
@@ -167,6 +174,7 @@ TEST(Saath, HigherQueueServedFirst) {
   auto& old_coflow = set.at(0);
   old_coflow.flows()[0].set_rate(15e6, 0);  // 15MB by 1 s > Q0 threshold -> Q1
   SaathScheduler sched(no_deadline());
+  set.announce(sched);
   Fabric fabric(4, 100.0);
   sched.schedule(seconds(1), set.active(), fabric);
   EXPECT_EQ(old_coflow.queue_index, 1);
@@ -185,6 +193,7 @@ TEST(Saath, StarvationDeadlinePromotesWithinQueue) {
   cfg.deadline_factor = 2.0;
   cfg.work_conservation = false;
   SaathScheduler sched(cfg);
+  set.announce(sched);
   Fabric fabric(7, 100.0);
   // First round sets deadlines.
   sched.schedule(0, set.active(), fabric);
@@ -207,6 +216,7 @@ TEST(Saath, NoDeadlinesWhenDisabled) {
   testing::StateSet set;
   set.add(make_coflow(0, 0, {{0, 1, 1000}}));
   SaathScheduler sched(no_deadline());
+  set.announce(sched);
   Fabric fabric(2, 100.0);
   sched.schedule(0, set.active(), fabric);
   EXPECT_EQ(set.at(0).deadline, kNever);
@@ -238,12 +248,13 @@ TEST(Saath, DynamicsFlagPromotesCoflow) {
   SaathConfig cfg = no_deadline();
   cfg.queues = qcfg;
   SaathScheduler sched(cfg);
+  set.announce(sched);
   Fabric fabric(4, 1e6);
   sched.schedule(seconds(1), set.active(), fabric);
   EXPECT_EQ(c.queue_index, 3);
 
   // One flow finishes; the other is restarted by a failure and flagged.
-  c.on_flow_complete(c.flows()[0], seconds(2));
+  set.complete(sched, 0, 0, seconds(2));
   c.restart_flows_on_port(1, seconds(2));
   c.dynamics_flagged = true;
   // Estimated remaining = median(100000) - 0 = 100000... still deep. Let
@@ -260,6 +271,7 @@ TEST(Saath, DataUnavailableCoflowSkippedEntirely) {
   set.add(make_coflow(0, 0, {{0, 1, 1000}}));
   set.at(0).data_available = false;
   SaathScheduler sched(no_deadline());
+  set.announce(sched);
   Fabric fabric(2, 100.0);
   sched.schedule(0, set.active(), fabric);
   EXPECT_DOUBLE_EQ(set.at(0).flows()[0].rate(), 0.0);
@@ -270,6 +282,7 @@ TEST(Saath, PhaseStatsAccumulate) {
   testing::StateSet set;
   set.add(make_coflow(0, 0, {{0, 1, 1000}}));
   SaathScheduler sched;
+  set.announce(sched);
   Fabric fabric(2, 100.0);
   sched.schedule(0, set.active(), fabric);
   fabric.reset();
@@ -394,6 +407,38 @@ TEST(Saath, Fig8LcofLimitationReproduced) {
   EXPECT_NEAR(result.coflows[0].cct_seconds(), 2.5, 0.2);
   EXPECT_NEAR(result.coflows[2].cct_seconds(), 2.5, 0.2);
   EXPECT_NEAR(result.coflows[1].cct_seconds(), 3.5, 0.2);
+}
+
+// The lifecycle-hook contract (sim/scheduler.h) is checked, not repaired:
+// a caller that skips a hook aborts instead of scheduling stale state.
+TEST(SaathDeathTest, ScheduleOverUnannouncedCoflowAborts) {
+  testing::StateSet set;
+  set.add(make_coflow(0, 0, {{0, 1, 1000}}));
+  SaathScheduler sched;
+  Fabric fabric(2, 100.0);
+  EXPECT_DEATH(sched.schedule(0, set.active(), fabric), "never announced");
+}
+
+TEST(SaathDeathTest, CompletionWithoutHookAbortsNextFullRound) {
+  testing::StateSet set;
+  set.add(make_coflow(0, 0, {{0, 1, 1000}, {2, 3, 1000}}));
+  SaathScheduler sched;
+  set.announce(sched);
+  Fabric fabric(4, 100.0);
+  sched.schedule(0, set.active(), fabric);
+  CoflowState& c = set.at(0);
+  c.on_flow_complete(c.flows()[0], seconds(1));  // the hook is skipped
+  fabric.reset();
+  EXPECT_DEATH(sched.schedule(seconds(1), set.active(), fabric),
+               "without on_flow_complete");
+}
+
+TEST(SaathDeathTest, SecondArrivalOfIndexedCoflowAborts) {
+  testing::StateSet set;
+  set.add(make_coflow(0, 0, {{0, 1, 1000}}));
+  SaathScheduler sched;
+  set.announce(sched);
+  EXPECT_DEATH(set.announce(sched), "already announced");
 }
 
 }  // namespace

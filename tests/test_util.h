@@ -176,6 +176,22 @@ class StateSet {
   [[nodiscard]] CoflowState& at(std::size_t i) { return *states_[i]; }
   [[nodiscard]] std::size_t size() const { return states_.size(); }
 
+  /// Fires `sched`'s arrival hook for every CoFlow, as an engine admitting
+  /// them would: the hook contract of sim/scheduler.h.
+  void announce(Scheduler& sched, SimTime now = 0) const {
+    for (CoflowState* c : ptrs_) sched.on_coflow_arrival(*c, now);
+  }
+
+  /// Completes flow `flow` of CoFlow `i` at `now` and fires `sched`'s flow
+  /// hook, in the engine's order.
+  void complete(Scheduler& sched, std::size_t i, std::size_t flow,
+                SimTime now) {
+    CoflowState& c = *states_[i];
+    FlowState& f = c.flows()[flow];
+    c.on_flow_complete(f, now);
+    sched.on_flow_complete(c, f, now);
+  }
+
  private:
   std::vector<std::unique_ptr<CoflowState>> states_;
   std::vector<CoflowState*> ptrs_;

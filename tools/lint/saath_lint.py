@@ -17,6 +17,15 @@ the compiler cannot see:
                         the round's result-sink flush, so a pointer kept
                         across rounds dangles. Audited per-round scratch
                         (cleared before reuse) is allowlisted by name.
+  hook-forward          A Scheduler subclass holding another scheduler (a
+                        data member whose type names a *Scheduler, by
+                        value, reference, pointer or smart pointer) is a
+                        decorator and must override all four lifecycle
+                        hooks. The hooks are part of the Scheduler
+                        contract (src/sim/scheduler.h): Saath learns
+                        membership and occupancy from them alone, so a
+                        hook the base class's no-op swallows aborts the
+                        inner scheduler's next round.
   hot-noalloc           Functions annotated SAATH_HOT_NOALLOC (see
                         src/common/expect.h) are steady-state hot paths
                         whose allocations were deliberately hoisted into
@@ -74,6 +83,7 @@ from dataclasses import dataclass, field
 CHECK_IDS = (
     "lane-access",
     "scheduler-retention",
+    "hook-forward",
     "service-detach",
     "hot-noalloc",
     "digest-float",
@@ -112,7 +122,6 @@ RETENTION_ALLOWLIST = {
     "src/sched/saath.h": {
         "candidates_", "touch_only_", "entered_", "prime_entries_",
         "order_scratch_", "missed_scratch_", "recross_",
-        "sync_active_data_",
     },
     "src/sched/aalo.h": {"sort_scratch_"},
     "src/sched/uc_tcp.h": {"flows_", "owners_"},
@@ -318,6 +327,10 @@ def check_lane_access(lf, findings):
 SUBCLASS_RE = re.compile(
     r"\bclass\s+(\w+)\s*(?:final\s*)?:\s*public\s+(\w*Scheduler)\b[^{;]*\{")
 
+# `Type name` with no parameter list or initializer yet: what precedes the
+# '{' of a data member's brace initializer.
+MEMBER_HEAD_RE = re.compile(r"[\w:<>,\s*&]*[\w>*&]\s+\w+")
+
 
 def member_statements(code, body_start):
     """Yields (stmt_text, line) for member-level declarations inside a
@@ -331,6 +344,14 @@ def member_statements(code, body_start):
         c = code[i]
         if c == "{":
             head = "".join(stmt).lstrip()
+            if MEMBER_HEAD_RE.fullmatch(head.rstrip()) and not re.match(
+                    r"(?:struct|class|union|enum)\b", head):
+                # Brace initializer of a data member (`T name{...};`): the
+                # declaration continues to its ';'.
+                j = match_forward(code, i, "{", "}")
+                stmt.append(code[i:j])
+                i = j
+                continue
             if re.match(r"(?:struct|class|union|enum)\b", head):
                 yield from member_statements(code, i)
             i = match_forward(code, i, "{", "}")
@@ -396,6 +417,45 @@ def check_scheduler_retention(lf, findings):
                 "after each round (ROADMAP: ResultSink reclamation "
                 "contract); keep per-round scratch only, and allowlist it "
                 "with an audit note in tools/lint/saath_lint.py"))
+
+
+# -------------------------------------------------------------- hook-forward
+
+HOOKS = ("on_coflow_arrival", "on_flow_complete", "on_coflow_complete",
+         "on_coflow_quarantined")
+SCHEDULER_TYPE_RE = re.compile(r"\b\w*Scheduler\b")
+
+
+def check_hook_forward(lf, findings):
+    for m in SUBCLASS_RE.finditer(lf.code):
+        cls = m.group(1)
+        body_open = m.end() - 1
+        body = lf.code[body_open:match_forward(lf.code, body_open, "{", "}")]
+        wrapped = None
+        for stmt, _lineno in member_statements(lf.code, body_open):
+            if "(" in stmt or re.match(
+                    r"(?:using|friend|typedef|static_assert|template)\b",
+                    stmt):
+                continue
+            decl = re.split(r"=|\{", stmt, maxsplit=1)[0].strip()
+            name_m = re.search(r"(\w+)\s*$", decl)
+            if not name_m:
+                continue
+            if SCHEDULER_TYPE_RE.search(decl[:name_m.start()]):
+                wrapped = name_m.group(1)
+                break
+        if wrapped is None:
+            continue
+        missing = [h for h in HOOKS
+                   if not re.search(rf"\bvoid\s+{h}\s*\(", body)]
+        if missing:
+            findings.append(Finding(
+                lf.path, line_of(lf.code, m.start()), "hook-forward",
+                f"Scheduler decorator {cls} wraps '{wrapped}' but does not "
+                f"override {', '.join(missing)} — the lifecycle hooks are "
+                "part of the Scheduler contract (src/sim/scheduler.h) and "
+                "the base class's no-op would swallow them; forward all "
+                "four to the wrapped scheduler"))
 
 
 # ------------------------------------------------------------ service-detach
@@ -637,6 +697,7 @@ def run_checks(files, ast=None, root=None):
     for lf in files:
         check_lane_access(lf, findings)
         check_scheduler_retention(lf, findings)
+        check_hook_forward(lf, findings)
         check_service_detach(lf, findings)
         check_hot_noalloc(lf, findings)
         check_digest_float(lf, findings)
