@@ -74,6 +74,7 @@ struct SnapshotMeasurement {
   std::int64_t backfill_candidates = 0;
   std::int64_t backfill_missed = 0;
   std::int64_t backfill_flows = 0;
+  std::int64_t backfill_allocs = 0;
   std::vector<std::size_t> digests;
 };
 
@@ -176,6 +177,7 @@ SnapshotMeasurement run_snapshot(int coflows, int rounds, Side side) {
   m.backfill_candidates = st.backfill_candidates;
   m.backfill_missed = st.backfill_missed;
   m.backfill_flows = st.backfill_flows;
+  m.backfill_allocs = st.backfill_allocs;
   return m;
 }
 
@@ -264,11 +266,17 @@ int run(int argc, char** argv) {
               identical ? "yes" : "NO");
   std::printf("conserve-phase ratio (reference / delta route): %.1fx   "
               "backfill rounds: %lld   candidates/missed: %lld/%lld   "
-              "flows walked: %lld\n\n",
+              "flows visited: %lld   allocations: %lld   "
+              "visits per allocation: %.1f\n\n",
               conserve_ratio, static_cast<long long>(inc.backfill_rounds),
               static_cast<long long>(inc.backfill_candidates),
               static_cast<long long>(inc.backfill_missed),
-              static_cast<long long>(inc.backfill_flows));
+              static_cast<long long>(inc.backfill_flows),
+              static_cast<long long>(inc.backfill_allocs),
+              inc.backfill_allocs > 0
+                  ? static_cast<double>(inc.backfill_flows) /
+                        static_cast<double>(inc.backfill_allocs)
+                  : 0.0);
 
   trace::SynthConfig tcfg;
   tcfg.num_ports = 150;
@@ -318,7 +326,8 @@ int run(int argc, char** argv) {
       "\"conserve_ns_per_round\": %.1f, "
       "\"delta_rounds\": %lld, \"replayed_ranks\": %lld, "
       "\"backfill_rounds\": %lld, \"backfill_candidates\": %lld, "
-      "\"backfill_missed\": %lld, \"backfill_flows\": %lld},\n"
+      "\"backfill_missed\": %lld, \"backfill_flows\": %lld, "
+      "\"backfill_allocs\": %lld},\n"
       "    \"full\": {\"order_ns_per_round\": %.1f, "
       "\"admit_ns_per_round\": %.1f, \"conserve_ns_per_round\": %.1f},\n"
       "    \"reference\": {\"order_ns_per_round\": %.1f, "
@@ -343,7 +352,8 @@ int run(int argc, char** argv) {
       static_cast<long long>(inc.backfill_rounds),
       static_cast<long long>(inc.backfill_candidates),
       static_cast<long long>(inc.backfill_missed),
-      static_cast<long long>(inc.backfill_flows), full.order_ns_per_round,
+      static_cast<long long>(inc.backfill_flows),
+      static_cast<long long>(inc.backfill_allocs), full.order_ns_per_round,
       full.admit_ns_per_round, full.conserve_ns_per_round,
       ref.order_ns_per_round, ref.admit_ns_per_round,
       ref.conserve_ns_per_round, order_ratio,

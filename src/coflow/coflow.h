@@ -208,8 +208,8 @@ class CoflowState {
 
   /// The SoA trajectory arrays behind flows() (slot i == flows()[i]), for
   /// dense read-only walks (aggregate sums, maxmin demand gathers, the
-  /// backfill join). Mutation still goes through FlowState so version and
-  /// cache bookkeeping stay coherent.
+  /// backfill's residual checks). Mutation still goes through FlowState so
+  /// version and cache bookkeeping stay coherent.
   [[nodiscard]] const FlowPool& pool() const { return pool_; }
 
   [[nodiscard]] bool finished() const { return unfinished_ == 0; }
@@ -253,7 +253,7 @@ class CoflowState {
   /// mapping is immutable, so each slot's storage is laid out once at
   /// construction, and on_flow_complete removes the completed flow from its
   /// two lists, order kept. This is the per-port flow membership the
-  /// work-conservation backfill joins against residually-live ports —
+  /// work-conservation backfill gathers from residually-live ports —
   /// without it, reaching "the flows on port p" means scanning every flow.
   [[nodiscard]] std::span<const std::uint32_t> sender_slot_flows(
       std::size_t slot) const {

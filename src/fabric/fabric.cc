@@ -36,7 +36,6 @@ void Fabric::live_remove(std::vector<PortIndex>& live,
 }
 
 void Fabric::reset() {
-  ++residual_epoch_;
   send_live_.clear();
   recv_live_.clear();
   for (PortIndex p = 0; p < num_ports_; ++p) {
@@ -71,20 +70,6 @@ Rate Fabric::send_capacity(PortIndex p) const {
 Rate Fabric::recv_capacity(PortIndex p) const {
   check_port(p);
   return port_bandwidth_ * capacity_factor_[static_cast<std::size_t>(p)];
-}
-
-void Fabric::check_port(PortIndex p) const {
-  SAATH_EXPECTS(p >= 0 && p < num_ports_);
-}
-
-Rate Fabric::send_remaining(PortIndex p) const {
-  check_port(p);
-  return send_remaining_[static_cast<std::size_t>(p)];
-}
-
-Rate Fabric::recv_remaining(PortIndex p) const {
-  check_port(p);
-  return recv_remaining_[static_cast<std::size_t>(p)];
 }
 
 bool Fabric::available(PortIndex src, PortIndex dst, Rate eps) const {

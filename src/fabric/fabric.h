@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "common/expect.h"
 #include "common/ids.h"
 #include "common/units.h"
 
@@ -44,8 +45,16 @@ class Fabric {
     return capacity_factor_[static_cast<std::size_t>(p)];
   }
 
-  [[nodiscard]] Rate send_remaining(PortIndex p) const;
-  [[nodiscard]] Rate recv_remaining(PortIndex p) const;
+  /// Inline: the admission, backfill and UC-TCP loops read these per port
+  /// slot or per flow.
+  [[nodiscard]] Rate send_remaining(PortIndex p) const {
+    check_port(p);
+    return send_remaining_[static_cast<std::size_t>(p)];
+  }
+  [[nodiscard]] Rate recv_remaining(PortIndex p) const {
+    check_port(p);
+    return recv_remaining_[static_cast<std::size_t>(p)];
+  }
 
   /// True if both endpoints still have > eps bandwidth to give.
   [[nodiscard]] bool available(PortIndex src, PortIndex dst, Rate eps = 0) const;
@@ -70,8 +79,8 @@ class Fabric {
   /// leaves its set the moment consume() drains it past the epsilon and
   /// rejoins at the next reset() (piggybacking on the budget reseed — no
   /// extra scan); membership order is unspecified but deterministic. This
-  /// is what lets work-conservation backfill walk only (live port x missed
-  /// flow) pairs instead of every missed CoFlow's flows.
+  /// is what lets the work-conservation backfill visit only the missed
+  /// flows whose two endpoints are live, and stop once either set drains.
   [[nodiscard]] std::span<const PortIndex> send_live() const {
     return send_live_;
   }
@@ -84,20 +93,14 @@ class Fabric {
   [[nodiscard]] bool recv_is_live(PortIndex p) const {
     return recv_live_pos_[static_cast<std::size_t>(p)] >= 0;
   }
-  /// Bumped by every reset(): one residual epoch per budget reseed — the
-  /// window within which the live sets drain monotonically. A consumer
-  /// that wanted to carry live-set-derived state across rounds would fence
-  /// on this; the current backfill recomputes its join inside each epoch
-  /// and its conservation cache fences on capacity_version() plus
-  /// admission-stream equality instead, so today this is observability
-  /// (tests cross-check it) rather than a load-bearing fence.
-  [[nodiscard]] std::uint64_t residual_epoch() const { return residual_epoch_; }
 
   /// Rounding slack used by all schedulers when comparing rates to zero.
   static constexpr Rate kRateEpsilon = 1e-6;
 
  private:
-  void check_port(PortIndex p) const;
+  void check_port(PortIndex p) const {
+    SAATH_EXPECTS(p >= 0 && p < num_ports_);
+  }
   void live_insert(std::vector<PortIndex>& live, std::vector<std::int32_t>& pos,
                    PortIndex p);
   void live_remove(std::vector<PortIndex>& live, std::vector<std::int32_t>& pos,
@@ -106,7 +109,6 @@ class Fabric {
   int num_ports_;
   Rate port_bandwidth_;
   std::uint64_t capacity_version_ = 0;
-  std::uint64_t residual_epoch_ = 0;
   std::vector<double> capacity_factor_;
   std::vector<Rate> send_remaining_;
   std::vector<Rate> recv_remaining_;

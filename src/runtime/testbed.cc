@@ -48,10 +48,13 @@ void PipelinedScheduler::schedule(SimTime now,
   //    a scratch rate view so the real budgets (and the engine's touched
   //    set) stay untouched for the delivery step.
   if (!coordinator_down(now)) {
-    Fabric scratch(fabric.num_ports(), fabric.port_bandwidth());
-    scratch.reset();
+    if (!scratch_ || scratch_->num_ports() != fabric.num_ports() ||
+        scratch_->port_bandwidth() != fabric.port_bandwidth()) {
+      scratch_.emplace(fabric.num_ports(), fabric.port_bandwidth());
+    }
+    scratch_->reset();
     tentative_.begin_epoch(now);
-    inner_.schedule(now, active, scratch, tentative_);
+    inner_.schedule(now, active, *scratch_, tentative_);
     Assignment fresh;
     for (const auto& touch : tentative_.touched()) {
       if (!touch.flow->finished() && touch.flow->rate() > 0) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <deque>
+#include <optional>
 #include <unordered_map>
 
 #include "sim/engine.h"
@@ -79,6 +80,9 @@ class PipelinedScheduler final : public Scheduler {
   /// Scratch view the inner scheduler's tentative pass writes through; its
   /// rates are discarded before the delivered assignment is enacted.
   RateAssignment tentative_;
+  /// The tentative pass's fabric: nominal budgets on every port, reset()
+  /// each round and rebuilt only when the port count or bandwidth changes.
+  std::optional<Fabric> scratch_;
 };
 
 /// Runs `trace` through `inner` under testbed semantics.

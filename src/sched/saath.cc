@@ -1,6 +1,7 @@
 #include "sched/saath.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -341,105 +342,39 @@ SAATH_HOT_NOALLOC void SaathScheduler::conserve(
     Fabric& fabric, RateAssignment& rates,
     std::span<CoflowState* const> missed) {
   if (missed.empty()) return;
-  // Only missed CoFlows occupying a live sender AND a live receiver can
-  // receive budget; everything else is exactly a dense walk's `r <= eps`
-  // skip, hoisted out of the flow walk. Liveness only shrinks during the
-  // walk, so a gate computed at a CoFlow's turn over-approximates safely,
-  // and an empty side means no flow anywhere can clear the epsilon.
-  //
-  // Candidate gating has two regimes. Drained (few live ports, the state
-  // the backfill converges to) with the occupancy index kept: join the
-  // residual sets against it once — O(live-bucket memberships) — and gate
-  // on the marks it leaves. Otherwise a per-CoFlow scan of its own port
-  // slots exits on the first live one, which is near-O(1) per CoFlow and
-  // beats walking the memberships of every live port to mark almost every
-  // CoFlow. Both gates over-approximate the same condition (a flow with
-  // both endpoints live exists), so the walk is byte-identical either way.
   ++stats_.backfill_rounds;
   stats_.backfill_missed += static_cast<std::int64_t>(missed.size());
-  const bool use_join =
-      tracks_index() &&
-      (fabric.send_live().size() + fabric.recv_live().size()) * 4 <
-          missed.size();
-  if (use_join) {
-    spatial_.occupancy().collect_live_occupants(fabric.send_live(),
-                                                fabric.recv_live());
-  }
-  // Pool-indexed: the walk reads only the dense finished/src/dst/rate
-  // lanes (most visits exit on the epsilon check without ever loading a
-  // FlowState handle); the handle is materialized only for the rare flow
-  // that actually receives budget. Every walk visits flows in ascending
-  // index order, so the allocation stream is a dense walk's.
-  const auto try_alloc = [&](CoflowState* c, const FlowPool& pool,
-                             std::uint32_t i) {
-    if (pool.finished[i]) return;
-    const Rate r = std::min(fabric.send_remaining(pool.src[i]),
-                            fabric.recv_remaining(pool.dst[i]));
-    if (r <= Fabric::kRateEpsilon) return;
-    FlowState& f = c->flows()[i];
-    rates.set(*c, f, pool.rate[i] + r);
-    fabric.consume(pool.src[i], pool.dst[i], r);
-  };
-  const auto any_live_slot = [&fabric](std::span<const PortLoad> loads,
-                                       bool senders) {
-    for (const PortLoad& l : loads) {
-      if (l.unfinished_flows == 0) continue;
-      if (senders ? fabric.send_is_live(l.port)
-                  : fabric.recv_is_live(l.port)) {
-        return true;
-      }
-    }
-    return false;
-  };
+  // One pass per missed CoFlow, in rank order. Only a flow whose sender AND
+  // receiver are both live at its CoFlow's turn can clear the epsilon
+  // (budgets only shrink between reset()s), so the pass gathers exactly
+  // those from the live slots of the side with fewer port slots, as bits of
+  // a bitmap over flow indices, and walks the set bits in ascending order:
+  // the dense walk's visit order, minus flows it would skip on `<= eps`.
+  // The walk clears every word it reads, so the bitmap is all zero between
+  // CoFlows. An empty live set means no flow anywhere can clear the
+  // epsilon.
   for (CoflowState* c : missed) {
     if (fabric.send_live().empty() || fabric.recv_live().empty()) break;
-    if (use_join ? !spatial_.occupancy().live_occupant(c->id())
-                 : (!any_live_slot(c->sender_loads(), true) ||
-                    !any_live_slot(c->receiver_loads(), false))) {
-      continue;
-    }
-    ++stats_.backfill_candidates;
     const FlowPool& pool = c->pool();
-    // Flow-level cut: flows on an exhausted port can never clear the
-    // epsilon (budgets only shrink during the walk), so gather the
-    // more-drained side's live-slot flow lists — filtering the other
-    // endpoint on the way — and merge them back into ascending flow order.
-    // A first O(slots) pass sizes both sides; the gather's per-flow cost
-    // is a small multiple of the plain walk's, so it only pays off when at
-    // most a quarter of the flows survive the side filter — shallow cuts
-    // (uncontended rounds) keep the plain walk.
+    const std::size_t words = (c->flows().size() + 63) / 64;
+    if (backfill_bits_.size() < words) backfill_bits_.resize(words);
+    std::size_t first_word = words;
+    std::int64_t marked = 0;
+    const auto mark = [&](std::uint32_t i) {
+      backfill_bits_[i / 64] |= std::uint64_t{1} << (i % 64);
+      first_word = std::min<std::size_t>(first_word, i / 64);
+      ++marked;
+    };
     const auto send_loads = c->sender_loads();
     const auto recv_loads = c->receiver_loads();
-    const std::size_t listed = c->flows().size();
-    std::size_t live_src_flows = 0;
-    std::size_t live_dst_flows = 0;
-    for (const PortLoad& l : send_loads) {
-      if (l.unfinished_flows > 0 && fabric.send_is_live(l.port)) {
-        live_src_flows += static_cast<std::size_t>(l.unfinished_flows);
-      }
-    }
-    for (const PortLoad& l : recv_loads) {
-      if (l.unfinished_flows > 0 && fabric.recv_is_live(l.port)) {
-        live_dst_flows += static_cast<std::size_t>(l.unfinished_flows);
-      }
-    }
-    if (std::min(live_src_flows, live_dst_flows) * 4 > listed) {
-      stats_.backfill_flows +=
-          static_cast<std::int64_t>(c->walk_flows().size());
-      for (const std::uint32_t i : c->walk_flows()) try_alloc(c, pool, i);
-      continue;
-    }
-    backfill_flow_idx_.clear();
-    if (live_src_flows <= live_dst_flows) {
+    if (send_loads.size() <= recv_loads.size()) {
       for (std::size_t s = 0; s < send_loads.size(); ++s) {
         if (send_loads[s].unfinished_flows == 0 ||
             !fabric.send_is_live(send_loads[s].port)) {
           continue;
         }
         for (const std::uint32_t i : c->sender_slot_flows(s)) {
-          if (fabric.recv_is_live(pool.dst[i])) {
-            backfill_flow_idx_.push_back(i);
-          }
+          if (fabric.recv_is_live(pool.dst[i])) mark(i);
         }
       }
     } else {
@@ -449,16 +384,31 @@ SAATH_HOT_NOALLOC void SaathScheduler::conserve(
           continue;
         }
         for (const std::uint32_t i : c->receiver_slot_flows(s)) {
-          if (fabric.send_is_live(pool.src[i])) {
-            backfill_flow_idx_.push_back(i);
-          }
+          if (fabric.send_is_live(pool.src[i])) mark(i);
         }
       }
     }
-    std::sort(backfill_flow_idx_.begin(), backfill_flow_idx_.end());
-    stats_.backfill_flows +=
-        static_cast<std::int64_t>(backfill_flow_idx_.size());
-    for (const std::uint32_t i : backfill_flow_idx_) try_alloc(c, pool, i);
+    if (marked == 0) continue;
+    ++stats_.backfill_candidates;
+    stats_.backfill_flows += marked;
+    // Slot lists hold only unfinished flows, so the residual re-check is
+    // all a visit needs; the FlowState handle is materialized only for a
+    // flow that actually receives budget.
+    for (std::size_t w = first_word; marked > 0; ++w) {
+      std::uint64_t bits = backfill_bits_[w];
+      backfill_bits_[w] = 0;
+      marked -= std::popcount(bits);
+      for (; bits != 0; bits &= bits - 1) {
+        const auto i = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+        const Rate r = std::min(fabric.send_remaining(pool.src[i]),
+                                fabric.recv_remaining(pool.dst[i]));
+        if (r <= Fabric::kRateEpsilon) continue;
+        ++stats_.backfill_allocs;
+        rates.set(*c, c->flows()[i], pool.rate[i] + r);
+        fabric.consume(pool.src[i], pool.dst[i], r);
+      }
+    }
   }
 }
 

@@ -91,16 +91,18 @@ struct SaathPhaseStats {
   std::int64_t candidates = 0;
   std::int64_t rekeys = 0;
   std::int64_t suffix_walked = 0;
-  /// Conserve-phase split: rounds with a non-empty missed list, missed
-  /// CoFlows the live-port gate actually surfaced on those rounds (vs
-  /// backfill_missed, every missed CoFlow a dense walk would visit).
+  /// Conserve-phase split: rounds with a non-empty missed list, and
+  /// missed CoFlows with at least one flow whose two endpoints were live
+  /// at their turn (vs backfill_missed, every missed CoFlow a dense walk
+  /// would visit).
   std::int64_t backfill_rounds = 0;
   std::int64_t backfill_candidates = 0;
   std::int64_t backfill_missed = 0;
-  /// Flow visits the backfill actually performed: walk_flows() entries on
-  /// a plain walk, gathered flows on a flow-level cut. A dense walk would
-  /// visit every flow of every missed CoFlow, finished ones included.
+  /// Flows the backfill visited (both endpoints live at their CoFlow's
+  /// turn), and the visits that received budget. A dense walk would visit
+  /// every flow of every missed CoFlow, finished ones included.
   std::int64_t backfill_flows = 0;
+  std::int64_t backfill_allocs = 0;
   /// Always 0: the conservation-replay cache it counted is gone. Kept only
   /// because coordbench still reports it.
   std::int64_t conserve_replays = 0;
@@ -215,14 +217,16 @@ class SaathScheduler final : public Scheduler {
   /// decisions for ranks below `first_dirty_rank` when `allow_replay` (a
   /// delta round) makes that sound; records this round's decisions, and on
   /// delta rounds collects CoFlows needing a crossing re-program into
-  /// recross_. The conservation pass walks only missed CoFlows that touch a
-  /// residually-live sender AND receiver, in admission order, stopping when
-  /// either residual set drains.
+  /// recross_. The conservation pass visits, in admission order, only the
+  /// flows of missed CoFlows whose sender AND receiver are residually live,
+  /// stopping when either residual set drains.
   void admit_and_conserve(Fabric& fabric, RateAssignment& rates,
                           std::span<CoflowState* const> ordered,
                           std::size_t first_dirty_rank, bool allow_replay);
   /// Work conservation (Fig 7 lines 14, 18–23): `missed`, in order, soaks
-  /// up whatever budget admission left.
+  /// up whatever budget admission left. One pass per CoFlow: its both-live
+  /// flows, gathered from the side with fewer port slots into
+  /// backfill_bits_, are visited in ascending flow index.
   void conserve(Fabric& fabric, RateAssignment& rates,
                 std::span<CoflowState* const> missed);
 
@@ -282,9 +286,9 @@ class SaathScheduler final : public Scheduler {
   std::vector<CoflowState*> missed_scratch_;
   /// CoFlows whose trajectory this round changed → crossing re-program.
   std::vector<CoflowState*> recross_;
-  /// Port-indexed backfill scratch: the merged per-slot flow indices of
-  /// one candidate.
-  std::vector<std::uint32_t> backfill_flow_idx_;
+  /// Backfill scratch: a bitmap over one CoFlow's flow indices, grown to
+  /// the widest CoFlow seen and all zero between CoFlows.
+  std::vector<std::uint64_t> backfill_bits_;
 };
 
 }  // namespace saath

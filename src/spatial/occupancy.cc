@@ -43,7 +43,6 @@ SAATH_HOT_NOALLOC Slot OccupancyIndex::add_coflow(const CoflowState& c) {
   seat.id = c.id();
   seat.occupied = 0;
   seat.senders = static_cast<std::uint32_t>(c.sender_loads().size());
-  seat.join_stamp = 0;
   seat.places.clear();
   const auto add_places = [&](std::span<const PortLoad> loads, bool sender) {
     for (const PortLoad& load : loads) {
@@ -89,33 +88,6 @@ SAATH_HOT_NOALLOC OccupancyDelta OccupancyIndex::on_flow_complete(
     leave(slot, seat.senders + static_cast<std::uint32_t>(r));
   }
   return delta;
-}
-
-std::size_t OccupancyIndex::collect_live_occupants(
-    std::span<const PortIndex> live_senders,
-    std::span<const PortIndex> live_receivers) const {
-  // Two-pass stamp intersection: stamp every occupant of a live sender
-  // slot, then re-stamp (once) every stamped occupant of a live receiver
-  // slot. A CoFlow missing from either side cannot have a flow with both
-  // endpoints live, so skipping it is exact for any budget-gated consumer.
-  const std::uint64_t sender_mark = ++join_epoch_;
-  for (const PortIndex p : live_senders) {
-    for (const Member& m : members(sender_bucket(p))) {
-      seats_[m.slot].join_stamp = sender_mark;
-    }
-  }
-  live_mark_ = ++join_epoch_;
-  std::size_t marked = 0;
-  for (const PortIndex p : live_receivers) {
-    for (const Member& m : members(receiver_bucket(p))) {
-      const Seat& seat = seats_[m.slot];
-      if (seat.join_stamp == sender_mark) {
-        seat.join_stamp = live_mark_;
-        ++marked;
-      }
-    }
-  }
-  return marked;
 }
 
 std::size_t OccupancyIndex::occupied_slots(CoflowId id) const {

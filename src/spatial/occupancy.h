@@ -18,7 +18,10 @@
 // 2*port+1 (downlink), an index into a vector that grows on demand as
 // ports are first seen. Buckets list member slots; each slot records its
 // position in every bucket it occupies, so leaving is an O(1) swap-remove.
-// All of it recycles capacity, so a warm index allocates nothing.
+// All of it recycles capacity, so a warm index allocates nothing. Its one
+// consumer is LCoF's k_c (spatial/contention.h); the work-conservation
+// backfill reads port liveness from Fabric and per-port flows from
+// CoflowState's slot lists instead.
 #pragma once
 
 #include <cstdint>
@@ -98,22 +101,6 @@ class OccupancyIndex {
     return seats_[slot].places;
   }
 
-  /// Residual-budget join (the work-conservation backfill's spatial half):
-  /// marks every CoFlow that occupies at least one of `live_senders` AND at
-  /// least one of `live_receivers` — the necessary condition for any of its
-  /// flows to have both endpoints unexhausted — and returns how many it
-  /// marked. live_occupant() reads the marks until the next call. Cost is
-  /// O(memberships of the live ports). Logically const: only the marks
-  /// mutate.
-  std::size_t collect_live_occupants(
-      std::span<const PortIndex> live_senders,
-      std::span<const PortIndex> live_receivers) const;
-  /// Whether the last collect_live_occupants() marked `id`.
-  [[nodiscard]] bool live_occupant(CoflowId id) const {
-    const Slot slot = find(id);
-    return slot != kNoSlot && seats_[slot].join_stamp == live_mark_;
-  }
-
   /// Distinct buckets `id` still occupies.
   [[nodiscard]] std::size_t occupied_slots(CoflowId id) const;
 
@@ -127,9 +114,6 @@ class OccupancyIndex {
     std::uint32_t occupied = 0;
     /// Places [0, senders) mirror sender_loads(), the rest receiver_loads().
     std::uint32_t senders = 0;
-    /// collect_live_occupants stamp (two epochs per call: seen on a live
-    /// sender, then marked). Mutable bookkeeping, not index state.
-    mutable std::uint64_t join_stamp = 0;
     std::vector<Place> places;
   };
 
@@ -142,10 +126,6 @@ class OccupancyIndex {
   std::vector<Slot> free_;
   /// Member lists by bucket index (2*port+side).
   std::vector<std::vector<Member>> buckets_;
-  /// Monotone epoch source for the join stamps, and the stamp the last
-  /// collect_live_occupants() marked with (no seat carries it initially).
-  mutable std::uint64_t join_epoch_ = 0;
-  mutable std::uint64_t live_mark_ = ~std::uint64_t{0};
 };
 
 }  // namespace saath::spatial

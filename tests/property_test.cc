@@ -223,6 +223,76 @@ TEST_P(SaathInvariant, AaloQueueMonotonicity) {
   EXPECT_EQ(result.coflows.size(), t.coflows.size());
 }
 
+// Invariant 7 (Fig 7 lines 14, 18–23): after every round with work
+// conservation on, no unfinished zero-rate flow of a data-available CoFlow
+// has budget left at both of its ports. Read off the fabric the round left
+// behind, so it checks the backfill's result without trusting the
+// reference's dense rescan.
+class ConservationObserver final : public Scheduler {
+ public:
+  std::string name() const override { return inner_.name(); }
+  void schedule(SimTime now, std::span<CoflowState* const> active,
+                Fabric& fabric, RateAssignment& rates) override {
+    inner_.schedule(now, active, fabric, rates);
+    verify(active, fabric);
+  }
+  void schedule(SimTime now, std::span<CoflowState* const> active,
+                Fabric& fabric, RateAssignment& rates,
+                const SchedulerDelta& delta) override {
+    inner_.schedule(now, active, fabric, rates, delta);
+    verify(active, fabric);
+  }
+  SimTime schedule_valid_until(
+      SimTime now, std::span<CoflowState* const> active) const override {
+    return inner_.schedule_valid_until(now, active);
+  }
+  void on_coflow_arrival(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_arrival(c, now);
+  }
+  void on_flow_complete(CoflowState& c, FlowState& f, SimTime now) override {
+    inner_.on_flow_complete(c, f, now);
+  }
+  void on_coflow_complete(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_complete(c, now);
+  }
+  void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_quarantined(c, now);
+  }
+
+  void verify(std::span<CoflowState* const> active, const Fabric& fabric) {
+    ++rounds_checked;
+    for (const CoflowState* c : active) {
+      if (!c->data_available) continue;
+      for (const auto& f : c->flows()) {
+        if (f.finished() || f.rate() > 0) continue;
+        ASSERT_FALSE(fabric.send_remaining(f.src()) > Fabric::kRateEpsilon &&
+                     fabric.recv_remaining(f.dst()) > Fabric::kRateEpsilon)
+            << "coflow " << c->id().value << " leaves flow " << f.src()
+            << "->" << f.dst() << " idle with budget at both ports";
+      }
+    }
+  }
+
+  int rounds_checked = 0;
+  SaathScheduler inner_;
+};
+
+TEST_P(SaathInvariant, WorkConservedEveryRound) {
+  const auto t = trace::synth_small_trace(8, 30, GetParam());
+  SimConfig sim;
+  sim.port_bandwidth = 1e6;
+  sim.delta = msec(20);
+  // Plain arrivals, then 8x compressed ones: most CoFlows missed, so the
+  // backfill carries most of each round's allocation.
+  for (const auto& trace : {t, t.scaled_arrivals(8.0)}) {
+    ConservationObserver obs;
+    const auto result = simulate(trace, obs, sim);
+    EXPECT_EQ(result.coflows.size(), trace.coflows.size());
+    EXPECT_GT(obs.rounds_checked, 2);
+    EXPECT_GT(obs.inner_.phase_stats().backfill_allocs, 0);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SaathInvariant,
                          ::testing::Values(11, 22, 33, 44, 55));
 
@@ -454,11 +524,14 @@ struct BackfillParam {
   const char* scheduler;  // "saath" or "aalo" (shared admit/alloc guard)
   Loop loop;
   bool order;  // production on the delta route (else the full route)
+  /// On 40 ports, seed 7 has six CoFlows over 128 flows, the widest 399:
+  /// up to seven words of the backfill's flow bitmap.
+  int ports = 10;
 };
 
 void PrintTo(const BackfillParam& p, std::ostream* os) {
   *os << p.scheduler << "/seed" << p.seed << "/" << loop_name(p.loop)
-      << (p.order ? "/incorder" : "/fullorder");
+      << (p.order ? "/incorder" : "/fullorder") << "/ports" << p.ports;
 }
 
 void expect_identical_results(const SimResult& a, const SimResult& b,
@@ -476,7 +549,7 @@ void expect_identical_results(const SimResult& a, const SimResult& b,
 class BackfillProperty : public ::testing::TestWithParam<BackfillParam> {
  protected:
   [[nodiscard]] trace::Trace make() const {
-    return trace::synth_small_trace(10, 60, GetParam().seed);
+    return trace::synth_small_trace(GetParam().ports, 60, GetParam().seed);
   }
   [[nodiscard]] SimConfig config() const {
     SimConfig cfg;
@@ -552,12 +625,17 @@ INSTANTIATE_TEST_SUITE_P(
         BackfillParam{7, "aalo", Loop::kProduction, true},
         BackfillParam{7, "aalo", Loop::kEveryEpoch, true},
         BackfillParam{7, "aalo", Loop::kReference, true},
-        BackfillParam{21, "aalo", Loop::kReference, true}),
+        BackfillParam{21, "aalo", Loop::kReference, true},
+        BackfillParam{7, "saath", Loop::kProduction, true, 40},
+        BackfillParam{7, "saath", Loop::kEveryEpoch, true, 40}),
     [](const ::testing::TestParamInfo<BackfillParam>& pinfo) {
       std::string name = pinfo.param.scheduler;
       return name + "_seed" + std::to_string(pinfo.param.seed) + "_" +
              loop_name(pinfo.param.loop) +
-             (pinfo.param.order ? "_incorder" : "_fullorder");
+             (pinfo.param.order ? "_incorder" : "_fullorder") +
+             (pinfo.param.ports == 10
+                  ? ""
+                  : "_ports" + std::to_string(pinfo.param.ports));
     });
 
 /// Forwards the engine's precise deltas (so the indexed backfill actually

@@ -82,53 +82,6 @@ TEST(OccupancyIndex, TracksSlotMembership) {
   EXPECT_EQ(occ.find(CoflowId{2}), s0);
 }
 
-TEST(OccupancyIndex, CollectLiveOccupantsIntersectsBothSides) {
-  testing::StateSet set;
-  set.add(make_coflow(1, 0, {{0, 1, 10}}));            // sender 0 -> recv 1
-  set.add(make_coflow(2, 0, {{2, 3, 10}}));            // sender 2 -> recv 3
-  set.add(make_coflow(3, 0, {{0, 3, 10}}));            // sender 0 -> recv 3
-  spatial::OccupancyIndex occ;
-  for (std::size_t i = 0; i < set.size(); ++i) occ.add_coflow(set.at(i));
-
-  // The marked CoFlows, read back through live_occupant().
-  const auto collect = [&occ, &set](std::vector<PortIndex> senders,
-                                    std::vector<PortIndex> receivers) {
-    const std::size_t marked = occ.collect_live_occupants(senders, receivers);
-    std::vector<std::int64_t> ids;
-    for (std::size_t i = 0; i < set.size(); ++i) {
-      if (occ.live_occupant(set.at(i).id())) ids.push_back(set.at(i).id().value);
-    }
-    EXPECT_EQ(ids.size(), marked);
-    return ids;
-  };
-
-  // A CoFlow is marked only when it occupies a live sender AND receiver.
-  EXPECT_EQ(collect({0}, {1}), (std::vector<std::int64_t>{1}));
-  EXPECT_EQ(collect({0}, {3}), (std::vector<std::int64_t>{3}));
-  EXPECT_EQ(collect({2}, {1}), (std::vector<std::int64_t>{}));
-  EXPECT_EQ(collect({0, 2}, {1, 3}), (std::vector<std::int64_t>{1, 2, 3}));
-  EXPECT_EQ(collect({}, {1, 3}), (std::vector<std::int64_t>{}));
-  EXPECT_EQ(collect({0, 2}, {}), (std::vector<std::int64_t>{}));
-  EXPECT_FALSE(occ.live_occupant(CoflowId{99}));  // never indexed
-
-  // Dedup: a wide CoFlow on several live ports is marked once.
-  testing::StateSet wide;
-  wide.add(make_coflow(9, 0, {{0, 1, 10}, {2, 3, 10}, {4, 5, 10}}));
-  spatial::OccupancyIndex occ2;
-  occ2.add_coflow(wide.at(0));
-  EXPECT_EQ(occ2.collect_live_occupants(std::vector<PortIndex>{0, 2, 4},
-                                        std::vector<PortIndex>{1, 3, 5}),
-            1u);
-  EXPECT_TRUE(occ2.live_occupant(CoflowId{9}));
-
-  // Completions drop membership: once 0->1 finishes, sender 0 is no longer
-  // occupied by coflow 1 and the join reflects it.
-  auto& c1 = set.at(0);
-  c1.on_flow_complete(c1.flows()[0], seconds(1));
-  occ.on_flow_complete(occ.find(CoflowId{1}), c1, c1.flows()[0]);
-  EXPECT_EQ(collect({0}, {1}), (std::vector<std::int64_t>{}));
-}
-
 TEST(OccupancyIndex, DeltaAgreesWithCoflowState) {
   testing::StateSet set;
   set.add(make_coflow(0, 0, {{0, 1, 10}, {0, 1, 20}, {2, 1, 30}}));
