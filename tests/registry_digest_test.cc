@@ -49,6 +49,14 @@ TEST(RegistryDigest, SteadyChurnUnderTheBaselines) {
   EXPECT_EQ(digest_of("steady-churn", "uc-tcp"), "260b09f1f62af8f0");
 }
 
+// Aalo never promotes a CoFlow, even after a restart loses progress:
+// failure-storm is the registry run where that rule decides the digest.
+TEST(RegistryDigest, DynamicsAndMergedScenariosUnderAalo) {
+  EXPECT_EQ(digest_of("failure-storm", "aalo"), "f99c28620d993b46");
+  EXPECT_EQ(digest_of("multi-tenant-merge", "aalo"), "1904dda693ff0ba2");
+  EXPECT_EQ(digest_of("pipeline-dag", "aalo"), "c380126491f0bc2f");
+}
+
 // The baselines re-rate most live flows every round, so these runs drive
 // the completion heap hardest: each makes over a million heap pushes.
 TEST(RegistryDigest, ReplayTracesUnderTheBaselines) {
@@ -115,6 +123,7 @@ TEST(RegistryDigest, TestbedRouteOnSyntheticFbTrace) {
       {"saath", "1ce3c88b08fe8dea"},
       {"saath-an-pf-fifo", "00f68aca267a3808"},
       {"saath-an-fifo", "1489916e8a1ac051"},
+      {"aalo", "8c7ff65681ddb292"},
   };
   for (const auto& [name, digest] : pinned) {
     auto sched = make_scheduler(name);
