@@ -5,7 +5,6 @@
 #include "bench_util.h"
 #include "common/stats.h"
 #include "runtime/testbed.h"
-#include "sched/aalo.h"
 #include "sched/saath.h"
 
 using namespace saath;
@@ -21,7 +20,7 @@ int main() {
   cfg.sim = bench::paper_sim_config();
 
   SaathScheduler saath;
-  AaloScheduler aalo;
+  SaathScheduler aalo(aalo_config());
   const auto r_saath = runtime::run_testbed(trace, saath, cfg);
   const auto r_aalo = runtime::run_testbed(trace, aalo, cfg);
 

@@ -81,7 +81,7 @@ struct SnapshotMeasurement {
 /// Who schedules the snapshot rounds.
 enum class Side {
   kDeltaRoute,  // production Saath fed precise deltas
-  kFullRoute,   // production Saath fed full deltas (re-sort every round)
+  kFullRoute,   // production Saath fed stream 0 (re-sort every round)
   kReference,   // tests/reference/'s from-scratch Saath
 };
 
@@ -107,8 +107,8 @@ SnapshotMeasurement run_snapshot(int coflows, int rounds, Side side) {
   Fabric fabric(150, gbps(1));
   RateAssignment rates(150);
   SchedulerDelta delta;
-  delta.full = side != Side::kDeltaRoute;
-  delta.stream_id = 900001;
+  // Stream 0 sends every round through the full route.
+  delta.stream_id = side == Side::kDeltaRoute ? 900001 : 0;
 
   for (CoflowState* c : churn.active) sched.on_coflow_arrival(*c, 0);
 

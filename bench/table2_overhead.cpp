@@ -22,7 +22,6 @@
 #include "fabric/fabric.h"
 #include "reference/engine.h"
 #include "reference/reference.h"
-#include "sched/aalo.h"
 #include "sched/contention.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
@@ -101,7 +100,8 @@ BENCHMARK(BM_SaathScheduleRebuild)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 
 void BM_AaloSchedule(benchmark::State& state) {
   Snapshot snap(static_cast<int>(state.range(0)), 7);
-  AaloScheduler sched;
+  SaathScheduler sched(aalo_config());
+  for (CoflowState* c : snap.active) sched.on_coflow_arrival(*c, 0);
   Fabric fabric(150, gbps(1));
   SimTime now = seconds(3);  // past the snapshot's progress folds
   for (auto _ : state) {

@@ -327,7 +327,6 @@ class CoflowState {
 
   /// Scheduler-owned annotations ------------------------------------------
   int queue_index = 0;
-  SimTime queue_entered_at = 0;
   SimTime deadline = kNever;
   /// Set when a failure/straggler/restart touched this CoFlow (§4.3).
   bool dynamics_flagged = false;

@@ -60,9 +60,9 @@ struct Cursor {
 };
 
 void write_coflow(std::ostream& out, const CoflowSnapshot& cs) {
+  // The third slot is retired (see checkpoint.h): written as 0.
   std::string line = "K " + std::to_string(cs.first_flow_id) + ' ' +
-                     std::to_string(cs.queue_index) + ' ' +
-                     std::to_string(cs.queue_entered_at) + ' ' +
+                     std::to_string(cs.queue_index) + " 0 " +
                      std::to_string(cs.deadline) + ' ' +
                      std::to_string(static_cast<int>(cs.dynamics_flagged)) +
                      ' ' +
@@ -96,7 +96,7 @@ void write_coflow(std::ostream& out, const CoflowSnapshot& cs) {
   c.expect_tag("K");
   cs.first_flow_id = c.i64();
   cs.queue_index = c.i32();
-  cs.queue_entered_at = c.i64();
+  (void)c.i64();  // retired slot, see checkpoint.h
   cs.deadline = c.i64();
   cs.dynamics_flagged = c.flag();
   cs.data_available = c.flag();

@@ -14,6 +14,12 @@
 // through engine side channels that no longer exist: they are written as 0
 // and a checkpoint with either count nonzero is rejected, so checkpoints
 // written before and after the removal keep one layout.
+//
+// Each CoFlow's `K` line is: first flow id, queue index, a retired slot,
+// deadline, dynamics flag, data-available flag, stall rounds, requeue
+// attempts. The retired slot held the instant the CoFlow entered its
+// queue, which nothing read: it is written as 0 and any value is parsed
+// and discarded, so checkpoints that still carry one load unchanged.
 #pragma once
 
 #include <iosfwd>

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "sched/aalo.h"
 #include "sched/clairvoyant.h"
 #include "sched/saath.h"
 #include "sched/uc_tcp.h"
@@ -12,7 +11,7 @@ namespace saath {
 std::unique_ptr<Scheduler> make_scheduler(std::string_view name,
                                           const SchedulerOptions& options) {
   if (name == "aalo") {
-    return std::make_unique<AaloScheduler>(AaloConfig{options.queues});
+    return std::make_unique<SaathScheduler>(aalo_config(options.queues));
   }
   if (name == "saath" || name == "saath-an-fifo" || name == "saath-an-pf-fifo") {
     SaathConfig cfg;

@@ -19,9 +19,10 @@ struct SchedulerOptions {
   double deadline_factor = 2.0;
 };
 
-/// Known names: "aalo", "saath", "saath-an-fifo" (A/N + total-bytes + FIFO),
-/// "saath-an-pf-fifo" (A/N + per-flow thresholds + FIFO), "scf", "srtf",
-/// "lwtf", "sebf", "uc-tcp". Throws std::invalid_argument on unknown names.
+/// Known names: "aalo" (Saath with every mechanism off, aalo_config()),
+/// "saath", "saath-an-fifo" (A/N + total-bytes + FIFO), "saath-an-pf-fifo"
+/// (A/N + per-flow thresholds + FIFO), "scf", "srtf", "lwtf", "sebf",
+/// "uc-tcp". Throws std::invalid_argument on unknown names.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     std::string_view name, const SchedulerOptions& options = {});
 

@@ -1,8 +1,6 @@
 #include "sched/order_index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/expect.h"
 
@@ -110,27 +108,6 @@ void OrderIndex::clear() {
   cached_keys_.clear();
   dirty_all_ = true;
   dirty_any_ = false;
-}
-
-SimTime guarded_crossing_instant(SimTime now, double cross_seconds) {
-  if (cross_seconds >= 9e11) return kNever;
-  const auto dt = static_cast<SimTime>(std::max(0.0, cross_seconds) * 1e6);
-  return now + std::max<SimTime>(0, dt - 1 - (dt >> 40));
-}
-
-SAATH_HOT_NOALLOC double total_bytes_cross_seconds(const CoflowState& c,
-                                                   double bound, SimTime now) {
-  if (!std::isfinite(bound)) {
-    return std::numeric_limits<double>::infinity();
-  }
-  double total_rate = 0;
-  const FlowPool& pool = c.pool();
-  const std::size_t n = pool.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!pool.finished[i]) total_rate += pool.rate[i];
-  }
-  if (total_rate <= 0) return std::numeric_limits<double>::infinity();
-  return (bound - c.total_sent(now)) / total_rate;
 }
 
 SAATH_HOT_NOALLOC void QueueCrossingHeap::program(CoflowState* c, SimTime at,

@@ -1,6 +1,7 @@
-// Delta-maintained CoFlow ordering — the schedule-phase half of making the
-// coordinator event-driven (Saath §4, Table 2's O(1)-amortized queue
-// transitions).
+// Delta-maintained CoFlow ordering — the schedule-phase half of making
+// SaathScheduler event-driven (Saath §4, Table 2's O(1)-amortized queue
+// transitions), under every configuration it takes, the Aalo baseline
+// included.
 //
 // Saath's admission order is a total order under the composite key
 //   (expired, deadline | queue, contention-or-arrival, arrival, id)
@@ -16,10 +17,12 @@
 // cached decisions for the untouched prefix.
 //
 // QueueCrossingHeap is the companion time-trigger structure: each CoFlow's
-// next queue-threshold crossing instant (computed from the closed-form
-// FlowState trajectories) is programmed into a lazy-invalidation min-heap,
-// so queue reassignment pops due crossings instead of rescanning every
-// flow of every CoFlow, and schedule_valid_until() reads the top in O(1).
+// next queue-threshold crossing instant is programmed into a
+// lazy-invalidation min-heap, so queue reassignment pops due crossings
+// instead of rescanning every flow of every CoFlow, and
+// schedule_valid_until() reads the top in O(1). The heap only stores
+// instants; the scheduler derives them from the closed-form FlowState
+// trajectories (sched/saath.cc), so nothing here reads a flow.
 #pragma once
 
 #include <algorithm>
@@ -119,27 +122,6 @@ class OrderIndex {
   bool dirty_any_ = false;
   OrderKey dirty_floor_{};
 };
-
-/// Converts a predicted crossing delay (seconds from `now` at current
-/// rates) into the guarded absolute instant to program, or kNever beyond
-/// the ~9e11 s horizon (≈28k years — clear of int64 µs overflow). The
-/// guard band makes float rounding strictly conservative: predictions may
-/// only ever be EARLY (a due pop that has not actually crossed just
-/// re-programs), never late (a missed queue move diverges from a full
-/// recompute). 1µs absorbs the µs-grid truncation; the dt>>40 term
-/// scales past double's integer precision for far-future instants. Every
-/// crossing producer (Saath per-flow/total, Aalo total) must derive its
-/// instants through this one formula.
-[[nodiscard]] SimTime guarded_crossing_instant(SimTime now,
-                                               double cross_seconds);
-
-/// Seconds until `c`'s total bytes sent reaches `bound` at current rates
-/// (+inf when the bound is infinite or nothing is sending) — the
-/// total-bytes queue-crossing derivation. Every producer (Saath's
-/// total-bytes mode, Aalo) must share it: drift between copies breaks the
-/// bit-identity with a full recompute.
-[[nodiscard]] double total_bytes_cross_seconds(const CoflowState& c,
-                                               double bound, SimTime now);
 
 /// Min-heap of predicted queue-threshold crossing instants with lazy
 /// invalidation: program() supersedes a CoFlow's previous entry by sequence

@@ -45,6 +45,39 @@ using Clock = std::chrono::steady_clock;
   return cross;
 }
 
+/// Seconds until c's total bytes sent reaches `bound` at current rates
+/// (+inf when the bound is infinite or nothing is sending): the
+/// total-bytes crossing derivation.
+[[nodiscard]] SAATH_HOT_NOALLOC double total_bytes_cross_seconds(
+    const CoflowState& c, double bound, SimTime now) {
+  if (!std::isfinite(bound)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  double total_rate = 0;
+  const FlowPool& pool = c.pool();
+  const std::size_t n = pool.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!pool.finished[i]) total_rate += pool.rate[i];
+  }
+  if (total_rate <= 0) return std::numeric_limits<double>::infinity();
+  return (bound - c.total_sent(now)) / total_rate;
+}
+
+/// Converts a predicted crossing delay (seconds from `now` at current
+/// rates) into the guarded absolute instant to program, or kNever beyond
+/// the ~9e11 s horizon (≈28k years — clear of int64 µs overflow). The
+/// guard band makes float rounding strictly conservative: predictions may
+/// only ever be EARLY (a due pop that has not actually crossed just
+/// re-programs), never late (a missed queue move diverges from a full
+/// recompute). 1µs absorbs the µs-grid truncation; the dt>>40 term
+/// scales past double's integer precision for far-future instants.
+[[nodiscard]] SimTime guarded_crossing_instant(SimTime now,
+                                               double cross_seconds) {
+  if (cross_seconds >= 9e11) return kNever;
+  const auto dt = static_cast<SimTime>(std::max(0.0, cross_seconds) * 1e6);
+  return now + std::max<SimTime>(0, dt - 1 - (dt >> 40));
+}
+
 }  // namespace
 
 SaathScheduler::SaathScheduler(SaathConfig config)
@@ -55,6 +88,11 @@ SaathScheduler::SaathScheduler(SaathConfig config)
 std::string SaathScheduler::name() const {
   if (config_.all_or_none && config_.per_flow_threshold && config_.lcof) {
     return "saath";
+  }
+  if (!config_.all_or_none && !config_.per_flow_threshold && !config_.lcof &&
+      !config_.work_conservation && config_.deadline_factor <= 0 &&
+      !config_.dynamics_srtf && !config_.respect_data_availability) {
+    return "aalo";
   }
   std::string n = "saath[";
   n += config_.all_or_none ? "an" : "greedy";
@@ -141,10 +179,13 @@ int SaathScheduler::target_queue(const CoflowState& c, SimTime now) const {
     return queues_.queue_for_max_flow_bytes(dynamics_remaining_estimate(c, now),
                                             c.width());
   }
-  if (config_.per_flow_threshold) {
-    return queues_.queue_for_max_flow_bytes(c.max_flow_sent(now), c.width());
-  }
-  return queues_.queue_for_total_bytes(c.total_sent(now));
+  const int q =
+      config_.per_flow_threshold
+          ? queues_.queue_for_max_flow_bytes(c.max_flow_sent(now), c.width())
+          : queues_.queue_for_total_bytes(c.total_sent(now));
+  // With §4.3 off nothing re-queues a CoFlow, so its queue only demotes,
+  // even after a restart loses progress (Aalo's behaviour).
+  return config_.dynamics_srtf ? q : std::max(c.queue_index, q);
 }
 
 void SaathScheduler::stamp_deadlines(SimTime now,
@@ -177,7 +218,6 @@ void SaathScheduler::assign_queues_and_deadlines(
     if (q != c->queue_index || fresh) {
       queue_population_.move(c->queue_index, q);
       c->queue_index = q;
-      c->queue_entered_at = now;
       entered_.push_back(c);
     }
   }
@@ -431,7 +471,7 @@ void SaathScheduler::schedule(SimTime now,
                     "active lists a CoFlow never announced, or one that "
                     "left without on_coflow_complete");
   SAATH_EXPECTS(!tracks_index() || spatial_.size() == active.size());
-  if (delta.full || delta.stream_id == 0) {
+  if (delta.stream_id == 0) {
     // Unknown provenance: no delta structure can be trusted (the
     // hook-maintained index and populations still can).
     primed_stream_ = 0;
@@ -570,7 +610,6 @@ void SaathScheduler::schedule_delta(SimTime now,
     if (q != c->queue_index || fresh) {
       queue_population_.move(c->queue_index, q);
       c->queue_index = q;
-      c->queue_entered_at = now;
       entered_.push_back(c);
     }
     if (tracks_index()) spatial_.set_group(c->id(), c->queue_index);

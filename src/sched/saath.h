@@ -20,7 +20,16 @@
 //       freedom           CoFlows move to the head of their queue.
 //
 // Every mechanism has a config switch so the Fig 10–12 ablations
-// (A/N+FIFO, A/N+PF+FIFO, full Saath) are just configurations.
+// (A/N+FIFO, A/N+PF+FIFO, full Saath) are just configurations, and so is
+// the baseline they start from. Aalo (Chowdhury & Stoica, SIGCOMM 2015),
+// as the paper models it (§2.2), is the all-off configuration
+// (aalo_config()): a global coordinator assigns CoFlows to K priority
+// queues by *total bytes sent*; ports enumerate queues from highest to
+// lowest priority and serve CoFlows within a queue in FIFO (arrival)
+// order, allocating greedily with no all-or-none gate, no contention
+// awareness and no starvation deadline. With §4.3 off nothing re-queues a
+// CoFlow, so queues only demote: even after a restart loses progress, a
+// CoFlow keeps the lowest queue it reached.
 //
 // The schedule phase has two routes, picked by the SchedulerDelta alone. An
 // engine stream primes once (a full pass that seeds the maintained
@@ -28,7 +37,7 @@
 // an OrderIndex updated in O(log F) per event, queue reassignment pops due
 // threshold crossings from a QueueCrossingHeap instead of rescanning every
 // flow, and the all-or-none admission pass replays its cached decisions for
-// the untouched sorted prefix. Full or unknown-stream calls (direct
+// the untouched sorted prefix. Calls with no stream (stream_id 0: direct
 // callers, the testbed's PipelinedScheduler) re-bucket and re-sort every
 // CoFlow without priming. Both routes share one admission + work
 // conservation pass. The from-scratch model of Fig 7 that both routes are
@@ -67,11 +76,27 @@ struct SaathConfig {
   bool work_conservation = true;
   /// (6) Deadline factor d (paper default 2); <= 0 disables deadlines.
   double deadline_factor = 2.0;
-  /// (5) Approximate-SRTF re-queueing for dynamics-flagged CoFlows.
+  /// (5) Approximate-SRTF re-queueing for dynamics-flagged CoFlows; off =
+  /// a CoFlow's queue never moves up.
   bool dynamics_srtf = true;
   /// §4.3 pipelining: skip CoFlows whose data is not yet available.
   bool respect_data_availability = true;
 };
+
+/// The Aalo baseline: every mechanism above off, deadlines included.
+/// SaathScheduler names this configuration "aalo".
+[[nodiscard]] inline SaathConfig aalo_config(QueueConfig queues = {}) {
+  SaathConfig c;
+  c.queues = queues;
+  c.all_or_none = false;
+  c.per_flow_threshold = false;
+  c.lcof = false;
+  c.work_conservation = false;
+  c.deadline_factor = 0;
+  c.dynamics_srtf = false;
+  c.respect_data_availability = false;
+  return c;
+}
 
 /// Wall-clock cost of each coordinator phase, accumulated across rounds —
 /// the Table 2 "Total time (LCoF / All-or-none)" breakdown.
@@ -145,7 +170,7 @@ class SaathScheduler final : public Scheduler {
   /// expiring. Lets the engine skip quiescent epochs (§4 Table 2: the
   /// coordinator only works when the spatial state moved). O(1) off the
   /// crossing heap + deadline set once an engine stream primed them; `now`
-  /// (recompute every epoch) until then, as Aalo does.
+  /// (recompute every epoch) until then.
   [[nodiscard]] SimTime schedule_valid_until(
       SimTime now, std::span<CoflowState* const> active) const override;
 
@@ -260,7 +285,8 @@ class SaathScheduler final : public Scheduler {
   QueuePopulation queue_population_;
 
   // --- delta-driven schedule-phase state (live only between precise-delta
-  //     rounds of one stream; a full delta or new stream re-primes) -------
+  //     rounds of one stream; a stream-less delta or new stream
+  //     re-primes) ------------------------------------------------------
   OrderIndex order_;
   QueueCrossingHeap crossings_;
   /// Unexpired D5 deadlines, ordered; head feeds schedule_valid_until.

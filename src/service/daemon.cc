@@ -42,8 +42,7 @@ ServiceDaemon::ServiceDaemon(DaemonConfig cfg) : cfg_(std::move(cfg)) {
         // reactive feedback stays synchronous with the epoch loop.
         ingress_->note_done(sid);
         return write_to_session(sid, line);
-      },
-      cfg_.retain_done_lines);
+      });
 }
 
 ServiceDaemon::~ServiceDaemon() {

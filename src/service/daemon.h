@@ -65,9 +65,6 @@ struct DaemonConfig {
   /// Workload name for the digest/journal header; empty = adopt from the
   /// first HELLO (a later HELLO naming a different workload is rejected).
   std::string workload_name;
-  /// Retain DONE lines by id so re-registrations after a crash replay
-  /// completions (costs one small string per completed CoFlow).
-  bool retain_done_lines = true;
 };
 
 /// Final outcome of a drained run.

@@ -32,7 +32,7 @@ void ServiceSink::on_coflow_complete(const CoflowRecord& rec, SimTime now) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     ++completions_;
-    if (retain_done_lines_) done_lines_.emplace(rec.id.value, line);
+    done_lines_.emplace(rec.id.value, line);
     if (const auto it = route_.find(rec.id.value); it != route_.end()) {
       session = it->second;
       routed = true;

@@ -8,9 +8,10 @@
 // reclaimed mid-run under record_results=false; see the `service-detach`
 // lint check), so a route outliving the CoFlow's engine state is safe.
 //
-// For crash-safe restarts the sink can retain every DONE line by id:
-// a reconnecting client that re-registers an already-completed CoFlow gets
-// its DONE replayed immediately instead of a silent drop.
+// For crash-safe restarts the sink retains every DONE line by id (one
+// small string per completed CoFlow): a reconnecting client that
+// re-registers an already-completed CoFlow gets its DONE replayed
+// immediately instead of a silent drop.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +31,7 @@ class ServiceSink final : public ResultSink {
   /// route is dropped). Must be callable from the engine thread.
   using Writer = std::function<bool(std::uint32_t, const std::string&)>;
 
-  ServiceSink(Writer writer, bool retain_done_lines)
-      : writer_(std::move(writer)), retain_done_lines_(retain_done_lines) {}
+  explicit ServiceSink(Writer writer) : writer_(std::move(writer)) {}
 
   /// Routes future (or replays past) completion of `id` to `session`.
   /// Returns the retained DONE line when the CoFlow already completed —
@@ -51,7 +51,6 @@ class ServiceSink final : public ResultSink {
 
  private:
   Writer writer_;
-  bool retain_done_lines_;
   mutable std::mutex mu_;
   std::unordered_map<std::int64_t, std::uint32_t> route_;
   std::unordered_map<std::int64_t, std::string> done_lines_;

@@ -47,7 +47,6 @@ Engine::Engine(std::shared_ptr<workload::WorkloadSource> source,
   result_.trace = source_->name();
   // The engine delivers every state change through the lifecycle hooks and
   // the dirty-set, so its deltas are precise from the first epoch on.
-  delta_.full = false;
   delta_.stream_id = ++g_delta_stream;
 }
 
@@ -534,7 +533,6 @@ CoflowSnapshot Engine::snapshot_coflow(const CoflowState& c) const {
   cs.spec = c.spec();
   cs.first_flow_id = c.flows().front().id().value;
   cs.queue_index = c.queue_index;
-  cs.queue_entered_at = c.queue_entered_at;
   cs.deadline = c.deadline;
   cs.dynamics_flagged = c.dynamics_flagged;
   cs.data_available = c.data_available;
@@ -592,7 +590,6 @@ EngineSnapshot Engine::make_snapshot() const {
 std::unique_ptr<CoflowState> Engine::rebuild_coflow(const CoflowSnapshot& cs) {
   auto state = std::make_unique<CoflowState>(cs.spec, FlowId{cs.first_flow_id});
   state->queue_index = cs.queue_index;
-  state->queue_entered_at = cs.queue_entered_at;
   state->deadline = cs.deadline;
   state->dynamics_flagged = cs.dynamics_flagged;
   state->data_available = cs.data_available;

@@ -35,22 +35,19 @@ class ThreadPool;
 /// those in their maintained structures instead of rescanning the world.
 ///
 /// Invariant the producer must uphold: between two schedule() calls
-/// carrying the same `stream_id` with `full == false`, every CoFlow whose
+/// carrying the same nonzero `stream_id`, every CoFlow whose
 /// state mutated (arrival, flow/CoFlow completion, dynamics restart or
 /// straggler flag, data-availability flip) appears in `dirty`. Duplicates
 /// and already-finished CoFlows are allowed; consumers dedup and skip.
 /// Port-capacity changes are NOT reported here — schedulers watch
 /// Fabric::capacity_version() for those.
 struct SchedulerDelta {
-  /// Unknown provenance (direct drivers, tests): the scheduler must
-  /// distrust every cache keyed on prior deltas; what it learned from the
-  /// lifecycle hooks below still holds. Default-constructed deltas are
-  /// full, so legacy call paths stay conservative.
-  bool full = true;
   /// Identifies the delta stream (one per Engine run). A scheduler seeing
-  /// a new stream id must treat its caches as stale even if `full` is
-  /// false — e.g. a scheduler reused across two Engine instances. 0 is
-  /// reserved for "no stream".
+  /// a new stream id must treat its caches as stale — e.g. a scheduler
+  /// reused across two Engine instances. 0 (the default) means unknown
+  /// provenance (direct drivers, tests): the scheduler must distrust every
+  /// cache keyed on prior deltas; what it learned from the lifecycle hooks
+  /// below still holds.
   std::uint64_t stream_id = 0;
   /// CoFlows whose state changed since the last schedule() of this stream
   /// in ways that cannot move their queue metric (arrivals, completions,

@@ -46,7 +46,6 @@ struct CoflowSnapshot {
   CoflowSpec spec;
   std::int64_t first_flow_id = 0;
   int queue_index = 0;
-  SimTime queue_entered_at = 0;
   SimTime deadline = kNever;
   bool dynamics_flagged = false;
   bool data_available = true;

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "fabric/fabric.h"
-#include "sched/aalo.h"
+#include "sched/saath.h"
 #include "sim/engine.h"
 #include "test_util.h"
 
@@ -20,7 +20,8 @@ TEST(Aalo, FifoWithinQueueByArrival) {
   testing::StateSet set;
   set.add(make_coflow(0, seconds(1), {{0, 1, 1000}}));
   set.add(make_coflow(1, seconds(0), {{0, 2, 1000}}));
-  AaloScheduler sched;
+  SaathScheduler sched(aalo_config());
+  set.announce(sched);
   Fabric fabric(3, 100.0);
   sched.schedule(seconds(2), set.active(), fabric);
   EXPECT_DOUBLE_EQ(set.at(0).flows()[0].rate(), 0.0);
@@ -38,7 +39,8 @@ TEST(Aalo, HigherQueueStrictlyFirst) {
   ASSERT_GT(set.at(0).total_sent(seconds(1)), 10e6);
   f.set_rate(0, seconds(1));
 
-  AaloScheduler sched;
+  SaathScheduler sched(aalo_config());
+  set.announce(sched);
   Fabric fabric(3, 100.0);
   sched.schedule(seconds(6), set.active(), fabric);
   EXPECT_DOUBLE_EQ(set.at(1).flows()[0].rate(), 100.0);  // newcomer in Q0 wins
@@ -48,7 +50,8 @@ TEST(Aalo, HigherQueueStrictlyFirst) {
 TEST(Aalo, IntraCoflowFairSplitAtSenderPort) {
   testing::StateSet set;
   set.add(make_coflow(0, 0, {{0, 1, 1000}, {0, 2, 1000}}));
-  AaloScheduler sched;
+  SaathScheduler sched(aalo_config());
+  set.announce(sched);
   Fabric fabric(3, 100.0);
   sched.schedule(0, set.active(), fabric);
   EXPECT_DOUBLE_EQ(set.at(0).flows()[0].rate(), 50.0);
@@ -60,7 +63,8 @@ TEST(Aalo, WorkConservingAcrossCoflows) {
   testing::StateSet set;
   set.add(make_coflow(0, 0, {{0, 2, 1000}}));
   set.add(make_coflow(1, seconds(1), {{1, 2, 1000}}));
-  AaloScheduler sched;
+  SaathScheduler sched(aalo_config());
+  set.announce(sched);
   Fabric fabric(3, 100.0);
   sched.schedule(seconds(2), set.active(), fabric);
   // Receiver 2 is shared: C0 takes 100, C1 gets receiver leftovers = 0.
@@ -71,8 +75,10 @@ TEST(Aalo, WorkConservingAcrossCoflows) {
   testing::StateSet set2;
   set2.add(make_coflow(0, 0, {{0, 2, 1000}}));
   set2.add(make_coflow(1, seconds(1), {{1, 3, 1000}}));
+  SaathScheduler sched2(aalo_config());
+  set2.announce(sched2);
   Fabric fabric2(4, 100.0);
-  sched.schedule(seconds(2), set2.active(), fabric2);
+  sched2.schedule(seconds(2), set2.active(), fabric2);
   EXPECT_DOUBLE_EQ(set2.at(0).flows()[0].rate(), 100.0);
   EXPECT_DOUBLE_EQ(set2.at(1).flows()[0].rate(), 100.0);
 }
@@ -80,7 +86,7 @@ TEST(Aalo, WorkConservingAcrossCoflows) {
 TEST(Aalo, QueueIndexNeverDecreases) {
   // Even after a restart wipes progress, Aalo keeps the CoFlow demoted.
   auto t = make_trace(2, {make_coflow(0, 0, {{0, 1, 30 * kMB}})});
-  AaloScheduler sched;
+  SaathScheduler sched(aalo_config());
   SimConfig cfg;
   cfg.port_bandwidth = 10e6;  // 10 MB/s: crosses the 10MB threshold at 1s
   cfg.delta = msec(100);
@@ -95,7 +101,7 @@ TEST(Aalo, QueueIndexNeverDecreases) {
 TEST(Aalo, SingleCoflowUsesFullFabric) {
   auto t = make_trace(4, {make_coflow(
                              0, 0, {{0, 2, 1000}, {1, 3, 1000}})});
-  AaloScheduler sched;
+  SaathScheduler sched(aalo_config());
   const auto result = simulate(t, sched, toy_config());
   EXPECT_NEAR(result.coflows[0].cct_seconds(), 10.0, 0.01);
 }
@@ -110,7 +116,7 @@ TEST(Aalo, Fig1OutOfSyncBehaviour) {
   auto c2 = make_coflow(1, usec(1), {{0, 5, 100}, {1, 6, 100}});
   auto c3 = make_coflow(2, usec(2), {{1, 7, 100}, {2, 8, 100}});
   auto t = make_trace(9, {c1, c2, c3});
-  AaloScheduler sched;
+  SaathScheduler sched(aalo_config());
   SimConfig cfg = toy_config();  // 100 B/s -> each flow takes ~1 s
   const auto result = simulate(t, sched, cfg);
   // C1 finishes in ~1s.

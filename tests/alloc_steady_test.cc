@@ -116,7 +116,6 @@ TEST(AllocSteady, RateAssignmentTouchedSetRecyclesCapacity) {
 TEST(AllocSteady, SchedulerDeltaMarksRecycleCapacity) {
   CoflowState c(make_coflow(0, 0, {{0, 1, 1000000000000}, {1, 0, 1000000000000}}), FlowId{0});
   SchedulerDelta delta_set;
-  delta_set.full = false;
 
   const std::uint64_t delta = measure_steady_allocs([&](int) {
     for (int i = 0; i < 8; ++i) delta_set.mark(&c);
@@ -261,7 +260,6 @@ TEST(AllocSteady, SaathLifecycleHooksRecycleCapacity) {
   Fabric fabric(kPorts, 1e9);
   RateAssignment rates(kPorts);
   SchedulerDelta delta;
-  delta.full = false;
   delta.stream_id = 4242;
   std::vector<std::unique_ptr<CoflowState>> resident;
   std::vector<CoflowState*> active;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "reference/engine.h"
-#include "sched/aalo.h"
 #include "sched/saath.h"
 #include "sched/uc_tcp.h"
 #include "sim/engine.h"
@@ -113,7 +112,7 @@ TEST(Engine, ResultsSortedByCoflowId) {
 
 TEST(Engine, ConservationAllBytesDelivered) {
   const auto t = trace::synth_small_trace(8, 30, 11);
-  AaloScheduler sched;
+  SaathScheduler sched(aalo_config());
   SimConfig cfg;
   cfg.port_bandwidth = 1e6;
   cfg.delta = msec(100);

@@ -33,6 +33,23 @@ TEST(Factory, AblationFlagsWiredCorrectly) {
   ASSERT_NE(s2, nullptr);
   EXPECT_TRUE(s2->config().per_flow_threshold);
   EXPECT_FALSE(s2->config().lcof);
+
+  // Aalo is Saath with every mechanism switched off.
+  SchedulerOptions opt;
+  opt.queues.start_threshold = 123 * kMB;
+  opt.deadline_factor = 7.0;  // Aalo has no deadlines: ignored
+  auto aalo = make_scheduler("aalo", opt);
+  auto* s3 = dynamic_cast<SaathScheduler*>(aalo.get());
+  ASSERT_NE(s3, nullptr);
+  EXPECT_EQ(s3->name(), "aalo");
+  EXPECT_FALSE(s3->config().all_or_none);
+  EXPECT_FALSE(s3->config().per_flow_threshold);
+  EXPECT_FALSE(s3->config().lcof);
+  EXPECT_FALSE(s3->config().work_conservation);
+  EXPECT_DOUBLE_EQ(s3->config().deadline_factor, 0.0);
+  EXPECT_FALSE(s3->config().dynamics_srtf);
+  EXPECT_FALSE(s3->config().respect_data_availability);
+  EXPECT_EQ(s3->config().queues.start_threshold, 123 * kMB);
 }
 
 TEST(Factory, OptionsPropagate) {

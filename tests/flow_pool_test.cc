@@ -23,7 +23,6 @@
 
 #include "reference/reference.h"
 #include "replay/journal.h"
-#include "sched/aalo.h"
 #include "sched/saath.h"
 #include "sched/uc_tcp.h"
 #include "sim/engine.h"
@@ -54,7 +53,7 @@ std::unique_ptr<Scheduler> matrix_scheduler(const std::string& which,
   }
   if (which == "aalo") {
     if (reference) return std::make_unique<reference::ReferenceAalo>();
-    return std::make_unique<AaloScheduler>();
+    return std::make_unique<SaathScheduler>(aalo_config());
   }
   return std::make_unique<UcTcpScheduler>();
 }

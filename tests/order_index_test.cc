@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "reference/reference.h"
-#include "sched/aalo.h"
 #include "sched/order_index.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
@@ -222,7 +221,7 @@ std::unique_ptr<Scheduler> make_mode_scheduler(const std::string& name,
                                                bool reference) {
   if (name == "aalo") {
     if (reference) return std::make_unique<reference::ReferenceAalo>();
-    return std::make_unique<AaloScheduler>();
+    return std::make_unique<SaathScheduler>(aalo_config());
   }
   SaathConfig cfg;
   if (name == "saath-fifo") {

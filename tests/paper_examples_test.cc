@@ -4,7 +4,6 @@
 // make: Saath vs Aalo on the same setup).
 #include <gtest/gtest.h>
 
-#include "sched/aalo.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
 #include "test_util.h"
@@ -27,7 +26,7 @@ TEST(Fig1, SaathSynchronizesFlowsAaloDoesNot) {
                           make_coflow(2, usec(2), {{1, 7, 100}, {2, 8, 100}})});
   };
 
-  AaloScheduler aalo;
+  SaathScheduler aalo(aalo_config());
   const auto r_aalo = simulate(make(), aalo, toy_config());
   SaathConfig cfg;
   cfg.deadline_factor = 0;
@@ -71,7 +70,7 @@ TEST(Fig5, FastQueueTransitionHelpsCompetitor) {
   sim.port_bandwidth = 1e6;  // 1 MB/s -> Q0 residence ~4 s aggregate
   sim.delta = msec(100);
 
-  AaloScheduler aalo({qcfg});
+  SaathScheduler aalo(aalo_config(qcfg));
   const auto r_aalo = simulate(make(), aalo, sim);
 
   SaathConfig scfg;

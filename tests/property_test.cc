@@ -13,7 +13,6 @@
 
 #include "reference/engine.h"
 #include "reference/reference.h"
-#include "sched/aalo.h"
 #include "sched/factory.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
@@ -181,9 +180,15 @@ TEST_P(SaathInvariant, NoStarvationUnderLoad) {
   EXPECT_EQ(result.coflows.size(), t.coflows.size());
 }
 
-// Aalo invariant 4: queue index never decreases across a run.
+// Aalo invariant 4: queue index never decreases across a run, even when
+// node failures restart flows and shrink the bytes a CoFlow has sent.
 TEST_P(SaathInvariant, AaloQueueMonotonicity) {
   const auto t = trace::synth_small_trace(8, 30, GetParam());
+  const std::vector<DynamicsEvent> failures = {
+      {seconds(30), DynamicsEvent::Kind::kNodeFailure, 0, 1.0},
+      {seconds(90), DynamicsEvent::Kind::kNodeFailure, 3, 1.0},
+      {seconds(200), DynamicsEvent::Kind::kNodeFailure, 5, 1.0},
+  };
 
   class MonotonicityObserver final : public Scheduler {
    public:
@@ -211,7 +216,7 @@ TEST_P(SaathInvariant, AaloQueueMonotonicity) {
     void on_coflow_quarantined(CoflowState& c, SimTime now) override {
       inner_.on_coflow_quarantined(c, now);
     }
-    AaloScheduler inner_;
+    SaathScheduler inner_{aalo_config()};
     std::map<CoflowId, int> last_queue_;
   };
 
@@ -219,7 +224,8 @@ TEST_P(SaathInvariant, AaloQueueMonotonicity) {
   SimConfig sim;
   sim.port_bandwidth = 1e5;  // slow ports -> multiple queue transitions
   sim.delta = msec(20);
-  const auto result = simulate(t, observer, sim);
+  const auto result =
+      simulate(testing::stream_of(t, failures), observer, sim);
   EXPECT_EQ(result.coflows.size(), t.coflows.size());
 }
 
@@ -572,7 +578,7 @@ class BackfillProperty : public ::testing::TestWithParam<BackfillParam> {
                      : std::make_unique<reference::ReferenceSaath>();
     } else {
       sched = aalo() ? std::unique_ptr<Scheduler>(
-                           std::make_unique<AaloScheduler>())
+                           std::make_unique<SaathScheduler>(aalo_config()))
                      : std::make_unique<SaathScheduler>();
     }
     reference::FullRoute full_route(*sched);

@@ -125,6 +125,11 @@ std::string ReferenceSaath::name() const {
   if (config_.all_or_none && config_.per_flow_threshold && config_.lcof) {
     return "saath";
   }
+  if (!config_.all_or_none && !config_.per_flow_threshold && !config_.lcof &&
+      !config_.work_conservation && config_.deadline_factor <= 0 &&
+      !config_.dynamics_srtf && !config_.respect_data_availability) {
+    return "aalo";
+  }
   std::string n = "saath[";
   n += config_.all_or_none ? "an" : "greedy";
   n += config_.per_flow_threshold ? "+pf" : "+total";
@@ -150,10 +155,13 @@ int ReferenceSaath::queue_for(const CoflowState& c, SimTime now) const {
     }
     return queues_.queue_for_max_flow_bytes(m_c, c.width());
   }
-  if (config_.per_flow_threshold) {
-    return queues_.queue_for_max_flow_bytes(c.max_flow_sent(now), c.width());
-  }
-  return queues_.queue_for_total_bytes(c.total_sent(now));
+  const int q =
+      config_.per_flow_threshold
+          ? queues_.queue_for_max_flow_bytes(c.max_flow_sent(now), c.width())
+          : queues_.queue_for_total_bytes(c.total_sent(now));
+  // Without §4.3 nothing re-queues a CoFlow: its queue never moves up, even
+  // after a restart loses progress.
+  return config_.dynamics_srtf ? q : std::max(c.queue_index, q);
 }
 
 bool ReferenceSaath::all_ports_free(const CoflowState& c,
@@ -209,7 +217,6 @@ void ReferenceSaath::schedule(SimTime now,
     const int q = queue_for(*c, now);
     if (q != c->queue_index || (deadlines && c->deadline == kNever)) {
       c->queue_index = q;
-      c->queue_entered_at = now;
       entered.push_back(c);
     }
   }
@@ -320,7 +327,7 @@ SimTime ReferenceSaath::schedule_valid_until(
 
 // ------------------------------------------------------------------- Aalo
 
-ReferenceAalo::ReferenceAalo(AaloConfig config) : queues_(config.queues) {}
+ReferenceAalo::ReferenceAalo(QueueConfig queues) : queues_(queues) {}
 
 void ReferenceAalo::schedule(SimTime now,
                              std::span<CoflowState* const> active,

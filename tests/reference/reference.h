@@ -8,7 +8,8 @@
 // schedule() reads the CoFlows' own state and recomputes the round from
 // scratch, exactly as Fig 7 states it:
 //   1. queue assignment (Eq. 1 per-flow thresholds, or Aalo's total bytes;
-//      the §4.3 remaining-work estimate for dynamics-flagged CoFlows),
+//      the §4.3 remaining-work estimate for dynamics-flagged CoFlows, and
+//      with §4.3 off a queue that never moves up),
 //   2. D5 deadlines d·C_q·t for CoFlows that just entered a queue,
 //   3. LCoF keys: k_c from a batch count over the active set,
 //   4. one full sort (expired deadlines first, then queue, k_c or arrival,
@@ -21,13 +22,15 @@
 //
 // Both report the production scheduler's name(), so result digests of a
 // reference run compare directly against the pinned production digests.
+// ReferenceAalo is written apart from ReferenceSaath, so that the all-off
+// SaathConfig (aalo_config()) is checked against Aalo as §2.2 states it,
+// not against a second reading of the same switches.
 #pragma once
 
 #include <span>
 #include <string>
 #include <vector>
 
-#include "sched/aalo.h"
 #include "sched/queue_structure.h"
 #include "sched/saath.h"
 #include "sim/scheduler.h"
@@ -73,7 +76,7 @@ class ReferenceSaath final : public Scheduler {
 
 class ReferenceAalo final : public Scheduler {
  public:
-  explicit ReferenceAalo(AaloConfig config = {});
+  explicit ReferenceAalo(QueueConfig queues = {});
 
   [[nodiscard]] std::string name() const override { return "aalo"; }
 

@@ -13,6 +13,7 @@
 #include "replay/journal.h"
 #include "runtime/testbed.h"
 #include "sched/factory.h"
+#include "sched/saath.h"
 #include "trace/synth.h"
 #include "workload/scenario.h"
 
@@ -107,6 +108,23 @@ TEST(RegistryDigestReference, PipelineDag) {
 }
 TEST(RegistryDigestReference, SteadyChurn) {
   expect_reference_pipeline_pin("steady-churn");
+}
+
+// The reference Saath with every switch off is the reference Aalo: two
+// independent readings of the baseline agree on the run where Aalo's
+// never-promote rule decides the digest, and both hit the production pin.
+TEST(RegistryDigest, AllOffReferenceSaathIsReferenceAalo) {
+  const auto run = [](Scheduler& sched) {
+    const workload::ScenarioSetup setup =
+        workload::make_scenario("failure-storm");
+    reference::ReferenceEngine engine(setup.source, sched, setup.config);
+    return replay::result_digest_hex(engine.run());
+  };
+  reference::ReferenceSaath all_off(aalo_config());
+  reference::ReferenceAalo aalo;
+  const std::string digest = run(all_off);
+  EXPECT_EQ(digest, run(aalo));
+  EXPECT_EQ(digest, "f99c28620d993b46");
 }
 
 // The testbed's PipelinedScheduler drives Saath through the full-delta

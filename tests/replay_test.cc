@@ -13,7 +13,6 @@
 #include "reference/reference.h"
 #include "replay/fault.h"
 #include "replay/journal.h"
-#include "sched/aalo.h"
 #include "sched/factory.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
@@ -36,7 +35,7 @@ std::unique_ptr<Scheduler> matrix_scheduler(const std::string& which,
     return std::make_unique<SaathScheduler>();
   }
   if (reference) return std::make_unique<reference::ReferenceAalo>();
-  return std::make_unique<AaloScheduler>();
+  return std::make_unique<SaathScheduler>(aalo_config());
 }
 
 trace::Trace matrix_trace() {
@@ -136,7 +135,7 @@ TEST(RecordReplay, ReactiveDagStreamReplaysBitIdentically) {
 TEST(RecordReplay, DigestDistinguishesSchedulers) {
   const auto t = matrix_trace();
   SaathScheduler saath;
-  AaloScheduler aalo;
+  SaathScheduler aalo(aalo_config());
   const SimResult a = simulate(trace::Trace(t), saath);
   const SimResult b = simulate(trace::Trace(t), aalo);
   EXPECT_NE(replay::result_digest(a), replay::result_digest(b));
@@ -417,6 +416,65 @@ TEST(Checkpoint, ResumeMatchesUninterruptedRunAcrossMatrix) {
   }
 }
 
+// The third slot of a `K` line once held the instant the CoFlow entered its
+// queue; checkpoints written then carry nonzero values there. The slot is
+// parsed and discarded, so such a checkpoint resumes to the uninterrupted
+// run's digest.
+TEST(Checkpoint, RetiredQueueEntrySlotIsIgnored) {
+  const auto t = matrix_trace();
+  const SimConfig cfg;
+  std::ostringstream journal;
+  auto rec = std::make_shared<replay::RecordingSource>(
+      std::make_shared<workload::TraceSource>(trace::Trace(t)), journal, cfg,
+      /*seed=*/41);
+  SaathScheduler full_sched;
+  Engine full(rec, full_sched, cfg);
+  EngineSnapshot snap;
+  bool captured = false;
+  full.set_snapshot_hook(60, [&](const EngineSnapshot& s) {
+    if (!captured) snap = s;
+    captured = true;
+  });
+  const SimResult uninterrupted = full.run();
+  ASSERT_TRUE(captured);
+  ASSERT_FALSE(snap.active.empty());
+
+  std::ostringstream ckpt;
+  replay::save_checkpoint(ckpt, snap);
+  // K <first flow id> <queue> <retired> <deadline> ...
+  std::istringstream lines(ckpt.str());
+  std::string rewritten;
+  int stamped = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("K ", 0) == 0) {
+      std::istringstream tokens(line);
+      std::vector<std::string> fields;
+      for (std::string tok; tokens >> tok;) fields.push_back(tok);
+      EXPECT_EQ(fields.at(3), "0");
+      fields.at(3) = std::to_string(1234567 + stamped++);
+      line.clear();
+      for (const std::string& f : fields) {
+        if (!line.empty()) line += ' ';
+        line += f;
+      }
+    }
+    rewritten += line + '\n';
+  }
+  ASSERT_EQ(stamped, static_cast<int>(snap.active.size() +
+                                      snap.quarantined.size()));
+  std::istringstream ckpt_in(rewritten);
+  const EngineSnapshot restored = replay::load_checkpoint(ckpt_in);
+
+  std::istringstream in(journal.str());
+  auto rs = std::make_shared<replay::ReplaySource>(in);
+  rs->skip(restored.source_events_consumed);
+  SaathScheduler res_sched;
+  Engine resumed(rs, res_sched, rs->recorded_config());
+  resumed.restore_snapshot(restored);
+  EXPECT_EQ(replay::result_digest_hex(resumed.run()),
+            replay::result_digest_hex(uninterrupted));
+}
+
 // A checkpoint that carries an injected-arrival or pending-dynamics entry
 // came from an engine with side channels this one does not have: loading
 // it must fail loudly, naming the section.
@@ -484,7 +542,7 @@ TEST(Checkpoint, RestoreRefusesMismatchedScheduler) {
   (void)engine.run();
   ASSERT_TRUE(captured);
 
-  AaloScheduler other;
+  SaathScheduler other(aalo_config());
   Engine fresh(std::make_shared<workload::TraceSource>(trace::Trace(t)),
                other, SimConfig{});
   EXPECT_THROW(fresh.restore_snapshot(snap), std::invalid_argument);

@@ -5,7 +5,6 @@
 
 #include "runtime/jobs.h"
 #include "runtime/testbed.h"
-#include "sched/aalo.h"
 #include "sched/saath.h"
 #include "sched/uc_tcp.h"
 #include "test_util.h"
@@ -85,7 +84,7 @@ TEST(Testbed, SaathUnderTestbedStillBeatsAalo) {
   TestbedConfig cfg;
   cfg.sim = sim;
   SaathScheduler saath;
-  AaloScheduler aalo;
+  SaathScheduler aalo(aalo_config());
   const auto r_saath = run_testbed(t, saath, cfg);
   const auto r_aalo = run_testbed(t, aalo, cfg);
   const auto speedups = r_saath.speedup_over(r_aalo);

@@ -319,7 +319,6 @@ TEST(Saath, IndexedBackfillEngagesAndMatchesDenseOnDeltaRounds) {
     Fabric fabric(10, 1000.0);
     RateAssignment rates(10);
     SchedulerDelta delta;
-    delta.full = false;
     delta.stream_id = 77001;
     for (CoflowState* c : set.active()) sched.on_coflow_arrival(*c, 0);
     for (int round = 0; round < 40; ++round) {

@@ -11,7 +11,6 @@
 
 #include "reference/engine.h"
 #include "reference/reference.h"
-#include "sched/aalo.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
 #include "test_util.h"
@@ -56,7 +55,7 @@ std::unique_ptr<Scheduler> matrix_scheduler(const std::string& which,
     return std::make_unique<SaathScheduler>();
   }
   if (reference) return std::make_unique<reference::ReferenceAalo>();
-  return std::make_unique<AaloScheduler>();
+  return std::make_unique<SaathScheduler>(aalo_config());
 }
 
 trace::Trace matrix_trace() {

@@ -57,6 +57,14 @@ the compiler cannot see:
                         their oracle is the reference model under
                         tests/reference/ (reference Saath and Aalo, and
                         the reference engine).
+  config-knob           A bool member with a default initializer in a
+                        `struct *Config` under src/ is a behaviour switch:
+                        some file in src/, bench/, examples/ or tests/
+                        (fixtures excluded) must set it to the other
+                        literal or to a non-literal expression (a parsed
+                        value, a loop variable). A switch nothing turns is
+                        dead weight: make its value the behaviour, or
+                        delete it.
 
 Design: the default backend is a self-contained lexer (comment/string
 stripping + brace matching) so the lint runs anywhere Python does — the CI
@@ -88,6 +96,7 @@ CHECK_IDS = (
     "hot-noalloc",
     "digest-float",
     "flag-matrix",
+    "config-knob",
 )
 
 # FlowPool's public SoA lanes (src/coflow/flow_pool.h). Accessed as
@@ -111,7 +120,6 @@ LANES = (
 LANE_READ_ALLOWLIST = {
     "src/sched/saath.cc",
     "src/sched/alloc.cc",
-    "src/sched/order_index.cc",
 }
 
 # Audited per-round scratch members that hold CoflowState*/FlowState*
@@ -123,7 +131,6 @@ RETENTION_ALLOWLIST = {
         "candidates_", "touch_only_", "entered_", "prime_entries_",
         "order_scratch_", "missed_scratch_", "recross_",
     },
-    "src/sched/aalo.h": {"sort_scratch_"},
     "src/sched/uc_tcp.h": {"flows_", "owners_"},
 }
 
@@ -590,6 +597,43 @@ def check_flag_matrix(files, findings):
             "against its full-recompute oracle"))
 
 
+# ---------------------------------------------------------------- config-knob
+
+CONFIG_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Config)\s*\{")
+BOOL_KNOB_RE = re.compile(r"bool\s+(\w+)\s*=\s*(true|false)")
+SETTER_ROOTS = ("src/", "bench/", "examples/", "tests/")
+
+
+def check_config_knob(files, findings):
+    knobs = []  # (struct, name, default literal, path, line)
+    setters = []
+    for lf in files:
+        if lf.path.startswith(SETTER_ROOTS) and not \
+                lf.path.startswith("tests/lint_fixtures/"):
+            setters.append(lf.code)
+        if not lf.path.startswith("src/"):
+            continue
+        for m in CONFIG_STRUCT_RE.finditer(lf.code):
+            for stmt, lineno in member_statements(lf.code, m.end() - 1):
+                km = BOOL_KNOB_RE.fullmatch(stmt)
+                if km:
+                    knobs.append((m.group(1), km.group(1), km.group(2),
+                                  lf.path, lineno))
+    blob = "\n".join(setters)
+    for struct, name, default, path, lineno in knobs:
+        # `name = rhs` (designated initializers included), not `==`; the
+        # declaration itself assigns the default and so never counts.
+        values = {v.strip() for v in re.findall(
+            rf"\b{name}\s*=(?!=)\s*([^;,)}}]+)", blob)}
+        if values - {default}:
+            continue
+        findings.append(Finding(
+            path, lineno, "config-knob",
+            f"{struct}::{name} defaults to {default} and nothing in src/, "
+            "bench/, examples/ or tests/ sets it otherwise — make that "
+            "value the behaviour and delete the switch"))
+
+
 # ------------------------------------------------------- optional AST backend
 
 class AstBackend:
@@ -706,6 +750,7 @@ def run_checks(files, ast=None, root=None):
         if ast is not None and ast.ok and root:
             findings.extend(ast.extra_lane_findings(lf, root))
     check_flag_matrix(files, findings)
+    check_config_knob(files, findings)
     by_path = {lf.path: lf for lf in files}
     kept = []
     for f in findings:
