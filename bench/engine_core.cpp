@@ -5,7 +5,8 @@
 // twice: on the production engine (completion heap, quiescent skip) and on
 // the reference engine of tests/reference/ (the "oracle" side: a scan of
 // every unfinished flow per completion micro-step, every epoch scheduled,
-// the 4-arg schedule() so Saath takes its full route). Reports scheduling
+// the 4-arg schedule() with no stream, so every Saath round takes every
+// CoFlow as a candidate). Reports scheduling
 // rounds/sec ("epochs"), advance-phase ns per flow completion, and the
 // oracle/engine ratio, plus a maxmin_fair_rates micro-benchmark (ns/flow at
 // FB-snapshot density), and writes everything as machine-readable

@@ -7,18 +7,18 @@
 //  * steady-churn snapshot: 500 CoFlows live on 150 ports, one flow
 //    completion per 8 ms round delivered exactly the way the engine does
 //    (lifecycle hook + SchedulerDelta). Three schedulers see the same rounds:
-//    production Saath on the delta route (re-keys one CoFlow and re-walks
-//    only the dirtied suffix of the materialized order), production Saath
-//    on the full-delta route (re-buckets and re-sorts all 500 every round —
-//    the order_ratio baseline, gated >= 5x), and the reference Saath of
-//    tests/reference/ (whose dense missed-list rescan is the conserve_ratio
-//    baseline, gated >= 3x).
+//    production Saath on an engine-style stream (delta rounds: re-keys one
+//    CoFlow and re-walks only the dirtied suffix of the materialized order),
+//    production Saath with no stream (every round takes all 500 CoFlows as
+//    candidates and re-keys the whole order — the order_ratio baseline,
+//    gated >= 5x), and the reference Saath of tests/reference/ (whose dense
+//    missed-list rescan is the conserve_ratio baseline, gated >= 3x).
 //
-//  * end-to-end engine run: the FB-scale trace through the delta route and
-//    the full-delta route, with the quiescent-epoch skip on (the full route
-//    takes its skip triggers from the reference's O(F·W) scan) —
-//    epochs/sec plus how many rounds ran incrementally and how many
-//    admission ranks were replayed.
+//  * end-to-end engine run: the FB-scale trace through production Saath on
+//    the engine's stream and with no stream (reference::FullRoute), with
+//    the quiescent-epoch skip on (the no-stream side takes its skip
+//    triggers from the reference's O(F·W) scan) — epochs/sec plus how many
+//    rounds ran incrementally and how many admission ranks were replayed.
 //
 // Both measurements verify every side produces identical rate streams /
 // SimResults; the numbers are meaningless otherwise (exit 2).
@@ -80,9 +80,9 @@ struct SnapshotMeasurement {
 
 /// Who schedules the snapshot rounds.
 enum class Side {
-  kDeltaRoute,  // production Saath fed precise deltas
-  kFullRoute,   // production Saath fed stream 0 (re-sort every round)
-  kReference,   // tests/reference/'s from-scratch Saath
+  kStream,     // production Saath fed precise deltas on one stream
+  kNoStream,   // production Saath fed stream 0 (every CoFlow, every round)
+  kReference,  // tests/reference/'s from-scratch Saath
 };
 
 /// Drives `rounds` scheduling epochs over a fixed population the way the
@@ -107,8 +107,8 @@ SnapshotMeasurement run_snapshot(int coflows, int rounds, Side side) {
   Fabric fabric(150, gbps(1));
   RateAssignment rates(150);
   SchedulerDelta delta;
-  // Stream 0 sends every round through the full route.
-  delta.stream_id = side == Side::kDeltaRoute ? 900001 : 0;
+  // Stream 0 makes every round take every CoFlow as a candidate.
+  delta.stream_id = side == Side::kStream ? 900001 : 0;
 
   for (CoflowState* c : churn.active) sched.on_coflow_arrival(*c, 0);
 
@@ -191,14 +191,15 @@ struct EngineMeasurement {
   SimResult result;
 };
 
-/// `delta_route` false drives production Saath through the full-delta
-/// route every round, skipping quiescent epochs on the reference's scan.
-EngineMeasurement run_engine(const trace::Trace& trace, bool delta_route) {
+/// `on_stream` false drops the engine's stream, so every production Saath
+/// round takes every CoFlow as a candidate; quiescent epochs are skipped on
+/// the reference's scan.
+EngineMeasurement run_engine(const trace::Trace& trace, bool on_stream) {
   SaathScheduler sched;
   const reference::ReferenceSaath scan;
   reference::FullRoute full_route(sched, scan);
-  Scheduler& driven = delta_route ? static_cast<Scheduler&>(sched)
-                                  : static_cast<Scheduler&>(full_route);
+  Scheduler& driven = on_stream ? static_cast<Scheduler&>(sched)
+                                : static_cast<Scheduler&>(full_route);
   SimConfig cfg = bench::paper_sim_config();
   Engine engine(trace, driven, cfg);
   const auto t0 = Clock::now();
@@ -228,12 +229,12 @@ int run(int argc, char** argv) {
   out = bench::bench_out_path(out);
 
   bench::print_header(
-      "schedule phase — delta-driven order index vs full scan+sort, " +
+      "schedule phase — delta rounds vs every-CoFlow rounds, " +
           std::to_string(coflows) + " CoFlows on 150 ports",
       "ROADMAP perf trajectory; ISSUE 3 acceptance: order ratio >= 5x");
 
-  const auto inc = run_snapshot(coflows, rounds, Side::kDeltaRoute);
-  const auto full = run_snapshot(coflows, rounds, Side::kFullRoute);
+  const auto inc = run_snapshot(coflows, rounds, Side::kStream);
+  const auto full = run_snapshot(coflows, rounds, Side::kNoStream);
   const auto ref = run_snapshot(coflows, rounds, Side::kReference);
 
   bool identical = inc.digests == full.digests && inc.digests == ref.digests;
@@ -246,7 +247,7 @@ int run(int argc, char** argv) {
           : 0;
 
   std::printf("%-26s %14s %14s %14s\n", "snapshot (per round)",
-              "delta route", "full route", "reference");
+              "stream", "no stream", "reference");
   std::printf("%-26s %14.0f %14.0f %14.0f\n", "order ns",
               inc.order_ns_per_round, full.order_ns_per_round,
               ref.order_ns_per_round);
@@ -258,13 +259,13 @@ int run(int argc, char** argv) {
               ref.conserve_ns_per_round);
   std::printf("%-26s %14.0f %14s %14s\n", "crossing ns",
               inc.crossing_ns_per_round, "-", "-");
-  std::printf("order-phase ratio (full route / delta route): %.1fx   "
+  std::printf("order-phase ratio (no stream / stream): %.1fx   "
               "delta rounds: %lld   replayed ranks: %lld   "
               "rates identical: %s\n",
               order_ratio, static_cast<long long>(inc.delta_rounds),
               static_cast<long long>(inc.replayed_ranks),
               identical ? "yes" : "NO");
-  std::printf("conserve-phase ratio (reference / delta route): %.1fx   "
+  std::printf("conserve-phase ratio (reference / stream): %.1fx   "
               "backfill rounds: %lld   candidates/missed: %lld/%lld   "
               "flows visited: %lld   allocations: %lld   "
               "visits per allocation: %.1f\n\n",
@@ -283,8 +284,8 @@ int run(int argc, char** argv) {
   tcfg.num_coflows = 526;
   tcfg.seed = 7;
   const auto trace = trace::synth_fb_trace(tcfg);
-  const auto e_inc = run_engine(trace, /*delta_route=*/true);
-  const auto e_full = run_engine(trace, /*delta_route=*/false);
+  const auto e_inc = run_engine(trace, /*on_stream=*/true);
+  const auto e_full = run_engine(trace, /*on_stream=*/false);
   bool engine_identical =
       e_inc.result.coflows.size() == e_full.result.coflows.size();
   for (std::size_t i = 0; engine_identical && i < e_inc.result.coflows.size();
@@ -297,8 +298,8 @@ int run(int argc, char** argv) {
   identical = identical && engine_identical;
   const double end_to_end_ratio = e_full.wall_ms / e_inc.wall_ms;
 
-  std::printf("%-26s %14s %14s\n", "engine (FB-scale)", "delta route",
-              "full route");
+  std::printf("%-26s %14s %14s\n", "engine (FB-scale)", "stream",
+              "no stream");
   std::printf("%-26s %14.1f %14.1f\n", "wall ms", e_inc.wall_ms,
               e_full.wall_ms);
   std::printf("%-26s %14.0f %14.0f\n", "epochs/sec", e_inc.epochs_per_sec,

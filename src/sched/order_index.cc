@@ -7,7 +7,6 @@
 namespace saath {
 
 void OrderIndex::dirty_at(const OrderKey& k) {
-  if (dirty_all_) return;
   if (!dirty_any_ || k < dirty_floor_) dirty_floor_ = k;
   dirty_any_ = true;
 }
@@ -52,62 +51,26 @@ void OrderIndex::touch(CoflowId id) {
   dirty_at(it->second->first);
 }
 
-const OrderKey& OrderIndex::key_of(CoflowId id) const {
-  return by_id_.at(id)->first;
-}
-
 CoflowState* OrderIndex::state_of(CoflowId id) const {
   return by_id_.at(id)->second;
 }
 
 SAATH_HOT_NOALLOC std::size_t OrderIndex::materialize() {
-  if (!dirty_all_ && !dirty_any_) return cached_.size();
-  std::size_t prefix = 0;
-  Map::const_iterator resume = order_.begin();
-  if (!dirty_all_) {
-    // Every mutation since the last materialization involved keys
-    // >= dirty_floor_, so cached entries strictly below the floor are
-    // exactly the current entries below it, in unchanged order.
-    const auto cit = std::lower_bound(cached_keys_.begin(), cached_keys_.end(),
-                                      dirty_floor_);
-    prefix = static_cast<std::size_t>(cit - cached_keys_.begin());
-    resume = order_.lower_bound(dirty_floor_);
-  }
+  if (!dirty_any_) return cached_.size();
+  // Every mutation since the last materialization involved keys
+  // >= dirty_floor_, so cached entries strictly below the floor are
+  // exactly the current entries below it, in unchanged order.
+  const auto cit = std::lower_bound(cached_keys_.begin(), cached_keys_.end(),
+                                    dirty_floor_);
+  const auto prefix = static_cast<std::size_t>(cit - cached_keys_.begin());
   cached_.resize(prefix);
   cached_keys_.resize(prefix);
-  for (auto it = resume; it != order_.end(); ++it) {
+  for (auto it = order_.lower_bound(dirty_floor_); it != order_.end(); ++it) {
     cached_.push_back(it->second);
     cached_keys_.push_back(it->first);
   }
-  dirty_all_ = false;
   dirty_any_ = false;
   return prefix;
-}
-
-void OrderIndex::rebuild(
-    std::span<const std::pair<OrderKey, CoflowState*>> sorted) {
-  clear();
-  cached_.reserve(sorted.size());
-  cached_keys_.reserve(sorted.size());
-  for (const auto& [k, c] : sorted) {
-    const auto [it, ok] = order_.emplace(k, c);
-    SAATH_EXPECTS(ok);
-    by_id_.emplace(k.id, it);
-    cached_.push_back(c);
-    cached_keys_.push_back(k);
-  }
-  // Seeded clean: the cache IS the current order.
-  dirty_all_ = false;
-  dirty_any_ = false;
-}
-
-void OrderIndex::clear() {
-  order_.clear();
-  by_id_.clear();
-  cached_.clear();
-  cached_keys_.clear();
-  dirty_all_ = true;
-  dirty_any_ = false;
 }
 
 SAATH_HOT_NOALLOC void QueueCrossingHeap::program(CoflowState* c, SimTime at,
@@ -168,13 +131,6 @@ SAATH_HOT_NOALLOC SimTime QueueCrossingHeap::next() const {
     heap_.pop_back();
   }
   return kNever;
-}
-
-void QueueCrossingHeap::clear() {
-  heap_.clear();
-  pending_.clear();
-  live_.clear();
-  next_seq_ = 0;
 }
 
 }  // namespace saath

@@ -84,7 +84,6 @@ class OrderIndex {
   [[nodiscard]] bool contains(CoflowId id) const {
     return by_id_.find(id) != by_id_.end();
   }
-  [[nodiscard]] const OrderKey& key_of(CoflowId id) const;
   [[nodiscard]] CoflowState* state_of(CoflowId id) const;
   [[nodiscard]] std::size_t size() const { return by_id_.size(); }
 
@@ -102,13 +101,6 @@ class OrderIndex {
     return cached_keys_;
   }
 
-  /// Wholesale reset from an already-sorted (key, state) sequence — the
-  /// priming path after a full-sort epoch. The cache is seeded as clean, so
-  /// the next materialize() is O(1) unless deltas arrive first.
-  void rebuild(std::span<const std::pair<OrderKey, CoflowState*>> sorted);
-
-  void clear();
-
  private:
   using Map = std::map<OrderKey, CoflowState*>;
   void dirty_at(const OrderKey& k);
@@ -118,7 +110,6 @@ class OrderIndex {
   /// Materialization cache + the keys it was emitted under.
   std::vector<CoflowState*> cached_;
   std::vector<OrderKey> cached_keys_;
-  bool dirty_all_ = true;
   bool dirty_any_ = false;
   OrderKey dirty_floor_{};
 };
@@ -169,7 +160,6 @@ class QueueCrossingHeap {
 
   /// Entries armed with a real crossing instant (tombstones excluded).
   [[nodiscard]] std::size_t programmed() const;
-  void clear();
 
  private:
   struct Item {

@@ -209,21 +209,6 @@ void SaathScheduler::stamp_deadlines(SimTime now,
   }
 }
 
-void SaathScheduler::assign_queues_and_deadlines(
-    SimTime now, std::span<CoflowState* const> active, Rate port_bandwidth) {
-  entered_.clear();  // CoFlows needing a fresh deadline
-  for (CoflowState* c : active) {
-    const int q = target_queue(*c, now);
-    const bool fresh = c->deadline == kNever && config_.deadline_factor > 0;
-    if (q != c->queue_index || fresh) {
-      queue_population_.move(c->queue_index, q);
-      c->queue_index = q;
-      entered_.push_back(c);
-    }
-  }
-  stamp_deadlines(now, entered_, port_bandwidth);
-}
-
 bool SaathScheduler::all_ports_available(const CoflowState& c,
                                          const Fabric& fabric) const {
   const Rate eps = fabric.port_bandwidth() * 1e-9;
@@ -316,8 +301,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(CoflowState& c,
 
 SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
     Fabric& fabric, RateAssignment& rates,
-    std::span<CoflowState* const> ordered, std::size_t first_dirty_rank,
-    bool allow_replay) {
+    std::span<CoflowState* const> ordered, std::size_t first_dirty_rank) {
   const auto t1 = Clock::now();
   // Replay soundness: all-or-none admission of rank i depends only on the
   // fabric state left by ranks < i, each CoFlow's unfinished-flow set, its
@@ -325,7 +309,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
   // membership/order AND untouched per-CoFlow state (touch() fences any
   // mutation), so the cached decisions reproduce the recompute bit-exactly
   // as long as capacities did not move.
-  const bool replay = allow_replay && config_.all_or_none &&
+  const bool replay = config_.all_or_none &&
                       fabric.capacity_version() == admit_capacity_version_ &&
                       admit_cache_.size() >= first_dirty_rank;
   admit_cache_.resize(ordered.size());
@@ -359,9 +343,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
       missed.push_back(c);
     }
     admit_cache_[rank] = d;
-    // Delta rounds re-derive crossings only for changed trajectories; the
-    // prime path reprograms every CoFlow wholesale and skips collection.
-    if (allow_replay) recross_.push_back(c);
+    recross_.push_back(c);
   }
   stats_.admit_ns += ns_since(t1);
 
@@ -370,9 +352,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
     conserve(fabric, rates, missed);
     // Conservation rates depend on the whole round's leftovers, so even
     // replayed-missed CoFlows got fresh trajectories.
-    if (allow_replay) {
-      recross_.insert(recross_.end(), missed.begin(), missed.end());
-    }
+    recross_.insert(recross_.end(), missed.begin(), missed.end());
   }
   stats_.conserve_ns += ns_since(t2);
   admit_capacity_version_ = fabric.capacity_version();
@@ -463,107 +443,21 @@ void SaathScheduler::schedule(SimTime now,
                               Fabric& fabric, RateAssignment& rates,
                               const SchedulerDelta& delta) {
   ++stats_.rounds;
-  // Both routes take membership from the lifecycle hooks (sim/scheduler.h);
-  // these O(1) counts catch a caller that skipped an arrival or a
-  // completion.
+  // Membership comes from the lifecycle hooks (sim/scheduler.h); these O(1)
+  // counts catch a caller that skipped an arrival or a completion.
   const auto live = static_cast<int>(active.size());
   SAATH_EXPECTS_MSG(queue_population_.total() == live,
                     "active lists a CoFlow never announced, or one that "
                     "left without on_coflow_complete");
   SAATH_EXPECTS(!tracks_index() || spatial_.size() == active.size());
-  if (delta.stream_id == 0) {
-    // Unknown provenance: no delta structure can be trusted (the
-    // hook-maintained index and populations still can).
-    primed_stream_ = 0;
-    schedule_full(now, active, fabric, rates, /*prime=*/false);
-    return;
-  }
-  if (primed_stream_ != delta.stream_id) {
-    // First precise round of this stream: full recompute, then seed the
-    // incremental structures from its results. (Membership completeness
-    // afterwards is the delta producer's contract, enforced by the
-    // ENSURES at the end of schedule_delta.)
-    schedule_full(now, active, fabric, rates, /*prime=*/true);
-    primed_stream_ = delta.stream_id;
-    return;
-  }
-  ++stats_.delta_rounds;
-  schedule_delta(now, active, fabric, rates, delta);
-}
-
-void SaathScheduler::schedule_full(SimTime now,
-                                   std::span<CoflowState* const> active,
-                                   Fabric& fabric, RateAssignment& rates,
-                                   bool prime) {
-  const auto t0 = Clock::now();
-
-  assign_queues_and_deadlines(now, active, fabric.port_bandwidth());
-
-  // LCoF ranks within a queue, so k_c counts same-queue competitors: the
-  // event-maintained spatial index (arrivals, completions and queue moves
-  // each applied an O(delta) update) only needs this round's groups. With
-  // the counts equal, in_sync on every CoFlow proves the index holds
-  // exactly `active` and saw every flow completion.
-  if (tracks_index()) {
-    for (CoflowState* c : active) {
-      SAATH_EXPECTS_MSG(spatial_.in_sync(*c),
-                        "active lists a CoFlow never announced, or one of "
-                        "its flows completed without on_flow_complete");
-      spatial_.set_group(c->id(), c->queue_index);
-    }
-  }
-  // The from-scratch keys below subsume any recorded contention deltas.
-  spatial_.clear_contention_changes();
-
-  // Order: queue asc, then deadline-expired CoFlows (earliest deadline
-  // first), then LCoF (or FIFO), with (arrival, id) as the total-order tail.
-  prime_entries_.clear();
-  prime_entries_.reserve(active.size());
-  for (CoflowState* c : active) {
-    prime_entries_.emplace_back(make_key(*c, now, order_key_component(*c)), c);
-  }
-  std::sort(prime_entries_.begin(), prime_entries_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  std::span<CoflowState* const> ordered;
-  if (prime) {
-    order_.rebuild(prime_entries_);
-    ordered = order_.ordered();
-    pending_deadlines_.clear();
-    volatile_.clear();
-    for (CoflowState* c : active) {
-      if (config_.deadline_factor > 0 && c->deadline != kNever &&
-          c->deadline > now) {
-        pending_deadlines_.insert({c->deadline, c->id()});
-      }
-      if (is_volatile(*c)) volatile_.insert(c->id());
-    }
-  } else {
-    // Unprimed: the order index may hold another stream's state, so walk a
-    // plain ordered view instead.
-    order_scratch_.clear();
-    order_scratch_.reserve(prime_entries_.size());
-    for (const auto& [k, c] : prime_entries_) order_scratch_.push_back(c);
-    ordered = order_scratch_;
-  }
-  stats_.order_ns += ns_since(t0);
-
-  admit_and_conserve(fabric, rates, ordered, /*first_dirty_rank=*/0,
-                     /*allow_replay=*/false);
-  if (prime) {
-    // Program every CoFlow's next threshold crossing off its final rates —
-    // an O(F·W) scan paid once at prime instead of per epoch.
-    const auto t3 = Clock::now();
-    crossings_.clear();
-    for (CoflowState* c : active) program_crossing(*c, now);
-    stats_.crossing_ns += ns_since(t3);
-  }
-}
-
-void SaathScheduler::schedule_delta(SimTime now,
-                                    std::span<CoflowState* const> active,
-                                    Fabric& fabric, RateAssignment& rates,
-                                    const SchedulerDelta& delta) {
+  // A round with no stream, or the first of a new one, has no delta lists
+  // it can trust, so every CoFlow is a candidate. Nothing maintained needs
+  // clearing for that: membership came from the hooks, a stale crossing or
+  // deadline entry only adds a candidate, and touching every CoFlow puts
+  // the first dirty rank at 0, so no admission is replayed.
+  const bool every = delta.stream_id == 0 || delta.stream_id != stream_;
+  stream_ = delta.stream_id;
+  if (!every) ++stats_.delta_rounds;
   const auto t0 = Clock::now();
 
   // ---- 1. Gather this round's re-bucket candidates: a CoFlow's queue can
@@ -578,20 +472,31 @@ void SaathScheduler::schedule_delta(SimTime now,
   const auto add_candidate = [&](CoflowState* c) {
     if (candidate_ids_.insert(c->id()).second) candidates_.push_back(c);
   };
-  // Finished CoFlows in the delta already left every structure through
-  // on_coflow_complete.
-  for (CoflowState* c : delta.requeue) {
-    if (!c->finished()) add_candidate(c);
-  }
-  for (CoflowState* c : delta.dirty) {
-    if (c->finished()) continue;
-    if (!order_.contains(c->id()) ||
-        (is_volatile(*c) && !volatile_.contains(c->id()))) {
-      // Arrival (needs its first bucket) or a flagged CoFlow whose first
-      // finished flow just armed the SRTF estimate.
+  if (every) {
+    for (CoflowState* c : active) {
+      // With the counts equal, in_sync on every CoFlow proves the index
+      // holds exactly `active` and saw every flow completion.
+      SAATH_EXPECTS_MSG(!tracks_index() || spatial_.in_sync(*c),
+                        "active lists a CoFlow never announced, or one of "
+                        "its flows completed without on_flow_complete");
       add_candidate(c);
-    } else {
-      touch_only_.push_back(c);
+    }
+  } else {
+    // Finished CoFlows in the delta already left every structure through
+    // on_coflow_complete.
+    for (CoflowState* c : delta.requeue) {
+      if (!c->finished()) add_candidate(c);
+    }
+    for (CoflowState* c : delta.dirty) {
+      if (c->finished()) continue;
+      if (!order_.contains(c->id()) ||
+          (is_volatile(*c) && !volatile_.contains(c->id()))) {
+        // Arrival (needs its first bucket) or a flagged CoFlow whose first
+        // finished flow just armed the SRTF estimate.
+        add_candidate(c);
+      } else {
+        touch_only_.push_back(c);
+      }
     }
   }
   crossings_.pop_due(now, [&](CoflowState* c) {
@@ -616,8 +521,8 @@ void SaathScheduler::schedule_delta(SimTime now,
     if (is_volatile(*c)) volatile_.insert(c->id());
   }
 
-  // ---- 3. Stamp D5 deadlines for entered CoFlows (post-move populations,
-  //         exactly like the full path), then expire due ones.
+  // ---- 3. Stamp D5 deadlines for entered CoFlows (post-move populations),
+  //         then expire due ones.
   stamp_deadlines(now, entered_, fabric.port_bandwidth());
   while (!pending_deadlines_.empty() &&
          pending_deadlines_.begin()->first <= now) {
@@ -651,6 +556,13 @@ void SaathScheduler::schedule_delta(SimTime now,
       order_.update(c->id(), k);
     } else {
       order_.insert(c, k);
+      // A CoFlow can arrive with a deadline already stamped (restored from
+      // a checkpoint, or kept through quarantine); unexpired, it is still a
+      // trigger.
+      if (config_.deadline_factor > 0 && c->deadline != kNever &&
+          c->deadline > now) {
+        pending_deadlines_.insert({c->deadline, c->id()});
+      }
     }
     order_.touch(c->id());
   }
@@ -671,8 +583,7 @@ void SaathScheduler::schedule_delta(SimTime now,
   //         the dirty floor to their key), so the admission pass itself
   //         collects every trajectory that could have changed into recross_.
   recross_.clear();
-  admit_and_conserve(fabric, rates, order_.ordered(), first_dirty,
-                     /*allow_replay=*/true);
+  admit_and_conserve(fabric, rates, order_.ordered(), first_dirty);
 
   // ---- 8. Re-program crossings for every CoFlow whose trajectory this
   //         round touched; replayed-admitted CoFlows restored theirs
@@ -687,8 +598,9 @@ void SaathScheduler::schedule_delta(SimTime now,
 SimTime SaathScheduler::schedule_valid_until(
     SimTime now, std::span<CoflowState* const> active) const {
   (void)active;
-  if (primed_stream_ == 0) return now;  // unprimed: recompute every epoch
-  // Primed: the crossing heap and deadline set ARE the triggers — O(1).
+  // No stream: the caller reports no deltas, so recompute every epoch.
+  if (stream_ == 0) return now;
+  // On a stream the crossing heap and deadline set ARE the triggers — O(1).
   if (!volatile_.empty()) return now;
   SimTime until = std::numeric_limits<SimTime>::max();
   const SimTime cross = crossings_.next();

@@ -31,24 +31,24 @@
 // CoFlow, so queues only demote: even after a restart loses progress, a
 // CoFlow keeps the lowest queue it reached.
 //
-// The schedule phase has two routes, picked by the SchedulerDelta alone. An
-// engine stream primes once (a full pass that seeds the maintained
-// structures) and then runs the delta path: the admission order lives in
-// an OrderIndex updated in O(log F) per event, queue reassignment pops due
-// threshold crossings from a QueueCrossingHeap instead of rescanning every
-// flow, and the all-or-none admission pass replays its cached decisions for
-// the untouched sorted prefix. Calls with no stream (stream_id 0: direct
-// callers, the testbed's PipelinedScheduler) re-bucket and re-sort every
-// CoFlow without priming. Both routes share one admission + work
-// conservation pass. The from-scratch model of Fig 7 that both routes are
-// tested against lives in tests/reference/.
+// The schedule phase is one incremental pass per round: the admission order
+// lives in an OrderIndex updated in O(log F) per event, queue reassignment
+// pops due threshold crossings from a QueueCrossingHeap instead of
+// rescanning every flow, and the all-or-none admission pass replays its
+// cached decisions for the untouched sorted prefix. A round's candidates
+// for re-bucketing come from the SchedulerDelta's lists. A round with no
+// stream (stream_id 0: direct callers, the testbed's PipelinedScheduler)
+// or the first round of a new engine stream has no lists it can trust, so
+// it takes every CoFlow as a candidate, which re-keys the whole order and
+// replays nothing. The from-scratch model of Fig 7 the pass is tested
+// against lives in tests/reference/.
 //
 // Membership and occupancy come from the lifecycle hooks alone (the
-// contract in sim/scheduler.h): each route checks in O(1) that the
+// contract in sim/scheduler.h): every round checks in O(1) that the
 // hook-maintained queue populations and spatial index hold as many CoFlows
-// as it is handed, and the full route also checks every CoFlow against the
-// index's occupancy version. A caller that skipped a hook aborts; nothing
-// is repaired.
+// as it is handed, and a round that takes every CoFlow also checks each
+// one against the index's occupancy version. A caller that skipped a hook
+// aborts; nothing is repaired.
 #pragma once
 
 #include <cstdint>
@@ -107,12 +107,13 @@ struct SaathPhaseStats {
   std::int64_t conserve_ns = 0;  // work conservation backfill
   /// Next-crossing prediction (replaces the schedule_valid_until scan).
   std::int64_t crossing_ns = 0;
-  /// Rounds served by the delta path (vs the full scan+sort).
+  /// Rounds whose candidates came from the delta's lists (vs every CoFlow:
+  /// no stream, or the first round of one).
   std::int64_t delta_rounds = 0;
   /// Admission ranks replayed from the cached prefix.
   std::int64_t replayed_ranks = 0;
-  /// Delta-path churn diagnostics: re-bucketed candidates, order re-keys
-  /// (contention drain included), and materialized-suffix length.
+  /// Churn diagnostics: re-bucketed candidates, contention-drain order
+  /// re-keys, and materialized-suffix length.
   std::int64_t candidates = 0;
   std::int64_t rekeys = 0;
   std::int64_t suffix_walked = 0;
@@ -169,8 +170,8 @@ class SaathScheduler final : public Scheduler {
   /// a queue-threshold crossing at current rates or a starvation deadline
   /// expiring. Lets the engine skip quiescent epochs (§4 Table 2: the
   /// coordinator only works when the spatial state moved). O(1) off the
-  /// crossing heap + deadline set once an engine stream primed them; `now`
-  /// (recompute every epoch) until then.
+  /// crossing heap + deadline set after a round on an engine stream; `now`
+  /// (recompute every epoch) after a round with no stream.
   [[nodiscard]] SimTime schedule_valid_until(
       SimTime now, std::span<CoflowState* const> active) const override;
 
@@ -181,7 +182,7 @@ class SaathScheduler final : public Scheduler {
     return spatial_;
   }
   /// The delta-maintained admission order (tests compare its materialized
-  /// sequence against the full sort). Live only after a precise-delta round.
+  /// sequence against the reference's sort), as of the last round.
   [[nodiscard]] const OrderIndex& order_index() const { return order_; }
 
   /// Exposed for tests: the §4.3 remaining-work estimate m_c (median
@@ -204,25 +205,8 @@ class SaathScheduler final : public Scheduler {
     Rate rate = 0;
   };
 
-  /// Full recompute: re-buckets every CoFlow, re-keys, sorts, admits. When
-  /// `prime` is set, additionally (re)seeds the delta structures (order
-  /// index, crossing heap, deadline set, admission cache) so the next
-  /// precise-delta round can run incrementally.
-  void schedule_full(SimTime now, std::span<CoflowState* const> active,
-                     Fabric& fabric, RateAssignment& rates, bool prime);
-  /// Delta path: only CoFlows named by the delta, due crossings, due
-  /// deadlines and recorded contention changes are re-keyed.
-  void schedule_delta(SimTime now, std::span<CoflowState* const> active,
-                      Fabric& fabric, RateAssignment& rates,
-                      const SchedulerDelta& delta);
-
-  /// Re-buckets every CoFlow (Eq. 1 / total-bytes / §4.3 estimate),
-  /// applying queue moves as deltas to queue_population_, and stamps D5
-  /// deadlines for CoFlows that entered a queue.
-  void assign_queues_and_deadlines(SimTime now,
-                                   std::span<CoflowState* const> active,
-                                   Rate port_bandwidth);
-  /// The queue the full path would assign `c` this round.
+  /// The queue Eq. 1 (or total bytes, or the §4.3 estimate) assigns `c`
+  /// this round.
   [[nodiscard]] int target_queue(const CoflowState& c, SimTime now) const;
   /// D5 stamp for every CoFlow that entered a queue this round, using the
   /// post-move populations; maintains the pending-deadline set.
@@ -239,15 +223,15 @@ class SaathScheduler final : public Scheduler {
   void replay_equal_rate(CoflowState& c, Rate rate, Fabric& fabric,
                          RateAssignment& rates) const;
   /// Admission + work conservation over `ordered`, replaying cached
-  /// decisions for ranks below `first_dirty_rank` when `allow_replay` (a
-  /// delta round) makes that sound; records this round's decisions, and on
-  /// delta rounds collects CoFlows needing a crossing re-program into
-  /// recross_. The conservation pass visits, in admission order, only the
-  /// flows of missed CoFlows whose sender AND receiver are residually live,
-  /// stopping when either residual set drains.
+  /// decisions for ranks below `first_dirty_rank` when the capacities did
+  /// not move; records this round's decisions and collects CoFlows needing
+  /// a crossing re-program into recross_. The conservation pass visits, in
+  /// admission order, only the flows of missed CoFlows whose sender AND
+  /// receiver are residually live, stopping when either residual set
+  /// drains.
   void admit_and_conserve(Fabric& fabric, RateAssignment& rates,
                           std::span<CoflowState* const> ordered,
-                          std::size_t first_dirty_rank, bool allow_replay);
+                          std::size_t first_dirty_rank);
   /// Work conservation (Fig 7 lines 14, 18–23): `missed`, in order, soaks
   /// up whatever budget admission left. One pass per CoFlow: its both-live
   /// flows, gathered from the side with fewer port slots into
@@ -284,31 +268,28 @@ class SaathScheduler final : public Scheduler {
   /// deltas (arrival, queue move, completion) instead of recounted.
   QueuePopulation queue_population_;
 
-  // --- delta-driven schedule-phase state (live only between precise-delta
-  //     rounds of one stream; a stream-less delta or new stream
-  //     re-primes) ------------------------------------------------------
+  // --- delta-driven schedule-phase state; a round with no stream, or the
+  //     first of a new one, re-keys every CoFlow into it ------------------
   OrderIndex order_;
   QueueCrossingHeap crossings_;
   /// Unexpired D5 deadlines, ordered; head feeds schedule_valid_until.
   std::set<std::pair<SimTime, CoflowId>> pending_deadlines_;
   /// CoFlows on the §4.3 estimate path (dynamics-flagged with finished
   /// flows): re-bucketed every round, and the skip is disabled while any
-  /// exist — exactly the full path's behavior.
+  /// exist.
   std::unordered_set<CoflowId> volatile_;
   /// Admission decisions aligned with the last materialized order.
   std::vector<AdmitDecision> admit_cache_;
   /// Fabric::capacity_version() the cached admissions were computed under.
   std::uint64_t admit_capacity_version_ = ~std::uint64_t{0};
-  /// Delta stream the structures were primed for (0 = not primed).
-  std::uint64_t primed_stream_ = 0;
+  /// Delta stream of the last round (0 = none).
+  std::uint64_t stream_ = 0;
   /// Scratch (kept across rounds to reuse capacity).
   std::vector<CoflowState*> candidates_;
   std::unordered_set<CoflowId> candidate_ids_;
   /// Dirty CoFlows that provably kept their key (fence only).
   std::vector<CoflowState*> touch_only_;
   std::vector<CoflowState*> entered_;
-  std::vector<std::pair<OrderKey, CoflowState*>> prime_entries_;
-  std::vector<CoflowState*> order_scratch_;
   std::vector<CoflowState*> missed_scratch_;
   /// CoFlows whose trajectory this round changed → crossing re-program.
   std::vector<CoflowState*> recross_;

@@ -665,10 +665,10 @@ void Engine::restore_snapshot(const EngineSnapshot& snap) {
       admitted_ids_.insert(rec.id.value);
     }
   }
-  // The restored scheduler state is cold; the fresh delta stream id forces
-  // a full prime on the first schedule(), which the oracle-equality
-  // invariant makes bit-identical to the uninterrupted run's incremental
-  // round.
+  // The restored scheduler state is cold; the fresh delta stream id makes
+  // the first schedule() take every CoFlow as a candidate, which the
+  // oracle-equality invariant makes bit-identical to the uninterrupted
+  // run's incremental round.
   schedule_dirty_ = true;
 }
 

@@ -42,12 +42,14 @@ class ThreadPool;
 /// Port-capacity changes are NOT reported here — schedulers watch
 /// Fabric::capacity_version() for those.
 struct SchedulerDelta {
-  /// Identifies the delta stream (one per Engine run). A scheduler seeing
-  /// a new stream id must treat its caches as stale — e.g. a scheduler
-  /// reused across two Engine instances. 0 (the default) means unknown
-  /// provenance (direct drivers, tests): the scheduler must distrust every
-  /// cache keyed on prior deltas; what it learned from the lifecycle hooks
-  /// below still holds.
+  /// Identifies the delta stream (one per Engine run). The lists below
+  /// cover only what changed since the previous round of the same stream,
+  /// so a round whose stream id is new (e.g. a scheduler reused across two
+  /// Engine instances, or resumed from a checkpoint) must not read them as
+  /// the whole change: Saath then takes every CoFlow as a candidate. 0 (the
+  /// default) means unknown provenance (direct drivers, tests), treated
+  /// the same way every round. What a scheduler learned from the lifecycle
+  /// hooks below holds either way.
   std::uint64_t stream_id = 0;
   /// CoFlows whose state changed since the last schedule() of this stream
   /// in ways that cannot move their queue metric (arrivals, completions,

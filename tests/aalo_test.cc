@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fabric/fabric.h"
 #include "sched/saath.h"
@@ -83,10 +87,56 @@ TEST(Aalo, WorkConservingAcrossCoflows) {
   EXPECT_DOUBLE_EQ(set2.at(1).flows()[0].rate(), 100.0);
 }
 
+// Runs an Aalo-configured SaathScheduler and records, after each round,
+// the queue of every active CoFlow.
+class QueueRecorder final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  void schedule(SimTime now, std::span<CoflowState* const> active,
+                Fabric& fabric, RateAssignment& rates) override {
+    inner_.schedule(now, active, fabric, rates);
+    record(now, active);
+  }
+  void schedule(SimTime now, std::span<CoflowState* const> active,
+                Fabric& fabric, RateAssignment& rates,
+                const SchedulerDelta& delta) override {
+    inner_.schedule(now, active, fabric, rates, delta);
+    record(now, active);
+  }
+  [[nodiscard]] SimTime schedule_valid_until(
+      SimTime now, std::span<CoflowState* const> active) const override {
+    return inner_.schedule_valid_until(now, active);
+  }
+  void on_coflow_arrival(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_arrival(c, now);
+  }
+  void on_flow_complete(CoflowState& c, FlowState& f, SimTime now) override {
+    inner_.on_flow_complete(c, f, now);
+  }
+  void on_coflow_complete(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_complete(c, now);
+  }
+  void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_quarantined(c, now);
+  }
+
+  /// (round time, queue index) per active CoFlow per round.
+  std::vector<std::pair<SimTime, int>> queues;
+
+ private:
+  void record(SimTime now, std::span<CoflowState* const> active) {
+    for (const CoflowState* c : active) {
+      queues.emplace_back(now, c->queue_index);
+    }
+  }
+
+  SaathScheduler inner_{aalo_config()};
+};
+
 TEST(Aalo, QueueIndexNeverDecreases) {
   // Even after a restart wipes progress, Aalo keeps the CoFlow demoted.
   auto t = make_trace(2, {make_coflow(0, 0, {{0, 1, 30 * kMB}})});
-  SaathScheduler sched(aalo_config());
+  QueueRecorder sched;
   SimConfig cfg;
   cfg.port_bandwidth = 10e6;  // 10 MB/s: crosses the 10MB threshold at 1s
   cfg.delta = msec(100);
@@ -96,6 +146,15 @@ TEST(Aalo, QueueIndexNeverDecreases) {
       sched, cfg);
   // Progress lost at t=2 (20MB sent, queue 1); restart resends 30MB.
   EXPECT_NEAR(result.coflows[0].cct_seconds(), 5.0, 0.3);
+  // After the restart its bytes sent start again from 0 and stay under the
+  // 10MB threshold until 3s, yet every round keeps it in queue 1.
+  int after_restart = 0;
+  for (const auto& [now, queue] : sched.queues) {
+    if (now < seconds(2)) continue;
+    ++after_restart;
+    EXPECT_EQ(queue, 1) << "round at " << now << " us";
+  }
+  EXPECT_GT(after_restart, 0);
 }
 
 TEST(Aalo, SingleCoflowUsesFullFabric) {

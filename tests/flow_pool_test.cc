@@ -4,7 +4,7 @@
 //
 //  (1) Digest identity across the full matrix: {reference engine,
 //      production engine scheduling every epoch, production engine with
-//      its skip} × {reference scheduler, full route, delta route} ×
+//      its skip} × {reference scheduler, no stream, engine stream} ×
 //      {saath, aalo, uc-tcp} all hash to one digest per scheduler. The
 //      reference scheduler on the reference engine is the oracle.
 //  (2) Checkpoint-shaped round-trip: trajectory scalars captured from a

@@ -122,7 +122,7 @@ TEST_F(OrderIndexTest, MaterializeReusesCleanPrefix) {
   EXPECT_EQ(idx.ordered()[0], states[1]);
 }
 
-TEST_F(OrderIndexTest, UpdateWithSameKeyIsCleanAndRebuildSeedsClean) {
+TEST_F(OrderIndexTest, UpdateWithSameKeyIsClean) {
   OrderIndex idx;
   auto* a = coflow(1);
   auto* b = coflow(2);
@@ -131,14 +131,6 @@ TEST_F(OrderIndexTest, UpdateWithSameKeyIsCleanAndRebuildSeedsClean) {
   idx.materialize();
   idx.update(CoflowId{2}, key(false, kNever, 0, 2, 0, 2));  // no-op
   EXPECT_EQ(idx.materialize(), 2u);
-
-  std::vector<std::pair<OrderKey, CoflowState*>> sorted = {
-      {key(false, kNever, 0, 1, 0, 2), b}, {key(false, kNever, 0, 5, 0, 1), a}};
-  idx.rebuild(sorted);
-  EXPECT_EQ(idx.materialize(), 2u);  // seeded clean
-  EXPECT_EQ(idx.ordered()[0], b);
-  EXPECT_EQ(idx.key_of(CoflowId{1}).key, 5);
-  EXPECT_EQ(idx.state_of(CoflowId{2}), b);
 }
 
 // --------------------------------------------------------- QueueCrossingHeap
@@ -388,7 +380,7 @@ class DeltaForwardingObserver final : public Scheduler {
 };
 
 // After every round, the maintained order must equal a from-scratch sort of
-// the current state under the full-path key — queue moves, expiry and
+// the current state under the admission-order key — queue moves, expiry and
 // contention shifts included.
 TEST(DeltaOrderWhiteBox, MaintainedOrderEqualsFromScratchSortEveryRound) {
   const auto t = trace::synth_small_trace(10, 60, 13);
@@ -472,13 +464,15 @@ TEST(DeltaOrderWhiteBox, DeltaPathEngagesAndReplays) {
   const auto& st = sched.phase_stats();
   EXPECT_GT(st.delta_rounds, 0);
   EXPECT_GE(st.rounds, st.delta_rounds);
-  // All rounds except the prime should be delta rounds.
+  // All rounds except the stream's first should be delta rounds.
   EXPECT_GE(st.delta_rounds, st.rounds - 2);
   EXPECT_GT(st.replayed_ranks, 0);
 }
 
-// A scheduler reused across two engines sees a new delta stream and must
-// re-prime instead of trusting pointers into the dead run.
+// A scheduler reused across two engines sees a new delta stream: its first
+// round takes every CoFlow as a candidate, and nothing of the dead run
+// (which left through the completion hooks) reaches the second run's
+// results.
 TEST(DeltaOrderWhiteBox, SchedulerReuseAcrossEnginesReprimes) {
   const auto t1 = trace::synth_small_trace(8, 30, 5);
   const auto t2 = trace::synth_small_trace(8, 30, 6);
@@ -500,8 +494,9 @@ TEST(DeltaOrderWhiteBox, SchedulerReuseAcrossEnginesReprimes) {
   EXPECT_EQ(r1.coflows.size(), t1.coflows.size());
 }
 
-// Direct (4-arg) callers that announce their CoFlows must keep getting the
-// full route: same rates as the reference Saath every round.
+// Direct (4-arg) callers that announce their CoFlows have no stream, so
+// every round takes every CoFlow as a candidate: same rates as the
+// reference Saath every round, and no delta round.
 TEST(DeltaOrderWhiteBox, DirectDriversTakeFullPath) {
   StateSet set;
   set.add(make_coflow(1, 0, {{0, 1, 1000}, {1, 2, 1000}}));

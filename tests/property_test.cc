@@ -374,8 +374,8 @@ TEST_P(SpatialRefactor, IndexMatchesOracleEveryRound) {
 /// Records one digest per schedule() round: every flow's id and µs-rounded
 /// rate. Two schedulers produce byte-identical schedules iff the digest
 /// streams match. With `forward_delta` the engine's delta reaches the inner
-/// scheduler (production's delta route); without it every round is a
-/// full-delta call.
+/// scheduler (production's delta rounds); without it no round has a
+/// stream, so production takes every CoFlow as a candidate.
 class RateDigestObserver final : public Scheduler {
  public:
   RateDigestObserver(std::unique_ptr<Scheduler> inner, bool forward_delta,
@@ -436,7 +436,7 @@ class RateDigestObserver final : public Scheduler {
 
 // Saath fed by the incremental index produces the *identical* rate
 // assignment, every epoch, as the reference Saath rebuilding k_c from the
-// batch count — on the delta route and on the full-delta route alike.
+// batch count — on the engine's stream and with no stream alike.
 TEST_P(SpatialRefactor, IncrementalAndRebuildSchedulesIdentical) {
   const auto t = make();
   // The observer never forwards schedule_valid_until, so both runs schedule
@@ -453,7 +453,7 @@ TEST_P(SpatialRefactor, IncrementalAndRebuildSchedulesIdentical) {
     RateDigestObserver s_inc(std::make_unique<SaathScheduler>(), delta_route,
                              &incremental_digests);
     const auto r_inc = simulate(t, s_inc, cfg);
-    const char* route = delta_route ? "delta route" : "full route";
+    const char* route = delta_route ? "stream" : "no stream";
     ASSERT_EQ(incremental_digests.size(), rebuild_digests.size()) << route;
     for (std::size_t i = 0; i < incremental_digests.size(); ++i) {
       ASSERT_EQ(incremental_digests[i], rebuild_digests[i])
@@ -529,7 +529,7 @@ struct BackfillParam {
   std::uint64_t seed;
   const char* scheduler;  // "saath" or "aalo" (shared admit/alloc guard)
   Loop loop;
-  bool order;  // production on the delta route (else the full route)
+  bool order;  // production on the engine's stream (else with none)
   /// On 40 ports, seed 7 has six CoFlows over 128 flows, the widest 399:
   /// up to seven words of the backfill's flow bitmap.
   int ports = 10;

@@ -8,7 +8,8 @@
 //      is ready (§4.3), then opens the gates whose release time passed,
 //   3. applies the due dynamics in stream order,
 //   4. zeroes every rate and calls the scheduler's 4-arg schedule(), which
-//      carries no delta, so delta-aware schedulers take their full route,
+//      carries no delta stream, so production Saath takes every CoFlow as
+//      a candidate each round,
 //   5. zeroes the rates of gated CoFlows (the slot is wasted, the budget
 //      the scheduler spent is not refunded),
 //   6. checks every port's budget against a sum over all flows,

@@ -90,11 +90,12 @@ class ReferenceAalo final : public Scheduler {
   QueueStructure queues_;
 };
 
-/// Drives `inner` through its full-delta route under an engine: the
-/// engine's delta stream is dropped, so every round is a schedule() with no
-/// stream, as the testbed and direct callers make it. Lifecycle hooks pass
-/// through. schedule_valid_until() asks `triggers` (by default `inner`,
-/// which answers `now` when unprimed).
+/// Drives `inner` with no stream under an engine: the engine's delta stream
+/// is dropped, so every round is a schedule() with no stream, as the
+/// testbed and direct callers make it, and production Saath takes every
+/// CoFlow as a candidate. Lifecycle hooks pass through.
+/// schedule_valid_until() asks `triggers` (by default `inner`, which
+/// answers `now` after a round with no stream).
 class FullRoute final : public Scheduler {
  public:
   explicit FullRoute(Scheduler& inner) : FullRoute(inner, inner) {}
@@ -129,7 +130,7 @@ class FullRoute final : public Scheduler {
   const Scheduler& triggers_;
 };
 
-/// Drives `inner` on its own route — the engine's delta passes through —
+/// Drives `inner` on the engine's stream — the delta passes through —
 /// but answers schedule_valid_until() with `now`, so the production engine
 /// recomputes every epoch instead of skipping the quiescent ones. Lifecycle
 /// hooks pass through.

@@ -127,9 +127,9 @@ TEST(RegistryDigest, AllOffReferenceSaathIsReferenceAalo) {
   EXPECT_EQ(digest, "f99c28620d993b46");
 }
 
-// The testbed's PipelinedScheduler drives Saath through the full-delta
-// route (schedule() with no delta stream) on a scratch fabric every epoch,
-// which the registry runs never take.
+// The testbed's PipelinedScheduler drives Saath with no delta stream (every
+// CoFlow a candidate every round) on a scratch fabric every epoch, which
+// the registry runs never do.
 TEST(RegistryDigest, TestbedRouteOnSyntheticFbTrace) {
   trace::SynthConfig cfg;
   cfg.num_ports = 40;

@@ -389,6 +389,69 @@ TEST(Saath, ConserveReplayEngagesOnQuiescentEngineRounds) {
   EXPECT_GT(indexed.phase_stats().replayed_ranks, 0);
 }
 
+TEST(Saath, NewStreamKeepsRestoredDeadlineAsTrigger) {
+  // Engine::rebuild_coflow restores a CoFlow's D5 deadline before its
+  // arrival hook. The first round of the resumed stream keeps that deadline
+  // (the CoFlow does not re-enter a queue), so it must still be a time-only
+  // trigger: otherwise the quiescent skip sleeps past the expiry that moves
+  // the CoFlow to the head of the order.
+  testing::StateSet set;
+  // 40 MB at 250 MB/s crosses the 10 MB queue-0 threshold only at 40 ms.
+  set.add(make_coflow(0, 0, {{0, 1, 40 * kMB}}));
+  CoflowState& c = set.at(0);
+  c.deadline = msec(10);
+  SaathScheduler sched;
+  set.announce(sched);
+  Fabric fabric(2, 250e6);
+  RateAssignment rates(2);
+  rates.begin_epoch(0);
+  SchedulerDelta delta;
+  delta.stream_id = 77002;
+  delta.mark(&c);
+  sched.schedule(0, set.active(), fabric, rates, delta);
+  ASSERT_EQ(c.deadline, msec(10));
+  ASSERT_GT(c.flows()[0].rate(), 0.0);
+  EXPECT_LE(sched.schedule_valid_until(0, set.active()), msec(10));
+}
+
+TEST(Saath, ReadmittedCoflowKeepsDeadlineAsTrigger) {
+  // The engine re-admits a quarantined CoFlow through on_coflow_arrival
+  // with the deadline it was stamped before. A delta round that keeps its
+  // queue keeps that deadline, which must stay a trigger too.
+  testing::StateSet set;
+  // Queue 0 at 250 MB/s: the deadline is d * 1 * 40 ms = 80 ms, and the
+  // 10 MB threshold needs 40 ms of sending.
+  set.add(make_coflow(0, 0, {{0, 1, 40 * kMB}}));
+  CoflowState& c = set.at(0);
+  SaathScheduler sched;
+  set.announce(sched);
+  Fabric fabric(2, 250e6);
+  RateAssignment rates(2);
+  SchedulerDelta delta;
+  delta.stream_id = 77003;
+  const auto round = [&](SimTime now, std::span<CoflowState* const> active) {
+    fabric.reset();
+    rates.begin_epoch(now);
+    sched.schedule(now, active, fabric, rates, delta);
+    delta.clear_marks();
+  };
+  delta.mark(&c);
+  round(0, set.active());
+  const SimTime deadline = c.deadline;
+  ASSERT_EQ(deadline, msec(80));
+
+  // Quarantined after 1 ms of sending, re-admitted at 50 ms: the crossing
+  // is then 39 ms away, past the deadline.
+  sched.on_coflow_quarantined(c, msec(1));
+  round(msec(1), {});
+  sched.on_coflow_arrival(c, msec(50));
+  delta.mark(&c);
+  round(msec(50), set.active());
+  ASSERT_EQ(c.deadline, deadline);
+  ASSERT_GT(c.flows()[0].rate(), 0.0);
+  EXPECT_LE(sched.schedule_valid_until(msec(50), set.active()), deadline);
+}
+
 TEST(Saath, Fig8LcofLimitationReproduced) {
   // Fig 8: S1 has C2,C1; S2 has C2,C3. C1 and C3 are long but low-
   // contention singles; C2 is wide (both ports). LCoF runs C1/C3 first,

@@ -16,7 +16,11 @@ the compiler cannot see:
                         reclamation frees finished CoflowStates right after
                         the round's result-sink flush, so a pointer kept
                         across rounds dangles. Audited per-round scratch
-                        (cleared before reuse) is allowlisted by name.
+                        (cleared before reuse) is allowlisted by name; an
+                        allowlisted name its file no longer declares as a
+                        Scheduler subclass's data member is reported too,
+                        so an exemption cannot outlive its member and pass
+                        to a later one of the same name unaudited.
   hook-forward          A Scheduler subclass holding another scheduler (a
                         data member whose type names a *Scheduler, by
                         value, reference, pointer or smart pointer) is a
@@ -128,8 +132,8 @@ LANE_READ_ALLOWLIST = {
 # scheduler cannot inherit an exemption by reusing a name.
 RETENTION_ALLOWLIST = {
     "src/sched/saath.h": {
-        "candidates_", "touch_only_", "entered_", "prime_entries_",
-        "order_scratch_", "missed_scratch_", "recross_",
+        "candidates_", "touch_only_", "entered_", "missed_scratch_",
+        "recross_",
     },
     "src/sched/uc_tcp.h": {"flows_", "owners_"},
 }
@@ -156,6 +160,8 @@ FLOWPOOL_DECL_RE = re.compile(r"\bFlowPool\s*[&*]?\s*(\w+)\b")
 
 SUPPRESS_RE = re.compile(r"SAATH_LINT_OK\(([\w-]+)\)\s*(?::\s*(.*?))?\s*(?:\*/|$)")
 LINT_AS_RE = re.compile(r"//\s*LINT-AS:\s*(\S+)")
+# A fixture's own RETENTION_ALLOWLIST entry, for the file it lints as.
+LINT_ALLOW_RE = re.compile(r"//\s*LINT-RETENTION-ALLOW:\s*(.*)")
 EXPECT_RE = re.compile(r"//\s*EXPECT-LINT:\s*([\w-]+(?:\s*,\s*[\w-]+)*)")
 
 
@@ -397,33 +403,74 @@ def member_statements(code, body_start):
         i += 1
 
 
-def check_scheduler_retention(lf, findings):
-    if lf.path.startswith(("tests/", "tools/")):
-        return
-    allow = RETENTION_ALLOWLIST.get(lf.path, set())
+def member_name(stmt):
+    """The declared name of a data-member statement (`T name`, `T name =
+    init`, `T name{init}`)."""
+    head = re.sub(r"\{.*\}\s*$", "", stmt, flags=re.S)
+    name_m = re.search(r"(\w+)\s*(?:=[^=].*)?$", head)
+    name = name_m.group(1) if name_m else "?"
+    if name == "nullptr":
+        nm = re.search(r"(\w+)\s*=", head)
+        name = nm.group(1) if nm else name
+    return name
+
+
+def scheduler_data_members(lf):
+    """Yields (class, statement, line) for every data member of every
+    Scheduler subclass in `lf`."""
     for m in SUBCLASS_RE.finditer(lf.code):
-        cls = m.group(1)
         body_open = m.end() - 1  # SUBCLASS_RE ends at the class body '{'
         for stmt, lineno in member_statements(lf.code, body_open):
-            if "(" in stmt:
-                continue  # function declaration, not a data member
-            compact = re.sub(r"\s+", "", stmt)
-            if "CoflowState*" not in compact and "FlowState*" not in compact:
-                continue
-            name_m = re.search(r"(\w+)\s*(?:=[^=].*)?$", stmt)
-            name = name_m.group(1) if name_m else "?"
-            if name == "nullptr":
-                nm = re.search(r"(\w+)\s*=", stmt)
-                name = nm.group(1) if nm else name
-            if name in allow:
-                continue
+            if "(" not in stmt:  # not a function declaration
+                yield m.group(1), stmt, lineno
+
+
+def check_scheduler_retention(lf, findings, allowlist):
+    if lf.path.startswith(("tests/", "tools/")):
+        return
+    allow = allowlist.get(lf.path, set())
+    for cls, stmt, lineno in scheduler_data_members(lf):
+        compact = re.sub(r"\s+", "", stmt)
+        if "CoflowState*" not in compact and "FlowState*" not in compact:
+            continue
+        name = member_name(stmt)
+        if name in allow:
+            continue
+        findings.append(Finding(
+            lf.path, lineno, "scheduler-retention",
+            f"Scheduler subclass {cls} holds raw state pointer member "
+            f"'{name}' — the engine reclaims finished CoflowStates "
+            "after each round (ROADMAP: ResultSink reclamation "
+            "contract); keep per-round scratch only, and allowlist it "
+            "with an audit note in tools/lint/saath_lint.py"))
+
+
+def check_retention_allowlist(files, findings, allowlist, repo):
+    """Reports allowlisted names their file no longer declares as a data
+    member of a Scheduler subclass, at the file's first such class (line 1
+    when it has none). In repo mode a listed file that is gone is stale
+    too."""
+    by_path = {lf.path: lf for lf in files}
+    for path, names in sorted(allowlist.items()):
+        lf = by_path.get(path)
+        if lf is None:
+            if repo:
+                for name in sorted(names):
+                    findings.append(Finding(
+                        path, 1, "scheduler-retention",
+                        f"RETENTION_ALLOWLIST names '{name}' in a file that "
+                        "no longer exists — drop the entry"))
+            continue
+        declared = {member_name(stmt)
+                    for _cls, stmt, _line in scheduler_data_members(lf)}
+        first = SUBCLASS_RE.search(lf.code)
+        lineno = line_of(lf.code, first.start()) if first else 1
+        for name in sorted(names - declared):
             findings.append(Finding(
-                lf.path, lineno, "scheduler-retention",
-                f"Scheduler subclass {cls} holds raw state pointer member "
-                f"'{name}' — the engine reclaims finished CoflowStates "
-                "after each round (ROADMAP: ResultSink reclamation "
-                "contract); keep per-round scratch only, and allowlist it "
-                "with an audit note in tools/lint/saath_lint.py"))
+                path, lineno, "scheduler-retention",
+                f"RETENTION_ALLOWLIST exempts '{name}', which no Scheduler "
+                "subclass here declares any more — drop the stale entry "
+                "so a later member of that name gets audited"))
 
 
 # -------------------------------------------------------------- hook-forward
@@ -736,11 +783,12 @@ def gather_repo_files(root, compdb):
     return files
 
 
-def run_checks(files, ast=None, root=None):
+def run_checks(files, ast=None, root=None,
+               retention_allowlist=RETENTION_ALLOWLIST, repo=True):
     findings = []
     for lf in files:
         check_lane_access(lf, findings)
-        check_scheduler_retention(lf, findings)
+        check_scheduler_retention(lf, findings, retention_allowlist)
         check_hook_forward(lf, findings)
         check_service_detach(lf, findings)
         check_hot_noalloc(lf, findings)
@@ -749,6 +797,7 @@ def run_checks(files, ast=None, root=None):
             findings.append(Finding(lf.path, lineno, "bad-suppression", msg))
         if ast is not None and ast.ok and root:
             findings.extend(ast.extra_lane_findings(lf, root))
+    check_retention_allowlist(files, findings, retention_allowlist, repo)
     check_flag_matrix(files, findings)
     check_config_knob(files, findings)
     by_path = {lf.path: lf for lf in files}
@@ -770,6 +819,7 @@ def run_self_test(root):
               file=sys.stderr)
         return 2
     files, expected = [], set()
+    allowlist = dict(RETENTION_ALLOWLIST)
     for fn in sorted(os.listdir(fixture_dir)):
         if not fn.endswith((".cc", ".h")):
             continue
@@ -782,6 +832,9 @@ def run_self_test(root):
                   file=sys.stderr)
             return 2
         mapped = m.group(1)
+        am = LINT_ALLOW_RE.search(raw)
+        if am:
+            allowlist[mapped] = set(am.group(1).split())
         lf = load_file(mapped, disk)
         files.append(lf)
         for lineno, line in enumerate(raw.splitlines(), 1):
@@ -789,7 +842,9 @@ def run_self_test(root):
             if em:
                 for check in re.split(r"\s*,\s*", em.group(1)):
                     expected.add((mapped, lineno, check))
-    actual = {(f.path, f.line, f.check) for f in run_checks(files)}
+    actual = {(f.path, f.line, f.check)
+              for f in run_checks(files, retention_allowlist=allowlist,
+                                  repo=False)}
     missed = expected - actual
     surplus = actual - expected
     for path, line, check in sorted(missed):
