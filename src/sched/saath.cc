@@ -22,25 +22,30 @@ using Clock = std::chrono::steady_clock;
       .count();
 }
 
+/// Lowers `cross` to the seconds until unfinished flow i's bytes sent reach
+/// the per-flow `bound` at its current rate. Flows smaller than the bound
+/// can never reach it (sent is capped at size) — skipping them is exact,
+/// not just conservative. The walk below and the fold inside the rate loops
+/// share this arithmetic, and a min over the same doubles is the same
+/// double in any order.
+SAATH_HOT_NOALLOC void lower_flow_crossing(const FlowPool& pool,
+                                           std::uint32_t i, double bound,
+                                           SimTime now, double& cross) {
+  if (pool.rate[i] <= 0 || pool.size_bytes[i] < bound) return;
+  const double sent = pool.sent(i, now);
+  if (sent >= bound) return;
+  cross = std::min(cross, (bound - sent) / pool.rate[i]);
+}
+
 /// Seconds until c's max_flow_sent reaches the per-flow bound at current
-/// rates: the first flow to get there decides. Flows smaller than the
-/// bound can never reach it (sent is capped at size) — skipping them is
-/// exact, not just conservative.
+/// rates, walking every flow: the first flow to get there decides.
 [[nodiscard]] double per_flow_cross_seconds(const CoflowState& c, double bound,
                                             SimTime now) {
   double cross = std::numeric_limits<double>::infinity();
   if (!std::isfinite(bound)) return cross;
-  // Walk over the SoA pool in walk_flows() order — ascending, like the old
-  // per-handle loop, with the same arithmetic — so the crossing instants
-  // are bit-identical.
   const FlowPool& pool = c.pool();
   for (const std::uint32_t i : c.walk_flows()) {
-    if (pool.finished[i] || pool.rate[i] <= 0 || pool.size_bytes[i] < bound) {
-      continue;
-    }
-    const double sent = pool.sent(i, now);
-    if (sent >= bound) continue;
-    cross = std::min(cross, (bound - sent) / pool.rate[i]);
+    if (!pool.finished[i]) lower_flow_crossing(pool, i, bound, now, cross);
   }
   return cross;
 }
@@ -83,7 +88,11 @@ using Clock = std::chrono::steady_clock;
 SaathScheduler::SaathScheduler(SaathConfig config)
     : config_(config),
       queues_(config.queues),
-      queue_population_(config.queues.num_queues) {}
+      queue_population_(config.queues.num_queues) {
+  for (int q = 0; q < queues_.num_queues(); ++q) {
+    hi_thresholds_.push_back(queues_.hi_threshold(q));
+  }
+}
 
 std::string SaathScheduler::name() const {
   if (config_.all_or_none && config_.per_flow_threshold && config_.lcof) {
@@ -226,7 +235,8 @@ bool SaathScheduler::all_ports_available(const CoflowState& c,
 }
 
 SAATH_HOT_NOALLOC Rate SaathScheduler::allocate_equal_rate(
-    CoflowState& c, Fabric& fabric, RateAssignment& rates) const {
+    CoflowState& c, Fabric& fabric, RateAssignment& rates, SimTime now,
+    CrossingFold& fold) const {
   // D2: max-min share at each port is budget / (c's flows there); the
   // CoFlow-wide rate is the minimum share — speeding any flow beyond the
   // slowest cannot improve the CCT.
@@ -242,12 +252,13 @@ SAATH_HOT_NOALLOC Rate SaathScheduler::allocate_equal_rate(
                     fabric.recv_remaining(load.port) / load.unfinished_flows);
   }
   SAATH_EXPECTS(std::isfinite(rate) && rate >= 0);
-  replay_equal_rate(c, rate, fabric, rates);
+  replay_equal_rate(c, rate, fabric, rates, now, fold.walk ? nullptr : &fold);
   return rate;
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::replay_equal_rate(
-    CoflowState& c, Rate rate, Fabric& fabric, RateAssignment& rates) const {
+    CoflowState& c, Rate rate, Fabric& fabric, RateAssignment& rates,
+    SimTime now, CrossingFold* fold) const {
   const auto flows = c.flows();
   const FlowPool& pool = c.pool();
   for (const std::uint32_t i : c.walk_flows()) {
@@ -255,7 +266,17 @@ SAATH_HOT_NOALLOC void SaathScheduler::replay_equal_rate(
     FlowState& f = flows[i];
     rates.set(c, f, rate);
     fabric.consume(f.src(), f.dst(), rate);
+    if (fold != nullptr) fold_crossing(*fold, c, i, now);
   }
+}
+
+SAATH_HOT_NOALLOC void SaathScheduler::fold_crossing(
+    CrossingFold& fold, const CoflowState& c, std::uint32_t i,
+    SimTime now) const {
+  const FlowPool& pool = c.pool();
+  if (pool.rate[i] <= 0) return;
+  if (fold.rated++ == 0) fold.bound = hi_threshold(c.queue_index) / c.width();
+  lower_flow_crossing(pool, i, fold.bound, now, fold.seconds);
 }
 
 std::int64_t SaathScheduler::order_key_component(const CoflowState& c) const {
@@ -276,8 +297,15 @@ OrderKey SaathScheduler::make_key(const CoflowState& c, SimTime now,
   return k;
 }
 
-SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(CoflowState& c,
-                                                        SimTime now) {
+SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
+    CoflowState& c, const CrossingFold& fold, SimTime now) {
+  // The fold saw every flow this round rated; the walk it replaces reads
+  // every flow rated at all. They agree only if no flow entered the round
+  // rated.
+  SAATH_EXPECTS_MSG(fold.walk || fold.rated == c.rated_flows(),
+                    "a flow entered schedule() with a nonzero rate: every "
+                    "flow must start the round at rate 0 "
+                    "(RateAssignment::begin_epoch)");
   if (c.finished() || is_volatile(c)) {
     // Volatile CoFlows are re-bucketed every round regardless (the §4.3
     // estimate drifts continuously); a crossing entry would be noise.
@@ -286,21 +314,23 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(CoflowState& c,
   }
   // Trajectory unchanged since the entry (or tombstone) was derived — the
   // common case when a round re-assigned the exact same rates — keeps the
-  // recorded prediction without re-scanning the flows.
+  // recorded prediction: re-deriving it at this later `now` could move the
+  // guarded instant by the µs truncation.
   const std::uint64_t traj = c.trajectory_version();
   if (crossings_.current(c.id(), traj, c.queue_index)) return;
-  const double cross_seconds =
-      config_.per_flow_threshold
-          ? per_flow_cross_seconds(
-                c, queues_.hi_threshold(c.queue_index) / c.width(), now)
-          : total_bytes_cross_seconds(c, queues_.hi_threshold(c.queue_index),
-                                      now);
+  double cross_seconds = fold.seconds;
+  if (fold.walk) {
+    const double hi = hi_threshold(c.queue_index);
+    cross_seconds = config_.per_flow_threshold
+                        ? per_flow_cross_seconds(c, hi / c.width(), now)
+                        : total_bytes_cross_seconds(c, hi, now);
+  }
   crossings_.program(&c, guarded_crossing_instant(now, cross_seconds), traj,
                      c.queue_index);
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
-    Fabric& fabric, RateAssignment& rates,
+    SimTime now, Fabric& fabric, RateAssignment& rates,
     std::span<CoflowState* const> ordered, std::size_t first_dirty_rank) {
   const auto t1 = Clock::now();
   // Replay soundness: all-or-none admission of rank i depends only on the
@@ -321,13 +351,14 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
       ++stats_.replayed_ranks;
       const AdmitDecision& d = admit_cache_[rank];
       if (d.kind == AdmitDecision::Kind::kAdmitted) {
-        replay_equal_rate(*c, d.rate, fabric, rates);
+        replay_equal_rate(*c, d.rate, fabric, rates, now, nullptr);
       } else if (d.kind == AdmitDecision::Kind::kMissed) {
         missed.push_back(c);
       }
       continue;
     }
     AdmitDecision d;
+    CrossingFold fold = fresh_fold();
     if (config_.respect_data_availability && !c->data_available) {
       d.kind = AdmitDecision::Kind::kSkippedUnavailable;
     } else if (!config_.all_or_none) {
@@ -335,31 +366,30 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
       // the spatial coordination is switched off entirely.
       allocate_greedy_fair(*c, fabric, rates);
       d.kind = AdmitDecision::Kind::kGreedy;
+      fold.walk = true;
     } else if (all_ports_available(*c, fabric)) {
       d.kind = AdmitDecision::Kind::kAdmitted;
-      d.rate = allocate_equal_rate(*c, fabric, rates);
+      d.rate = allocate_equal_rate(*c, fabric, rates, now, fold);
     } else {
       d.kind = AdmitDecision::Kind::kMissed;
       missed.push_back(c);
     }
     admit_cache_[rank] = d;
-    recross_.push_back(c);
+    // conserve() lists every missed CoFlow itself.
+    if (d.kind != AdmitDecision::Kind::kMissed || !config_.work_conservation) {
+      recross_.emplace_back(c, fold);
+    }
   }
   stats_.admit_ns += ns_since(t1);
 
   const auto t2 = Clock::now();
-  if (config_.work_conservation) {
-    conserve(fabric, rates, missed);
-    // Conservation rates depend on the whole round's leftovers, so even
-    // replayed-missed CoFlows got fresh trajectories.
-    recross_.insert(recross_.end(), missed.begin(), missed.end());
-  }
+  if (config_.work_conservation) conserve(now, fabric, rates, missed);
   stats_.conserve_ns += ns_since(t2);
   admit_capacity_version_ = fabric.capacity_version();
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::conserve(
-    Fabric& fabric, RateAssignment& rates,
+    SimTime now, Fabric& fabric, RateAssignment& rates,
     std::span<CoflowState* const> missed) {
   if (missed.empty()) return;
   ++stats_.backfill_rounds;
@@ -372,9 +402,14 @@ SAATH_HOT_NOALLOC void SaathScheduler::conserve(
   // the dense walk's visit order, minus flows it would skip on `<= eps`.
   // The walk clears every word it reads, so the bitmap is all zero between
   // CoFlows. An empty live set means no flow anywhere can clear the
-  // epsilon.
-  for (CoflowState* c : missed) {
+  // epsilon. Conservation rates depend on the whole round's leftovers, so
+  // every missed CoFlow, replayed ones included, gets a fresh trajectory
+  // and a recross_ entry, its crossing folded in as its flows get budget.
+  std::size_t turn = 0;
+  for (; turn < missed.size(); ++turn) {
     if (fabric.send_live().empty() || fabric.recv_live().empty()) break;
+    CoflowState* c = missed[turn];
+    CrossingFold& fold = recross_.emplace_back(c, fresh_fold()).second;
     const FlowPool& pool = c->pool();
     const std::size_t words = (c->flows().size() + 63) / 64;
     if (backfill_bits_.size() < words) backfill_bits_.resize(words);
@@ -427,8 +462,13 @@ SAATH_HOT_NOALLOC void SaathScheduler::conserve(
         ++stats_.backfill_allocs;
         rates.set(*c, c->flows()[i], pool.rate[i] + r);
         fabric.consume(pool.src[i], pool.dst[i], r);
+        if (!fold.walk) fold_crossing(fold, *c, i, now);
       }
     }
+  }
+  // The live sets drained before these CoFlows' turn: nothing rated them.
+  for (; turn < missed.size(); ++turn) {
+    recross_.emplace_back(missed[turn], fresh_fold());
   }
 }
 
@@ -581,17 +621,19 @@ void SaathScheduler::schedule(SimTime now,
   // ---- 7. Admission (prefix replay) + work conservation. Candidates and
   //         touched CoFlows all sit at ranks >= first_dirty (touch() lowers
   //         the dirty floor to their key), so the admission pass itself
-  //         collects every trajectory that could have changed into recross_.
+  //         collects every trajectory that could have changed into recross_,
+  //         each with its crossing folded in as its rates were set.
   recross_.clear();
-  admit_and_conserve(fabric, rates, order_.ordered(), first_dirty);
+  admit_and_conserve(now, fabric, rates, order_.ordered(), first_dirty);
 
-  // ---- 8. Re-program crossings for every CoFlow whose trajectory this
-  //         round touched; replayed-admitted CoFlows restored theirs
-  //         bit-exactly, so their entries still stand.
+  // ---- 8. On a stream, re-program crossings for every CoFlow whose
+  //         trajectory this round touched; replayed-admitted CoFlows
+  //         restored theirs bit-exactly, so their entries still stand. With
+  //         no stream nothing reads them (schedule_valid_until answers
+  //         `now`), and the next stream's first round lists every CoFlow.
+  if (stream_ == 0) return;
   const auto t3 = Clock::now();
-  for (CoflowState* c : recross_) {
-    if (!c->finished()) program_crossing(*c, now);
-  }
+  for (const auto& [c, fold] : recross_) program_crossing(*c, fold, now);
   stats_.crossing_ns += ns_since(t3);
 }
 

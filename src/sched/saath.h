@@ -35,13 +35,22 @@
 // lives in an OrderIndex updated in O(log F) per event, queue reassignment
 // pops due threshold crossings from a QueueCrossingHeap instead of
 // rescanning every flow, and the all-or-none admission pass replays its
-// cached decisions for the untouched sorted prefix. A round's candidates
-// for re-bucketing come from the SchedulerDelta's lists. A round with no
-// stream (stream_id 0: direct callers, the testbed's PipelinedScheduler)
-// or the first round of a new engine stream has no lists it can trust, so
-// it takes every CoFlow as a candidate, which re-keys the whole order and
-// replays nothing. The from-scratch model of Fig 7 the pass is tested
-// against lives in tests/reference/.
+// cached decisions for the untouched sorted prefix. Under per-flow
+// thresholds a re-rated CoFlow's next crossing is folded in by the loops
+// that set its rates (the equal-rate admission and the backfill) instead
+// of a second walk over all of its flows. That is exact only because every
+// flow enters schedule() at rate 0 — the engine's
+// RateAssignment::begin_epoch and the blank-slate overload for direct
+// callers zero the previous round's rates — so the flows a round rated are
+// all the rated flows; each folded CoFlow checks this in O(1) against
+// CoflowState::rated_flows(). A round's candidates for re-bucketing come
+// from the SchedulerDelta's lists. A round with no stream (stream_id 0:
+// direct callers, the testbed's PipelinedScheduler) or the first round of
+// a new engine stream has no lists it can trust, so it takes every CoFlow
+// as a candidate, which re-keys the whole order and replays nothing; a
+// round with no stream also programs no crossing, since nothing reads one
+// before the next stream's first round. The from-scratch model of Fig 7
+// the pass is tested against lives in tests/reference/.
 //
 // Membership and occupancy come from the lifecycle hooks alone (the
 // contract in sim/scheduler.h): every round checks in O(1) that the
@@ -52,6 +61,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -105,7 +115,10 @@ struct SaathPhaseStats {
   std::int64_t order_ns = 0;     // queue assignment + intra-queue ordering
   std::int64_t admit_ns = 0;     // all-or-none admission + rate assignment
   std::int64_t conserve_ns = 0;  // work conservation backfill
-  /// Next-crossing prediction (replaces the schedule_valid_until scan).
+  /// Crossing upkeep on a stream: the trajectory-memo check and heap
+  /// programming per re-rated CoFlow, plus the walks the fold cannot
+  /// replace (total bytes, greedy). The folded derivation itself runs
+  /// inside admit_ns and conserve_ns.
   std::int64_t crossing_ns = 0;
   /// Rounds whose candidates came from the delta's lists (vs every CoFlow:
   /// no stream, or the first round of one).
@@ -205,6 +218,25 @@ class SaathScheduler final : public Scheduler {
     Rate rate = 0;
   };
 
+  /// The per-flow crossing (Eq. 1) of a CoFlow whose trajectory this round
+  /// may have changed, folded in by the loop that set its rates: the
+  /// seconds until its first rated flow's bytes sent reach
+  /// hi_threshold(q)/width, and how many flows it rated. `walk` marks a
+  /// derivation the fold cannot see — total bytes, where the summation
+  /// order of the rates decides the bits, and greedy admission — which
+  /// program_crossing derives by walking the flows.
+  struct CrossingFold {
+    double seconds = std::numeric_limits<double>::infinity();
+    double bound = 0;  // set with the first rated flow
+    int rated = 0;
+    bool walk = false;
+  };
+  [[nodiscard]] CrossingFold fresh_fold() const {
+    CrossingFold fold;
+    fold.walk = !config_.per_flow_threshold;
+    return fold;
+  }
+
   /// The queue Eq. 1 (or total bytes, or the §4.3 estimate) assigns `c`
   /// this round.
   [[nodiscard]] int target_queue(const CoflowState& c, SimTime now) const;
@@ -215,28 +247,39 @@ class SaathScheduler final : public Scheduler {
   [[nodiscard]] bool all_ports_available(const CoflowState& c,
                                          const Fabric& fabric) const;
   /// D2: one equal rate for every unfinished flow of c (min max-min share
-  /// over its ports); consumes fabric budget. Returns the rate.
+  /// over its ports); consumes fabric budget and folds c's crossing into
+  /// `fold` unless it walks. Returns the rate.
   Rate allocate_equal_rate(CoflowState& c, Fabric& fabric,
-                           RateAssignment& rates) const;
-  /// Replays a cached admission: applies `rate` to every unfinished flow
-  /// without recomputing the max-min share.
+                           RateAssignment& rates, SimTime now,
+                           CrossingFold& fold) const;
+  /// Applies `rate` to every unfinished flow without recomputing the
+  /// max-min share, folding each flow's crossing into `fold` when given. A
+  /// replayed admission passes none: its crossing entry still stands.
   void replay_equal_rate(CoflowState& c, Rate rate, Fabric& fabric,
-                         RateAssignment& rates) const;
+                         RateAssignment& rates, SimTime now,
+                         CrossingFold* fold) const;
+  /// Folds flow i of c, just rated, into `fold`.
+  void fold_crossing(CrossingFold& fold, const CoflowState& c, std::uint32_t i,
+                     SimTime now) const;
   /// Admission + work conservation over `ordered`, replaying cached
   /// decisions for ranks below `first_dirty_rank` when the capacities did
-  /// not move; records this round's decisions and collects CoFlows needing
-  /// a crossing re-program into recross_. The conservation pass visits, in
-  /// admission order, only the flows of missed CoFlows whose sender AND
-  /// receiver are residually live, stopping when either residual set
-  /// drains.
-  void admit_and_conserve(Fabric& fabric, RateAssignment& rates,
+  /// not move; records this round's decisions and lists every CoFlow
+  /// needing a crossing re-program in recross_ once, with its crossing
+  /// folded in: admitted, skipped and greedy ranks here, missed ones by
+  /// conserve() (or here, with work conservation off). The conservation
+  /// pass visits, in admission order, only the flows of missed CoFlows
+  /// whose sender AND receiver are residually live, stopping when either
+  /// residual set drains.
+  void admit_and_conserve(SimTime now, Fabric& fabric, RateAssignment& rates,
                           std::span<CoflowState* const> ordered,
                           std::size_t first_dirty_rank);
   /// Work conservation (Fig 7 lines 14, 18–23): `missed`, in order, soaks
   /// up whatever budget admission left. One pass per CoFlow: its both-live
   /// flows, gathered from the side with fewer port slots into
-  /// backfill_bits_, are visited in ascending flow index.
-  void conserve(Fabric& fabric, RateAssignment& rates,
+  /// backfill_bits_, are visited in ascending flow index, and each that
+  /// gets budget is folded into the CoFlow's recross_ fold. CoFlows whose
+  /// turn comes after the live sets drain are listed unrated.
+  void conserve(SimTime now, Fabric& fabric, RateAssignment& rates,
                 std::span<CoflowState* const> missed);
 
   /// The composite admission-order key the sort/index both use.
@@ -245,22 +288,31 @@ class SaathScheduler final : public Scheduler {
   /// c's LCoF/FIFO key component under the current config.
   [[nodiscard]] std::int64_t order_key_component(const CoflowState& c) const;
 
-  /// Predicts c's next queue-threshold crossing at current rates and
-  /// programs it into the heap (kNever cancels). Mirrors the arithmetic of
-  /// the reference scheduler's valid-until scan, minus a 1µs guard so float
-  /// rounding can only make the prediction early (a spurious recompute),
-  /// never late (divergence).
-  void program_crossing(CoflowState& c, SimTime now);
+  /// Programs c's next queue-threshold crossing at current rates into the
+  /// heap (kNever cancels), unless its trajectory memo is still current:
+  /// the folded seconds, or a walk where the fold says so. Checks that the
+  /// fold saw every rated flow. Mirrors the arithmetic of the reference
+  /// scheduler's valid-until scan, minus a 1µs guard so float rounding can
+  /// only make the prediction early (a spurious recompute), never late
+  /// (divergence).
+  void program_crossing(CoflowState& c, const CrossingFold& fold, SimTime now);
   /// §4.3 estimate in play: the queue can change any epoch.
   [[nodiscard]] bool is_volatile(const CoflowState& c) const;
   /// Drops every trace of a finished CoFlow from the delta structures.
   void forget_coflow(CoflowId id);
+
+  [[nodiscard]] double hi_threshold(int q) const {
+    return hi_thresholds_[static_cast<std::size_t>(q)];
+  }
 
   /// True when the spatial index is the live LCoF source.
   [[nodiscard]] bool tracks_index() const { return config_.lcof; }
 
   SaathConfig config_;
   QueueStructure queues_;
+  /// queues_.hi_threshold(q) for every queue, so the crossing fold and
+  /// walks read a threshold instead of computing a pow() per CoFlow.
+  std::vector<double> hi_thresholds_;
   SaathPhaseStats stats_;
   /// Event-maintained spatial state: per-port occupancy + per-CoFlow k_c.
   spatial::SpatialIndex spatial_;
@@ -292,7 +344,7 @@ class SaathScheduler final : public Scheduler {
   std::vector<CoflowState*> entered_;
   std::vector<CoflowState*> missed_scratch_;
   /// CoFlows whose trajectory this round changed → crossing re-program.
-  std::vector<CoflowState*> recross_;
+  std::vector<std::pair<CoflowState*, CrossingFold>> recross_;
   /// Backfill scratch: a bitmap over one CoFlow's flow indices, grown to
   /// the widest CoFlow seen and all zero between CoFlows.
   std::vector<std::uint64_t> backfill_bits_;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "reference/reference.h"
+#include "sched/factory.h"
 #include "sched/order_index.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
@@ -430,25 +431,129 @@ TEST(DeltaOrderWhiteBox, MaintainedOrderEqualsFromScratchSortEveryRound) {
 
 // The O(1) valid-until (crossing-heap top + deadline head) must never be
 // later than the reference's full O(F·W) scan — later would skip a real
-// trigger and diverge.
+// trigger and diverge. Both per-flow presets (saath, saath-an-pf-fifo), on
+// runs whose backfill rates flows, so the crossings folded in by admission
+// and by work conservation are both checked.
 TEST(DeltaOrderWhiteBox, ValidUntilNeverLaterThanScan) {
-  const auto t = trace::synth_small_trace(8, 40, 19);
-  DeltaForwardingObserver obs{SaathConfig{}};
-  int compared = 0;
-  obs.check = [&](SimTime now, std::span<CoflowState* const> active,
-                  const Fabric& fabric, const SaathScheduler& inner) {
-    (void)fabric;
-    const reference::ReferenceSaath scan_twin;  // the scan is stateless
-    const SimTime fast = inner.schedule_valid_until(now, active);
-    const SimTime scan = scan_twin.schedule_valid_until(now, active);
-    ASSERT_LE(fast, scan) << "at t=" << now;
-    ++compared;
-  };
   SimConfig cfg;
   cfg.port_bandwidth = 1e6;
   cfg.delta = msec(20);
-  (void)simulate(t, obs, cfg);
-  EXPECT_GT(compared, 2);
+  for (const bool lcof : {true, false}) {
+    for (const std::uint64_t seed : {19u, 3u, 11u}) {
+      const char* preset = lcof ? "saath" : "saath-an-pf-fifo";
+      SCOPED_TRACE(::testing::Message() << preset << " seed " << seed);
+      SaathConfig sc;
+      sc.lcof = lcof;
+      DeltaForwardingObserver obs{sc};
+      const reference::ReferenceSaath scan_twin(sc);  // the scan is stateless
+      int compared = 0;
+      obs.check = [&](SimTime now, std::span<CoflowState* const> active,
+                      const Fabric& fabric, const SaathScheduler& inner) {
+        (void)fabric;
+        const SimTime fast = inner.schedule_valid_until(now, active);
+        const SimTime scan = scan_twin.schedule_valid_until(now, active);
+        ASSERT_LE(fast, scan) << "at t=" << now;
+        ++compared;
+      };
+      (void)simulate(trace::synth_small_trace(8, 40, seed), obs, cfg);
+      EXPECT_GT(compared, 2);
+      EXPECT_GT(obs.inner_.phase_stats().backfill_allocs, 0);
+    }
+  }
+}
+
+// Schedule-phase counts, pinned exactly. A crossing instant that moves
+// earlier changes which CoFlows are candidates and how much of the admission
+// prefix replays, but not the results, so no digest sees it; these counts
+// do.
+struct PhasePin {
+  const char* preset;
+  std::int64_t rounds;
+  std::int64_t delta_rounds;
+  std::int64_t replayed_ranks;
+  std::int64_t candidates;
+  std::int64_t backfill_allocs;
+};
+
+void expect_phase_counts(const Scheduler& sched, const PhasePin& pin) {
+  const auto& st = dynamic_cast<const SaathScheduler&>(sched).phase_stats();
+  EXPECT_EQ(st.rounds, pin.rounds);
+  EXPECT_EQ(st.delta_rounds, pin.delta_rounds);
+  EXPECT_EQ(st.replayed_ranks, pin.replayed_ranks);
+  EXPECT_EQ(st.candidates, pin.candidates);
+  EXPECT_EQ(st.backfill_allocs, pin.backfill_allocs);
+}
+
+trace::Trace fb_150_ports(int coflows) {
+  trace::SynthConfig tcfg;
+  tcfg.num_ports = 150;
+  tcfg.num_coflows = coflows;
+  tcfg.seed = 7;
+  return trace::synth_fb_trace(tcfg);
+}
+
+// Production Saath on the engine over the FB-like 150-port trace.
+TEST(DeltaOrderWhiteBox, EnginePhaseCountsPinned) {
+  const PhasePin pins[] = {
+      {"saath", 4169, 4168, 65441, 431, 73504},
+      {"saath-an-pf-fifo", 4089, 4088, 60067, 431, 71415},
+  };
+  const auto t = fb_150_ports(200);
+  SimConfig cfg;
+  cfg.port_bandwidth = gbps(1);
+  cfg.delta = msec(8);
+  for (const PhasePin& pin : pins) {
+    SCOPED_TRACE(pin.preset);
+    const auto sched = make_scheduler(pin.preset);
+    (void)simulate(t, *sched, cfg);
+    expect_phase_counts(*sched, pin);
+  }
+}
+
+// The sched_order bench's steady-churn snapshot: every CoFlow of the
+// 150-port trace live at once, one stream, and each 8 ms round followed by
+// one mid-flight flow kill delivered the engine way (hook + requeue mark).
+// Many missed CoFlows get the same backfill rates round after round, so
+// their crossing entries stand on the trajectory memo; re-deriving them at
+// the later `now` moves their guarded instants and, with them, the replay.
+TEST(DeltaOrderWhiteBox, SnapshotPhaseCountsPinned) {
+  const PhasePin pins[] = {
+      {"saath", 1200, 1199, 150438, 15899, 143781},
+      {"saath-an-pf-fifo", 1200, 1199, 161020, 9971, 187702},
+  };
+  const auto t = fb_150_ports(500);
+  for (const PhasePin& pin : pins) {
+    SCOPED_TRACE(pin.preset);
+    StateSet set;
+    for (const CoflowSpec& spec : t.coflows) set.add(spec);
+    const auto sched = make_scheduler(pin.preset);
+    set.announce(*sched);
+    Fabric fabric(150, gbps(1));
+    RateAssignment rates(150);
+    SchedulerDelta delta;
+    delta.stream_id = 900001;
+    SimTime now = 0;
+    std::size_t victim = 0;
+    for (int round = 0; round < 1200; ++round) {
+      fabric.reset();
+      rates.begin_epoch(now);
+      sched->schedule(now, set.active(), fabric, rates, delta);
+      delta.clear_marks();
+      now += msec(8);
+      for (std::size_t probe = 0; probe < set.size(); ++probe) {
+        const std::size_t i = victim++ % set.size();
+        CoflowState& c = set.at(i);
+        if (c.unfinished_flows() < 2) continue;
+        std::size_t flow = 0;
+        while (c.flows()[flow].finished()) ++flow;
+        rates.flow_stopped(c.flows()[flow]);
+        set.complete(*sched, i, flow, now);
+        delta.mark_requeue(&c);
+        break;
+      }
+    }
+    expect_phase_counts(*sched, pin);
+  }
 }
 
 // The machinery must actually engage: delta rounds dominate, ranks get

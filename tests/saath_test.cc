@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -20,6 +21,20 @@ SaathConfig no_deadline() {
   SaathConfig cfg;
   cfg.deadline_factor = 0;  // isolate the mechanism under test
   return cfg;
+}
+
+/// The instant Saath programs for a crossing `seconds` after `now`: the
+/// µs-truncated delay less the guard that keeps float rounding early.
+SimTime guarded_crossing(SimTime now, double seconds) {
+  const auto dt = static_cast<SimTime>(seconds * 1e6);
+  return now + std::max<SimTime>(0, dt - 1 - (dt >> 40));
+}
+
+/// Seconds until flow `f` of `c` has sent the per-flow share of its queue's
+/// upper threshold, hi_threshold(q) / width (Eq. 1), at its current rate.
+double seconds_to_bound(const CoflowState& c, const FlowState& f, SimTime now) {
+  const double bound = QueueStructure().hi_threshold(c.queue_index) / c.width();
+  return (bound - f.sent(now)) / f.rate();
 }
 
 TEST(Saath, NameReflectsAblation) {
@@ -452,6 +467,105 @@ TEST(Saath, ReadmittedCoflowKeepsDeadlineAsTrigger) {
   EXPECT_LE(sched.schedule_valid_until(msec(50), set.active()), deadline);
 }
 
+TEST(Saath, BackfilledCoflowCrossesWithItsFastestBackfilledFlow) {
+  // H ranks first (equal contention, earlier arrival) and its equal rate
+  // fills receiver 8. The wide W needs receiver 8 too, so it misses
+  // all-or-none, and the backfill rates only the flows whose two ports kept
+  // budget: not 2->8, half rate on senders 0 and 1, full rate elsewhere.
+  // W's crossing therefore comes from the backfill's rates alone.
+  const Rate bw = 100 * kMB;
+  testing::StateSet set;
+  set.add(make_coflow(0, 0, {{0, 8, 1 * kMB}, {1, 8, 1 * kMB}}));
+  set.add(make_coflow(1, usec(1), {{2, 8, 5 * kMB},
+                                   {0, 9, 5 * kMB},
+                                   {1, 10, 5 * kMB},
+                                   {3, 11, 5 * kMB},
+                                   {4, 12, 5 * kMB},
+                                   {5, 13, 5 * kMB},
+                                   {6, 14, 5 * kMB},
+                                   {7, 15, 5 * kMB}}));
+  CoflowState& w = set.at(1);
+  // Bytes sent before this round, against W's per-flow bound of
+  // 10 MB / 8 = 1.25 MB: flow 3 (1.1 MB at full rate) gets there first,
+  // ahead of flow 1 (1.0 MB at half rate) and the unsent ones.
+  const SimTime now = msec(10);
+  const double sent_mb[] = {1.2, 1.0, 0.5, 1.1, 0, 0, 0, 0};
+  for (std::size_t i = 0; i < w.flows().size(); ++i) {
+    FlowState& f = w.flows()[i];
+    f.set_rate(sent_mb[i] * kMB / to_seconds(now), 0);
+    f.set_rate(0, now);
+  }
+  SaathScheduler sched(no_deadline());
+  set.announce(sched);
+  Fabric fabric(16, bw);
+  RateAssignment rates(16);
+  rates.begin_epoch(now);
+  SchedulerDelta delta;
+  delta.stream_id = 77004;
+  sched.schedule(now, set.active(), fabric, rates, delta);
+
+  ASSERT_EQ(w.queue_index, 0);
+  ASSERT_EQ(w.rated_flows(), 7);
+  ASSERT_EQ(w.flows()[0].rate(), 0.0);
+  ASSERT_EQ(w.flows()[1].rate(), bw / 2);
+  const FlowState& fastest = w.flows()[3];
+  ASSERT_EQ(fastest.rate(), bw);
+  const double cross = seconds_to_bound(w, fastest, now);
+  for (const FlowState& f : w.flows()) {
+    if (f.rate() > 0) {
+      ASSERT_LE(cross, seconds_to_bound(w, f, now));
+    }
+  }
+  // H's 1 MB flows never reach its 5 MB per-flow bound, so W decides.
+  EXPECT_EQ(sched.schedule_valid_until(now, set.active()),
+            guarded_crossing(now, cross));
+}
+
+TEST(Saath, RoundsWithNoStreamProgramNoCrossings) {
+  // After a round with no stream schedule_valid_until answers `now`, so
+  // such a round programs no crossing. The next stream's first round lists
+  // every CoFlow and programs its crossing from the rates it set, not from
+  // the entry the previous stream left.
+  testing::StateSet set;
+  set.add(make_coflow(0, 0, {{0, 1, 40 * kMB}}));
+  CoflowState& c = set.at(0);
+  SaathScheduler sched;
+  set.announce(sched);
+  Fabric fabric(2, 250e6);
+  RateAssignment rates(2);
+  SchedulerDelta delta;
+  const auto round = [&](SimTime now, std::uint64_t stream) {
+    fabric.reset();
+    rates.begin_epoch(now);
+    delta.stream_id = stream;
+    sched.schedule(now, set.active(), fabric, rates, delta);
+  };
+  // 250 MB/s reaches the 10 MB queue-0 threshold at 40 ms.
+  round(0, 77005);
+  ASSERT_EQ(sched.schedule_valid_until(0, set.active()), msec(40) - 1);
+  const std::int64_t crossing_ns = sched.phase_stats().crossing_ns;
+
+  // Port 0 drops to half rate for two rounds with no stream.
+  fabric.set_port_capacity_factor(0, 0.5);
+  for (const SimTime now : {msec(10), msec(20)}) {
+    round(now, 0);
+    EXPECT_EQ(sched.schedule_valid_until(now, set.active()), now);
+  }
+  EXPECT_EQ(sched.phase_stats().crossing_ns, crossing_ns);
+
+  // By 30 ms the flow sent 2.5 + 2.5 MB; the other 5 MB to the threshold
+  // take 40 ms at 125 MB/s, which is before the D5 deadline (80 ms).
+  round(msec(30), 77006);
+  ASSERT_EQ(c.queue_index, 0);
+  ASSERT_EQ(c.flows()[0].rate(), 125e6);
+  const double cross = seconds_to_bound(c, c.flows()[0], msec(30));
+  const SimTime expected = guarded_crossing(msec(30), cross);
+  EXPECT_GE(expected, msec(70) - 2);
+  EXPECT_LT(expected, msec(70));
+  ASSERT_LT(expected, c.deadline);
+  EXPECT_EQ(sched.schedule_valid_until(msec(30), set.active()), expected);
+}
+
 TEST(Saath, Fig8LcofLimitationReproduced) {
   // Fig 8: S1 has C2,C1; S2 has C2,C3. C1 and C3 are long but low-
   // contention singles; C2 is wide (both ports). LCoF runs C1/C3 first,
@@ -501,6 +615,30 @@ TEST(SaathDeathTest, SecondArrivalOfIndexedCoflowAborts) {
   SaathScheduler sched;
   set.announce(sched);
   EXPECT_DEATH(set.announce(sched), "already announced");
+}
+
+// Every flow enters schedule() at rate 0, which is what lets the crossing
+// fold see every rated flow. A caller that skips begin_epoch between two
+// rounds breaks that: here the second round rates nothing of a CoFlow whose
+// data went away, while its flows still carry the first round's rates.
+TEST(SaathDeathTest, RoundEnteredWithRatedFlowsAborts) {
+  testing::StateSet set;
+  set.add(make_coflow(0, 0, {{0, 1, 40 * kMB}, {2, 3, 40 * kMB}}));
+  CoflowState& c = set.at(0);
+  SaathScheduler sched;
+  set.announce(sched);
+  Fabric fabric(4, 100.0);
+  RateAssignment rates(4);
+  SchedulerDelta delta;
+  delta.stream_id = 77007;
+  rates.begin_epoch(0);
+  sched.schedule(0, set.active(), fabric, rates, delta);
+  ASSERT_EQ(c.rated_flows(), 2);
+  c.data_available = false;
+  delta.mark(&c);
+  fabric.reset();
+  EXPECT_DEATH(sched.schedule(msec(1), set.active(), fabric, rates, delta),
+               "every flow must start the round at rate 0");
 }
 
 }  // namespace
