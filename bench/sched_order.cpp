@@ -20,8 +20,12 @@
 //    triggers from the reference's O(F·W) scan) — epochs/sec plus how many
 //    rounds ran incrementally and how many admission ranks were replayed.
 //
-// Both measurements verify every side produces identical rate streams /
-// SimResults; the numbers are meaningless otherwise (exit 2).
+//  * OrderIndex primitives: ns per re-key (find + in-place update) and per
+//    materialize, at 50, 500 and 5,000 entries with one entry or 10% of
+//    the entries re-keyed between materializations.
+//
+// The first two measurements verify every side produces identical rate
+// streams / SimResults; the numbers are meaningless otherwise (exit 2).
 //
 //   $ ./sched_order [--coflows N] [--rounds N] [--out BENCH_sched_order.json]
 #include <chrono>
@@ -30,11 +34,13 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "reference/reference.h"
+#include "sched/order_index.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
 #include "trace/synth.h"
@@ -217,6 +223,72 @@ EngineMeasurement run_engine(const trace::Trace& trace, bool on_stream) {
   return m;
 }
 
+struct OrderIndexMeasurement {
+  int entries = 0;
+  int dirty = 0;
+  double rekey_ns = 0;
+  double materialize_ns = 0;
+};
+
+/// Re-keys `dirty` random entries of an `entries`-long OrderIndex to fresh
+/// (queue, contention) keys, then materializes, for 2M / entries rounds
+/// (at least 400). Each phase is timed as one block per round; the mean of
+/// an empty block (the clock's own cost) is subtracted from both.
+OrderIndexMeasurement run_order_index(int entries, int dirty) {
+  std::vector<std::unique_ptr<CoflowState>> states;
+  OrderIndex idx;
+  std::mt19937_64 rng(17);
+  const auto fresh_key = [&rng](CoflowId id) {
+    OrderKey k;
+    k.queue = static_cast<int>(rng() % 10);
+    k.key = static_cast<std::int64_t>(rng() % 64);
+    k.arrival = id.value;
+    k.id = id;
+    return k;
+  };
+  for (int i = 0; i < entries; ++i) {
+    CoflowSpec spec;
+    spec.id = CoflowId{i};
+    spec.flows = {{0, 1, 1000}};
+    states.push_back(std::make_unique<CoflowState>(spec, FlowId{i}));
+    idx.insert(states.back().get(), fresh_key(spec.id));
+  }
+  idx.materialize();
+
+  const int rounds = std::max(400, 2'000'000 / entries);
+  std::vector<CoflowId> picks(static_cast<std::size_t>(dirty));
+  std::int64_t rekey_ns = 0;
+  std::int64_t materialize_ns = 0;
+  std::int64_t clock_ns = 0;
+  for (int round = 0; round < rounds; ++round) {
+    for (CoflowId& id : picks) {
+      id = CoflowId{static_cast<std::int64_t>(
+          rng() % static_cast<std::uint64_t>(entries))};
+    }
+    auto t0 = Clock::now();
+    for (const CoflowId id : picks) idx.update(idx.find(id), fresh_key(id));
+    auto t1 = Clock::now();
+    (void)idx.materialize();
+    auto t2 = Clock::now();
+    auto t3 = Clock::now();
+    rekey_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                    .count();
+    materialize_ns +=
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1).count();
+    clock_ns +=
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t3 - t2).count();
+  }
+  const auto per_round = [rounds](std::int64_t ns) {
+    return static_cast<double>(ns) / rounds;
+  };
+  OrderIndexMeasurement m;
+  m.entries = entries;
+  m.dirty = dirty;
+  m.rekey_ns = (per_round(rekey_ns) - per_round(clock_ns)) / dirty;
+  m.materialize_ns = per_round(materialize_ns) - per_round(clock_ns);
+  return m;
+}
+
 int run(int argc, char** argv) {
   int coflows = 500;
   int rounds = 2000;
@@ -306,8 +378,32 @@ int run(int argc, char** argv) {
               e_full.epochs_per_sec);
   std::printf("%-26s %14.2f %14.2f\n", "order us/round",
               e_inc.order_us_per_round, e_full.order_us_per_round);
-  std::printf("end-to-end ratio: %.2fx   results identical: %s\n",
+  std::printf("end-to-end ratio: %.2fx   results identical: %s\n\n",
               end_to_end_ratio, engine_identical ? "yes" : "NO");
+
+  std::vector<OrderIndexMeasurement> primitives;
+  std::printf("%-26s %14s %14s\n", "OrderIndex (entries/dirty)",
+              "re-key ns", "materialize ns");
+  for (const int entries : {50, 500, 5000}) {
+    for (const int dirty : {1, entries / 10}) {
+      primitives.push_back(run_order_index(entries, dirty));
+      const auto& m = primitives.back();
+      std::printf("%-26s %14.1f %14.1f\n",
+                  (std::to_string(entries) + " / " + std::to_string(dirty))
+                      .c_str(),
+                  m.rekey_ns, m.materialize_ns);
+    }
+  }
+  std::string primitives_json;
+  for (const auto& m : primitives) {
+    char row[160];
+    std::snprintf(row, sizeof row,
+                  "%s\n    {\"entries\": %d, \"dirty\": %d, "
+                  "\"rekey_ns\": %.1f, \"materialize_ns\": %.1f}",
+                  primitives_json.empty() ? "" : ",", m.entries, m.dirty,
+                  m.rekey_ns, m.materialize_ns);
+    primitives_json += row;
+  }
 
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
@@ -344,7 +440,8 @@ int run(int argc, char** argv) {
       "    \"full\": {\"wall_ms\": %.3f, \"epochs\": %d, "
       "\"epochs_per_sec\": %.1f, \"order_us_per_round\": %.3f},\n"
       "    \"end_to_end_ratio\": %.2f\n"
-      "  }\n"
+      "  },\n"
+      "  \"order_index\": [%s\n  ]\n"
       "}\n",
       coflows, rounds, identical ? "true" : "false", inc.order_ns_per_round,
       inc.crossing_ns_per_round, inc.admit_ns_per_round,
@@ -363,7 +460,7 @@ int run(int argc, char** argv) {
       static_cast<long long>(e_inc.delta_rounds),
       static_cast<long long>(e_inc.replayed_ranks), e_full.wall_ms,
       e_full.epochs, e_full.epochs_per_sec, e_full.order_us_per_round,
-      end_to_end_ratio);
+      end_to_end_ratio, primitives_json.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());
   return identical ? 0 : 2;

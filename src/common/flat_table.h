@@ -1,20 +1,23 @@
-// Open-addressed hash table for the spatial index's per-event lookups.
+// Open-addressed hash table for per-event lookups by id or slot: the
+// spatial index's id -> slot and pair-overlap tables, and Saath's
+// per-round id tables (admission order, crossing heap, candidates).
 //
 // Linear probing over a power-of-two cell array kept at most half full,
 // with backward-shift deletion (no tombstones), so probe runs stay short
 // under unbounded insert/erase churn. Capacity only grows: a table that
 // once held n keys holds n again without allocating, which is what keeps
-// the index's arrival/completion/removal cycle allocation-free once warm.
-// Cells are addressed by index, so a caller finds, updates and erases an
-// entry with one probe sequence.
+// arrival/completion/removal cycles allocation-free once warm. Cells are
+// addressed by index, so a caller finds, updates and erases an entry with
+// one probe sequence.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
-namespace saath::spatial {
+namespace saath {
 
 /// `kEmpty` marks a free cell and is never a valid key.
 template <typename Key, typename Value, Key kEmpty>
@@ -38,6 +41,7 @@ class FlatTable {
       if (cells_[i].key == kEmpty) return npos;
     }
   }
+  [[nodiscard]] bool contains(Key key) const { return find(key) != npos; }
 
   /// Cell index of `key`, inserted with a value-initialized Value when
   /// absent. Grows only when a new key would fill more than half the cells.
@@ -128,4 +132,10 @@ class FlatTable {
   unsigned shift_ = 64;
 };
 
-}  // namespace saath::spatial
+/// A table keyed by an id's int64 value (CoflowId::value), which is never
+/// INT64_MIN.
+template <typename Value>
+using IdTable =
+    FlatTable<std::int64_t, Value, std::numeric_limits<std::int64_t>::min()>;
+
+}  // namespace saath

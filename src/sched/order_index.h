@@ -7,14 +7,18 @@
 //   (expired, deadline | queue, contention-or-arrival, arrival, id)
 // which the scheduler used to rebuild with a full std::sort every epoch,
 // even when a single flow completion was the only change. OrderIndex keeps
-// that order as a maintained structure: one ordered map under the exact
-// comparator the sort used (expired CoFlows float to the front by deadline
-// — the "expired-deadline head" — followed by the per-queue runs), updated
-// in O(log F) per arrival, completion, queue move, contention change or
-// deadline expiry. Materialization reuses the previously emitted prefix up
-// to the first dirtied rank, so an epoch whose deltas all land late in the
-// order re-walks only the tail — and the admission pass can replay its
-// cached decisions for the untouched prefix.
+// that order as a maintained structure under the exact comparator the sort
+// used (expired CoFlows float to the front by deadline — the
+// "expired-deadline head" — followed by the per-queue runs). Entries live
+// in a flat array found through one open-addressed table probe; an
+// arrival, completion, queue move, contention change or deadline expiry
+// writes the key in place and marks the entry moved. Materialization
+// keeps the previously emitted prefix up to the first dirtied rank, keeps
+// the old tail's entries that neither moved nor left (still sorted), sorts
+// only the moved ones and merges the two, so a round costs O(tail + m log m)
+// for m moved entries. An epoch whose deltas all land late in the order
+// re-walks only the tail — and the admission pass can replay its cached
+// decisions for the untouched prefix.
 //
 // QueueCrossingHeap is the companion time-trigger structure: each CoFlow's
 // next queue-threshold crossing instant is programmed into a
@@ -22,19 +26,22 @@
 // instead of rescanning every flow of every CoFlow, and
 // schedule_valid_until() reads the top in O(1). The heap only stores
 // instants; the scheduler derives them from the closed-form FlowState
-// trajectories (sched/saath.cc), so nothing here reads a flow.
+// trajectories (sched/saath.cc), so nothing here reads a flow. DeadlineHeap
+// holds the other time trigger, the unexpired D5 deadlines.
+//
+// Every structure here is flat — vectors and FlatTables that keep their
+// capacity — so once warm a round allocates nothing.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "coflow/coflow.h"
 #include "common/expect.h"
+#include "common/flat_table.h"
 #include "common/ids.h"
 #include "common/time.h"
 
@@ -65,27 +72,35 @@ struct OrderKey {
 
 class OrderIndex {
  public:
-  /// Adds a CoFlow under `k`. Must not already be present.
-  void insert(CoflowState* c, const OrderKey& k);
+  /// An entry's handle: stable from insert() until the materialize() after
+  /// its erase(), so one table probe serves every call on the entry.
+  using Slot = std::uint32_t;
+  static constexpr Slot npos = ~Slot{0};
+
+  /// Adds a CoFlow under `k` and returns its slot. Must not already be
+  /// present.
+  Slot insert(CoflowState* c, const OrderKey& k);
 
   /// Removes a CoFlow (no-op when absent, so completion deltas can be
   /// replayed idempotently).
   void erase(CoflowId id);
 
-  /// Re-keys `id` to `k` (O(log F); exact no-op when the key is unchanged).
-  void update(CoflowId id, const OrderKey& k);
+  /// The slot holding `id`, or npos.
+  [[nodiscard]] Slot find(CoflowId id) const;
+  [[nodiscard]] CoflowState* state(Slot s) const { return entry(s).state; }
 
-  /// Marks `id` dirty for materialization without changing its key: any
-  /// rank at or after it loses prefix-replay eligibility. Used when a
-  /// CoFlow's *state* changed (flow completed, data-availability flipped)
-  /// in a way the order key does not capture but admission depends on.
-  void touch(CoflowId id);
+  /// Re-keys the entry at `s` to `k` in place (exact no-op when the key is
+  /// unchanged). Returns whether the key changed.
+  bool update(Slot s, const OrderKey& k);
 
-  [[nodiscard]] bool contains(CoflowId id) const {
-    return by_id_.find(id) != by_id_.end();
-  }
-  [[nodiscard]] CoflowState* state_of(CoflowId id) const;
-  [[nodiscard]] std::size_t size() const { return by_id_.size(); }
+  /// Marks the entry at `s` dirty for materialization without changing its
+  /// key: any rank at or after it loses prefix-replay eligibility. Used
+  /// when a CoFlow's *state* changed (flow completed, data-availability
+  /// flipped) in a way the order key does not capture but admission
+  /// depends on.
+  void touch(Slot s) { dirty_at(entry(s).key); }
+
+  [[nodiscard]] std::size_t size() const { return slot_of_.size(); }
 
   /// Rebuilds the materialized total order, reusing the still-clean prefix
   /// of the previous materialization. Returns the first rank that may
@@ -102,14 +117,31 @@ class OrderIndex {
   }
 
  private:
-  using Map = std::map<OrderKey, CoflowState*>;
+  struct Entry {
+    OrderKey key;
+    CoflowState* state = nullptr;
+    bool live = false;
+    /// Inserted or re-keyed since the last materialize (listed in moved_).
+    bool moved = false;
+  };
+  [[nodiscard]] const Entry& entry(Slot s) const {
+    SAATH_EXPECTS(s < entries_.size() && entries_[s].live);
+    return entries_[s];
+  }
   void dirty_at(const OrderKey& k);
 
-  Map order_;
-  std::unordered_map<CoflowId, Map::iterator> by_id_;
-  /// Materialization cache + the keys it was emitted under.
+  std::vector<Entry> entries_;
+  IdTable<Slot> slot_of_;
+  /// Slots free for insert(), and slots erased since the last materialize:
+  /// the cached order still names those, so they are freed only by it.
+  std::vector<Slot> free_;
+  std::vector<Slot> erased_;
+  std::vector<Slot> moved_;
+  /// Materialization cache: states, the keys they were emitted under, and
+  /// their slots.
   std::vector<CoflowState*> cached_;
   std::vector<OrderKey> cached_keys_;
+  std::vector<Slot> cached_slots_;
   bool dirty_any_ = false;
   OrderKey dirty_floor_{};
 };
@@ -150,10 +182,10 @@ class QueueCrossingHeap {
       const Item top = heap_.front();
       std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
       heap_.pop_back();
-      const auto it = live_.find(top.id);
-      if (it == live_.end() || it->second.seq != top.seq) continue;  // stale
-      CoflowState* c = it->second.state;
-      live_.erase(it);
+      const std::size_t cell = live_.find(top.id.value);
+      if (cell == live_.npos || live_.value(cell).seq != top.seq) continue;
+      CoflowState* c = live_.value(cell).state;
+      live_.erase_at(cell);
       fn(c);
     }
   }
@@ -184,6 +216,9 @@ class QueueCrossingHeap {
   /// rebuild when the batch is large relative to the heap, per-item sifts
   /// otherwise. Safe to defer — among comparator-equal items only the
   /// live seq survives the pop-side check, so batch order is unobservable.
+  /// Stale items otherwise leave only at the top, so when they outnumber
+  /// the live entries the batch also drops them all: the heap stays
+  /// bounded by the live CoFlows, and a warm heap stops growing.
   void flush() const;
 
   /// Sifted min-heap (front = earliest) + the unbatched program() tail.
@@ -191,8 +226,56 @@ class QueueCrossingHeap {
   /// (schedule_valid_until is const); both keep capacity across epochs.
   mutable std::vector<Item> heap_;
   mutable std::vector<Item> pending_;
-  std::unordered_map<CoflowId, Live> live_;
+  IdTable<Live> live_;
   std::uint64_t next_seq_ = 0;
+};
+
+/// Unexpired D5 deadlines as an indexed min-heap: at most one entry per
+/// CoFlow, popped in (deadline, id) order — the order of the set of
+/// (deadline, id) pairs it replaced — so expiries and the earliest
+/// deadline are the set's. Positions live in a flat table, so re-keying
+/// and erasing sift in place and a warm heap allocates nothing.
+class DeadlineHeap {
+ public:
+  /// Sets `id`'s deadline to `at`, adding the entry when absent.
+  void set(CoflowId id, SimTime at);
+  /// Drops `id`'s entry (no-op when absent).
+  void erase(CoflowId id);
+
+  /// Earliest deadline, kNever when empty.
+  [[nodiscard]] SimTime next() const {
+    return heap_.empty() ? kNever : heap_.front().at;
+  }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+
+  /// Pops every entry due at `now` (deadline <= now) into `fn(CoflowId)`,
+  /// in (deadline, id) order.
+  template <typename Fn>
+  void pop_due(SimTime now, Fn&& fn) {
+    while (!heap_.empty() && heap_.front().at <= now) {
+      const CoflowId id = heap_.front().id;
+      remove_at(0);
+      fn(id);
+    }
+  }
+
+ private:
+  struct Item {
+    SimTime at = kNever;
+    CoflowId id{};
+    friend bool operator<(const Item& a, const Item& b) {
+      if (a.at != b.at) return a.at < b.at;
+      return a.id < b.id;
+    }
+  };
+  void remove_at(std::size_t i);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Writes `item` at heap index i and records its position.
+  void place(std::size_t i, const Item& item);
+
+  std::vector<Item> heap_;
+  IdTable<std::uint32_t> pos_;
 };
 
 }  // namespace saath

@@ -163,7 +163,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::on_coflow_complete(CoflowState& coflow,
   queue_population_.remove(coflow.queue_index);
   // Drop the CoFlow from the delta structures right away (all no-ops when
   // they are empty or never held it) so nothing retains its pointer.
-  pending_deadlines_.erase({coflow.deadline, coflow.id()});
+  deadlines_.erase(coflow.id());
   forget_coflow(coflow.id());
 }
 
@@ -177,7 +177,7 @@ void SaathScheduler::on_coflow_quarantined(CoflowState& coflow, SimTime now) {
 void SaathScheduler::forget_coflow(CoflowId id) {
   order_.erase(id);
   crossings_.erase(id);
-  volatile_.erase(id);
+  volatile_.erase(id.value);
 }
 
 int SaathScheduler::target_queue(const CoflowState& c, SimTime now) const {
@@ -205,16 +205,13 @@ void SaathScheduler::stamp_deadlines(SimTime now,
   // from the delta-maintained tracker, after ALL of this round's moves) and
   // t its minimum residence time — the FIFO drain-time bound.
   for (CoflowState* c : entered) {
-    if (c->deadline != kNever) {
-      pending_deadlines_.erase({c->deadline, c->id()});
-    }
     const int population = queue_population_.count(c->queue_index);
     const double t_q =
         queues_.min_residence_seconds(c->queue_index, port_bandwidth);
     c->deadline =
         now + static_cast<SimTime>(config_.deadline_factor * population * t_q *
                                    1e6);
-    pending_deadlines_.insert({c->deadline, c->id()});
+    deadlines_.set(c->id(), c->deadline);
   }
 }
 
@@ -478,10 +475,9 @@ void SaathScheduler::schedule(SimTime now,
   schedule(now, active, fabric, rates, SchedulerDelta{});
 }
 
-void SaathScheduler::schedule(SimTime now,
-                              std::span<CoflowState* const> active,
-                              Fabric& fabric, RateAssignment& rates,
-                              const SchedulerDelta& delta) {
+SAATH_HOT_NOALLOC void SaathScheduler::schedule(
+    SimTime now, std::span<CoflowState* const> active, Fabric& fabric,
+    RateAssignment& rates, const SchedulerDelta& delta) {
   ++stats_.rounds;
   // Membership comes from the lifecycle hooks (sim/scheduler.h); these O(1)
   // counts catch a caller that skipped an arrival or a completion.
@@ -498,6 +494,9 @@ void SaathScheduler::schedule(SimTime now,
   const bool every = delta.stream_id == 0 || delta.stream_id != stream_;
   stream_ = delta.stream_id;
   if (!every) ++stats_.delta_rounds;
+  // Greedy admission never replays, so a fence would only lower the
+  // materialize floor.
+  const bool fence = config_.all_or_none;
   const auto t0 = Clock::now();
 
   // ---- 1. Gather this round's re-bucket candidates: a CoFlow's queue can
@@ -507,10 +506,11 @@ void SaathScheduler::schedule(SimTime now,
   //         their queue — they only need the admission-replay fence and,
   //         for contention, the spatial drain below.
   candidates_.clear();
-  candidate_ids_.clear();
   touch_only_.clear();
   const auto add_candidate = [&](CoflowState* c) {
-    if (candidate_ids_.insert(c->id()).second) candidates_.push_back(c);
+    if (candidate_ids_.insert(c->id().value).inserted) {
+      candidates_.push_back(c);
+    }
   };
   if (every) {
     for (CoflowState* c : active) {
@@ -529,22 +529,26 @@ void SaathScheduler::schedule(SimTime now,
     }
     for (CoflowState* c : delta.dirty) {
       if (c->finished()) continue;
-      if (!order_.contains(c->id()) ||
-          (is_volatile(*c) && !volatile_.contains(c->id()))) {
+      const OrderIndex::Slot slot = order_.find(c->id());
+      if (slot == OrderIndex::npos ||
+          (is_volatile(*c) && !volatile_.contains(c->id().value))) {
         // Arrival (needs its first bucket) or a flagged CoFlow whose first
         // finished flow just armed the SRTF estimate.
         add_candidate(c);
-      } else {
-        touch_only_.push_back(c);
+      } else if (fence) {
+        touch_only_.push_back(slot);
       }
     }
   }
   crossings_.pop_due(now, [&](CoflowState* c) {
     if (!c->finished()) add_candidate(c);
   });
-  for (const CoflowId id : volatile_) {
-    add_candidate(order_.state_of(id));
-  }
+  volatile_.for_each([&](std::int64_t id, bool) {
+    const OrderIndex::Slot slot = order_.find(CoflowId{id});
+    SAATH_EXPECTS(slot != OrderIndex::npos);
+    add_candidate(order_.state(slot));
+  });
+  for (const CoflowState* c : candidates_) candidate_ids_.erase(c->id().value);
 
   // ---- 2. Re-bucket candidates (queue moves carry the population and
   //         the spatial index groups; arrivals joined both at their hook).
@@ -558,56 +562,55 @@ void SaathScheduler::schedule(SimTime now,
       entered_.push_back(c);
     }
     if (tracks_index()) spatial_.set_group(c->id(), c->queue_index);
-    if (is_volatile(*c)) volatile_.insert(c->id());
+    if (is_volatile(*c)) volatile_.insert(c->id().value);
   }
 
   // ---- 3. Stamp D5 deadlines for entered CoFlows (post-move populations),
   //         then expire due ones.
   stamp_deadlines(now, entered_, fabric.port_bandwidth());
-  while (!pending_deadlines_.empty() &&
-         pending_deadlines_.begin()->first <= now) {
-    const CoflowId id = pending_deadlines_.begin()->second;
-    pending_deadlines_.erase(pending_deadlines_.begin());
-    if (order_.contains(id)) {
-      CoflowState* c = order_.state_of(id);
-      order_.update(id, make_key(*c, now, order_key_component(*c)));
-    }
-  }
+  deadlines_.pop_due(now, [&](CoflowId id) {
+    const OrderIndex::Slot slot = order_.find(id);
+    if (slot == OrderIndex::npos) return;
+    CoflowState* c = order_.state(slot);
+    order_.update(slot, make_key(*c, now, order_key_component(*c)));
+  });
 
-  // ---- 4. Re-key CoFlows whose contention the spatial index reports as
-  //         actually changed (completions since last round, this round's
-  //         group moves) — the O(changed log F) core of the refactor.
-  if (tracks_index()) {
-    for (const CoflowId id : spatial_.contention_changes()) {
-      if (!order_.contains(id) || candidate_ids_.contains(id)) continue;
-      CoflowState* c = order_.state_of(id);
-      order_.update(id, make_key(*c, now, spatial_.contention(id)));
-      ++stats_.rekeys;
-    }
-    spatial_.clear_contention_changes();
-  }
-
-  // ---- 5. Re-key + fence every candidate: update() dirties moved keys,
+  // ---- 4. Re-key + fence every candidate: update() dirties moved keys,
   //         touch() fences same-key state changes out of admission replay.
   //         Plain-dirty CoFlows kept their key — touch alone fences them.
   for (CoflowState* c : candidates_) {
     const OrderKey k = make_key(*c, now, order_key_component(*c));
-    if (order_.contains(c->id())) {
-      order_.update(c->id(), k);
+    OrderIndex::Slot slot = order_.find(c->id());
+    if (slot != OrderIndex::npos) {
+      order_.update(slot, k);
     } else {
-      order_.insert(c, k);
+      slot = order_.insert(c, k);
       // A CoFlow can arrive with a deadline already stamped (restored from
       // a checkpoint, or kept through quarantine); unexpired, it is still a
       // trigger.
       if (config_.deadline_factor > 0 && c->deadline != kNever &&
           c->deadline > now) {
-        pending_deadlines_.insert({c->deadline, c->id()});
+        deadlines_.set(c->id(), c->deadline);
       }
     }
-    order_.touch(c->id());
+    if (fence) order_.touch(slot);
   }
-  for (CoflowState* c : touch_only_) {
-    order_.touch(c->id());
+  for (const OrderIndex::Slot slot : touch_only_) order_.touch(slot);
+
+  // ---- 5. Re-key CoFlows whose contention the spatial index reports as
+  //         actually changed (completions since last round, this round's
+  //         group moves) — O(1) each. A candidate's key already reads its
+  //         current contention, so its re-key here is an exact no-op.
+  if (tracks_index()) {
+    for (const CoflowId id : spatial_.contention_changes()) {
+      const OrderIndex::Slot slot = order_.find(id);
+      if (slot == OrderIndex::npos) continue;
+      CoflowState* c = order_.state(slot);
+      if (order_.update(slot, make_key(*c, now, spatial_.contention(id)))) {
+        ++stats_.rekeys;
+      }
+    }
+    spatial_.clear_contention_changes();
   }
 
   // ---- 6. Materialize, reusing the untouched sorted prefix.
@@ -642,14 +645,13 @@ SimTime SaathScheduler::schedule_valid_until(
   (void)active;
   // No stream: the caller reports no deltas, so recompute every epoch.
   if (stream_ == 0) return now;
-  // On a stream the crossing heap and deadline set ARE the triggers — O(1).
+  // On a stream the crossing and deadline heaps ARE the triggers — O(1).
   if (!volatile_.empty()) return now;
   SimTime until = std::numeric_limits<SimTime>::max();
   const SimTime cross = crossings_.next();
   if (cross != kNever) until = std::min(until, cross);
-  if (!pending_deadlines_.empty()) {
-    until = std::min(until, pending_deadlines_.begin()->first);
-  }
+  const SimTime deadline = deadlines_.next();
+  if (deadline != kNever) until = std::min(until, deadline);
   return until;
 }
 

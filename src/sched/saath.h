@@ -32,14 +32,17 @@
 // CoFlow keeps the lowest queue it reached.
 //
 // The schedule phase is one incremental pass per round: the admission order
-// lives in an OrderIndex updated in O(log F) per event, queue reassignment
-// pops due threshold crossings from a QueueCrossingHeap instead of
-// rescanning every flow, and the all-or-none admission pass replays its
-// cached decisions for the untouched sorted prefix. Under per-flow
-// thresholds a re-rated CoFlow's next crossing is folded in by the loops
-// that set its rates (the equal-rate admission and the backfill) instead
-// of a second walk over all of its flows. That is exact only because every
-// flow enters schedule() at rate 0 — the engine's
+// lives in an OrderIndex, a flat array re-keyed in place per event and
+// merged back into sorted order once a round, queue reassignment pops due
+// threshold crossings from a QueueCrossingHeap instead of rescanning every
+// flow, and the all-or-none admission pass replays its cached decisions for
+// the untouched sorted prefix. Every per-round container is flat (vectors
+// and open-addressed id tables that keep their capacity, keyed by CoflowId
+// rather than by state pointer), so once warm a round allocates nothing.
+// Under per-flow thresholds a re-rated CoFlow's next crossing is folded in
+// by the loops that set its rates (the equal-rate admission and the
+// backfill) instead of a second walk over all of its flows. That is exact
+// only because every flow enters schedule() at rate 0 — the engine's
 // RateAssignment::begin_epoch and the blank-slate overload for direct
 // callers zero the previous round's rates — so the flows a round rated are
 // all the rated flows; each folded CoFlow checks this in O(1) against
@@ -62,11 +65,10 @@
 
 #include <cstdint>
 #include <limits>
-#include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "sched/order_index.h"
 #include "sched/queue_structure.h"
 #include "sim/scheduler.h"
@@ -125,8 +127,8 @@ struct SaathPhaseStats {
   std::int64_t delta_rounds = 0;
   /// Admission ranks replayed from the cached prefix.
   std::int64_t replayed_ranks = 0;
-  /// Churn diagnostics: re-bucketed candidates, contention-drain order
-  /// re-keys, and materialized-suffix length.
+  /// Churn diagnostics: re-bucketed candidates, contention-drain re-keys
+  /// that moved a key, and materialized-suffix length.
   std::int64_t candidates = 0;
   std::int64_t rekeys = 0;
   std::int64_t suffix_walked = 0;
@@ -183,7 +185,7 @@ class SaathScheduler final : public Scheduler {
   /// a queue-threshold crossing at current rates or a starvation deadline
   /// expiring. Lets the engine skip quiescent epochs (§4 Table 2: the
   /// coordinator only works when the spatial state moved). O(1) off the
-  /// crossing heap + deadline set after a round on an engine stream; `now`
+  /// crossing heap + deadline heap after a round on an engine stream; `now`
   /// (recompute every epoch) after a round with no stream.
   [[nodiscard]] SimTime schedule_valid_until(
       SimTime now, std::span<CoflowState* const> active) const override;
@@ -241,7 +243,7 @@ class SaathScheduler final : public Scheduler {
   /// this round.
   [[nodiscard]] int target_queue(const CoflowState& c, SimTime now) const;
   /// D5 stamp for every CoFlow that entered a queue this round, using the
-  /// post-move populations; maintains the pending-deadline set.
+  /// post-move populations; maintains the deadline heap.
   void stamp_deadlines(SimTime now, std::span<CoflowState* const> entered,
                        Rate port_bandwidth);
   [[nodiscard]] bool all_ports_available(const CoflowState& c,
@@ -324,12 +326,12 @@ class SaathScheduler final : public Scheduler {
   //     first of a new one, re-keys every CoFlow into it ------------------
   OrderIndex order_;
   QueueCrossingHeap crossings_;
-  /// Unexpired D5 deadlines, ordered; head feeds schedule_valid_until.
-  std::set<std::pair<SimTime, CoflowId>> pending_deadlines_;
+  /// Unexpired D5 deadlines; the head feeds schedule_valid_until.
+  DeadlineHeap deadlines_;
   /// CoFlows on the §4.3 estimate path (dynamics-flagged with finished
-  /// flows): re-bucketed every round, and the skip is disabled while any
-  /// exist.
-  std::unordered_set<CoflowId> volatile_;
+  /// flows), by id (values unused): re-bucketed every round, and the skip
+  /// is disabled while any exist.
+  IdTable<bool> volatile_;
   /// Admission decisions aligned with the last materialized order.
   std::vector<AdmitDecision> admit_cache_;
   /// Fabric::capacity_version() the cached admissions were computed under.
@@ -338,9 +340,11 @@ class SaathScheduler final : public Scheduler {
   std::uint64_t stream_ = 0;
   /// Scratch (kept across rounds to reuse capacity).
   std::vector<CoflowState*> candidates_;
-  std::unordered_set<CoflowId> candidate_ids_;
-  /// Dirty CoFlows that provably kept their key (fence only).
-  std::vector<CoflowState*> touch_only_;
+  /// Deduplicates candidates_ while step 1 gathers it; empty otherwise.
+  IdTable<bool> candidate_ids_;
+  /// Order slots of dirty CoFlows that provably kept their key (fence
+  /// only).
+  std::vector<OrderIndex::Slot> touch_only_;
   std::vector<CoflowState*> entered_;
   std::vector<CoflowState*> missed_scratch_;
   /// CoFlows whose trajectory this round changed → crossing re-program.

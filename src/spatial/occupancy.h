@@ -25,13 +25,12 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
 #include "coflow/coflow.h"
+#include "common/flat_table.h"
 #include "common/ids.h"
-#include "spatial/flat_table.h"
 
 namespace saath::spatial {
 
@@ -105,8 +104,7 @@ class OccupancyIndex {
   [[nodiscard]] std::size_t occupied_slots(CoflowId id) const;
 
  private:
-  using SlotTable =
-      FlatTable<std::int64_t, Slot, std::numeric_limits<std::int64_t>::min()>;
+  using SlotTable = IdTable<Slot>;
 
   struct Seat {
     CoflowId id;

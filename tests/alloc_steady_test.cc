@@ -1,8 +1,9 @@
 // Steady-state zero-allocation contract (ISSUE 8 / S2): once warm, a
 // scheduling epoch over a fixed flow population must perform NO heap
 // allocations in the epoch-cycled structures — RateAssignment's touched
-// set, SchedulerDelta's dirty/requeue lists, CompletionHeap and
-// QueueCrossingHeap. All of them recycle vector capacity across epochs.
+// set, SchedulerDelta's dirty/requeue lists, CompletionHeap,
+// QueueCrossingHeap, the spatial index and Saath's hooks and rounds. All
+// of them recycle vector and flat-table capacity across epochs.
 //
 // This binary (and only this binary) replaces the global operator
 // new/delete with counting shims over malloc/free, so an allocation
@@ -157,7 +158,7 @@ TEST(AllocSteady, QueueCrossingHeapReprogramRecyclesCapacity) {
 
   const std::uint64_t delta = measure_steady_allocs([&](int e) {
     // Steady-state re-rates re-derive each CoFlow's crossing instant and
-    // re-program it: the live_ node is reused (same id), the superseded
+    // re-program it: the live_ cell is reused (same id), the superseded
     // heap items go stale and prune at the top of next().
     heap.program(&c0, seconds(e + 1), /*traj=*/static_cast<std::uint64_t>(e),
                  /*queue=*/0);
@@ -235,12 +236,19 @@ TEST(AllocSteady, SpatialIndexChurnRecyclesCapacity) {
   EXPECT_EQ(index.size(), static_cast<std::size_t>(kResident));
 }
 
-TEST(AllocSteady, SaathLifecycleHooksRecycleCapacity) {
-  // A warm Saath over a resident population sees one stream lifecycle per
-  // epoch, the engine way: a fresh CoFlow arrives, rides a delta round,
-  // completes flow by flow and leaves. Only the hooks are counted: building
-  // the CoflowState, its own completion bookkeeping and the schedule()
-  // rounds allocate by design and happen outside.
+/// Allocations a warm Saath makes over the measured stream lifecycles,
+/// split between its lifecycle hooks and its schedule() rounds.
+struct SaathAllocs {
+  std::uint64_t hooks = 0;
+  std::uint64_t rounds = 0;
+};
+
+/// A warm Saath over a resident population sees one stream lifecycle per
+/// epoch, the engine way: a fresh CoFlow arrives, rides a delta round,
+/// completes flow by flow and leaves, and a second round follows. Only the
+/// hooks and the rounds are counted: building the CoflowState and its own
+/// completion bookkeeping allocate by design and happen outside.
+SaathAllocs measure_saath_lifecycles(SaathScheduler& sched) {
   constexpr int kResident = 32;
   constexpr int kPorts = 16;
   constexpr int kWidth = 4;
@@ -256,7 +264,6 @@ TEST(AllocSteady, SaathLifecycleHooksRecycleCapacity) {
     return state;
   };
 
-  SaathScheduler sched;
   Fabric fabric(kPorts, 1e9);
   RateAssignment rates(kPorts);
   SchedulerDelta delta;
@@ -269,35 +276,38 @@ TEST(AllocSteady, SaathLifecycleHooksRecycleCapacity) {
     sched.on_coflow_arrival(*active.back(), 0);
     delta.mark(active.back());
   }
+  active.reserve(kResident + 1);
+
+  SaathAllocs allocs;
+  const auto counted = [](std::uint64_t& into, auto&& call) {
+    const std::uint64_t before = debug_alloc_count();
+    call();
+    into += debug_alloc_count() - before;
+  };
   const auto round = [&](SimTime now) {
     fabric.reset();
     rates.begin_epoch(now);
-    sched.schedule(now, active, fabric, rates, delta);
+    counted(allocs.rounds,
+            [&] { sched.schedule(now, active, fabric, rates, delta); });
     delta.clear_marks();
   };
   round(0);
 
-  std::uint64_t hook_allocs = 0;
-  const auto counted = [&hook_allocs](auto&& call) {
-    const std::uint64_t before = debug_alloc_count();
-    call();
-    hook_allocs += debug_alloc_count() - before;
-  };
   const auto cycle = [&](int e) {
     const SimTime now = msec(8) * (e + 1);
     const auto arrival = fresh(kResident + e, 1000);
     CoflowState& c = *arrival;
-    counted([&] { sched.on_coflow_arrival(c, now); });
+    counted(allocs.hooks, [&] { sched.on_coflow_arrival(c, now); });
     active.push_back(&c);
     delta.mark(&c);
     round(now);
     for (FlowState& f : c.flows()) {
       rates.flow_stopped(f);
       c.on_flow_complete(f, now);
-      counted([&] { sched.on_flow_complete(c, f, now); });
+      counted(allocs.hooks, [&] { sched.on_flow_complete(c, f, now); });
       delta.mark(&c);
     }
-    counted([&] { sched.on_coflow_complete(c, now); });
+    counted(allocs.hooks, [&] { sched.on_coflow_complete(c, now); });
     active.pop_back();
     // The next round still sees the finished CoFlow in its delta, and its
     // begin_epoch releases the flows the previous round rated.
@@ -305,13 +315,33 @@ TEST(AllocSteady, SaathLifecycleHooksRecycleCapacity) {
   };
 
   for (int e = 0; e < kWarmupEpochs; ++e) cycle(e);
-  hook_allocs = 0;
+  allocs = {};
   for (int e = kWarmupEpochs; e < kWarmupEpochs + kMeasuredEpochs; ++e) {
     cycle(e);
   }
-  EXPECT_EQ(hook_allocs, 0u);
-  EXPECT_EQ(sched.spatial_index().size(), static_cast<std::size_t>(kResident));
   EXPECT_GT(sched.phase_stats().delta_rounds, 0);
+  return allocs;
+}
+
+TEST(AllocSteady, SaathLifecycleHooksRecycleCapacity) {
+  SaathScheduler sched;
+  const SaathAllocs allocs = measure_saath_lifecycles(sched);
+  EXPECT_EQ(allocs.hooks, 0u);
+  EXPECT_EQ(sched.spatial_index().size(), 32u);
+}
+
+// The rounds of the same lifecycles: the admission order, the candidate and
+// volatile tables, the crossing and deadline heaps and every scratch list
+// keep their capacity, so a warm round allocates nothing either — with
+// deadlines on (the default preset) and under the all-off Aalo preset.
+TEST(AllocSteady, SaathRoundsRecycleCapacity) {
+  for (const bool aalo : {false, true}) {
+    SCOPED_TRACE(aalo ? "aalo" : "saath");
+    SaathScheduler sched(aalo ? aalo_config() : SaathConfig{});
+    const SaathAllocs allocs = measure_saath_lifecycles(sched);
+    EXPECT_EQ(allocs.rounds, 0u);
+    EXPECT_EQ(allocs.hooks, 0u);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
+#include "common/flat_table.h"
 #include "common/histogram.h"
 #include "common/ids.h"
 #include "common/rng.h"
@@ -217,6 +222,90 @@ TEST(LogHistogram, MergeMatchesSequentialRecord) {
   EXPECT_DOUBLE_EQ(a.max(), both.max());
   for (double p : {10.0, 50.0, 90.0, 99.0}) {
     EXPECT_DOUBLE_EQ(a.percentile(p), both.percentile(p));
+  }
+}
+
+// ---------------------------------------------------------------- FlatTable
+
+/// Cell a key lands in when it is alone in a fresh 8-cell table: its home.
+std::size_t home_in_8(std::int64_t key) {
+  IdTable<int> probe;
+  return probe.insert(key).index;
+}
+
+// Linear probing runs past the last cell back to cell 0; erasing inside
+// such a run must shift the later members back across the wrap.
+TEST(FlatTable, ProbeRunsWrapTheCellArray) {
+  std::vector<std::int64_t> last;  // keys whose home is cell 7
+  std::int64_t first = -1;         // a key whose home is cell 0
+  for (std::int64_t k = 0; last.size() < 3 || first < 0; ++k) {
+    const std::size_t home = home_in_8(k);
+    if (home == 7 && last.size() < 3) last.push_back(k);
+    if (home == 0 && first < 0) first = k;
+  }
+  // An 8-cell table holds up to four keys before it grows.
+  IdTable<int> table;
+  for (const std::int64_t k : {last[0], last[1], first, last[2]}) {
+    const auto hit = table.insert(k);
+    ASSERT_TRUE(hit.inserted);
+    table.value(hit.index) = static_cast<int>(k);
+  }
+  EXPECT_EQ(table.find(last[0]), 7u);
+  EXPECT_EQ(table.find(last[1]), 0u);
+  EXPECT_EQ(table.find(first), 1u);
+  EXPECT_EQ(table.find(last[2]), 2u);
+
+  // Erasing cell 0 pulls `first` home and last[2] one cell back.
+  table.erase_at(table.find(last[1]));
+  EXPECT_EQ(table.find(last[1]), table.npos);
+  EXPECT_EQ(table.find(first), 0u);
+  EXPECT_EQ(table.find(last[2]), 1u);
+  // Erasing cell 7 pulls last[2] back across the wrap; `first` stays home.
+  EXPECT_TRUE(table.erase(last[0]));
+  EXPECT_EQ(table.find(last[2]), 7u);
+  EXPECT_EQ(table.find(first), 0u);
+  EXPECT_EQ(table.value(table.find(last[2])), static_cast<int>(last[2]));
+  EXPECT_EQ(table.size(), 2u);
+}
+
+// Insert, find, erase_at and erase churn against std::unordered_map, with
+// growth from empty to thousands of keys and back down.
+TEST(FlatTable, ChurnMatchesUnorderedMap) {
+  IdTable<int> table;
+  std::unordered_map<std::int64_t, int> model;
+  std::mt19937_64 rng(7);
+  for (int step = 0; step < 200000; ++step) {
+    // Mostly inserts in the first half, mostly erases in the second.
+    const bool growing = step < 100000;
+    const auto key = static_cast<std::int64_t>(rng() % 6000) - 3000;
+    const auto roll = rng() % 8;
+    if (roll < (growing ? 5u : 2u)) {
+      const auto hit = table.insert(key);
+      ASSERT_EQ(hit.inserted, !model.contains(key)) << "step " << step;
+      table.value(hit.index) = step;
+      model[key] = step;
+    } else if (roll < 6) {
+      const std::size_t i = table.find(key);
+      ASSERT_EQ(i != table.npos, model.contains(key)) << "step " << step;
+      if (i == table.npos) continue;
+      ASSERT_EQ(table.value(i), model.at(key)) << "step " << step;
+      table.erase_at(i);
+      model.erase(key);
+    } else {
+      ASSERT_EQ(table.erase(key), model.erase(key) == 1) << "step " << step;
+    }
+    ASSERT_EQ(table.size(), model.size());
+  }
+  std::size_t visited = 0;
+  table.for_each([&](std::int64_t key, int value) {
+    ASSERT_TRUE(model.contains(key));
+    EXPECT_EQ(value, model.at(key));
+    ++visited;
+  });
+  EXPECT_EQ(visited, model.size());
+  for (const auto& [key, value] : model) {
+    ASSERT_NE(table.find(key), table.npos);
+    EXPECT_EQ(table.value(table.find(key)), value);
   }
 }
 

@@ -13,10 +13,15 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
+#include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "reference/reference.h"
+#include "replay/journal.h"
 #include "sched/factory.h"
 #include "sched/order_index.h"
 #include "sched/saath.h"
@@ -79,12 +84,12 @@ TEST_F(OrderIndexTest, MaintainsSortedOrderAcrossChurn) {
   EXPECT_EQ(idx.ordered()[2], a);
 
   // Queue move: a jumps to the front.
-  idx.update(CoflowId{1}, key(false, kNever, 0, -1, 0, 1));
+  idx.update(idx.find(CoflowId{1}), key(false, kNever, 0, -1, 0, 1));
   EXPECT_EQ(idx.materialize(), 0u);  // dirtied at the new front
   EXPECT_EQ(idx.ordered()[0], a);
 
   // Deadline expiry: c overtakes everyone.
-  idx.update(CoflowId{3}, key(true, 5, 1, 0, 0, 3));
+  idx.update(idx.find(CoflowId{3}), key(true, 5, 1, 0, 0, 3));
   EXPECT_EQ(idx.materialize(), 0u);
   EXPECT_EQ(idx.ordered()[0], c);
 
@@ -107,12 +112,12 @@ TEST_F(OrderIndexTest, MaterializeReusesCleanPrefix) {
   EXPECT_EQ(idx.materialize(), 8u);
 
   // Dirty only rank 6 (key 6 -> 60): ranks 0..5 are reused verbatim.
-  idx.update(CoflowId{6}, key(false, kNever, 0, 60, 0, 6));
+  idx.update(idx.find(CoflowId{6}), key(false, kNever, 0, 60, 0, 6));
   EXPECT_EQ(idx.materialize(), 6u);
   EXPECT_EQ(idx.ordered()[7], states[6]);
 
   // touch() fences without moving: same order, prefix ends at the rank.
-  idx.touch(CoflowId{3});
+  idx.touch(idx.find(CoflowId{3}));
   EXPECT_EQ(idx.materialize(), 3u);
   EXPECT_EQ(idx.ordered()[3], states[3]);
 
@@ -130,8 +135,164 @@ TEST_F(OrderIndexTest, UpdateWithSameKeyIsClean) {
   idx.insert(a, key(false, kNever, 0, 1, 0, 1));
   idx.insert(b, key(false, kNever, 0, 2, 0, 2));
   idx.materialize();
-  idx.update(CoflowId{2}, key(false, kNever, 0, 2, 0, 2));  // no-op
+  idx.update(idx.find(CoflowId{2}), key(false, kNever, 0, 2, 0, 2));  // no-op
   EXPECT_EQ(idx.materialize(), 2u);
+}
+
+// Random churn against a model: the live keys under std::sort, and the
+// dirty floor taken as the least key any mutation since the last
+// materialize touched (insert, erase, both keys of a re-key, a touch).
+// Covers re-inserting an id erased since the last materialize, repeated
+// and same-key updates (deadline-only changes included) and touches.
+TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
+  constexpr std::int64_t kIds = 64;
+  std::vector<CoflowState*> states;
+  for (std::int64_t i = 0; i < kIds; ++i) states.push_back(coflow(i));
+  std::mt19937_64 rng(12345);
+  const auto draw = [&rng](std::uint64_t n) {
+    return static_cast<std::int64_t>(rng() % n);
+  };
+  const auto random_key = [&](std::int64_t id) {
+    OrderKey k;
+    k.expired = draw(8) == 0;
+    k.deadline = !k.expired && draw(4) == 0 ? kNever : draw(50);
+    k.queue = static_cast<int>(draw(4));
+    k.key = draw(6);
+    k.arrival = draw(5);
+    k.id = CoflowId{id};
+    return k;
+  };
+
+  OrderIndex idx;
+  std::map<std::int64_t, OrderKey> live;
+  std::vector<OrderKey> old_order;  // keys as of the last materialize
+  std::optional<OrderKey> floor;
+  const auto dirty = [&floor](const OrderKey& k) {
+    if (!floor || k < *floor) floor = k;
+  };
+  const auto insert = [&](std::int64_t id) {
+    const OrderKey k = random_key(id);
+    idx.insert(states[static_cast<std::size_t>(id)], k);
+    live[id] = k;
+    dirty(k);
+  };
+  const auto erase = [&](std::int64_t id) {
+    idx.erase(CoflowId{id});
+    dirty(live.at(id));
+    live.erase(id);
+  };
+  for (int round = 0; round < 3000; ++round) {
+    const std::int64_t ops = draw(3) == 0 ? 0 : 1 + draw(kIds / 4);
+    for (std::int64_t op = 0; op < ops; ++op) {
+      const std::int64_t id = draw(kIds);
+      if (!live.contains(id)) {
+        insert(id);
+        continue;
+      }
+      // An absent id erases as a no-op.
+      idx.erase(CoflowId{kIds + id});
+      const OrderKey old = live.at(id);
+      OrderKey k = old;
+      switch (draw(7)) {
+        case 0:
+          erase(id);
+          continue;
+        case 1:  // leaves and comes back before the next materialize
+          erase(id);
+          insert(id);
+          continue;
+        case 2:
+          idx.touch(idx.find(CoflowId{id}));
+          dirty(old);
+          continue;
+        case 3:  // same key: an exact no-op
+          break;
+        case 4:  // deadline only: reorders only an expired entry
+          k.deadline = draw(50);
+          break;
+        default:
+          k = random_key(id);
+          break;
+      }
+      const bool changed = old < k || k < old || old.deadline != k.deadline;
+      ASSERT_EQ(idx.update(idx.find(CoflowId{id}), k), changed);
+      if (changed) {
+        dirty(old);
+        dirty(k);
+        live[id] = k;
+      }
+    }
+
+    const std::size_t rank = idx.materialize();
+    const std::size_t expected_rank =
+        floor ? static_cast<std::size_t>(
+                    std::lower_bound(old_order.begin(), old_order.end(),
+                                     *floor) -
+                    old_order.begin())
+              : old_order.size();
+    ASSERT_EQ(rank, expected_rank) << "round " << round;
+    std::vector<OrderKey> expected;
+    for (const auto& [id, k] : live) expected.push_back(k);
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(idx.size(), expected.size());
+    ASSERT_EQ(idx.ordered().size(), expected.size());
+    const auto got = idx.ordered_keys();
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(got[i].id, expected[i].id) << "round " << round << " rank "
+                                           << i;
+      ASSERT_EQ(got[i].deadline, expected[i].deadline);
+      ASSERT_EQ(got[i].queue, expected[i].queue);
+      ASSERT_EQ(got[i].key, expected[i].key);
+      ASSERT_EQ(idx.ordered()[i],
+                states[static_cast<std::size_t>(expected[i].id.value)]);
+    }
+    old_order = expected;
+    floor.reset();
+  }
+}
+
+// The deadline heap beside the ordered set of (deadline, id) pairs it
+// replaced, under set/re-key/erase churn with many tied deadlines: the
+// same expiries in the same order, and the same minimum, at every step.
+TEST(DeadlineHeapTest, MatchesOrderedSetOfPairs) {
+  DeadlineHeap heap;
+  std::set<std::pair<SimTime, CoflowId>> set;
+  std::map<std::int64_t, SimTime> at_of;
+  std::mt19937_64 rng(99);
+  SimTime now = 0;
+  for (int step = 0; step < 50000; ++step) {
+    const auto id = static_cast<std::int64_t>(rng() % 100);
+    const auto roll = rng() % 8;
+    if (roll < 4) {
+      const SimTime at = now + 1 + static_cast<SimTime>(rng() % 200);
+      if (const auto it = at_of.find(id); it != at_of.end()) {
+        set.erase({it->second, CoflowId{id}});
+      }
+      set.insert({at, CoflowId{id}});
+      at_of[id] = at;
+      heap.set(CoflowId{id}, at);
+    } else if (roll < 6) {
+      if (const auto it = at_of.find(id); it != at_of.end()) {
+        set.erase({it->second, CoflowId{id}});
+        at_of.erase(it);
+      }
+      heap.erase(CoflowId{id});
+    } else {
+      now += static_cast<SimTime>(rng() % 40);
+      std::vector<CoflowId> want;
+      while (!set.empty() && set.begin()->first <= now) {
+        want.push_back(set.begin()->second);
+        at_of.erase(set.begin()->second.value);
+        set.erase(set.begin());
+      }
+      std::vector<CoflowId> got;
+      heap.pop_due(now, [&got](CoflowId c) { got.push_back(c); });
+      ASSERT_EQ(got, want) << "step " << step;
+    }
+    ASSERT_EQ(heap.size(), set.size()) << "step " << step;
+    ASSERT_EQ(heap.next(), set.empty() ? kNever : set.begin()->first)
+        << "step " << step;
+  }
 }
 
 // --------------------------------------------------------- QueueCrossingHeap
@@ -431,19 +592,28 @@ TEST(DeltaOrderWhiteBox, MaintainedOrderEqualsFromScratchSortEveryRound) {
 
 // The O(1) valid-until (crossing-heap top + deadline head) must never be
 // later than the reference's full O(F·W) scan — later would skip a real
-// trigger and diverge. Both per-flow presets (saath, saath-an-pf-fifo), on
-// runs whose backfill rates flows, so the crossings folded in by admission
-// and by work conservation are both checked.
+// trigger and diverge. Every per-flow preset: saath and saath-an-pf-fifo,
+// on runs whose backfill rates flows, so the crossings folded in by
+// admission and by work conservation are both checked, and greedy
+// admission under per-flow thresholds, whose crossing comes from a walk
+// over the flows instead. Each run's results must also carry the digest of
+// the reference Saath's on the same trace.
 TEST(DeltaOrderWhiteBox, ValidUntilNeverLaterThanScan) {
   SimConfig cfg;
   cfg.port_bandwidth = 1e6;
   cfg.delta = msec(20);
-  for (const bool lcof : {true, false}) {
+  SaathConfig an_pf_fifo;
+  an_pf_fifo.lcof = false;
+  SaathConfig greedy_pf;
+  greedy_pf.all_or_none = false;
+  const std::pair<const char*, SaathConfig> presets[] = {
+      {"saath", SaathConfig{}},
+      {"saath-an-pf-fifo", an_pf_fifo},
+      {"greedy+pf", greedy_pf},
+  };
+  for (const auto& [preset, sc] : presets) {
     for (const std::uint64_t seed : {19u, 3u, 11u}) {
-      const char* preset = lcof ? "saath" : "saath-an-pf-fifo";
       SCOPED_TRACE(::testing::Message() << preset << " seed " << seed);
-      SaathConfig sc;
-      sc.lcof = lcof;
       DeltaForwardingObserver obs{sc};
       const reference::ReferenceSaath scan_twin(sc);  // the scan is stateless
       int compared = 0;
@@ -455,9 +625,15 @@ TEST(DeltaOrderWhiteBox, ValidUntilNeverLaterThanScan) {
         ASSERT_LE(fast, scan) << "at t=" << now;
         ++compared;
       };
-      (void)simulate(trace::synth_small_trace(8, 40, seed), obs, cfg);
+      const auto t = trace::synth_small_trace(8, 40, seed);
+      const SimResult got = simulate(t, obs, cfg);
       EXPECT_GT(compared, 2);
-      EXPECT_GT(obs.inner_.phase_stats().backfill_allocs, 0);
+      if (sc.all_or_none) {
+        EXPECT_GT(obs.inner_.phase_stats().backfill_allocs, 0);
+      }
+      reference::ReferenceSaath ref(sc);
+      EXPECT_EQ(replay::result_digest_hex(got),
+                replay::result_digest_hex(simulate(t, ref, cfg)));
     }
   }
 }

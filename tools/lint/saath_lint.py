@@ -132,8 +132,7 @@ LANE_READ_ALLOWLIST = {
 # scheduler cannot inherit an exemption by reusing a name.
 RETENTION_ALLOWLIST = {
     "src/sched/saath.h": {
-        "candidates_", "touch_only_", "entered_", "missed_scratch_",
-        "recross_",
+        "candidates_", "entered_", "missed_scratch_", "recross_",
     },
     "src/sched/uc_tcp.h": {"flows_", "owners_"},
 }
