@@ -74,6 +74,10 @@ struct SnapshotMeasurement {
   double crossing_ns_per_round = 0;
   double admit_ns_per_round = 0;
   double conserve_ns_per_round = 0;
+  /// Conserve ns per slot entry the backfill read and per allocation it
+  /// made, over the measured rounds.
+  double conserve_ns_per_entry = 0;
+  double conserve_ns_per_alloc = 0;
   std::int64_t delta_rounds = 0;
   std::int64_t replayed_ranks = 0;
   std::int64_t backfill_rounds = 0;
@@ -175,8 +179,15 @@ SnapshotMeasurement run_snapshot(int coflows, int rounds, Side side) {
       static_cast<double>(st.crossing_ns - warm.crossing_ns) / rounds_measured;
   m.admit_ns_per_round =
       static_cast<double>(st.admit_ns - warm.admit_ns) / rounds_measured;
-  m.conserve_ns_per_round =
-      static_cast<double>(st.conserve_ns - warm.conserve_ns) / rounds_measured;
+  const auto conserve_ns =
+      static_cast<double>(st.conserve_ns - warm.conserve_ns);
+  m.conserve_ns_per_round = conserve_ns / rounds_measured;
+  const std::int64_t entries = st.backfill_flows - warm.backfill_flows;
+  const std::int64_t allocs = st.backfill_allocs - warm.backfill_allocs;
+  m.conserve_ns_per_entry =
+      entries > 0 ? conserve_ns / static_cast<double>(entries) : 0;
+  m.conserve_ns_per_alloc =
+      allocs > 0 ? conserve_ns / static_cast<double>(allocs) : 0;
   m.delta_rounds = st.delta_rounds;
   m.replayed_ranks = st.replayed_ranks;
   m.backfill_rounds = st.backfill_rounds;
@@ -339,8 +350,8 @@ int run(int argc, char** argv) {
               identical ? "yes" : "NO");
   std::printf("conserve-phase ratio (reference / stream): %.1fx   "
               "backfill rounds: %lld   candidates/missed: %lld/%lld   "
-              "flows visited: %lld   allocations: %lld   "
-              "visits per allocation: %.1f\n\n",
+              "slot entries read: %lld   allocations: %lld   "
+              "entries per allocation: %.1f\n",
               conserve_ratio, static_cast<long long>(inc.backfill_rounds),
               static_cast<long long>(inc.backfill_candidates),
               static_cast<long long>(inc.backfill_missed),
@@ -350,6 +361,8 @@ int run(int argc, char** argv) {
                   ? static_cast<double>(inc.backfill_flows) /
                         static_cast<double>(inc.backfill_allocs)
                   : 0.0);
+  std::printf("conserve ns per entry read: %.1f   per allocation: %.1f\n\n",
+              inc.conserve_ns_per_entry, inc.conserve_ns_per_alloc);
 
   trace::SynthConfig tcfg;
   tcfg.num_ports = 150;
@@ -421,6 +434,7 @@ int run(int argc, char** argv) {
       "    \"incremental\": {\"order_ns_per_round\": %.1f, "
       "\"crossing_ns_per_round\": %.1f, \"admit_ns_per_round\": %.1f, "
       "\"conserve_ns_per_round\": %.1f, "
+      "\"conserve_ns_per_entry\": %.1f, \"conserve_ns_per_alloc\": %.1f, "
       "\"delta_rounds\": %lld, \"replayed_ranks\": %lld, "
       "\"backfill_rounds\": %lld, \"backfill_candidates\": %lld, "
       "\"backfill_missed\": %lld, \"backfill_flows\": %lld, "
@@ -445,7 +459,8 @@ int run(int argc, char** argv) {
       "}\n",
       coflows, rounds, identical ? "true" : "false", inc.order_ns_per_round,
       inc.crossing_ns_per_round, inc.admit_ns_per_round,
-      inc.conserve_ns_per_round, static_cast<long long>(inc.delta_rounds),
+      inc.conserve_ns_per_round, inc.conserve_ns_per_entry,
+      inc.conserve_ns_per_alloc, static_cast<long long>(inc.delta_rounds),
       static_cast<long long>(inc.replayed_ranks),
       static_cast<long long>(inc.backfill_rounds),
       static_cast<long long>(inc.backfill_candidates),

@@ -214,7 +214,7 @@ CoflowState::CoflowState(CoflowSpec spec, FlowId first_flow_id)
   receiver_order_ = sorted_slots(receivers_);
   // Group flow indices by port slot (CSR): counting pass, prefix sum, fill
   // in flow order — which leaves every per-slot list ascending, the order
-  // the backfill's merged walk depends on.
+  // the backfill's slot walk depends on.
   const auto build_csr = [this](const std::vector<PortLoad>& loads,
                                 const std::vector<std::uint32_t>& order,
                                 std::vector<std::uint32_t>& slot_flows,
@@ -240,6 +240,28 @@ CoflowState::CoflowState(CoflowSpec spec, FlowId first_flow_id)
             true);
   build_csr(receivers_, receiver_order_, receiver_slot_flows_,
             receiver_slot_begin_, false);
+  // A slot walk over one side is ordered when, along each of the other
+  // side's lists, the walked side's slot never decreases.
+  const auto walk_ordered = [this](const std::vector<std::uint32_t>& slot_flows,
+                                   const std::vector<std::uint32_t>& slot_begin,
+                                   const bool senders) {
+    for (std::size_t s = 0; s + 1 < slot_begin.size(); ++s) {
+      int prev = 0;
+      for (std::uint32_t k = slot_begin[s]; k < slot_begin[s + 1]; ++k) {
+        const FlowState& f = flows_[slot_flows[k]];
+        const int walked =
+            senders ? find_slot(senders_, sender_order_, f.src())
+                    : find_slot(receivers_, receiver_order_, f.dst());
+        if (walked < prev) return false;
+        prev = walked;
+      }
+    }
+    return true;
+  };
+  sender_walk_ordered_ =
+      walk_ordered(receiver_slot_flows_, receiver_slot_begin_, true);
+  receiver_walk_ordered_ =
+      walk_ordered(sender_slot_flows_, sender_slot_begin_, false);
   walk_flows_.resize(flows_.size());
   std::iota(walk_flows_.begin(), walk_flows_.end(), 0u);
   unfinished_ = static_cast<int>(flows_.size());

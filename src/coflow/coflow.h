@@ -253,7 +253,7 @@ class CoflowState {
   /// mapping is immutable, so each slot's storage is laid out once at
   /// construction, and on_flow_complete removes the completed flow from its
   /// two lists, order kept. This is the per-port flow membership the
-  /// work-conservation backfill gathers from residually-live ports —
+  /// work-conservation backfill walks along residually-live ports —
   /// without it, reaching "the flows on port p" means scanning every flow.
   [[nodiscard]] std::span<const std::uint32_t> sender_slot_flows(
       std::size_t slot) const {
@@ -274,6 +274,22 @@ class CoflowState {
   /// unfinished_flows() entries and callers still skip finished ones.
   [[nodiscard]] std::span<const std::uint32_t> walk_flows() const {
     return walk_flows_;
+  }
+
+  /// True when visiting the flows sender slot by sender slot (each slot's
+  /// list ascending) meets every receiver port's flows in ascending flow
+  /// index: along every receiver slot's list the sender slot never
+  /// decreases. receiver_walk_ordered() is the mirror. Then that slot walk
+  /// hands each port's flows to the backfill in the dense walk's order.
+  /// Fixed at construction; completions only shrink the lists, so it holds
+  /// for the CoFlow's whole life. A reducer-by-reducer, mapper-by-mapper
+  /// mesh over distinct ports has both; one that lists a port twice among
+  /// its reducers has neither.
+  [[nodiscard]] bool sender_walk_ordered() const {
+    return sender_walk_ordered_;
+  }
+  [[nodiscard]] bool receiver_walk_ordered() const {
+    return receiver_walk_ordered_;
   }
 
   /// Bumped on every port-occupancy change (currently: each flow
@@ -400,6 +416,8 @@ class CoflowState {
   std::vector<std::uint32_t> sender_slot_begin_;
   std::vector<std::uint32_t> receiver_slot_flows_;
   std::vector<std::uint32_t> receiver_slot_begin_;
+  bool sender_walk_ordered_ = false;
+  bool receiver_walk_ordered_ = false;
   /// See walk_flows(); walk_finished_ counts the finished entries it holds.
   std::vector<std::uint32_t> walk_flows_;
   std::size_t walk_finished_ = 0;

@@ -1,7 +1,6 @@
 #include "sched/saath.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -81,6 +80,39 @@ SAATH_HOT_NOALLOC void lower_flow_crossing(const FlowPool& pool,
   if (cross_seconds >= 9e11) return kNever;
   const auto dt = static_cast<SimTime>(std::max(0.0, cross_seconds) * 1e6);
   return now + std::max<SimTime>(0, dt - 1 - (dt >> 40));
+}
+
+/// The backfill's slot walk over c (see SaathScheduler::conserve): the
+/// senders' slots in slot order when kSenders, else the receivers', each
+/// slot's unfinished flows ascending. A flow whose other port has drained
+/// is skipped, every other flow goes to `grant`, and the walk leaves a slot
+/// once its own port drains. Returns the slot entries read.
+template <bool kSenders, typename Grant>
+SAATH_HOT_NOALLOC std::int64_t walk_port_slots(const CoflowState& c,
+                                               const Fabric& fabric,
+                                               Grant&& grant) {
+  const FlowPool& pool = c.pool();
+  const auto own_live = [&](PortIndex p) {
+    return kSenders ? fabric.send_is_live(p) : fabric.recv_is_live(p);
+  };
+  const auto peer_live = [&](std::uint32_t i) {
+    return kSenders ? fabric.recv_is_live(pool.dst[i])
+                    : fabric.send_is_live(pool.src[i]);
+  };
+  const auto loads = kSenders ? c.sender_loads() : c.receiver_loads();
+  std::int64_t read = 0;
+  for (std::size_t s = 0; s < loads.size(); ++s) {
+    const PortIndex port = loads[s].port;
+    if (loads[s].unfinished_flows == 0 || !own_live(port)) continue;
+    for (const std::uint32_t i :
+         kSenders ? c.sender_slot_flows(s) : c.receiver_slot_flows(s)) {
+      ++read;
+      if (!peer_live(i)) continue;
+      grant(i);
+      if (!own_live(port)) break;
+    }
+  }
+  return read;
 }
 
 }  // namespace
@@ -391,77 +423,49 @@ SAATH_HOT_NOALLOC void SaathScheduler::conserve(
   if (missed.empty()) return;
   ++stats_.backfill_rounds;
   stats_.backfill_missed += static_cast<std::int64_t>(missed.size());
-  // One pass per missed CoFlow, in rank order. Only a flow whose sender AND
-  // receiver are both live at its CoFlow's turn can clear the epsilon
-  // (budgets only shrink between reset()s), so the pass gathers exactly
-  // those from the live slots of the side with fewer port slots, as bits of
-  // a bitmap over flow indices, and walks the set bits in ascending order:
-  // the dense walk's visit order, minus flows it would skip on `<= eps`.
-  // The walk clears every word it reads, so the bitmap is all zero between
-  // CoFlows. An empty live set means no flow anywhere can clear the
-  // epsilon. Conservation rates depend on the whole round's leftovers, so
-  // every missed CoFlow, replayed ones included, gets a fresh trajectory
-  // and a recross_ entry, its crossing folded in as its flows get budget.
+  // One pass per missed CoFlow, in rank order, along the port slots of a
+  // side whose slot order meets every port's flows in ascending flow index
+  // (saath.h: why that is the dense walk's allocation, bit for bit); a
+  // CoFlow with no such side takes the dense walk itself. An empty live set
+  // means no flow anywhere can clear the epsilon. Conservation rates depend
+  // on the whole round's leftovers, so every missed CoFlow, replayed ones
+  // included, gets a fresh trajectory and a recross_ entry, its crossing
+  // folded in as its flows get budget.
   std::size_t turn = 0;
   for (; turn < missed.size(); ++turn) {
     if (fabric.send_live().empty() || fabric.recv_live().empty()) break;
     CoflowState* c = missed[turn];
     CrossingFold& fold = recross_.emplace_back(c, fresh_fold()).second;
     const FlowPool& pool = c->pool();
-    const std::size_t words = (c->flows().size() + 63) / 64;
-    if (backfill_bits_.size() < words) backfill_bits_.resize(words);
-    std::size_t first_word = words;
-    std::int64_t marked = 0;
-    const auto mark = [&](std::uint32_t i) {
-      backfill_bits_[i / 64] |= std::uint64_t{1} << (i % 64);
-      first_word = std::min<std::size_t>(first_word, i / 64);
-      ++marked;
-    };
-    const auto send_loads = c->sender_loads();
-    const auto recv_loads = c->receiver_loads();
-    if (send_loads.size() <= recv_loads.size()) {
-      for (std::size_t s = 0; s < send_loads.size(); ++s) {
-        if (send_loads[s].unfinished_flows == 0 ||
-            !fabric.send_is_live(send_loads[s].port)) {
-          continue;
-        }
-        for (const std::uint32_t i : c->sender_slot_flows(s)) {
-          if (fabric.recv_is_live(pool.dst[i])) mark(i);
-        }
-      }
-    } else {
-      for (std::size_t s = 0; s < recv_loads.size(); ++s) {
-        if (recv_loads[s].unfinished_flows == 0 ||
-            !fabric.recv_is_live(recv_loads[s].port)) {
-          continue;
-        }
-        for (const std::uint32_t i : c->receiver_slot_flows(s)) {
-          if (fabric.send_is_live(pool.src[i])) mark(i);
-        }
-      }
-    }
-    if (marked == 0) continue;
-    ++stats_.backfill_candidates;
-    stats_.backfill_flows += marked;
-    // Slot lists hold only unfinished flows, so the residual re-check is
-    // all a visit needs; the FlowState handle is materialized only for a
+    const std::int64_t allocs_before = stats_.backfill_allocs;
+    // Gives unfinished flow i what both of its ports still have, if that
+    // clears the epsilon; the FlowState handle is materialized only for a
     // flow that actually receives budget.
-    for (std::size_t w = first_word; marked > 0; ++w) {
-      std::uint64_t bits = backfill_bits_[w];
-      backfill_bits_[w] = 0;
-      marked -= std::popcount(bits);
-      for (; bits != 0; bits &= bits - 1) {
-        const auto i = static_cast<std::uint32_t>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-        const Rate r = std::min(fabric.send_remaining(pool.src[i]),
-                                fabric.recv_remaining(pool.dst[i]));
-        if (r <= Fabric::kRateEpsilon) continue;
-        ++stats_.backfill_allocs;
-        rates.set(*c, c->flows()[i], pool.rate[i] + r);
-        fabric.consume(pool.src[i], pool.dst[i], r);
-        if (!fold.walk) fold_crossing(fold, *c, i, now);
+    const auto grant = [&](std::uint32_t i) {
+      const Rate r = std::min(fabric.send_remaining(pool.src[i]),
+                              fabric.recv_remaining(pool.dst[i]));
+      if (r <= Fabric::kRateEpsilon) return;
+      ++stats_.backfill_allocs;
+      rates.set(*c, c->flows()[i], pool.rate[i] + r);
+      fabric.consume(pool.src[i], pool.dst[i], r);
+      if (!fold.walk) fold_crossing(fold, *c, i, now);
+    };
+    const bool by_senders =
+        c->sender_walk_ordered() &&
+        (!c->receiver_walk_ordered() ||
+         c->sender_loads().size() <= c->receiver_loads().size());
+    if (by_senders) {
+      stats_.backfill_flows += walk_port_slots<true>(*c, fabric, grant);
+    } else if (c->receiver_walk_ordered()) {
+      stats_.backfill_flows += walk_port_slots<false>(*c, fabric, grant);
+    } else {
+      for (const std::uint32_t i : c->walk_flows()) {
+        if (!pool.finished[i]) grant(i);
       }
+      stats_.backfill_flows +=
+          static_cast<std::int64_t>(c->walk_flows().size());
     }
+    if (stats_.backfill_allocs > allocs_before) ++stats_.backfill_candidates;
   }
   // The live sets drained before these CoFlows' turn: nothing rated them.
   for (; turn < missed.size(); ++turn) {

@@ -133,15 +133,15 @@ struct SaathPhaseStats {
   std::int64_t rekeys = 0;
   std::int64_t suffix_walked = 0;
   /// Conserve-phase split: rounds with a non-empty missed list, and
-  /// missed CoFlows with at least one flow whose two endpoints were live
-  /// at their turn (vs backfill_missed, every missed CoFlow a dense walk
-  /// would visit).
+  /// missed CoFlows that received at least one allocation (the same count
+  /// as those with a flow live at both ends at their turn; vs
+  /// backfill_missed, every missed CoFlow a dense walk would visit).
   std::int64_t backfill_rounds = 0;
   std::int64_t backfill_candidates = 0;
   std::int64_t backfill_missed = 0;
-  /// Flows the backfill visited (both endpoints live at their CoFlow's
-  /// turn), and the visits that received budget. A dense walk would visit
-  /// every flow of every missed CoFlow, finished ones included.
+  /// Slot entries the backfill's walk read (walk-list entries for a CoFlow
+  /// on the dense walk), and the allocations it made. A dense walk would
+  /// read every flow of every missed CoFlow, finished ones included.
   std::int64_t backfill_flows = 0;
   std::int64_t backfill_allocs = 0;
   /// Always 0: the conservation-replay cache it counted is gone. Kept only
@@ -269,18 +269,37 @@ class SaathScheduler final : public Scheduler {
   /// needing a crossing re-program in recross_ once, with its crossing
   /// folded in: admitted, skipped and greedy ranks here, missed ones by
   /// conserve() (or here, with work conservation off). The conservation
-  /// pass visits, in admission order, only the flows of missed CoFlows
-  /// whose sender AND receiver are residually live, stopping when either
-  /// residual set drains.
+  /// pass takes the missed CoFlows in admission order, stopping when
+  /// either residual set drains.
   void admit_and_conserve(SimTime now, Fabric& fabric, RateAssignment& rates,
                           std::span<CoflowState* const> ordered,
                           std::size_t first_dirty_rank);
   /// Work conservation (Fig 7 lines 14, 18–23): `missed`, in order, soaks
-  /// up whatever budget admission left. One pass per CoFlow: its both-live
-  /// flows, gathered from the side with fewer port slots into
-  /// backfill_bits_, are visited in ascending flow index, and each that
-  /// gets budget is folded into the CoFlow's recross_ fold. CoFlows whose
-  /// turn comes after the live sets drain are listed unrated.
+  /// up whatever budget admission left, each flow taking min(send
+  /// residual, receive residual). The dense walk visits a CoFlow's
+  /// unfinished flows in ascending index. Here each CoFlow takes one pass
+  /// along the port slots of one side: live slots in slot order, each
+  /// slot's unfinished flows ascending, skipping a flow whose other port
+  /// has drained and leaving the slot once its own port drains. The side
+  /// must be ordered (CoflowState::sender_walk_ordered); with both ordered
+  /// it is the one with fewer slots, ties to senders, and a CoFlow with
+  /// neither takes the dense walk over walk_flows().
+  ///
+  /// Why the slot walk is the dense walk, bit for bit: a flow's grant
+  /// reads only its two ports' residuals, and only grants to earlier flows
+  /// on those ports lower them. Walking the sender slots, a sender port's
+  /// flows come contiguously and ascending; an ordered sender side means
+  /// each receiver port's flows come ascending too. So every port sees the
+  /// same grants subtracted in the same order, and by induction over the
+  /// visit order every flow gets the same double, and the eps skips, the
+  /// drained ports and the live sets all agree. The mirror holds for
+  /// receivers. Fabric's per-port subtractions and RateAssignment's
+  /// per-port accumulators see the same per-port sequence; only the order
+  /// of the touched list changes across ports, and the completion heap
+  /// pops valid entries in (time, flow id) order whatever its layout. Each
+  /// flow that gets budget is folded into the CoFlow's recross_ fold (a
+  /// min, so visit order does not matter). CoFlows whose turn comes after
+  /// the live sets drain are listed unrated.
   void conserve(SimTime now, Fabric& fabric, RateAssignment& rates,
                 std::span<CoflowState* const> missed);
 
@@ -349,9 +368,6 @@ class SaathScheduler final : public Scheduler {
   std::vector<CoflowState*> missed_scratch_;
   /// CoFlows whose trajectory this round changed → crossing re-program.
   std::vector<std::pair<CoflowState*, CrossingFold>> recross_;
-  /// Backfill scratch: a bitmap over one CoFlow's flow indices, grown to
-  /// the widest CoFlow seen and all zero between CoFlows.
-  std::vector<std::uint64_t> backfill_bits_;
 };
 
 }  // namespace saath

@@ -683,15 +683,16 @@ SAATH_HOT_NOALLOC void Engine::complete_flow(CoflowState& coflow,
 }
 
 SAATH_HOT_NOALLOC void Engine::harvest_completions(SimTime at) {
-  bool any = false;
+  std::size_t finished = 0;
   heap_.pop_due(at, [&](CoflowState& c, FlowState& f) {
     complete_flow(c, f, at);
-    any = true;
+    if (c.finished()) ++finished;
   });
-  if (!any) return;
-  // Finalize finished CoFlows with a stable compaction: the active list
-  // keeps admission order, which every order-sensitive consumer (and the
+  // Most harvests complete flows but no CoFlow; only one that finished a
+  // CoFlow needs the compaction. It is stable: the active list keeps
+  // admission order, which every order-sensitive consumer (and the
   // reference engine's scan) relies on.
+  if (finished == 0) return;
   std::size_t w = 0;
   for (std::size_t r = 0; r < active_.size(); ++r) {
     if (active_[r]->finished()) {

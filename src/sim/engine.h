@@ -256,9 +256,9 @@ class Engine {
   void verify_capacity() const;
   /// Advances the fluid model to `epoch_end`, resolving completions exactly.
   void advance_until(SimTime epoch_end);
-  /// Completes every flow the heap predicts at or before `at`, then
-  /// finalizes CoFlows that finished (stable compaction of the active list,
-  /// which keeps admission order).
+  /// Completes every flow the heap predicts at or before `at`, then, when
+  /// that finished a CoFlow, finalizes the finished ones (stable compaction
+  /// of the active list, which keeps admission order).
   void harvest_completions(SimTime at);
   void complete_flow(CoflowState& coflow, FlowState& flow, SimTime at);
   void finalize_coflow(CoflowState& coflow, SimTime at);

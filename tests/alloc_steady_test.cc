@@ -236,6 +236,33 @@ TEST(AllocSteady, SpatialIndexChurnRecyclesCapacity) {
   EXPECT_EQ(index.size(), static_cast<std::size_t>(kResident));
 }
 
+// Building a CoflowState allocates its per-CoFlow vectors once, outside any
+// epoch. Deciding which of its slot walks the backfill may take must add
+// nothing to that: the pin is the count from before those flags existed
+// (the spec copy, the flow handles, the port loads and their sorted
+// indices, the CSR slot lists and the walk list; the FlowPool block goes
+// through the aligned form, which this binary does not count).
+TEST(AllocSteady, CoflowStateConstructionAllocations) {
+  CoflowSpec spec = make_coflow(0, 0, {});
+  for (PortIndex r = 0; r < 4; ++r) {
+    for (PortIndex m = 0; m < 6; ++m) {
+      spec.flows.push_back({m, static_cast<PortIndex>(10 + r), 1000});
+    }
+  }
+  bool ordered = false;
+  const std::uint64_t allocs_before = debug_alloc_count();
+  const std::uint64_t frees_before = debug_dealloc_count();
+  {
+    const CoflowState c(spec, FlowId{0});
+    ordered = c.sender_walk_ordered() && c.receiver_walk_ordered();
+  }
+  const std::uint64_t allocs = debug_alloc_count() - allocs_before;
+  const std::uint64_t frees = debug_dealloc_count() - frees_before;
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(allocs, 18u);
+  EXPECT_EQ(frees, 18u);
+}
+
 /// Allocations a warm Saath makes over the measured stream lifecycles,
 /// split between its lifecycle hooks and its schedule() rounds.
 struct SaathAllocs {

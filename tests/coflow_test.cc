@@ -139,6 +139,60 @@ TEST(CoflowState, BottleneckOnReceiverSide) {
   EXPECT_DOUBLE_EQ(c.bottleneck_seconds(100.0, 0), 3.0);  // receiver 2: 300 bytes
 }
 
+/// A mesh from every mapper to every reducer, listed reducer by reducer
+/// (each reducer's flows from every mapper) or mapper by mapper.
+CoflowSpec mesh(const std::vector<PortIndex>& mappers,
+                const std::vector<PortIndex>& reducers, bool reducer_major) {
+  CoflowSpec spec;
+  spec.id = CoflowId{4};
+  const std::size_t outer = reducer_major ? reducers.size() : mappers.size();
+  const std::size_t inner = reducer_major ? mappers.size() : reducers.size();
+  for (std::size_t a = 0; a < outer; ++a) {
+    for (std::size_t b = 0; b < inner; ++b) {
+      const PortIndex m = mappers[reducer_major ? b : a];
+      const PortIndex r = reducers[reducer_major ? a : b];
+      spec.flows.push_back({m, r, 100});
+    }
+  }
+  return spec;
+}
+
+TEST(CoflowState, SlotWalkOrderFlags) {
+  struct Case {
+    const char* layout;
+    CoflowSpec spec;
+    bool senders;
+    bool receivers;
+  };
+  const std::vector<PortIndex> mappers = {0, 1, 2};
+  const std::vector<PortIndex> reducers = {10, 11};
+  const Case cases[] = {
+      {"reducer-major mesh", mesh(mappers, reducers, true), true, true},
+      {"mapper-major mesh", mesh(mappers, reducers, false), true, true},
+      // Receiver 10's list meets sender slots 0, 1, 0.
+      {"reducer-major, mapper listed twice", mesh({0, 1, 0}, reducers, true),
+       false, true},
+      // Sender 0's list meets receiver slots 0, 1, 0.
+      {"mapper-major, reducer listed twice", mesh(mappers, {10, 11, 10}, false),
+       true, false},
+      // Receiver 10's list meets sender slots 0, 1, 2, 0, 1, 2 and sender
+      // 0's meets receiver slots 0, 1, 0.
+      {"reducer-major, reducer listed twice",
+       mesh(mappers, {10, 11, 10}, true), false, false},
+      {"one flow", make_coflow(5, 0, {{3, 4, 100}}), true, true},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.layout);
+    CoflowState c(k.spec, FlowId{0});
+    EXPECT_EQ(c.sender_walk_ordered(), k.senders);
+    EXPECT_EQ(c.receiver_walk_ordered(), k.receivers);
+    // Completions only shrink the slot lists: the flags never change.
+    c.on_flow_complete(c.flows()[0], msec(1));
+    EXPECT_EQ(c.sender_walk_ordered(), k.senders);
+    EXPECT_EQ(c.receiver_walk_ordered(), k.receivers);
+  }
+}
+
 TEST(CoflowState, RestartFlowsOnPort) {
   CoflowState c(two_by_two(), FlowId{0});
   for (auto& f : c.flows()) f.set_rate(10.0, 0);

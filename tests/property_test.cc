@@ -2,11 +2,13 @@
 // (seeds) and every scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include <functional>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -530,14 +532,37 @@ struct BackfillParam {
   const char* scheduler;  // "saath" or "aalo" (shared admit/alloc guard)
   Loop loop;
   bool order;  // production on the engine's stream (else with none)
-  /// On 40 ports, seed 7 has six CoFlows over 128 flows, the widest 399:
-  /// up to seven words of the backfill's flow bitmap.
+  /// On 40 ports, seed 7 has six CoFlows over 128 flows, the widest 399.
   int ports = 10;
+  /// Shuffles each CoFlow's flow list, so CoFlows whose slot order is not
+  /// flow order on one side or both take the other side's walk or the
+  /// dense one (every synthetic CoFlow is a mesh, ordered on both sides).
+  bool shuffled = false;
 };
 
 void PrintTo(const BackfillParam& p, std::ostream* os) {
   *os << p.scheduler << "/seed" << p.seed << "/" << loop_name(p.loop)
-      << (p.order ? "/incorder" : "/fullorder") << "/ports" << p.ports;
+      << (p.order ? "/incorder" : "/fullorder") << "/ports" << p.ports
+      << (p.shuffled ? "/shuffled" : "");
+}
+
+/// The backfill's three routes, by which sides of each CoFlow of `t` are
+/// ordered (CoflowState::sender_walk_ordered): both, one, or neither.
+struct WalkClasses {
+  int both = 0;
+  int one_side = 0;
+  int neither = 0;
+};
+
+WalkClasses walk_classes(const trace::Trace& t) {
+  WalkClasses k;
+  for (const CoflowSpec& spec : t.coflows) {
+    const CoflowState c(spec, FlowId{0});
+    const int sides = static_cast<int>(c.sender_walk_ordered()) +
+                      static_cast<int>(c.receiver_walk_ordered());
+    ++(sides == 2 ? k.both : sides == 1 ? k.one_side : k.neither);
+  }
+  return k;
 }
 
 void expect_identical_results(const SimResult& a, const SimResult& b,
@@ -555,7 +580,14 @@ void expect_identical_results(const SimResult& a, const SimResult& b,
 class BackfillProperty : public ::testing::TestWithParam<BackfillParam> {
  protected:
   [[nodiscard]] trace::Trace make() const {
-    return trace::synth_small_trace(GetParam().ports, 60, GetParam().seed);
+    auto t = trace::synth_small_trace(GetParam().ports, 60, GetParam().seed);
+    if (GetParam().shuffled) {
+      std::mt19937_64 rng(GetParam().seed);
+      for (CoflowSpec& spec : t.coflows) {
+        std::shuffle(spec.flows.begin(), spec.flows.end(), rng);
+      }
+    }
+    return t;
   }
   [[nodiscard]] SimConfig config() const {
     SimConfig cfg;
@@ -592,6 +624,13 @@ class BackfillProperty : public ::testing::TestWithParam<BackfillParam> {
 
 TEST_P(BackfillProperty, IndexedBackfillMatchesDenseOracle) {
   const auto t = make();
+  if (GetParam().shuffled) {
+    // The shuffled input must reach every route of the backfill.
+    const WalkClasses k = walk_classes(t);
+    EXPECT_GT(k.both, 0);
+    EXPECT_GT(k.one_side, 0);
+    EXPECT_GT(k.neither, 0);
+  }
   expect_identical_results(run(t, false), run(t, true), GetParam().scheduler);
 }
 
@@ -633,7 +672,15 @@ INSTANTIATE_TEST_SUITE_P(
         BackfillParam{7, "aalo", Loop::kReference, true},
         BackfillParam{21, "aalo", Loop::kReference, true},
         BackfillParam{7, "saath", Loop::kProduction, true, 40},
-        BackfillParam{7, "saath", Loop::kEveryEpoch, true, 40}),
+        BackfillParam{7, "saath", Loop::kEveryEpoch, true, 40},
+        BackfillParam{7, "saath", Loop::kProduction, true, 10, true},
+        BackfillParam{7, "saath", Loop::kProduction, false, 10, true},
+        BackfillParam{7, "saath", Loop::kEveryEpoch, true, 10, true},
+        BackfillParam{7, "saath", Loop::kEveryEpoch, false, 10, true},
+        BackfillParam{7, "saath", Loop::kReference, true, 10, true},
+        BackfillParam{7, "saath", Loop::kReference, false, 10, true},
+        BackfillParam{21, "saath", Loop::kProduction, true, 10, true},
+        BackfillParam{35, "saath", Loop::kEveryEpoch, true, 10, true}),
     [](const ::testing::TestParamInfo<BackfillParam>& pinfo) {
       std::string name = pinfo.param.scheduler;
       return name + "_seed" + std::to_string(pinfo.param.seed) + "_" +
@@ -641,7 +688,8 @@ INSTANTIATE_TEST_SUITE_P(
              (pinfo.param.order ? "_incorder" : "_fullorder") +
              (pinfo.param.ports == 10
                   ? ""
-                  : "_ports" + std::to_string(pinfo.param.ports));
+                  : "_ports" + std::to_string(pinfo.param.ports)) +
+             (pinfo.param.shuffled ? "_shuffled" : "");
     });
 
 /// Forwards the engine's precise deltas (so the indexed backfill actually
