@@ -4,24 +4,37 @@
 // stays small — always-on recording is only viable if the journal layer is
 // nearly free next to the scheduling work. Also times a ReplaySource-driven
 // re-run and checks its digest against the recorded run (the bit-identity
-// contract, exercised at bench scale). Emits BENCH_replay.json:
+// contract, exercised at bench scale). Then times the ingest primitives
+// over the recorded journal: parsing its event lines, formatting the
+// parsed events back, and building a CoflowState from each arrival's spec.
+// Emits BENCH_replay.json:
 //
 //   record_overhead       recorded wall / bare wall - 1 (gate <= 0.15)
 //   replay_speedup        bare wall / replay wall (replay skips generation)
 //   digest_match          recorded and replayed result digests agree
+//   parse_ns_per_event    parse_event_line over the journal's event lines
+//   format_ns_per_event   format_event_line over the parsed events
+//   build_ns_per_flow     CoflowState construction over the arrivals'
+//                         specs, 300 kept live, per flow
+// Each ingest row is {median, min, max} over kIngestReps passes.
 //
 // Exits non-zero when a gate fails, so CI can call it directly.
 //
 //   $ ./replay_overhead --coflows 30000 --out BENCH_replay.json
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
+#include "coflow/coflow.h"
 #include "replay/journal.h"
 #include "sched/factory.h"
 #include "sim/engine.h"
@@ -67,6 +80,91 @@ Timed run_once(MakeSource&& make_source, const SimConfig& cfg) {
   out.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  return out;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// One ingest primitive timed over kIngestReps passes, in ns per unit.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+constexpr int kIngestReps = 5;
+
+template <typename Pass>
+Spread time_passes(double units, Pass&& pass) {
+  std::vector<double> ns;
+  for (int r = 0; r < kIngestReps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pass();
+    ns.push_back(seconds_since(t0) * 1e9 / units);
+  }
+  std::sort(ns.begin(), ns.end());
+  return {ns[ns.size() / 2], ns.front(), ns.back()};
+}
+
+std::string spread_json(const Spread& s) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                "{\"median\": %.1f, \"min\": %.1f, \"max\": %.1f}",
+                s.median, s.min, s.max);
+  return buf;
+}
+
+struct Ingest {
+  std::int64_t events = 0;
+  std::int64_t flows = 0;
+  Spread parse;
+  Spread format;
+  Spread build;
+  std::uint64_t checksum = 0;  // keeps the timed work observable
+};
+
+/// Times the ingest primitives over the event lines of `journal_path`.
+Ingest time_ingest(const std::string& journal_path) {
+  std::ifstream in(journal_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  lines.erase(lines.begin(), lines.begin() + 2);  // header and config
+  std::vector<workload::WorkloadEvent> events;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    auto ev = replay::parse_event_line(lines[i], static_cast<std::int64_t>(i));
+    if (ev.has_value()) events.push_back(std::move(*ev));
+  }
+  Ingest out;
+  out.events = static_cast<std::int64_t>(events.size());
+  for (const auto& ev : events) {
+    out.flows += static_cast<std::int64_t>(ev.coflow.flows.size());
+  }
+  out.parse = time_passes(static_cast<double>(out.events), [&] {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const auto ev =
+          replay::parse_event_line(lines[i], static_cast<std::int64_t>(i));
+      if (ev.has_value()) out.checksum += static_cast<std::uint64_t>(ev->time);
+    }
+  });
+  out.format = time_passes(static_cast<double>(out.events), [&] {
+    for (const auto& ev : events) {
+      out.checksum += replay::format_event_line(ev).size();
+    }
+  });
+  out.build = time_passes(static_cast<double>(out.flows), [&] {
+    std::deque<CoflowState> live;
+    FlowId next{0};
+    for (const auto& ev : events) {
+      if (ev.kind != workload::WorkloadEvent::Kind::kArrival) continue;
+      if (live.size() == 300) live.pop_front();
+      const CoflowState& c = live.emplace_back(ev.coflow, next);
+      next.value += c.width();
+      out.checksum += c.sender_loads().size();
+    }
+  });
   return out;
 }
 
@@ -131,6 +229,18 @@ int main(int argc, char** argv) {
               replay::result_digest_hex(replayed.result).c_str(),
               digest_match && record_transparent ? "match" : "MISMATCH");
 
+  const Ingest ingest = time_ingest(journal_path);
+  std::printf(
+      "ingest over %lld events / %lld flows (median [min, max] of %d): parse "
+      "%.0f [%.0f, %.0f] ns/event, format %.0f [%.0f, %.0f] ns/event, "
+      "build %.1f [%.1f, %.1f] ns/flow (checksum %llu)\n",
+      static_cast<long long>(ingest.events),
+      static_cast<long long>(ingest.flows), kIngestReps, ingest.parse.median,
+      ingest.parse.min, ingest.parse.max, ingest.format.median,
+      ingest.format.min, ingest.format.max, ingest.build.median,
+      ingest.build.min, ingest.build.max,
+      static_cast<unsigned long long>(ingest.checksum));
+
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"coflows\": " << coflows << ",\n"
@@ -141,7 +251,12 @@ int main(int argc, char** argv) {
       << "  \"replay_speedup\": " << replay_speedup << ",\n"
       << "  \"digest_match\": " << (digest_match ? "true" : "false") << ",\n"
       << "  \"record_transparent\": "
-      << (record_transparent ? "true" : "false") << "\n"
+      << (record_transparent ? "true" : "false") << ",\n"
+      << "  \"ingest_events\": " << ingest.events << ",\n"
+      << "  \"ingest_flows\": " << ingest.flows << ",\n"
+      << "  \"parse_ns_per_event\": " << spread_json(ingest.parse) << ",\n"
+      << "  \"format_ns_per_event\": " << spread_json(ingest.format) << ",\n"
+      << "  \"build_ns_per_flow\": " << spread_json(ingest.build) << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
 

@@ -1,6 +1,7 @@
 #include "coflow/coflow.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -28,7 +29,7 @@ FlowState::FlowState(FlowId id, const FlowSpec& spec, SimTime origin)
 
 FlowState::FlowState(FlowId id, const FlowSpec& spec, SimTime origin,
                      FlowPool* pool, std::uint32_t index)
-    : pool_(pool), index_(index), id_(id), src_(spec.src), dst_(spec.dst) {
+    : pool_(pool), index_(index), id_(id) {
   SAATH_EXPECTS(spec.src >= 0);
   SAATH_EXPECTS(spec.dst >= 0);
   SAATH_EXPECTS(spec.size >= 0);
@@ -163,108 +164,137 @@ void FlowState::sync_version(std::uint64_t old_version,
 
 namespace {
 
-void add_load(std::vector<PortLoad>& loads, PortIndex port) {
-  for (auto& l : loads) {
-    if (l.port == port) {
-      ++l.unfinished_flows;
-      return;
+/// Port -> slot numbering for one side of one CoFlow under construction:
+/// linear probing over a power-of-two prefix of `cells_` sized to the
+/// flow count, never to a port's value. A cell counts only while it
+/// carries the current pass's stamp, so starting a pass clears nothing and
+/// the capacity a wide CoFlow grew serves every later one.
+class PortSlots {
+ public:
+  /// Starts numbering a side with at most `flows` distinct ports.
+  void begin(std::size_t flows) {
+    const std::size_t cells =
+        std::bit_ceil(std::max<std::size_t>(2 * flows, 8));
+    if (cells_.size() < cells) cells_.resize(cells);
+    mask_ = cells - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(cells));
+    if (++stamp_ == 0) {  // wrapped: retire every stamp ever written
+      for (Cell& c : cells_) c.stamp = 0;
+      stamp_ = 1;
+    }
+    loads_.clear();
+  }
+
+  struct Cell {
+    PortIndex port = 0;
+    std::uint32_t slot = 0;
+    /// The other side's slot of the port's latest flow (walk-flag check).
+    std::uint32_t last_other = 0;
+    std::uint32_t stamp = 0;
+  };
+
+  /// Counts one more flow on `port` and returns its cell, numbering the
+  /// port with the next slot on its first appearance. The reference stays
+  /// valid for the pass: cells never move once begin() sized them.
+  Cell& count(PortIndex port) {
+    for (std::size_t i = home(port);; i = (i + 1) & mask_) {
+      Cell& c = cells_[i];
+      if (c.stamp != stamp_) {
+        c = {port, static_cast<std::uint32_t>(loads_.size()), 0, stamp_};
+        loads_.push_back({port, 1});
+        return c;
+      }
+      if (c.port == port) {
+        ++loads_[c.slot].unfinished_flows;
+        return c;
+      }
     }
   }
-  loads.push_back({port, 1});
-}
 
-/// Sorted-by-port view over `loads`, built once at construction (a CoFlow's
-/// port set never grows).
-[[nodiscard]] std::vector<std::uint32_t> sorted_slots(
-    const std::vector<PortLoad>& loads) {
-  std::vector<std::uint32_t> order(loads.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return loads[a].port < loads[b].port;
-  });
-  return order;
+  /// The side's load list so far, in slot order.
+  [[nodiscard]] const std::vector<PortLoad>& loads() const { return loads_; }
+
+ private:
+  [[nodiscard]] std::size_t home(PortIndex port) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(port)) *
+         0x9E3779B97F4A7C15ull) >>
+        shift_);
+  }
+
+  std::vector<Cell> cells_;
+  std::vector<PortLoad> loads_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 64;
+  std::uint32_t stamp_ = 0;
+};
+
+/// CSR over one side's slots: begin[s]..begin[s+1] lists the flows whose
+/// slot is s, ascending. The fill runs in flow order and uses begin[s+1]
+/// as slot s's cursor, which leaves it at slot s+1's start.
+template <typename SlotOf>
+void build_csr(const std::vector<PortLoad>& loads, std::size_t flows,
+               SlotOf&& slot_of, std::vector<std::uint32_t>& slot_flows,
+               std::vector<std::uint32_t>& slot_begin) {
+  slot_begin.resize(loads.size() + 1);
+  slot_begin[0] = 0;
+  std::uint32_t start = 0;
+  for (std::size_t s = 0; s < loads.size(); ++s) {
+    slot_begin[s + 1] = start;
+    start += static_cast<std::uint32_t>(loads[s].unfinished_flows);
+  }
+  slot_flows.resize(flows);
+  for (std::uint32_t i = 0; i < flows; ++i) {
+    slot_flows[slot_begin[slot_of(i) + 1]++] = i;
+  }
 }
 
 }  // namespace
 
-int CoflowState::find_slot(const std::vector<PortLoad>& loads,
-                           const std::vector<std::uint32_t>& order,
-                           PortIndex port) {
-  const auto it = std::lower_bound(
-      order.begin(), order.end(), port,
-      [&](std::uint32_t idx, PortIndex p) { return loads[idx].port < p; });
-  if (it == order.end() || loads[*it].port != port) return -1;
-  return static_cast<int>(*it);
-}
-
 CoflowState::CoflowState(CoflowSpec spec, FlowId first_flow_id)
     : spec_(std::move(spec)) {
   SAATH_EXPECTS(!spec_.flows.empty());
-  pool_.allocate(spec_.flows.size());
-  flows_.reserve(spec_.flows.size());
-  std::int64_t next = first_flow_id.value;
-  std::uint32_t slot = 0;
-  for (const auto& fs : spec_.flows) {
-    flows_.emplace_back(FlowId{next++}, fs, spec_.arrival, &pool_, slot++);
-    flows_.back().owner_ = this;
-    add_load(senders_, fs.src);
-    add_load(receivers_, fs.dst);
-  }
-  sender_order_ = sorted_slots(senders_);
-  receiver_order_ = sorted_slots(receivers_);
-  // Group flow indices by port slot (CSR): counting pass, prefix sum, fill
-  // in flow order — which leaves every per-slot list ascending, the order
-  // the backfill's slot walk depends on.
-  const auto build_csr = [this](const std::vector<PortLoad>& loads,
-                                const std::vector<std::uint32_t>& order,
-                                std::vector<std::uint32_t>& slot_flows,
-                                std::vector<std::uint32_t>& slot_begin,
-                                const bool senders) {
-    slot_begin.assign(loads.size() + 1, 0);
-    for (const auto& f : flows_) {
-      const int s = find_slot(loads, order, senders ? f.src() : f.dst());
-      ++slot_begin[static_cast<std::size_t>(s) + 1];
-    }
-    for (std::size_t s = 1; s < slot_begin.size(); ++s) {
-      slot_begin[s] += slot_begin[s - 1];
-    }
-    slot_flows.resize(flows_.size());
-    std::vector<std::uint32_t> fill(loads.size(), 0);
-    for (std::uint32_t i = 0; i < flows_.size(); ++i) {
-      const auto s = static_cast<std::size_t>(find_slot(
-          loads, order, senders ? flows_[i].src() : flows_[i].dst()));
-      slot_flows[slot_begin[s] + fill[s]++] = i;
-    }
-  };
-  build_csr(senders_, sender_order_, sender_slot_flows_, sender_slot_begin_,
-            true);
-  build_csr(receivers_, receiver_order_, receiver_slot_flows_,
-            receiver_slot_begin_, false);
+  const std::size_t n = spec_.flows.size();
+  pool_.allocate(n);
+  flows_.reserve(n);
+  // Engines on separate threads build CoFlows concurrently.
+  thread_local PortSlots sender_slots;
+  thread_local PortSlots receiver_slots;
+  sender_slots.begin(n);
+  receiver_slots.begin(n);
   // A slot walk over one side is ordered when, along each of the other
-  // side's lists, the walked side's slot never decreases.
-  const auto walk_ordered = [this](const std::vector<std::uint32_t>& slot_flows,
-                                   const std::vector<std::uint32_t>& slot_begin,
-                                   const bool senders) {
-    for (std::size_t s = 0; s + 1 < slot_begin.size(); ++s) {
-      int prev = 0;
-      for (std::uint32_t k = slot_begin[s]; k < slot_begin[s + 1]; ++k) {
-        const FlowState& f = flows_[slot_flows[k]];
-        const int walked =
-            senders ? find_slot(senders_, sender_order_, f.src())
-                    : find_slot(receivers_, receiver_order_, f.dst());
-        if (walked < prev) return false;
-        prev = walked;
-      }
-    }
-    return true;
-  };
-  sender_walk_ordered_ =
-      walk_ordered(receiver_slot_flows_, receiver_slot_begin_, true);
-  receiver_walk_ordered_ =
-      walk_ordered(sender_slot_flows_, sender_slot_begin_, false);
-  walk_flows_.resize(flows_.size());
+  // side's lists (flows ascending), the walked side's slot never
+  // decreases; each port's cell remembers the other side's slot of the
+  // port's latest flow.
+  sender_walk_ordered_ = true;
+  receiver_walk_ordered_ = true;
+  std::int64_t next = first_flow_id.value;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const FlowSpec& fs = spec_.flows[i];
+    FlowState& f =
+        flows_.emplace_back(FlowId{next++}, fs, spec_.arrival, &pool_, i);
+    f.owner_ = this;
+    PortSlots::Cell& sc = sender_slots.count(fs.src);
+    PortSlots::Cell& rc = receiver_slots.count(fs.dst);
+    if (sc.slot < rc.last_other) sender_walk_ordered_ = false;
+    if (rc.slot < sc.last_other) receiver_walk_ordered_ = false;
+    rc.last_other = sc.slot;
+    sc.last_other = rc.slot;
+    f.sender_slot_ = sc.slot;
+    f.receiver_slot_ = rc.slot;
+  }
+  senders_.assign(sender_slots.loads().begin(), sender_slots.loads().end());
+  receivers_.assign(receiver_slots.loads().begin(),
+                    receiver_slots.loads().end());
+  build_csr(senders_, n,
+            [this](std::uint32_t i) { return flows_[i].sender_slot_; },
+            sender_slot_flows_, sender_slot_begin_);
+  build_csr(receivers_, n,
+            [this](std::uint32_t i) { return flows_[i].receiver_slot_; },
+            receiver_slot_flows_, receiver_slot_begin_);
+  walk_flows_.resize(n);
   std::iota(walk_flows_.begin(), walk_flows_.end(), 0u);
-  unfinished_ = static_cast<int>(flows_.size());
+  unfinished_ = static_cast<int>(n);
 }
 
 SimTime CoflowState::completion_time() const {
@@ -304,17 +334,14 @@ double CoflowState::total_remaining(SimTime now) const {
 double CoflowState::bottleneck_seconds(Rate port_bandwidth, SimTime now) const {
   SAATH_EXPECTS(port_bandwidth > 0);
   // Remaining bytes aggregated per port in one pass over the flows; Γ is
-  // the worst port at line rate. The per-port accumulators live in the
-  // (small) load lists, addressed through the sorted slot index.
+  // the worst port at line rate. The per-port accumulators are indexed by
+  // each flow's port slots.
   std::vector<double> send_bytes(senders_.size(), 0.0);
   std::vector<double> recv_bytes(receivers_.size(), 0.0);
   for (const auto& f : flows_) {
     if (f.finished()) continue;
-    const int s = find_slot(senders_, sender_order_, f.src());
-    const int r = find_slot(receivers_, receiver_order_, f.dst());
-    SAATH_EXPECTS(s >= 0 && r >= 0);
-    send_bytes[static_cast<std::size_t>(s)] += f.remaining(now);
-    recv_bytes[static_cast<std::size_t>(r)] += f.remaining(now);
+    send_bytes[f.sender_slot()] += f.remaining(now);
+    recv_bytes[f.receiver_slot()] += f.remaining(now);
   }
   double worst = 0;
   for (double b : send_bytes) worst = std::max(worst, b);
@@ -352,42 +379,58 @@ int CoflowState::restart_flows_on_port(PortIndex port, SimTime now) {
   return restarted;
 }
 
+namespace {
+
+[[nodiscard]] int unfinished_on(std::span<const PortLoad> loads,
+                                PortIndex port) {
+  for (const PortLoad& l : loads) {
+    if (l.port == port) return l.unfinished_flows;
+  }
+  return 0;
+}
+
+/// Removes flow index `i` from the ascending list [first, first + live)
+/// and keeps it ascending: walking from the tail, each later entry moves
+/// down one place until `i` is overwritten, so finding `i` costs no more
+/// than the shift.
+void unlist(std::uint32_t* first, int live, std::uint32_t i) {
+  std::uint32_t* at = first + live - 1;
+  std::uint32_t carry = *at;
+  while (carry != i) {
+    SAATH_EXPECTS(at != first);
+    --at;
+    std::swap(carry, *at);
+  }
+}
+
+}  // namespace
+
 int CoflowState::unfinished_on_sender(PortIndex port) const {
-  const int slot = find_slot(senders_, sender_order_, port);
-  return slot < 0 ? 0 : senders_[static_cast<std::size_t>(slot)].unfinished_flows;
+  return unfinished_on(senders_, port);
 }
 
 int CoflowState::unfinished_on_receiver(PortIndex port) const {
-  const int slot = find_slot(receivers_, receiver_order_, port);
-  return slot < 0 ? 0
-                  : receivers_[static_cast<std::size_t>(slot)].unfinished_flows;
+  return unfinished_on(receivers_, port);
 }
 
-OccupancyDelta CoflowState::on_flow_complete(FlowState& flow, SimTime now) {
+SAATH_HOT_NOALLOC OccupancyDelta CoflowState::on_flow_complete(FlowState& flow,
+                                                               SimTime now) {
+  SAATH_EXPECTS(flow.owner_ == this);
   SAATH_EXPECTS(!flow.finished());
+  const std::size_t s = flow.sender_slot();
+  const std::size_t r = flow.receiver_slot();
+  SAATH_EXPECTS(s < senders_.size() && r < receivers_.size());
   flow.complete(now);
-  const int s = find_slot(senders_, sender_order_, flow.src());
-  const int r = find_slot(receivers_, receiver_order_, flow.dst());
-  SAATH_EXPECTS(s >= 0 && r >= 0);
-  auto& sload = senders_[static_cast<std::size_t>(s)];
-  auto& rload = receivers_[static_cast<std::size_t>(r)];
+  auto& sload = senders_[s];
+  auto& rload = receivers_[r];
   SAATH_EXPECTS(sload.unfinished_flows > 0);
   SAATH_EXPECTS(rload.unfinished_flows > 0);
   // Drop the flow from its two slot lists (still ascending), then from the
   // walk list once finished entries make up half of it.
-  const auto unlist = [i = flow.pool_index()](std::vector<std::uint32_t>& csr,
-                                              std::uint32_t begin, int live) {
-    const auto first = csr.begin() + begin;
-    const auto last = first + live;
-    const auto it = std::lower_bound(first, last, i);
-    SAATH_EXPECTS(it != last && *it == i);
-    std::copy(it + 1, last, it);
-  };
-  unlist(sender_slot_flows_, sender_slot_begin_[static_cast<std::size_t>(s)],
-         sload.unfinished_flows);
-  unlist(receiver_slot_flows_,
-         receiver_slot_begin_[static_cast<std::size_t>(r)],
-         rload.unfinished_flows);
+  unlist(sender_slot_flows_.data() + sender_slot_begin_[s],
+         sload.unfinished_flows, flow.pool_index());
+  unlist(receiver_slot_flows_.data() + receiver_slot_begin_[r],
+         rload.unfinished_flows, flow.pool_index());
   if (2 * ++walk_finished_ >= walk_flows_.size()) {
     std::erase_if(walk_flows_,
                   [this](std::uint32_t i) { return pool_.finished[i] != 0; });
@@ -396,7 +439,6 @@ OccupancyDelta CoflowState::on_flow_complete(FlowState& flow, SimTime now) {
   OccupancyDelta delta;
   delta.sender_freed = --sload.unfinished_flows == 0;
   delta.receiver_freed = --rload.unfinished_flows == 0;
-  finished_lengths_.push_back(flow.size());
   ++occupancy_version_;
   --unfinished_;
   if (unfinished_ == 0) finish_time_ = now;
@@ -404,9 +446,17 @@ OccupancyDelta CoflowState::on_flow_complete(FlowState& flow, SimTime now) {
 }
 
 double CoflowState::finished_length_median() const {
-  SAATH_EXPECTS(!finished_lengths_.empty());
-  if (median_for_count_ == finished_lengths_.size()) return median_cache_;
-  std::vector<double> values = finished_lengths_;
+  const int finished = finished_flows();
+  SAATH_EXPECTS(finished > 0);
+  if (median_for_count_ == finished) return median_cache_;
+  // The selection runs over a per-thread copy of the finished flows' sizes
+  // that keeps its capacity; the median of a multiset does not depend on
+  // the order the copy lists it in.
+  thread_local std::vector<double> values;
+  values.clear();
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    if (pool_.finished[i]) values.push_back(pool_.size_bytes[i]);
+  }
   const auto mid = values.size() / 2;
   std::nth_element(values.begin(), values.begin() + static_cast<long>(mid),
                    values.end());
@@ -417,7 +467,7 @@ double CoflowState::finished_length_median() const {
                      values.begin() + static_cast<long>(mid) - 1, values.end());
     median = (values[mid - 1] + hi) / 2.0;
   }
-  median_for_count_ = finished_lengths_.size();
+  median_for_count_ = finished;
   median_cache_ = median;
   return median;
 }

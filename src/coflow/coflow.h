@@ -57,7 +57,8 @@ class CoflowState;
 /// slot = the flow's position in flows()), and every accessor forwards to
 /// one array element with unchanged arithmetic — trajectory values are
 /// bit-identical to the old interleaved layout. Only cold bookkeeping
-/// (ids, stamps, the heap position, the resume stash) stays inline.
+/// (ids, port slots, stamps, the heap position, the resume stash) stays
+/// inline.
 class FlowState {
  public:
   /// Standalone (unit-test / manual-drive) flow: owns a private 1-slot
@@ -72,10 +73,17 @@ class FlowState {
   FlowState& operator=(FlowState&&) noexcept = default;
 
   [[nodiscard]] FlowId id() const { return id_; }
-  [[nodiscard]] PortIndex src() const { return src_; }
-  [[nodiscard]] PortIndex dst() const { return dst_; }
+  /// Endpoints, read from the pool's src/dst lanes.
+  [[nodiscard]] PortIndex src() const { return pool_->src[index_]; }
+  [[nodiscard]] PortIndex dst() const { return pool_->dst[index_]; }
   /// Slot in the owning FlowPool == position in CoflowState::flows().
   [[nodiscard]] std::uint32_t pool_index() const { return index_; }
+  /// Index of src() in the owner's sender_loads() and of dst() in its
+  /// receiver_loads(), fixed at construction (a CoFlow's port set never
+  /// changes); kNoPortSlot for a standalone flow.
+  static constexpr std::uint32_t kNoPortSlot = ~std::uint32_t{0};
+  [[nodiscard]] std::uint32_t sender_slot() const { return sender_slot_; }
+  [[nodiscard]] std::uint32_t receiver_slot() const { return receiver_slot_; }
   [[nodiscard]] double size() const { return pool_->size_bytes[index_]; }
   [[nodiscard]] bool finished() const { return pool_->finished[index_] != 0; }
   [[nodiscard]] SimTime finish_time() const { return finish_time_; }
@@ -147,15 +155,16 @@ class FlowState {
 
   // The handle proper: pool slot first (every hot accessor reads these two
   // then exactly one pool array element); cold rate-change-only
-  // bookkeeping behind it. The trajectory scalars themselves live in the
-  // pool's parallel arrays.
+  // bookkeeping behind it. The trajectory scalars and the endpoints live
+  // in the pool's parallel arrays; the port slots stay here, which keeps
+  // the handle at 112 bytes and each one-flow pool at nine cache lines.
   FlowPool* pool_ = nullptr;
   std::uint32_t index_ = 0;
   std::uint32_t heap_pos_ = kNoHeapPos;  // fills the padding after index_
   FlowId id_;
-  PortIndex src_;
-  PortIndex dst_;
-  CoflowState* owner_ = nullptr;    // set by CoflowState's constructor
+  std::uint32_t sender_slot_ = kNoPortSlot;    // set by CoflowState's
+  std::uint32_t receiver_slot_ = kNoPortSlot;  // constructor, with owner_
+  CoflowState* owner_ = nullptr;
   SimTime finish_time_ = kNever;
   std::uint64_t touch_stamp_ = 0;
   /// Trajectory stashed by an epoch-start zeroing, restored bit-exactly if
@@ -191,7 +200,12 @@ class CoflowState {
  public:
   /// Takes the spec by value: engine admissions move it straight off the
   /// workload stream (no deep copy of the flow vector); lvalue callers copy
-  /// once, as before.
+  /// once, as before. One linear pass over the flows numbers each side's
+  /// ports in first-appearance order through a port -> slot hash table
+  /// (per-thread scratch that keeps its capacity, so a port's value sizes
+  /// nothing), records each flow's two slots and decides both walk flags;
+  /// the load lists, CSR lists and walk list are then filled at exact size.
+  /// Nothing sorts or searches.
   CoflowState(CoflowSpec spec, FlowId first_flow_id);
   /// Flows hold a back-pointer to their owner (for the aggregate caches);
   /// the state is pinned in place.
@@ -227,25 +241,19 @@ class CoflowState {
   [[nodiscard]] double max_flow_sent(SimTime now) const;
   [[nodiscard]] double total_remaining(SimTime now) const;
 
-  /// Distinct sender/receiver ports still carrying unfinished flows.
-  /// Entries with unfinished_flows == 0 remain in the list (stable
-  /// first-appearance order) and must be skipped by callers.
+  /// Distinct sender/receiver ports still carrying unfinished flows, one
+  /// entry per port slot in first-appearance order (allocation iteration
+  /// order is observable). Entries with unfinished_flows == 0 remain in the
+  /// list and must be skipped by callers. A flow finds its two entries
+  /// through FlowState::sender_slot()/receiver_slot(); there is no port
+  /// index.
   [[nodiscard]] std::span<const PortLoad> sender_loads() const { return senders_; }
   [[nodiscard]] std::span<const PortLoad> receiver_loads() const { return receivers_; }
 
-  /// Unfinished flows on one specific port slot (0 when the CoFlow never
-  /// touched the port). O(log ports) via the sorted slot index.
+  /// Unfinished flows on one specific port (0 when the CoFlow never touched
+  /// it): a scan of the load list, for tests; hot paths read a flow's slots.
   [[nodiscard]] int unfinished_on_sender(PortIndex port) const;
   [[nodiscard]] int unfinished_on_receiver(PortIndex port) const;
-
-  /// Index of `port` in sender_loads() (resp. receiver_loads()), or -1 when
-  /// the CoFlow never touched it. O(log ports) via the sorted slot index.
-  [[nodiscard]] int sender_slot_of(PortIndex port) const {
-    return find_slot(senders_, sender_order_, port);
-  }
-  [[nodiscard]] int receiver_slot_of(PortIndex port) const {
-    return find_slot(receivers_, receiver_order_, port);
-  }
 
   /// Indices into flows() of the UNFINISHED flows sourced at
   /// sender_loads()[slot].port (resp. sinked at receiver_loads()[slot].port),
@@ -318,6 +326,7 @@ class CoflowState {
   /// Completes `flow` at `now`, updating port loads, the unfinished-only
   /// flow views, and finish bookkeeping — the only place those views change.
   /// Reports which of the flow's two port memberships dropped to zero.
+  /// Reads the flow's two port slots directly and allocates nothing.
   OccupancyDelta on_flow_complete(FlowState& flow, SimTime now);
   /// Node failure on `port`: restarts every unfinished flow touching it.
   /// Returns the number of flows restarted.
@@ -337,7 +346,7 @@ class CoflowState {
                              SimTime anchor, SimTime predicted_finish);
   /// Checkpoint restore of an already-finished flow: routes through the
   /// normal completion bookkeeping (port loads, unfinished-only flow
-  /// views, finished lengths, occupancy version) at the recorded finish
+  /// views, finished count, occupancy version) at the recorded finish
   /// instant.
   void restore_flow_finished(std::size_t i, SimTime finish_time);
 
@@ -356,24 +365,18 @@ class CoflowState {
   /// ready; engine-level injectors may hold data back.
   bool data_available = true;
 
-  /// Lengths (bytes) of flows that already finished; used by the §4.3
-  /// approximate-SRTF estimator.
-  [[nodiscard]] std::span<const double> finished_flow_lengths() const {
-    return finished_lengths_;
-  }
+  /// Flows that already finished; the §4.3 approximate-SRTF estimator
+  /// needs at least one.
+  [[nodiscard]] int finished_flows() const { return width() - unfinished_; }
 
-  /// Median of finished_flow_lengths() (f_e, §4.3), cached on the
-  /// finished-set size so the per-round SRTF estimator stops re-selecting
-  /// from a fresh vector copy when no flow finished in between. Requires a
-  /// non-empty finished set.
+  /// Median length (bytes) of the finished flows (f_e, §4.3), read off
+  /// their FlowPool sizes and cached on finished_flows(), so the per-round
+  /// SRTF estimator re-selects only after a flow finished. Requires a
+  /// finished flow.
   [[nodiscard]] double finished_length_median() const;
 
  private:
   friend class FlowState;
-  /// Slot of `port` in `loads` via the sorted index; -1 when absent.
-  [[nodiscard]] static int find_slot(const std::vector<PortLoad>& loads,
-                                     const std::vector<std::uint32_t>& order,
-                                     PortIndex port);
 
   /// One memoized scalar aggregate over the flows (total_sent,
   /// max_flow_sent): valid while no flow trajectory mutated and, when some
@@ -403,12 +406,6 @@ class CoflowState {
   std::vector<FlowState> flows_;
   std::vector<PortLoad> senders_;
   std::vector<PortLoad> receivers_;
-  /// Indices into senders_/receivers_ sorted by port, so per-port lookups
-  /// are O(log W) even for CoFlows spanning hundreds of ports. The load
-  /// lists themselves keep first-appearance order (allocation iteration
-  /// order is observable).
-  std::vector<std::uint32_t> sender_order_;
-  std::vector<std::uint32_t> receiver_order_;
   /// CSR layout of flow indices grouped by sender / receiver slot (see
   /// sender_slot_flows): slot s owns begin_[s]..begin_[s+1], of which the
   /// first unfinished_flows entries are its live list.
@@ -421,9 +418,8 @@ class CoflowState {
   /// See walk_flows(); walk_finished_ counts the finished entries it holds.
   std::vector<std::uint32_t> walk_flows_;
   std::size_t walk_finished_ = 0;
-  std::vector<double> finished_lengths_;
-  /// finished_lengths_.size() the cached median was computed at; 0 = none.
-  mutable std::size_t median_for_count_ = 0;
+  /// finished_flows() the cached median was computed at; 0 = none.
+  mutable int median_for_count_ = 0;
   mutable double median_cache_ = 0;
   int unfinished_ = 0;
   std::uint64_t occupancy_version_ = 0;

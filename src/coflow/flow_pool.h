@@ -2,8 +2,8 @@
 //
 // A FlowPool is the SoA block behind one CoflowState's flows: the per-flow
 // trajectory scalars (size / sent-base / rate / anchor / predicted-finish /
-// rate-version / finished) plus the immutable src/dst endpoint mirrors
-// live as parallel arrays carved out of a single
+// rate-version / finished) plus the immutable src/dst endpoints live as
+// parallel arrays carved out of a single
 // cache-aligned allocation, indexed by the flow's position in
 // CoflowState::flows() — the same index the CSR slot lists carry.
 // FlowState is an index-backed handle over this pool: every accessor and
@@ -109,10 +109,10 @@ class FlowPool {
   SimTime* anchor = nullptr;
   SimTime* predicted_finish = nullptr;
   std::uint64_t* rate_version = nullptr;
-  // Immutable endpoint mirrors of FlowState::src()/dst(), written once at
-  // construction so the conservation backfill's flow walk (the hottest
-  // dense loop: visit every flow, probe both ports' residual budgets)
-  // never touches the handle structs.
+  // The flows' endpoints, written once at construction. FlowState::src()
+  // and dst() read them (the handle keeps no copy), and the conservation
+  // backfill's flow walk (the hottest dense loop: visit every flow, probe
+  // both ports' residual budgets) reads them without touching the handles.
   PortIndex* src = nullptr;
   PortIndex* dst = nullptr;
   std::uint8_t* finished = nullptr;

@@ -1,13 +1,14 @@
 #include "replay/journal.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "common/expect.h"
@@ -25,36 +26,89 @@ void append_double(std::string& line, double v) {
   line += buf;
 }
 
-[[nodiscard]] double parse_double(const std::string& tok, std::int64_t line_no) {
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0') {
-    throw std::runtime_error("journal line " + std::to_string(line_no) +
-                             ": bad double '" + tok + "'");
-  }
-  return v;
+[[nodiscard]] std::runtime_error line_error(std::int64_t line_no,
+                                            const std::string& what) {
+  return std::runtime_error("journal line " + std::to_string(line_no) + ": " +
+                            what);
 }
 
-[[nodiscard]] std::int64_t parse_int(const std::string& tok,
-                                     std::int64_t line_no) {
-  char* end = nullptr;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0') {
-    throw std::runtime_error("journal line " + std::to_string(line_no) +
-                             ": bad integer '" + tok + "'");
-  }
-  return static_cast<std::int64_t>(v);
-}
+/// The whitespace-separated tokens of one line, read in place through a
+/// string_view cursor. Whitespace is what `istream >> std::string` skips
+/// in the C locale, so the tokens are the ones an istringstream saw.
+class Tokens {
+ public:
+  Tokens(std::string_view line, std::int64_t line_no)
+      : rest_(line), line_no_(line_no) {}
 
-/// Pulls the next whitespace token; throws naming the line on exhaustion.
-[[nodiscard]] std::string take(std::istringstream& ss, std::int64_t line_no) {
-  std::string tok;
-  if (!(ss >> tok)) {
-    throw std::runtime_error("journal line " + std::to_string(line_no) +
-                             ": truncated record");
+  /// The next token, or an empty view once the line is used up.
+  [[nodiscard]] std::string_view next() {
+    std::size_t i = 0;
+    while (i < rest_.size() && is_space(rest_[i])) ++i;
+    std::size_t j = i;
+    while (j < rest_.size() && !is_space(rest_[j])) ++j;
+    const std::string_view tok = rest_.substr(i, j - i);
+    rest_.remove_prefix(j);
+    return tok;
   }
-  return tok;
-}
+
+  /// The next token; throws naming the line when none is left.
+  [[nodiscard]] std::string_view take() {
+    const std::string_view tok = next();
+    if (tok.empty()) throw line_error(line_no_, "truncated record");
+    return tok;
+  }
+
+  /// A decimal int64 with an optional sign, as strtoll read it (a NUL ends
+  /// the digits, as it ended the C string); a value past int64 rejects.
+  [[nodiscard]] std::int64_t take_int() {
+    const std::string_view tok = take();
+    std::string_view digits = tok.substr(0, tok.find('\0'));
+    // from_chars takes '-' but not '+'; "+-1" must still reject.
+    if (digits.size() > 1 && digits[0] == '+' && digits[1] >= '0' &&
+        digits[1] <= '9') {
+      digits.remove_prefix(1);
+    }
+    std::int64_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), v);
+    if (ec != std::errc{} || end != digits.data() + digits.size()) {
+      throw line_error(line_no_, "bad integer '" + std::string(tok) + "'");
+    }
+    return v;
+  }
+
+  /// A port: an integer that fits PortIndex.
+  [[nodiscard]] PortIndex take_port() {
+    const std::int64_t v = take_int();
+    if (v < std::numeric_limits<PortIndex>::min() ||
+        v > std::numeric_limits<PortIndex>::max()) {
+      throw line_error(line_no_, "port out of range " + std::to_string(v));
+    }
+    return static_cast<PortIndex>(v);
+  }
+
+  /// A double in any form strtod reads (the journal writes C hexfloats).
+  [[nodiscard]] double take_double() {
+    const std::string tok(take());
+    char* end = nullptr;
+    const double v = std::strtod(tok.c_str(), &end);
+    if (end == tok.c_str() || *end != '\0') {
+      throw line_error(line_no_, "bad double '" + tok + "'");
+    }
+    return v;
+  }
+
+  /// Everything after the last token taken, leading whitespace included.
+  [[nodiscard]] std::string_view rest() const { return rest_; }
+
+ private:
+  [[nodiscard]] static bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
+  std::string_view rest_;
+  std::int64_t line_no_;
+};
 
 /// Appends " <tok>". Split +='s (char, then token) rather than a
 /// `" " + tok` temporary: GCC 12's -Wrestrict misfires on the inlined
@@ -81,22 +135,18 @@ void write_config(std::string& line, const SimConfig& c) {
   append_token(line, std::to_string(static_cast<int>(c.strict_input)));
 }
 
-[[nodiscard]] SimConfig read_config(std::istringstream& ss,
-                                    std::int64_t line_no) {
+[[nodiscard]] SimConfig read_config(Tokens& tokens) {
   SimConfig c;
-  c.port_bandwidth = parse_double(take(ss, line_no), line_no);
-  c.delta = parse_int(take(ss, line_no), line_no);
-  c.reallocate_on_completion = parse_int(take(ss, line_no), line_no) != 0;
-  for (int retired = 0; retired < 3; ++retired) {
-    (void)parse_int(take(ss, line_no), line_no);
-  }
-  c.record_results = parse_int(take(ss, line_no), line_no) != 0;
-  c.max_sim_time = parse_int(take(ss, line_no), line_no);
-  (void)parse_int(take(ss, line_no), line_no);  // reserved slot
-  c.max_stall_epochs = static_cast<int>(parse_int(take(ss, line_no), line_no));
-  c.max_requeue_attempts =
-      static_cast<int>(parse_int(take(ss, line_no), line_no));
-  c.strict_input = parse_int(take(ss, line_no), line_no) != 0;
+  c.port_bandwidth = tokens.take_double();
+  c.delta = tokens.take_int();
+  c.reallocate_on_completion = tokens.take_int() != 0;
+  for (int retired = 0; retired < 3; ++retired) (void)tokens.take_int();
+  c.record_results = tokens.take_int() != 0;
+  c.max_sim_time = tokens.take_int();
+  (void)tokens.take_int();  // reserved slot
+  c.max_stall_epochs = static_cast<int>(tokens.take_int());
+  c.max_requeue_attempts = static_cast<int>(tokens.take_int());
+  c.strict_input = tokens.take_int() != 0;
   return c;
 }
 
@@ -139,50 +189,48 @@ std::string format_event_line(const workload::WorkloadEvent& ev) {
 }
 
 std::optional<workload::WorkloadEvent> parse_event_line(
-    const std::string& line, std::int64_t line_no) {
-  if (line.empty()) return std::nullopt;
-  std::istringstream ss(line);
-  std::string tag;
-  ss >> tag;
+    std::string_view line, std::int64_t line_no) {
+  Tokens tokens(line, line_no);
+  const std::string_view tag = tokens.next();
   if (tag.empty()) return std::nullopt;
   workload::WorkloadEvent ev;
   if (tag == "A") {
     ev.kind = workload::WorkloadEvent::Kind::kArrival;
-    ev.time = parse_int(take(ss, line_no), line_no);
-    ev.coflow.id = CoflowId{parse_int(take(ss, line_no), line_no)};
-    ev.coflow.job = JobId{parse_int(take(ss, line_no), line_no)};
-    ev.coflow.stage = static_cast<int>(parse_int(take(ss, line_no), line_no));
-    ev.coflow.arrival = parse_int(take(ss, line_no), line_no);
-    ev.data_ready = parse_int(take(ss, line_no), line_no);
-    const std::int64_t n = parse_int(take(ss, line_no), line_no);
-    if (n < 0) {
-      throw std::runtime_error("journal line " + std::to_string(line_no) +
-                               ": negative flow count");
-    }
-    ev.coflow.flows.reserve(static_cast<std::size_t>(n));
+    ev.time = tokens.take_int();
+    ev.coflow.id = CoflowId{tokens.take_int()};
+    ev.coflow.job = JobId{tokens.take_int()};
+    ev.coflow.stage = static_cast<int>(tokens.take_int());
+    ev.coflow.arrival = tokens.take_int();
+    ev.data_ready = tokens.take_int();
+    const std::int64_t n = tokens.take_int();
+    if (n < 0) throw line_error(line_no, "negative flow count");
+    // Each flow takes at least six bytes of the line (" s d z"), so a
+    // count the line cannot hold reserves only what it can, and the read
+    // below runs out of tokens instead of memory.
+    ev.coflow.flows.reserve(static_cast<std::size_t>(
+        std::min<std::int64_t>(n, static_cast<std::int64_t>(
+                                      tokens.rest().size() / 6))));
     for (std::int64_t i = 0; i < n; ++i) {
       FlowSpec f;
-      f.src = static_cast<PortIndex>(parse_int(take(ss, line_no), line_no));
-      f.dst = static_cast<PortIndex>(parse_int(take(ss, line_no), line_no));
-      f.size = parse_int(take(ss, line_no), line_no);
+      f.src = tokens.take_port();
+      f.dst = tokens.take_port();
+      f.size = tokens.take_int();
       ev.coflow.flows.push_back(f);
     }
   } else if (tag == "D") {
     ev.kind = workload::WorkloadEvent::Kind::kDynamics;
-    ev.time = parse_int(take(ss, line_no), line_no);
+    ev.time = tokens.take_int();
     ev.dynamics.time = ev.time;
-    ev.dynamics.kind =
-        static_cast<DynamicsEvent::Kind>(parse_int(take(ss, line_no), line_no));
-    ev.dynamics.port =
-        static_cast<PortIndex>(parse_int(take(ss, line_no), line_no));
-    ev.dynamics.capacity_factor = parse_double(take(ss, line_no), line_no);
+    ev.dynamics.kind = static_cast<DynamicsEvent::Kind>(tokens.take_int());
+    ev.dynamics.port = tokens.take_port();
+    ev.dynamics.capacity_factor = tokens.take_double();
   } else if (tag == "G") {
     ev.kind = workload::WorkloadEvent::Kind::kDataAvailable;
-    ev.time = parse_int(take(ss, line_no), line_no);
-    ev.gated = CoflowId{parse_int(take(ss, line_no), line_no)};
+    ev.time = tokens.take_int();
+    ev.gated = CoflowId{tokens.take_int()};
   } else {
-    throw std::runtime_error("journal line " + std::to_string(line_no) +
-                             ": unknown event tag '" + tag + "'");
+    throw line_error(line_no,
+                     "unknown event tag '" + std::string(tag) + "'");
   }
   return ev;
 }
@@ -221,42 +269,39 @@ workload::WorkloadEvent RecordingSource::next() {
 // ------------------------------------------------------------ ReplaySource
 
 ReplaySource::ReplaySource(std::istream& in) : in_(in) {
-  std::string line;
-  if (!std::getline(in_, line)) {
+  if (!std::getline(in_, line_)) {
     throw std::runtime_error("journal: empty stream");
   }
   ++line_no_;
-  std::istringstream ss(line);
-  std::string magic;
-  ss >> magic;
+  Tokens header(line_, line_no_);
+  const std::string_view magic = header.next();
   if (magic != "SAATHJ1") {
-    throw std::runtime_error("journal: bad magic '" + magic + "'");
+    throw std::runtime_error("journal: bad magic '" + std::string(magic) +
+                             "'");
   }
-  num_ports_ = static_cast<int>(parse_int(take(ss, line_no_), line_no_));
-  seed_ = parse_int(take(ss, line_no_), line_no_);
+  num_ports_ = static_cast<int>(header.take_int());
+  seed_ = header.take_int();
   // Everything after the seed is the recorded name (may contain spaces).
-  std::getline(ss, name_);
+  name_ = header.rest();
   if (!name_.empty() && name_.front() == ' ') name_.erase(0, 1);
-  if (!std::getline(in_, line)) {
+  if (!std::getline(in_, line_)) {
     throw std::runtime_error("journal: missing config line");
   }
   ++line_no_;
-  std::istringstream cs(line);
-  std::string tag;
-  cs >> tag;
+  Tokens config(line_, line_no_);
+  const std::string_view tag = config.next();
   if (tag != "C") {
-    throw std::runtime_error("journal: expected config line, got '" + tag +
-                             "'");
+    throw std::runtime_error("journal: expected config line, got '" +
+                             std::string(tag) + "'");
   }
-  config_ = read_config(cs, line_no_);
+  config_ = read_config(config);
 }
 
 void ReplaySource::fill() {
   if (next_.has_value()) return;
-  std::string line;
-  while (std::getline(in_, line)) {
+  while (std::getline(in_, line_)) {
     ++line_no_;
-    if (auto ev = parse_event_line(line, line_no_)) {
+    if (auto ev = parse_event_line(line_, line_no_)) {
       next_ = std::move(*ev);
       return;
     }

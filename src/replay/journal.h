@@ -31,6 +31,13 @@
 //     {<src> <dst> <size>}*
 //   D <time> <kind> <port> <factor>
 //   G <time> <gated-id>
+// Tokens are separated by whitespace (space, \t, \n, \v, \f, \r). Integers
+// are decimal int64 with an optional sign; ports (<src>, <dst>, <port>)
+// must also fit int32, and <nflows> is bounded by the line: a count the
+// rest of the line cannot hold fails as a truncated record, with nothing
+// reserved for it. Tokens after a record are ignored. Every line is read
+// in place with one tokenizer; a reject is a std::runtime_error naming the
+// line.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +45,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/engine.h"
 #include "sim/result.h"
@@ -54,10 +62,12 @@ namespace saath::replay {
 /// line and the daemon's journal IS a transcript of accepted messages.
 [[nodiscard]] std::string format_event_line(const workload::WorkloadEvent& ev);
 
-/// Parses one event line. Returns nullopt for a blank line; throws
-/// std::runtime_error naming `line_no` on a malformed or unknown record.
+/// Parses one event line in place. Returns nullopt for a blank line;
+/// throws std::runtime_error naming `line_no` on a malformed or unknown
+/// record, an integer past int64, a port past int32, or a flow count the
+/// line cannot hold. Tokens after the record are ignored.
 [[nodiscard]] std::optional<workload::WorkloadEvent> parse_event_line(
-    const std::string& line, std::int64_t line_no);
+    std::string_view line, std::int64_t line_no);
 
 class RecordingSource final : public workload::WorkloadSource {
  public:
@@ -122,6 +132,8 @@ class ReplaySource final : public workload::WorkloadSource {
   std::int64_t seed_ = 0;
   SimConfig config_;
   std::optional<workload::WorkloadEvent> next_;
+  /// The line being parsed; reused, so reading keeps its capacity.
+  std::string line_;
   std::int64_t line_no_ = 0;
 };
 

@@ -145,7 +145,7 @@ std::string SaathScheduler::name() const {
 
 double SaathScheduler::dynamics_remaining_estimate(const CoflowState& coflow,
                                                    SimTime now) {
-  SAATH_EXPECTS(!coflow.finished_flow_lengths().empty());
+  SAATH_EXPECTS(coflow.finished_flows() > 0);
   const double f_e = coflow.finished_length_median();
   // Remaining of flow i is estimated as (f_e - sent_i)+; the CoFlow's
   // remaining work m_c is the max since the CCT tracks the last flow.
@@ -160,7 +160,7 @@ double SaathScheduler::dynamics_remaining_estimate(const CoflowState& coflow,
 
 bool SaathScheduler::is_volatile(const CoflowState& c) const {
   return config_.dynamics_srtf && c.dynamics_flagged &&
-         !c.finished_flow_lengths().empty();
+         c.finished_flows() > 0;
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::on_coflow_arrival(CoflowState& coflow,

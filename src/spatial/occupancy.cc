@@ -75,18 +75,14 @@ SAATH_HOT_NOALLOC OccupancyDelta OccupancyIndex::on_flow_complete(
   const Seat& seat = seats_[slot];
   SAATH_EXPECTS(seat.places.size() ==
                 c.sender_loads().size() + c.receiver_loads().size());
-  const int s = c.sender_slot_of(flow.src());
-  const int r = c.receiver_slot_of(flow.dst());
-  SAATH_EXPECTS(s >= 0 && r >= 0);
+  const std::uint32_t s = flow.sender_slot();
+  const std::uint32_t r = flow.receiver_slot();
+  SAATH_EXPECTS(s < seat.senders && seat.senders + r < seat.places.size());
   OccupancyDelta delta;
-  delta.sender_freed =
-      c.sender_loads()[static_cast<std::size_t>(s)].unfinished_flows == 0;
-  delta.receiver_freed =
-      c.receiver_loads()[static_cast<std::size_t>(r)].unfinished_flows == 0;
-  if (delta.sender_freed) leave(slot, static_cast<std::uint32_t>(s));
-  if (delta.receiver_freed) {
-    leave(slot, seat.senders + static_cast<std::uint32_t>(r));
-  }
+  delta.sender_freed = c.sender_loads()[s].unfinished_flows == 0;
+  delta.receiver_freed = c.receiver_loads()[r].unfinished_flows == 0;
+  if (delta.sender_freed) leave(slot, s);
+  if (delta.receiver_freed) leave(slot, seat.senders + r);
   return delta;
 }
 

@@ -75,7 +75,8 @@ class OccupancyIndex {
 
   /// A flow of the CoFlow at `slot` finished; `c` already counts it.
   /// Leaves each of the flow's two port buckets where c has no unfinished
-  /// flow left, and reports which it left. O(log ports of c).
+  /// flow left, and reports which it left. O(1): the flow's port slots
+  /// are its places.
   OccupancyDelta on_flow_complete(Slot slot, const CoflowState& c,
                                   const FlowState& flow);
 

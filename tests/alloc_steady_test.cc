@@ -193,8 +193,9 @@ TEST(AllocSteady, SpatialIndexChurnRecyclesCapacity) {
     index.add_coflow(*resident.back(), i % 3);
   }
 
-  // Only the index calls are counted: building a CoflowState and its own
-  // completion bookkeeping allocate by design and happen outside.
+  // Only the index calls are counted: building a CoflowState allocates by
+  // design and happens outside (its completions are counted in their own
+  // case below).
   std::uint64_t index_allocs = 0;
   const auto counted = [&index_allocs](auto&& call) {
     const std::uint64_t before = debug_alloc_count();
@@ -236,19 +237,26 @@ TEST(AllocSteady, SpatialIndexChurnRecyclesCapacity) {
   EXPECT_EQ(index.size(), static_cast<std::size_t>(kResident));
 }
 
-// Building a CoflowState allocates its per-CoFlow vectors once, outside any
-// epoch. Deciding which of its slot walks the backfill may take must add
-// nothing to that: the pin is the count from before those flags existed
-// (the spec copy, the flow handles, the port loads and their sorted
-// indices, the CSR slot lists and the walk list; the FlowPool block goes
-// through the aligned form, which this binary does not count).
-TEST(AllocSteady, CoflowStateConstructionAllocations) {
+/// A 6-mapper x 4-reducer mesh listed reducer by reducer.
+CoflowSpec mesh_6x4() {
   CoflowSpec spec = make_coflow(0, 0, {});
   for (PortIndex r = 0; r < 4; ++r) {
     for (PortIndex m = 0; m < 6; ++m) {
       spec.flows.push_back({m, static_cast<PortIndex>(10 + r), 1000});
     }
   }
+  return spec;
+}
+
+// Building a CoflowState allocates its per-CoFlow vectors once, outside any
+// epoch, each at its final size: the spec copy, the flow handles, the two
+// load lists, the two CSR slot lists and their two begin arrays, and the
+// walk list (the FlowPool block goes through the aligned form, which this
+// binary does not count). The port -> slot table is per-thread scratch
+// that keeps its capacity, so a warm thread adds nothing for it.
+TEST(AllocSteady, CoflowStateConstructionAllocations) {
+  const CoflowSpec spec = mesh_6x4();
+  { const CoflowState warm(spec, FlowId{0}); }
   bool ordered = false;
   const std::uint64_t allocs_before = debug_alloc_count();
   const std::uint64_t frees_before = debug_dealloc_count();
@@ -259,8 +267,33 @@ TEST(AllocSteady, CoflowStateConstructionAllocations) {
   const std::uint64_t allocs = debug_alloc_count() - allocs_before;
   const std::uint64_t frees = debug_dealloc_count() - frees_before;
   EXPECT_TRUE(ordered);
-  EXPECT_EQ(allocs, 18u);
-  EXPECT_EQ(frees, 18u);
+  EXPECT_EQ(allocs, 9u);
+  EXPECT_EQ(frees, 9u);
+}
+
+// Completing a flow reads its two port slots, shifts its slot lists and
+// compacts the walk list in place: a CoFlow's whole completion sequence
+// allocates nothing, and neither does the §4.3 median once its per-thread
+// scratch is warm.
+TEST(AllocSteady, CoflowStateCompletionsAllocateNothing) {
+  CoflowState warm(mesh_6x4(), FlowId{0});
+  for (FlowState& f : warm.flows()) {
+    (void)warm.on_flow_complete(f, seconds(1));
+    (void)warm.finished_length_median();
+  }
+
+  CoflowState c(mesh_6x4(), FlowId{0});
+  const std::uint64_t before = debug_alloc_count();
+  SimTime t = 0;
+  // Out of index order, so the slot lists shift from the middle.
+  for (const std::size_t i : {7u, 0u, 23u, 12u, 5u, 18u, 1u, 2u, 3u, 4u, 6u,
+                              8u, 9u, 10u, 11u, 13u, 14u, 15u, 16u, 17u,
+                              19u, 20u, 21u, 22u}) {
+    (void)c.on_flow_complete(c.flows()[i], t += msec(1));
+    (void)c.finished_length_median();
+  }
+  EXPECT_EQ(debug_alloc_count() - before, 0u);
+  EXPECT_TRUE(c.finished());
 }
 
 /// Allocations a warm Saath makes over the measured stream lifecycles,
@@ -273,8 +306,8 @@ struct SaathAllocs {
 /// A warm Saath over a resident population sees one stream lifecycle per
 /// epoch, the engine way: a fresh CoFlow arrives, rides a delta round,
 /// completes flow by flow and leaves, and a second round follows. Only the
-/// hooks and the rounds are counted: building the CoflowState and its own
-/// completion bookkeeping allocate by design and happen outside.
+/// hooks and the rounds are counted: building the CoflowState allocates by
+/// design and happens outside.
 SaathAllocs measure_saath_lifecycles(SaathScheduler& sched) {
   constexpr int kResident = 32;
   constexpr int kPorts = 16;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <span>
@@ -113,8 +114,8 @@ TEST(CoflowState, FlowCompletionUpdatesLoads) {
     if (l.port == 0) port0 = l.unfinished_flows;
   }
   EXPECT_EQ(port0, 1);
-  ASSERT_EQ(c.finished_flow_lengths().size(), 1u);
-  EXPECT_DOUBLE_EQ(c.finished_flow_lengths()[0], 100.0);
+  EXPECT_EQ(c.finished_flows(), 1);
+  EXPECT_DOUBLE_EQ(c.finished_length_median(), 100.0);
 }
 
 TEST(CoflowState, FinishesWhenLastFlowDone) {
@@ -203,8 +204,8 @@ TEST(CoflowState, RestartFlowsOnPort) {
 }
 
 TEST(CoflowState, PortLoadLookupOnWideCoflow) {
-  // A wide mesh: the sorted slot index must answer per-port lookups for
-  // every port the CoFlow touches, and 0 for ports it does not.
+  // A wide mesh: per-port lookups answer for every port the CoFlow
+  // touches, and 0 for ports it does not.
   CoflowSpec spec;
   spec.id = CoflowId{7};
   for (PortIndex m = 20; m > 0; --m) {
@@ -357,6 +358,154 @@ TEST(CoflowState, RestartLeavesViewsUnchanged) {
     EXPECT_EQ(as_vector(c.receiver_slot_flows(s)), slots_before[k++]);
   }
   expect_views_match_scan(c);
+}
+
+/// A random spec for the slot property: `width` flows whose ports come
+/// from small per-side pools (so ports repeat), some of them near the top
+/// of the int32 range, and whose (src, dst) pairs repeat.
+CoflowSpec random_spec(std::mt19937_64& rng, int width) {
+  const auto pool = [&rng](int size) {
+    std::vector<PortIndex> ports;
+    std::uniform_int_distribution<PortIndex> low(0, 4 * size);
+    std::uniform_int_distribution<PortIndex> high(
+        std::numeric_limits<PortIndex>::max() - 4 * size,
+        std::numeric_limits<PortIndex>::max() - 1);
+    for (int k = 0; k < size; ++k) {
+      ports.push_back(rng() % 4 == 0 ? high(rng) : low(rng));
+    }
+    return ports;
+  };
+  std::uniform_int_distribution<int> pool_size(1, std::max(1, width / 2));
+  const std::vector<PortIndex> senders = pool(pool_size(rng));
+  const std::vector<PortIndex> receivers = pool(pool_size(rng));
+  CoflowSpec spec;
+  spec.id = CoflowId{static_cast<std::int64_t>(rng() % 1000)};
+  for (int i = 0; i < width; ++i) {
+    if (i > 0 && rng() % 8 == 0) {
+      const FlowSpec again = spec.flows[rng() % spec.flows.size()];
+      spec.flows.push_back(again);  // a (src, dst) pair again
+      continue;
+    }
+    spec.flows.push_back({senders[rng() % senders.size()],
+                          receivers[rng() % receivers.size()],
+                          static_cast<Bytes>(1 + rng() % 1000)});
+  }
+  return spec;
+}
+
+/// Brute force over the flows: each side's ports in first-appearance
+/// order with their unfinished counts, each flow's slot on each side, and
+/// the walk flags by their definition.
+struct SlotScan {
+  std::vector<PortLoad> senders;
+  std::vector<PortLoad> receivers;
+  std::vector<std::uint32_t> sender_slot;
+  std::vector<std::uint32_t> receiver_slot;
+  bool sender_walk_ordered = true;
+  bool receiver_walk_ordered = true;
+
+  explicit SlotScan(const CoflowState& c) {
+    const auto number = [](std::vector<PortLoad>& loads, PortIndex port,
+                           bool unfinished) {
+      for (std::uint32_t s = 0; s < loads.size(); ++s) {
+        if (loads[s].port == port) {
+          loads[s].unfinished_flows += unfinished ? 1 : 0;
+          return s;
+        }
+      }
+      loads.push_back({port, unfinished ? 1 : 0});
+      return static_cast<std::uint32_t>(loads.size() - 1);
+    };
+    for (const FlowState& f : c.flows()) {
+      sender_slot.push_back(number(senders, f.src(), !f.finished()));
+      receiver_slot.push_back(number(receivers, f.dst(), !f.finished()));
+    }
+    // Along every list of one side, in flow order, the other side's slot
+    // never decreases.
+    const auto ordered = [this](const std::vector<std::uint32_t>& list_side,
+                                const std::vector<std::uint32_t>& walked,
+                                std::size_t lists) {
+      for (std::uint32_t s = 0; s < lists; ++s) {
+        std::uint32_t prev = 0;
+        for (std::size_t i = 0; i < list_side.size(); ++i) {
+          if (list_side[i] != s) continue;
+          if (walked[i] < prev) return false;
+          prev = walked[i];
+        }
+      }
+      return true;
+    };
+    sender_walk_ordered = ordered(receiver_slot, sender_slot, receivers.size());
+    receiver_walk_ordered = ordered(sender_slot, receiver_slot, senders.size());
+  }
+};
+
+void expect_loads_eq(std::span<const PortLoad> got,
+                     const std::vector<PortLoad>& want, const char* side) {
+  ASSERT_EQ(got.size(), want.size()) << side;
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(got[s].port, want[s].port) << side << " slot " << s;
+    EXPECT_EQ(got[s].unfinished_flows, want[s].unfinished_flows)
+        << side << " slot " << s;
+  }
+}
+
+TEST(CoflowState, SlotsMatchBruteForceOnRandomSpecs) {
+  std::mt19937_64 rng(2024);
+  std::uniform_int_distribution<int> narrow(1, 40);
+  std::uniform_int_distribution<int> wide(41, 2000);
+  for (int trial = 0; trial < 48; ++trial) {
+    const int width = trial % 4 == 3 ? wide(rng) : narrow(rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", width " +
+                 std::to_string(width));
+    CoflowState c(random_spec(rng, width), FlowId{0});
+    const SlotScan scan(c);
+    expect_loads_eq(c.sender_loads(), scan.senders, "senders");
+    expect_loads_eq(c.receiver_loads(), scan.receivers, "receivers");
+    for (std::size_t i = 0; i < c.flows().size(); ++i) {
+      ASSERT_EQ(c.flows()[i].sender_slot(), scan.sender_slot[i]) << i;
+      ASSERT_EQ(c.flows()[i].receiver_slot(), scan.receiver_slot[i]) << i;
+    }
+    EXPECT_EQ(c.sender_walk_ordered(), scan.sender_walk_ordered);
+    EXPECT_EQ(c.receiver_walk_ordered(), scan.receiver_walk_ordered);
+    expect_views_match_scan(c);
+
+    // Completions in random order: recount at a few points along the way.
+    const auto order = shuffled_indices(c.flows().size(),
+                                        static_cast<unsigned>(trial));
+    const std::size_t step = std::max<std::size_t>(1, order.size() / 5);
+    SimTime t = 0;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      c.on_flow_complete(c.flows()[order[k]], t += msec(1));
+      if ((k + 1) % step != 0 && k + 1 != order.size()) continue;
+      const SlotScan recount(c);
+      expect_loads_eq(c.sender_loads(), recount.senders, "senders");
+      expect_loads_eq(c.receiver_loads(), recount.receivers, "receivers");
+      expect_views_match_scan(c);
+      EXPECT_EQ(c.finished_flows(), static_cast<int>(k + 1));
+    }
+    EXPECT_TRUE(c.finished());
+  }
+}
+
+// The §4.3 median is read off the finished flows' sizes, in any
+// completion order: the same multiset gives the same double.
+TEST(CoflowState, FinishedLengthMedianMatchesFinishedSizes) {
+  std::mt19937_64 rng(77);
+  CoflowState c(random_spec(rng, 301), FlowId{0});
+  std::vector<double> finished;
+  SimTime t = 0;
+  for (const std::uint32_t i : shuffled_indices(c.flows().size(), 5)) {
+    c.on_flow_complete(c.flows()[i], t += msec(1));
+    finished.push_back(c.flows()[i].size());
+    std::vector<double> sorted = finished;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t mid = sorted.size() / 2;
+    const double want = sorted.size() % 2 == 1
+                            ? sorted[mid]
+                            : (sorted[mid - 1] + sorted[mid]) / 2.0;
+    ASSERT_EQ(c.finished_length_median(), want) << finished.size();
+  }
 }
 
 TEST(JobSpec, ValidateRejectsForwardDeps) {

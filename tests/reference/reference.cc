@@ -140,7 +140,7 @@ std::string ReferenceSaath::name() const {
 
 bool ReferenceSaath::on_estimate(const CoflowState& c) const {
   return config_.dynamics_srtf && c.dynamics_flagged &&
-         !c.finished_flow_lengths().empty();
+         c.finished_flows() > 0;
 }
 
 int ReferenceSaath::queue_for(const CoflowState& c, SimTime now) const {

@@ -116,6 +116,28 @@ TEST(Protocol, EventFrameIsJournalLine) {
   EXPECT_EQ(parse_request("A bogus").kind, Request::Kind::kBad);
 }
 
+// Event frames go through the journal's line parser, so a hostile frame
+// gets the parser's typed message, not an allocator's.
+TEST(Protocol, HostileEventFramesRejectTyped) {
+  const struct {
+    const char* frame;
+    const char* error;
+  } cases[] = {
+      {"A 0 0 0 0 0 0 1000000000000", "journal line 0: truncated record"},
+      {"A 0 0 0 0 0 0 99999999999999999999",
+       "journal line 0: bad integer '99999999999999999999'"},
+      {"A 0 0 0 0 0 0 1 0 1 99999999999999999999",
+       "journal line 0: bad integer '99999999999999999999'"},
+      {"A 0 0 0 0 0 0 1 2147483648 1 10",
+       "journal line 0: port out of range 2147483648"},
+  };
+  for (const auto& k : cases) {
+    const Request req = parse_request(k.frame);
+    EXPECT_EQ(req.kind, Request::Kind::kBad) << k.frame;
+    EXPECT_EQ(req.error, k.error) << k.frame;
+  }
+}
+
 TEST(Protocol, DoneRoundTrip) {
   CoflowRecord rec;
   rec.id = CoflowId{11};
