@@ -6,18 +6,23 @@
 // the reference engine of tests/reference/ (the "oracle" side: a scan of
 // every unfinished flow per completion micro-step, every epoch scheduled,
 // the 4-arg schedule() with no stream, so every Saath round takes every
-// CoFlow as a candidate). Reports scheduling
-// rounds/sec ("epochs"), advance-phase ns per flow completion, and the
-// oracle/engine ratio, plus a maxmin_fair_rates micro-benchmark (ns/flow at
-// FB-snapshot density), and writes everything as machine-readable
-// BENCH_engine_core.json for the CI smoke gate (the advance-phase ratio
-// must hold >= 5x at this scale).
+// CoFlow as a candidate). Reports scheduling rounds/sec ("epochs"),
+// advance-phase ns per flow completion, and the oracle/engine ratio, plus
+// two primitive micro-benchmarks: maxmin_fair_rates ns/flow at FB-snapshot
+// density, and CompletionHeap push (insert and in-place re-key) and
+// pop_due ns/op at 1k, 10k and 100k live flows. Writes everything as
+// machine-readable BENCH_engine_core.json for the CI smoke gate (the
+// advance-phase ratio must hold >= 5x at this scale).
 //
 //   $ ./engine_core [--coflows N] [--out BENCH_engine_core.json]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -26,6 +31,7 @@
 #include "replay/journal.h"
 #include "sched/factory.h"
 #include "sched/saath.h"
+#include "sim/completion_heap.h"
 #include "sim/engine.h"
 #include "trace/synth.h"
 #include "workload/scenario.h"
@@ -140,6 +146,69 @@ double bench_maxmin(const trace::Trace& trace, int* out_flows) {
   return ns / kReps / static_cast<double>(demands.size());
 }
 
+/// CompletionHeap ns/op at one live-flow count: push of a flow with no
+/// entry (insert), push after a rate change (in-place re-key), and pop_due
+/// draining every entry.
+struct HeapOpCosts {
+  int live = 0;
+  double insert_ns = 0;
+  double rekey_ns = 0;
+  double pop_ns = 0;
+};
+
+HeapOpCosts bench_completion_heap(int live) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(live));
+  CoflowSpec spec;
+  spec.id = CoflowId{0};
+  std::vector<Rate> rate_a;
+  std::vector<Rate> rate_b;
+  for (int i = 0; i < live; ++i) {
+    const auto size =
+        static_cast<Bytes>(1'000'000'000 + rng() % 1'000'000'000);
+    spec.flows.push_back({i % 150, (7 * i + 3) % 150, size});
+    // Two random rates per flow, b < a, so every re-rate moves its entry.
+    rate_a.push_back(1e6 + static_cast<double>(rng() % 1'000'000'000));
+    rate_b.push_back(rate_a.back() / 2 +
+                     static_cast<double>(rng() % 250'000));
+  }
+  CoflowState coflow(std::move(spec), FlowId{0});
+  const auto flows = coflow.flows();
+  CompletionHeap heap;
+  const int reps = std::max(3, 2'000'000 / live);
+  double insert_ns = 0;
+  double rekey_ns = 0;
+  double pop_ns = 0;
+  std::int64_t popped = 0;
+  const auto elapsed_ns = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
+        .count();
+  };
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      flows[i].set_rate(rate_a[i], 0);
+    }
+    auto t0 = Clock::now();
+    for (FlowState& f : flows) (void)heap.push(&f, &coflow);
+    insert_ns += elapsed_ns(t0);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      flows[i].set_rate(rate_b[i], 0);
+    }
+    t0 = Clock::now();
+    for (FlowState& f : flows) (void)heap.push(&f, &coflow);
+    rekey_ns += elapsed_ns(t0);
+    t0 = Clock::now();
+    heap.pop_due(std::numeric_limits<SimTime>::max(),
+                 [&popped](CoflowState&, FlowState&) { ++popped; });
+    pop_ns += elapsed_ns(t0);
+  }
+  const double ops = static_cast<double>(reps) * live;
+  if (popped != static_cast<std::int64_t>(ops)) {
+    std::fprintf(stderr, "completion heap popped %lld of %.0f entries\n",
+                 static_cast<long long>(popped), ops);
+  }
+  return {live, insert_ns / ops, rekey_ns / ops, pop_ns / ops};
+}
+
 int run(int argc, char** argv) {
   int coflows = 526;
   std::string out = "BENCH_engine_core.json";
@@ -175,6 +244,11 @@ int run(int argc, char** argv) {
 
   int maxmin_flows = 0;
   const double maxmin_ns_per_flow = bench_maxmin(trace, &maxmin_flows);
+
+  std::vector<HeapOpCosts> heap_costs;
+  for (const int live : {1'000, 10'000, 100'000}) {
+    heap_costs.push_back(bench_completion_heap(live));
+  }
 
   // Steady-churn matrix: every scheduler runs on the production engine and
   // on the reference engine; the digests must agree pairwise (the SoA/heap
@@ -221,6 +295,12 @@ int run(int argc, char** argv) {
               advance_ratio, end_to_end_ratio, identical ? "yes" : "NO");
   std::printf("maxmin: %.1f ns/flow over %d flows\n", maxmin_ns_per_flow,
               maxmin_flows);
+  std::printf("\ncompletion heap ns/op\n%-12s %12s %12s %12s\n", "live flows",
+              "push insert", "push re-key", "pop_due");
+  for (const HeapOpCosts& h : heap_costs) {
+    std::printf("%-12d %12.1f %12.1f %12.1f\n", h.live, h.insert_ns,
+                h.rekey_ns, h.pop_ns);
+  }
 
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
@@ -245,10 +325,7 @@ int run(int argc, char** argv) {
                "  \"advance_ratio\": %.2f,\n"
                "  \"end_to_end_ratio\": %.2f,\n"
                "  \"maxmin\": {\"flows\": %d, \"ns_per_flow\": %.1f},\n"
-               "  \"steady_churn\": {\n"
-               "    \"digests_match\": %s,\n"
-               "    \"epochs_per_sec\": %.1f,\n"
-               "    \"schedulers\": {\n",
+               "  \"completion_heap\": [\n",
                trace.name.c_str(), coflows, trace.num_ports,
                identical ? "true" : "false", event.wall_ms, event.epochs,
                event.epochs_per_sec, static_cast<long long>(event.completions),
@@ -257,7 +334,21 @@ int run(int argc, char** argv) {
                oracle.epochs_per_sec, static_cast<long long>(oracle.completions),
                oracle.advance_ns_per_completion, oracle.advance_ms,
                advance_ratio, end_to_end_ratio,
-               maxmin_flows, maxmin_ns_per_flow,
+               maxmin_flows, maxmin_ns_per_flow);
+  for (std::size_t h = 0; h < heap_costs.size(); ++h) {
+    std::fprintf(f,
+                 "    {\"live\": %d, \"push_insert_ns\": %.1f, "
+                 "\"push_rekey_ns\": %.1f, \"pop_due_ns\": %.1f}%s\n",
+                 heap_costs[h].live, heap_costs[h].insert_ns,
+                 heap_costs[h].rekey_ns, heap_costs[h].pop_ns,
+                 h + 1 < heap_costs.size() ? "," : "");
+  }
+  std::fprintf(f,
+               "  ],\n"
+               "  \"steady_churn\": {\n"
+               "    \"digests_match\": %s,\n"
+               "    \"epochs_per_sec\": %.1f,\n"
+               "    \"schedulers\": {\n",
                churn_identical ? "true" : "false",
                churn_event[0].epochs_per_sec);
   for (int s = 0; s < 3; ++s) {

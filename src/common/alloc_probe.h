@@ -4,8 +4,8 @@
 // steady-state scheduling epoch — no arrivals, no completions, fixed
 // population — performs ZERO heap allocations: RateAssignment's touched
 // set, SchedulerDelta's dirty/requeue lists, the indexed CompletionHeap,
-// the lazy QueueCrossingHeap and the rest of a Saath round all recycle
-// capacity across epochs.
+// Saath's crossing and deadline TriggerHeaps and the rest of a Saath round
+// all recycle capacity across epochs.
 //
 // The counter itself is always compiled (it is two relaxed atomics of
 // overhead only when someone calls it); the *instrumentation* lives in the

@@ -2,11 +2,11 @@
 //
 // Used by the UC-TCP baseline (every flow is a TCP connection contending at
 // its sender uplink and receiver downlink) and available to any scheduler
-// that wants a fair intra-set split. Implemented in water-level form with
-// per-port active-flow buckets and a bottleneck heap: the common level rises
-// from event to event (a port saturating, a flow hitting its cap), and each
-// event only touches the ports of the flows it freezes — O((F + P) log P)
-// overall instead of the classic O(F²) freeze scans.
+// that wants a fair intra-set split. Implemented in water-level form: the
+// common level rises from event to event (a port saturating, a flow
+// hitting its cap), and each round finds the next event with one dense,
+// vectorizable scan over the ports instead of the classic O(F²) freeze
+// scans.
 #pragma once
 
 #include <span>
@@ -35,20 +35,5 @@ struct MaxMinDemand {
 [[nodiscard]] std::vector<Rate> maxmin_fair_rates(
     std::span<const MaxMinDemand> demands, std::span<const Rate> send_caps,
     std::span<const Rate> recv_caps);
-
-namespace detail {
-/// The two interchangeable water-level cores, exposed for the bit-identity
-/// test (tests/maxmin_path_test.cc). `rates` must be pre-zeroed, one slot
-/// per demand. maxmin_fair_rates dispatches between them by port count;
-/// their outputs are bitwise identical on every input.
-void solve_waterlevel_heap(std::span<const MaxMinDemand> demands,
-                           std::span<const Rate> send_caps,
-                           std::span<const Rate> recv_caps,
-                           std::span<Rate> rates);
-void solve_waterlevel_dense(std::span<const MaxMinDemand> demands,
-                            std::span<const Rate> send_caps,
-                            std::span<const Rate> recv_caps,
-                            std::span<Rate> rates);
-}  // namespace detail
 
 }  // namespace saath

@@ -77,15 +77,19 @@ class Tokens {
     return v;
   }
 
-  /// A port: an integer that fits PortIndex.
-  [[nodiscard]] PortIndex take_port() {
+  /// An integer that fits int; a value outside rejects naming `field`.
+  [[nodiscard]] int take_int_field(std::string_view field) {
     const std::int64_t v = take_int();
-    if (v < std::numeric_limits<PortIndex>::min() ||
-        v > std::numeric_limits<PortIndex>::max()) {
-      throw line_error(line_no_, "port out of range " + std::to_string(v));
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      throw line_error(line_no_, std::string(field) + " out of range " +
+                                     std::to_string(v));
     }
-    return static_cast<PortIndex>(v);
+    return static_cast<int>(v);
   }
+
+  /// A port: an integer that fits PortIndex.
+  [[nodiscard]] PortIndex take_port() { return take_int_field("port"); }
 
   /// A double in any form strtod reads (the journal writes C hexfloats).
   [[nodiscard]] double take_double() {
@@ -144,8 +148,8 @@ void write_config(std::string& line, const SimConfig& c) {
   c.record_results = tokens.take_int() != 0;
   c.max_sim_time = tokens.take_int();
   (void)tokens.take_int();  // reserved slot
-  c.max_stall_epochs = static_cast<int>(tokens.take_int());
-  c.max_requeue_attempts = static_cast<int>(tokens.take_int());
+  c.max_stall_epochs = tokens.take_int_field("max_stall_epochs");
+  c.max_requeue_attempts = tokens.take_int_field("max_requeue_attempts");
   c.strict_input = tokens.take_int() != 0;
   return c;
 }
@@ -199,7 +203,7 @@ std::optional<workload::WorkloadEvent> parse_event_line(
     ev.time = tokens.take_int();
     ev.coflow.id = CoflowId{tokens.take_int()};
     ev.coflow.job = JobId{tokens.take_int()};
-    ev.coflow.stage = static_cast<int>(tokens.take_int());
+    ev.coflow.stage = tokens.take_int_field("stage");
     ev.coflow.arrival = tokens.take_int();
     ev.data_ready = tokens.take_int();
     const std::int64_t n = tokens.take_int();
@@ -221,7 +225,13 @@ std::optional<workload::WorkloadEvent> parse_event_line(
     ev.kind = workload::WorkloadEvent::Kind::kDynamics;
     ev.time = tokens.take_int();
     ev.dynamics.time = ev.time;
-    ev.dynamics.kind = static_cast<DynamicsEvent::Kind>(tokens.take_int());
+    const std::int64_t kind = tokens.take_int();
+    if (kind < static_cast<int>(DynamicsEvent::Kind::kNodeFailure) ||
+        kind > static_cast<int>(DynamicsEvent::Kind::kStragglerEnd)) {
+      throw line_error(line_no,
+                       "unknown dynamics kind " + std::to_string(kind));
+    }
+    ev.dynamics.kind = static_cast<DynamicsEvent::Kind>(kind);
     ev.dynamics.port = tokens.take_port();
     ev.dynamics.capacity_factor = tokens.take_double();
   } else if (tag == "G") {
@@ -279,7 +289,7 @@ ReplaySource::ReplaySource(std::istream& in) : in_(in) {
     throw std::runtime_error("journal: bad magic '" + std::string(magic) +
                              "'");
   }
-  num_ports_ = static_cast<int>(header.take_int());
+  num_ports_ = header.take_int_field("port count");
   seed_ = header.take_int();
   // Everything after the seed is the recorded name (may contain spaces).
   name_ = header.rest();

@@ -32,8 +32,10 @@
 //   D <time> <kind> <port> <factor>
 //   G <time> <gated-id>
 // Tokens are separated by whitespace (space, \t, \n, \v, \f, \r). Integers
-// are decimal int64 with an optional sign; ports (<src>, <dst>, <port>)
-// must also fit int32, and <nflows> is bounded by the line: a count the
+// are decimal int64 with an optional sign; ports (<src>, <dst>, <port>),
+// <num_ports>, <stage>, <stall> and <requeue> must also fit int32, <kind>
+// must name a DynamicsEvent::Kind (0..2), and <nflows> is bounded by the
+// line: a count the
 // rest of the line cannot hold fails as a truncated record, with nothing
 // reserved for it. Tokens after a record are ignored. Every line is read
 // in place with one tokenizer; a reject is a std::runtime_error naming the

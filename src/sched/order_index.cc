@@ -119,138 +119,36 @@ SAATH_HOT_NOALLOC std::size_t OrderIndex::materialize() {
   return prefix;
 }
 
-SAATH_HOT_NOALLOC void QueueCrossingHeap::program(CoflowState* c, SimTime at,
-                                                  std::uint64_t traj,
-                                                  int queue) {
-  SAATH_EXPECTS(c != nullptr);
-  const auto hit = live_.insert(c->id().value);
-  Live& l = live_.value(hit.index);
-  l.state = c;
-  l.traj = traj;
-  l.queue = queue;
-  if (!hit.inserted && l.at == at) {
-    // Same trigger instant re-derived (steady-state re-rates): the queued
-    // entry stands — no seq bump, no heap push.
-    return;
-  }
-  l.at = at;
-  l.seq = ++next_seq_;  // invalidates any armed heap item
-  if (at != kNever) pending_.push_back({at, c->id(), l.seq});
-}
-
-SAATH_HOT_NOALLOC void QueueCrossingHeap::flush() const {
-  if (pending_.empty()) return;
-  if (pending_.size() * 8 >= heap_.size() + pending_.size()) {
-    heap_.insert(heap_.end(), pending_.begin(), pending_.end());
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  } else {
-    for (const Item& item : pending_) {
-      heap_.push_back(item);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    }
-  }
-  pending_.clear();
-  if (heap_.size() > 2 * live_.size() + 64) {
-    std::erase_if(heap_, [this](const Item& item) {
-      const std::size_t cell = live_.find(item.id.value);
-      return cell == live_.npos || live_.value(cell).seq != item.seq;
-    });
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+SAATH_HOT_NOALLOC void TriggerHeap::set(CoflowId id, SimTime at,
+                                        std::uint64_t traj, int queue) {
+  const std::size_t cell = entries_.insert(id.value).index;
+  Entry& e = entries_.value(cell);
+  e.traj = traj;
+  e.queue = queue;
+  const std::uint32_t pos = e.pos;
+  if (pos == kDisarmed) {
+    if (at != kNever) heap_.push({at, id}, placed());
+  } else if (at == kNever) {
+    e.pos = kDisarmed;
+    heap_.erase(pos, placed());
+  } else if (heap_[pos].at != at) {
+    heap_[pos].at = at;
+    heap_.fix(pos, placed());
   }
 }
 
-bool QueueCrossingHeap::current(CoflowId id, std::uint64_t traj,
-                                int queue) const {
-  const std::size_t cell = live_.find(id.value);
-  return cell != live_.npos && live_.value(cell).traj == traj &&
-         live_.value(cell).queue == queue;
+bool TriggerHeap::current(CoflowId id, std::uint64_t traj, int queue) const {
+  const std::size_t cell = entries_.find(id.value);
+  return cell != entries_.npos && entries_.value(cell).traj == traj &&
+         entries_.value(cell).queue == queue;
 }
 
-void QueueCrossingHeap::erase(CoflowId id) { live_.erase(id.value); }
-
-std::size_t QueueCrossingHeap::programmed() const {
-  std::size_t n = 0;
-  live_.for_each(
-      [&n](std::int64_t, const Live& l) { n += l.at != kNever; });
-  return n;
-}
-
-SAATH_HOT_NOALLOC SimTime QueueCrossingHeap::next() const {
-  flush();
-  while (!heap_.empty()) {
-    const Item& top = heap_.front();
-    const std::size_t cell = live_.find(top.id.value);
-    if (cell != live_.npos && live_.value(cell).seq == top.seq) return top.at;
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-  }
-  return kNever;
-}
-
-SAATH_HOT_NOALLOC void DeadlineHeap::set(CoflowId id, SimTime at) {
-  const auto hit = pos_.insert(id.value);
-  if (hit.inserted) {
-    pos_.value(hit.index) = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back({at, id});
-    sift_up(heap_.size() - 1);
-    return;
-  }
-  const std::size_t i = pos_.value(hit.index);
-  const Item old = heap_[i];
-  heap_[i].at = at;
-  if (heap_[i] < old) {
-    sift_up(i);
-  } else {
-    sift_down(i);
-  }
-}
-
-void DeadlineHeap::erase(CoflowId id) {
-  const std::size_t cell = pos_.find(id.value);
-  if (cell != pos_.npos) remove_at(pos_.value(cell));
-}
-
-void DeadlineHeap::remove_at(std::size_t i) {
-  pos_.erase(heap_[i].id.value);
-  const Item last = heap_.back();
-  heap_.pop_back();
-  if (i == heap_.size()) return;
-  heap_[i] = last;
-  if (i > 0 && last < heap_[(i - 1) / 2]) {
-    sift_up(i);
-  } else {
-    sift_down(i);
-  }
-}
-
-void DeadlineHeap::sift_up(std::size_t i) {
-  const Item item = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!(item < heap_[parent])) break;
-    place(i, heap_[parent]);
-    i = parent;
-  }
-  place(i, item);
-}
-
-void DeadlineHeap::sift_down(std::size_t i) {
-  const Item item = heap_[i];
-  const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
-    if (!(heap_[child] < item)) break;
-    place(i, heap_[child]);
-    i = child;
-  }
-  place(i, item);
-}
-
-void DeadlineHeap::place(std::size_t i, const Item& item) {
-  heap_[i] = item;
-  pos_.value(pos_.find(item.id.value)) = static_cast<std::uint32_t>(i);
+SAATH_HOT_NOALLOC void TriggerHeap::erase(CoflowId id) {
+  const std::size_t cell = entries_.find(id.value);
+  if (cell == entries_.npos) return;
+  const std::uint32_t pos = entries_.value(cell).pos;
+  entries_.erase_at(cell);
+  if (pos != kDisarmed) heap_.erase(pos, placed());
 }
 
 }  // namespace saath

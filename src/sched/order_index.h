@@ -20,28 +20,28 @@
 // re-walks only the tail — and the admission pass can replay its cached
 // decisions for the untouched prefix.
 //
-// QueueCrossingHeap is the companion time-trigger structure: each CoFlow's
-// next queue-threshold crossing instant is programmed into a
-// lazy-invalidation min-heap, so queue reassignment pops due crossings
-// instead of rescanning every flow of every CoFlow, and
-// schedule_valid_until() reads the top in O(1). The heap only stores
-// instants; the scheduler derives them from the closed-form FlowState
-// trajectories (sched/saath.cc), so nothing here reads a flow. DeadlineHeap
-// holds the other time trigger, the unexpired D5 deadlines.
+// TriggerHeap holds the companion time triggers, each CoFlow's next
+// queue-threshold crossing (one instance) and its unexpired D5 deadline
+// (another), in an indexed min-heap of (instant, id): queue reassignment
+// pops due crossings instead of rescanning every flow of every CoFlow, and
+// schedule_valid_until() reads both tops in O(1). The heap stores instants
+// and ids only; the scheduler derives the instants from the closed-form
+// FlowState trajectories (sched/saath.cc) and resolves a popped id through
+// the OrderIndex, so nothing here reads a flow or keeps a CoFlow pointer.
 //
 // Every structure here is flat — vectors and FlatTables that keep their
 // capacity — so once warm a round allocates nothing.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "coflow/coflow.h"
 #include "common/expect.h"
 #include "common/flat_table.h"
+#include "common/indexed_heap.h"
 #include "common/ids.h"
 #include "common/time.h"
 
@@ -146,115 +146,46 @@ class OrderIndex {
   OrderKey dirty_floor_{};
 };
 
-/// Min-heap of predicted queue-threshold crossing instants with lazy
-/// invalidation: program() supersedes a CoFlow's previous entry by sequence
-/// number; stale entries are pruned at the top. Crossing times may be
-/// conservative (early) — a due pop whose CoFlow has not actually crossed
-/// just re-programs — but must never be late.
-class QueueCrossingHeap {
+/// Saath's time triggers as an indexed min-heap of (instant, id), at most
+/// one entry per CoFlow, popped in (instant, id) order: one instance holds
+/// each CoFlow's next queue-threshold crossing, another its unexpired D5
+/// deadline. A CoFlow's table cell holds its heap position and the memo
+/// the crossing side reads (see current()), so re-arming or erasing sifts
+/// in place and a warm heap allocates nothing. A disarmed entry (instant
+/// kNever) keeps its memo with no heap item: the "no crossing" tombstone.
+/// Crossing instants may be conservative (early) — a due pop whose CoFlow
+/// has not actually crossed just re-arms — but must never be late.
+class TriggerHeap {
  public:
-  /// (Re)programs `c`'s next crossing at absolute instant `at`. `traj` and
-  /// `queue` snapshot the inputs the prediction was derived from (see
-  /// current()). kNever records a "no crossing" tombstone — memoized like a
-  /// real entry, never armed in the heap.
-  void program(CoflowState* c, SimTime at, std::uint64_t traj = 0,
-               int queue = 0);
+  /// Sets `id`'s trigger to absolute instant `at`, adding the entry when
+  /// absent; kNever disarms it. `traj` and `queue` record the inputs a
+  /// crossing was derived from (see current()).
+  void set(CoflowId id, SimTime at, std::uint64_t traj = 0, int queue = 0);
 
-  /// True when `id`'s entry (or tombstone) was derived from the same
+  /// True when `id`'s entry (armed or disarmed) was set from the same
   /// (CoflowState::trajectory_version, queue): every flow trajectory is
-  /// provably unchanged, so the recorded prediction is still exact and the
+  /// provably unchanged, so the recorded crossing is still exact and the
   /// caller can skip its O(flows) re-derivation.
   [[nodiscard]] bool current(CoflowId id, std::uint64_t traj,
                              int queue) const;
 
-  /// Drops `id`'s programmed crossing (CoFlow completed).
-  void erase(CoflowId id);
-
-  /// Earliest programmed instant, kNever when none. Prunes stale tops.
-  [[nodiscard]] SimTime next() const;
-
-  /// Pops every CoFlow whose crossing is due (<= now) into `fn(CoflowState*)`.
-  template <typename Fn>
-  SAATH_HOT_NOALLOC void pop_due(SimTime now, Fn&& fn) {
-    for (;;) {
-      flush();  // fn may re-program crossings mid-drain
-      if (heap_.empty() || heap_.front().at > now) return;
-      const Item top = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      heap_.pop_back();
-      const std::size_t cell = live_.find(top.id.value);
-      if (cell == live_.npos || live_.value(cell).seq != top.seq) continue;
-      CoflowState* c = live_.value(cell).state;
-      live_.erase_at(cell);
-      fn(c);
-    }
-  }
-
-  /// Entries armed with a real crossing instant (tombstones excluded).
-  [[nodiscard]] std::size_t programmed() const;
-
- private:
-  struct Item {
-    SimTime at = kNever;
-    CoflowId id{};
-    std::uint64_t seq = 0;
-    friend bool operator>(const Item& a, const Item& b) {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id.value > b.id.value;
-    }
-  };
-  struct Live {
-    CoflowState* state = nullptr;
-    SimTime at = kNever;
-    std::uint64_t seq = 0;
-    /// Derivation snapshot for current().
-    std::uint64_t traj = 0;
-    int queue = 0;
-  };
-
-  /// Folds the pending program() batch into the heap: one make_heap
-  /// rebuild when the batch is large relative to the heap, per-item sifts
-  /// otherwise. Safe to defer — among comparator-equal items only the
-  /// live seq survives the pop-side check, so batch order is unobservable.
-  /// Stale items otherwise leave only at the top, so when they outnumber
-  /// the live entries the batch also drops them all: the heap stays
-  /// bounded by the live CoFlows, and a warm heap stops growing.
-  void flush() const;
-
-  /// Sifted min-heap (front = earliest) + the unbatched program() tail.
-  /// Mutable so next()/flush() can run from const context
-  /// (schedule_valid_until is const); both keep capacity across epochs.
-  mutable std::vector<Item> heap_;
-  mutable std::vector<Item> pending_;
-  IdTable<Live> live_;
-  std::uint64_t next_seq_ = 0;
-};
-
-/// Unexpired D5 deadlines as an indexed min-heap: at most one entry per
-/// CoFlow, popped in (deadline, id) order — the order of the set of
-/// (deadline, id) pairs it replaced — so expiries and the earliest
-/// deadline are the set's. Positions live in a flat table, so re-keying
-/// and erasing sift in place and a warm heap allocates nothing.
-class DeadlineHeap {
- public:
-  /// Sets `id`'s deadline to `at`, adding the entry when absent.
-  void set(CoflowId id, SimTime at);
   /// Drops `id`'s entry (no-op when absent).
   void erase(CoflowId id);
 
-  /// Earliest deadline, kNever when empty.
+  /// Earliest armed instant, kNever when none.
   [[nodiscard]] SimTime next() const {
-    return heap_.empty() ? kNever : heap_.front().at;
+    return heap_.empty() ? kNever : heap_.top().at;
   }
+  /// Armed entries (tombstones excluded).
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// Pops every entry due at `now` (deadline <= now) into `fn(CoflowId)`,
-  /// in (deadline, id) order.
+  /// Pops every entry due at `now` (instant <= now) into `fn(CoflowId)`, in
+  /// (instant, id) order; a popped entry leaves with its memo.
   template <typename Fn>
-  void pop_due(SimTime now, Fn&& fn) {
-    while (!heap_.empty() && heap_.front().at <= now) {
-      const CoflowId id = heap_.front().id;
-      remove_at(0);
+  SAATH_HOT_NOALLOC void pop_due(SimTime now, Fn&& fn) {
+    while (!heap_.empty() && heap_.top().at <= now) {
+      const CoflowId id = heap_.top().id;
+      erase(id);
       fn(id);
     }
   }
@@ -268,14 +199,24 @@ class DeadlineHeap {
       return a.id < b.id;
     }
   };
-  void remove_at(std::size_t i);
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  /// Writes `item` at heap index i and records its position.
-  void place(std::size_t i, const Item& item);
+  static constexpr std::uint32_t kDisarmed = ~std::uint32_t{0};
+  struct Entry {
+    /// Heap position, kDisarmed when the entry holds no heap item.
+    std::uint32_t pos = kDisarmed;
+    /// Derivation memo for current().
+    int queue = 0;
+    std::uint64_t traj = 0;
+  };
+  /// Records an item's heap position in its table entry.
+  [[nodiscard]] auto placed() {
+    return [this](const Item& item, std::size_t i) {
+      entries_.value(entries_.find(item.id.value)).pos =
+          static_cast<std::uint32_t>(i);
+    };
+  }
 
-  std::vector<Item> heap_;
-  IdTable<std::uint32_t> pos_;
+  IndexedHeap<Item> heap_;
+  IdTable<Entry> entries_;
 };
 
 }  // namespace saath

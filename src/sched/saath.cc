@@ -354,8 +354,8 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
                         ? per_flow_cross_seconds(c, hi / c.width(), now)
                         : total_bytes_cross_seconds(c, hi, now);
   }
-  crossings_.program(&c, guarded_crossing_instant(now, cross_seconds), traj,
-                     c.queue_index);
+  crossings_.set(c.id(), guarded_crossing_instant(now, cross_seconds), traj,
+                 c.queue_index);
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
@@ -544,7 +544,10 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
       }
     }
   }
-  crossings_.pop_due(now, [&](CoflowState* c) {
+  crossings_.pop_due(now, [&](CoflowId id) {
+    const OrderIndex::Slot slot = order_.find(id);
+    if (slot == OrderIndex::npos) return;
+    CoflowState* c = order_.state(slot);
     if (!c->finished()) add_candidate(c);
   });
   volatile_.for_each([&](std::int64_t id, bool) {

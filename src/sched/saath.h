@@ -34,8 +34,8 @@
 // The schedule phase is one incremental pass per round: the admission order
 // lives in an OrderIndex, a flat array re-keyed in place per event and
 // merged back into sorted order once a round, queue reassignment pops due
-// threshold crossings from a QueueCrossingHeap instead of rescanning every
-// flow, and the all-or-none admission pass replays its cached decisions for
+// threshold crossings from a TriggerHeap instead of rescanning every flow,
+// and the all-or-none admission pass replays its cached decisions for
 // the untouched sorted prefix. Every per-round container is flat (vectors
 // and open-addressed id tables that keep their capacity, keyed by CoflowId
 // rather than by state pointer), so once warm a round allocates nothing.
@@ -344,9 +344,11 @@ class SaathScheduler final : public Scheduler {
   // --- delta-driven schedule-phase state; a round with no stream, or the
   //     first of a new one, re-keys every CoFlow into it ------------------
   OrderIndex order_;
-  QueueCrossingHeap crossings_;
+  /// Each CoFlow's next queue-threshold crossing at current rates, with
+  /// its trajectory memo.
+  TriggerHeap crossings_;
   /// Unexpired D5 deadlines; the head feeds schedule_valid_until.
-  DeadlineHeap deadlines_;
+  TriggerHeap deadlines_;
   /// CoFlows on the §4.3 estimate path (dynamics-flagged with finished
   /// flows), by id (values unused): re-bucketed every round, and the skip
   /// is disabled while any exist.

@@ -1,7 +1,8 @@
 // Indexed min-heap of predicted flow completion instants: at most one entry
 // per flow.
 //
-// Each flow records the position of its entry (FlowState::heap_pos), so a
+// Each flow records the position of its entry (FlowState::heap_pos, written
+// whenever the IndexedHeap core of common/indexed_heap.h moves it), so a
 // rate change moves that one entry in place — up when the flow now finishes
 // sooner, down when later — and a prediction of kNever erases it. The heap
 // never holds more entries than there are live flows, however often the
@@ -16,11 +17,12 @@
 // order, and that order is all the engine observes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "coflow/coflow.h"
 #include "common/expect.h"
+#include "common/indexed_heap.h"
 
 namespace saath {
 
@@ -46,10 +48,9 @@ class CompletionHeap {
     if (queued) {
       heap_[pos].time = at;
       heap_[pos].version = version;
-      fix(pos);
+      heap_.fix(pos, Placed{});
     } else {
-      heap_.push_back({at, flow->id().value, version, flow, coflow});
-      sift_up(heap_.size() - 1);
+      heap_.push({at, flow->id().value, version, flow, coflow}, Placed{});
     }
     return true;
   }
@@ -63,7 +64,7 @@ class CompletionHeap {
   /// Earliest still-valid completion instant; kNever when none is queued.
   [[nodiscard]] SAATH_HOT_NOALLOC SimTime next_time() {
     prune();
-    return heap_.empty() ? kNever : heap_.front().time;
+    return heap_.empty() ? kNever : heap_.top().time;
   }
 
   /// Pops every valid entry with time <= `at`, invoking fn(coflow, flow)
@@ -73,8 +74,8 @@ class CompletionHeap {
   SAATH_HOT_NOALLOC void pop_due(SimTime at, Fn&& fn) {
     for (;;) {
       prune();
-      if (heap_.empty() || heap_.front().time > at) return;
-      const Entry top = heap_.front();
+      if (heap_.empty() || heap_.top().time > at) return;
+      const Entry top = heap_.top();
       erase_at(0);
       fn(*top.coflow, *top.flow);
     }
@@ -91,72 +92,36 @@ class CompletionHeap {
     std::uint64_t version = 0;
     FlowState* flow = nullptr;
     CoflowState* coflow = nullptr;
-  };
 
-  /// Min-order on (time, flow id): the id tie-break keeps same-instant
-  /// completions in a deterministic order.
-  [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
-    return a.time != b.time ? a.time < b.time : a.id < b.id;
-  }
+    /// Min-order on (time, flow id): the id tie-break keeps same-instant
+    /// completions in a deterministic order.
+    friend bool operator<(const Entry& a, const Entry& b) {
+      return a.time != b.time ? a.time < b.time : a.id < b.id;
+    }
+  };
 
   [[nodiscard]] static bool stale(const Entry& e) {
     return e.flow->finished() || e.version != e.flow->rate_version();
   }
 
+  /// Records each position the heap writes an entry to in its flow.
+  struct Placed {
+    void operator()(const Entry& e, std::size_t i) const {
+      e.flow->set_heap_pos(static_cast<std::uint32_t>(i));
+    }
+  };
+
   SAATH_HOT_NOALLOC void prune() {
-    while (!heap_.empty() && stale(heap_.front())) erase_at(0);
-  }
-
-  void place(std::size_t i, const Entry& e) {
-    heap_[i] = e;
-    e.flow->set_heap_pos(static_cast<std::uint32_t>(i));
-  }
-
-  void sift_up(std::size_t i) {
-    const Entry e = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!before(e, heap_[parent])) break;
-      place(i, heap_[parent]);
-      i = parent;
-    }
-    place(i, e);
-  }
-
-  void sift_down(std::size_t i) {
-    const Entry e = heap_[i];
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-      if (!before(heap_[child], e)) break;
-      place(i, heap_[child]);
-      i = child;
-    }
-    place(i, e);
-  }
-
-  /// Restores the order around slot i after its entry changed.
-  void fix(std::size_t i) {
-    if (i > 0 && before(heap_[i], heap_[(i - 1) / 2])) {
-      sift_up(i);
-    } else {
-      sift_down(i);
-    }
+    while (!heap_.empty() && stale(heap_.top())) erase_at(0);
   }
 
   void erase_at(std::size_t i) {
     heap_[i].flow->set_heap_pos(FlowState::kNoHeapPos);
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (i == heap_.size()) return;
-    heap_[i] = last;
-    fix(i);
+    heap_.erase(i, Placed{});
   }
 
   /// Keeps its capacity across epochs: no allocation in steady state.
-  std::vector<Entry> heap_;
+  IndexedHeap<Entry> heap_;
 };
 
 }  // namespace saath

@@ -1,8 +1,8 @@
 // Steady-state zero-allocation contract (ISSUE 8 / S2): once warm, a
 // scheduling epoch over a fixed flow population must perform NO heap
 // allocations in the epoch-cycled structures — RateAssignment's touched
-// set, SchedulerDelta's dirty/requeue lists, CompletionHeap,
-// QueueCrossingHeap, the spatial index and Saath's hooks and rounds. All
+// set, SchedulerDelta's dirty/requeue lists, CompletionHeap, Saath's
+// TriggerHeap, the spatial index and Saath's hooks and rounds. All
 // of them recycle vector and flat-table capacity across epochs.
 //
 // This binary (and only this binary) replaces the global operator
@@ -152,19 +152,29 @@ TEST(AllocSteady, CompletionHeapPushAndPruneRecycleCapacity) {
 }
 
 TEST(AllocSteady, QueueCrossingHeapReprogramRecyclesCapacity) {
-  CoflowState c0(make_coflow(0, 0, {{0, 1, 1000000000000}}), FlowId{0});
-  CoflowState c1(make_coflow(1, 0, {{1, 2, 1000000000000}}), FlowId{1});
-  QueueCrossingHeap heap;
+  const CoflowId c0{0};
+  const CoflowId c1{1};
+  const CoflowId c2{2};
+  TriggerHeap heap;
 
   const std::uint64_t delta = measure_steady_allocs([&](int e) {
     // Steady-state re-rates re-derive each CoFlow's crossing instant and
-    // re-program it: the live_ cell is reused (same id), the superseded
-    // heap items go stale and prune at the top of next().
-    heap.program(&c0, seconds(e + 1), /*traj=*/static_cast<std::uint64_t>(e),
-                 /*queue=*/0);
-    heap.program(&c1, seconds(e + 2), /*traj=*/static_cast<std::uint64_t>(e),
-                 /*queue=*/1);
+    // re-arm it: the table entry is reused (same id) and the heap item
+    // moves in place.
+    heap.set(c0, seconds(e + 1), /*traj=*/static_cast<std::uint64_t>(e),
+             /*queue=*/0);
+    heap.set(c1, seconds(e + 2), /*traj=*/static_cast<std::uint64_t>(e),
+             /*queue=*/1);
     (void)heap.next();
+    // Erase/re-arm churn: c1 leaves, c2 enters as a tombstone and is
+    // re-armed, c0's crossing comes due and pops, c2 leaves. The table and
+    // the heap reuse their capacity.
+    heap.erase(c1);
+    heap.set(c2, kNever, /*traj=*/static_cast<std::uint64_t>(e), /*queue=*/2);
+    heap.set(c2, seconds(e + 3), /*traj=*/static_cast<std::uint64_t>(e),
+             /*queue=*/2);
+    heap.pop_due(seconds(e + 1), [](CoflowId) {});
+    heap.erase(c2);
   });
   EXPECT_EQ(delta, 0u);
 }

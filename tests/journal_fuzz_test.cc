@@ -83,13 +83,18 @@ std::int64_t reference_int(std::istringstream& ss, std::int64_t line_no) {
   return static_cast<std::int64_t>(v);
 }
 
-PortIndex reference_port(std::istringstream& ss, std::int64_t line_no) {
+int reference_int_field(std::istringstream& ss, std::int64_t line_no,
+                        const std::string& field) {
   const std::int64_t v = reference_int(ss, line_no);
-  if (v < std::numeric_limits<PortIndex>::min() ||
-      v > std::numeric_limits<PortIndex>::max()) {
-    reference_fail(line_no, "port out of range " + std::to_string(v));
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    reference_fail(line_no, field + " out of range " + std::to_string(v));
   }
-  return static_cast<PortIndex>(v);
+  return static_cast<int>(v);
+}
+
+PortIndex reference_port(std::istringstream& ss, std::int64_t line_no) {
+  return reference_int_field(ss, line_no, "port");
 }
 
 double reference_double(std::istringstream& ss, std::int64_t line_no) {
@@ -117,7 +122,7 @@ std::optional<WorkloadEvent> reference_parse(const std::string& line,
     ev.time = reference_int(ss, line_no);
     ev.coflow.id = CoflowId{reference_int(ss, line_no)};
     ev.coflow.job = JobId{reference_int(ss, line_no)};
-    ev.coflow.stage = static_cast<int>(reference_int(ss, line_no));
+    ev.coflow.stage = reference_int_field(ss, line_no, "stage");
     ev.coflow.arrival = reference_int(ss, line_no);
     ev.data_ready = reference_int(ss, line_no);
     const std::int64_t n = reference_int(ss, line_no);
@@ -133,8 +138,11 @@ std::optional<WorkloadEvent> reference_parse(const std::string& line,
     ev.kind = WorkloadEvent::Kind::kDynamics;
     ev.time = reference_int(ss, line_no);
     ev.dynamics.time = ev.time;
-    ev.dynamics.kind =
-        static_cast<DynamicsEvent::Kind>(reference_int(ss, line_no));
+    const std::int64_t kind = reference_int(ss, line_no);
+    if (kind < 0 || kind > 2) {
+      reference_fail(line_no, "unknown dynamics kind " + std::to_string(kind));
+    }
+    ev.dynamics.kind = static_cast<DynamicsEvent::Kind>(kind);
     ev.dynamics.port = reference_port(ss, line_no);
     ev.dynamics.capacity_factor = reference_double(ss, line_no);
   } else if (tag == "G") {
@@ -246,7 +254,7 @@ WorkloadEvent random_event(SplitMix& rng) {
       ev.kind = WorkloadEvent::Kind::kDynamics;
       ev.time = random_field(rng);
       ev.dynamics.time = ev.time;
-      ev.dynamics.kind = static_cast<DynamicsEvent::Kind>(rng.below(4));
+      ev.dynamics.kind = static_cast<DynamicsEvent::Kind>(rng.below(3));
       ev.dynamics.port = random_port(rng);
       ev.dynamics.capacity_factor = random_factor(rng);
       break;
@@ -484,6 +492,14 @@ TEST(EventLineGrammar, HostileLinesRejectTyped) {
             "journal line 3: port out of range 2147483648");
   EXPECT_EQ(journal_reject("D 0 0 -2147483649 0x1p+0"),
             "journal line 3: port out of range -2147483649");
+  // A stage past int32 is rejected, not truncated.
+  EXPECT_EQ(journal_reject("A 0 0 0 4294967297 0 0 0"),
+            "journal line 3: stage out of range 4294967297");
+  // A dynamics kind outside the enum is rejected, not dropped downstream.
+  EXPECT_EQ(journal_reject("D 1000 7 0 0x1p+0"),
+            "journal line 3: unknown dynamics kind 7");
+  EXPECT_EQ(journal_reject("D 1000 -1 0 0x1p+0"),
+            "journal line 3: unknown dynamics kind -1");
   // The edges of each range still parse, as do a leading '+' and
   // trailing tokens.
   const auto ev = replay::parse_event_line(

@@ -1,10 +1,7 @@
-// Dense-vs-heap water-level bit-identity (ISSUE 8 tentpole): the
-// vectorizable dense solver (detail::solve_waterlevel_dense) must produce
-// BITWISE identical rates to the event-heap solver
-// (detail::solve_waterlevel_heap) on every input — same freeze order, same
-// float accumulation, same tie-breaks. maxmin_fair_rates dispatches
-// between them by port count, so any drift would silently fork results
-// across problem sizes.
+// maxmin_fair_rates against the reference model's event-heap water-level
+// solve (tests/reference/maxmin.h): production's dense, vectorizable core
+// must produce BITWISE identical rates on every input — same freeze order,
+// same float accumulation, same tie-breaks.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,24 +9,21 @@
 #include <vector>
 
 #include "fabric/maxmin.h"
+#include "reference/maxmin.h"
 
 namespace saath {
 namespace {
 
-std::vector<Rate> run_heap(std::span<const MaxMinDemand> demands,
-                           std::span<const Rate> send,
-                           std::span<const Rate> recv) {
-  std::vector<Rate> rates(demands.size(), 0.0);
-  detail::solve_waterlevel_heap(demands, send, recv, rates);
-  return rates;
+std::vector<Rate> run_reference(std::span<const MaxMinDemand> demands,
+                                std::span<const Rate> send,
+                                std::span<const Rate> recv) {
+  return reference::maxmin_fair_rates_heap(demands, send, recv);
 }
 
-std::vector<Rate> run_dense(std::span<const MaxMinDemand> demands,
-                            std::span<const Rate> send,
-                            std::span<const Rate> recv) {
-  std::vector<Rate> rates(demands.size(), 0.0);
-  detail::solve_waterlevel_dense(demands, send, recv, rates);
-  return rates;
+std::vector<Rate> run_production(std::span<const MaxMinDemand> demands,
+                                 std::span<const Rate> send,
+                                 std::span<const Rate> recv) {
+  return maxmin_fair_rates(demands, send, recv);
 }
 
 void expect_bitwise_equal(std::span<const Rate> a, std::span<const Rate> b,
@@ -37,7 +31,8 @@ void expect_bitwise_equal(std::span<const Rate> a, std::span<const Rate> b,
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(std::memcmp(&a[i], &b[i], sizeof(Rate)), 0)
-        << what << " demand " << i << ": heap=" << a[i] << " dense=" << b[i];
+        << what << " demand " << i << ": reference=" << a[i]
+        << " production=" << b[i];
   }
 }
 
@@ -51,21 +46,21 @@ TEST(MaxMinPath, HandBuiltInstancesMatchBitwise) {
   };
   const std::vector<Rate> send = {1000.0, 500.0, 0.0};
   const std::vector<Rate> recv = {800.0, 1000.0, 300.0};
-  expect_bitwise_equal(run_heap(demands, send, recv),
-                       run_dense(demands, send, recv), "hand-built");
+  expect_bitwise_equal(run_reference(demands, send, recv),
+                       run_production(demands, send, recv), "hand-built");
 }
 
 TEST(MaxMinPath, EmptyAndSingletonEdgeCases) {
   const std::vector<Rate> caps = {100.0, 100.0};
   {
     const std::vector<MaxMinDemand> none;
-    expect_bitwise_equal(run_heap(none, caps, caps),
-                         run_dense(none, caps, caps), "empty");
+    expect_bitwise_equal(run_reference(none, caps, caps),
+                         run_production(none, caps, caps), "empty");
   }
   {
     const std::vector<MaxMinDemand> one = {{1, 0, 0}};
-    expect_bitwise_equal(run_heap(one, caps, caps),
-                         run_dense(one, caps, caps), "singleton");
+    expect_bitwise_equal(run_reference(one, caps, caps),
+                         run_production(one, caps, caps), "singleton");
   }
 }
 
@@ -101,19 +96,20 @@ TEST(MaxMinPath, RandomizedInstancesMatchBitwise) {
       demands.push_back(d);
     }
 
-    const auto heap = run_heap(demands, send, recv);
-    const auto dense = run_dense(demands, send, recv);
-    ASSERT_EQ(heap.size(), dense.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-      ASSERT_EQ(std::memcmp(&heap[i], &dense[i], sizeof(Rate)), 0)
-          << "trial " << trial << " demand " << i << ": heap=" << heap[i]
-          << " dense=" << dense[i];
+    const auto want = run_reference(demands, send, recv);
+    const auto got = run_production(demands, send, recv);
+    ASSERT_EQ(want.size(), got.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(Rate)), 0)
+          << "trial " << trial << " demand " << i << ": reference=" << want[i]
+          << " production=" << got[i];
     }
   }
 }
 
-TEST(MaxMinPath, DispatcherMatchesBothCoresThroughPublicApi) {
-  // Public entry point (homogeneous overload) must agree with both cores.
+TEST(MaxMinPath, HomogeneousOverloadMatchesReference) {
+  // The num_ports/port_bandwidth overload must agree with the reference
+  // at uniform capacities.
   std::mt19937 rng(99);
   std::vector<MaxMinDemand> demands;
   for (int i = 0; i < 64; ++i) {
@@ -124,9 +120,8 @@ TEST(MaxMinPath, DispatcherMatchesBothCoresThroughPublicApi) {
   const auto via_api = maxmin_fair_rates(demands, /*num_ports=*/8,
                                          /*port_bandwidth=*/100.0);
   const std::vector<Rate> caps(8, 100.0);
-  expect_bitwise_equal(via_api, run_heap(demands, caps, caps), "api-vs-heap");
-  expect_bitwise_equal(via_api, run_dense(demands, caps, caps),
-                       "api-vs-dense");
+  expect_bitwise_equal(run_reference(demands, caps, caps), via_api,
+                       "homogeneous");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// The delta-driven schedule phase: OrderIndex / QueueCrossingHeap unit
+// The delta-driven schedule phase: OrderIndex / TriggerHeap unit
 // tests, the satellite caches (finished-length median, O(1) spatial sync
 // probe), and the property suite pinning the incremental order path
 // byte-identical to the reference scheduler's full sort across churn —
@@ -251,31 +251,43 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
   }
 }
 
-// The deadline heap beside the ordered set of (deadline, id) pairs it
-// replaced, under set/re-key/erase churn with many tied deadlines: the
-// same expiries in the same order, and the same minimum, at every step.
+// The trigger heap beside an ordered set of (instant, id) pairs, under the
+// deadline side's set/re-key/erase churn and the crossing side's re-arm,
+// disarm to kNever and memo reads, with many tied instants: the same pops
+// in the same order, the same minimum, current() equal to a memo map, and
+// one heap item per armed entry (tombstones hold none), at every step.
 TEST(DeadlineHeapTest, MatchesOrderedSetOfPairs) {
-  DeadlineHeap heap;
+  TriggerHeap heap;
   std::set<std::pair<SimTime, CoflowId>> set;
   std::map<std::int64_t, SimTime> at_of;
+  std::map<std::int64_t, std::pair<std::uint64_t, int>> memo;
   std::mt19937_64 rng(99);
   SimTime now = 0;
+  const auto disarm = [&](std::int64_t id) {
+    if (const auto it = at_of.find(id); it != at_of.end()) {
+      set.erase({it->second, CoflowId{id}});
+      at_of.erase(it);
+    }
+  };
   for (int step = 0; step < 50000; ++step) {
     const auto id = static_cast<std::int64_t>(rng() % 100);
-    const auto roll = rng() % 8;
+    const auto traj = static_cast<std::uint64_t>(rng() % 4);
+    const auto queue = static_cast<int>(rng() % 3);
+    const auto roll = rng() % 10;
     if (roll < 4) {
       const SimTime at = now + 1 + static_cast<SimTime>(rng() % 200);
-      if (const auto it = at_of.find(id); it != at_of.end()) {
-        set.erase({it->second, CoflowId{id}});
-      }
+      disarm(id);
       set.insert({at, CoflowId{id}});
       at_of[id] = at;
-      heap.set(CoflowId{id}, at);
-    } else if (roll < 6) {
-      if (const auto it = at_of.find(id); it != at_of.end()) {
-        set.erase({it->second, CoflowId{id}});
-        at_of.erase(it);
-      }
+      memo[id] = {traj, queue};
+      heap.set(CoflowId{id}, at, traj, queue);
+    } else if (roll < 5) {
+      disarm(id);
+      memo[id] = {traj, queue};
+      heap.set(CoflowId{id}, kNever, traj, queue);
+    } else if (roll < 7) {
+      disarm(id);
+      memo.erase(id);
       heap.erase(CoflowId{id});
     } else {
       now += static_cast<SimTime>(rng() % 40);
@@ -283,6 +295,7 @@ TEST(DeadlineHeapTest, MatchesOrderedSetOfPairs) {
       while (!set.empty() && set.begin()->first <= now) {
         want.push_back(set.begin()->second);
         at_of.erase(set.begin()->second.value);
+        memo.erase(set.begin()->second.value);
         set.erase(set.begin());
       }
       std::vector<CoflowId> got;
@@ -292,39 +305,58 @@ TEST(DeadlineHeapTest, MatchesOrderedSetOfPairs) {
     ASSERT_EQ(heap.size(), set.size()) << "step " << step;
     ASSERT_EQ(heap.next(), set.empty() ? kNever : set.begin()->first)
         << "step " << step;
+    // Memo reads: one at the recorded pair when there is one, one at a
+    // random pair.
+    const auto probe = static_cast<std::int64_t>(rng() % 100);
+    const auto it = memo.find(probe);
+    if (it != memo.end()) {
+      ASSERT_TRUE(heap.current(CoflowId{probe}, it->second.first,
+                               it->second.second))
+          << "step " << step;
+    }
+    const auto t = static_cast<std::uint64_t>(rng() % 4);
+    const auto q = static_cast<int>(rng() % 3);
+    ASSERT_EQ(heap.current(CoflowId{probe}, t, q),
+              it != memo.end() && it->second == std::make_pair(t, q))
+        << "step " << step;
   }
 }
 
-// --------------------------------------------------------- QueueCrossingHeap
+// ------------------------------------------------------------ TriggerHeap
 
 TEST_F(OrderIndexTest, CrossingHeapSupersedesAndPrunes) {
-  QueueCrossingHeap heap;
-  auto* a = coflow(1);
-  auto* b = coflow(2);
+  TriggerHeap heap;
+  const CoflowId a = coflow(1)->id();
+  const CoflowId b = coflow(2)->id();
   EXPECT_EQ(heap.next(), kNever);
 
-  heap.program(a, 100);
-  heap.program(b, 50);
+  heap.set(a, 100);
+  heap.set(b, 50);
   EXPECT_EQ(heap.next(), 50);
 
-  heap.program(b, 200);  // supersede: the 50 entry is stale
+  heap.set(b, 200);  // supersede: b's item moves in place
   EXPECT_EQ(heap.next(), 100);
+  EXPECT_EQ(heap.size(), 2u);
 
-  heap.program(a, kNever);  // cancel
+  heap.set(a, kNever);  // disarm: the tombstone keeps no heap item
   EXPECT_EQ(heap.next(), 200);
+  EXPECT_EQ(heap.size(), 1u);
+  EXPECT_TRUE(heap.current(a, 0, 0));
 
-  std::vector<CoflowState*> popped;
-  heap.pop_due(150, [&](CoflowState* c) { popped.push_back(c); });
+  std::vector<CoflowId> popped;
+  heap.pop_due(150, [&](CoflowId c) { popped.push_back(c); });
   EXPECT_TRUE(popped.empty());
-  heap.pop_due(200, [&](CoflowState* c) { popped.push_back(c); });
+  heap.pop_due(200, [&](CoflowId c) { popped.push_back(c); });
   ASSERT_EQ(popped.size(), 1u);
   EXPECT_EQ(popped[0], b);
   EXPECT_EQ(heap.next(), kNever);
-  EXPECT_EQ(heap.programmed(), 0u);
+  EXPECT_EQ(heap.size(), 0u);
+  EXPECT_FALSE(heap.current(b, 0, 0));  // a pop drops the memo too
 
-  heap.program(a, 10);
-  heap.erase(a->id());
+  heap.set(a, 10);
+  heap.erase(a);
   EXPECT_EQ(heap.next(), kNever);
+  EXPECT_FALSE(heap.current(a, 0, 0));
 }
 
 // ------------------------------------------------- satellite: median cache

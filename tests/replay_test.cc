@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -161,6 +162,38 @@ TEST(RecordReplay, MalformedJournalThrowsNamingTheLine) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
   }
+}
+
+/// The message constructing a ReplaySource over `journal` throws.
+std::string header_reject(const std::string& journal) {
+  std::istringstream in(journal);
+  try {
+    replay::ReplaySource rs(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(RecordReplay, IntHeaderAndConfigFieldsRejectOutOfRange) {
+  // The header's port count and the config line's stall and requeue
+  // limits are ints: a value past int32 is rejected naming its line, not
+  // truncated.
+  EXPECT_EQ(header_reject("SAATHJ1 4294967300 1 test\n"
+                          "C 0x1p30 8000 0 1 1 1 1 500000000000 0 0 3 1\n"),
+            "journal line 1: port count out of range 4294967300");
+  EXPECT_EQ(header_reject("SAATHJ1 4 1 test\n"
+                          "C 0x1p30 8000 0 1 1 1 1 500000000000 0 "
+                          "4294967297 3 1\n"),
+            "journal line 2: max_stall_epochs out of range 4294967297");
+  EXPECT_EQ(header_reject("SAATHJ1 4 1 test\n"
+                          "C 0x1p30 8000 0 1 1 1 1 500000000000 0 0 "
+                          "-2147483649 1\n"),
+            "journal line 2: max_requeue_attempts out of range -2147483649");
+  EXPECT_EQ(header_reject("SAATHJ1 4 1 test\n"
+                          "C 0x1p30 8000 0 1 1 1 1 500000000000 0 "
+                          "2147483647 -2147483648 1\n"),
+            "accepted");
 }
 
 // steady-churn, coflows=12, recorded by a build that still had the

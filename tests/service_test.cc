@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -376,13 +377,20 @@ TEST(ServiceEndToEnd, MalformedAndOversizedFramesAreSurvivable) {
   daemon.start();
   ServiceClient client(ClientOptions{daemon.address()});
   ASSERT_TRUE(client.connect("svc-test", kSvcPorts));
-  // Unknown verb and a truncated event line: typed REJ, stream stays up.
+  // Unknown verb, a truncated event line and a dynamics kind outside the
+  // enum: typed REJ, stream stays up.
   ASSERT_TRUE(client.send_line("BOGUS frame"));
   ASSERT_TRUE(client.send_line("A 12"));
+  ASSERT_TRUE(client.send_line("D 1000 7 0 0x1p+0"));
   VectorSource src("svc-test", kSvcPorts, svc_events(4));
   ASSERT_TRUE(client.drive(src));
   ASSERT_TRUE(client.finish()) << client.report().error;
-  EXPECT_GE(client.report().rejects_seen, 2);
+  EXPECT_GE(client.report().rejects_seen, 3);
+  const auto& rej = client.report().reject_lines;
+  EXPECT_NE(std::find(rej.begin(), rej.end(),
+                      "REJ malformed-frame journal line 0: unknown dynamics "
+                      "kind 7"),
+            rej.end());
   EXPECT_EQ(client.report().accepted, 4);
   const ServiceReport rep = daemon.wait();
   EXPECT_TRUE(rep.ok) << rep.error;
