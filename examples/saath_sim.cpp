@@ -161,24 +161,9 @@ int run_direct(const DirectOptions& opt) {
     if (sched_name.empty()) sched_name = setup.default_scheduler;
     cfg = setup.config;
     apply_scheduler_sim_overrides(sched_name, cfg);
-    if (opt.params.get_int("records", 1) == 0) cfg.record_results = false;
-    cfg.max_stall_epochs = static_cast<int>(
-        opt.params.get_int("stall_epochs", cfg.max_stall_epochs));
-    cfg.max_requeue_attempts = static_cast<int>(
-        opt.params.get_int("requeue", cfg.max_requeue_attempts));
-    if (opt.params.get_int("strict_input", 1) == 0) cfg.strict_input = false;
+    workload::apply_run_params(opt.params, cfg);
     const std::int64_t seed = opt.params.get_int("seed", 0);
-    if (const auto unknown = opt.params.unconsumed(); !unknown.empty()) {
-      std::string listed;
-      for (const auto& key : unknown) {
-        if (!listed.empty()) listed += ", ";
-        listed += key;
-      }
-      std::fprintf(stderr,
-                   "scenario '%s' does not understand parameter(s): %s\n",
-                   opt.scenario.c_str(), listed.c_str());
-      return 2;
-    }
+    workload::reject_unread_params(opt.params, opt.scenario);
     source = setup.source;
     if (opt.inject) {
       // Malformed/duplicate events must degrade into typed faults, not
@@ -259,19 +244,6 @@ struct ServiceModeOptions {
   bool serve_resume = false;
 };
 
-/// The scenario-param config tweaks run_direct applies, shared by the
-/// service modes so the daemon's SimConfig and the offline oracle's are
-/// built through the identical pipeline (digest parity).
-void apply_scenario_param_overrides(SimConfig& cfg,
-                                    workload::ScenarioParams& params) {
-  if (params.get_int("records", 1) == 0) cfg.record_results = false;
-  cfg.max_stall_epochs =
-      static_cast<int>(params.get_int("stall_epochs", cfg.max_stall_epochs));
-  cfg.max_requeue_attempts =
-      static_cast<int>(params.get_int("requeue", cfg.max_requeue_attempts));
-  if (params.get_int("strict_input", 1) == 0) cfg.strict_input = false;
-}
-
 struct OracleRun {
   std::string digest_hex;
   SimTime makespan = 0;
@@ -286,7 +258,7 @@ OracleRun run_oracle(const std::string& scenario, std::string sched_name,
   if (sched_name.empty()) sched_name = setup.default_scheduler;
   SimConfig cfg = setup.config;
   apply_scheduler_sim_overrides(sched_name, cfg);
-  apply_scenario_param_overrides(cfg, params);
+  workload::apply_run_params(params, cfg);
   auto sched = make_scheduler(sched_name);
   Engine engine(setup.source, *sched, cfg);
   workload::CctAggregator agg;
@@ -313,7 +285,7 @@ int run_serve(const std::string& scenario, const std::string& scheduler,
     // reproduces the offline run's digest.
     workload::ScenarioSetup setup = workload::make_scenario(scenario, params);
     cfg.sim = setup.config;
-    apply_scenario_param_overrides(cfg.sim, params);
+    workload::apply_run_params(params, cfg.sim);
     cfg.num_ports = setup.source->num_ports();
     cfg.workload_name = setup.source->name();
     cfg.seed = params.get_int("seed", 0);
@@ -362,7 +334,7 @@ int run_client_mode(const std::string& scenario, const std::string& scheduler,
   const std::string sched_name =
       scheduler.empty() ? setup.default_scheduler : scheduler;
   SimConfig cfg = setup.config;
-  apply_scenario_param_overrides(cfg, drive_params);
+  workload::apply_run_params(drive_params, cfg);
   const std::string workload_name = setup.source->name();
   const int ports = setup.source->num_ports();
 

@@ -22,6 +22,17 @@ Bytes CoflowSpec::max_flow_bytes() const {
   return m;
 }
 
+const char* spec_defect(const CoflowSpec& spec, int num_ports) {
+  if (spec.flows.empty()) return "coflow has no flows";
+  for (const FlowSpec& f : spec.flows) {
+    if (f.size < 0) return "negative flow size";
+    if (f.src < 0 || f.src >= num_ports || f.dst < 0 || f.dst >= num_ports) {
+      return "flow port outside the fabric";
+    }
+  }
+  return nullptr;
+}
+
 FlowState::FlowState(FlowId id, const FlowSpec& spec, SimTime origin)
     : FlowState(id, spec, origin, new FlowPool(1), 0) {
   own_pool_.reset(pool_);

@@ -48,6 +48,11 @@ struct CoflowSpec {
   [[nodiscard]] Bytes max_flow_bytes() const;
 };
 
+/// The one well-formedness check for a CoflowSpec on a `num_ports` fabric
+/// (flows present, sizes >= 0, ports inside the fabric): the defect, or
+/// nullptr. Each caller turns a defect into its own reject.
+[[nodiscard]] const char* spec_defect(const CoflowSpec& spec, int num_ports);
+
 class CoflowState;
 
 /// Mutable per-flow simulation state with lazy (closed-form) progress.

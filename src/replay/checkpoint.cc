@@ -1,61 +1,39 @@
 #include "replay/checkpoint.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "common/tokens.h"
+#include "replay/journal.h"
 
 namespace saath::replay {
 
 namespace {
 
-void append_double(std::string& line, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, " %a", v);
-  line += buf;
-}
-
-[[nodiscard]] double parse_double(const std::string& tok) {
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0') {
-    throw std::runtime_error("checkpoint: bad double '" + tok + "'");
-  }
-  return v;
-}
-
-[[nodiscard]] std::int64_t parse_int(const std::string& tok) {
-  char* end = nullptr;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0') {
-    throw std::runtime_error("checkpoint: bad integer '" + tok + "'");
-  }
-  return static_cast<std::int64_t>(v);
-}
-
-/// Token cursor over the whole checkpoint body — the format is a flat
-/// token stream once the header line is consumed, so reading does not need
-/// per-line state.
-struct Cursor {
+/// Reads a checkpoint one record per line; blank lines are skipped and
+/// tokens after a record ignored, as in the journal.
+struct Lines {
   std::istream& in;
-  std::string tok;
+  std::string line;
+  std::int64_t line_no = 0;
 
-  [[nodiscard]] std::string take() {
-    if (!(in >> tok)) throw std::runtime_error("checkpoint: truncated");
-    return tok;
-  }
-  [[nodiscard]] std::int64_t i64() { return parse_int(take()); }
-  [[nodiscard]] int i32() { return static_cast<int>(parse_int(take())); }
-  [[nodiscard]] double f64() { return parse_double(take()); }
-  [[nodiscard]] bool flag() { return parse_int(take()) != 0; }
-  void expect_tag(const char* tag) {
-    if (take() != tag) {
-      throw std::runtime_error("checkpoint: expected '" + std::string(tag) +
-                               "', got '" + tok + "'");
+  /// The cursor past the next record's tag, which must be `tag`; valid
+  /// until the next call.
+  [[nodiscard]] Tokens expect(std::string_view tag) {
+    while (std::getline(in, line)) {
+      Tokens t(line, "checkpoint", ++line_no);
+      const std::string_view got = t.next();
+      if (got.empty()) continue;
+      if (got != tag) {
+        throw t.error("expected '" + std::string(tag) + "', got '" +
+                      std::string(got) + "'");
+      }
+      return t;
     }
+    throw std::runtime_error("checkpoint: truncated before '" +
+                             std::string(tag) + "'");
   }
 };
 
@@ -81,8 +59,8 @@ void write_coflow(std::ostream& out, const CoflowSnapshot& cs) {
     // operator=(char), not operator=(const char*): GCC 12's -Wrestrict
     // misfires on the latter when inlined into this loop (GCC PR105329).
     line = 'F';
-    append_double(line, fs.sent_base);
-    append_double(line, fs.rate);
+    append_hexfloat(line, fs.sent_base);
+    append_hexfloat(line, fs.rate);
     line += ' ' + std::to_string(fs.anchor) + ' ' +
             std::to_string(fs.predicted_finish) + ' ' +
             std::to_string(static_cast<int>(fs.finished)) + ' ' +
@@ -91,42 +69,36 @@ void write_coflow(std::ostream& out, const CoflowSnapshot& cs) {
   }
 }
 
-[[nodiscard]] CoflowSnapshot read_coflow(Cursor& c) {
+[[nodiscard]] CoflowSnapshot read_coflow(Lines& lines, int num_ports) {
   CoflowSnapshot cs;
-  c.expect_tag("K");
-  cs.first_flow_id = c.i64();
-  cs.queue_index = c.i32();
-  (void)c.i64();  // retired slot, see checkpoint.h
-  cs.deadline = c.i64();
-  cs.dynamics_flagged = c.flag();
-  cs.data_available = c.flag();
-  cs.stall_rounds = c.i32();
-  cs.requeue_attempts = c.i32();
-  c.expect_tag("S");
-  cs.spec.id = CoflowId{c.i64()};
-  cs.spec.arrival = c.i64();
-  cs.spec.job = JobId{c.i64()};
-  cs.spec.stage = c.i32();
-  const std::int64_t n = c.i64();
-  if (n < 0) throw std::runtime_error("checkpoint: negative flow count");
-  cs.spec.flows.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    FlowSpec f;
-    f.src = static_cast<PortIndex>(c.i64());
-    f.dst = static_cast<PortIndex>(c.i64());
-    f.size = c.i64();
-    cs.spec.flows.push_back(f);
+  Tokens k = lines.expect("K");
+  cs.first_flow_id = k.take_int();
+  cs.queue_index = k.take_int_field("queue index");
+  (void)k.take_int();  // retired slot, see checkpoint.h
+  cs.deadline = k.take_int();
+  cs.dynamics_flagged = k.take_int() != 0;
+  cs.data_available = k.take_int() != 0;
+  cs.stall_rounds = k.take_int_field("stall rounds");
+  cs.requeue_attempts = k.take_int_field("requeue attempts");
+  Tokens s = lines.expect("S");
+  cs.spec.id = CoflowId{s.take_int()};
+  cs.spec.arrival = s.take_int();
+  cs.spec.job = JobId{s.take_int()};
+  cs.spec.stage = s.take_int_field("stage");
+  take_flows(s, cs.spec.flows);
+  if (const char* defect = spec_defect(cs.spec, num_ports)) {
+    throw s.error(defect);
   }
-  cs.flows.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    c.expect_tag("F");
+  cs.flows.reserve(cs.spec.flows.size());
+  for (std::size_t i = 0; i < cs.spec.flows.size(); ++i) {
+    Tokens f = lines.expect("F");
     FlowSnapshot fs;
-    fs.sent_base = c.f64();
-    fs.rate = c.f64();
-    fs.anchor = c.i64();
-    fs.predicted_finish = c.i64();
-    fs.finished = c.flag();
-    fs.finish_time = c.i64();
+    fs.sent_base = f.take_double();
+    fs.rate = f.take_double();
+    fs.anchor = f.take_int();
+    fs.predicted_finish = f.take_int();
+    fs.finished = f.take_int() != 0;
+    fs.finish_time = f.take_int();
     cs.flows.push_back(fs);
   }
   return cs;
@@ -157,7 +129,7 @@ void save_checkpoint(std::ostream& out, const EngineSnapshot& snap) {
   }
   for (const auto& [port, factor] : snap.capacity_factors) {
     std::string line = "P " + std::to_string(port);
-    append_double(line, factor);
+    append_hexfloat(line, factor);
     out << line << '\n';
   }
   for (const CoflowRecord& r : snap.completed) {
@@ -168,8 +140,8 @@ void save_checkpoint(std::ostream& out, const EngineSnapshot& snap) {
         std::to_string(r.total_bytes) + ' ' +
         std::to_string(static_cast<int>(r.equal_flow_lengths)) + ' ' +
         std::to_string(r.flow_fcts_seconds.size());
-    for (const double fct : r.flow_fcts_seconds) append_double(line, fct);
-    for (const double sz : r.flow_sizes) append_double(line, sz);
+    for (const double fct : r.flow_fcts_seconds) append_hexfloat(line, fct);
+    for (const double sz : r.flow_sizes) append_hexfloat(line, sz);
     out << line << '\n';
   }
   out << "END\n";
@@ -178,107 +150,90 @@ void save_checkpoint(std::ostream& out, const EngineSnapshot& snap) {
 
 EngineSnapshot load_checkpoint(std::istream& in) {
   EngineSnapshot snap;
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("checkpoint: empty stream");
-  }
-  {
-    std::istringstream ss(line);
-    std::string magic;
-    ss >> magic;
-    if (magic != "SAATHC1") {
-      throw std::runtime_error("checkpoint: bad magic '" + magic + "'");
-    }
-    std::string tok;
-    if (!(ss >> tok)) throw std::runtime_error("checkpoint: truncated header");
-    snap.num_ports = static_cast<int>(parse_int(tok));
-    std::getline(ss, snap.scheduler);
-    if (!snap.scheduler.empty() && snap.scheduler.front() == ' ') {
-      snap.scheduler.erase(0, 1);
-    }
-  }
-  if (!std::getline(in, line) || line.rfind("T ", 0) != 0) {
-    throw std::runtime_error("checkpoint: missing trace line");
-  }
-  snap.trace = line.substr(2);
-  Cursor c{in, {}};
-  c.expect_tag("H");
-  snap.now = c.i64();
-  snap.rounds = c.i32();
-  snap.epochs = c.i64();
-  snap.next_flow_id = c.i64();
-  snap.source_events_consumed = c.i64();
-  snap.last_source_time = c.i64();
-  snap.last_arrival_id = c.i64();
-  snap.makespan = c.i64();
-  c.expect_tag("N");
-  const std::int64_t n_active = c.i64();
-  const std::int64_t n_quar = c.i64();
-  const std::int64_t n_gates = c.i64();
-  const std::int64_t n_inj = c.i64();
-  const std::int64_t n_dyn = c.i64();
-  const std::int64_t n_factors = c.i64();
-  const std::int64_t n_done = c.i64();
-  if (n_active < 0 || n_quar < 0 || n_gates < 0 || n_inj < 0 || n_dyn < 0 ||
-      n_factors < 0 || n_done < 0) {
-    throw std::runtime_error("checkpoint: negative section count");
+  Lines lines{in, {}};
+  Tokens header = lines.expect("SAATHC1");
+  snap.num_ports = header.take_int_field("port count");
+  snap.scheduler = header.rest();
+  snap.trace = lines.expect("T").rest();
+  Tokens h = lines.expect("H");
+  snap.now = h.take_int();
+  snap.rounds = h.take_int_field("rounds");
+  snap.epochs = h.take_int();
+  snap.next_flow_id = h.take_int();
+  snap.source_events_consumed = h.take_int();
+  snap.last_source_time = h.take_int();
+  snap.last_arrival_id = h.take_int();
+  snap.makespan = h.take_int();
+  Tokens n = lines.expect("N");
+  const std::int64_t n_active = n.take_int();
+  const std::int64_t n_quar = n.take_int();
+  const std::int64_t n_gates = n.take_int();
+  const std::int64_t n_inj = n.take_int();
+  const std::int64_t n_dyn = n.take_int();
+  const std::int64_t n_factors = n.take_int();
+  const std::int64_t n_done = n.take_int();
+  for (const std::int64_t count :
+       {n_active, n_quar, n_gates, n_inj, n_dyn, n_factors, n_done}) {
+    if (count < 0) throw n.error("negative section count");
   }
   // Only the retired engine side channels could fill these two sections;
   // this engine has nowhere to restore them to.
   if (n_inj != 0) {
-    throw std::runtime_error(
-        "checkpoint: injected-arrival section is no longer supported (" +
-        std::to_string(n_inj) + " entries)");
+    throw n.error("injected-arrival section is no longer supported (" +
+                  std::to_string(n_inj) + " entries)");
   }
   if (n_dyn != 0) {
-    throw std::runtime_error(
-        "checkpoint: pending-dynamics section is no longer supported (" +
-        std::to_string(n_dyn) + " entries)");
+    throw n.error("pending-dynamics section is no longer supported (" +
+                  std::to_string(n_dyn) + " entries)");
   }
-  snap.active.reserve(static_cast<std::size_t>(n_active));
   for (std::int64_t i = 0; i < n_active; ++i) {
-    snap.active.push_back(read_coflow(c));
+    snap.active.push_back(read_coflow(lines, snap.num_ports));
   }
   for (std::int64_t i = 0; i < n_quar; ++i) {
-    c.expect_tag("Q");
     QuarantineSnapshot qs;
-    qs.release_at = c.i64();
-    qs.coflow = read_coflow(c);
+    qs.release_at = lines.expect("Q").take_int();
+    qs.coflow = read_coflow(lines, snap.num_ports);
     snap.quarantined.push_back(std::move(qs));
   }
   for (std::int64_t i = 0; i < n_gates; ++i) {
-    c.expect_tag("G");
-    const std::int64_t id = c.i64();
-    const SimTime when = c.i64();
-    snap.data_gates.emplace_back(id, when);
+    Tokens g = lines.expect("G");
+    const std::int64_t id = g.take_int();
+    snap.data_gates.emplace_back(id, g.take_int());
   }
   for (std::int64_t i = 0; i < n_factors; ++i) {
-    c.expect_tag("P");
-    const auto port = static_cast<PortIndex>(c.i64());
-    snap.capacity_factors.emplace_back(port, c.f64());
+    Tokens p = lines.expect("P");
+    const PortIndex port = p.take_port();
+    if (port < 0 || port >= snap.num_ports) {
+      throw p.error("port outside the fabric " + std::to_string(port));
+    }
+    const double factor = p.take_double();
+    if (!(factor >= 0.0 && factor <= 1.0)) {
+      throw p.error("capacity factor outside [0, 1]");
+    }
+    snap.capacity_factors.emplace_back(port, factor);
   }
   for (std::int64_t i = 0; i < n_done; ++i) {
-    c.expect_tag("R");
+    Tokens t = lines.expect("R");
     CoflowRecord r;
-    r.id = CoflowId{c.i64()};
-    r.job = JobId{c.i64()};
-    r.stage = c.i32();
-    r.arrival = c.i64();
-    r.finish = c.i64();
-    r.width = c.i32();
-    r.total_bytes = c.i64();
-    r.equal_flow_lengths = c.flag();
-    const std::int64_t nf = c.i64();
-    if (nf < 0) throw std::runtime_error("checkpoint: negative fct count");
+    r.id = CoflowId{t.take_int()};
+    r.job = JobId{t.take_int()};
+    r.stage = t.take_int_field("stage");
+    r.arrival = t.take_int();
+    r.finish = t.take_int();
+    r.width = t.take_int_field("width");
+    r.total_bytes = t.take_int();
+    r.equal_flow_lengths = t.take_int() != 0;
+    const std::int64_t nf = t.take_int();
+    if (nf < 0) throw t.error("negative fct count");
     for (std::int64_t k = 0; k < nf; ++k) {
-      r.flow_fcts_seconds.push_back(c.f64());
+      r.flow_fcts_seconds.push_back(t.take_double());
     }
     for (std::int64_t k = 0; k < nf; ++k) {
-      r.flow_sizes.push_back(c.f64());
+      r.flow_sizes.push_back(t.take_double());
     }
     snap.completed.push_back(std::move(r));
   }
-  c.expect_tag("END");
+  (void)lines.expect("END");
   return snap;
 }
 

@@ -1,12 +1,18 @@
 // EngineSnapshot <-> stream serialization (crash-recovery persistence).
 //
-// The format is line-oriented text like the journal's: integers in decimal,
-// doubles in C hexfloat (bit-exact round trips — the restored flow
-// trajectories must be the *same bits* the interrupted run carried, or the
-// µs-rounded completion instants drift and the resumed digest diverges).
-// save_checkpoint() is written atomically in one pass and ends with an END
-// sentinel, so a torn write (kill mid-checkpoint) is detected at load, not
-// silently resumed from.
+// The format is line-oriented text like the journal's: one record per
+// line, integers in decimal, doubles in C hexfloat (bit-exact round trips
+// — the restored flow trajectories must be the *same bits* the
+// interrupted run carried, or the µs-rounded completion instants drift and
+// the resumed digest diverges). save_checkpoint() is written atomically in
+// one pass and ends with an END sentinel, so a torn write (kill
+// mid-checkpoint) is detected at load, not silently resumed from.
+//
+// load_checkpoint() reads each line through common/tokens.h, as the
+// journal does. Int fields must fit int32, every CoFlow spec passes
+// spec_defect against the header's port count, a capacity factor's port
+// lies in the fabric and its value in [0, 1], and nothing is reserved for
+// a count its lines have not backed.
 //
 // The `N` line counts each section in order: active, quarantined, gates,
 // injected arrivals, pending dynamics, capacity factors, completed. The
@@ -30,7 +36,8 @@ namespace saath::replay {
 
 void save_checkpoint(std::ostream& out, const EngineSnapshot& snap);
 
-/// Throws std::runtime_error on malformed or truncated input.
+/// Throws std::runtime_error on malformed or truncated input, naming the
+/// line ("checkpoint line N: ...") where there is one.
 [[nodiscard]] EngineSnapshot load_checkpoint(std::istream& in);
 
 }  // namespace saath::replay

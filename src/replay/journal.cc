@@ -1,118 +1,19 @@
 #include "replay/journal.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
 
 #include "common/expect.h"
+#include "common/tokens.h"
 
 namespace saath::replay {
 
 namespace {
-
-/// Doubles travel as C hexfloats: strtod round-trips the exact bits, which
-/// is the whole point of a byte-identity journal. (istream's >> double
-/// cannot parse hexfloat, hence tokenize-then-strtod everywhere.)
-void append_double(std::string& line, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, " %a", v);
-  line += buf;
-}
-
-[[nodiscard]] std::runtime_error line_error(std::int64_t line_no,
-                                            const std::string& what) {
-  return std::runtime_error("journal line " + std::to_string(line_no) + ": " +
-                            what);
-}
-
-/// The whitespace-separated tokens of one line, read in place through a
-/// string_view cursor. Whitespace is what `istream >> std::string` skips
-/// in the C locale, so the tokens are the ones an istringstream saw.
-class Tokens {
- public:
-  Tokens(std::string_view line, std::int64_t line_no)
-      : rest_(line), line_no_(line_no) {}
-
-  /// The next token, or an empty view once the line is used up.
-  [[nodiscard]] std::string_view next() {
-    std::size_t i = 0;
-    while (i < rest_.size() && is_space(rest_[i])) ++i;
-    std::size_t j = i;
-    while (j < rest_.size() && !is_space(rest_[j])) ++j;
-    const std::string_view tok = rest_.substr(i, j - i);
-    rest_.remove_prefix(j);
-    return tok;
-  }
-
-  /// The next token; throws naming the line when none is left.
-  [[nodiscard]] std::string_view take() {
-    const std::string_view tok = next();
-    if (tok.empty()) throw line_error(line_no_, "truncated record");
-    return tok;
-  }
-
-  /// A decimal int64 with an optional sign, as strtoll read it (a NUL ends
-  /// the digits, as it ended the C string); a value past int64 rejects.
-  [[nodiscard]] std::int64_t take_int() {
-    const std::string_view tok = take();
-    std::string_view digits = tok.substr(0, tok.find('\0'));
-    // from_chars takes '-' but not '+'; "+-1" must still reject.
-    if (digits.size() > 1 && digits[0] == '+' && digits[1] >= '0' &&
-        digits[1] <= '9') {
-      digits.remove_prefix(1);
-    }
-    std::int64_t v = 0;
-    const auto [end, ec] =
-        std::from_chars(digits.data(), digits.data() + digits.size(), v);
-    if (ec != std::errc{} || end != digits.data() + digits.size()) {
-      throw line_error(line_no_, "bad integer '" + std::string(tok) + "'");
-    }
-    return v;
-  }
-
-  /// An integer that fits int; a value outside rejects naming `field`.
-  [[nodiscard]] int take_int_field(std::string_view field) {
-    const std::int64_t v = take_int();
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
-      throw line_error(line_no_, std::string(field) + " out of range " +
-                                     std::to_string(v));
-    }
-    return static_cast<int>(v);
-  }
-
-  /// A port: an integer that fits PortIndex.
-  [[nodiscard]] PortIndex take_port() { return take_int_field("port"); }
-
-  /// A double in any form strtod reads (the journal writes C hexfloats).
-  [[nodiscard]] double take_double() {
-    const std::string tok(take());
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0') {
-      throw line_error(line_no_, "bad double '" + tok + "'");
-    }
-    return v;
-  }
-
-  /// Everything after the last token taken, leading whitespace included.
-  [[nodiscard]] std::string_view rest() const { return rest_; }
-
- private:
-  [[nodiscard]] static bool is_space(char c) {
-    return c == ' ' || (c >= '\t' && c <= '\r');
-  }
-
-  std::string_view rest_;
-  std::int64_t line_no_;
-};
 
 /// Appends " <tok>". Split +='s (char, then token) rather than a
 /// `" " + tok` temporary: GCC 12's -Wrestrict misfires on the inlined
@@ -124,7 +25,7 @@ void append_token(std::string& line, const std::string& tok) {
 
 void write_config(std::string& line, const SimConfig& c) {
   line += 'C';
-  append_double(line, c.port_bandwidth);
+  append_hexfloat(line, c.port_bandwidth);
   append_token(line, std::to_string(c.delta));
   append_token(line, std::to_string(static_cast<int>(c.reallocate_on_completion)));
   // Three retired engine-mode slots, see the format note.
@@ -182,7 +83,7 @@ std::string format_event_line(const workload::WorkloadEvent& ev) {
       line = "D " + std::to_string(ev.time) + ' ' +
              std::to_string(static_cast<int>(ev.dynamics.kind)) + ' ' +
              std::to_string(ev.dynamics.port);
-      append_double(line, ev.dynamics.capacity_factor);
+      append_hexfloat(line, ev.dynamics.capacity_factor);
       break;
     case workload::WorkloadEvent::Kind::kDataAvailable:
       line = "G " + std::to_string(ev.time) + ' ' +
@@ -192,9 +93,26 @@ std::string format_event_line(const workload::WorkloadEvent& ev) {
   return line;
 }
 
+void take_flows(Tokens& tokens, std::vector<FlowSpec>& flows) {
+  const std::int64_t n = tokens.take_int();
+  if (n < 0) throw tokens.error("negative flow count");
+  // Each flow takes at least six bytes of the line (" s d z"; rest() drops
+  // the first space), so a count the line cannot hold reserves only what it
+  // can, and the read below runs out of tokens instead of memory.
+  flows.reserve(static_cast<std::size_t>(std::min<std::int64_t>(
+      n, static_cast<std::int64_t>((tokens.rest().size() + 1) / 6))));
+  for (std::int64_t i = 0; i < n; ++i) {
+    FlowSpec f;
+    f.src = tokens.take_port();
+    f.dst = tokens.take_port();
+    f.size = tokens.take_int();
+    flows.push_back(f);
+  }
+}
+
 std::optional<workload::WorkloadEvent> parse_event_line(
     std::string_view line, std::int64_t line_no) {
-  Tokens tokens(line, line_no);
+  Tokens tokens(line, "journal", line_no);
   const std::string_view tag = tokens.next();
   if (tag.empty()) return std::nullopt;
   workload::WorkloadEvent ev;
@@ -206,21 +124,7 @@ std::optional<workload::WorkloadEvent> parse_event_line(
     ev.coflow.stage = tokens.take_int_field("stage");
     ev.coflow.arrival = tokens.take_int();
     ev.data_ready = tokens.take_int();
-    const std::int64_t n = tokens.take_int();
-    if (n < 0) throw line_error(line_no, "negative flow count");
-    // Each flow takes at least six bytes of the line (" s d z"), so a
-    // count the line cannot hold reserves only what it can, and the read
-    // below runs out of tokens instead of memory.
-    ev.coflow.flows.reserve(static_cast<std::size_t>(
-        std::min<std::int64_t>(n, static_cast<std::int64_t>(
-                                      tokens.rest().size() / 6))));
-    for (std::int64_t i = 0; i < n; ++i) {
-      FlowSpec f;
-      f.src = tokens.take_port();
-      f.dst = tokens.take_port();
-      f.size = tokens.take_int();
-      ev.coflow.flows.push_back(f);
-    }
+    take_flows(tokens, ev.coflow.flows);
   } else if (tag == "D") {
     ev.kind = workload::WorkloadEvent::Kind::kDynamics;
     ev.time = tokens.take_int();
@@ -228,8 +132,7 @@ std::optional<workload::WorkloadEvent> parse_event_line(
     const std::int64_t kind = tokens.take_int();
     if (kind < static_cast<int>(DynamicsEvent::Kind::kNodeFailure) ||
         kind > static_cast<int>(DynamicsEvent::Kind::kStragglerEnd)) {
-      throw line_error(line_no,
-                       "unknown dynamics kind " + std::to_string(kind));
+      throw tokens.error("unknown dynamics kind " + std::to_string(kind));
     }
     ev.dynamics.kind = static_cast<DynamicsEvent::Kind>(kind);
     ev.dynamics.port = tokens.take_port();
@@ -239,8 +142,7 @@ std::optional<workload::WorkloadEvent> parse_event_line(
     ev.time = tokens.take_int();
     ev.gated = CoflowId{tokens.take_int()};
   } else {
-    throw line_error(line_no,
-                     "unknown event tag '" + std::string(tag) + "'");
+    throw tokens.error("unknown event tag '" + std::string(tag) + "'");
   }
   return ev;
 }
@@ -283,7 +185,7 @@ ReplaySource::ReplaySource(std::istream& in) : in_(in) {
     throw std::runtime_error("journal: empty stream");
   }
   ++line_no_;
-  Tokens header(line_, line_no_);
+  Tokens header(line_, "journal", line_no_);
   const std::string_view magic = header.next();
   if (magic != "SAATHJ1") {
     throw std::runtime_error("journal: bad magic '" + std::string(magic) +
@@ -293,12 +195,11 @@ ReplaySource::ReplaySource(std::istream& in) : in_(in) {
   seed_ = header.take_int();
   // Everything after the seed is the recorded name (may contain spaces).
   name_ = header.rest();
-  if (!name_.empty() && name_.front() == ' ') name_.erase(0, 1);
   if (!std::getline(in_, line_)) {
     throw std::runtime_error("journal: missing config line");
   }
   ++line_no_;
-  Tokens config(line_, line_no_);
+  Tokens config(line_, "journal", line_no_);
   const std::string_view tag = config.next();
   if (tag != "C") {
     throw std::runtime_error("journal: expected config line, got '" +

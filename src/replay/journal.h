@@ -31,15 +31,14 @@
 //     {<src> <dst> <size>}*
 //   D <time> <kind> <port> <factor>
 //   G <time> <gated-id>
-// Tokens are separated by whitespace (space, \t, \n, \v, \f, \r). Integers
-// are decimal int64 with an optional sign; ports (<src>, <dst>, <port>),
-// <num_ports>, <stage>, <stall> and <requeue> must also fit int32, <kind>
-// must name a DynamicsEvent::Kind (0..2), and <nflows> is bounded by the
-// line: a count the
-// rest of the line cannot hold fails as a truncated record, with nothing
-// reserved for it. Tokens after a record are ignored. Every line is read
-// in place with one tokenizer; a reject is a std::runtime_error naming the
-// line.
+// Lines are read in place by common/tokens.h, the tokenizer every text
+// input shares: integers are decimal int64, and a reject is a
+// std::runtime_error naming the line ("journal line N: ..."). Ports
+// (<src>, <dst>, <port>), <num_ports>, <stage>, <stall> and <requeue> must
+// also fit int32, <kind> must name a DynamicsEvent::Kind (0..2), and
+// <nflows> is bounded by the line: a count the rest of the line cannot
+// hold fails as a truncated record, with nothing reserved for it. Tokens
+// after a record are ignored.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +47,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/tokens.h"
 #include "sim/engine.h"
 #include "sim/result.h"
 #include "workload/source.h"
@@ -70,6 +71,11 @@ namespace saath::replay {
 /// line cannot hold. Tokens after the record are ignored.
 [[nodiscard]] std::optional<workload::WorkloadEvent> parse_event_line(
     std::string_view line, std::int64_t line_no);
+
+/// Reads a flow list, "<nflows> {<src> <dst> <size>}*", as an A line and
+/// a checkpoint's S line carry it. Nothing is reserved past what the rest
+/// of the line can hold.
+void take_flows(Tokens& tokens, std::vector<FlowSpec>& flows);
 
 class RecordingSource final : public workload::WorkloadSource {
  public:

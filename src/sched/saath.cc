@@ -613,9 +613,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
       const OrderIndex::Slot slot = order_.find(id);
       if (slot == OrderIndex::npos) continue;
       CoflowState* c = order_.state(slot);
-      if (order_.update(slot, make_key(*c, now, spatial_.contention(id)))) {
-        ++stats_.rekeys;
-      }
+      order_.update(slot, make_key(*c, now, spatial_.contention(id)));
     }
     spatial_.clear_contention_changes();
   }
@@ -623,8 +621,6 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
   // ---- 6. Materialize, reusing the untouched sorted prefix.
   const std::size_t first_dirty = order_.materialize();
   stats_.candidates += static_cast<std::int64_t>(candidates_.size());
-  stats_.suffix_walked +=
-      static_cast<std::int64_t>(order_.size() - first_dirty);
   stats_.order_ns += ns_since(t0);
   SAATH_ENSURES(order_.size() == active.size());
 

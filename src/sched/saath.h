@@ -127,11 +127,8 @@ struct SaathPhaseStats {
   std::int64_t delta_rounds = 0;
   /// Admission ranks replayed from the cached prefix.
   std::int64_t replayed_ranks = 0;
-  /// Churn diagnostics: re-bucketed candidates, contention-drain re-keys
-  /// that moved a key, and materialized-suffix length.
+  /// Churn diagnostic: re-bucketed candidates.
   std::int64_t candidates = 0;
-  std::int64_t rekeys = 0;
-  std::int64_t suffix_walked = 0;
   /// Conserve-phase split: rounds with a non-empty missed list, and
   /// missed CoFlows that received at least one allocation (the same count
   /// as those with a flow live at both ends at their turn; vs

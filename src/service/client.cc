@@ -1,11 +1,10 @@
 #include "service/client.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "common/tokens.h"
 #include "replay/journal.h"
 
 namespace saath::service {
@@ -49,9 +48,10 @@ bool ServiceClient::drain_available(workload::WorkloadSource* reactive) {
 
 void ServiceClient::handle_frame(const std::string& frame,
                                  workload::WorkloadSource* reactive) {
-  std::istringstream ss(frame);
-  std::string verb;
-  ss >> verb;
+  // A malformed reply is skipped, as an unknown verb is; a DONE is still
+  // counted, since IDLE reports every DONE frame the daemon routed here.
+  Tokens tokens(frame, "frame", 0);
+  const std::string_view verb = tokens.next();
   if (verb == "DONE") {
     ++report_.dones;
     if (const auto rec = parse_done(frame)) {
@@ -61,31 +61,38 @@ void ServiceClient::handle_frame(const std::string& frame,
   } else if (verb == "REJ") {
     ++report_.rejects_seen;
     if (report_.reject_lines.size() < 16) report_.reject_lines.push_back(frame);
-    std::string kind;
-    ss >> kind;
-    std::string tok;
+    const std::string_view kind = tokens.next();
     std::int64_t id = -1;
-    while (ss >> tok) {
-      if (tok.rfind("id=", 0) == 0) {
-        id = std::strtoll(tok.c_str() + 3, nullptr, 10);
-      }
+    for (std::string_view tok = tokens.next(); !tok.empty();
+         tok = tokens.next()) {
+      if (tok.starts_with("id=")) id = parse_int(tok.substr(3)).value_or(-1);
     }
     // duplicate-id means the arrival already lives in the run (restart
     // re-drive): its DONE is still owed here, keep it outstanding.
     if (id >= 0 && kind != "duplicate-id") outstanding_.erase(id);
   } else if (verb == "WELCOME") {
-    std::uint32_t sid = 0;
-    SimTime wm = 0;
-    if (ss >> sid >> wm) {
-      report_.session = sid;
-      report_.watermark = wm;
+    const auto sid = parse_int(tokens.next());
+    const auto wm = parse_int(tokens.next());
+    if (sid && wm && *sid > 0 && *sid == static_cast<std::uint32_t>(*sid)) {
+      report_.session = static_cast<std::uint32_t>(*sid);
+      report_.watermark = *wm;
     }
   } else if (verb == "FINOK") {
-    ss >> report_.accepted >> report_.rejected;
-    fin_ok_ = true;
+    const auto accepted = parse_int(tokens.next());
+    const auto rejected = parse_int(tokens.next());
+    if (accepted && rejected) {
+      report_.accepted = *accepted;
+      report_.rejected = *rejected;
+      fin_ok_ = true;
+    }
   } else if (verb == "END") {
-    ss >> report_.digest_hex >> report_.makespan;
-    report_.got_end = true;
+    const std::string_view digest = tokens.next();
+    const auto makespan = parse_int(tokens.next());
+    if (!digest.empty() && makespan) {
+      report_.digest_hex = digest;
+      report_.makespan = *makespan;
+      report_.got_end = true;
+    }
   } else if (verb == "STAT") {
     if (in_stats_) {
       stats_buf_ += frame;

@@ -107,8 +107,8 @@ std::int64_t ServiceDaemon::recover_journal(std::string& recorded_name) {
     throw std::runtime_error("service: cannot open journal '" +
                              cfg_.journal_path + "' for resume");
   }
-  std::string all((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
+  const std::string all((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
   in.close();
   // A kill mid-write can tear the final line; everything before the last
   // newline is a valid journal prefix (each line was flushed before the
@@ -120,53 +120,32 @@ std::int64_t ServiceDaemon::recover_journal(std::string& recorded_name) {
   }
   if (last_nl + 1 != all.size()) {
     std::filesystem::resize_file(cfg_.journal_path, last_nl + 1);
-    all.erase(last_nl + 1);
   }
-  std::istringstream lines(all);
-  std::string line;
-  // Header: SAATHJ1 <ports> <seed> <name...>
-  if (!std::getline(lines, line)) {
-    throw std::runtime_error("service: empty journal");
+  std::ifstream journal_in(cfg_.journal_path, std::ios::binary);
+  replay::ReplaySource journal(journal_in);
+  if (journal.num_ports() != cfg_.num_ports) {
+    throw std::runtime_error(
+        "service: journal fabric has " + std::to_string(journal.num_ports()) +
+        " ports, daemon configured for " + std::to_string(cfg_.num_ports));
   }
-  {
-    std::istringstream hs(line);
-    std::string magic;
-    int ports = 0;
-    std::int64_t seed = 0;
-    if (!(hs >> magic >> ports >> seed) || magic != "SAATHJ1") {
-      throw std::runtime_error("service: bad journal header: " + line);
-    }
-    if (ports != cfg_.num_ports) {
-      throw std::runtime_error(
-          "service: journal fabric has " + std::to_string(ports) +
-          " ports, daemon configured for " + std::to_string(cfg_.num_ports));
-    }
-    std::getline(hs, recorded_name);
-    if (!recorded_name.empty() && recorded_name.front() == ' ') {
-      recorded_name.erase(0, 1);
-    }
-  }
-  // Config line (ReplaySource re-parses it; skip here).
-  if (!std::getline(lines, line) || line.empty() || line[0] != 'C') {
-    throw std::runtime_error("service: journal missing config line");
-  }
+  recorded_name = journal.name();
   std::int64_t events = 0;
-  std::int64_t line_no = 2;
   SimTime watermark = 0;
   std::vector<std::int64_t> admitted;
   std::vector<std::string> watermark_lines;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    const auto ev = replay::parse_event_line(line, line_no);
-    if (!ev.has_value()) continue;
+  while (journal.peek_next_time() != kNever) {
+    const workload::WorkloadEvent ev = journal.next();
     ++events;
-    if (ev->time > watermark) {
-      watermark = ev->time;
+    if (ev.time > watermark) {
+      watermark = ev.time;
       watermark_lines.clear();
     }
-    if (ev->time == watermark) watermark_lines.push_back(line);
-    if (ev->kind == workload::WorkloadEvent::Kind::kArrival) {
-      admitted.push_back(ev->coflow.id.value);
+    // The formatted line is the form IngressQueue::validate compares.
+    if (ev.time == watermark) {
+      watermark_lines.push_back(replay::format_event_line(ev));
+    }
+    if (ev.kind == workload::WorkloadEvent::Kind::kArrival) {
+      admitted.push_back(ev.coflow.id.value);
     }
   }
   ingress_->adopt_restart_state(watermark, std::move(admitted),
@@ -257,7 +236,6 @@ void ServiceDaemon::engine_main() {
         source = live;
       }
     }
-    cfg.track_admission_latency = true;  // not journaled; re-arm on resume
     auto sched = make_scheduler(cfg_.scheduler);
     Engine engine(std::move(source), *sched, cfg);
     const TelemetryGuard guard{telemetry_};

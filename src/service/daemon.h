@@ -49,8 +49,7 @@ struct DaemonConfig {
   int num_ports = 0;
   std::string scheduler = "saath";
   /// Engine template. The daemon forces strict_input = false (rejects are
-  /// typed at ingress AND tolerated in-engine) and enables
-  /// track_admission_latency.
+  /// typed at ingress AND tolerated in-engine).
   SimConfig sim;
   /// Sessions that must connect and FIN before the run drains; 0 = serve
   /// until shutdown().
@@ -124,8 +123,9 @@ class ServiceDaemon {
   /// positions the replay prefix past the checkpoint cursor, opens the
   /// append journal. Throws std::runtime_error on an unusable journal.
   void prepare_resume();
-  /// Journal recovery scan: truncates a torn tail, rebuilds the ingress
-  /// reject state, returns the total (complete) event-line count.
+  /// Journal recovery scan: truncates a torn tail, reads the journal
+  /// through replay::ReplaySource, rebuilds the ingress reject state, and
+  /// returns the total (complete) event count.
   [[nodiscard]] std::int64_t recover_journal(std::string& recorded_name);
 
   DaemonConfig cfg_;

@@ -95,19 +95,13 @@ Accept IngressQueue::validate(const Session& s,
                               const workload::WorkloadEvent& ev) const {
   using Kind = workload::WorkloadEvent::Kind;
   if (closed_ || s.finished) return Accept::kClosed;
-  // Well-formedness against this fabric (mirrors Engine::check_spec and
-  // the kBadDynamics posture, but at the edge where the reject can still
-  // be answered to the specific client that sent it).
+  // Well-formedness against this fabric (the engine's spec check and
+  // kBadDynamics posture, but at the edge where the reject can still be
+  // answered to the specific client that sent it).
   if (ev.kind == Kind::kArrival) {
-    if (ev.coflow.id.value < 0 || ev.coflow.flows.empty() ||
-        ev.coflow.arrival != ev.time) {
+    if (ev.coflow.id.value < 0 || ev.coflow.arrival != ev.time ||
+        spec_defect(ev.coflow, opts_.num_ports) != nullptr) {
       return Accept::kMalformed;
-    }
-    for (const FlowSpec& f : ev.coflow.flows) {
-      if (f.size < 0 || f.src < 0 || f.src >= opts_.num_ports || f.dst < 0 ||
-          f.dst >= opts_.num_ports) {
-        return Accept::kMalformed;
-      }
     }
   } else if (ev.kind == Kind::kDynamics) {
     if (ev.dynamics.port < 0 || ev.dynamics.port >= opts_.num_ports ||

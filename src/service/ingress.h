@@ -83,10 +83,8 @@ struct IngressStats {
   std::int64_t released = 0;  // handed to the engine
   std::int64_t sessions_opened = 0;
   /// Push-to-release wall latency in seconds: the time an accepted event
-  /// waited in ingress before the engine's epoch loop consumed it — the
-  /// service-side half of admission-to-schedule latency (the engine
-  /// schedules the epoch it pulls in; see EngineStats::admission_latency
-  /// for the in-engine half).
+  /// waited in ingress before the engine's epoch loop consumed it (the
+  /// engine schedules the epoch it pulls the event in).
   LogHistogram wait_latency{1e-9, 1.05, 512};
   std::vector<SessionCounters> sessions;
 };

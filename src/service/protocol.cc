@@ -1,8 +1,8 @@
 #include "service/protocol.h"
 
-#include <sstream>
 #include <stdexcept>
 
+#include "common/tokens.h"
 #include "replay/journal.h"
 
 namespace saath::service {
@@ -78,18 +78,18 @@ Request parse_request(const std::string& frame) {
     }
     return req;
   }
-  std::istringstream ss(frame);
-  std::string verb;
-  ss >> verb;
+  Tokens tokens(frame, "frame", 0);
+  const std::string_view verb = tokens.next();
   if (verb == "HELLO") {
-    if (!(ss >> req.client_name >> req.num_ports) || req.num_ports <= 0) {
+    req.client_name = tokens.next();
+    const auto ports = parse_int(tokens.next());
+    if (req.client_name.empty() || !ports || *ports <= 0 ||
+        *ports != static_cast<int>(*ports)) {
       req.error = "HELLO wants: HELLO <client> <num_ports> <workload...>";
       return req;
     }
-    std::getline(ss, req.workload_name);
-    if (!req.workload_name.empty() && req.workload_name.front() == ' ') {
-      req.workload_name.erase(0, 1);
-    }
+    req.num_ports = static_cast<int>(*ports);
+    req.workload_name = tokens.rest();
     if (req.workload_name.empty()) {
       req.error = "HELLO missing workload name";
       return req;
@@ -98,8 +98,14 @@ Request parse_request(const std::string& frame) {
   } else if (verb == "REACTIVE") {
     req.kind = Request::Kind::kReactive;
   } else if (verb == "IDLE") {
+    const std::string_view count = tokens.next();
+    const auto dones = parse_int(count);
+    if (!count.empty() && !dones) {
+      req.error = "IDLE wants: IDLE [<dones-seen>]";
+      return req;
+    }
+    req.idle_dones = dones.value_or(-1);
     req.kind = Request::Kind::kIdle;
-    ss >> req.idle_dones;  // optional; stays -1 (unconditional) if absent
   } else if (verb == "STATS") {
     req.kind = Request::Kind::kStats;
   } else if (verb == "FIN") {
@@ -107,7 +113,7 @@ Request parse_request(const std::string& frame) {
   } else if (verb == "SHUTDOWN") {
     req.kind = Request::Kind::kShutdown;
   } else {
-    req.error = "unknown verb '" + verb + "'";
+    req.error = "unknown verb '" + std::string(verb) + "'";
   }
   return req;
 }
@@ -145,20 +151,20 @@ std::string format_end(const std::string& digest_hex, SimTime makespan) {
   return "END " + digest_hex + ' ' + std::to_string(makespan);
 }
 
-std::optional<CoflowRecord> parse_done(const std::string& line) {
-  std::istringstream ss(line);
-  std::string verb;
-  ss >> verb;
-  if (verb != "DONE") return std::nullopt;
-  std::int64_t id = 0;
-  std::int64_t job = 0;
-  CoflowRecord rec;
-  if (!(ss >> id >> job >> rec.stage >> rec.arrival >> rec.finish)) {
+std::optional<CoflowRecord> parse_done(std::string_view line) {
+  Tokens tokens(line, "frame", 0);
+  if (tokens.next() != "DONE") return std::nullopt;
+  try {
+    CoflowRecord rec;
+    rec.id = CoflowId{tokens.take_int()};
+    rec.job = JobId{tokens.take_int()};
+    rec.stage = tokens.take_int_field("stage");
+    rec.arrival = tokens.take_int();
+    rec.finish = tokens.take_int();
+    return rec;
+  } catch (const std::runtime_error&) {
     return std::nullopt;
   }
-  rec.id = CoflowId{id};
-  rec.job = JobId{job};
-  return rec;
 }
 
 }  // namespace saath::service

@@ -22,7 +22,8 @@
 //                                        routed is stale and ignored, so a
 //                                        completion crossing an IDLE on the
 //                                        wire cannot release the barrier
-//                                        early)
+//                                        early; a malformed count makes
+//                                        the frame bad)
 //     STATS
 //     FIN
 //     SHUTDOWN
@@ -37,6 +38,9 @@
 //     END <digest-hex> <makespan-us>    (run drained; broadcast to all)
 //     BYE
 //
+// Frames are read through common/tokens.h: a malformed request parses to
+// Request::Kind::kBad, and the client skips a malformed reply.
+//
 // FrameReader splits a byte stream into frames incrementally: it tolerates
 // torn writes (a frame arriving across arbitrarily many reads) and rejects
 // oversized frames (kMaxFrameBytes) as a protocol error rather than
@@ -47,6 +51,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/result.h"
 #include "workload/source.h"
@@ -123,7 +128,8 @@ struct Request {
 
 /// Client-side parse of a DONE line into the CoflowRecord fields reactive
 /// sources consume (id, job, stage, arrival, finish — per-flow detail does
-/// not travel). Returns nullopt when `line` is not a DONE frame.
-[[nodiscard]] std::optional<CoflowRecord> parse_done(const std::string& line);
+/// not travel). Returns nullopt when `line` is not a well-formed DONE
+/// frame.
+[[nodiscard]] std::optional<CoflowRecord> parse_done(std::string_view line);
 
 }  // namespace saath::service

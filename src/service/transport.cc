@@ -12,6 +12,9 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/tokens.h"
 
 namespace saath::service {
 
@@ -182,7 +185,16 @@ class UnixListener final : public PollListener {
   return std::make_unique<UnixListener>(std::move(fd), path);
 }
 
-[[nodiscard]] std::unique_ptr<Listener> listen_tcp(int port) {
+/// The port of a "tcp:PORT" address.
+[[nodiscard]] std::uint16_t tcp_port(const std::string& address) {
+  const auto port = parse_int(std::string_view(address).substr(4));
+  if (port && *port >= 0 && *port <= 65535) {
+    return static_cast<std::uint16_t>(*port);
+  }
+  throw std::runtime_error("service: bad tcp port in '" + address + "'");
+}
+
+[[nodiscard]] std::unique_ptr<Listener> listen_tcp(std::uint16_t port) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) fail("service: socket(AF_INET)");
   const int one = 1;
@@ -190,7 +202,7 @@ class UnixListener final : public PollListener {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_port = htons(port);
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) != 0) {
     fail("service: bind(tcp:" + std::to_string(port) + ")");
@@ -213,7 +225,7 @@ std::unique_ptr<Listener> make_listener(const std::string& address) {
     return listen_unix(address.substr(5));
   }
   if (address.rfind("tcp:", 0) == 0) {
-    return listen_tcp(std::stoi(address.substr(4)));
+    return listen_tcp(tcp_port(address));
   }
   throw std::runtime_error("service: bad listen address '" + address +
                            "' (want unix:/path or tcp:PORT)");
@@ -237,8 +249,7 @@ Connection dial(const std::string& address) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(
-        std::stoi(address.substr(4))));
+    addr.sin_port = htons(tcp_port(address));
     if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
                   sizeof addr) != 0) {
       fail("service: connect(" + address + ")");

@@ -82,18 +82,6 @@ void Engine::publish_telemetry() {
   telemetry_.sim_now.store(now_, std::memory_order_relaxed);
 }
 
-const char* Engine::check_spec(const CoflowSpec& spec) const {
-  if (spec.flows.empty()) return "coflow has no flows";
-  for (const auto& f : spec.flows) {
-    if (f.size < 0) return "negative flow size";
-    if (f.src < 0 || f.src >= fabric_.num_ports() || f.dst < 0 ||
-        f.dst >= fabric_.num_ports()) {
-      return "flow port outside the fabric";
-    }
-  }
-  return nullptr;
-}
-
 void Engine::pull_due_source_events() {
   SAATH_EXPECTS(staged_arrivals_.empty());
   for (;;) {
@@ -133,7 +121,8 @@ void Engine::pull_due_source_events() {
                                "coflow.arrival != event time");
             break;
           }
-          if (const char* defect = check_spec(ev.coflow)) {
+          if (const char* defect =
+                  spec_defect(ev.coflow, fabric_.num_ports())) {
             record_input_fault(InputFault::Kind::kMalformedSpec, ev.time,
                                ev.coflow.id.value, defect);
             break;
@@ -197,11 +186,6 @@ void Engine::pull_due_source_events() {
 void Engine::admit_coflow(CoflowSpec spec, SimTime data_ready) {
   const CoflowId id = spec.id;
   ++stats_.arrivals_admitted;
-  if (config_.track_admission_latency) {
-    // Reused vector: capacity survives the per-schedule clear(), so steady
-    // state allocates nothing.
-    pending_admit_stamps_.push_back(Clock::now());
-  }
   auto state = std::make_unique<CoflowState>(std::move(spec), FlowId{next_flow_id_});
   next_flow_id_ += state->width();
   // Effective release instant = earliest of any already-recorded release
@@ -339,17 +323,6 @@ SAATH_HOT_NOALLOC void Engine::compute_schedule() {
   schedule_valid_until_ = scheduler_.schedule_valid_until(now_, active_);
   scheduled_capacity_version_ = fabric_.capacity_version();
   if (!graveyard_.empty()) reclaim_finished();
-  // Every CoFlow admitted since the previous schedule just received its
-  // first rate decision — close out its admission-latency measurement.
-  if (!pending_admit_stamps_.empty()) {
-    const auto first_schedule_done = Clock::now();
-    for (const auto& admitted_at : pending_admit_stamps_) {
-      stats_.admission_latency.record(
-          std::chrono::duration<double>(first_schedule_done - admitted_at)
-              .count());
-    }
-    pending_admit_stamps_.clear();
-  }
   stats_.schedule_ns += ns_since(t0);
 }
 

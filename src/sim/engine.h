@@ -33,7 +33,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -43,7 +42,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/histogram.h"
 #include "sim/completion_heap.h"
 #include "sim/dynamics.h"
 #include "sim/rate_assignment.h"
@@ -88,12 +86,6 @@ struct SimConfig {
   /// Quarantine re-admissions granted before the CoFlow is abandoned
   /// (reported in EngineStats::abandoned_coflow_ids, never finished).
   int max_requeue_attempts = 3;
-  /// Measure wall-clock admission→first-schedule latency per CoFlow into
-  /// EngineStats::admission_latency (the coordinator-responsiveness metric
-  /// the service layer reports). Off by default: the stamp vector and
-  /// histogram updates cost a few ns per admission and batch-mode callers
-  /// don't read them.
-  bool track_admission_latency = false;
   /// Input validation posture. true (default): any violation of the
   /// WorkloadSource contract (ordering, malformed specs, bad dynamics)
   /// aborts via SAATH_EXPECTS — correct for trusted generators. false:
@@ -166,11 +158,6 @@ struct EngineStats {
   /// fired (empty on clean completion) — filled just before the throw so
   /// post-mortems can name the stuck work programmatically.
   std::vector<std::int64_t> stuck_coflow_ids;
-  /// Wall-clock admission→first-schedule latency per admitted CoFlow in
-  /// seconds (populated only under SimConfig::track_admission_latency):
-  /// admit_coflow() to the end of the compute_schedule() that first hands
-  /// that CoFlow a rate decision. Buckets span [1 ns, ~69 s) at 5%/bucket.
-  LogHistogram admission_latency{1e-9, 1.05, 512};
 };
 
 /// Lock-free run-progress gauges a monitoring thread may read while run()
@@ -274,11 +261,6 @@ class Engine {
   /// Refreshes the LiveTelemetry gauges from engine-thread state (relaxed
   /// stores; called at the loop top and on completion-count changes).
   void publish_telemetry();
-  /// nullptr when `spec` is well-formed for this fabric; otherwise a
-  /// static string naming the defect (tolerant-mode pre-admission check —
-  /// CoflowState's constructor asserts on these).
-  [[nodiscard]] const char* check_spec(const CoflowSpec& spec) const;
-
   /// Quarantine machinery (SimConfig::max_stall_epochs > 0) ---------------
   /// After a scheduling round: ticks stall counters, detaches CoFlows that
   /// crossed the threshold (scheduler hook + backoff park or abandonment).
@@ -352,10 +334,6 @@ class Engine {
   /// schedulers re-key only those. Cleared after each handoff.
   SchedulerDelta delta_;
 
-  /// Admission stamps awaiting their first compute_schedule() (reused
-  /// across epochs so steady state allocates nothing; populated only under
-  /// config_.track_admission_latency).
-  std::vector<std::chrono::steady_clock::time_point> pending_admit_stamps_;
   LiveTelemetry telemetry_;
   std::int64_t completed_count_ = 0;
 

@@ -12,6 +12,11 @@
 // receiver port and the total shuffle megabytes it ingests. The benchmark's
 // convention (also used by coflowsim) expands this to an all-to-all mesh:
 // every mapper sends size MB_j / M to reducer j.
+//
+// The reader takes one coflow per line through common/tokens.h. Ports lie
+// in 0..num_ports; a file whose ports all lie in 1..num_ports (the public
+// benchmark's numbering) shifts down by one. A reducer token is exactly
+// <port>:<MB>, with a non-negative MB whose per-flow share fits Bytes.
 #pragma once
 
 #include <iosfwd>
@@ -21,8 +26,9 @@
 
 namespace saath::trace {
 
-/// Parses a trace in coflow-benchmark format. Throws std::runtime_error with
-/// a line number on malformed input.
+/// Parses a trace in coflow-benchmark format. Throws std::runtime_error
+/// naming the line ("fb trace line N: ...") on malformed input, or naming
+/// the count when the input ends before the header's coflows do.
 [[nodiscard]] Trace parse_fb_trace(std::istream& in, std::string name = "fb");
 
 [[nodiscard]] Trace load_fb_trace_file(const std::string& path);

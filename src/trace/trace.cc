@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/expect.h"
 #include "common/stats.h"
@@ -23,12 +24,8 @@ void Trace::normalize() {
                    });
   std::int64_t next_id = 0;
   for (auto& c : coflows) {
-    if (c.flows.empty()) throw std::invalid_argument("Trace: empty coflow");
-    for (const auto& f : c.flows) {
-      if (f.src < 0 || f.src >= num_ports || f.dst < 0 || f.dst >= num_ports) {
-        throw std::invalid_argument("Trace: flow port out of range");
-      }
-      if (f.size < 0) throw std::invalid_argument("Trace: negative flow size");
+    if (const char* defect = spec_defect(c, num_ports)) {
+      throw std::invalid_argument(std::string("Trace: ") + defect);
     }
     c.id = CoflowId{next_id++};
   }

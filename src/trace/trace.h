@@ -21,7 +21,8 @@ struct Trace {
   [[nodiscard]] Bytes total_bytes() const;
 
   /// Normalizes the trace: sorts by arrival, re-ids coflows densely from 0,
-  /// and validates port ranges. Throws std::invalid_argument on bad ports.
+  /// and checks each coflow with spec_defect. Throws std::invalid_argument
+  /// naming the defect.
   void normalize();
 
   /// Returns a copy with every arrival divided by `factor` — the paper's

@@ -1,12 +1,12 @@
 #include "workload/scenario.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "common/expect.h"
+#include "common/tokens.h"
 #include "parallel/thread_pool.h"
 #include "sched/factory.h"
 #include "trace/synth.h"
@@ -37,9 +37,8 @@ std::mutex& registry_mutex() {
 
 ScenarioSetup fb_replay(const ScenarioParams& params) {
   trace::SynthConfig cfg;
-  cfg.num_ports = static_cast<int>(params.get_int("ports", cfg.num_ports));
-  cfg.num_coflows =
-      static_cast<int>(params.get_int("coflows", cfg.num_coflows));
+  cfg.num_ports = params.get_int32("ports", cfg.num_ports);
+  cfg.num_coflows = params.get_int32("coflows", cfg.num_coflows);
   cfg.seed = static_cast<std::uint64_t>(params.get_int("seed", 101));
   ScenarioSetup setup;
   setup.source = std::make_shared<TraceSource>(trace::synth_fb_trace(cfg));
@@ -56,7 +55,7 @@ ScenarioSetup osp_replay(const ScenarioParams& params) {
 ScenarioSetup steady_churn(const ScenarioParams& params) {
   SynthStreamConfig cfg;
   cfg.name = "steady-churn";
-  cfg.shape.num_ports = static_cast<int>(params.get_int("ports", 60));
+  cfg.shape.num_ports = params.get_int32("ports", 60);
   cfg.seed = static_cast<std::uint64_t>(params.get_int("seed", 11));
   cfg.num_coflows = params.get_int("coflows", 1200);
   cfg.mean_gap = static_cast<SimTime>(
@@ -76,7 +75,7 @@ ScenarioSetup steady_churn(const ScenarioParams& params) {
 ScenarioSetup multi_tenant_merge(const ScenarioParams& params) {
   const std::int64_t coflows = params.get_int("coflows", 600);
   const auto seed = static_cast<std::uint64_t>(params.get_int("seed", 21));
-  const int ports = static_cast<int>(params.get_int("ports", 80));
+  const int ports = params.get_int32("ports", 80);
 
   // Tenant A: a batch-analytics trace replayed at accelerated arrivals
   // with per-coflow jitter (the decorators replacing scaled_arrivals
@@ -108,8 +107,8 @@ ScenarioSetup multi_tenant_merge(const ScenarioParams& params) {
 }
 
 ScenarioSetup failure_storm(const ScenarioParams& params) {
-  const int ports = static_cast<int>(params.get_int("ports", 40));
-  const int coflows = static_cast<int>(params.get_int("coflows", 260));
+  const int ports = params.get_int32("ports", 40);
+  const int coflows = params.get_int32("coflows", 260);
   const auto seed = static_cast<std::uint64_t>(params.get_int("seed", 31));
   const auto failures = params.get_int("failures", 6);
   const SimTime period = msec(params.get_int("period_ms", 1500));
@@ -144,7 +143,7 @@ ScenarioSetup failure_storm(const ScenarioParams& params) {
 }
 
 ScenarioSetup pipeline_dag(const ScenarioParams& params) {
-  const int ports = static_cast<int>(params.get_int("ports", 24));
+  const int ports = params.get_int32("ports", 24);
   const auto jobs = params.get_int("jobs", 4);
   const double mb = params.get_double("stage_mb", 60.0);
 
@@ -212,15 +211,18 @@ std::int64_t ScenarioParams::get_int(const std::string& key,
   consumed_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  // Full-string parse: "12abc" is an error, not 12 — a malformed override
+  // Whole-value parse: "12abc" is an error, not 12 — a malformed override
   // must fail the run, never silently bend the workload.
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (it->second.empty() || end != it->second.c_str() + it->second.size()) {
-    throw std::invalid_argument("scenario parameter " + key + "='" +
-                                it->second + "' is not an integer");
-  }
-  return static_cast<std::int64_t>(v);
+  if (const auto v = parse_int(it->second)) return *v;
+  throw std::invalid_argument("scenario parameter " + key + "='" +
+                              it->second + "' is not an integer");
+}
+
+int ScenarioParams::get_int32(const std::string& key, int fallback) const {
+  const std::int64_t v = get_int(key, fallback);
+  if (v == static_cast<int>(v)) return static_cast<int>(v);
+  throw std::invalid_argument("scenario parameter " + key + "='" +
+                              values_.at(key) + "' is out of range");
 }
 
 double ScenarioParams::get_double(const std::string& key,
@@ -228,13 +230,9 @@ double ScenarioParams::get_double(const std::string& key,
   consumed_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (it->second.empty() || end != it->second.c_str() + it->second.size()) {
-    throw std::invalid_argument("scenario parameter " + key + "='" +
-                                it->second + "' is not a number");
-  }
-  return v;
+  if (const auto v = parse_double(it->second)) return *v;
+  throw std::invalid_argument("scenario parameter " + key + "='" +
+                              it->second + "' is not a number");
 }
 
 std::string ScenarioParams::get_string(const std::string& key,
@@ -265,6 +263,28 @@ std::vector<std::string> ScenarioParams::unconsumed() const {
     out.push_back(key);
   }
   return out;
+}
+
+void apply_run_params(const ScenarioParams& params, SimConfig& cfg) {
+  if (params.get_int("records", 1) == 0) cfg.record_results = false;
+  cfg.max_stall_epochs = params.get_int32("stall_epochs", cfg.max_stall_epochs);
+  cfg.max_requeue_attempts =
+      params.get_int32("requeue", cfg.max_requeue_attempts);
+  if (params.get_int("strict_input", 1) == 0) cfg.strict_input = false;
+}
+
+void reject_unread_params(const ScenarioParams& params,
+                          std::string_view scenario) {
+  const auto unknown = params.unconsumed();
+  if (unknown.empty()) return;
+  std::string listed;
+  for (const auto& key : unknown) {
+    if (!listed.empty()) listed += ", ";
+    listed += key;
+  }
+  throw std::invalid_argument("scenario '" + std::string(scenario) +
+                              "' does not understand parameter(s): " +
+                              listed);
 }
 
 void register_scenario(std::string name, std::string description,
@@ -321,25 +341,8 @@ ScenarioRunResult run_scenario(std::string_view name,
   auto sched = make_scheduler(sched_name);
   SimConfig cfg = setup.config;
   apply_scheduler_sim_overrides(sched_name, cfg);
-  if (params.get_int("records", 1) == 0) cfg.record_results = false;
-  // Robustness knobs (quarantine + tolerant input), valid for any scenario.
-  cfg.max_stall_epochs = static_cast<int>(
-      params.get_int("stall_epochs", cfg.max_stall_epochs));
-  cfg.max_requeue_attempts = static_cast<int>(
-      params.get_int("requeue", cfg.max_requeue_attempts));
-  if (params.get_int("strict_input", 1) == 0) cfg.strict_input = false;
-  // Every override must have been read by now; an unread key is a typo or
-  // a knob the scenario does not have — fail loudly either way.
-  if (const auto unknown = params.unconsumed(); !unknown.empty()) {
-    std::string listed;
-    for (const auto& key : unknown) {
-      if (!listed.empty()) listed += ", ";
-      listed += key;
-    }
-    throw std::invalid_argument("scenario '" + std::string(name) +
-                                "' does not understand parameter(s): " +
-                                listed);
-  }
+  apply_run_params(params, cfg);
+  reject_unread_params(params, name);
   Engine engine(setup.source, *sched, cfg);
   if (sink) engine.set_result_sink(sink);
   ScenarioRunResult out;

@@ -49,6 +49,8 @@ class ScenarioParams {
   }
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  /// get_int for an int field: a value past int32 throws too.
+  [[nodiscard]] int get_int32(const std::string& key, int fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] std::string get_string(const std::string& key,
@@ -92,6 +94,16 @@ void register_scenario(std::string name, std::string description,
 /// (listing the known ones).
 [[nodiscard]] ScenarioSetup make_scenario(std::string_view name,
                                           const ScenarioParams& params = {});
+
+/// Applies the run overrides every scenario takes to `cfg`: records=0
+/// (no result records), stall_epochs and requeue (quarantine), and
+/// strict_input=0 (input faults become typed rejects).
+void apply_run_params(const ScenarioParams& params, SimConfig& cfg);
+
+/// Throws std::invalid_argument naming `scenario` and every key of
+/// `params` no accessor read: a typo or a knob the scenario lacks.
+void reject_unread_params(const ScenarioParams& params,
+                          std::string_view scenario);
 
 /// Outcome of a driver run: the (possibly record-free) SimResult plus the
 /// engine telemetry the driver and CI gates report.

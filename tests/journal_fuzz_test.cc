@@ -1,6 +1,8 @@
-// Deterministic fuzz of the journal event-line grammar (A/D/G lines), the
-// first parser outside bytes reach: ReplaySource reads journals with it and
-// the service daemon reads every client event frame with it.
+// Deterministic fuzz of the readers outside bytes reach, all built on the
+// one tokenizer of common/tokens.h: the journal event-line grammar (A/D/G
+// lines; ReplaySource reads journals with it and the service daemon reads
+// every client event frame with it), saved checkpoints, FB traces and the
+// service's verb frames.
 //
 // Valid lines are formatted from random events and then mutated, seeded
 // with splitmix64 as FaultySource seeds its faults: byte flips,
@@ -13,8 +15,12 @@
 //     the three typed rejects (integers past int64, ports past int32, flow
 //     counts the line cannot hold);
 //   * random valid events round-trip through format_event_line and
-//     parse_event_line byte for byte, hexfloat capacity factors included.
-// The budget is fixed, so the test runs in about a second (a few under
+//     parse_event_line byte for byte, hexfloat capacity factors included;
+//   * a mutated checkpoint (saved from a real engine snapshot) or FB trace
+//     (write_fb_trace output) loads or throws std::runtime_error, and a
+//     mutated verb frame parses to a Request (kBad when malformed) or a
+//     DONE reply to a record or nullopt, never an exception.
+// The budget is fixed, so the test runs in a few seconds (more under
 // ASan + UBSan) and finds the same inputs every run.
 #include <gtest/gtest.h>
 
@@ -30,8 +36,15 @@
 #include <string>
 #include <vector>
 
+#include "replay/checkpoint.h"
 #include "replay/journal.h"
+#include "sched/saath.h"
+#include "service/protocol.h"
+#include "sim/engine.h"
+#include "trace/fb_format.h"
+#include "trace/synth.h"
 #include "workload/source.h"
+#include "workload/sources.h"
 
 namespace saath {
 namespace {
@@ -516,6 +529,141 @@ TEST(EventLineGrammar, HostileLinesRejectTyped) {
   EXPECT_EQ(ev->coflow.flows[0].size, 12);
   EXPECT_THROW((void)replay::parse_event_line("G +-1 2", 1),
                std::runtime_error);
+}
+
+// ------------------------------------------------ checkpoints, FB traces
+
+/// The lines of `text`, newline-terminated text split without the
+/// newlines.
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// One multi-line mutant of `lines`: a line mutated one to three times,
+/// or a line dropped or duplicated.
+std::string mutate_lines(std::vector<std::string> lines, SplitMix& rng) {
+  const std::size_t at = rng.below(lines.size());
+  switch (rng.below(8)) {
+    case 0:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      break;
+    case 1:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), lines[at]);
+      break;
+    default: {
+      const std::uint64_t rounds = 1 + rng.below(3);
+      for (std::uint64_t r = 0; r < rounds; ++r) mutate(lines[at], rng);
+      break;
+    }
+  }
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+/// Loads every mutant of `saved` through `load`: each must load or throw
+/// std::runtime_error. Returns the number rejected.
+int fuzz_loader(const std::string& saved, std::uint64_t seed, int mutants,
+                void (*load)(std::istream&)) {
+  SplitMix rng(seed);
+  const std::vector<std::string> lines = lines_of(saved);
+  int rejects = 0;
+  for (int n = 0; n < mutants; ++n) {
+    const std::string text = mutate_lines(lines, rng);
+    std::istringstream in(text);
+    try {
+      load(in);
+    } catch (const std::runtime_error&) {
+      ++rejects;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped reject (" << e.what() << ") of\n"
+                    << escaped(text);
+      return rejects;
+    }
+  }
+  return rejects;
+}
+
+void load_checkpoint_text(std::istream& in) {
+  (void)replay::load_checkpoint(in);
+}
+
+void parse_fb_trace_text(std::istream& in) { (void)trace::parse_fb_trace(in); }
+
+trace::Trace small_fb_trace() {
+  trace::SynthConfig cfg;
+  cfg.num_ports = 24;
+  cfg.num_coflows = 60;
+  cfg.arrival_span = seconds(4);
+  cfg.seed = 7;
+  return trace::synth_fb_trace(cfg);
+}
+
+TEST(CheckpointFuzz, MutatedCheckpointsLoadOrRejectTyped) {
+  SaathScheduler sched;
+  Engine engine(std::make_shared<workload::TraceSource>(small_fb_trace()),
+                sched, SimConfig{});
+  std::string saved;
+  int seen = 0;
+  engine.set_snapshot_hook(40, [&](const EngineSnapshot& snap) {
+    // The third snapshot holds live CoFlows and completed records both.
+    if (++seen != 3) return;
+    std::ostringstream out;
+    replay::save_checkpoint(out, snap);
+    saved = out.str();
+  });
+  (void)engine.run();
+  ASSERT_NE(saved.find("\nS "), std::string::npos);
+  ASSERT_NE(saved.find("\nR "), std::string::npos);
+  const int mutants = 3'000;
+  const int rejects =
+      fuzz_loader(saved, 0xc4ec'9017, mutants, load_checkpoint_text);
+  EXPECT_GT(rejects, mutants / 4);
+  EXPECT_LT(rejects, mutants);
+}
+
+TEST(FbTraceFuzz, MutatedTracesParseOrRejectTyped) {
+  std::ostringstream out;
+  trace::write_fb_trace(out, small_fb_trace());
+  const int mutants = 3'000;
+  const int rejects =
+      fuzz_loader(out.str(), 0xfb'2010, mutants, parse_fb_trace_text);
+  EXPECT_GT(rejects, mutants / 4);
+  EXPECT_LT(rejects, mutants);
+}
+
+TEST(VerbFrameFuzz, MutatedFramesNeverThrow) {
+  static const char* const kFrames[] = {
+      "HELLO cli 8 fb replay",
+      "REACTIVE",
+      "IDLE 7",
+      "IDLE",
+      "STATS",
+      "FIN",
+      "SHUTDOWN",
+      "DONE 5 1 2 300 9000",
+  };
+  SplitMix rng(0xf4a3'e5);
+  int bad = 0;
+  for (int n = 0; n < 20'000; ++n) {
+    std::string frame = kFrames[rng.below(std::size(kFrames))];
+    const std::uint64_t rounds = 1 + rng.below(3);
+    for (std::uint64_t r = 0; r < rounds; ++r) mutate(frame, rng);
+    try {
+      const service::Request req = service::parse_request(frame);
+      if (req.kind == service::Request::Kind::kBad) {
+        ++bad;
+        EXPECT_FALSE(req.error.empty()) << escaped(frame);
+      }
+      (void)service::parse_done(frame);
+    } catch (const std::exception& e) {
+      FAIL() << "frame '" << escaped(frame) << "' threw " << e.what();
+    }
+  }
+  EXPECT_GT(bad, 1'000);
 }
 
 }  // namespace

@@ -561,6 +561,78 @@ TEST(Checkpoint, RetiredSectionCountsAreRejected) {
   EXPECT_EQ(replay::load_checkpoint(intact).active.size(), snap.active.size());
 }
 
+/// A one-CoFlow checkpoint on an 8-port fabric, as save_checkpoint writes
+/// it; `s_line` replaces the CoFlow's S line.
+std::string hand_checkpoint(const std::string& s_line) {
+  return "SAATHC1 8 saath\n"
+         "T hand written\n"
+         "H 1000 3 2 2 1 1000 0 0\n"
+         "N 1 0 0 0 0 1 0\n"
+         "K 0 0 0 -1 0 1 0 0\n" + s_line + "\n"
+         "F 0x0p+0 0x1p+20 1000 5000 0 -1\n"
+         "P 3 0x1p-1\n"
+         "END\n";
+}
+
+/// The message load_checkpoint rejects `text` with, or "loaded".
+std::string checkpoint_reject(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)replay::load_checkpoint(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "loaded";
+}
+
+TEST(Checkpoint, HandWrittenCheckpointLoadsAndResavesByteForByte) {
+  const std::string text = hand_checkpoint("S 0 1000 -1 0 1 2 5 4096");
+  std::istringstream in(text);
+  const EngineSnapshot snap = replay::load_checkpoint(in);
+  ASSERT_EQ(snap.active.size(), 1u);
+  ASSERT_EQ(snap.active[0].spec.flows.size(), 1u);
+  EXPECT_EQ(snap.active[0].spec.flows[0].src, 2);
+  EXPECT_EQ(snap.active[0].spec.flows[0].dst, 5);
+  EXPECT_EQ(snap.active[0].flows[0].rate, 1048576.0);
+  EXPECT_EQ(snap.trace, "hand written");
+  std::ostringstream out;
+  replay::save_checkpoint(out, snap);
+  EXPECT_EQ(out.str(), text);
+}
+
+// Every field of a hostile S or P line rejects at load with a
+// std::runtime_error naming the line, before restore_snapshot could
+// truncate, abort or allocate on it.
+TEST(Checkpoint, HostileLinesRejectTyped) {
+  const struct {
+    const char* line;
+    const char* error;
+  } cases[] = {
+      {"S 0 1000 -1 0 1 4294967297 5 4096",
+       "checkpoint line 6: port out of range 4294967297"},
+      {"S 0 1000 -1 4294967297 1 2 5 4096",
+       "checkpoint line 6: stage out of range 4294967297"},
+      {"S 0 1000 -1 0 1 999 5 4096",
+       "checkpoint line 6: flow port outside the fabric"},
+      {"S 0 1000 -1 0 1 -3 5 4096",
+       "checkpoint line 6: flow port outside the fabric"},
+      {"S 0 1000 -1 0 1 2 5 -1", "checkpoint line 6: negative flow size"},
+      {"S 0 1000 -1 0 0", "checkpoint line 6: coflow has no flows"},
+      {"S 0 1000 -1 0 1000000000000000000 2 5 4096",
+       "checkpoint line 6: truncated record"},
+  };
+  for (const auto& k : cases) {
+    EXPECT_EQ(checkpoint_reject(hand_checkpoint(k.line)), k.error) << k.line;
+  }
+  std::string text = hand_checkpoint("S 0 1000 -1 0 1 2 5 4096");
+  text.replace(text.find("P 3 "), 4, "P 8 ");
+  EXPECT_EQ(checkpoint_reject(text),
+            "checkpoint line 8: port outside the fabric 8");
+  text.replace(text.find("P 8 0x1p-1"), 10, "P 3 0x1p+1");
+  EXPECT_EQ(checkpoint_reject(text),
+            "checkpoint line 8: capacity factor outside [0, 1]");
+}
+
 TEST(Checkpoint, RestoreRefusesMismatchedScheduler) {
   const auto t = matrix_trace();
   SaathScheduler sched;

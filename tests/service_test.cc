@@ -106,6 +106,20 @@ TEST(Protocol, ParseIdleDonesCount) {
   EXPECT_EQ(counted.idle_dones, 7);
 }
 
+// A verb frame's count must be a whole integer: a malformed one makes the
+// frame kBad instead of reading a prefix (or 0) as the count.
+TEST(Protocol, MalformedVerbCountsAreBad) {
+  EXPECT_EQ(parse_request("IDLE 7x").kind, Request::Kind::kBad);
+  EXPECT_EQ(parse_request("IDLE x").kind, Request::Kind::kBad);
+  EXPECT_EQ(parse_request("IDLE -1").idle_dones, -1);
+  EXPECT_EQ(parse_request("HELLO c 8x w").kind, Request::Kind::kBad);
+  EXPECT_EQ(parse_request("HELLO c 8 x w").workload_name, "x w");
+  EXPECT_EQ(parse_request("HELLO c 4294967304 w").kind, Request::Kind::kBad);
+  EXPECT_FALSE(parse_done("DONE 5 1 2 3 4junk").has_value());
+  EXPECT_FALSE(parse_done("DONE 5 1 4294967298 3 4").has_value());
+  EXPECT_FALSE(parse_done("DONE 5 1 2 3").has_value());
+}
+
 TEST(Protocol, EventFrameIsJournalLine) {
   const auto spec = testing::make_coflow(3, 1000, {{0, 1, 500}});
   const std::string line =
@@ -464,6 +478,63 @@ TEST(ServiceEndToEnd, TornJournalRestartReproducesDigest) {
     EXPECT_GT(client.report().rejects_seen, 0);  // re-driven prefix fenced
   }
   std::filesystem::remove(journal);
+}
+
+// A checkpoint naming a port outside the daemon's fabric is rejected at
+// load, and the resume falls back to a cold replay of the journal: the
+// digest still equals the uninterrupted offline run.
+TEST(ServiceEndToEnd, HostileCheckpointFallsBackToColdReplay) {
+  const SimResult reference = offline_run("saath", 12);
+  const auto all = svc_events(12);
+  const auto tmp = std::filesystem::temp_directory_path();
+  const std::string stem =
+      "saath_svc_test_hostile_" + std::to_string(::getpid());
+  const std::string journal = (tmp / (stem + ".j")).string();
+  const std::string checkpoint = (tmp / (stem + ".ckpt")).string();
+  {
+    auto cfg = daemon_cfg("hostile1", "saath", 1);
+    cfg.journal_path = journal;
+    ServiceDaemon daemon(cfg);
+    daemon.start();
+    ClientOptions co{daemon.address()};
+    co.wait_end = false;
+    ServiceClient client(co);
+    ASSERT_TRUE(client.connect("svc-test", kSvcPorts));
+    VectorSource half("svc-test", kSvcPorts, {all.begin(), all.begin() + 6});
+    ASSERT_TRUE(client.drive(half));
+    ASSERT_TRUE(client.finish()) << client.report().error;
+    (void)daemon.wait();
+  }
+  {
+    // Port 999 on a 6-port fabric: restoring it would abort the daemon.
+    std::ofstream out(checkpoint, std::ios::trunc);
+    out << "SAATHC1 " << kSvcPorts << " saath\n"
+        << "T svc-test\n"
+        << "H 1000 3 2 2 0 1000 0 0\n"
+        << "N 1 0 0 0 0 0 0\n"
+        << "K 0 0 0 -1 0 1 0 0\n"
+        << "S 0 1000 -1 0 1 999 1 4096\n"
+        << "F 0x0p+0 0x1p+20 1000 5000 0 -1\n"
+        << "END\n";
+  }
+  {
+    auto cfg = daemon_cfg("hostile2", "saath", 1);
+    cfg.journal_path = journal;
+    cfg.checkpoint_path = checkpoint;
+    cfg.resume = true;
+    ServiceDaemon daemon(cfg);
+    daemon.start();
+    ServiceClient client(ClientOptions{daemon.address()});
+    ASSERT_TRUE(client.connect("svc-test", kSvcPorts));
+    VectorSource full("svc-test", kSvcPorts, all);
+    ASSERT_TRUE(client.drive(full)) << client.report().error;
+    ASSERT_TRUE(client.finish()) << client.report().error;
+    const ServiceReport rep = daemon.wait();
+    ASSERT_TRUE(rep.ok) << rep.error;
+    EXPECT_EQ(rep.digest_hex, replay::result_digest_hex(reference));
+  }
+  std::filesystem::remove(journal);
+  std::filesystem::remove(checkpoint);
 }
 
 }  // namespace

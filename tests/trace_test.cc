@@ -114,6 +114,48 @@ TEST(FbFormat, RejectsTruncatedCoflowLine) {
   EXPECT_THROW(parse_fb_trace(in), std::runtime_error);
 }
 
+/// The message parse_fb_trace rejects `text` with, or "parsed".
+std::string fb_reject(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)parse_fb_trace(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "parsed";
+}
+
+// A reducer token must be exactly <port>:<MB>, with a port inside the
+// header's fabric and a size that fits Bytes; every reject is a
+// std::runtime_error naming the line.
+TEST(FbFormat, HostileReducerTokensRejectTyped) {
+  const struct {
+    const char* reducer;
+    const char* error;
+  } cases[] = {
+      {"2x:1.5", "fb trace line 2: bad reducer token '2x:1.5'"},
+      {"2:1.5junk", "fb trace line 2: bad reducer token '2:1.5junk'"},
+      {"2:nan", "fb trace line 2: reducer size out of range '2:nan'"},
+      {"2:1e300", "fb trace line 2: reducer size out of range '2:1e300'"},
+      {"2:-1", "fb trace line 2: reducer size out of range '2:-1'"},
+      {"4294967298:1.5", "fb trace line 2: port outside the fabric 4294967298"},
+      {"9:1.5", "fb trace line 2: port outside the fabric 9"},
+  };
+  for (const auto& k : cases) {
+    EXPECT_EQ(fb_reject(std::string("4 1\n0 0 1 0 1 ") + k.reducer + "\n"),
+              k.error)
+        << k.reducer;
+  }
+  // Port 4 fits a 1-based trace, not one that also names port 0.
+  EXPECT_EQ(fb_reject("4 2\n0 0 1 1 1 2:1\n1 0 1 0 1 4:1\n"),
+            "fb trace line 3: port 4 outside the fabric of a 0-based trace");
+  EXPECT_EQ(fb_reject("4 1\n0 0 1 1 1 4:1\n"), "parsed");
+  EXPECT_EQ(fb_reject("4 1\n0 9223372036854776 1 0 1 2:1\n"),
+            "fb trace line 2: arrival out of range 9223372036854776");
+  EXPECT_EQ(fb_reject("4 1\n0 0 1 0x 1 2:1\n"),
+            "fb trace line 2: bad integer '0x'");
+}
+
 TEST(FbFormat, RoundTripPreservesStructure) {
   std::istringstream in(
       "4 2\n"

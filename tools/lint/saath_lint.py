@@ -61,6 +61,14 @@ the compiler cannot see:
                         their oracle is the reference model under
                         tests/reference/ (reference Saath and Aalo, and
                         the reference engine).
+  text-parse            src/ reads text through one tokenizer,
+                        src/common/tokens.h: journals, checkpoints, FB
+                        traces, service frames and scenario parameter
+                        values. istringstream, strto*, std::sto*, ato*,
+                        sscanf and from_chars anywhere else in src/ are a
+                        second reader with its own idea of a token, an
+                        integer or a double. A stream that only feeds a
+                        Tokens-based reader carries a suppression saying so.
   config-knob           A bool member with a default initializer in a
                         `struct *Config` under src/ is a behaviour switch:
                         some file in src/, bench/, examples/ or tests/
@@ -101,6 +109,7 @@ CHECK_IDS = (
     "digest-float",
     "flag-matrix",
     "config-knob",
+    "text-parse",
 )
 
 # FlowPool's public SoA lanes (src/coflow/flow_pool.h). Accessed as
@@ -615,6 +624,29 @@ def check_digest_float(lf, findings):
             "precisely so digests match across arch levels"))
 
 
+# ----------------------------------------------------------------- text-parse
+
+TEXT_PARSE_RE = re.compile(
+    r"\b(?:i)?stringstream\b"
+    r"|\bstrto\w*\s*\("
+    r"|\bsto(?:i|l|ll|ul|ull|f|d|ld)\s*\("
+    r"|\bato(?:i|l|ll|f)\s*\("
+    r"|\bsscanf\b"
+    r"|\bfrom_chars\b")
+TOKENIZER = "src/common/tokens.h"
+
+
+def check_text_parse(lf, findings):
+    if not lf.path.startswith("src/") or lf.path == TOKENIZER:
+        return
+    for m in TEXT_PARSE_RE.finditer(lf.code):
+        findings.append(Finding(
+            lf.path, line_of(lf.code, m.start()), "text-parse",
+            f"'{m.group(0).rstrip('( ')}' parses text outside {TOKENIZER} "
+            "— read tokens and numbers through Tokens / parse_int / "
+            "parse_double so every input has one grammar"))
+
+
 # ---------------------------------------------------------------- flag-matrix
 
 INCREMENTAL_DECL_RE = re.compile(r"\bbool\s+(incremental_\w+)\b")
@@ -792,6 +824,7 @@ def run_checks(files, ast=None, root=None,
         check_service_detach(lf, findings)
         check_hot_noalloc(lf, findings)
         check_digest_float(lf, findings)
+        check_text_parse(lf, findings)
         for lineno, msg in lf.bad_suppressions:
             findings.append(Finding(lf.path, lineno, "bad-suppression", msg))
         if ast is not None and ast.ok and root:
