@@ -20,8 +20,9 @@
 //    triggers from the reference's O(F·W) scan) — epochs/sec plus how many
 //    rounds ran incrementally and how many admission ranks were replayed.
 //
-//  * OrderIndex primitives: ns per re-key (find + in-place update) and per
-//    materialize, at 50, 500 and 5,000 entries with one entry or 10% of
+//  * OrderIndex primitives: ns per re-key (the in-place update of the entry
+//    at a CoFlow's slot; no lookup, since the caller holds the slot) and
+//    per materialize, at 50, 500 and 5,000 entries with one entry or 10% of
 //    the entries re-keyed between materializations.
 //
 // The first two measurements verify every side produces identical rate
@@ -72,6 +73,9 @@ struct Churn {
 struct SnapshotMeasurement {
   double order_ns_per_round = 0;
   double crossing_ns_per_round = 0;
+  /// Crossing ns per recross_ entry (CoFlow whose crossing a round
+  /// re-programmed or kept on its memo).
+  double crossing_ns_per_entry = 0;
   double admit_ns_per_round = 0;
   double conserve_ns_per_round = 0;
   /// Conserve ns per slot entry the backfill read and per allocation it
@@ -177,6 +181,11 @@ SnapshotMeasurement run_snapshot(int coflows, int rounds, Side side) {
       static_cast<double>(st.order_ns - warm.order_ns) / rounds_measured;
   m.crossing_ns_per_round =
       static_cast<double>(st.crossing_ns - warm.crossing_ns) / rounds_measured;
+  const std::int64_t recrossed = st.recrossed - warm.recrossed;
+  m.crossing_ns_per_entry =
+      recrossed > 0 ? static_cast<double>(st.crossing_ns - warm.crossing_ns) /
+                          static_cast<double>(recrossed)
+                    : 0;
   m.admit_ns_per_round =
       static_cast<double>(st.admit_ns - warm.admit_ns) / rounds_measured;
   const auto conserve_ns =
@@ -243,8 +252,10 @@ struct OrderIndexMeasurement {
 
 /// Re-keys `dirty` random entries of an `entries`-long OrderIndex to fresh
 /// (queue, contention) keys, then materializes, for 2M / entries rounds
-/// (at least 400). Each phase is timed as one block per round; the mean of
-/// an empty block (the clock's own cost) is subtracted from both.
+/// (at least 400). Entry i sits at slot i, as a caller that holds each
+/// CoFlow's slot re-keys it. Each phase is timed as one block per round;
+/// the mean of an empty block (the clock's own cost) is subtracted from
+/// both.
 OrderIndexMeasurement run_order_index(int entries, int dirty) {
   std::vector<std::unique_ptr<CoflowState>> states;
   OrderIndex idx;
@@ -262,22 +273,23 @@ OrderIndexMeasurement run_order_index(int entries, int dirty) {
     spec.id = CoflowId{i};
     spec.flows = {{0, 1, 1000}};
     states.push_back(std::make_unique<CoflowState>(spec, FlowId{i}));
-    idx.insert(states.back().get(), fresh_key(spec.id));
+    idx.insert(static_cast<Slot>(i), states.back().get(), fresh_key(spec.id));
   }
   idx.materialize();
 
   const int rounds = std::max(400, 2'000'000 / entries);
-  std::vector<CoflowId> picks(static_cast<std::size_t>(dirty));
+  std::vector<Slot> picks(static_cast<std::size_t>(dirty));
   std::int64_t rekey_ns = 0;
   std::int64_t materialize_ns = 0;
   std::int64_t clock_ns = 0;
   for (int round = 0; round < rounds; ++round) {
-    for (CoflowId& id : picks) {
-      id = CoflowId{static_cast<std::int64_t>(
-          rng() % static_cast<std::uint64_t>(entries))};
+    for (Slot& slot : picks) {
+      slot = static_cast<Slot>(rng() % static_cast<std::uint64_t>(entries));
     }
     auto t0 = Clock::now();
-    for (const CoflowId id : picks) idx.update(idx.find(id), fresh_key(id));
+    for (const Slot slot : picks) {
+      idx.update(slot, fresh_key(CoflowId{static_cast<std::int64_t>(slot)}));
+    }
     auto t1 = Clock::now();
     (void)idx.materialize();
     auto t2 = Clock::now();
@@ -342,6 +354,8 @@ int run(int argc, char** argv) {
               ref.conserve_ns_per_round);
   std::printf("%-26s %14.0f %14s %14s\n", "crossing ns",
               inc.crossing_ns_per_round, "-", "-");
+  std::printf("%-26s %14.1f %14s %14s\n", "crossing ns per entry",
+              inc.crossing_ns_per_entry, "-", "-");
   std::printf("order-phase ratio (no stream / stream): %.1fx   "
               "delta rounds: %lld   replayed ranks: %lld   "
               "rates identical: %s\n",
@@ -432,7 +446,8 @@ int run(int argc, char** argv) {
       "  \"identical\": %s,\n"
       "  \"snapshot\": {\n"
       "    \"incremental\": {\"order_ns_per_round\": %.1f, "
-      "\"crossing_ns_per_round\": %.1f, \"admit_ns_per_round\": %.1f, "
+      "\"crossing_ns_per_round\": %.1f, \"crossing_ns_per_entry\": %.1f, "
+      "\"admit_ns_per_round\": %.1f, "
       "\"conserve_ns_per_round\": %.1f, "
       "\"conserve_ns_per_entry\": %.1f, \"conserve_ns_per_alloc\": %.1f, "
       "\"delta_rounds\": %lld, \"replayed_ranks\": %lld, "
@@ -458,9 +473,10 @@ int run(int argc, char** argv) {
       "  \"order_index\": [%s\n  ]\n"
       "}\n",
       coflows, rounds, identical ? "true" : "false", inc.order_ns_per_round,
-      inc.crossing_ns_per_round, inc.admit_ns_per_round,
-      inc.conserve_ns_per_round, inc.conserve_ns_per_entry,
-      inc.conserve_ns_per_alloc, static_cast<long long>(inc.delta_rounds),
+      inc.crossing_ns_per_round, inc.crossing_ns_per_entry,
+      inc.admit_ns_per_round, inc.conserve_ns_per_round,
+      inc.conserve_ns_per_entry, inc.conserve_ns_per_alloc,
+      static_cast<long long>(inc.delta_rounds),
       static_cast<long long>(inc.replayed_ranks),
       static_cast<long long>(inc.backfill_rounds),
       static_cast<long long>(inc.backfill_candidates),

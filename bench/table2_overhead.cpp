@@ -124,17 +124,30 @@ BENCHMARK(BM_ContentionComputation)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 /// lifecycle a streaming workload drives through Saath's hooks: one
 /// snapshot CoFlow leaves, a fresh arrival of the same spec joins, each of
 /// its flows completes, it leaves, and the original rejoins and moves
-/// queue. arrival_ns and completion_ns time the arrival and flow-completion
-/// hooks' index calls alone (one steady_clock read pair each, whose own
-/// cost is included); the iteration time covers the whole cycle plus
-/// building the fresh CoflowState.
+/// queue. Slots are handed out the way Saath does: each arrival takes a
+/// free slot, and a slot released in one iteration (one round) is free
+/// only from the next. arrival_ns and completion_ns time the arrival and
+/// flow-completion hooks' index calls alone (one steady_clock read pair
+/// each, whose own cost is included); the iteration time covers the whole
+/// cycle plus building the fresh CoflowState.
 void BM_SpatialIndexChurn(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   Snapshot snap(static_cast<int>(state.range(0)), 11);
   spatial::SpatialIndex index;
-  for (const CoflowState* c : snap.active) {
-    index.add_coflow(*c, c->queue_index);
+  const auto n = static_cast<Slot>(snap.active.size());
+  std::vector<Slot> slot_of(snap.active.size());
+  for (Slot s = 0; s < n; ++s) {
+    slot_of[s] = s;
+    index.add_coflow(s, *snap.active[s], snap.active[s]->queue_index);
   }
+  // Each iteration takes two slots and releases two.
+  std::vector<Slot> free_slots = {n, n + 1};
+  std::vector<Slot> released;
+  const auto take = [&free_slots] {
+    const Slot s = free_slots.back();
+    free_slots.pop_back();
+    return s;
+  };
   std::int64_t arrival_ns = 0;
   std::int64_t completion_ns = 0;
   std::int64_t arrivals = 0;
@@ -146,26 +159,33 @@ void BM_SpatialIndexChurn(benchmark::State& state) {
   };
   std::size_t i = 0;
   for (auto _ : state) {
-    CoflowState* c = snap.active[i % snap.active.size()];
+    const std::size_t k = i % snap.active.size();
+    CoflowState* c = snap.active[k];
     CoflowState fresh(c->spec(), FlowId{0});
-    index.remove_coflow(c->id());
+    index.remove(slot_of[k]);
+    released.push_back(slot_of[k]);
+    const Slot fresh_slot = take();
     auto t0 = Clock::now();
-    index.add_coflow(fresh, c->queue_index);
+    index.add_coflow(fresh_slot, fresh, c->queue_index);
     arrival_ns += since(t0);
     ++arrivals;
     for (FlowState& f : fresh.flows()) {
       fresh.on_flow_complete(f, seconds(1));
       t0 = Clock::now();
-      index.on_flow_complete(fresh, f);
+      index.on_flow_complete(fresh_slot, fresh, f);
       completion_ns += since(t0);
       ++completions;
     }
-    index.remove_coflow(fresh.id());
-    index.add_coflow(*c, c->queue_index);
-    index.set_group(c->id(), (c->queue_index + 1) % 10);
-    index.set_group(c->id(), c->queue_index);
+    index.remove(fresh_slot);
+    released.push_back(fresh_slot);
+    slot_of[k] = take();
+    index.add_coflow(slot_of[k], *c, c->queue_index);
+    index.set_group(slot_of[k], (c->queue_index + 1) % 10);
+    index.set_group(slot_of[k], c->queue_index);
     index.clear_contention_changes();
-    benchmark::DoNotOptimize(index.contention(c->id()));
+    benchmark::DoNotOptimize(index.contention(slot_of[k]));
+    free_slots.insert(free_slots.end(), released.begin(), released.end());
+    released.clear();
     ++i;
   }
   state.counters["arrival_ns"] =

@@ -1,7 +1,6 @@
-// Open-addressed hash table for per-event lookups by id or slot: the
-// spatial index's id -> slot and pair-overlap tables, and Saath's
-// per-round id tables (admission order, trigger-heap positions,
-// candidates).
+// Open-addressed hash table for per-event lookups by id or slot: Saath's
+// one id -> slot table, and the spatial index's pair-overlap tables keyed
+// by neighbor slot.
 //
 // Linear probing over a power-of-two cell array kept at most half full,
 // with backward-shift deletion (no tombstones), so probe runs stay short

@@ -37,6 +37,12 @@ using PortIndex = std::int32_t;
 
 inline constexpr PortIndex kInvalidPort = -1;
 
+/// A CoFlow's dense slot inside a scheduler: SaathScheduler gives each
+/// announced CoFlow one and indexes every per-CoFlow vector by it. Slot
+/// numbers carry no order; ties between CoFlows break by CoflowId.
+using Slot = std::uint32_t;
+inline constexpr Slot kNoSlot = ~Slot{0};
+
 }  // namespace saath
 
 template <typename Tag>

@@ -1,5 +1,6 @@
 #include "replay/checkpoint.h"
 
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -74,6 +75,9 @@ void write_coflow(std::ostream& out, const CoflowSnapshot& cs) {
   Tokens k = lines.expect("K");
   cs.first_flow_id = k.take_int();
   cs.queue_index = k.take_int_field("queue index");
+  // The upper bound is the scheduler's: its arrival hook refuses a queue it
+  // does not have.
+  if (cs.queue_index < 0) throw k.error("negative queue index");
   (void)k.take_int();  // retired slot, see checkpoint.h
   cs.deadline = k.take_int();
   cs.dynamics_flagged = k.take_int() != 0;
@@ -95,6 +99,15 @@ void write_coflow(std::ostream& out, const CoflowSnapshot& cs) {
     FlowSnapshot fs;
     fs.sent_base = f.take_double();
     fs.rate = f.take_double();
+    if (!std::isfinite(fs.sent_base) || fs.sent_base < 0) {
+      throw f.error("sent bytes negative or not finite");
+    }
+    if (fs.sent_base > static_cast<double>(cs.spec.flows[i].size)) {
+      throw f.error("sent bytes above the flow size");
+    }
+    if (!std::isfinite(fs.rate) || fs.rate < 0) {
+      throw f.error("flow rate negative or not finite");
+    }
     fs.anchor = f.take_int();
     fs.predicted_finish = f.take_int();
     fs.finished = f.take_int() != 0;

@@ -11,44 +11,30 @@ void OrderIndex::dirty_at(const OrderKey& k) {
   dirty_any_ = true;
 }
 
-OrderIndex::Slot OrderIndex::insert(CoflowState* c, const OrderKey& k) {
-  SAATH_EXPECTS(c != nullptr);
+void OrderIndex::insert(Slot slot, CoflowState* c, const OrderKey& k) {
+  SAATH_EXPECTS(c != nullptr && slot != kNoSlot);
   SAATH_EXPECTS(k.id == c->id());
-  const auto hit = slot_of_.insert(k.id.value);
-  SAATH_EXPECTS(hit.inserted);
-  Slot s = 0;
-  if (free_.empty()) {
-    s = static_cast<Slot>(entries_.size());
-    entries_.emplace_back();
-  } else {
-    s = free_.back();
-    free_.pop_back();
-  }
-  slot_of_.value(hit.index) = s;
-  entries_[s] = Entry{k, c, /*live=*/true, /*moved=*/true};
-  moved_.push_back(s);
+  if (slot >= entries_.size()) entries_.resize(slot + 1);
+  Entry& e = entries_[slot];
+  SAATH_EXPECTS(!e.live && !e.erased);
+  e = Entry{k, c, /*live=*/true, /*erased=*/false, /*moved=*/true};
+  ++size_;
+  moved_.push_back(slot);
   dirty_at(k);
-  return s;
 }
 
-void OrderIndex::erase(CoflowId id) {
-  const std::size_t cell = slot_of_.find(id.value);
-  if (cell == slot_of_.npos) return;
-  const Slot s = slot_of_.value(cell);
-  slot_of_.erase_at(cell);
-  dirty_at(entries_[s].key);
-  entries_[s].live = false;
-  erased_.push_back(s);
+void OrderIndex::erase(Slot slot) {
+  if (!contains(slot)) return;
+  Entry& e = entries_[slot];
+  dirty_at(e.key);
+  e.live = false;
+  e.erased = true;
+  --size_;
 }
 
-OrderIndex::Slot OrderIndex::find(CoflowId id) const {
-  const std::size_t cell = slot_of_.find(id.value);
-  return cell == slot_of_.npos ? npos : slot_of_.value(cell);
-}
-
-bool OrderIndex::update(Slot s, const OrderKey& k) {
-  SAATH_EXPECTS(entry(s).key.id == k.id);
-  Entry& e = entries_[s];
+bool OrderIndex::update(Slot slot, const OrderKey& k) {
+  SAATH_EXPECTS(entry(slot).key.id == k.id);
+  Entry& e = entries_[slot];
   if (!(e.key < k) && !(k < e.key) && e.key.deadline == k.deadline) {
     return false;
   }
@@ -57,7 +43,7 @@ bool OrderIndex::update(Slot s, const OrderKey& k) {
   e.key = k;
   if (!e.moved) {
     e.moved = true;
-    moved_.push_back(s);
+    moved_.push_back(slot);
   }
   return true;
 }
@@ -72,11 +58,16 @@ SAATH_HOT_NOALLOC std::size_t OrderIndex::materialize() {
                        dirty_floor_) -
       cached_keys_.begin());
   // The rest of the old order, minus the entries that moved or left, is
-  // still sorted: compact it in place.
+  // still sorted: compact it in place. Dropping an erased entry frees its
+  // slot for insert().
   std::size_t kept = prefix;
   for (std::size_t r = prefix; r < cached_slots_.size(); ++r) {
-    const Entry& e = entries_[cached_slots_[r]];
-    if (!e.live || e.moved) continue;
+    Entry& e = entries_[cached_slots_[r]];
+    if (!e.live) {
+      e.erased = false;
+      continue;
+    }
+    if (e.moved) continue;
     if (kept != r) {
       cached_[kept] = cached_[r];
       cached_keys_[kept] = cached_keys_[r];
@@ -87,7 +78,10 @@ SAATH_HOT_NOALLOC std::size_t OrderIndex::materialize() {
   // Every moved entry's key is at or above the floor (update() dirtied
   // it), so sorting the live ones and merging them in from the back
   // completes the tail.
-  std::erase_if(moved_, [this](Slot s) { return !entries_[s].live; });
+  std::erase_if(moved_, [this](Slot s) {
+    entries_[s].erased = false;
+    return !entries_[s].live;
+  });
   std::sort(moved_.begin(), moved_.end(), [this](Slot a, Slot b) {
     return entries_[a].key < entries_[b].key;
   });
@@ -113,41 +107,36 @@ SAATH_HOT_NOALLOC std::size_t OrderIndex::materialize() {
   }
   for (const Slot s : moved_) entries_[s].moved = false;
   moved_.clear();
-  free_.insert(free_.end(), erased_.begin(), erased_.end());
-  erased_.clear();
   dirty_any_ = false;
   return prefix;
 }
 
-SAATH_HOT_NOALLOC void TriggerHeap::set(CoflowId id, SimTime at,
+SAATH_HOT_NOALLOC void TriggerHeap::set(Slot slot, CoflowId id, SimTime at,
                                         std::uint64_t traj, int queue) {
-  const std::size_t cell = entries_.insert(id.value).index;
-  Entry& e = entries_.value(cell);
+  SAATH_EXPECTS(slot != kNoSlot);
+  if (slot >= entries_.size()) entries_.resize(slot + 1);
+  Entry& e = entries_[slot];
+  e.present = true;
   e.traj = traj;
   e.queue = queue;
   const std::uint32_t pos = e.pos;
   if (pos == kDisarmed) {
-    if (at != kNever) heap_.push({at, id}, placed());
+    if (at != kNever) heap_.push({at, id, slot}, placed());
   } else if (at == kNever) {
     e.pos = kDisarmed;
     heap_.erase(pos, placed());
   } else if (heap_[pos].at != at) {
+    SAATH_EXPECTS(heap_[pos].id == id);
     heap_[pos].at = at;
     heap_.fix(pos, placed());
   }
 }
 
-bool TriggerHeap::current(CoflowId id, std::uint64_t traj, int queue) const {
-  const std::size_t cell = entries_.find(id.value);
-  return cell != entries_.npos && entries_.value(cell).traj == traj &&
-         entries_.value(cell).queue == queue;
-}
-
-SAATH_HOT_NOALLOC void TriggerHeap::erase(CoflowId id) {
-  const std::size_t cell = entries_.find(id.value);
-  if (cell == entries_.npos) return;
-  const std::uint32_t pos = entries_.value(cell).pos;
-  entries_.erase_at(cell);
+SAATH_HOT_NOALLOC void TriggerHeap::erase(Slot slot) {
+  if (slot >= entries_.size() || !entries_[slot].present) return;
+  Entry& e = entries_[slot];
+  const std::uint32_t pos = e.pos;
+  e = Entry{};
   if (pos != kDisarmed) heap_.erase(pos, placed());
 }
 

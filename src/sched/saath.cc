@@ -4,6 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/expect.h"
@@ -115,6 +118,15 @@ SAATH_HOT_NOALLOC std::int64_t walk_port_slots(const CoflowState& c,
   return read;
 }
 
+/// A restored CoFlow whose queue index lies outside the queue structure.
+[[noreturn, gnu::cold]] void reject_queue_index(const CoflowState& c,
+                                                int num_queues) {
+  throw std::invalid_argument(
+      "coflow " + std::to_string(c.id().value) + " arrives in queue " +
+      std::to_string(c.queue_index) + ", outside queues 0.." +
+      std::to_string(num_queues - 1));
+}
+
 }  // namespace
 
 SaathScheduler::SaathScheduler(SaathConfig config)
@@ -163,15 +175,34 @@ bool SaathScheduler::is_volatile(const CoflowState& c) const {
          c.finished_flows() > 0;
 }
 
+Slot SaathScheduler::announced_slot(const CoflowState& c) const {
+  const Slot slot = slot_of(c.id());
+  SAATH_EXPECTS_MSG(slot != kNoSlot,
+                    "a SchedulerDelta list names a CoFlow never announced");
+  return slot;
+}
+
 SAATH_HOT_NOALLOC void SaathScheduler::on_coflow_arrival(CoflowState& coflow,
                                                          SimTime now) {
   (void)now;
+  if (coflow.queue_index < 0 || coflow.queue_index >= queues_.num_queues()) {
+    reject_queue_index(coflow, queues_.num_queues());
+  }
+  const auto hit = slot_of_.insert(coflow.id().value);
+  SAATH_EXPECTS_MSG(hit.inserted,
+                    "on_coflow_arrival for a CoFlow already announced");
+  Slot slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<Slot>(marks_.size());
+    marks_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slot_of_.value(hit.index) = slot;
   // The arrival's queue is assigned at the next schedule(); grouping it
   // under its current queue keeps the index exact in between.
-  if (tracks_index()) {
-    SAATH_EXPECTS_MSG(spatial_.add_coflow(coflow, coflow.queue_index),
-                      "on_coflow_arrival for a CoFlow already announced");
-  }
+  if (tracks_index()) spatial_.add_coflow(slot, coflow, coflow.queue_index);
   queue_population_.add(coflow.queue_index);
 }
 
@@ -179,37 +210,47 @@ SAATH_HOT_NOALLOC void SaathScheduler::on_flow_complete(CoflowState& coflow,
                                                         FlowState& flow,
                                                         SimTime now) {
   (void)now;
-  if (tracks_index()) {
-    SAATH_EXPECTS_MSG(spatial_.on_flow_complete(coflow, flow),
-                      "on_flow_complete for a CoFlow never announced");
-  }
+  const Slot slot = slot_of(coflow.id());
+  SAATH_EXPECTS_MSG(slot != kNoSlot,
+                    "on_flow_complete for a CoFlow never announced");
+  if (tracks_index()) spatial_.on_flow_complete(slot, coflow, flow);
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::on_coflow_complete(CoflowState& coflow,
                                                           SimTime now) {
   (void)now;
-  if (tracks_index()) {
-    SAATH_EXPECTS_MSG(spatial_.remove_coflow(coflow.id()),
-                      "on_coflow_complete for a CoFlow never announced");
-  }
+  const std::size_t cell = slot_of_.find(coflow.id().value);
+  SAATH_EXPECTS_MSG(cell != slot_of_.npos,
+                    "on_coflow_complete for a CoFlow never announced");
+  const Slot slot = slot_of_.value(cell);
+  slot_of_.erase_at(cell);
+  if (tracks_index()) spatial_.remove(slot);
   queue_population_.remove(coflow.queue_index);
   // Drop the CoFlow from the delta structures right away (all no-ops when
-  // they are empty or never held it) so nothing retains its pointer.
-  deadlines_.erase(coflow.id());
-  forget_coflow(coflow.id());
+  // they never held it) so nothing retains its pointer.
+  order_.erase(slot);
+  crossings_.erase(slot);
+  deadlines_.erase(slot);
+  SlotMarks& marks = marks_[slot];
+  if (marks.is_volatile) --volatile_count_;
+  marks.is_volatile = false;
+  released_slots_.push_back(slot);
 }
 
 void SaathScheduler::on_coflow_quarantined(CoflowState& coflow, SimTime now) {
   // A quarantined CoFlow leaves every maintained structure exactly as a
   // completed one does — the erase path does not require finished() — and
-  // re-enters through on_coflow_arrival when the engine re-admits it.
+  // re-enters through on_coflow_arrival, on a fresh slot, when the engine
+  // re-admits it.
   on_coflow_complete(coflow, now);
 }
 
-void SaathScheduler::forget_coflow(CoflowId id) {
-  order_.erase(id);
-  crossings_.erase(id);
-  volatile_.erase(id.value);
+SAATH_HOT_NOALLOC void SaathScheduler::add_candidate(CoflowState* c,
+                                                     Slot slot) {
+  SlotMarks& marks = marks_[slot];
+  if (marks.candidate_round == stats_.rounds) return;
+  marks.candidate_round = stats_.rounds;
+  candidates_.emplace_back(c, slot);
 }
 
 int SaathScheduler::target_queue(const CoflowState& c, SimTime now) const {
@@ -229,21 +270,21 @@ int SaathScheduler::target_queue(const CoflowState& c, SimTime now) const {
   return config_.dynamics_srtf ? q : std::max(c.queue_index, q);
 }
 
-void SaathScheduler::stamp_deadlines(SimTime now,
-                                     std::span<CoflowState* const> entered,
-                                     Rate port_bandwidth) {
+void SaathScheduler::stamp_deadlines(
+    SimTime now, std::span<const std::pair<CoflowState*, Slot>> entered,
+    Rate port_bandwidth) {
   if (config_.deadline_factor <= 0 || entered.empty()) return;
   // D5: deadline = d * C_q * t, where C_q is the queue's population (read
   // from the delta-maintained tracker, after ALL of this round's moves) and
   // t its minimum residence time — the FIFO drain-time bound.
-  for (CoflowState* c : entered) {
+  for (const auto& [c, slot] : entered) {
     const int population = queue_population_.count(c->queue_index);
     const double t_q =
         queues_.min_residence_seconds(c->queue_index, port_bandwidth);
     c->deadline =
         now + static_cast<SimTime>(config_.deadline_factor * population * t_q *
                                    1e6);
-    deadlines_.set(c->id(), c->deadline);
+    deadlines_.set(slot, c->id(), c->deadline);
   }
 }
 
@@ -308,9 +349,10 @@ SAATH_HOT_NOALLOC void SaathScheduler::fold_crossing(
   lower_flow_crossing(pool, i, fold.bound, now, fold.seconds);
 }
 
-std::int64_t SaathScheduler::order_key_component(const CoflowState& c) const {
+std::int64_t SaathScheduler::order_key_component(const CoflowState& c,
+                                                  Slot slot) const {
   if (!config_.lcof) return static_cast<std::int64_t>(c.arrival());
-  return spatial_.contention(c.id());
+  return spatial_.contention(slot);
 }
 
 OrderKey SaathScheduler::make_key(const CoflowState& c, SimTime now,
@@ -327,7 +369,7 @@ OrderKey SaathScheduler::make_key(const CoflowState& c, SimTime now,
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
-    CoflowState& c, const CrossingFold& fold, SimTime now) {
+    CoflowState& c, Slot slot, const CrossingFold& fold, SimTime now) {
   // The fold saw every flow this round rated; the walk it replaces reads
   // every flow rated at all. They agree only if no flow entered the round
   // rated.
@@ -338,7 +380,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
   if (c.finished() || is_volatile(c)) {
     // Volatile CoFlows are re-bucketed every round regardless (the §4.3
     // estimate drifts continuously); a crossing entry would be noise.
-    crossings_.erase(c.id());
+    crossings_.erase(slot);
     return;
   }
   // Trajectory unchanged since the entry (or tombstone) was derived — the
@@ -346,7 +388,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
   // recorded prediction: re-deriving it at this later `now` could move the
   // guarded instant by the µs truncation.
   const std::uint64_t traj = c.trajectory_version();
-  if (crossings_.current(c.id(), traj, c.queue_index)) return;
+  if (crossings_.current(slot, traj, c.queue_index)) return;
   double cross_seconds = fold.seconds;
   if (fold.walk) {
     const double hi = hi_threshold(c.queue_index);
@@ -354,8 +396,8 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
                         ? per_flow_cross_seconds(c, hi / c.width(), now)
                         : total_bytes_cross_seconds(c, hi, now);
   }
-  crossings_.set(c.id(), guarded_crossing_instant(now, cross_seconds), traj,
-                 c.queue_index);
+  crossings_.set(slot, c.id(), guarded_crossing_instant(now, cross_seconds),
+                 traj, c.queue_index);
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
@@ -372,7 +414,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
                       fabric.capacity_version() == admit_capacity_version_ &&
                       admit_cache_.size() >= first_dirty_rank;
   admit_cache_.resize(ordered.size());
-  std::vector<CoflowState*>& missed = missed_scratch_;
+  std::vector<std::size_t>& missed = missed_ranks_;
   missed.clear();
   for (std::size_t rank = 0; rank < ordered.size(); ++rank) {
     CoflowState* c = ordered[rank];
@@ -382,7 +424,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
       if (d.kind == AdmitDecision::Kind::kAdmitted) {
         replay_equal_rate(*c, d.rate, fabric, rates, now, nullptr);
       } else if (d.kind == AdmitDecision::Kind::kMissed) {
-        missed.push_back(c);
+        missed.push_back(rank);
       }
       continue;
     }
@@ -401,25 +443,26 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
       d.rate = allocate_equal_rate(*c, fabric, rates, now, fold);
     } else {
       d.kind = AdmitDecision::Kind::kMissed;
-      missed.push_back(c);
+      missed.push_back(rank);
     }
     admit_cache_[rank] = d;
     // conserve() lists every missed CoFlow itself.
     if (d.kind != AdmitDecision::Kind::kMissed || !config_.work_conservation) {
-      recross_.emplace_back(c, fold);
+      recross_.emplace_back(rank, fold);
     }
   }
   stats_.admit_ns += ns_since(t1);
 
   const auto t2 = Clock::now();
-  if (config_.work_conservation) conserve(now, fabric, rates, missed);
+  if (config_.work_conservation) conserve(now, fabric, rates, ordered, missed);
   stats_.conserve_ns += ns_since(t2);
   admit_capacity_version_ = fabric.capacity_version();
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::conserve(
     SimTime now, Fabric& fabric, RateAssignment& rates,
-    std::span<CoflowState* const> missed) {
+    std::span<CoflowState* const> ordered,
+    std::span<const std::size_t> missed) {
   if (missed.empty()) return;
   ++stats_.backfill_rounds;
   stats_.backfill_missed += static_cast<std::int64_t>(missed.size());
@@ -434,8 +477,9 @@ SAATH_HOT_NOALLOC void SaathScheduler::conserve(
   std::size_t turn = 0;
   for (; turn < missed.size(); ++turn) {
     if (fabric.send_live().empty() || fabric.recv_live().empty()) break;
-    CoflowState* c = missed[turn];
-    CrossingFold& fold = recross_.emplace_back(c, fresh_fold()).second;
+    CoflowState* c = ordered[missed[turn]];
+    CrossingFold& fold =
+        recross_.emplace_back(missed[turn], fresh_fold()).second;
     const FlowPool& pool = c->pool();
     const std::int64_t allocs_before = stats_.backfill_allocs;
     // Gives unfinished flow i what both of its ports still have, if that
@@ -483,13 +527,12 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
     SimTime now, std::span<CoflowState* const> active, Fabric& fabric,
     RateAssignment& rates, const SchedulerDelta& delta) {
   ++stats_.rounds;
-  // Membership comes from the lifecycle hooks (sim/scheduler.h); these O(1)
-  // counts catch a caller that skipped an arrival or a completion.
+  // Membership comes from the lifecycle hooks (sim/scheduler.h); this O(1)
+  // count catches a caller that skipped an arrival or a completion.
   const auto live = static_cast<int>(active.size());
   SAATH_EXPECTS_MSG(queue_population_.total() == live,
                     "active lists a CoFlow never announced, or one that "
                     "left without on_coflow_complete");
-  SAATH_EXPECTS(!tracks_index() || spatial_.size() == active.size());
   // A round with no stream, or the first of a new one, has no delta lists
   // it can trust, so every CoFlow is a candidate. Nothing maintained needs
   // clearing for that: membership came from the hooks, a stale crossing or
@@ -511,115 +554,116 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
   //         for contention, the spatial drain below.
   candidates_.clear();
   touch_only_.clear();
-  const auto add_candidate = [&](CoflowState* c) {
-    if (candidate_ids_.insert(c->id().value).inserted) {
-      candidates_.push_back(c);
-    }
-  };
   if (every) {
     for (CoflowState* c : active) {
-      // With the counts equal, in_sync on every CoFlow proves the index
-      // holds exactly `active` and saw every flow completion.
-      SAATH_EXPECTS_MSG(!tracks_index() || spatial_.in_sync(*c),
+      // With the counts equal, a slot for every CoFlow proves the hooks
+      // announced exactly `active`, and in_sync that the index saw every
+      // flow completion.
+      const Slot slot = slot_of(c->id());
+      const bool synced =
+          slot != kNoSlot && (!tracks_index() || spatial_.in_sync(slot, *c));
+      SAATH_EXPECTS_MSG(synced,
                         "active lists a CoFlow never announced, or one of "
                         "its flows completed without on_flow_complete");
-      add_candidate(c);
+      add_candidate(c, slot);
     }
   } else {
     // Finished CoFlows in the delta already left every structure through
     // on_coflow_complete.
     for (CoflowState* c : delta.requeue) {
-      if (!c->finished()) add_candidate(c);
+      if (!c->finished()) add_candidate(c, announced_slot(*c));
     }
     for (CoflowState* c : delta.dirty) {
       if (c->finished()) continue;
-      const OrderIndex::Slot slot = order_.find(c->id());
-      if (slot == OrderIndex::npos ||
-          (is_volatile(*c) && !volatile_.contains(c->id().value))) {
+      const Slot slot = announced_slot(*c);
+      if (!order_.contains(slot) ||
+          (is_volatile(*c) && !marks_[slot].is_volatile)) {
         // Arrival (needs its first bucket) or a flagged CoFlow whose first
         // finished flow just armed the SRTF estimate.
-        add_candidate(c);
+        add_candidate(c, slot);
       } else if (fence) {
         touch_only_.push_back(slot);
       }
     }
   }
-  crossings_.pop_due(now, [&](CoflowId id) {
-    const OrderIndex::Slot slot = order_.find(id);
-    if (slot == OrderIndex::npos) return;
+  crossings_.pop_due(now, [&](Slot slot) {
     CoflowState* c = order_.state(slot);
-    if (!c->finished()) add_candidate(c);
+    if (!c->finished()) add_candidate(c, slot);
   });
-  volatile_.for_each([&](std::int64_t id, bool) {
-    const OrderIndex::Slot slot = order_.find(CoflowId{id});
-    SAATH_EXPECTS(slot != OrderIndex::npos);
-    add_candidate(order_.state(slot));
-  });
-  for (const CoflowState* c : candidates_) candidate_ids_.erase(c->id().value);
+  if (volatile_count_ > 0) {
+    for (Slot slot = 0; slot < marks_.size(); ++slot) {
+      if (marks_[slot].is_volatile) add_candidate(order_.state(slot), slot);
+    }
+  }
 
   // ---- 2. Re-bucket candidates (queue moves carry the population and
   //         the spatial index groups; arrivals joined both at their hook).
   entered_.clear();
-  for (CoflowState* c : candidates_) {
+  for (const auto& [c, slot] : candidates_) {
     const int q = target_queue(*c, now);
     const bool fresh = c->deadline == kNever && config_.deadline_factor > 0;
     if (q != c->queue_index || fresh) {
       queue_population_.move(c->queue_index, q);
       c->queue_index = q;
-      entered_.push_back(c);
+      entered_.emplace_back(c, slot);
     }
-    if (tracks_index()) spatial_.set_group(c->id(), c->queue_index);
-    if (is_volatile(*c)) volatile_.insert(c->id().value);
+    if (tracks_index()) spatial_.set_group(slot, c->queue_index);
+    if (is_volatile(*c) && !marks_[slot].is_volatile) {
+      marks_[slot].is_volatile = true;
+      ++volatile_count_;
+    }
   }
 
   // ---- 3. Stamp D5 deadlines for entered CoFlows (post-move populations),
   //         then expire due ones.
   stamp_deadlines(now, entered_, fabric.port_bandwidth());
-  deadlines_.pop_due(now, [&](CoflowId id) {
-    const OrderIndex::Slot slot = order_.find(id);
-    if (slot == OrderIndex::npos) return;
+  deadlines_.pop_due(now, [&](Slot slot) {
+    if (!order_.contains(slot)) return;
     CoflowState* c = order_.state(slot);
-    order_.update(slot, make_key(*c, now, order_key_component(*c)));
+    order_.update(slot, make_key(*c, now, order_key_component(*c, slot)));
   });
 
   // ---- 4. Re-key + fence every candidate: update() dirties moved keys,
   //         touch() fences same-key state changes out of admission replay.
   //         Plain-dirty CoFlows kept their key — touch alone fences them.
-  for (CoflowState* c : candidates_) {
-    const OrderKey k = make_key(*c, now, order_key_component(*c));
-    OrderIndex::Slot slot = order_.find(c->id());
-    if (slot != OrderIndex::npos) {
+  for (const auto& [c, slot] : candidates_) {
+    const OrderKey k = make_key(*c, now, order_key_component(*c, slot));
+    if (order_.contains(slot)) {
       order_.update(slot, k);
     } else {
-      slot = order_.insert(c, k);
+      order_.insert(slot, c, k);
       // A CoFlow can arrive with a deadline already stamped (restored from
       // a checkpoint, or kept through quarantine); unexpired, it is still a
       // trigger.
       if (config_.deadline_factor > 0 && c->deadline != kNever &&
           c->deadline > now) {
-        deadlines_.set(c->id(), c->deadline);
+        deadlines_.set(slot, c->id(), c->deadline);
       }
     }
     if (fence) order_.touch(slot);
   }
-  for (const OrderIndex::Slot slot : touch_only_) order_.touch(slot);
+  for (const Slot slot : touch_only_) order_.touch(slot);
 
   // ---- 5. Re-key CoFlows whose contention the spatial index reports as
   //         actually changed (completions since last round, this round's
   //         group moves) — O(1) each. A candidate's key already reads its
-  //         current contention, so its re-key here is an exact no-op.
+  //         current contention, so its re-key here is an exact no-op. A
+  //         listed slot released since holds no order entry.
   if (tracks_index()) {
-    for (const CoflowId id : spatial_.contention_changes()) {
-      const OrderIndex::Slot slot = order_.find(id);
-      if (slot == OrderIndex::npos) continue;
+    for (const Slot slot : spatial_.contention_changes()) {
+      if (!order_.contains(slot)) continue;
       CoflowState* c = order_.state(slot);
-      order_.update(slot, make_key(*c, now, spatial_.contention(id)));
+      order_.update(slot, make_key(*c, now, spatial_.contention(slot)));
     }
     spatial_.clear_contention_changes();
   }
 
-  // ---- 6. Materialize, reusing the untouched sorted prefix.
+  // ---- 6. Materialize, reusing the untouched sorted prefix. The order no
+  //         longer names the slots released before it, so they are free.
   const std::size_t first_dirty = order_.materialize();
+  free_slots_.insert(free_slots_.end(), released_slots_.begin(),
+                     released_slots_.end());
+  released_slots_.clear();
   stats_.candidates += static_cast<std::int64_t>(candidates_.size());
   stats_.order_ns += ns_since(t0);
   SAATH_ENSURES(order_.size() == active.size());
@@ -630,7 +674,8 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
   //         collects every trajectory that could have changed into recross_,
   //         each with its crossing folded in as its rates were set.
   recross_.clear();
-  admit_and_conserve(now, fabric, rates, order_.ordered(), first_dirty);
+  const auto ordered = order_.ordered();
+  admit_and_conserve(now, fabric, rates, ordered, first_dirty);
 
   // ---- 8. On a stream, re-program crossings for every CoFlow whose
   //         trajectory this round touched; replayed-admitted CoFlows
@@ -639,7 +684,11 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
   //         `now`), and the next stream's first round lists every CoFlow.
   if (stream_ == 0) return;
   const auto t3 = Clock::now();
-  for (const auto& [c, fold] : recross_) program_crossing(*c, fold, now);
+  const auto slots = order_.ordered_slots();
+  for (const auto& [rank, fold] : recross_) {
+    program_crossing(*ordered[rank], slots[rank], fold, now);
+  }
+  stats_.recrossed += static_cast<std::int64_t>(recross_.size());
   stats_.crossing_ns += ns_since(t3);
 }
 
@@ -649,7 +698,7 @@ SimTime SaathScheduler::schedule_valid_until(
   // No stream: the caller reports no deltas, so recompute every epoch.
   if (stream_ == 0) return now;
   // On a stream the crossing and deadline heaps ARE the triggers — O(1).
-  if (!volatile_.empty()) return now;
+  if (volatile_count_ > 0) return now;
   SimTime until = std::numeric_limits<SimTime>::max();
   const SimTime cross = crossings_.next();
   if (cross != kNever) until = std::min(until, cross);

@@ -32,13 +32,18 @@
 // CoFlow keeps the lowest queue it reached.
 //
 // The schedule phase is one incremental pass per round: the admission order
-// lives in an OrderIndex, a flat array re-keyed in place per event and
-// merged back into sorted order once a round, queue reassignment pops due
-// threshold crossings from a TriggerHeap instead of rescanning every flow,
-// and the all-or-none admission pass replays its cached decisions for
-// the untouched sorted prefix. Every per-round container is flat (vectors
-// and open-addressed id tables that keep their capacity, keyed by CoflowId
-// rather than by state pointer), so once warm a round allocates nothing.
+// lives in an OrderIndex, a flat array re-keyed in place per event and merged
+// back into sorted order once a round, queue reassignment pops due threshold
+// crossings from a TriggerHeap instead of rescanning every flow, and the
+// all-or-none admission pass replays its cached decisions for the untouched
+// sorted prefix. Each announced CoFlow holds one dense slot, assigned by its
+// arrival hook through the one id -> slot table here and released by its
+// completion hook; the spatial index, the order index, both heaps and the
+// round's marks are vectors indexed by it, so a hook or a delta-list entry
+// costs one table probe and a popped trigger or contention change none. A
+// released slot is reused only after the next materialize, since the cached
+// order still names it. Every per-round container is flat and keeps its
+// capacity, so once warm a round allocates nothing.
 // Under per-flow thresholds a re-rated CoFlow's next crossing is folded in
 // by the loops that set its rates (the equal-rate admission and the
 // backfill) instead of a second walk over all of its flows. That is exact
@@ -57,10 +62,10 @@
 //
 // Membership and occupancy come from the lifecycle hooks alone (the
 // contract in sim/scheduler.h): every round checks in O(1) that the
-// hook-maintained queue populations and spatial index hold as many CoFlows
-// as it is handed, and a round that takes every CoFlow also checks each
-// one against the index's occupancy version. A caller that skipped a hook
-// aborts; nothing is repaired.
+// hook-maintained queue populations hold as many CoFlows as it is handed,
+// and a round that takes every CoFlow also checks that each one holds a
+// slot and, under LCoF, matches the index's occupancy version. A caller
+// that skipped a hook aborts; nothing is repaired.
 #pragma once
 
 #include <cstdint>
@@ -141,6 +146,9 @@ struct SaathPhaseStats {
   /// read every flow of every missed CoFlow, finished ones included.
   std::int64_t backfill_flows = 0;
   std::int64_t backfill_allocs = 0;
+  /// CoFlows whose crossing a stream round re-programmed (or kept on its
+  /// trajectory memo): the entries crossing_ns covers.
+  std::int64_t recrossed = 0;
   /// Always 0: the conservation-replay cache it counted is gone. Kept only
   /// because coordbench still reports it.
   std::int64_t conserve_replays = 0;
@@ -167,8 +175,11 @@ class SaathScheduler final : public Scheduler {
   /// Port-occupancy (and hence contention) only changes on these events;
   /// each applies an O(delta) update to the spatial index and the queue
   /// populations instead of invalidating a whole-schedule cache. Under
-  /// LCoF each aborts when the index cannot act on it: an arrival of a
-  /// CoFlow already indexed, or a completion of one never announced.
+  /// every config each aborts when the slot table cannot act on it: an
+  /// arrival of a CoFlow already announced, or a completion of one never
+  /// announced. An arrival whose queue index lies outside the queues (only
+  /// a restored CoFlow can carry one) throws std::invalid_argument and
+  /// changes nothing.
   void on_coflow_arrival(CoflowState& coflow, SimTime now) override;
   void on_flow_complete(CoflowState& coflow, FlowState& flow,
                         SimTime now) override;
@@ -188,10 +199,15 @@ class SaathScheduler final : public Scheduler {
       SimTime now, std::span<CoflowState* const> active) const override;
 
   /// The incremental spatial-occupancy index feeding LCoF (tests compare it
-  /// against the batch k_c of tests/reference/). Meaningful only with
-  /// config().lcof.
+  /// against the batch k_c of tests/reference/), keyed by slot_of().
+  /// Meaningful only with config().lcof.
   [[nodiscard]] const spatial::SpatialIndex& spatial_index() const {
     return spatial_;
+  }
+  /// The slot of an announced CoFlow, kNoSlot for any other.
+  [[nodiscard]] Slot slot_of(CoflowId id) const {
+    const std::size_t cell = slot_of_.find(id.value);
+    return cell == slot_of_.npos ? kNoSlot : slot_of_.value(cell);
   }
   /// The delta-maintained admission order (tests compare its materialized
   /// sequence against the reference's sort), as of the last round.
@@ -241,7 +257,8 @@ class SaathScheduler final : public Scheduler {
   [[nodiscard]] int target_queue(const CoflowState& c, SimTime now) const;
   /// D5 stamp for every CoFlow that entered a queue this round, using the
   /// post-move populations; maintains the deadline heap.
-  void stamp_deadlines(SimTime now, std::span<CoflowState* const> entered,
+  void stamp_deadlines(SimTime now,
+                       std::span<const std::pair<CoflowState*, Slot>> entered,
                        Rate port_bandwidth);
   [[nodiscard]] bool all_ports_available(const CoflowState& c,
                                          const Fabric& fabric) const;
@@ -262,25 +279,25 @@ class SaathScheduler final : public Scheduler {
                      SimTime now) const;
   /// Admission + work conservation over `ordered`, replaying cached
   /// decisions for ranks below `first_dirty_rank` when the capacities did
-  /// not move; records this round's decisions and lists every CoFlow
-  /// needing a crossing re-program in recross_ once, with its crossing
-  /// folded in: admitted, skipped and greedy ranks here, missed ones by
-  /// conserve() (or here, with work conservation off). The conservation
-  /// pass takes the missed CoFlows in admission order, stopping when
-  /// either residual set drains.
+  /// not move; records this round's decisions and lists the rank of every
+  /// CoFlow needing a crossing re-program in recross_ once, with its
+  /// crossing folded in: admitted, skipped and greedy ranks here, missed
+  /// ones by conserve() (or here, with work conservation off). The
+  /// conservation pass takes the missed CoFlows in admission order,
+  /// stopping when either residual set drains.
   void admit_and_conserve(SimTime now, Fabric& fabric, RateAssignment& rates,
                           std::span<CoflowState* const> ordered,
                           std::size_t first_dirty_rank);
-  /// Work conservation (Fig 7 lines 14, 18–23): `missed`, in order, soaks
-  /// up whatever budget admission left, each flow taking min(send
-  /// residual, receive residual). The dense walk visits a CoFlow's
-  /// unfinished flows in ascending index. Here each CoFlow takes one pass
-  /// along the port slots of one side: live slots in slot order, each
-  /// slot's unfinished flows ascending, skipping a flow whose other port
-  /// has drained and leaving the slot once its own port drains. The side
-  /// must be ordered (CoflowState::sender_walk_ordered); with both ordered
-  /// it is the one with fewer slots, ties to senders, and a CoFlow with
-  /// neither takes the dense walk over walk_flows().
+  /// Work conservation (Fig 7 lines 14, 18–23): the `missed` ranks of
+  /// `ordered`, in order, soak up whatever budget admission left, each flow
+  /// taking min(send residual, receive residual). The dense walk visits a
+  /// CoFlow's unfinished flows in ascending index. Here each CoFlow takes one
+  /// pass along the port slots of one side: live slots in slot order, each
+  /// slot's unfinished flows ascending, skipping a flow whose other port has
+  /// drained and leaving the slot once its own port drains. The side must be
+  /// ordered (CoflowState::sender_walk_ordered); with both ordered it is the
+  /// one with fewer slots, ties to senders, and a CoFlow with neither takes the
+  /// dense walk over walk_flows().
   ///
   /// Why the slot walk is the dense walk, bit for bit: a flow's grant
   /// reads only its two ports' residuals, and only grants to earlier flows
@@ -298,26 +315,34 @@ class SaathScheduler final : public Scheduler {
   /// min, so visit order does not matter). CoFlows whose turn comes after
   /// the live sets drain are listed unrated.
   void conserve(SimTime now, Fabric& fabric, RateAssignment& rates,
-                std::span<CoflowState* const> missed);
+                std::span<CoflowState* const> ordered,
+                std::span<const std::size_t> missed);
 
   /// The composite admission-order key the sort/index both use.
   [[nodiscard]] OrderKey make_key(const CoflowState& c, SimTime now,
                                   std::int64_t contention_key) const;
-  /// c's LCoF/FIFO key component under the current config.
-  [[nodiscard]] std::int64_t order_key_component(const CoflowState& c) const;
+  /// The LCoF/FIFO key component of c, at `slot`, under the current
+  /// config.
+  [[nodiscard]] std::int64_t order_key_component(const CoflowState& c,
+                                                 Slot slot) const;
 
-  /// Programs c's next queue-threshold crossing at current rates into the
-  /// heap (kNever cancels), unless its trajectory memo is still current:
+  /// Programs the next queue-threshold crossing of c, at `slot`, at
+  /// current rates into the heap (kNever cancels), unless its trajectory
+  /// memo is still current:
   /// the folded seconds, or a walk where the fold says so. Checks that the
   /// fold saw every rated flow. Mirrors the arithmetic of the reference
   /// scheduler's valid-until scan, minus a 1µs guard so float rounding can
   /// only make the prediction early (a spurious recompute), never late
   /// (divergence).
-  void program_crossing(CoflowState& c, const CrossingFold& fold, SimTime now);
+  void program_crossing(CoflowState& c, Slot slot, const CrossingFold& fold,
+                        SimTime now);
   /// §4.3 estimate in play: the queue can change any epoch.
   [[nodiscard]] bool is_volatile(const CoflowState& c) const;
-  /// Drops every trace of a finished CoFlow from the delta structures.
-  void forget_coflow(CoflowId id);
+  /// The slot of `c`, which a SchedulerDelta list names; aborts unless an
+  /// arrival hook announced it.
+  [[nodiscard]] Slot announced_slot(const CoflowState& c) const;
+  /// Lists `c`, at `slot`, in candidates_ unless this round already did.
+  void add_candidate(CoflowState* c, Slot slot);
 
   [[nodiscard]] double hi_threshold(int q) const {
     return hi_thresholds_[static_cast<std::size_t>(q)];
@@ -332,6 +357,29 @@ class SaathScheduler final : public Scheduler {
   /// walks read a threshold instead of computing a pow() per CoFlow.
   std::vector<double> hi_thresholds_;
   SaathPhaseStats stats_;
+
+  // --- one slot per announced CoFlow --------------------------------------
+  /// Announced CoFlow id -> its slot, the index of every per-CoFlow vector
+  /// below, in the spatial index, the order index and both heaps.
+  IdTable<Slot> slot_of_;
+  /// Slots free for the next arrival, and slots released since the last
+  /// materialize: the cached order still names those, so they join the
+  /// free list only after it.
+  std::vector<Slot> free_slots_;
+  std::vector<Slot> released_slots_;
+  /// The round's marks, by slot.
+  struct SlotMarks {
+    /// stats_.rounds of the last round that listed the slot in
+    /// candidates_ (rounds count from 1, so 0 is never).
+    std::int64_t candidate_round = 0;
+    /// On the §4.3 estimate path (dynamics-flagged with finished flows):
+    /// re-bucketed every round, and the skip is disabled while any exist.
+    bool is_volatile = false;
+  };
+  std::vector<SlotMarks> marks_;
+  /// Slots marked is_volatile.
+  int volatile_count_ = 0;
+
   /// Event-maintained spatial state: per-port occupancy + per-CoFlow k_c.
   spatial::SpatialIndex spatial_;
   /// Per-queue population C_q for the D5 deadline, maintained by the same
@@ -346,10 +394,6 @@ class SaathScheduler final : public Scheduler {
   TriggerHeap crossings_;
   /// Unexpired D5 deadlines; the head feeds schedule_valid_until.
   TriggerHeap deadlines_;
-  /// CoFlows on the §4.3 estimate path (dynamics-flagged with finished
-  /// flows), by id (values unused): re-bucketed every round, and the skip
-  /// is disabled while any exist.
-  IdTable<bool> volatile_;
   /// Admission decisions aligned with the last materialized order.
   std::vector<AdmitDecision> admit_cache_;
   /// Fabric::capacity_version() the cached admissions were computed under.
@@ -357,16 +401,14 @@ class SaathScheduler final : public Scheduler {
   /// Delta stream of the last round (0 = none).
   std::uint64_t stream_ = 0;
   /// Scratch (kept across rounds to reuse capacity).
-  std::vector<CoflowState*> candidates_;
-  /// Deduplicates candidates_ while step 1 gathers it; empty otherwise.
-  IdTable<bool> candidate_ids_;
-  /// Order slots of dirty CoFlows that provably kept their key (fence
-  /// only).
-  std::vector<OrderIndex::Slot> touch_only_;
-  std::vector<CoflowState*> entered_;
-  std::vector<CoflowState*> missed_scratch_;
-  /// CoFlows whose trajectory this round changed → crossing re-program.
-  std::vector<std::pair<CoflowState*, CrossingFold>> recross_;
+  std::vector<std::pair<CoflowState*, Slot>> candidates_;
+  /// Slots of dirty CoFlows that provably kept their key (fence only).
+  std::vector<Slot> touch_only_;
+  std::vector<std::pair<CoflowState*, Slot>> entered_;
+  /// Ranks of this round's missed CoFlows.
+  std::vector<std::size_t> missed_ranks_;
+  /// Ranks whose trajectory this round changed → crossing re-program.
+  std::vector<std::pair<std::size_t, CrossingFold>> recross_;
 };
 
 }  // namespace saath

@@ -93,16 +93,9 @@ void ServiceClient::handle_frame(const std::string& frame,
       report_.makespan = *makespan;
       report_.got_end = true;
     }
-  } else if (verb == "STAT") {
-    if (in_stats_) {
-      stats_buf_ += frame;
-      stats_buf_ += '\n';
-    }
-  } else if (verb == "ENDSTATS") {
-    stats_done_ = true;
-    in_stats_ = false;
   }
-  // BYE and anything unknown: ignored (forward compatibility).
+  // BYE, STAT/ENDSTATS and anything unknown: ignored (forward
+  // compatibility).
 }
 
 bool ServiceClient::connect(const std::string& workload_name, int num_ports) {
@@ -204,20 +197,5 @@ bool ServiceClient::finish() {
   report_.ok = true;
   return true;
 }
-
-std::optional<std::string> ServiceClient::query_stats() {
-  stats_buf_.clear();
-  stats_done_ = false;
-  in_stats_ = true;
-  if (!send_line("STATS")) return std::nullopt;
-  std::string frame;
-  while (!stats_done_) {
-    if (!read_frame(frame)) return std::nullopt;
-    handle_frame(frame, nullptr);
-  }
-  return stats_buf_;
-}
-
-bool ServiceClient::request_shutdown() { return send_line("SHUTDOWN"); }
 
 }  // namespace saath::service

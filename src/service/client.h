@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -67,10 +66,6 @@ class ServiceClient {
   [[nodiscard]] bool drive(workload::WorkloadSource& source);
   /// FIN -> FINOK, then (wait_end) reads until the END broadcast.
   [[nodiscard]] bool finish();
-  /// STATS -> the STAT block up to ENDSTATS; nullopt on transport failure.
-  [[nodiscard]] std::optional<std::string> query_stats();
-  /// Asks the daemon to drain and exit (administrative).
-  [[nodiscard]] bool request_shutdown();
 
   [[nodiscard]] const ClientReport& report() const { return report_; }
   /// Raw frame escape hatch (tests: malformed frames, torn writes).
@@ -94,9 +89,6 @@ class ServiceClient {
   /// resolves EXCEPT duplicate-id — that arrival lives in the run already
   /// (a restart re-drive), so its DONE is still owed to this session.
   std::unordered_set<std::int64_t> outstanding_;
-  std::string stats_buf_;
-  bool in_stats_ = false;
-  bool stats_done_ = false;
   bool fin_ok_ = false;
 };
 

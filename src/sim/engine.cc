@@ -621,11 +621,13 @@ void Engine::restore_snapshot(const EngineSnapshot& snap) {
   for (const CoflowSnapshot& cs : snap.active) {
     std::unique_ptr<CoflowState> state = rebuild_coflow(cs);
     CoflowState* raw = state.get();
+    // Owned before the hook: an arrival the scheduler refuses (a queue
+    // index it does not have) throws with every state still owned.
+    owned_coflows_.emplace(raw, std::move(state));
     active_.push_back(raw);
     push_completion_events(*raw);
     scheduler_.on_coflow_arrival(*raw, now_);
     delta_.mark(raw);
-    owned_coflows_.emplace(raw, std::move(state));
     if (!config_.strict_input) admitted_ids_.insert(raw->id().value);
   }
   for (const QuarantineSnapshot& qs : snap.quarantined) {
@@ -701,16 +703,13 @@ void Engine::finalize_coflow(CoflowState& coflow, SimTime at) {
   if (sink_) sink_->on_coflow_complete(rec, at);
   // Reactive sources (DagSource) release dependent work off this feedback.
   source_->on_coflow_complete(rec, at);
-  if (config_.record_results) {
-    result_.coflows.push_back(std::move(rec));
-  } else {
-    // Streaming mode: hand the state to the graveyard; it is destroyed at
-    // the next reclamation point (end of the delta-consuming schedule()).
-    const auto it = owned_coflows_.find(&coflow);
-    SAATH_EXPECTS(it != owned_coflows_.end());
-    graveyard_.push_back(std::move(it->second));
-    owned_coflows_.erase(it);
-  }
+  if (config_.record_results) result_.coflows.push_back(std::move(rec));
+  // Hand the state to the graveyard; it is destroyed at the next
+  // reclamation point (end of the delta-consuming schedule()).
+  const auto it = owned_coflows_.find(&coflow);
+  SAATH_EXPECTS(it != owned_coflows_.end());
+  graveyard_.push_back(std::move(it->second));
+  owned_coflows_.erase(it);
 }
 
 SAATH_HOT_NOALLOC void Engine::advance_until(SimTime epoch_end) {

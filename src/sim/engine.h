@@ -63,14 +63,14 @@ struct SimConfig {
   /// Materialize one CoflowRecord per CoFlow in the returned SimResult.
   /// Streaming runs over huge sources set this false and attach a
   /// ResultSink instead — completions are aggregated online and SimResult
-  /// carries only run-level fields (makespan, names). false additionally
-  /// enables CoflowState reclamation: a finished CoFlow's state is
-  /// destroyed at the end of the scheduling round that consumes its
-  /// completion delta (after the scheduler's caches have re-fenced; the
-  /// completion heap holds no entry of a finished CoFlow), keeping memory
-  /// O(live CoFlows) over unbounded horizons. Schedulers must not retain
-  /// CoflowState pointers past that round — Saath/Aalo drop them at
-  /// on_coflow_complete / the delta-consuming schedule() already.
+  /// carries only run-level fields (makespan, names). It decides nothing
+  /// else: under either value a finished CoFlow's state is destroyed at
+  /// the end of the scheduling round that consumes its completion delta
+  /// (after the scheduler's caches have re-fenced; the completion heap
+  /// holds no entry of a finished CoFlow), keeping memory O(live CoFlows)
+  /// over unbounded horizons. Schedulers must not retain CoflowState
+  /// pointers past that round — Saath (and so Aalo) drops them at
+  /// on_coflow_complete.
   bool record_results = true;
   /// Runaway guard: the run throws if simulated time passes this. Also the
   /// horizon bound for unbounded sources (e.g. SynthSource with
@@ -129,7 +129,9 @@ struct EngineStats {
   /// Workload events pulled from the source (arrivals + dynamics + flips).
   std::int64_t source_events = 0;
   std::int64_t arrivals_admitted = 0;
-  /// Finished CoflowStates destroyed mid-run (record_results = false).
+  /// Finished CoflowStates destroyed mid-run, at the end of the round that
+  /// consumed their completion delta. Those finishing after the last round
+  /// are freed by the Engine's destructor instead.
   std::int64_t reclaimed_coflows = 0;
   /// Workload ingestion (admit_arrivals + process_dynamics) wall time —
   /// with schedule_ns and advance_ns this completes the per-phase
@@ -232,7 +234,7 @@ class Engine {
   void process_dynamics();
   void apply_dynamics(const DynamicsEvent& ev);
   void compute_schedule();
-  /// Streaming-mode storage reclamation (see SimConfig::record_results).
+  /// Storage reclamation of finished CoFlows (see SimConfig::record_results).
   /// Called at the end of every compute_schedule() that has finished states
   /// parked: by then begin_epoch() folded the previous epoch's touched
   /// flows, the scheduler consumed the delta naming these CoFlows, and its

@@ -50,7 +50,9 @@ struct SimResult {
 /// Streaming consumer of per-CoFlow completion records. With a sink attached
 /// and SimConfig::record_results = false, the engine never materializes the
 /// per-CoFlow vector in SimResult — million-CoFlow streaming runs aggregate
-/// CCT/JCT online in O(1) memory instead.
+/// CCT/JCT online in O(1) memory instead. The engine frees every finished
+/// CoflowState mid-run whichever way record_results is set: it decides only
+/// whether the records are kept.
 ///
 /// Contract: on_coflow_complete is invoked exactly once per finished CoFlow,
 /// at its completion instant, in completion order (NOT id order — sort-by-id

@@ -4,16 +4,38 @@
 
 namespace saath::spatial {
 
-void SpatialIndex::note_contention_change(Entry& e) {
-  if (e.change_stamp == change_epoch_) return;
-  e.change_stamp = change_epoch_;
-  changes_.push_back(e.id);
+const SpatialIndex::Entry& SpatialIndex::entry(Slot slot) const {
+  SAATH_EXPECTS(contains(slot));
+  return entries_[slot];
 }
 
-const SpatialIndex::Entry& SpatialIndex::entry(CoflowId id) const {
-  const Slot slot = occupancy_.find(id);
-  SAATH_EXPECTS(slot != kNoSlot);
-  return entries_[slot];
+void SpatialIndex::note_contention_change(Slot slot, Entry& e) {
+  if (e.change_stamp == change_epoch_) return;
+  e.change_stamp = change_epoch_;
+  changes_.push_back(slot);
+}
+
+void SpatialIndex::join(Slot slot, std::uint32_t place) {
+  Entry& e = entries_[slot];
+  Place& p = e.places[place];
+  if (p.bucket >= buckets_.size()) buckets_.resize(p.bucket + 1);
+  std::vector<Member>& members = buckets_[p.bucket];
+  p.pos = static_cast<std::uint32_t>(members.size());
+  members.push_back({slot, place});
+  ++e.occupied;
+}
+
+void SpatialIndex::leave(Slot slot, std::uint32_t place) {
+  Entry& e = entries_[slot];
+  Place& p = e.places[place];
+  SAATH_EXPECTS(p.pos != Place::kAbsent);
+  std::vector<Member>& members = buckets_[p.bucket];
+  const Member moved = members.back();
+  members[p.pos] = moved;
+  entries_[moved.slot].places[moved.place].pos = p.pos;
+  members.pop_back();
+  p.pos = Place::kAbsent;
+  --e.occupied;
 }
 
 void SpatialIndex::add_overlap(Slot a, Entry& ea, Slot b) {
@@ -23,8 +45,8 @@ void SpatialIndex::add_overlap(Slot a, Entry& ea, Slot b) {
   if (++ea.overlap.value(ia) == 1 && ea.group == eb.group) {
     ++ea.contention;
     ++eb.contention;
-    note_contention_change(ea);
-    note_contention_change(eb);
+    note_contention_change(a, ea);
+    note_contention_change(b, eb);
   }
 }
 
@@ -44,78 +66,106 @@ void SpatialIndex::drop_overlap(Slot a, Entry& ea, Slot b) {
       SAATH_EXPECTS(ea.contention > 0 && eb.contention > 0);
       --ea.contention;
       --eb.contention;
-      note_contention_change(ea);
-      note_contention_change(eb);
+      note_contention_change(a, ea);
+      note_contention_change(b, eb);
     }
   }
 }
 
 void SpatialIndex::drop_bucket(Slot a, Entry& ea, std::uint32_t bucket) {
-  for (const OccupancyIndex::Member& m : occupancy_.members(bucket)) {
+  for (const Member& m : members(bucket)) {
     if (m.slot != a) drop_overlap(a, ea, m.slot);
   }
 }
 
-SAATH_HOT_NOALLOC bool SpatialIndex::add_coflow(const CoflowState& c,
+SAATH_HOT_NOALLOC bool SpatialIndex::add_coflow(Slot slot, const CoflowState& c,
                                                 int group) {
-  const Slot slot = occupancy_.add_coflow(c);
-  if (slot == kNoSlot) return false;
+  SAATH_EXPECTS(slot != kNoSlot);
+  if (contains(slot)) return false;
   if (slot >= entries_.size()) entries_.resize(slot + 1);
   Entry& e = entries_[slot];
   SAATH_EXPECTS(e.overlap.empty());
-  e.id = c.id();
+  e.live = true;
   e.group = group;
   e.contention = 0;
+  e.occupied = 0;
+  e.senders = static_cast<std::uint32_t>(c.sender_loads().size());
   e.version = c.occupancy_version();
   e.change_stamp = ~std::uint64_t{0};
+  e.places.clear();
+  const auto add_places = [&](std::span<const PortLoad> loads, bool sender) {
+    for (const PortLoad& load : loads) {
+      const auto place = static_cast<std::uint32_t>(e.places.size());
+      e.places.push_back(
+          {sender ? sender_bucket(load.port) : receiver_bucket(load.port),
+           Place::kAbsent});
+      if (load.unfinished_flows > 0) join(slot, place);
+    }
+  };
+  add_places(c.sender_loads(), true);
+  add_places(c.receiver_loads(), false);
+  ++size_;
   // The CoFlow joined its buckets first: the co-resident scan below sees
   // the final membership and just skips the CoFlow itself.
-  for (const OccupancyIndex::Place& p : occupancy_.places(slot)) {
-    if (p.pos == OccupancyIndex::Place::kAbsent) continue;
-    for (const OccupancyIndex::Member& m : occupancy_.members(p.bucket)) {
+  for (const Place& p : e.places) {
+    if (p.pos == Place::kAbsent) continue;
+    for (const Member& m : members(p.bucket)) {
       if (m.slot != slot) add_overlap(slot, e, m.slot);
     }
   }
   return true;
 }
 
-bool SpatialIndex::remove_coflow(CoflowId id) {
-  const Slot slot = occupancy_.find(id);
-  if (slot == kNoSlot) return false;
+std::size_t SpatialIndex::remove(Slot slot) {
+  SAATH_EXPECTS(contains(slot));
   Entry& e = entries_[slot];
+  const std::size_t left = e.occupied;
   // Draining every still-occupied bucket empties the overlap table pair by
   // pair; a finished CoFlow occupies nothing and drops straight out.
-  for (const OccupancyIndex::Place& p : occupancy_.places(slot)) {
-    if (p.pos != OccupancyIndex::Place::kAbsent) drop_bucket(slot, e, p.bucket);
+  for (std::uint32_t place = 0; place < e.places.size(); ++place) {
+    if (e.places[place].pos == Place::kAbsent) continue;
+    drop_bucket(slot, e, e.places[place].bucket);
+    leave(slot, place);
   }
   SAATH_EXPECTS(e.overlap.empty());
   SAATH_EXPECTS(e.contention == 0);
-  occupancy_.remove(slot);
-  return true;
+  e.live = false;
+  --size_;
+  return left;
 }
 
-SAATH_HOT_NOALLOC bool SpatialIndex::on_flow_complete(const CoflowState& c,
-                                                      const FlowState& flow) {
-  const Slot slot = occupancy_.find(c.id());
-  if (slot == kNoSlot) return false;
+SAATH_HOT_NOALLOC OccupancyDelta SpatialIndex::on_flow_complete(
+    Slot slot, const CoflowState& c, const FlowState& flow) {
+  SAATH_EXPECTS(contains(slot));
   Entry& e = entries_[slot];
   // Each completion bumps the CoFlow's occupancy version by one. Follow it
   // only while no completion was missed, so in_sync() reports one that was.
   if (e.version + 1 == c.occupancy_version()) e.version = c.occupancy_version();
-  const OccupancyDelta freed = occupancy_.on_flow_complete(slot, c, flow);
-  if (freed.sender_freed) drop_bucket(slot, e, sender_bucket(flow.src()));
-  if (freed.receiver_freed) drop_bucket(slot, e, receiver_bucket(flow.dst()));
-  return true;
+  SAATH_EXPECTS(e.places.size() ==
+                c.sender_loads().size() + c.receiver_loads().size());
+  const std::uint32_t s = flow.sender_slot();
+  const std::uint32_t r = flow.receiver_slot();
+  SAATH_EXPECTS(s < e.senders && e.senders + r < e.places.size());
+  OccupancyDelta freed;
+  freed.sender_freed = c.sender_loads()[s].unfinished_flows == 0;
+  freed.receiver_freed = c.receiver_loads()[r].unfinished_flows == 0;
+  if (freed.sender_freed) {
+    leave(slot, s);
+    drop_bucket(slot, e, sender_bucket(flow.src()));
+  }
+  if (freed.receiver_freed) {
+    leave(slot, e.senders + r);
+    drop_bucket(slot, e, receiver_bucket(flow.dst()));
+  }
+  return freed;
 }
 
-bool SpatialIndex::in_sync(const CoflowState& c) const {
-  const Slot slot = occupancy_.find(c.id());
-  return slot != kNoSlot && entries_[slot].version == c.occupancy_version();
+bool SpatialIndex::in_sync(Slot slot, const CoflowState& c) const {
+  return entry(slot).version == c.occupancy_version();
 }
 
-void SpatialIndex::set_group(CoflowId id, int group) {
-  const Slot slot = occupancy_.find(id);
-  SAATH_EXPECTS(slot != kNoSlot);
+void SpatialIndex::set_group(Slot slot, int group) {
+  SAATH_EXPECTS(contains(slot));
   Entry& e = entries_[slot];
   if (e.group == group) return;
   e.overlap.for_each([&](Slot d, int ov) {
@@ -127,17 +177,11 @@ void SpatialIndex::set_group(CoflowId id, int group) {
     const int step = now_same ? 1 : -1;
     e.contention += step;
     ed.contention += step;
-    note_contention_change(e);
-    note_contention_change(ed);
+    note_contention_change(slot, e);
+    note_contention_change(d, ed);
   });
   e.group = group;
 }
-
-int SpatialIndex::contention(CoflowId id) const {
-  return entry(id).contention;
-}
-
-int SpatialIndex::group_of(CoflowId id) const { return entry(id).group; }
 
 void SpatialIndex::clear_contention_changes() {
   changes_.clear();

@@ -155,26 +155,30 @@ TEST(AllocSteady, QueueCrossingHeapReprogramRecyclesCapacity) {
   const CoflowId c0{0};
   const CoflowId c1{1};
   const CoflowId c2{2};
+  const Slot s0 = 2;
+  const Slot s1 = 0;
+  const Slot s2 = 1;
   TriggerHeap heap;
 
   const std::uint64_t delta = measure_steady_allocs([&](int e) {
     // Steady-state re-rates re-derive each CoFlow's crossing instant and
-    // re-arm it: the table entry is reused (same id) and the heap item
-    // moves in place.
-    heap.set(c0, seconds(e + 1), /*traj=*/static_cast<std::uint64_t>(e),
+    // re-arm it: the slot's entry is reused and the heap item moves in
+    // place.
+    heap.set(s0, c0, seconds(e + 1), /*traj=*/static_cast<std::uint64_t>(e),
              /*queue=*/0);
-    heap.set(c1, seconds(e + 2), /*traj=*/static_cast<std::uint64_t>(e),
+    heap.set(s1, c1, seconds(e + 2), /*traj=*/static_cast<std::uint64_t>(e),
              /*queue=*/1);
     (void)heap.next();
     // Erase/re-arm churn: c1 leaves, c2 enters as a tombstone and is
-    // re-armed, c0's crossing comes due and pops, c2 leaves. The table and
-    // the heap reuse their capacity.
-    heap.erase(c1);
-    heap.set(c2, kNever, /*traj=*/static_cast<std::uint64_t>(e), /*queue=*/2);
-    heap.set(c2, seconds(e + 3), /*traj=*/static_cast<std::uint64_t>(e),
+    // re-armed, c0's crossing comes due and pops, c2 leaves. The entry
+    // vector and the heap reuse their capacity.
+    heap.erase(s1);
+    heap.set(s2, c2, kNever, /*traj=*/static_cast<std::uint64_t>(e),
              /*queue=*/2);
-    heap.pop_due(seconds(e + 1), [](CoflowId) {});
-    heap.erase(c2);
+    heap.set(s2, c2, seconds(e + 3), /*traj=*/static_cast<std::uint64_t>(e),
+             /*queue=*/2);
+    heap.pop_due(seconds(e + 1), [](Slot) {});
+    heap.erase(s2);
   });
   EXPECT_EQ(delta, 0u);
 }
@@ -196,11 +200,13 @@ TEST(AllocSteady, SpatialIndexChurnRecyclesCapacity) {
     return state;
   };
 
+  // CoFlow v sits at slot v; the re-added and restored states take it over
+  // once it is released, as Saath's slots are reused.
   spatial::SpatialIndex index;
   std::vector<std::unique_ptr<CoflowState>> resident;
   for (int i = 0; i < kResident; ++i) {
     resident.push_back(fresh(i));
-    index.add_coflow(*resident.back(), i % 3);
+    index.add_coflow(static_cast<Slot>(i), *resident.back(), i % 3);
   }
 
   // Only the index calls are counted: building a CoflowState allocates by
@@ -214,25 +220,25 @@ TEST(AllocSteady, SpatialIndexChurnRecyclesCapacity) {
   };
   const auto cycle = [&](int e) {
     const int v = e % kResident;
-    const CoflowId id{v};
+    const auto slot = static_cast<Slot>(v);
     // Remove -> re-add as a fresh state (all overlaps drop, then return),
     // complete every flow (each freed slot drops its pairs), move queues,
     // then restore the CoFlow so the population stays fully overlapped.
     auto readded = fresh(v);
     auto restored = fresh(v);
     counted([&] {
-      index.remove_coflow(id);
-      index.add_coflow(*readded, v % 3);
+      index.remove(slot);
+      index.add_coflow(slot, *readded, v % 3);
     });
     for (FlowState& f : readded->flows()) {
       readded->on_flow_complete(f, seconds(e + 1));
-      counted([&] { index.on_flow_complete(*readded, f); });
+      counted([&] { index.on_flow_complete(slot, *readded, f); });
     }
     counted([&] {
-      index.set_group(id, (v + 1) % 3);
-      index.set_group(CoflowId{(v + 1) % kResident}, (e + 2) % 3);
-      index.remove_coflow(id);
-      index.add_coflow(*restored, v % 3);
+      index.set_group(slot, (v + 1) % 3);
+      index.set_group(static_cast<Slot>((v + 1) % kResident), (e + 2) % 3);
+      index.remove(slot);
+      index.add_coflow(slot, *restored, v % 3);
       index.clear_contention_changes();
     });
     resident[static_cast<std::size_t>(v)] = std::move(restored);
@@ -400,8 +406,8 @@ TEST(AllocSteady, SaathLifecycleHooksRecycleCapacity) {
   EXPECT_EQ(sched.spatial_index().size(), 32u);
 }
 
-// The rounds of the same lifecycles: the admission order, the candidate and
-// volatile tables, the crossing and deadline heaps and every scratch list
+// The rounds of the same lifecycles: the admission order, the slot marks,
+// the crossing and deadline heaps and every scratch list
 // keep their capacity, so a warm round allocates nothing either — with
 // deadlines on (the default preset) and under the all-off Aalo preset.
 TEST(AllocSteady, SaathRoundsRecycleCapacity) {

@@ -67,6 +67,9 @@ class OrderIndexTest : public ::testing::Test {
     set_.add(make_coflow(id, 0, {{0, 1, 100}}));
     return &set_.at(set_.size() - 1);
   }
+  /// The slot a test files CoFlow `id` under. Slots run against ids, so
+  /// no order can come from them.
+  static Slot slot(std::int64_t id) { return static_cast<Slot>(99 - id); }
   StateSet set_;
 };
 
@@ -75,25 +78,25 @@ TEST_F(OrderIndexTest, MaintainsSortedOrderAcrossChurn) {
   auto* a = coflow(1);
   auto* b = coflow(2);
   auto* c = coflow(3);
-  idx.insert(a, key(false, kNever, 2, 0, 0, 1));
-  idx.insert(b, key(false, kNever, 0, 0, 0, 2));
-  idx.insert(c, key(false, kNever, 1, 0, 0, 3));
+  idx.insert(slot(1), a, key(false, kNever, 2, 0, 0, 1));
+  idx.insert(slot(2), b, key(false, kNever, 0, 0, 0, 2));
+  idx.insert(slot(3), c, key(false, kNever, 1, 0, 0, 3));
   idx.materialize();
   EXPECT_EQ(idx.ordered()[0], b);
   EXPECT_EQ(idx.ordered()[1], c);
   EXPECT_EQ(idx.ordered()[2], a);
 
   // Queue move: a jumps to the front.
-  idx.update(idx.find(CoflowId{1}), key(false, kNever, 0, -1, 0, 1));
+  idx.update(slot(1), key(false, kNever, 0, -1, 0, 1));
   EXPECT_EQ(idx.materialize(), 0u);  // dirtied at the new front
   EXPECT_EQ(idx.ordered()[0], a);
 
   // Deadline expiry: c overtakes everyone.
-  idx.update(idx.find(CoflowId{3}), key(true, 5, 1, 0, 0, 3));
+  idx.update(slot(3), key(true, 5, 1, 0, 0, 3));
   EXPECT_EQ(idx.materialize(), 0u);
   EXPECT_EQ(idx.ordered()[0], c);
 
-  idx.erase(CoflowId{3});
+  idx.erase(slot(3));
   idx.materialize();
   ASSERT_EQ(idx.size(), 2u);
   EXPECT_EQ(idx.ordered()[0], a);
@@ -105,24 +108,24 @@ TEST_F(OrderIndexTest, MaterializeReusesCleanPrefix) {
   std::vector<CoflowState*> states;
   for (std::int64_t i = 0; i < 8; ++i) {
     states.push_back(coflow(i));
-    idx.insert(states.back(), key(false, kNever, 0, i, 0, i));
+    idx.insert(slot(i), states.back(), key(false, kNever, 0, i, 0, i));
   }
   EXPECT_EQ(idx.materialize(), 0u);  // first build: everything new
   // Clean round: the whole order (and any cached decisions) stands.
   EXPECT_EQ(idx.materialize(), 8u);
 
   // Dirty only rank 6 (key 6 -> 60): ranks 0..5 are reused verbatim.
-  idx.update(idx.find(CoflowId{6}), key(false, kNever, 0, 60, 0, 6));
+  idx.update(slot(6), key(false, kNever, 0, 60, 0, 6));
   EXPECT_EQ(idx.materialize(), 6u);
   EXPECT_EQ(idx.ordered()[7], states[6]);
 
   // touch() fences without moving: same order, prefix ends at the rank.
-  idx.touch(idx.find(CoflowId{3}));
+  idx.touch(slot(3));
   EXPECT_EQ(idx.materialize(), 3u);
   EXPECT_EQ(idx.ordered()[3], states[3]);
 
   // Erase the front: rank 0 dirtied.
-  idx.erase(CoflowId{0});
+  idx.erase(slot(0));
   EXPECT_EQ(idx.materialize(), 0u);
   ASSERT_EQ(idx.ordered().size(), 7u);
   EXPECT_EQ(idx.ordered()[0], states[1]);
@@ -132,18 +135,21 @@ TEST_F(OrderIndexTest, UpdateWithSameKeyIsClean) {
   OrderIndex idx;
   auto* a = coflow(1);
   auto* b = coflow(2);
-  idx.insert(a, key(false, kNever, 0, 1, 0, 1));
-  idx.insert(b, key(false, kNever, 0, 2, 0, 2));
+  idx.insert(slot(1), a, key(false, kNever, 0, 1, 0, 1));
+  idx.insert(slot(2), b, key(false, kNever, 0, 2, 0, 2));
   idx.materialize();
-  idx.update(idx.find(CoflowId{2}), key(false, kNever, 0, 2, 0, 2));  // no-op
+  idx.update(slot(2), key(false, kNever, 0, 2, 0, 2));  // no-op
   EXPECT_EQ(idx.materialize(), 2u);
 }
 
 // Random churn against a model: the live keys under std::sort, and the
 // dirty floor taken as the least key any mutation since the last
 // materialize touched (insert, erase, both keys of a re-key, a touch).
-// Covers re-inserting an id erased since the last materialize, repeated
-// and same-key updates (deadline-only changes included) and touches.
+// Slots are handed out the way Saath does: an erased entry's slot is
+// reused, last released first, only after the next materialize. Covers
+// re-inserting an id erased since the last materialize (on a fresh slot),
+// repeated and same-key updates (deadline-only changes included) and
+// touches.
 TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
   constexpr std::int64_t kIds = 64;
   std::vector<CoflowState*> states;
@@ -165,6 +171,10 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
 
   OrderIndex idx;
   std::map<std::int64_t, OrderKey> live;
+  std::map<std::int64_t, Slot> slot_of;
+  std::vector<Slot> free_slots;
+  std::vector<Slot> released;
+  Slot next_slot = 0;
   std::vector<OrderKey> old_order;  // keys as of the last materialize
   std::optional<OrderKey> floor;
   const auto dirty = [&floor](const OrderKey& k) {
@@ -172,12 +182,25 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
   };
   const auto insert = [&](std::int64_t id) {
     const OrderKey k = random_key(id);
-    idx.insert(states[static_cast<std::size_t>(id)], k);
+    Slot s = next_slot;
+    if (free_slots.empty()) {
+      ++next_slot;
+    } else {
+      s = free_slots.back();
+      free_slots.pop_back();
+    }
+    ASSERT_FALSE(idx.contains(s));
+    idx.insert(s, states[static_cast<std::size_t>(id)], k);
+    slot_of[id] = s;
     live[id] = k;
     dirty(k);
   };
   const auto erase = [&](std::int64_t id) {
-    idx.erase(CoflowId{id});
+    const Slot s = slot_of.at(id);
+    idx.erase(s);
+    EXPECT_FALSE(idx.contains(s));
+    released.push_back(s);
+    slot_of.erase(id);
     dirty(live.at(id));
     live.erase(id);
   };
@@ -189,8 +212,10 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
         insert(id);
         continue;
       }
-      // An absent id erases as a no-op.
-      idx.erase(CoflowId{kIds + id});
+      // A slot holding no entry erases as a no-op: one never used, and one
+      // released since the last materialize.
+      idx.erase(static_cast<Slot>(1000 + id));
+      if (!released.empty()) idx.erase(released.back());
       const OrderKey old = live.at(id);
       OrderKey k = old;
       switch (draw(7)) {
@@ -202,7 +227,7 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
           insert(id);
           continue;
         case 2:
-          idx.touch(idx.find(CoflowId{id}));
+          idx.touch(slot_of.at(id));
           dirty(old);
           continue;
         case 3:  // same key: an exact no-op
@@ -215,7 +240,7 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
           break;
       }
       const bool changed = old < k || k < old || old.deadline != k.deadline;
-      ASSERT_EQ(idx.update(idx.find(CoflowId{id}), k), changed);
+      ASSERT_EQ(idx.update(slot_of.at(id), k), changed);
       if (changed) {
         dirty(old);
         dirty(k);
@@ -224,6 +249,8 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
     }
 
     const std::size_t rank = idx.materialize();
+    free_slots.insert(free_slots.end(), released.begin(), released.end());
+    released.clear();
     const std::size_t expected_rank =
         floor ? static_cast<std::size_t>(
                     std::lower_bound(old_order.begin(), old_order.end(),
@@ -245,6 +272,7 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
       ASSERT_EQ(got[i].key, expected[i].key);
       ASSERT_EQ(idx.ordered()[i],
                 states[static_cast<std::size_t>(expected[i].id.value)]);
+      ASSERT_EQ(idx.ordered_slots()[i], slot_of.at(expected[i].id.value));
     }
     old_order = expected;
     floor.reset();
@@ -256,8 +284,15 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
 // disarm to kNever and memo reads, with many tied instants: the same pops
 // in the same order, the same minimum, current() equal to a memo map, and
 // one heap item per armed entry (tombstones hold none), at every step.
+// Each id sits at a slot that scrambles the id order, so ties must break
+// by id, never by slot.
 TEST(DeadlineHeapTest, MatchesOrderedSetOfPairs) {
   TriggerHeap heap;
+  const auto slot = [](std::int64_t id) {
+    return static_cast<Slot>(id * 37 % 100);
+  };
+  std::map<Slot, std::int64_t> id_at;
+  for (std::int64_t id = 0; id < 100; ++id) id_at[slot(id)] = id;
   std::set<std::pair<SimTime, CoflowId>> set;
   std::map<std::int64_t, SimTime> at_of;
   std::map<std::int64_t, std::pair<std::uint64_t, int>> memo;
@@ -280,15 +315,15 @@ TEST(DeadlineHeapTest, MatchesOrderedSetOfPairs) {
       set.insert({at, CoflowId{id}});
       at_of[id] = at;
       memo[id] = {traj, queue};
-      heap.set(CoflowId{id}, at, traj, queue);
+      heap.set(slot(id), CoflowId{id}, at, traj, queue);
     } else if (roll < 5) {
       disarm(id);
       memo[id] = {traj, queue};
-      heap.set(CoflowId{id}, kNever, traj, queue);
+      heap.set(slot(id), CoflowId{id}, kNever, traj, queue);
     } else if (roll < 7) {
       disarm(id);
       memo.erase(id);
-      heap.erase(CoflowId{id});
+      heap.erase(slot(id));
     } else {
       now += static_cast<SimTime>(rng() % 40);
       std::vector<CoflowId> want;
@@ -299,7 +334,7 @@ TEST(DeadlineHeapTest, MatchesOrderedSetOfPairs) {
         set.erase(set.begin());
       }
       std::vector<CoflowId> got;
-      heap.pop_due(now, [&got](CoflowId c) { got.push_back(c); });
+      heap.pop_due(now, [&](Slot s) { got.push_back(CoflowId{id_at.at(s)}); });
       ASSERT_EQ(got, want) << "step " << step;
     }
     ASSERT_EQ(heap.size(), set.size()) << "step " << step;
@@ -310,13 +345,13 @@ TEST(DeadlineHeapTest, MatchesOrderedSetOfPairs) {
     const auto probe = static_cast<std::int64_t>(rng() % 100);
     const auto it = memo.find(probe);
     if (it != memo.end()) {
-      ASSERT_TRUE(heap.current(CoflowId{probe}, it->second.first,
+      ASSERT_TRUE(heap.current(slot(probe), it->second.first,
                                it->second.second))
           << "step " << step;
     }
     const auto t = static_cast<std::uint64_t>(rng() % 4);
     const auto q = static_cast<int>(rng() % 3);
-    ASSERT_EQ(heap.current(CoflowId{probe}, t, q),
+    ASSERT_EQ(heap.current(slot(probe), t, q),
               it != memo.end() && it->second == std::make_pair(t, q))
         << "step " << step;
   }
@@ -328,35 +363,37 @@ TEST_F(OrderIndexTest, CrossingHeapSupersedesAndPrunes) {
   TriggerHeap heap;
   const CoflowId a = coflow(1)->id();
   const CoflowId b = coflow(2)->id();
+  const Slot sa = slot(1);
+  const Slot sb = slot(2);
   EXPECT_EQ(heap.next(), kNever);
 
-  heap.set(a, 100);
-  heap.set(b, 50);
+  heap.set(sa, a, 100);
+  heap.set(sb, b, 50);
   EXPECT_EQ(heap.next(), 50);
 
-  heap.set(b, 200);  // supersede: b's item moves in place
+  heap.set(sb, b, 200);  // supersede: b's item moves in place
   EXPECT_EQ(heap.next(), 100);
   EXPECT_EQ(heap.size(), 2u);
 
-  heap.set(a, kNever);  // disarm: the tombstone keeps no heap item
+  heap.set(sa, a, kNever);  // disarm: the tombstone keeps no heap item
   EXPECT_EQ(heap.next(), 200);
   EXPECT_EQ(heap.size(), 1u);
-  EXPECT_TRUE(heap.current(a, 0, 0));
+  EXPECT_TRUE(heap.current(sa, 0, 0));
 
-  std::vector<CoflowId> popped;
-  heap.pop_due(150, [&](CoflowId c) { popped.push_back(c); });
+  std::vector<Slot> popped;
+  heap.pop_due(150, [&](Slot s) { popped.push_back(s); });
   EXPECT_TRUE(popped.empty());
-  heap.pop_due(200, [&](CoflowId c) { popped.push_back(c); });
+  heap.pop_due(200, [&](Slot s) { popped.push_back(s); });
   ASSERT_EQ(popped.size(), 1u);
-  EXPECT_EQ(popped[0], b);
+  EXPECT_EQ(popped[0], sb);
   EXPECT_EQ(heap.next(), kNever);
   EXPECT_EQ(heap.size(), 0u);
-  EXPECT_FALSE(heap.current(b, 0, 0));  // a pop drops the memo too
+  EXPECT_FALSE(heap.current(sb, 0, 0));  // a pop drops the memo too
 
-  heap.set(a, 10);
-  heap.erase(a);
+  heap.set(sa, a, 10);
+  heap.erase(sa);
   EXPECT_EQ(heap.next(), kNever);
-  EXPECT_FALSE(heap.current(a, 0, 0));
+  EXPECT_FALSE(heap.current(sa, 0, 0));
 }
 
 // ------------------------------------------------- satellite: median cache
@@ -557,69 +594,116 @@ class DeltaForwardingObserver final : public Scheduler {
   }
   void on_coflow_arrival(CoflowState& c, SimTime now) override {
     inner_.on_coflow_arrival(c, now);
+    if (arrived) arrived(c, inner_);
   }
   void on_flow_complete(CoflowState& c, FlowState& f, SimTime now) override {
     inner_.on_flow_complete(c, f, now);
   }
   void on_coflow_complete(CoflowState& c, SimTime now) override {
+    if (leaving) leaving(c, inner_);
     inner_.on_coflow_complete(c, now);
   }
   void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+    if (leaving) leaving(c, inner_);
     inner_.on_coflow_quarantined(c, now);
   }
   std::function<void(SimTime, std::span<CoflowState* const>, const Fabric&,
                      const SaathScheduler&)>
       check;
+  /// Called after the arrival hook, and before a completion or quarantine
+  /// hook, so both see the CoFlow's slot.
+  std::function<void(const CoflowState&, const SaathScheduler&)> arrived;
+  std::function<void(const CoflowState&, const SaathScheduler&)> leaving;
   SaathScheduler inner_;
 };
 
 // After every round, the maintained order must equal a from-scratch sort of
 // the current state under the admission-order key — queue moves, expiry and
-// contention shifts included.
+// contention shifts included. On the same runs, Saath's slot rule: a slot
+// released between two rounds goes to no arrival before the next round's
+// materialize (the cached order still names it), and is reused after it.
+// The second input puts a completion and an arrival between the same two
+// rounds on a 2-port fabric, over and over.
 TEST(DeltaOrderWhiteBox, MaintainedOrderEqualsFromScratchSortEveryRound) {
-  const auto t = trace::synth_small_trace(10, 60, 13);
-  DeltaForwardingObserver obs{SaathConfig{}};
-  int checked_rounds = 0;
-  obs.check = [&](SimTime now, std::span<CoflowState* const> active,
-                  const Fabric& fabric, const SaathScheduler& inner) {
-    const auto& idx = inner.order_index();
-    ASSERT_EQ(idx.size(), active.size());
-    // Expected keys from current state + the reference's batch k_c.
-    std::vector<int> queue_of(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      queue_of[i] = active[i]->queue_index;
-    }
-    const auto contention =
-        reference::batch_contention(active, fabric.num_ports(), queue_of);
-    std::vector<OrderKey> expected;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const CoflowState* c = active[i];
-      OrderKey k;
-      k.expired = c->deadline != kNever && c->deadline <= now;
-      k.deadline = c->deadline;
-      k.queue = c->queue_index;
-      k.key = contention[i];
-      k.arrival = c->arrival();
-      k.id = c->id();
-      expected.push_back(k);
-    }
-    std::sort(expected.begin(), expected.end());
-    const auto got = idx.ordered_keys();
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(got[i].id, expected[i].id) << "rank " << i << " at t=" << now;
-      ASSERT_EQ(got[i].queue, expected[i].queue) << "rank " << i;
-      ASSERT_EQ(got[i].key, expected[i].key) << "rank " << i;
-      ASSERT_EQ(got[i].expired, expected[i].expired) << "rank " << i;
-    }
-    ++checked_rounds;
-  };
-  SimConfig cfg;
-  cfg.port_bandwidth = 1e6;
-  cfg.delta = msec(20);
-  const auto result = simulate(t, obs, cfg);
-  EXPECT_EQ(result.coflows.size(), t.coflows.size());
-  EXPECT_GT(checked_rounds, 2);  // the delta path actually ran
+  std::vector<CoflowSpec> pairs;
+  for (int i = 0; i < 40; ++i) {
+    // Each CoFlow needs 10 ms of a port and the next arrives 15 ms after
+    // it, so each arrival lands in an epoch that saw a completion.
+    pairs.push_back(
+        make_coflow(i, msec(15) * i, {{i % 2, (i + 1) % 2, 10000}}));
+  }
+  const trace::Trace inputs[] = {trace::synth_small_trace(10, 60, 13),
+                                 make_trace(2, pairs)};
+  for (const trace::Trace& t : inputs) {
+    SCOPED_TRACE(t.name);
+    DeltaForwardingObserver obs{SaathConfig{}};
+    int checked_rounds = 0;
+    /// Slots released since the last round, and every slot ever released.
+    std::set<Slot> released_since_round;
+    std::set<Slot> released_ever;
+    int arrivals_after_release = 0;
+    int reused = 0;
+    obs.leaving = [&](const CoflowState& c, const SaathScheduler& inner) {
+      const Slot slot = inner.slot_of(c.id());
+      ASSERT_NE(slot, kNoSlot);
+      released_since_round.insert(slot);
+      released_ever.insert(slot);
+    };
+    obs.arrived = [&](const CoflowState& c, const SaathScheduler& inner) {
+      const Slot slot = inner.slot_of(c.id());
+      ASSERT_NE(slot, kNoSlot);
+      ASSERT_FALSE(released_since_round.contains(slot))
+          << "slot " << slot << " reused before the next materialize";
+      if (!released_since_round.empty()) ++arrivals_after_release;
+      if (released_ever.contains(slot)) ++reused;
+    };
+    obs.check = [&](SimTime now, std::span<CoflowState* const> active,
+                    const Fabric& fabric, const SaathScheduler& inner) {
+      released_since_round.clear();
+      const auto& idx = inner.order_index();
+      ASSERT_EQ(idx.size(), active.size());
+      // Expected keys from current state + the reference's batch k_c.
+      std::vector<int> queue_of(active.size());
+      for (std::size_t i = 0; i < active.size(); ++i) {
+        queue_of[i] = active[i]->queue_index;
+      }
+      const auto contention =
+          reference::batch_contention(active, fabric.num_ports(), queue_of);
+      std::vector<OrderKey> expected;
+      for (std::size_t i = 0; i < active.size(); ++i) {
+        const CoflowState* c = active[i];
+        OrderKey k;
+        k.expired = c->deadline != kNever && c->deadline <= now;
+        k.deadline = c->deadline;
+        k.queue = c->queue_index;
+        k.key = contention[i];
+        k.arrival = c->arrival();
+        k.id = c->id();
+        expected.push_back(k);
+      }
+      std::sort(expected.begin(), expected.end());
+      const auto got = idx.ordered_keys();
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(got[i].id, expected[i].id)
+            << "rank " << i << " at t=" << now;
+        ASSERT_EQ(got[i].queue, expected[i].queue) << "rank " << i;
+        ASSERT_EQ(got[i].key, expected[i].key) << "rank " << i;
+        ASSERT_EQ(got[i].expired, expected[i].expired) << "rank " << i;
+        ASSERT_EQ(idx.ordered_slots()[i], inner.slot_of(got[i].id))
+            << "rank " << i;
+      }
+      ++checked_rounds;
+    };
+    SimConfig cfg;
+    cfg.port_bandwidth = 1e6;
+    cfg.delta = msec(20);
+    const auto result = simulate(t, obs, cfg);
+    EXPECT_EQ(result.coflows.size(), t.coflows.size());
+    EXPECT_GT(checked_rounds, 2);  // the delta path actually ran
+    EXPECT_GT(arrivals_after_release, 0);
+    EXPECT_GT(reused, 0);
+  }
 }
 
 // The O(1) valid-until (crossing-heap top + deadline head) must never be

@@ -600,9 +600,11 @@ TEST(Checkpoint, HandWrittenCheckpointLoadsAndResavesByteForByte) {
   EXPECT_EQ(out.str(), text);
 }
 
-// Every field of a hostile S or P line rejects at load with a
+// Every field of a hostile S, K, F or P line rejects at load with a
 // std::runtime_error naming the line, before restore_snapshot could
-// truncate, abort or allocate on it.
+// truncate, abort, allocate on it or resume to a different run. A queue
+// index past the last queue loads (the loader does not know the queue
+// count) and is refused by Saath's arrival hook during the restore.
 TEST(Checkpoint, HostileLinesRejectTyped) {
   const struct {
     const char* line;
@@ -631,6 +633,39 @@ TEST(Checkpoint, HostileLinesRejectTyped) {
   text.replace(text.find("P 8 0x1p-1"), 10, "P 3 0x1p+1");
   EXPECT_EQ(checkpoint_reject(text),
             "checkpoint line 8: capacity factor outside [0, 1]");
+
+  const std::string good = hand_checkpoint("S 0 1000 -1 0 1 2 5 4096");
+  const auto edited = [&good](const std::string& from, const std::string& to) {
+    std::string t = good;
+    t.replace(t.find(from), from.size(), to);
+    return t;
+  };
+  const struct {
+    std::string text;
+    const char* error;
+  } lines[] = {
+      {edited("F 0x0p+0 0x1p+20", "F 0x0p+0 -0x1p+20"),
+       "checkpoint line 7: flow rate negative or not finite"},
+      {edited("F 0x0p+0 0x1p+20", "F 0x0p+0 nan"),
+       "checkpoint line 7: flow rate negative or not finite"},
+      {edited("F 0x0p+0 0x1p+20", "F -0x1p+40 0x1p+20"),
+       "checkpoint line 7: sent bytes negative or not finite"},
+      {edited("F 0x0p+0 0x1p+20", "F 0x1p+20 0x1p+20"),
+       "checkpoint line 7: sent bytes above the flow size"},
+      {edited("K 0 0 0 -1", "K 0 -1 0 -1"),
+       "checkpoint line 5: negative queue index"},
+  };
+  for (const auto& k : lines) {
+    EXPECT_EQ(checkpoint_reject(k.text), k.error) << k.text;
+  }
+
+  std::istringstream in(edited("K 0 0 0 -1", "K 0 99 0 -1"));
+  const EngineSnapshot snap = replay::load_checkpoint(in);
+  ASSERT_EQ(snap.active.size(), 1u);
+  EXPECT_EQ(snap.active[0].queue_index, 99);
+  SaathScheduler sched;
+  Engine engine(testing::make_trace(8, {}), sched, SimConfig{});
+  EXPECT_THROW(engine.restore_snapshot(snap), std::invalid_argument);
 }
 
 TEST(Checkpoint, RestoreRefusesMismatchedScheduler) {

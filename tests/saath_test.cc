@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "fabric/fabric.h"
@@ -609,12 +611,57 @@ TEST(SaathDeathTest, CompletionWithoutHookAbortsNextFullRound) {
                "without on_flow_complete");
 }
 
+// The slot table exists under every config, so the hooks check the
+// contract under the Aalo preset as under LCoF.
+const std::pair<const char*, SaathConfig> kHookPresets[] = {
+    {"saath", SaathConfig{}},
+    {"aalo", aalo_config()},
+};
+
 TEST(SaathDeathTest, SecondArrivalOfIndexedCoflowAborts) {
-  testing::StateSet set;
-  set.add(make_coflow(0, 0, {{0, 1, 1000}}));
-  SaathScheduler sched;
-  set.announce(sched);
-  EXPECT_DEATH(set.announce(sched), "already announced");
+  for (const auto& [preset, cfg] : kHookPresets) {
+    SCOPED_TRACE(preset);
+    testing::StateSet set;
+    set.add(make_coflow(0, 0, {{0, 1, 1000}}));
+    SaathScheduler sched(cfg);
+    set.announce(sched);
+    EXPECT_DEATH(set.announce(sched), "already announced");
+  }
+}
+
+TEST(SaathDeathTest, CompletionOfUnannouncedCoflowAborts) {
+  for (const auto& [preset, cfg] : kHookPresets) {
+    SCOPED_TRACE(preset);
+    testing::StateSet set;
+    set.add(make_coflow(0, 0, {{0, 1, 1000}}));
+    set.add(make_coflow(1, 0, {{2, 3, 1000}}));
+    CoflowState& c = set.at(1);
+    SaathScheduler sched(cfg);
+    sched.on_coflow_arrival(set.at(0), 0);
+    c.on_flow_complete(c.flows()[0], seconds(1));
+    EXPECT_DEATH(sched.on_flow_complete(c, c.flows()[0], seconds(1)),
+                 "on_flow_complete for a CoFlow never announced");
+    EXPECT_DEATH(sched.on_coflow_complete(c, seconds(1)),
+                 "on_coflow_complete for a CoFlow never announced");
+  }
+}
+
+// Only a restored CoFlow can carry a queue index past the last queue; its
+// arrival is refused with a typed error, leaving the scheduler as it was.
+TEST(Saath, ArrivalPastLastQueueThrows) {
+  for (const auto& [preset, cfg] : kHookPresets) {
+    SCOPED_TRACE(preset);
+    testing::StateSet set;
+    set.add(make_coflow(0, 0, {{0, 1, 1000}}));
+    CoflowState& c = set.at(0);
+    SaathScheduler sched(cfg);
+    c.queue_index = cfg.queues.num_queues;
+    EXPECT_THROW(sched.on_coflow_arrival(c, 0), std::invalid_argument);
+    EXPECT_EQ(sched.slot_of(c.id()), kNoSlot);
+    c.queue_index = 0;
+    sched.on_coflow_arrival(c, 0);
+    EXPECT_NE(sched.slot_of(c.id()), kNoSlot);
+  }
 }
 
 // Every flow enters schedule() at rate 0, which is what lets the crossing

@@ -537,5 +537,82 @@ TEST(ServiceEndToEnd, HostileCheckpointFallsBackToColdReplay) {
   std::filesystem::remove(checkpoint);
 }
 
+// A checkpoint whose CoFlow sits in queue 99 loads (the loader does not
+// know the queue count), and Saath's arrival hook refuses the CoFlow: the
+// daemon reports the typed error in its ServiceReport and broadcasts the
+// failure END line instead of aborting. In the active list the restore
+// itself fails, before any client can connect; held in quarantine until
+// after the journal's events, the CoFlow re-arrives only once the live
+// client has driven the run past its release, so the client sees the END.
+TEST(ServiceEndToEnd, CheckpointPastLastQueueFailsTyped) {
+  const auto all = svc_events(12);
+  const auto tmp = std::filesystem::temp_directory_path();
+  const std::string stem = "saath_svc_test_queue_" + std::to_string(::getpid());
+  const std::string journal = (tmp / (stem + ".j")).string();
+  const std::string checkpoint = (tmp / (stem + ".ckpt")).string();
+  {
+    auto cfg = daemon_cfg("queue1", "saath", 1);
+    cfg.journal_path = journal;
+    ServiceDaemon daemon(cfg);
+    daemon.start();
+    ClientOptions co{daemon.address()};
+    co.wait_end = false;
+    ServiceClient client(co);
+    ASSERT_TRUE(client.connect("svc-test", kSvcPorts));
+    VectorSource half("svc-test", kSvcPorts, {all.begin(), all.begin() + 6});
+    ASSERT_TRUE(client.drive(half));
+    ASSERT_TRUE(client.finish()) << client.report().error;
+    (void)daemon.wait();
+  }
+  // Taken at time 0, before the journal's first event; CoFlow 77 is one
+  // unstarted flow in queue 99, active or quarantined until 400 ms.
+  const auto write_checkpoint = [&](bool quarantined) {
+    std::ofstream out(checkpoint, std::ios::trunc);
+    out << "SAATHC1 " << kSvcPorts << " saath\n"
+        << "T svc-test\n"
+        << "H 0 0 0 1 0 0 -9223372036854775808 0\n"
+        << (quarantined ? "N 0 1 0 0 0 0 0\nQ 400000\n"
+                        : "N 1 0 0 0 0 0 0\n")
+        << "K 0 99 0 -1 0 1 0 0\n"
+        << "S 77 0 -1 0 1 2 1 4096\n"
+        << "F 0x0p+0 0x0p+0 0 -1 0 -1\n"
+        << "END\n";
+  };
+  const auto resumed_cfg = [&](const char* tag) {
+    auto cfg = daemon_cfg(tag, "saath", 1);
+    cfg.journal_path = journal;
+    cfg.checkpoint_path = checkpoint;
+    cfg.resume = true;
+    return cfg;
+  };
+  const auto expect_typed_failure = [](const ServiceReport& rep) {
+    EXPECT_FALSE(rep.ok);
+    EXPECT_NE(rep.error.find("coflow 77 arrives in queue 99"),
+              std::string::npos)
+        << rep.error;
+  };
+  {
+    write_checkpoint(false);
+    ServiceDaemon daemon(resumed_cfg("queue2"));
+    daemon.start();
+    expect_typed_failure(daemon.wait());
+  }
+  {
+    write_checkpoint(true);
+    ServiceDaemon daemon(resumed_cfg("queue3"));
+    daemon.start();
+    ServiceClient client(ClientOptions{daemon.address()});
+    ASSERT_TRUE(client.connect("svc-test", kSvcPorts));
+    VectorSource full("svc-test", kSvcPorts, all);
+    ASSERT_TRUE(client.drive(full)) << client.report().error;
+    ASSERT_TRUE(client.finish()) << client.report().error;
+    EXPECT_EQ(client.report().digest_hex, "deadbeefdeadbeef");
+    EXPECT_EQ(client.report().makespan, -1);
+    expect_typed_failure(daemon.wait());
+  }
+  std::filesystem::remove(journal);
+  std::filesystem::remove(checkpoint);
+}
+
 }  // namespace
 }  // namespace saath::service

@@ -1,7 +1,8 @@
-// SpatialIndex / OccupancyIndex: the incremental structures must agree with
-// the reference's batch k_c (tests/reference/) after EVERY event — arrival,
-// flow completion, queue (group) move, CoFlow removal — not just at steady
-// state.
+// SpatialIndex — port occupancy and k_c — must agree with the reference's
+// batch k_c (tests/reference/) after EVERY event — arrival, flow
+// completion, queue (group) move, CoFlow removal — not just at steady
+// state. The OccupancyIndex cases cover its occupancy half. Slots come from
+// the caller, as Saath's arrival hook assigns them.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,24 +20,26 @@ namespace {
 
 using testing::make_coflow;
 
-/// Oracle contention for `active`, grouped by the index's own group map.
+/// Oracle contention for `active`, at `slots`, grouped by the index's own
+/// group map.
 std::vector<int> oracle_for(const spatial::SpatialIndex& index,
                             std::span<CoflowState* const> active,
-                            int num_ports) {
+                            std::span<const Slot> slots, int num_ports) {
   std::vector<int> group(active.size());
   for (std::size_t i = 0; i < active.size(); ++i) {
-    group[i] = index.group_of(active[i]->id());
+    group[i] = index.group_of(slots[i]);
   }
   return reference::batch_contention(active, num_ports, group);
 }
 
 void expect_matches_oracle(const spatial::SpatialIndex& index,
-                           std::span<CoflowState* const> active, int num_ports,
+                           std::span<CoflowState* const> active,
+                           std::span<const Slot> slots, int num_ports,
                            const char* when) {
   ASSERT_EQ(index.size(), active.size()) << when;
-  const auto oracle = oracle_for(index, active, num_ports);
+  const auto oracle = oracle_for(index, active, slots, num_ports);
   for (std::size_t i = 0; i < active.size(); ++i) {
-    EXPECT_EQ(index.contention(active[i]->id()), oracle[i])
+    EXPECT_EQ(index.contention(slots[i]), oracle[i])
         << when << ": coflow " << active[i]->id().value;
   }
 }
@@ -46,16 +49,18 @@ TEST(OccupancyIndex, TracksSlotMembership) {
   set.add(make_coflow(0, 0, {{0, 1, 10}, {0, 2, 10}}));
   set.add(make_coflow(1, 0, {{0, 2, 10}}));
 
-  spatial::OccupancyIndex occ;
-  const spatial::Slot s0 = occ.add_coflow(set.at(0));
-  const spatial::Slot s1 = occ.add_coflow(set.at(1));
-  EXPECT_NE(s0, s1);
-  EXPECT_EQ(occ.find(CoflowId{0}), s0);
-  EXPECT_EQ(occ.add_coflow(set.at(0)), spatial::kNoSlot);  // already indexed
+  spatial::SpatialIndex occ;
+  const Slot s0 = 0;
+  const Slot s1 = 1;
+  EXPECT_TRUE(occ.add_coflow(s0, set.at(0), 0));
+  EXPECT_TRUE(occ.add_coflow(s1, set.at(1), 0));
+  EXPECT_EQ(occ.size(), 2u);
+  EXPECT_TRUE(occ.contains(s0));
+  EXPECT_FALSE(occ.add_coflow(s0, set.at(0), 0));  // already indexed
   EXPECT_EQ(occ.members(spatial::sender_bucket(0)).size(), 2u);
   EXPECT_EQ(occ.members(spatial::receiver_bucket(1)).size(), 1u);
   EXPECT_EQ(occ.members(spatial::receiver_bucket(2)).size(), 2u);
-  EXPECT_EQ(occ.occupied_slots(CoflowId{0}), 3u);  // sender 0, recv 1, recv 2
+  EXPECT_EQ(occ.occupied_buckets(s0), 3u);  // sender 0, recv 1, recv 2
 
   // First 0->1 completion frees receiver 1 but not sender 0 (another flow).
   auto& c0 = set.at(0);
@@ -71,23 +76,26 @@ TEST(OccupancyIndex, TracksSlotMembership) {
   const auto delta2 = occ.on_flow_complete(s0, c0, c0.flows()[1]);
   EXPECT_TRUE(delta2.sender_freed);
   EXPECT_TRUE(delta2.receiver_freed);
-  EXPECT_EQ(occ.occupied_slots(CoflowId{0}), 0u);
+  EXPECT_EQ(occ.occupied_buckets(s0), 0u);
   EXPECT_EQ(occ.remove(s0), 0u);
-  EXPECT_EQ(occ.num_coflows(), 1u);
-  EXPECT_FALSE(occ.contains(CoflowId{0}));
+  EXPECT_EQ(occ.size(), 1u);
+  EXPECT_FALSE(occ.contains(s0));
 
-  // The freed slot is recycled for the next arrival.
+  // The freed slot takes the next arrival, from that CoFlow's own loads.
   set.add(make_coflow(2, 0, {{3, 4, 10}}));
-  EXPECT_EQ(occ.add_coflow(set.at(2)), s0);
-  EXPECT_EQ(occ.find(CoflowId{2}), s0);
+  EXPECT_TRUE(occ.add_coflow(s0, set.at(2), 0));
+  EXPECT_TRUE(occ.contains(s0));
+  EXPECT_EQ(occ.occupied_buckets(s0), 2u);
+  EXPECT_EQ(occ.members(spatial::sender_bucket(3)).size(), 1u);
 }
 
 TEST(OccupancyIndex, DeltaAgreesWithCoflowState) {
   testing::StateSet set;
   set.add(make_coflow(0, 0, {{0, 1, 10}, {0, 1, 20}, {2, 1, 30}}));
   auto& c = set.at(0);
-  spatial::OccupancyIndex occ;
-  const spatial::Slot slot = occ.add_coflow(c);
+  spatial::SpatialIndex occ;
+  const Slot slot = 5;
+  ASSERT_TRUE(occ.add_coflow(slot, c, 0));
   for (int i = 0; i < 3; ++i) {
     auto& f = c.flows()[static_cast<std::size_t>(i)];
     const PortIndex src = f.src();
@@ -109,56 +117,63 @@ TEST(SpatialIndex, ContentionAcrossLifecycle) {
   set.add(make_coflow(1, 0, {{0, 3, 10}}));              // shares 0 and 3
   set.add(make_coflow(2, 0, {{4, 5, 10}}));              // disjoint
 
+  // Slots need not follow ids (nor be dense).
+  const Slot s0 = 4;
+  const Slot s1 = 0;
+  const Slot s2 = 2;
   spatial::SpatialIndex index;
-  index.add_coflow(set.at(0), 0);
-  index.add_coflow(set.at(1), 0);
-  index.add_coflow(set.at(2), 0);
-  EXPECT_EQ(index.contention(CoflowId{0}), 1);
-  EXPECT_EQ(index.contention(CoflowId{1}), 1);
-  EXPECT_EQ(index.contention(CoflowId{2}), 0);
+  index.add_coflow(s0, set.at(0), 0);
+  index.add_coflow(s1, set.at(1), 0);
+  index.add_coflow(s2, set.at(2), 0);
+  EXPECT_EQ(index.contention(s0), 1);
+  EXPECT_EQ(index.contention(s1), 1);
+  EXPECT_EQ(index.contention(s2), 0);
 
   // Moving C1 to another queue removes it from C0's competitor set.
-  index.set_group(CoflowId{1}, 3);
-  EXPECT_EQ(index.contention(CoflowId{0}), 0);
-  EXPECT_EQ(index.contention(CoflowId{1}), 0);
-  index.set_group(CoflowId{1}, 0);
-  EXPECT_EQ(index.contention(CoflowId{0}), 1);
+  index.set_group(s1, 3);
+  EXPECT_EQ(index.contention(s0), 0);
+  EXPECT_EQ(index.contention(s1), 0);
+  index.set_group(s1, 0);
+  EXPECT_EQ(index.contention(s0), 1);
 
   // C0's 0->1 flow finishes: they still share receiver... no — C0 keeps
   // sender 2 / receiver 3, C1 holds sender 0 / receiver 3: overlap remains.
   auto& c0 = set.at(0);
   c0.on_flow_complete(c0.flows()[0], seconds(1));
-  index.on_flow_complete(c0, c0.flows()[0]);
-  EXPECT_EQ(index.contention(CoflowId{0}), 1);
+  index.on_flow_complete(s0, c0, c0.flows()[0]);
+  EXPECT_EQ(index.contention(s0), 1);
   c0.on_flow_complete(c0.flows()[1], seconds(2));
-  index.on_flow_complete(c0, c0.flows()[1]);
-  EXPECT_EQ(index.contention(CoflowId{0}), 0);
-  EXPECT_EQ(index.contention(CoflowId{1}), 0);
+  index.on_flow_complete(s0, c0, c0.flows()[1]);
+  EXPECT_EQ(index.contention(s0), 0);
+  EXPECT_EQ(index.contention(s1), 0);
 
-  index.remove_coflow(CoflowId{0});
+  index.remove(s0);
   EXPECT_EQ(index.size(), 2u);
-  EXPECT_EQ(index.contention(CoflowId{1}), 0);
+  EXPECT_EQ(index.contention(s1), 0);
 }
 
 TEST(SpatialIndex, StaleOccupancyDetectedByVersion) {
   testing::StateSet set;
   set.add(make_coflow(0, 0, {{0, 1, 10}, {2, 3, 10}}));
+  const Slot slot = 0;
   spatial::SpatialIndex index;
-  index.add_coflow(set.at(0), 0);
-  EXPECT_TRUE(index.in_sync(set.at(0)));
+  index.add_coflow(slot, set.at(0), 0);
+  EXPECT_TRUE(index.in_sync(slot, set.at(0)));
   // Completion applied to the state only — the index must notice.
   auto& c = set.at(0);
   c.on_flow_complete(c.flows()[0], seconds(1));
-  EXPECT_FALSE(index.in_sync(set.at(0)));
+  EXPECT_FALSE(index.in_sync(slot, set.at(0)));
   // A later completion the index does see must not hide the missed one.
   c.on_flow_complete(c.flows()[1], seconds(2));
-  EXPECT_TRUE(index.on_flow_complete(c, c.flows()[1]));
-  EXPECT_FALSE(index.in_sync(c));
+  index.on_flow_complete(slot, c, c.flows()[1]);
+  EXPECT_TRUE(index.contains(slot));
+  EXPECT_FALSE(index.in_sync(slot, c));
   // Re-adding rebuilds the entry from the CoFlow's own loads.
-  EXPECT_TRUE(index.remove_coflow(c.id()));
-  EXPECT_TRUE(index.add_coflow(c, 0));
-  EXPECT_TRUE(index.in_sync(c));
-  EXPECT_EQ(index.occupancy().occupied_slots(c.id()), 0u);
+  EXPECT_TRUE(index.contains(slot));
+  index.remove(slot);
+  EXPECT_TRUE(index.add_coflow(slot, c, 0));
+  EXPECT_TRUE(index.in_sync(slot, c));
+  EXPECT_EQ(index.occupied_buckets(slot), 0u);
 }
 
 /// Randomized event-stream equivalence: every mutation the scheduler can
@@ -214,19 +229,30 @@ TEST(SpatialIndex, RandomEventStreamMatchesOracle) {
 
     spatial::SpatialIndex index;
     std::vector<std::unique_ptr<CoflowState>> states;
+    /// Indexed CoFlows and their slots, position for position.
     std::vector<CoflowState*> tracked;
+    std::vector<Slot> slots;
     /// Removed while unfinished, with the slot each held.
-    std::vector<std::pair<CoflowState*, spatial::Slot>> parked;
+    std::vector<std::pair<CoflowState*, Slot>> parked;
+    /// Released slots, reused last-released first.
+    std::vector<Slot> free_slots;
     std::vector<int> slot_uses;
     int moved_readmissions = 0;
     std::size_t next_spec = 0;
     std::int64_t next_flow = 0;
 
     const auto index_add = [&](CoflowState* c) {
-      ASSERT_TRUE(index.add_coflow(*c, static_cast<int>(rng.uniform_int(0, 3))));
+      Slot slot = static_cast<Slot>(slot_uses.size());
+      if (free_slots.empty()) {
+        slot_uses.push_back(0);
+      } else {
+        slot = free_slots.back();
+        free_slots.pop_back();
+      }
+      ASSERT_TRUE(
+          index.add_coflow(slot, *c, static_cast<int>(rng.uniform_int(0, 3))));
       tracked.push_back(c);
-      const spatial::Slot slot = index.occupancy().find(c->id());
-      if (slot >= slot_uses.size()) slot_uses.resize(slot + 1, 0);
+      slots.push_back(slot);
       ++slot_uses[slot];
     };
     const auto add_next = [&] {
@@ -242,10 +268,13 @@ TEST(SpatialIndex, RandomEventStreamMatchesOracle) {
     const auto remove_one = [&] {
       const std::size_t pos = pick(tracked.size());
       CoflowState* c = tracked[pos];
-      const spatial::Slot slot = index.occupancy().find(c->id());
-      ASSERT_TRUE(index.remove_coflow(c->id()));
-      EXPECT_FALSE(index.contains(c->id()));
+      const Slot slot = slots[pos];
+      ASSERT_TRUE(index.contains(slot));
+      index.remove(slot);
+      EXPECT_FALSE(index.contains(slot));
+      free_slots.push_back(slot);
       tracked.erase(tracked.begin() + static_cast<long>(pos));
+      slots.erase(slots.begin() + static_cast<long>(pos));
       if (!c->finished() && k.weight[3] > 0) parked.emplace_back(c, slot);
     };
     // Seed with a handful so events have neighbors to hit.
@@ -265,8 +294,8 @@ TEST(SpatialIndex, RandomEventStreamMatchesOracle) {
       } else if (op == 0 && next_spec < trace.coflows.size()) {
         add_next();
       } else if (op == 1 && !tracked.empty()) {
-        CoflowState* c = tracked[pick(tracked.size())];
-        index.set_group(c->id(), static_cast<int>(rng.uniform_int(0, 3)));
+        index.set_group(slots[pick(tracked.size())],
+                        static_cast<int>(rng.uniform_int(0, 3)));
       } else if (op == 2 && !tracked.empty()) {
         remove_one();
       } else if (op == 3 && !parked.empty()) {
@@ -274,10 +303,11 @@ TEST(SpatialIndex, RandomEventStreamMatchesOracle) {
         const auto [c, old_slot] = parked[pos];
         parked.erase(parked.begin() + static_cast<long>(pos));
         index_add(c);
-        if (index.occupancy().find(c->id()) != old_slot) ++moved_readmissions;
+        if (slots.back() != old_slot) ++moved_readmissions;
       } else if (!tracked.empty()) {
         // Complete a random unfinished flow of a random tracked CoFlow.
-        CoflowState* c = tracked[pick(tracked.size())];
+        const std::size_t pos = pick(tracked.size());
+        CoflowState* c = tracked[pos];
         std::vector<FlowState*> open;
         for (auto& f : c->flows()) {
           if (!f.finished()) open.push_back(&f);
@@ -285,10 +315,11 @@ TEST(SpatialIndex, RandomEventStreamMatchesOracle) {
         if (open.empty()) continue;
         FlowState* f = open[pick(open.size())];
         c->on_flow_complete(*f, msec(step + 1));
-        EXPECT_TRUE(index.on_flow_complete(*c, *f));
-        EXPECT_TRUE(index.in_sync(*c));
+        EXPECT_TRUE(index.contains(slots[pos]));
+        index.on_flow_complete(slots[pos], *c, *f);
+        EXPECT_TRUE(index.in_sync(slots[pos], *c));
       }
-      expect_matches_oracle(index, tracked, num_ports, "after event");
+      expect_matches_oracle(index, tracked, slots, num_ports, "after event");
       if (::testing::Test::HasFailure()) return;
     }
     // The stream exercised what its case is for.

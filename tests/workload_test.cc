@@ -535,39 +535,54 @@ TEST(ResultSink, AggregatesWithoutMaterializingRecords) {
 }
 
 TEST(ResultSink, StreamingReclamationIsBitIdenticalAcrossSchedulers) {
-  // record_results = false frees each finished CoflowState at the end of
-  // the delta-consuming round. Saath drops its pointers at the completion
-  // hook; Aalo only at the next schedule() — both must aggregate the exact
-  // same CCT stream as the materialized run (ASan builds make this a
-  // lifetime test as much as a correctness test).
+  // Every finished CoflowState is freed at the end of the delta-consuming
+  // round, whether or not records are kept: Saath (and so Aalo) drops its
+  // pointers at the completion hook. With records off the sink must
+  // aggregate the exact CCT stream of the materialized run; with records on
+  // the records must equal it too (ASan builds make this a lifetime test
+  // as much as a correctness test).
   const auto t = matrix_trace();
   for (const std::string which : {"saath", "aalo"}) {
     for (const bool reference : {false, true}) {
       auto s1 = matrix_scheduler(which, reference);
       const auto materialized = simulate(t, *s1, {});
 
-      auto s2 = matrix_scheduler(which, reference);
-      SimConfig cfg;
-      cfg.record_results = false;
-      workload::CctAggregator agg;
-      Engine engine(std::make_shared<workload::TraceSource>(trace::Trace(t)),
-                    *s2, cfg);
-      engine.set_result_sink(&agg);
-      const auto streamed = engine.run();
+      for (const bool records : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << which << " reference "
+                                          << reference << " records "
+                                          << records);
+        auto s2 = matrix_scheduler(which, reference);
+        SimConfig cfg;
+        cfg.record_results = records;
+        workload::CctAggregator agg;
+        Engine engine(std::make_shared<workload::TraceSource>(trace::Trace(t)),
+                      *s2, cfg);
+        engine.set_result_sink(&agg);
+        const auto streamed = engine.run();
 
-      EXPECT_TRUE(streamed.coflows.empty()) << which;
-      EXPECT_EQ(agg.makespan(), materialized.makespan) << which;
-      ASSERT_EQ(agg.count(),
-                static_cast<std::int64_t>(materialized.coflows.size()))
-          << which;
-      const auto summary = materialized.cct_summary();
-      EXPECT_NEAR(agg.mean_cct_seconds(), summary.mean, summary.mean * 1e-9)
-          << which;
-      // CoFlows finishing in the final advance are freed by the engine
-      // destructor, after the last scheduling round — so reclaimed is
-      // bounded by, not equal to, the completion count.
-      EXPECT_GT(engine.stats().reclaimed_coflows, 0) << which;
-      EXPECT_LE(engine.stats().reclaimed_coflows, agg.count()) << which;
+        if (records) {
+          ASSERT_EQ(streamed.coflows.size(), materialized.coflows.size());
+          for (std::size_t i = 0; i < streamed.coflows.size(); ++i) {
+            EXPECT_EQ(streamed.coflows[i].id, materialized.coflows[i].id);
+            EXPECT_EQ(streamed.coflows[i].finish,
+                      materialized.coflows[i].finish);
+            EXPECT_EQ(streamed.coflows[i].flow_fcts_seconds,
+                      materialized.coflows[i].flow_fcts_seconds);
+          }
+        } else {
+          EXPECT_TRUE(streamed.coflows.empty());
+        }
+        EXPECT_EQ(agg.makespan(), materialized.makespan);
+        ASSERT_EQ(agg.count(),
+                  static_cast<std::int64_t>(materialized.coflows.size()));
+        const auto summary = materialized.cct_summary();
+        EXPECT_NEAR(agg.mean_cct_seconds(), summary.mean, summary.mean * 1e-9);
+        // CoFlows finishing in the final advance are freed by the engine
+        // destructor, after the last scheduling round — so reclaimed is
+        // bounded by, not equal to, the completion count.
+        EXPECT_GT(engine.stats().reclaimed_coflows, 0);
+        EXPECT_LE(engine.stats().reclaimed_coflows, agg.count());
+      }
     }
   }
 }

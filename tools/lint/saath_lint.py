@@ -140,9 +140,7 @@ LANE_READ_ALLOWLIST = {
 # never read across the engine's reclamation point. Keyed by file so a new
 # scheduler cannot inherit an exemption by reusing a name.
 RETENTION_ALLOWLIST = {
-    "src/sched/saath.h": {
-        "candidates_", "entered_", "missed_scratch_", "recross_",
-    },
+    "src/sched/saath.h": {"candidates_", "entered_"},
     "src/sched/uc_tcp.h": {"flows_", "owners_"},
 }
 
