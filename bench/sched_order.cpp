@@ -51,6 +51,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// `n` FB-like CoFlows, each at the slot of its index.
 struct Churn {
   std::vector<std::unique_ptr<CoflowState>> states;
   std::vector<CoflowState*> active;
@@ -65,6 +66,7 @@ struct Churn {
     for (const auto& spec : trace.coflows) {
       states.push_back(std::make_unique<CoflowState>(spec, FlowId{next_flow}));
       next_flow += spec.width();
+      states.back()->set_slot(static_cast<Slot>(active.size()));
       active.push_back(states.back().get());
     }
   }

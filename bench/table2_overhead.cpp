@@ -31,7 +31,8 @@
 namespace saath {
 namespace {
 
-/// A busy coordinator snapshot: `n` CoFlows mid-flight on 150 ports.
+/// A busy coordinator snapshot: `n` CoFlows mid-flight on 150 ports, each
+/// at the slot of its index.
 struct Snapshot {
   std::vector<std::unique_ptr<CoflowState>> states;
   std::vector<CoflowState*> active;
@@ -46,6 +47,7 @@ struct Snapshot {
     for (const auto& spec : trace.coflows) {
       states.push_back(std::make_unique<CoflowState>(spec, FlowId{next_flow}));
       next_flow += spec.width();
+      states.back()->set_slot(static_cast<Slot>(active.size()));
       active.push_back(states.back().get());
     }
     // Give CoFlows uneven progress so queue assignment has real work to do:
@@ -124,9 +126,10 @@ BENCHMARK(BM_ContentionComputation)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 /// lifecycle a streaming workload drives through Saath's hooks: one
 /// snapshot CoFlow leaves, a fresh arrival of the same spec joins, each of
 /// its flows completes, it leaves, and the original rejoins and moves
-/// queue. Slots are handed out the way Saath does: each arrival takes a
-/// free slot, and a slot released in one iteration (one round) is free
-/// only from the next. arrival_ns and completion_ns time the arrival and
+/// queue. Slots are handed out the way the engine does: each arrival takes
+/// a free slot, and a slot released in one iteration (one round) is free
+/// only from the next, when the engine reclaims the state that held it.
+/// arrival_ns and completion_ns time the arrival and
 /// flow-completion hooks' index calls alone (one steady_clock read pair
 /// each, whose own cost is included); the iteration time covers the whole
 /// cycle plus building the fresh CoflowState.

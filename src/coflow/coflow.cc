@@ -33,11 +33,6 @@ const char* spec_defect(const CoflowSpec& spec, int num_ports) {
   return nullptr;
 }
 
-FlowState::FlowState(FlowId id, const FlowSpec& spec, SimTime origin)
-    : FlowState(id, spec, origin, new FlowPool(1), 0) {
-  own_pool_.reset(pool_);
-}
-
 FlowState::FlowState(FlowId id, const FlowSpec& spec, SimTime origin,
                      FlowPool* pool, std::uint32_t index)
     : pool_(pool), index_(index), id_(id) {
@@ -161,7 +156,6 @@ double FlowState::restart(SimTime now) {
 }
 
 void FlowState::note_mutation(Rate rate_before, Rate rate_after) {
-  if (owner_ == nullptr) return;
   ++owner_->progress_version_;
   owner_->rated_flows_ +=
       static_cast<int>(rate_after > 0) - static_cast<int>(rate_before > 0);
@@ -169,7 +163,6 @@ void FlowState::note_mutation(Rate rate_before, Rate rate_after) {
 
 void FlowState::sync_version(std::uint64_t old_version,
                              std::uint64_t new_version) {
-  if (owner_ == nullptr) return;
   owner_->trajectory_version_ += new_version - old_version;
 }
 

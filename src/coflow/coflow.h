@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -66,12 +65,9 @@ class CoflowState;
 /// inline.
 class FlowState {
  public:
-  /// Standalone (unit-test / manual-drive) flow: owns a private 1-slot
-  /// pool. `origin` anchors the flow's timeline (its CoFlow's arrival); a
-  /// zero-byte flow is predicted to finish right there.
-  FlowState(FlowId id, const FlowSpec& spec, SimTime origin = 0);
-  /// Pool-backed handle over slot `index` of `pool` (CoflowState's
-  /// constructor); initializes the slot's size/anchor/predicted-finish.
+  /// Handle over slot `index` of `pool`, built by CoflowState's constructor;
+  /// anchors the slot at `origin` (the CoFlow's arrival), where a zero-byte
+  /// flow is predicted to finish.
   FlowState(FlowId id, const FlowSpec& spec, SimTime origin, FlowPool* pool,
             std::uint32_t index);
   FlowState(FlowState&&) noexcept = default;
@@ -85,7 +81,7 @@ class FlowState {
   [[nodiscard]] std::uint32_t pool_index() const { return index_; }
   /// Index of src() in the owner's sender_loads() and of dst() in its
   /// receiver_loads(), fixed at construction (a CoFlow's port set never
-  /// changes); kNoPortSlot for a standalone flow.
+  /// changes).
   static constexpr std::uint32_t kNoPortSlot = ~std::uint32_t{0};
   [[nodiscard]] std::uint32_t sender_slot() const { return sender_slot_; }
   [[nodiscard]] std::uint32_t receiver_slot() const { return receiver_slot_; }
@@ -131,8 +127,6 @@ class FlowState {
     return pool_->rate_version[index_];
   }
 
-  /// Marks the flow complete at `now` (engine computes the exact instant).
-  void complete(SimTime now);
   /// Task restart after a node failure: all progress is lost (§4.3).
   /// Returns the bytes that were discarded.
   double restart(SimTime now);
@@ -151,8 +145,11 @@ class FlowState {
 
  private:
   friend class CoflowState;
+  /// Marks the flow complete at `now`; CoflowState::on_flow_complete is the
+  /// one caller, so the port loads and unfinished views follow.
+  void complete(SimTime now);
   /// Reports a trajectory mutation (rate change, completion, restart) to
-  /// the owning CoflowState's aggregate cache; no-op for standalone flows.
+  /// the owning CoflowState's aggregate cache.
   void note_mutation(Rate rate_before, Rate rate_after);
   /// Keeps the owner's trajectory_version() in sync with a rate_version_
   /// transition (unsigned-wrap arithmetic handles the restore rollback).
@@ -162,7 +159,7 @@ class FlowState {
   // then exactly one pool array element); cold rate-change-only
   // bookkeeping behind it. The trajectory scalars and the endpoints live
   // in the pool's parallel arrays; the port slots stay here, which keeps
-  // the handle at 112 bytes and each one-flow pool at nine cache lines.
+  // the handle at 104 bytes and each one-flow pool at nine cache lines.
   FlowPool* pool_ = nullptr;
   std::uint32_t index_ = 0;
   std::uint32_t heap_pos_ = kNoHeapPos;  // fills the padding after index_
@@ -181,9 +178,6 @@ class FlowState {
   Rate resume_rate_ = 0;
   SimTime resume_pf_ = kNever;
   std::uint64_t resume_version_ = 0;
-  /// Standalone (test-constructed) flows own their private 1-slot pool;
-  /// pool-backed flows leave this empty and point at their CoFlow's pool.
-  std::unique_ptr<FlowPool> own_pool_;
 };
 
 /// How many unfinished flows a CoFlow has on a given port.
@@ -221,6 +215,12 @@ class CoflowState {
   [[nodiscard]] CoflowId id() const { return spec_.id; }
   [[nodiscard]] SimTime arrival() const { return spec_.arrival; }
   [[nodiscard]] int width() const { return spec_.width(); }
+
+  /// The dense slot schedulers index per-CoFlow vectors by (common/ids.h),
+  /// kNoSlot until set. In src/ only the engine sets it (admission, restore);
+  /// drivers that call schedulers directly set their own.
+  [[nodiscard]] Slot slot() const { return slot_; }
+  void set_slot(Slot slot) { slot_ = slot; }
 
   [[nodiscard]] std::span<FlowState> flows() { return flows_; }
   [[nodiscard]] std::span<const FlowState> flows() const { return flows_; }
@@ -436,6 +436,7 @@ class CoflowState {
   /// zero, sent-byte aggregates are time-invariant.
   std::uint64_t progress_version_ = 0;
   int rated_flows_ = 0;
+  Slot slot_ = kNoSlot;
   mutable AggregateCache total_sent_cache_;
   mutable AggregateCache max_sent_cache_;
 };

@@ -1,6 +1,5 @@
-// Open-addressed hash table for per-event lookups by id or slot: Saath's
-// one id -> slot table, and the spatial index's pair-overlap tables keyed
-// by neighbor slot.
+// Open-addressed hash table for per-event lookups by key: the spatial
+// index's pair-overlap tables, keyed by neighbor slot, are its only users.
 //
 // Linear probing over a power-of-two cell array kept at most half full,
 // with backward-shift deletion (no tombstones), so probe runs stay short
@@ -14,7 +13,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace saath {
@@ -41,7 +39,6 @@ class FlatTable {
       if (cells_[i].key == kEmpty) return npos;
     }
   }
-  [[nodiscard]] bool contains(Key key) const { return find(key) != npos; }
 
   /// Cell index of `key`, inserted with a value-initialized Value when
   /// absent. Grows only when a new key would fill more than half the cells.
@@ -131,11 +128,5 @@ class FlatTable {
   std::size_t mask_ = 0;
   unsigned shift_ = 64;
 };
-
-/// A table keyed by an id's int64 value (CoflowId::value), which is never
-/// INT64_MIN.
-template <typename Value>
-using IdTable =
-    FlatTable<std::int64_t, Value, std::numeric_limits<std::int64_t>::min()>;
 
 }  // namespace saath

@@ -37,9 +37,9 @@ using PortIndex = std::int32_t;
 
 inline constexpr PortIndex kInvalidPort = -1;
 
-/// A CoFlow's dense slot inside a scheduler: SaathScheduler gives each
-/// announced CoFlow one and indexes every per-CoFlow vector by it. Slot
-/// numbers carry no order; ties between CoFlows break by CoflowId.
+/// A CoFlow's dense slot (CoflowState::slot()): the engine owns its state
+/// there and schedulers index their per-CoFlow vectors by it. Slot numbers
+/// carry no order; ties between CoFlows break by CoflowId.
 using Slot = std::uint32_t;
 inline constexpr Slot kNoSlot = ~Slot{0};
 

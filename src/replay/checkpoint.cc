@@ -70,7 +70,9 @@ void write_coflow(std::ostream& out, const CoflowSnapshot& cs) {
   }
 }
 
-[[nodiscard]] CoflowSnapshot read_coflow(Lines& lines, int num_ports) {
+/// Reads one K/S/F record set, refusing values no run writes by `now`.
+[[nodiscard]] CoflowSnapshot read_coflow(Lines& lines, int num_ports,
+                                         SimTime now) {
   CoflowSnapshot cs;
   Tokens k = lines.expect("K");
   cs.first_flow_id = k.take_int();
@@ -80,6 +82,9 @@ void write_coflow(std::ostream& out, const CoflowSnapshot& cs) {
   if (cs.queue_index < 0) throw k.error("negative queue index");
   (void)k.take_int();  // retired slot, see checkpoint.h
   cs.deadline = k.take_int();
+  if (cs.deadline != kNever && cs.deadline < 0) {
+    throw k.error("deadline negative and not kNever");
+  }
   cs.dynamics_flagged = k.take_int() != 0;
   cs.data_available = k.take_int() != 0;
   cs.stall_rounds = k.take_int_field("stall rounds");
@@ -112,6 +117,24 @@ void write_coflow(std::ostream& out, const CoflowSnapshot& cs) {
     fs.predicted_finish = f.take_int();
     fs.finished = f.take_int() != 0;
     fs.finish_time = f.take_int();
+    // Restore re-completes a finished flow at its finish time; its anchor
+    // and prediction are not read back.
+    const auto outside = [&](SimTime t) {
+      return t < cs.spec.arrival || t > now;
+    };
+    if (fs.finished &&
+        fs.sent_base != static_cast<double>(cs.spec.flows[i].size)) {
+      throw f.error("finished flow with sent bytes below its size");
+    } else if (fs.finished && fs.rate != 0) {
+      throw f.error("finished flow with a nonzero rate");
+    } else if (fs.finished && outside(fs.finish_time)) {
+      throw f.error("finish time outside arrival..now");
+    } else if (!fs.finished && outside(fs.anchor)) {
+      throw f.error("flow anchor outside arrival..now");
+    } else if (!fs.finished && fs.predicted_finish != kNever &&
+               fs.predicted_finish < fs.anchor) {
+      throw f.error("predicted finish before the anchor");
+    }
     cs.flows.push_back(fs);
   }
   return cs;
@@ -200,12 +223,12 @@ EngineSnapshot load_checkpoint(std::istream& in) {
                   std::to_string(n_dyn) + " entries)");
   }
   for (std::int64_t i = 0; i < n_active; ++i) {
-    snap.active.push_back(read_coflow(lines, snap.num_ports));
+    snap.active.push_back(read_coflow(lines, snap.num_ports, snap.now));
   }
   for (std::int64_t i = 0; i < n_quar; ++i) {
     QuarantineSnapshot qs;
     qs.release_at = lines.expect("Q").take_int();
-    qs.coflow = read_coflow(lines, snap.num_ports);
+    qs.coflow = read_coflow(lines, snap.num_ports, snap.now);
     snap.quarantined.push_back(std::move(qs));
   }
   for (std::int64_t i = 0; i < n_gates; ++i) {

@@ -16,10 +16,11 @@ void OrderIndex::insert(Slot slot, CoflowState* c, const OrderKey& k) {
   SAATH_EXPECTS(k.id == c->id());
   if (slot >= entries_.size()) entries_.resize(slot + 1);
   Entry& e = entries_[slot];
-  SAATH_EXPECTS(!e.live && !e.erased);
-  e = Entry{k, c, /*live=*/true, /*erased=*/false, /*moved=*/true};
+  SAATH_EXPECTS(!e.live);
+  // An entry erased since the last materialize may still be listed.
+  if (!e.moved) moved_.push_back(slot);
+  e = Entry{k, c, /*live=*/true, /*moved=*/true};
   ++size_;
-  moved_.push_back(slot);
   dirty_at(k);
 }
 
@@ -28,7 +29,6 @@ void OrderIndex::erase(Slot slot) {
   Entry& e = entries_[slot];
   dirty_at(e.key);
   e.live = false;
-  e.erased = true;
   --size_;
 }
 
@@ -58,16 +58,12 @@ SAATH_HOT_NOALLOC std::size_t OrderIndex::materialize() {
                        dirty_floor_) -
       cached_keys_.begin());
   // The rest of the old order, minus the entries that moved or left, is
-  // still sorted: compact it in place. Dropping an erased entry frees its
-  // slot for insert().
+  // still sorted: compact it in place. A slot re-inserted since it left is
+  // moved, so its old occurrence drops here too.
   std::size_t kept = prefix;
   for (std::size_t r = prefix; r < cached_slots_.size(); ++r) {
-    Entry& e = entries_[cached_slots_[r]];
-    if (!e.live) {
-      e.erased = false;
-      continue;
-    }
-    if (e.moved) continue;
+    const Entry& e = entries_[cached_slots_[r]];
+    if (!e.live || e.moved) continue;
     if (kept != r) {
       cached_[kept] = cached_[r];
       cached_keys_[kept] = cached_keys_[r];
@@ -78,10 +74,8 @@ SAATH_HOT_NOALLOC std::size_t OrderIndex::materialize() {
   // Every moved entry's key is at or above the floor (update() dirtied
   // it), so sorting the live ones and merging them in from the back
   // completes the tail.
-  std::erase_if(moved_, [this](Slot s) {
-    entries_[s].erased = false;
-    return !entries_[s].live;
-  });
+  for (const Slot s : moved_) entries_[s].moved = false;
+  std::erase_if(moved_, [this](Slot s) { return !entries_[s].live; });
   std::sort(moved_.begin(), moved_.end(), [this](Slot a, Slot b) {
     return entries_[a].key < entries_[b].key;
   });
@@ -105,7 +99,6 @@ SAATH_HOT_NOALLOC std::size_t OrderIndex::materialize() {
       cached_slots_[w] = moved_[m];
     }
   }
-  for (const Slot s : moved_) entries_[s].moved = false;
   moved_.clear();
   dirty_any_ = false;
   return prefix;

@@ -10,9 +10,10 @@
 // that order as a maintained structure under the exact comparator the sort
 // used (expired CoFlows float to the front by deadline — the
 // "expired-deadline head" — followed by the per-queue runs). Entries live
-// in a flat array indexed by the CoFlow's Slot, which the caller assigns;
-// an arrival, completion, queue move, contention change or deadline expiry
-// writes the key in place and marks the entry moved. Materialization
+// in a flat array indexed by the CoFlow's Slot (CoflowState::slot()); an
+// arrival, completion, queue move, contention change or deadline expiry
+// writes the key in place and marks the entry moved, and a slot erased
+// since the last materialization can take the next arrival. Materialization
 // keeps the previously emitted prefix up to the first dirtied rank, keeps
 // the old tail's entries that neither moved nor left (still sorted), sorts
 // only the moved ones and merges the two, so a round costs O(tail + m log m)
@@ -73,14 +74,14 @@ struct OrderKey {
 
 class OrderIndex {
  public:
-  /// Adds a CoFlow at `slot` under `k`. The slot must not hold an entry,
-  /// nor one erased since the last materialize(): the cached order still
-  /// names that one.
+  /// Adds a CoFlow at `slot` under `k`; the slot must not hold an entry.
+  /// A slot erased since the last materialize() may take one at once: the
+  /// cached order still names it, so the insert moves the slot as update()
+  /// does, and the merge drops the old occurrence.
   void insert(Slot slot, CoflowState* c, const OrderKey& k);
 
   /// Removes the entry at `slot` (no-op when it holds none, so completion
-  /// deltas can be replayed idempotently). The slot takes a new entry only
-  /// after the next materialize().
+  /// deltas can be replayed idempotently).
   void erase(Slot slot);
 
   /// True when `slot` holds an entry.
@@ -127,9 +128,8 @@ class OrderIndex {
     OrderKey key;
     CoflowState* state = nullptr;
     bool live = false;
-    /// Erased since the last materialize, which still has to drop it.
-    bool erased = false;
-    /// Inserted or re-keyed since the last materialize (listed in moved_).
+    /// Inserted or re-keyed since the last materialize (listed in moved_);
+    /// the merge skips the slot's cached occurrence.
     bool moved = false;
   };
   [[nodiscard]] const Entry& entry(Slot slot) const {

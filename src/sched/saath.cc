@@ -118,6 +118,9 @@ SAATH_HOT_NOALLOC std::int64_t walk_port_slots(const CoflowState& c,
   return read;
 }
 
+constexpr const char* kUnannouncedInDelta =
+    "a SchedulerDelta list names a CoFlow never announced";
+
 /// A restored CoFlow whose queue index lies outside the queue structure.
 [[noreturn, gnu::cold]] void reject_queue_index(const CoflowState& c,
                                                 int num_queues) {
@@ -175,31 +178,21 @@ bool SaathScheduler::is_volatile(const CoflowState& c) const {
          c.finished_flows() > 0;
 }
 
-Slot SaathScheduler::announced_slot(const CoflowState& c) const {
-  const Slot slot = slot_of(c.id());
-  SAATH_EXPECTS_MSG(slot != kNoSlot,
-                    "a SchedulerDelta list names a CoFlow never announced");
-  return slot;
-}
-
 SAATH_HOT_NOALLOC void SaathScheduler::on_coflow_arrival(CoflowState& coflow,
                                                          SimTime now) {
   (void)now;
   if (coflow.queue_index < 0 || coflow.queue_index >= queues_.num_queues()) {
     reject_queue_index(coflow, queues_.num_queues());
   }
-  const auto hit = slot_of_.insert(coflow.id().value);
-  SAATH_EXPECTS_MSG(hit.inserted,
+  const Slot slot = coflow.slot();
+  SAATH_EXPECTS_MSG(slot != kNoSlot,
+                    "on_coflow_arrival for a CoFlow with no slot");
+  if (slot >= marks_.size()) marks_.resize(slot + 1);
+  SAATH_EXPECTS_MSG(!announced(coflow),
                     "on_coflow_arrival for a CoFlow already announced");
-  Slot slot = 0;
-  if (free_slots_.empty()) {
-    slot = static_cast<Slot>(marks_.size());
-    marks_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  slot_of_.value(hit.index) = slot;
+  SAATH_EXPECTS_MSG(!marks_[slot].held, "on_coflow_arrival on a slot "
+                                        "another announced CoFlow holds");
+  marks_[slot] = SlotMarks{coflow.id(), /*held=*/true};
   // The arrival's queue is assigned at the next schedule(); grouping it
   // under its current queue keeps the index exact in between.
   if (tracks_index()) spatial_.add_coflow(slot, coflow, coflow.queue_index);
@@ -210,20 +203,17 @@ SAATH_HOT_NOALLOC void SaathScheduler::on_flow_complete(CoflowState& coflow,
                                                         FlowState& flow,
                                                         SimTime now) {
   (void)now;
-  const Slot slot = slot_of(coflow.id());
-  SAATH_EXPECTS_MSG(slot != kNoSlot,
+  SAATH_EXPECTS_MSG(announced(coflow),
                     "on_flow_complete for a CoFlow never announced");
-  if (tracks_index()) spatial_.on_flow_complete(slot, coflow, flow);
+  if (tracks_index()) spatial_.on_flow_complete(coflow.slot(), coflow, flow);
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::on_coflow_complete(CoflowState& coflow,
                                                           SimTime now) {
   (void)now;
-  const std::size_t cell = slot_of_.find(coflow.id().value);
-  SAATH_EXPECTS_MSG(cell != slot_of_.npos,
+  SAATH_EXPECTS_MSG(announced(coflow),
                     "on_coflow_complete for a CoFlow never announced");
-  const Slot slot = slot_of_.value(cell);
-  slot_of_.erase_at(cell);
+  const Slot slot = coflow.slot();
   if (tracks_index()) spatial_.remove(slot);
   queue_population_.remove(coflow.queue_index);
   // Drop the CoFlow from the delta structures right away (all no-ops when
@@ -231,26 +221,23 @@ SAATH_HOT_NOALLOC void SaathScheduler::on_coflow_complete(CoflowState& coflow,
   order_.erase(slot);
   crossings_.erase(slot);
   deadlines_.erase(slot);
-  SlotMarks& marks = marks_[slot];
-  if (marks.is_volatile) --volatile_count_;
-  marks.is_volatile = false;
-  released_slots_.push_back(slot);
+  if (marks_[slot].is_volatile) --volatile_count_;
+  marks_[slot] = SlotMarks{};
 }
 
 void SaathScheduler::on_coflow_quarantined(CoflowState& coflow, SimTime now) {
   // A quarantined CoFlow leaves every maintained structure exactly as a
   // completed one does — the erase path does not require finished() — and
-  // re-enters through on_coflow_arrival, on a fresh slot, when the engine
-  // re-admits it.
+  // re-enters through on_coflow_arrival, on the slot the engine kept for it,
+  // when the engine re-admits it.
   on_coflow_complete(coflow, now);
 }
 
-SAATH_HOT_NOALLOC void SaathScheduler::add_candidate(CoflowState* c,
-                                                     Slot slot) {
-  SlotMarks& marks = marks_[slot];
+SAATH_HOT_NOALLOC void SaathScheduler::add_candidate(CoflowState* c) {
+  SlotMarks& marks = marks_[c->slot()];
   if (marks.candidate_round == stats_.rounds) return;
   marks.candidate_round = stats_.rounds;
-  candidates_.emplace_back(c, slot);
+  candidates_.push_back(c);
 }
 
 int SaathScheduler::target_queue(const CoflowState& c, SimTime now) const {
@@ -270,21 +257,21 @@ int SaathScheduler::target_queue(const CoflowState& c, SimTime now) const {
   return config_.dynamics_srtf ? q : std::max(c.queue_index, q);
 }
 
-void SaathScheduler::stamp_deadlines(
-    SimTime now, std::span<const std::pair<CoflowState*, Slot>> entered,
-    Rate port_bandwidth) {
+void SaathScheduler::stamp_deadlines(SimTime now,
+                                     std::span<CoflowState* const> entered,
+                                     Rate port_bandwidth) {
   if (config_.deadline_factor <= 0 || entered.empty()) return;
   // D5: deadline = d * C_q * t, where C_q is the queue's population (read
   // from the delta-maintained tracker, after ALL of this round's moves) and
   // t its minimum residence time — the FIFO drain-time bound.
-  for (const auto& [c, slot] : entered) {
+  for (CoflowState* c : entered) {
     const int population = queue_population_.count(c->queue_index);
     const double t_q =
         queues_.min_residence_seconds(c->queue_index, port_bandwidth);
     c->deadline =
         now + static_cast<SimTime>(config_.deadline_factor * population * t_q *
                                    1e6);
-    deadlines_.set(slot, c->id(), c->deadline);
+    deadlines_.set(c->slot(), c->id(), c->deadline);
   }
 }
 
@@ -349,10 +336,9 @@ SAATH_HOT_NOALLOC void SaathScheduler::fold_crossing(
   lower_flow_crossing(pool, i, fold.bound, now, fold.seconds);
 }
 
-std::int64_t SaathScheduler::order_key_component(const CoflowState& c,
-                                                  Slot slot) const {
+std::int64_t SaathScheduler::order_key_component(const CoflowState& c) const {
   if (!config_.lcof) return static_cast<std::int64_t>(c.arrival());
-  return spatial_.contention(slot);
+  return spatial_.contention(c.slot());
 }
 
 OrderKey SaathScheduler::make_key(const CoflowState& c, SimTime now,
@@ -369,7 +355,7 @@ OrderKey SaathScheduler::make_key(const CoflowState& c, SimTime now,
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
-    CoflowState& c, Slot slot, const CrossingFold& fold, SimTime now) {
+    CoflowState& c, const CrossingFold& fold, SimTime now) {
   // The fold saw every flow this round rated; the walk it replaces reads
   // every flow rated at all. They agree only if no flow entered the round
   // rated.
@@ -380,7 +366,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
   if (c.finished() || is_volatile(c)) {
     // Volatile CoFlows are re-bucketed every round regardless (the §4.3
     // estimate drifts continuously); a crossing entry would be noise.
-    crossings_.erase(slot);
+    crossings_.erase(c.slot());
     return;
   }
   // Trajectory unchanged since the entry (or tombstone) was derived — the
@@ -388,7 +374,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
   // recorded prediction: re-deriving it at this later `now` could move the
   // guarded instant by the µs truncation.
   const std::uint64_t traj = c.trajectory_version();
-  if (crossings_.current(slot, traj, c.queue_index)) return;
+  if (crossings_.current(c.slot(), traj, c.queue_index)) return;
   double cross_seconds = fold.seconds;
   if (fold.walk) {
     const double hi = hi_threshold(c.queue_index);
@@ -396,8 +382,9 @@ SAATH_HOT_NOALLOC void SaathScheduler::program_crossing(
                         ? per_flow_cross_seconds(c, hi / c.width(), now)
                         : total_bytes_cross_seconds(c, hi, now);
   }
-  crossings_.set(slot, c.id(), guarded_crossing_instant(now, cross_seconds),
-                 traj, c.queue_index);
+  crossings_.set(c.slot(), c.id(),
+                 guarded_crossing_instant(now, cross_seconds), traj,
+                 c.queue_index);
 }
 
 SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
@@ -556,31 +543,33 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
   touch_only_.clear();
   if (every) {
     for (CoflowState* c : active) {
-      // With the counts equal, a slot for every CoFlow proves the hooks
-      // announced exactly `active`, and in_sync that the index saw every
-      // flow completion.
-      const Slot slot = slot_of(c->id());
-      const bool synced =
-          slot != kNoSlot && (!tracks_index() || spatial_.in_sync(slot, *c));
+      // With the counts equal, every CoFlow announced on its slot proves
+      // the hooks announced exactly `active`, and in_sync that the index
+      // saw every flow completion.
+      const bool synced = announced(*c) && (!tracks_index() ||
+                                            spatial_.in_sync(c->slot(), *c));
       SAATH_EXPECTS_MSG(synced,
                         "active lists a CoFlow never announced, or one of "
                         "its flows completed without on_flow_complete");
-      add_candidate(c, slot);
+      add_candidate(c);
     }
   } else {
     // Finished CoFlows in the delta already left every structure through
     // on_coflow_complete.
     for (CoflowState* c : delta.requeue) {
-      if (!c->finished()) add_candidate(c, announced_slot(*c));
+      if (c->finished()) continue;
+      SAATH_EXPECTS_MSG(announced(*c), kUnannouncedInDelta);
+      add_candidate(c);
     }
     for (CoflowState* c : delta.dirty) {
       if (c->finished()) continue;
-      const Slot slot = announced_slot(*c);
+      SAATH_EXPECTS_MSG(announced(*c), kUnannouncedInDelta);
+      const Slot slot = c->slot();
       if (!order_.contains(slot) ||
           (is_volatile(*c) && !marks_[slot].is_volatile)) {
         // Arrival (needs its first bucket) or a flagged CoFlow whose first
         // finished flow just armed the SRTF estimate.
-        add_candidate(c, slot);
+        add_candidate(c);
       } else if (fence) {
         touch_only_.push_back(slot);
       }
@@ -588,24 +577,25 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
   }
   crossings_.pop_due(now, [&](Slot slot) {
     CoflowState* c = order_.state(slot);
-    if (!c->finished()) add_candidate(c, slot);
+    if (!c->finished()) add_candidate(c);
   });
   if (volatile_count_ > 0) {
     for (Slot slot = 0; slot < marks_.size(); ++slot) {
-      if (marks_[slot].is_volatile) add_candidate(order_.state(slot), slot);
+      if (marks_[slot].is_volatile) add_candidate(order_.state(slot));
     }
   }
 
   // ---- 2. Re-bucket candidates (queue moves carry the population and
   //         the spatial index groups; arrivals joined both at their hook).
   entered_.clear();
-  for (const auto& [c, slot] : candidates_) {
+  for (CoflowState* c : candidates_) {
+    const Slot slot = c->slot();
     const int q = target_queue(*c, now);
     const bool fresh = c->deadline == kNever && config_.deadline_factor > 0;
     if (q != c->queue_index || fresh) {
       queue_population_.move(c->queue_index, q);
       c->queue_index = q;
-      entered_.emplace_back(c, slot);
+      entered_.push_back(c);
     }
     if (tracks_index()) spatial_.set_group(slot, c->queue_index);
     if (is_volatile(*c) && !marks_[slot].is_volatile) {
@@ -620,14 +610,15 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
   deadlines_.pop_due(now, [&](Slot slot) {
     if (!order_.contains(slot)) return;
     CoflowState* c = order_.state(slot);
-    order_.update(slot, make_key(*c, now, order_key_component(*c, slot)));
+    order_.update(slot, make_key(*c, now, order_key_component(*c)));
   });
 
   // ---- 4. Re-key + fence every candidate: update() dirties moved keys,
   //         touch() fences same-key state changes out of admission replay.
   //         Plain-dirty CoFlows kept their key — touch alone fences them.
-  for (const auto& [c, slot] : candidates_) {
-    const OrderKey k = make_key(*c, now, order_key_component(*c, slot));
+  for (CoflowState* c : candidates_) {
+    const Slot slot = c->slot();
+    const OrderKey k = make_key(*c, now, order_key_component(*c));
     if (order_.contains(slot)) {
       order_.update(slot, k);
     } else {
@@ -648,7 +639,8 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
   //         actually changed (completions since last round, this round's
   //         group moves) — O(1) each. A candidate's key already reads its
   //         current contention, so its re-key here is an exact no-op. A
-  //         listed slot released since holds no order entry.
+  //         listed slot released since holds no order entry, or an
+  //         arrival's, which is a candidate.
   if (tracks_index()) {
     for (const Slot slot : spatial_.contention_changes()) {
       if (!order_.contains(slot)) continue;
@@ -658,12 +650,8 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
     spatial_.clear_contention_changes();
   }
 
-  // ---- 6. Materialize, reusing the untouched sorted prefix. The order no
-  //         longer names the slots released before it, so they are free.
+  // ---- 6. Materialize, reusing the untouched sorted prefix.
   const std::size_t first_dirty = order_.materialize();
-  free_slots_.insert(free_slots_.end(), released_slots_.begin(),
-                     released_slots_.end());
-  released_slots_.clear();
   stats_.candidates += static_cast<std::int64_t>(candidates_.size());
   stats_.order_ns += ns_since(t0);
   SAATH_ENSURES(order_.size() == active.size());
@@ -684,9 +672,8 @@ SAATH_HOT_NOALLOC void SaathScheduler::schedule(
   //         `now`), and the next stream's first round lists every CoFlow.
   if (stream_ == 0) return;
   const auto t3 = Clock::now();
-  const auto slots = order_.ordered_slots();
   for (const auto& [rank, fold] : recross_) {
-    program_crossing(*ordered[rank], slots[rank], fold, now);
+    program_crossing(*ordered[rank], fold, now);
   }
   stats_.recrossed += static_cast<std::int64_t>(recross_.size());
   stats_.crossing_ns += ns_since(t3);

@@ -36,14 +36,13 @@
 // back into sorted order once a round, queue reassignment pops due threshold
 // crossings from a TriggerHeap instead of rescanning every flow, and the
 // all-or-none admission pass replays its cached decisions for the untouched
-// sorted prefix. Each announced CoFlow holds one dense slot, assigned by its
-// arrival hook through the one id -> slot table here and released by its
-// completion hook; the spatial index, the order index, both heaps and the
-// round's marks are vectors indexed by it, so a hook or a delta-list entry
-// costs one table probe and a popped trigger or contention change none. A
-// released slot is reused only after the next materialize, since the cached
-// order still names it. Every per-round container is flat and keeps its
-// capacity, so once warm a round allocates nothing.
+// sorted prefix. Every per-CoFlow structure here (the spatial index, the
+// order index, both heaps and the round's marks) is a vector indexed by the
+// slot the engine gave the CoFlow (CoflowState::slot()), so nothing looks a
+// CoFlow up by id. A slot the completion hook released may carry the next
+// arrival at once: the order index takes it back as a move of that slot.
+// Every per-round container is flat and keeps its capacity, so once warm a
+// round allocates nothing.
 // Under per-flow thresholds a re-rated CoFlow's next crossing is folded in
 // by the loops that set its rates (the equal-rate admission and the
 // backfill) instead of a second walk over all of its flows. That is exact
@@ -63,9 +62,9 @@
 // Membership and occupancy come from the lifecycle hooks alone (the
 // contract in sim/scheduler.h): every round checks in O(1) that the
 // hook-maintained queue populations hold as many CoFlows as it is handed,
-// and a round that takes every CoFlow also checks that each one holds a
-// slot and, under LCoF, matches the index's occupancy version. A caller
-// that skipped a hook aborts; nothing is repaired.
+// and a round that takes every CoFlow also checks that each one was
+// announced on its slot and, under LCoF, matches the index's occupancy
+// version. A caller that skipped a hook aborts; nothing is repaired.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +72,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_table.h"
 #include "sched/order_index.h"
 #include "sched/queue_structure.h"
 #include "sim/scheduler.h"
@@ -175,8 +173,9 @@ class SaathScheduler final : public Scheduler {
   /// Port-occupancy (and hence contention) only changes on these events;
   /// each applies an O(delta) update to the spatial index and the queue
   /// populations instead of invalidating a whole-schedule cache. Under
-  /// every config each aborts when the slot table cannot act on it: an
-  /// arrival of a CoFlow already announced, or a completion of one never
+  /// every config each aborts when its slot's mark says it cannot act: an
+  /// arrival with no slot, of a CoFlow already announced, or on a slot
+  /// another announced CoFlow holds, or a completion of a CoFlow never
   /// announced. An arrival whose queue index lies outside the queues (only
   /// a restored CoFlow can carry one) throws std::invalid_argument and
   /// changes nothing.
@@ -186,7 +185,7 @@ class SaathScheduler final : public Scheduler {
   void on_coflow_complete(CoflowState& coflow, SimTime now) override;
   /// Quarantine detachment reuses the completion erase path (it never
   /// requires finished()); re-admission arrives as a fresh
-  /// on_coflow_arrival.
+  /// on_coflow_arrival on the slot the engine kept.
   void on_coflow_quarantined(CoflowState& coflow, SimTime now) override;
 
   /// Earliest time-only trigger that can reorder the schedule with no delta:
@@ -199,15 +198,16 @@ class SaathScheduler final : public Scheduler {
       SimTime now, std::span<CoflowState* const> active) const override;
 
   /// The incremental spatial-occupancy index feeding LCoF (tests compare it
-  /// against the batch k_c of tests/reference/), keyed by slot_of().
-  /// Meaningful only with config().lcof.
+  /// against the batch k_c of tests/reference/), keyed by
+  /// CoflowState::slot(). Meaningful only with config().lcof.
   [[nodiscard]] const spatial::SpatialIndex& spatial_index() const {
     return spatial_;
   }
-  /// The slot of an announced CoFlow, kNoSlot for any other.
-  [[nodiscard]] Slot slot_of(CoflowId id) const {
-    const std::size_t cell = slot_of_.find(id.value);
-    return cell == slot_of_.npos ? kNoSlot : slot_of_.value(cell);
+  /// True when the arrival hook announced `c` on its slot and no
+  /// completion or quarantine hook released it since.
+  [[nodiscard]] bool announced(const CoflowState& c) const {
+    return c.slot() < marks_.size() && marks_[c.slot()].held &&
+           marks_[c.slot()].id == c.id();
   }
   /// The delta-maintained admission order (tests compare its materialized
   /// sequence against the reference's sort), as of the last round.
@@ -257,8 +257,7 @@ class SaathScheduler final : public Scheduler {
   [[nodiscard]] int target_queue(const CoflowState& c, SimTime now) const;
   /// D5 stamp for every CoFlow that entered a queue this round, using the
   /// post-move populations; maintains the deadline heap.
-  void stamp_deadlines(SimTime now,
-                       std::span<const std::pair<CoflowState*, Slot>> entered,
+  void stamp_deadlines(SimTime now, std::span<CoflowState* const> entered,
                        Rate port_bandwidth);
   [[nodiscard]] bool all_ports_available(const CoflowState& c,
                                          const Fabric& fabric) const;
@@ -321,28 +320,22 @@ class SaathScheduler final : public Scheduler {
   /// The composite admission-order key the sort/index both use.
   [[nodiscard]] OrderKey make_key(const CoflowState& c, SimTime now,
                                   std::int64_t contention_key) const;
-  /// The LCoF/FIFO key component of c, at `slot`, under the current
-  /// config.
-  [[nodiscard]] std::int64_t order_key_component(const CoflowState& c,
-                                                 Slot slot) const;
+  /// The LCoF/FIFO key component of c under the current config.
+  [[nodiscard]] std::int64_t order_key_component(const CoflowState& c) const;
 
-  /// Programs the next queue-threshold crossing of c, at `slot`, at
-  /// current rates into the heap (kNever cancels), unless its trajectory
-  /// memo is still current:
+  /// Programs the next queue-threshold crossing of c at current rates into
+  /// the heap (kNever cancels), unless its trajectory memo is still current:
   /// the folded seconds, or a walk where the fold says so. Checks that the
   /// fold saw every rated flow. Mirrors the arithmetic of the reference
   /// scheduler's valid-until scan, minus a 1µs guard so float rounding can
   /// only make the prediction early (a spurious recompute), never late
   /// (divergence).
-  void program_crossing(CoflowState& c, Slot slot, const CrossingFold& fold,
+  void program_crossing(CoflowState& c, const CrossingFold& fold,
                         SimTime now);
   /// §4.3 estimate in play: the queue can change any epoch.
   [[nodiscard]] bool is_volatile(const CoflowState& c) const;
-  /// The slot of `c`, which a SchedulerDelta list names; aborts unless an
-  /// arrival hook announced it.
-  [[nodiscard]] Slot announced_slot(const CoflowState& c) const;
-  /// Lists `c`, at `slot`, in candidates_ unless this round already did.
-  void add_candidate(CoflowState* c, Slot slot);
+  /// Lists `c` in candidates_ unless this round already did.
+  void add_candidate(CoflowState* c);
 
   [[nodiscard]] double hi_threshold(int q) const {
     return hi_thresholds_[static_cast<std::size_t>(q)];
@@ -358,17 +351,12 @@ class SaathScheduler final : public Scheduler {
   std::vector<double> hi_thresholds_;
   SaathPhaseStats stats_;
 
-  // --- one slot per announced CoFlow --------------------------------------
-  /// Announced CoFlow id -> its slot, the index of every per-CoFlow vector
-  /// below, in the spatial index, the order index and both heaps.
-  IdTable<Slot> slot_of_;
-  /// Slots free for the next arrival, and slots released since the last
-  /// materialize: the cached order still names those, so they join the
-  /// free list only after it.
-  std::vector<Slot> free_slots_;
-  std::vector<Slot> released_slots_;
-  /// The round's marks, by slot.
+  // --- one record per slot (CoflowState::slot()) ---------------------------
+  /// The slot's marks, grown to the highest slot announced.
   struct SlotMarks {
+    /// The CoFlow announced on the slot, while `held`.
+    CoflowId id;
+    bool held = false;
     /// stats_.rounds of the last round that listed the slot in
     /// candidates_ (rounds count from 1, so 0 is never).
     std::int64_t candidate_round = 0;
@@ -401,10 +389,10 @@ class SaathScheduler final : public Scheduler {
   /// Delta stream of the last round (0 = none).
   std::uint64_t stream_ = 0;
   /// Scratch (kept across rounds to reuse capacity).
-  std::vector<std::pair<CoflowState*, Slot>> candidates_;
+  std::vector<CoflowState*> candidates_;
   /// Slots of dirty CoFlows that provably kept their key (fence only).
   std::vector<Slot> touch_only_;
-  std::vector<std::pair<CoflowState*, Slot>> entered_;
+  std::vector<CoflowState*> entered_;
   /// Ranks of this round's missed CoFlows.
   std::vector<std::size_t> missed_ranks_;
   /// Ranks whose trajectory this round changed → crossing re-program.

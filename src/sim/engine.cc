@@ -186,8 +186,9 @@ void Engine::pull_due_source_events() {
 void Engine::admit_coflow(CoflowSpec spec, SimTime data_ready) {
   const CoflowId id = spec.id;
   ++stats_.arrivals_admitted;
-  auto state = std::make_unique<CoflowState>(std::move(spec), FlowId{next_flow_id_});
-  next_flow_id_ += state->width();
+  CoflowState& state = own(
+      std::make_unique<CoflowState>(std::move(spec), FlowId{next_flow_id_}));
+  next_flow_id_ += state.width();
   // Effective release instant = earliest of any already-recorded release
   // (a kDataAvailable delivered in this very epoch's pull, or restored from
   // a checkpoint — which must NOT be clobbered by the arrival's own field)
@@ -209,19 +210,17 @@ void Engine::admit_coflow(CoflowSpec spec, SimTime data_ready) {
   }
   if (gate_known && (release == kNever || release > now_)) {
     data_available_at_[id] = release;
-    state->data_available = false;
+    state.data_available = false;
   } else if (gate_known) {
     // Already released — nothing for the flip loop to consume later.
     data_available_at_.erase(id);
   }
-  active_.push_back(state.get());
+  active_.push_back(&state);
   // Zero-byte flows are born finished: their completion event exists
   // before any rate assignment ever touches them.
-  push_completion_events(*state);
-  scheduler_.on_coflow_arrival(*state, now_);
-  delta_.mark(state.get());
-  CoflowState* raw = state.get();
-  owned_coflows_.emplace(raw, std::move(state));
+  push_completion_events(state);
+  scheduler_.on_coflow_arrival(state, now_);
+  delta_.mark(&state);
   schedule_dirty_ = true;
 }
 
@@ -322,7 +321,7 @@ SAATH_HOT_NOALLOC void Engine::compute_schedule() {
   schedule_dirty_ = false;
   schedule_valid_until_ = scheduler_.schedule_valid_until(now_, active_);
   scheduled_capacity_version_ = fabric_.capacity_version();
-  if (!graveyard_.empty()) reclaim_finished();
+  if (!finished_slots_.empty()) reclaim_finished();
   stats_.schedule_ns += ns_since(t0);
 }
 
@@ -333,13 +332,31 @@ SAATH_HOT_NOALLOC void Engine::reclaim_finished() {
   // re-recorded past their ranks, and begin_epoch() folded the last touched
   // set that could reference their flows. The completion heap holds nothing
   // of theirs: each flow finished when its entry was popped.
-  for (const auto& c : graveyard_) {
-    for (const FlowState& f : c->flows()) {
+  for (const Slot slot : finished_slots_) {
+    for (const FlowState& f : coflows_[slot]->flows()) {
       SAATH_EXPECTS(f.heap_pos() == FlowState::kNoHeapPos);
     }
+    free_slot(slot);
   }
-  stats_.reclaimed_coflows += static_cast<std::int64_t>(graveyard_.size());
-  graveyard_.clear();
+  stats_.reclaimed_coflows += static_cast<std::int64_t>(finished_slots_.size());
+  finished_slots_.clear();
+}
+
+CoflowState& Engine::own(std::unique_ptr<CoflowState> state) {
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<Slot>(coflows_.size()));
+    coflows_.emplace_back();
+  }
+  const Slot slot = free_slots_.back();
+  free_slots_.pop_back();
+  state->set_slot(slot);
+  coflows_[slot] = std::move(state);
+  return *coflows_[slot];
+}
+
+void Engine::free_slot(Slot slot) {
+  coflows_[slot].reset();
+  free_slots_.push_back(slot);
 }
 
 void Engine::verify_capacity() const {
@@ -417,10 +434,6 @@ void Engine::update_quarantine() {
       if (c->stall_rounds >= config_.max_stall_epochs) {
         ++stats_.quarantine_events;
         scheduler_.on_coflow_quarantined(*c, now_);
-        const auto it = owned_coflows_.find(c);
-        SAATH_EXPECTS(it != owned_coflows_.end());
-        std::unique_ptr<CoflowState> owned = std::move(it->second);
-        owned_coflows_.erase(it);
         c->stall_rounds = 0;
         if (c->requeue_attempts >= config_.max_requeue_attempts) {
           // Abandoned: the state is about to be freed, so the completion
@@ -433,7 +446,7 @@ void Engine::update_quarantine() {
                          c->requeue_attempts);
           for (const FlowState& f : c->flows()) heap_.erase(f);
           data_available_at_.erase(c->id());
-          owned.reset();
+          free_slot(c->slot());
         } else {
           // Exponential backoff in units of the stall window: the CoFlow
           // re-enters through on_coflow_arrival once the fabric has had
@@ -444,7 +457,7 @@ void Engine::update_quarantine() {
           const int shift = std::min(c->requeue_attempts, 20);
           const SimTime release = now_ + (window << shift);
           stats_.quarantined_coflow_ids.push_back(c->id().value);
-          quarantined_.push_back({std::move(owned), release});
+          quarantined_.push_back({c, release});
         }
         keep = false;
         schedule_dirty_ = true;
@@ -469,17 +482,16 @@ void Engine::release_quarantined() {
   for (std::size_t r = 0; r < quarantined_.size(); ++r) {
     Quarantined& q = quarantined_[r];
     if (q.release_at > now_) {
-      quarantined_[w++] = std::move(q);
+      quarantined_[w++] = q;
       continue;
     }
-    CoflowState* c = q.state.get();
+    CoflowState* c = q.state;
     ++c->requeue_attempts;
     ++stats_.requeue_admissions;
     active_.push_back(c);
     push_completion_events(*c);
     scheduler_.on_coflow_arrival(*c, now_);
     delta_.mark(c);
-    owned_coflows_.emplace(c, std::move(q.state));
     schedule_dirty_ = true;
   }
   quarantined_.resize(w);
@@ -587,7 +599,7 @@ std::unique_ptr<CoflowState> Engine::rebuild_coflow(const CoflowSnapshot& cs) {
 
 void Engine::restore_snapshot(const EngineSnapshot& snap) {
   SAATH_EXPECTS_MSG(!running_, "restore_snapshot is pre-run only");
-  SAATH_EXPECTS_MSG(active_.empty() && owned_coflows_.empty() && now_ == 0,
+  SAATH_EXPECTS_MSG(active_.empty() && coflows_.empty() && now_ == 0,
                     "restore_snapshot needs a fresh engine");
   if (snap.scheduler != result_.scheduler) {
     throw std::invalid_argument(
@@ -618,22 +630,22 @@ void Engine::restore_snapshot(const EngineSnapshot& snap) {
   // fresh engine's stamp (0) collides with every flow's initial touch
   // stamp — adoption into epoch 0 would silently not record the touch.
   rates_.begin_epoch(now_);
+  // Slots are re-derived, not read back: the active CoFlows take them in
+  // snapshot order, then the quarantined ones.
   for (const CoflowSnapshot& cs : snap.active) {
-    std::unique_ptr<CoflowState> state = rebuild_coflow(cs);
-    CoflowState* raw = state.get();
     // Owned before the hook: an arrival the scheduler refuses (a queue
     // index it does not have) throws with every state still owned.
-    owned_coflows_.emplace(raw, std::move(state));
-    active_.push_back(raw);
-    push_completion_events(*raw);
-    scheduler_.on_coflow_arrival(*raw, now_);
-    delta_.mark(raw);
-    if (!config_.strict_input) admitted_ids_.insert(raw->id().value);
+    CoflowState& c = own(rebuild_coflow(cs));
+    active_.push_back(&c);
+    push_completion_events(c);
+    scheduler_.on_coflow_arrival(c, now_);
+    delta_.mark(&c);
+    if (!config_.strict_input) admitted_ids_.insert(c.id().value);
   }
   for (const QuarantineSnapshot& qs : snap.quarantined) {
-    std::unique_ptr<CoflowState> state = rebuild_coflow(qs.coflow);
-    if (!config_.strict_input) admitted_ids_.insert(state->id().value);
-    quarantined_.push_back({std::move(state), qs.release_at});
+    CoflowState& c = own(rebuild_coflow(qs.coflow));
+    if (!config_.strict_input) admitted_ids_.insert(c.id().value);
+    quarantined_.push_back({&c, qs.release_at});
   }
   if (!config_.strict_input) {
     for (const CoflowRecord& rec : result_.coflows) {
@@ -704,12 +716,9 @@ void Engine::finalize_coflow(CoflowState& coflow, SimTime at) {
   // Reactive sources (DagSource) release dependent work off this feedback.
   source_->on_coflow_complete(rec, at);
   if (config_.record_results) result_.coflows.push_back(std::move(rec));
-  // Hand the state to the graveyard; it is destroyed at the next
-  // reclamation point (end of the delta-consuming schedule()).
-  const auto it = owned_coflows_.find(&coflow);
-  SAATH_EXPECTS(it != owned_coflows_.end());
-  graveyard_.push_back(std::move(it->second));
-  owned_coflows_.erase(it);
+  // The state and its slot are freed at the next reclamation point (end of
+  // the delta-consuming schedule()).
+  finished_slots_.push_back(coflow.slot());
 }
 
 SAATH_HOT_NOALLOC void Engine::advance_until(SimTime epoch_end) {

@@ -20,6 +20,10 @@
 // online through a ResultSink instead of materializing a per-CoFlow
 // SimResult (SimConfig::record_results = false).
 //
+// The engine owns every CoflowState in one vector indexed by its dense slot
+// (CoflowState::slot()), which the CoFlow holds while active or quarantined
+// and gives back when its state is destroyed; schedulers index by it too.
+//
 // The advance phase is event-driven: flow progress is lazy (closed-form in
 // FlowState, nothing is mutated per micro-step), the next completion comes
 // from an indexed min-heap holding one predicted finish instant per flow,
@@ -240,8 +244,12 @@ class Engine {
   /// flows, the scheduler consumed the delta naming these CoFlows, and its
   /// caches are re-fenced. Each flow's heap entry was popped when the flow
   /// finished, so nothing references the states; this checks that no flow
-  /// holds a heap position, then frees them.
+  /// holds a heap position, then frees them and their slots.
   void reclaim_finished();
+  /// Owns `state` at a free slot (or a new one), which it sets on it.
+  CoflowState& own(std::unique_ptr<CoflowState> state);
+  /// Destroys the state at `slot` and frees the slot for the next own().
+  void free_slot(Slot slot);
   void verify_capacity() const;
   /// Advances the fluid model to `epoch_end`, resolving completions exactly.
   void advance_until(SimTime epoch_end);
@@ -302,30 +310,32 @@ class Engine {
   SimTime last_source_time_ = 0;
   std::int64_t last_arrival_id_ = std::numeric_limits<std::int64_t>::min();
 
-  /// Ownership of every live CoflowState, keyed by pointer so streaming
-  /// reclamation can extract a finished CoFlow's storage in O(1).
-  std::unordered_map<const CoflowState*, std::unique_ptr<CoflowState>>
-      owned_coflows_;
-  /// Finished states awaiting the next safe reclamation point (the end of
+  /// Every CoflowState held (active, quarantined, or finished awaiting
+  /// reclamation) at its slot; null at a free slot, reused last freed first.
+  std::vector<std::unique_ptr<CoflowState>> coflows_;
+  std::vector<Slot> free_slots_;
+  /// Finished CoFlows awaiting the next safe reclamation point (the end of
   /// the scheduling round that consumes their completion delta).
-  std::vector<std::unique_ptr<CoflowState>> graveyard_;
+  std::vector<Slot> finished_slots_;
   std::vector<CoflowState*> active_;
   /// Due kDynamics events of this epoch's pull, in stream order, awaiting
   /// process_dynamics().
   std::vector<DynamicsEvent> due_dynamics_;
   /// Gate-release instants; kNever = gated until an explicit
-  /// kDataAvailable event arrives.
+  /// kDataAvailable event arrives. Keyed by id, not slot: a release may
+  /// come before its CoFlow does.
   std::unordered_map<CoflowId, SimTime> data_available_at_;
   ResultSink* sink_ = nullptr;
 
   /// Stalled CoFlows detached from scheduling, awaiting their backoff
-  /// release (admission order preserved within the list).
+  /// release (admission order preserved); each keeps its slot while parked.
   struct Quarantined {
-    std::unique_ptr<CoflowState> state;
+    CoflowState* state = nullptr;
     SimTime release_at = 0;
   };
   std::vector<Quarantined> quarantined_;
-  /// Tolerant mode only: every admitted CoflowId, for duplicate rejection.
+  /// Tolerant mode only: every admitted CoflowId, for duplicate rejection,
+  /// finished ones included (so by id: those hold no slot).
   std::unordered_set<std::int64_t> admitted_ids_;
   SnapshotHook snapshot_hook_;
   std::int64_t snapshot_every_ = 0;

@@ -137,10 +137,13 @@ class Scheduler {
   ///     per completed flow;
   ///   * on_coflow_complete or on_coflow_quarantined before the CoFlow
   ///     leaves `active`.
-  /// Schedulers that keep per-CoFlow state (Saath's spatial index and
-  /// queue populations) learn membership and occupancy from these calls
-  /// alone, and abort on a caller that skipped one. A decorator wrapping
-  /// another scheduler forwards all four. The defaults do nothing.
+  /// Each announced CoFlow carries a slot (CoflowState::slot()) no other
+  /// announced CoFlow holds; a slot a hook released may go to the next
+  /// arrival at once. Schedulers that keep per-CoFlow state (Saath's
+  /// spatial index and queue populations) index it by slot, learn
+  /// membership and occupancy from these calls alone, and abort on a
+  /// caller that skipped one. A decorator wrapping another scheduler
+  /// forwards all four. The defaults do nothing.
   virtual void on_coflow_arrival(CoflowState& coflow, SimTime now) {
     (void)coflow;
     (void)now;

@@ -21,8 +21,8 @@
 //
 // Every update is O(affected neighbors) instead of O(active x ports), which
 // is what makes the coordinator's order phase (Table 2) independent of the
-// epoch rate. Storage is dense and keyed by the caller's Slot (Saath gives
-// each announced CoFlow one): a slot's record holds its port places, its
+// epoch rate. Storage is dense and keyed by the caller's Slot (the CoFlow's
+// CoflowState::slot()): a slot's record holds its port places, its
 // occupied count, group, k_c, occupancy version and an overlap table keyed
 // by neighbor slot, so no call looks anything up by id. Sender and
 // receiver ports are separate resources (machine i's uplink and downlink),

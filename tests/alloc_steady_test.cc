@@ -10,6 +10,8 @@
 // anywhere in the measured window is caught regardless of which layer
 // performed it. Each test warms its structure until capacities stabilize,
 // snapshots the counter, runs many more epochs, and asserts a zero delta.
+// One case pins a whole engine CoFlow lifecycle at a fixed count instead:
+// what building and recording each CoFlow costs by design.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -30,11 +32,13 @@
 #include "test_util.h"
 
 // --------------------------------------------------------------------------
-// Counting global allocator. Plain (unaligned) forms only: FlowPool's
-// cache-aligned lanes go through the align_val_t overloads, which keep
-// their library defaults — pool allocation happens at CoFlow construction,
-// never inside an epoch, and mixing is safe because each form pairs with
-// its own delete.
+// Counting global allocator. Plain (unaligned) forms only, nothrow ones
+// included (std::stable_sort's temporary buffer takes one, and a sanitizer
+// runtime would otherwise serve it and see the plain delete free it):
+// FlowPool's cache-aligned lanes go through the align_val_t overloads,
+// which keep their library defaults — pool allocation happens at CoFlow
+// construction, never inside an epoch, and mixing is safe because each
+// form pairs with its own delete.
 
 void* operator new(std::size_t n) {
   saath::debug_note_alloc();
@@ -46,6 +50,16 @@ void* operator new[](std::size_t n) {
   saath::debug_note_alloc();
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
+}
+
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  saath::debug_note_alloc();
+  return std::malloc(n ? n : 1);
+}
+
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  saath::debug_note_alloc();
+  return std::malloc(n ? n : 1);
 }
 
 void operator delete(void* p) noexcept {
@@ -64,6 +78,16 @@ void operator delete[](void* p) noexcept {
 }
 
 void operator delete[](void* p, std::size_t) noexcept {
+  saath::debug_note_dealloc();
+  std::free(p);
+}
+
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  saath::debug_note_dealloc();
+  std::free(p);
+}
+
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
   saath::debug_note_dealloc();
   std::free(p);
 }
@@ -201,7 +225,7 @@ TEST(AllocSteady, SpatialIndexChurnRecyclesCapacity) {
   };
 
   // CoFlow v sits at slot v; the re-added and restored states take it over
-  // once it is released, as Saath's slots are reused.
+  // once it is released, as the engine's slots are reused.
   spatial::SpatialIndex index;
   std::vector<std::unique_ptr<CoflowState>> resident;
   for (int i = 0; i < kResident; ++i) {
@@ -321,9 +345,11 @@ struct SaathAllocs {
 
 /// A warm Saath over a resident population sees one stream lifecycle per
 /// epoch, the engine way: a fresh CoFlow arrives, rides a delta round,
-/// completes flow by flow and leaves, and a second round follows. Only the
-/// hooks and the rounds are counted: building the CoflowState allocates by
-/// design and happens outside.
+/// completes flow by flow and leaves, and a second round follows. Each
+/// resident holds the slot of its index and every fresh CoFlow the next
+/// one, which the one before released. Only the hooks and the rounds are
+/// counted: building the CoflowState allocates by design and happens
+/// outside.
 SaathAllocs measure_saath_lifecycles(SaathScheduler& sched) {
   constexpr int kResident = 32;
   constexpr int kPorts = 16;
@@ -336,6 +362,7 @@ SaathAllocs measure_saath_lifecycles(SaathScheduler& sched) {
       spec.flows.push_back({src, (id + 3 * j + 1) % kPorts, bytes});
     }
     auto state = std::make_unique<CoflowState>(spec, FlowId{next_flow});
+    state->set_slot(static_cast<Slot>(id < kResident ? id : kResident));
     next_flow += kWidth;
     return state;
   };
@@ -417,6 +444,74 @@ TEST(AllocSteady, SaathRoundsRecycleCapacity) {
     const SaathAllocs allocs = measure_saath_lifecycles(sched);
     EXPECT_EQ(allocs.rounds, 0u);
     EXPECT_EQ(allocs.hooks, 0u);
+  }
+}
+
+/// Reads the allocation counter at the `first`th and `last`th completion.
+class AllocsBetweenCompletions final : public ResultSink {
+ public:
+  AllocsBetweenCompletions(int first, int last) : first_(first), last_(last) {}
+  void on_coflow_complete(const CoflowRecord& rec, SimTime now) override {
+    (void)rec;
+    (void)now;
+    ++completed_;
+    if (completed_ == first_) at_first_ = debug_alloc_count();
+    if (completed_ == last_) at_last_ = debug_alloc_count();
+  }
+  [[nodiscard]] int completed() const { return completed_; }
+  [[nodiscard]] std::uint64_t allocs() const { return at_last_ - at_first_; }
+
+ private:
+  int first_;
+  int last_;
+  int completed_ = 0;
+  std::uint64_t at_first_ = 0;
+  std::uint64_t at_last_ = 0;
+};
+
+// A whole engine lifecycle (admission, rounds, completion, record and
+// reclamation) on the production Engine, records off: a periodic stream of
+// identical 2x2 CoFlows, 8 ms apart, each of which arrives, runs and
+// completes within its own epoch. Between the 2,000th and the 5,000th
+// completion each CoFlow costs exactly 11 allocations:
+//   * the CoflowState itself;
+//   * its 8 vectors: the flow handles, the two load lists, the two CSR
+//     slot lists and their two begin arrays, and the walk list;
+//   * the 2 per-flow vectors of its CoflowRecord.
+// The spec's flow vector moves in off the stream, the FlowPool block goes
+// through the aligned form, and the engine's slot table, free lists,
+// completion heap and delta, and Saath's structures, keep their capacity.
+// Assertion builds add the two vectors of verify_capacity's cross-check
+// scan, in the one round each CoFlow gets.
+TEST(AllocSteady, EngineLifecycleAllocationsPerCoflow) {
+#ifdef NDEBUG
+  constexpr std::uint64_t kPerCoflow = 11;
+#else
+  constexpr std::uint64_t kPerCoflow = 13;
+#endif
+  constexpr int kCoflows = 5'000;
+  constexpr int kFirst = 2'000;
+  constexpr Bytes kBytes = 100'000;  // 1.6 ms at half a 1 Gbps port
+  std::vector<CoflowSpec> specs;
+  for (int i = 0; i < kCoflows; ++i) {
+    specs.push_back(make_coflow(i, msec(8) * i,
+                                {{0, 2, kBytes},
+                                 {0, 3, kBytes},
+                                 {1, 2, kBytes},
+                                 {1, 3, kBytes}}));
+  }
+  const trace::Trace trace = testing::make_trace(4, std::move(specs));
+  for (const bool aalo : {false, true}) {
+    SCOPED_TRACE(aalo ? "aalo" : "saath");
+    SaathScheduler sched(aalo ? aalo_config() : SaathConfig{});
+    SimConfig cfg;
+    cfg.record_results = false;
+    Engine engine(testing::stream_of(trace), sched, cfg);
+    AllocsBetweenCompletions sink(kFirst, kCoflows);
+    engine.set_result_sink(&sink);
+    (void)engine.run();
+    ASSERT_EQ(sink.completed(), kCoflows);
+    EXPECT_EQ(sink.allocs(), kPerCoflow * (kCoflows - kFirst));
   }
 }
 

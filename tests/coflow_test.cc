@@ -30,8 +30,15 @@ TEST(CoflowSpec, Aggregates) {
   EXPECT_EQ(c.max_flow_bytes(), 300);
 }
 
+/// A CoFlow of the one flow `spec`, arriving at `origin`: a FlowState
+/// exists only inside its CoFlow, so flow-level cases drive flows()[0].
+CoflowState one_flow(FlowSpec spec, SimTime origin = 0) {
+  return CoflowState(make_coflow(0, origin, {spec}), FlowId{0});
+}
+
 TEST(FlowState, LazyProgressAtRate) {
-  FlowState f(FlowId{0}, FlowSpec{0, 1, 1000});
+  CoflowState c = one_flow({0, 1, 1000});
+  FlowState& f = c.flows()[0];
   f.set_rate(100.0, 0);  // bytes/sec
   EXPECT_DOUBLE_EQ(f.sent(seconds(3)), 300.0);
   EXPECT_DOUBLE_EQ(f.remaining(seconds(3)), 700.0);
@@ -39,20 +46,23 @@ TEST(FlowState, LazyProgressAtRate) {
 }
 
 TEST(FlowState, ProgressClampsAtSize) {
-  FlowState f(FlowId{0}, FlowSpec{0, 1, 100});
+  CoflowState c = one_flow({0, 1, 100});
+  FlowState& f = c.flows()[0];
   f.set_rate(100.0, 0);
   EXPECT_DOUBLE_EQ(f.sent(seconds(5)), 100.0);
   EXPECT_DOUBLE_EQ(f.remaining(seconds(5)), 0.0);
 }
 
 TEST(FlowState, ZeroRateNeverFinishes) {
-  FlowState f(FlowId{0}, FlowSpec{0, 1, 100});
+  const CoflowState c = one_flow({0, 1, 100});
+  const FlowState& f = c.flows()[0];
   EXPECT_DOUBLE_EQ(f.sent(seconds(1000)), 0.0);
   EXPECT_EQ(f.predicted_finish(), kNever);
 }
 
 TEST(FlowState, RateChangeFoldsProgressAndBumpsVersion) {
-  FlowState f(FlowId{0}, FlowSpec{0, 1, 1000});
+  CoflowState c = one_flow({0, 1, 1000});
+  FlowState& f = c.flows()[0];
   f.set_rate(100.0, 0);
   const auto v1 = f.rate_version();
   f.set_rate(50.0, seconds(4));  // 400 sent; 600 left at 50 B/s -> 12 s more
@@ -63,8 +73,9 @@ TEST(FlowState, RateChangeFoldsProgressAndBumpsVersion) {
 }
 
 TEST(FlowState, CompleteStampsTime) {
-  FlowState f(FlowId{0}, FlowSpec{0, 1, 100});
-  f.complete(msec(1500));
+  CoflowState c = one_flow({0, 1, 100});
+  FlowState& f = c.flows()[0];
+  (void)c.on_flow_complete(f, msec(1500));
   EXPECT_TRUE(f.finished());
   EXPECT_EQ(f.finish_time(), msec(1500));
   EXPECT_DOUBLE_EQ(f.sent(msec(1500)), 100.0);
@@ -72,7 +83,8 @@ TEST(FlowState, CompleteStampsTime) {
 }
 
 TEST(FlowState, RestartDiscardsProgress) {
-  FlowState f(FlowId{0}, FlowSpec{0, 1, 1000});
+  CoflowState c = one_flow({0, 1, 1000});
+  FlowState& f = c.flows()[0];
   f.set_rate(100.0, 0);
   EXPECT_DOUBLE_EQ(f.restart(seconds(4)), 400.0);
   EXPECT_DOUBLE_EQ(f.sent(seconds(4)), 0.0);
@@ -82,8 +94,8 @@ TEST(FlowState, RestartDiscardsProgress) {
 }
 
 TEST(FlowState, ZeroByteFlowPredictedAtOrigin) {
-  FlowState f(FlowId{0}, FlowSpec{0, 1, 0}, seconds(2));
-  EXPECT_EQ(f.predicted_finish(), seconds(2));
+  const CoflowState c = one_flow({0, 1, 0}, seconds(2));
+  EXPECT_EQ(c.flows()[0].predicted_finish(), seconds(2));
 }
 
 TEST(CoflowState, PortLoadsCountFlows) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <unordered_map>
 #include <unordered_set>
@@ -227,9 +228,14 @@ TEST(LogHistogram, MergeMatchesSequentialRecord) {
 
 // ---------------------------------------------------------------- FlatTable
 
+/// A table keyed by int64 (negative keys included), INT64_MIN marking an
+/// empty cell.
+using Int64Table =
+    FlatTable<std::int64_t, int, std::numeric_limits<std::int64_t>::min()>;
+
 /// Cell a key lands in when it is alone in a fresh 8-cell table: its home.
 std::size_t home_in_8(std::int64_t key) {
-  IdTable<int> probe;
+  Int64Table probe;
   return probe.insert(key).index;
 }
 
@@ -244,7 +250,7 @@ TEST(FlatTable, ProbeRunsWrapTheCellArray) {
     if (home == 0 && first < 0) first = k;
   }
   // An 8-cell table holds up to four keys before it grows.
-  IdTable<int> table;
+  Int64Table table;
   for (const std::int64_t k : {last[0], last[1], first, last[2]}) {
     const auto hit = table.insert(k);
     ASSERT_TRUE(hit.inserted);
@@ -271,7 +277,7 @@ TEST(FlatTable, ProbeRunsWrapTheCellArray) {
 // Insert, find, erase_at and erase churn against std::unordered_map, with
 // growth from empty to thousands of keys and back down.
 TEST(FlatTable, ChurnMatchesUnorderedMap) {
-  IdTable<int> table;
+  Int64Table table;
   std::unordered_map<std::int64_t, int> model;
   std::mt19937_64 rng(7);
   for (int step = 0; step < 200000; ++step) {

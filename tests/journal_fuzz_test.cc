@@ -19,11 +19,15 @@
 //   * a mutated checkpoint (saved from a real engine snapshot) or FB trace
 //     (write_fb_trace output) loads or throws std::runtime_error, and a
 //     mutated verb frame parses to a Request (kBad when malformed) or a
-//     DONE reply to a record or nullopt, never an exception.
+//     DONE reply to a record or nullopt, never an exception;
+//   * a verb stream with '\n', '\r' and NUL bytes and runs past the frame
+//     limit inserted, fed to FrameReader in random chunks, comes out as a
+//     one-shot split of the whole stream says it must.
 // The budget is fixed, so the test runs in a few seconds (more under
 // ASan + UBSan) and finds the same inputs every run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +38,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "replay/checkpoint.h"
@@ -664,6 +669,107 @@ TEST(VerbFrameFuzz, MutatedFramesNeverThrow) {
     }
   }
   EXPECT_GT(bad, 1'000);
+}
+
+// ------------------------------------------------------------ byte framing
+
+/// FrameReader's contract over a whole byte stream at once: frames split at
+/// '\n', one trailing '\r' stripped, and nothing from the first frame
+/// longer than the limit on (an unterminated tail counts). `good` holds the
+/// frames before it, each with the offset of its '\n'.
+struct FramingModel {
+  std::vector<std::pair<std::string, std::size_t>> good;
+  bool overflow = false;
+};
+
+FramingModel split_frames(const std::string& bytes, std::size_t max_frame) {
+  FramingModel m;
+  std::size_t start = 0;
+  for (std::size_t nl = bytes.find('\n'); nl != std::string::npos;
+       start = nl + 1, nl = bytes.find('\n', start)) {
+    if (nl - start > max_frame) {
+      m.overflow = true;
+      return m;
+    }
+    std::string frame = bytes.substr(start, nl - start);
+    if (!frame.empty() && frame.back() == '\r') frame.pop_back();
+    m.good.emplace_back(std::move(frame), nl);
+  }
+  m.overflow = bytes.size() - start > max_frame;
+  return m;
+}
+
+// Random chunkings of mutated verb streams, drained after every feed.
+// Exactly the good frames whose '\n' arrived in a feed that returned true
+// come out: the framer drops a frame completed in the feed that overflows
+// it. Once it overflows, feed() returns false and no frame comes out.
+TEST(FrameReaderFuzz, ChunkedStreamsFrameLikeTheOneShotSplit) {
+  static const char* const kVerbs[] = {
+      "HELLO cli 8 fb replay",
+      "REACTIVE",
+      "A 1000 7 -1 0 1000 0 2 0 1 4096 2 3 4096",
+      "G 2000 7",
+      "IDLE 7",
+      "STATS",
+      "FIN",
+      "DONE 5 1 2 300 9000",
+  };
+  constexpr std::size_t kMaxFrame = 48;
+  SplitMix rng(0xf4a3'e6);
+  constexpr int kStreams = 5'000;
+  int overflows = 0;
+  for (int n = 0; n < kStreams; ++n) {
+    std::string bytes;
+    for (std::uint64_t f = 1 + rng.below(12); f > 0; --f) {
+      bytes += kVerbs[rng.below(std::size(kVerbs))];
+      bytes += '\n';
+    }
+    for (std::uint64_t e = rng.below(4); e > 0; --e) {
+      const std::size_t at = rng.below(bytes.size() + 1);
+      switch (rng.below(4)) {
+        case 0:
+          bytes.insert(at, 1, '\n');
+          break;
+        case 1:
+          bytes.insert(at, 1, '\r');
+          break;
+        case 2:
+          bytes.insert(at, 1, '\0');
+          break;
+        default:  // a run that takes its frame near or past the limit
+          bytes.insert(at, kMaxFrame - 4 + rng.below(8), 'x');
+          break;
+      }
+    }
+    const FramingModel model = split_frames(bytes, kMaxFrame);
+    overflows += static_cast<int>(model.overflow);
+
+    service::FrameReader reader(kMaxFrame);
+    std::vector<std::string> got;
+    std::size_t accepted = 0;  // bytes fed by calls that returned true
+    bool refused = false;
+    for (std::size_t at = 0; at < bytes.size();) {
+      // Chunks up to three frames long, and now and then the whole rest.
+      const std::size_t len = std::min<std::size_t>(
+          bytes.size() - at,
+          rng.chance(8) ? bytes.size() : rng.below(3 * kMaxFrame + 1));
+      const bool ok = reader.feed(bytes.data() + at, len);
+      ASSERT_FALSE(ok && refused) << escaped(bytes);
+      refused = !ok;
+      at += len;
+      if (ok) accepted = at;
+      while (const auto frame = reader.next_frame()) got.push_back(*frame);
+    }
+    ASSERT_EQ(reader.overflowed(), model.overflow) << escaped(bytes);
+    ASSERT_EQ(reader.feed("", 0), !model.overflow) << escaped(bytes);
+    std::vector<std::string> want;
+    for (const auto& [frame, nl] : model.good) {
+      if (nl < accepted) want.push_back(frame);
+    }
+    ASSERT_EQ(got, want) << escaped(bytes);
+  }
+  EXPECT_GT(overflows, kStreams / 10);
+  EXPECT_LT(overflows, kStreams / 2);
 }
 
 }  // namespace

@@ -145,11 +145,12 @@ TEST_F(OrderIndexTest, UpdateWithSameKeyIsClean) {
 // Random churn against a model: the live keys under std::sort, and the
 // dirty floor taken as the least key any mutation since the last
 // materialize touched (insert, erase, both keys of a re-key, a touch).
-// Slots are handed out the way Saath does: an erased entry's slot is
-// reused, last released first, only after the next materialize. Covers
-// re-inserting an id erased since the last materialize (on a fresh slot),
-// repeated and same-key updates (deadline-only changes included) and
-// touches.
+// Slots are handed out the way the engine does: an erased entry's slot
+// goes to the next insert at once, last released first, so inserts land on
+// slots the cached order still names. Covers re-inserting an id erased
+// since the last materialize (on the slot it left) and another id taking a
+// slot erased since it, repeated and same-key updates (deadline-only
+// changes included) and touches.
 TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
   constexpr std::int64_t kIds = 64;
   std::vector<CoflowState*> states;
@@ -173,7 +174,9 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
   std::map<std::int64_t, OrderKey> live;
   std::map<std::int64_t, Slot> slot_of;
   std::vector<Slot> free_slots;
-  std::vector<Slot> released;
+  /// Slots erased since the last materialize, and inserts that took one.
+  std::set<Slot> erased_since;
+  int taken_back = 0;
   Slot next_slot = 0;
   std::vector<OrderKey> old_order;  // keys as of the last materialize
   std::optional<OrderKey> floor;
@@ -191,6 +194,7 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
     }
     ASSERT_FALSE(idx.contains(s));
     idx.insert(s, states[static_cast<std::size_t>(id)], k);
+    if (erased_since.contains(s)) ++taken_back;
     slot_of[id] = s;
     live[id] = k;
     dirty(k);
@@ -199,7 +203,8 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
     const Slot s = slot_of.at(id);
     idx.erase(s);
     EXPECT_FALSE(idx.contains(s));
-    released.push_back(s);
+    free_slots.push_back(s);
+    erased_since.insert(s);
     slot_of.erase(id);
     dirty(live.at(id));
     live.erase(id);
@@ -212,10 +217,10 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
         insert(id);
         continue;
       }
-      // A slot holding no entry erases as a no-op: one never used, and one
-      // released since the last materialize.
+      // A slot holding no entry erases as a no-op: one never used, and a
+      // free one.
       idx.erase(static_cast<Slot>(1000 + id));
-      if (!released.empty()) idx.erase(released.back());
+      if (!free_slots.empty()) idx.erase(free_slots.back());
       const OrderKey old = live.at(id);
       OrderKey k = old;
       switch (draw(7)) {
@@ -249,8 +254,7 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
     }
 
     const std::size_t rank = idx.materialize();
-    free_slots.insert(free_slots.end(), released.begin(), released.end());
-    released.clear();
+    erased_since.clear();
     const std::size_t expected_rank =
         floor ? static_cast<std::size_t>(
                     std::lower_bound(old_order.begin(), old_order.end(),
@@ -277,6 +281,7 @@ TEST_F(OrderIndexTest, RandomChurnMatchesSortOfLiveKeys) {
     old_order = expected;
     floor.reset();
   }
+  EXPECT_GT(taken_back, 0);
 }
 
 // The trigger heap beside an ordered set of (instant, id) pairs, under the
@@ -619,43 +624,66 @@ class DeltaForwardingObserver final : public Scheduler {
 
 // After every round, the maintained order must equal a from-scratch sort of
 // the current state under the admission-order key — queue moves, expiry and
-// contention shifts included. On the same runs, Saath's slot rule: a slot
-// released between two rounds goes to no arrival before the next round's
-// materialize (the cached order still names it), and is reused after it.
-// The second input puts a completion and an arrival between the same two
-// rounds on a 2-port fabric, over and over.
+// contention shifts included. On the same runs, slot reuse: the engine's
+// slots are reused, and arrivals land on slots released since the last
+// round, which the cached order still names. The second input puts a
+// completion and an arrival between the same two rounds on a 2-port
+// fabric, over and over. The third starves a burst on one port under
+// quarantine: a parked CoFlow comes back on its own slot at the next
+// epoch's top while the admitted one still runs, and an abandoned one's
+// slot goes to the next arrival, each before the round that would have
+// dropped the slot from the order.
 TEST(DeltaOrderWhiteBox, MaintainedOrderEqualsFromScratchSortEveryRound) {
   std::vector<CoflowSpec> pairs;
+  std::vector<CoflowSpec> burst;
   for (int i = 0; i < 40; ++i) {
     // Each CoFlow needs 10 ms of a port and the next arrives 15 ms after
     // it, so each arrival lands in an epoch that saw a completion.
     pairs.push_back(
         make_coflow(i, msec(15) * i, {{i % 2, (i + 1) % 2, 10000}}));
+    // Four arrive per epoch, each needing 30 ms of the one port, and
+    // all-or-none admits one at a time.
+    burst.push_back(make_coflow(i, msec(5) * i, {{0, 1, 30000}}));
   }
-  const trace::Trace inputs[] = {trace::synth_small_trace(10, 60, 13),
-                                 make_trace(2, pairs)};
-  for (const trace::Trace& t : inputs) {
-    SCOPED_TRACE(t.name);
+  SimConfig cfg;
+  cfg.port_bandwidth = 1e6;
+  cfg.delta = msec(20);
+  SimConfig parking = cfg;
+  parking.max_stall_epochs = 1;
+  parking.max_requeue_attempts = 2;
+  const std::pair<trace::Trace, SimConfig> inputs[] = {
+      {trace::synth_small_trace(10, 60, 13), cfg},
+      {make_trace(2, pairs), cfg},
+      {make_trace(2, burst), parking},
+  };
+  /// Arrivals on a slot released since the last round: the CoFlow that
+  /// left it, or another.
+  int returned = 0;
+  int taken_over = 0;
+  for (const auto& [t, run_cfg] : inputs) {
+    SCOPED_TRACE(::testing::Message() << t.name << " stall epochs "
+                                      << run_cfg.max_stall_epochs);
     DeltaForwardingObserver obs{SaathConfig{}};
     int checked_rounds = 0;
-    /// Slots released since the last round, and every slot ever released.
-    std::set<Slot> released_since_round;
+    /// Slots released since the last round (with the CoFlow that left),
+    /// and every slot ever released.
+    std::map<Slot, CoflowId> released_since_round;
     std::set<Slot> released_ever;
     int arrivals_after_release = 0;
     int reused = 0;
     obs.leaving = [&](const CoflowState& c, const SaathScheduler& inner) {
-      const Slot slot = inner.slot_of(c.id());
-      ASSERT_NE(slot, kNoSlot);
-      released_since_round.insert(slot);
-      released_ever.insert(slot);
+      ASSERT_TRUE(inner.announced(c));
+      released_since_round[c.slot()] = c.id();
+      released_ever.insert(c.slot());
     };
     obs.arrived = [&](const CoflowState& c, const SaathScheduler& inner) {
-      const Slot slot = inner.slot_of(c.id());
-      ASSERT_NE(slot, kNoSlot);
-      ASSERT_FALSE(released_since_round.contains(slot))
-          << "slot " << slot << " reused before the next materialize";
+      ASSERT_TRUE(inner.announced(c));
+      if (const auto it = released_since_round.find(c.slot());
+          it != released_since_round.end()) {
+        ++(it->second == c.id() ? returned : taken_over);
+      }
       if (!released_since_round.empty()) ++arrivals_after_release;
-      if (released_ever.contains(slot)) ++reused;
+      if (released_ever.contains(c.slot())) ++reused;
     };
     obs.check = [&](SimTime now, std::span<CoflowState* const> active,
                     const Fabric& fabric, const SaathScheduler& inner) {
@@ -690,20 +718,22 @@ TEST(DeltaOrderWhiteBox, MaintainedOrderEqualsFromScratchSortEveryRound) {
         ASSERT_EQ(got[i].queue, expected[i].queue) << "rank " << i;
         ASSERT_EQ(got[i].key, expected[i].key) << "rank " << i;
         ASSERT_EQ(got[i].expired, expected[i].expired) << "rank " << i;
-        ASSERT_EQ(idx.ordered_slots()[i], inner.slot_of(got[i].id))
+        ASSERT_EQ(idx.ordered()[i]->id(), got[i].id) << "rank " << i;
+        ASSERT_EQ(idx.ordered_slots()[i], idx.ordered()[i]->slot())
             << "rank " << i;
       }
       ++checked_rounds;
     };
-    SimConfig cfg;
-    cfg.port_bandwidth = 1e6;
-    cfg.delta = msec(20);
-    const auto result = simulate(t, obs, cfg);
-    EXPECT_EQ(result.coflows.size(), t.coflows.size());
+    Engine engine(t, obs, run_cfg);
+    const auto result = engine.run();
+    EXPECT_EQ(result.coflows.size() + engine.stats().abandoned_coflow_ids.size(),
+              t.coflows.size());
     EXPECT_GT(checked_rounds, 2);  // the delta path actually ran
     EXPECT_GT(arrivals_after_release, 0);
     EXPECT_GT(reused, 0);
   }
+  EXPECT_GT(returned, 0);
+  EXPECT_GT(taken_over, 0);
 }
 
 // The O(1) valid-until (crossing-heap top + deadline head) must never be

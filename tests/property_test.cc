@@ -327,7 +327,8 @@ class IndexOracleObserver final : public Scheduler {
     const auto oracle =
         reference::batch_contention(active, fabric.num_ports(), queue_of);
     for (std::size_t i = 0; i < active.size(); ++i) {
-      const Slot slot = inner_.slot_of(active[i]->id());
+      ASSERT_TRUE(inner_.announced(*active[i]));
+      const Slot slot = active[i]->slot();
       ASSERT_EQ(index.contention(slot), oracle[i])
           << "coflow " << active[i]->id().value << " at t=" << now;
       ASSERT_EQ(index.group_of(slot), active[i]->queue_index);

@@ -89,6 +89,9 @@ void ReferenceEngine::admit(CoflowSpec spec, SimTime data_ready) {
   auto state = std::make_unique<CoflowState>(std::move(spec),
                                              FlowId{next_flow_id_});
   next_flow_id_ += state->width();
+  // Every state is kept to the end, so its admission index is a slot no
+  // other CoFlow ever holds.
+  state->set_slot(static_cast<Slot>(coflows_.size()));
   const std::int64_t id = state->id().value;
   // A release that came before the arrival opens the gate; otherwise the
   // arrival's own data_ready does, if it lies in the future.

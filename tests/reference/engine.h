@@ -16,11 +16,13 @@
 //   7. advances by scanning every unfinished flow for the earliest
 //      predicted finish and completing every flow due by then, until the
 //      epoch ends.
-// There is no completion heap, no touched-flow bookkeeping, no dirty set
-// and no quiescent-epoch skip: every epoch is scheduled. It keeps the
-// production engine's epoch rules: when nothing is live it jumps to the
-// next input, and reallocate_on_completion re-schedules mid-epoch, without
-// ingesting, when a CoFlow finishes.
+// There is no completion heap, no touched-flow bookkeeping, no dirty set,
+// no quiescent-epoch skip and no reclamation: every epoch is scheduled, and
+// every CoFlow keeps its state to the end at the slot of its admission
+// index, so no slot is reused. It keeps the production engine's epoch
+// rules: when nothing is live it jumps to the next input, and
+// reallocate_on_completion re-schedules mid-epoch, without ingesting, when
+// a CoFlow finishes.
 //
 // It covers the runs the tests diff: trusted input, materialized results,
 // no stall detector. The constructor rejects a config that turns on

@@ -654,6 +654,36 @@ TEST(Checkpoint, HostileLinesRejectTyped) {
        "checkpoint line 7: sent bytes above the flow size"},
       {edited("K 0 0 0 -1", "K 0 -1 0 -1"),
        "checkpoint line 5: negative queue index"},
+      // Values no run writes, each of which would otherwise load and
+      // resume to a different run: a deadline below kNever, an unfinished
+      // flow's anchor outside arrival..now or prediction before its
+      // anchor, and a finished flow short of its size, still rated or
+      // finished outside arrival..now.
+      {edited("K 0 0 0 -1", "K 0 0 0 -5"),
+       "checkpoint line 5: deadline negative and not kNever"},
+      {edited("0x1p+20 1000 5000", "0x1p+20 9000000000000 5000"),
+       "checkpoint line 7: flow anchor outside arrival..now"},
+      {edited("0x1p+20 1000 5000", "0x1p+20 999 5000"),
+       "checkpoint line 7: flow anchor outside arrival..now"},
+      {edited("0x1p+20 1000 5000", "0x1p+20 1000 5"),
+       "checkpoint line 7: predicted finish before the anchor"},
+      {edited("5000 0 -1", "5000 1 1000"),
+       "checkpoint line 7: finished flow with sent bytes below its size"},
+      {edited("F 0x0p+0 0x1p+20 1000 5000 0 -1",
+              "F 0x1p+12 0x1p+20 1000 1000 1 1000"),
+       "checkpoint line 7: finished flow with a nonzero rate"},
+      {edited("F 0x0p+0 0x1p+20 1000 5000 0 -1",
+              "F 0x1p+12 0x0p+0 1000 1000 1 -100"),
+       "checkpoint line 7: finish time outside arrival..now"},
+      {edited("F 0x0p+0 0x1p+20 1000 5000 0 -1",
+              "F 0x1p+12 0x0p+0 1000 1000 1 1001"),
+       "checkpoint line 7: finish time outside arrival..now"},
+      // A finished flow as a run writes it, and a standing rate with no
+      // predicted finish, load.
+      {edited("F 0x0p+0 0x1p+20 1000 5000 0 -1",
+              "F 0x1p+12 0x0p+0 1000 1000 1 1000"),
+       "loaded"},
+      {edited("0x1p+20 1000 5000", "0x1p+20 1000 -1"), "loaded"},
   };
   for (const auto& k : lines) {
     EXPECT_EQ(checkpoint_reject(k.text), k.error) << k.text;

@@ -118,6 +118,7 @@ TEST(Testbed, PipelineForwardsEveryLifecycleHook) {
   PipelinedScheduler pipelined(inner, TestbedConfig{});
   Scheduler& outer = pipelined;
   CoflowState c(make_coflow(0, 0, {{0, 1, 1000}}), FlowId{0});
+  c.set_slot(0);
   outer.on_coflow_arrival(c, 0);
   outer.on_flow_complete(c, c.flows()[0], seconds(1));
   outer.on_coflow_complete(c, seconds(1));

@@ -611,7 +611,7 @@ TEST(SaathDeathTest, CompletionWithoutHookAbortsNextFullRound) {
                "without on_flow_complete");
 }
 
-// The slot table exists under every config, so the hooks check the
+// The slot marks exist under every config, so the hooks check the
 // contract under the Aalo preset as under LCoF.
 const std::pair<const char*, SaathConfig> kHookPresets[] = {
     {"saath", SaathConfig{}},
@@ -626,6 +626,33 @@ TEST(SaathDeathTest, SecondArrivalOfIndexedCoflowAborts) {
     SaathScheduler sched(cfg);
     set.announce(sched);
     EXPECT_DEATH(set.announce(sched), "already announced");
+  }
+}
+
+// The engine gives every CoFlow it announces a slot no other announced
+// CoFlow holds; an arrival breaking either half aborts at the hook.
+TEST(SaathDeathTest, ArrivalWithoutSlotAborts) {
+  for (const auto& [preset, cfg] : kHookPresets) {
+    SCOPED_TRACE(preset);
+    CoflowState c(make_coflow(0, 0, {{0, 1, 1000}}), FlowId{0});
+    ASSERT_EQ(c.slot(), kNoSlot);
+    SaathScheduler sched(cfg);
+    EXPECT_DEATH(sched.on_coflow_arrival(c, 0),
+                 "on_coflow_arrival for a CoFlow with no slot");
+  }
+}
+
+TEST(SaathDeathTest, ArrivalOnHeldSlotAborts) {
+  for (const auto& [preset, cfg] : kHookPresets) {
+    SCOPED_TRACE(preset);
+    testing::StateSet set;
+    set.add(make_coflow(0, 0, {{0, 1, 1000}}));
+    set.add(make_coflow(1, 0, {{2, 3, 1000}}));
+    set.at(1).set_slot(set.at(0).slot());
+    SaathScheduler sched(cfg);
+    sched.on_coflow_arrival(set.at(0), 0);
+    EXPECT_DEATH(sched.on_coflow_arrival(set.at(1), 0),
+                 "on_coflow_arrival on a slot another announced CoFlow holds");
   }
 }
 
@@ -657,10 +684,10 @@ TEST(Saath, ArrivalPastLastQueueThrows) {
     SaathScheduler sched(cfg);
     c.queue_index = cfg.queues.num_queues;
     EXPECT_THROW(sched.on_coflow_arrival(c, 0), std::invalid_argument);
-    EXPECT_EQ(sched.slot_of(c.id()), kNoSlot);
+    EXPECT_FALSE(sched.announced(c));
     c.queue_index = 0;
     sched.on_coflow_arrival(c, 0);
-    EXPECT_NE(sched.slot_of(c.id()), kNoSlot);
+    EXPECT_TRUE(sched.announced(c));
   }
 }
 

@@ -162,13 +162,16 @@ enum class Loop {
   return simulate(std::move(source), sched, cfg);
 }
 
-/// CoflowState wrapper for scheduler-level unit tests (no engine).
+/// CoflowState wrapper for scheduler-level unit tests (no engine). Each
+/// CoFlow's slot is its index, as an engine that never reuses one would
+/// give.
 class StateSet {
  public:
   void add(const CoflowSpec& spec) {
     std::int64_t first = 0;
     for (const auto& s : states_) first += s->width();
     states_.push_back(std::make_unique<CoflowState>(spec, FlowId{first}));
+    states_.back()->set_slot(static_cast<Slot>(ptrs_.size()));
     ptrs_.push_back(states_.back().get());
   }
 

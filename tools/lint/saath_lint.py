@@ -77,6 +77,13 @@ the compiler cannot see:
                         value, a loop variable). A switch nothing turns is
                         dead weight: make its value the behaviour, or
                         delete it.
+  slot-owner            In src/ only the engine (src/sim/engine.cc) calls
+                        set_slot(): it owns every CoflowState at its slot
+                        and frees the slot with the state, and every
+                        scheduler indexes its per-CoFlow vectors by it. A
+                        second writer could hand two live CoFlows one
+                        slot. Tests, benches and the reference engine
+                        drive schedulers directly and set their own.
 
 Design: the default backend is a self-contained lexer (comment/string
 stripping + brace matching) so the lint runs anywhere Python does — the CI
@@ -110,6 +117,7 @@ CHECK_IDS = (
     "flag-matrix",
     "config-knob",
     "text-parse",
+    "slot-owner",
 )
 
 # FlowPool's public SoA lanes (src/coflow/flow_pool.h). Accessed as
@@ -645,6 +653,25 @@ def check_text_parse(lf, findings):
             "parse_double so every input has one grammar"))
 
 
+# ----------------------------------------------------------------- slot-owner
+
+SET_SLOT_RE = re.compile(r"\bset_slot\s*\(")
+SLOT_OWNER = "src/sim/engine.cc"
+
+
+def check_slot_owner(lf, findings):
+    if not lf.path.startswith("src/") or lf.path == SLOT_OWNER:
+        return
+    for m in SET_SLOT_RE.finditer(lf.code):
+        if re.search(r"\bvoid\s+$", lf.code[:m.start()]):
+            continue  # the declaration, not a call
+        findings.append(Finding(
+            lf.path, line_of(lf.code, m.start()), "slot-owner",
+            f"set_slot() outside {SLOT_OWNER} — the engine owns every "
+            "CoflowState at its slot and is the one writer in src/; a "
+            "second one could hand two live CoFlows the same slot"))
+
+
 # ---------------------------------------------------------------- flag-matrix
 
 INCREMENTAL_DECL_RE = re.compile(r"\bbool\s+(incremental_\w+)\b")
@@ -823,6 +850,7 @@ def run_checks(files, ast=None, root=None,
         check_hot_noalloc(lf, findings)
         check_digest_float(lf, findings)
         check_text_parse(lf, findings)
+        check_slot_owner(lf, findings)
         for lineno, msg in lf.bad_suppressions:
             findings.append(Finding(lf.path, lineno, "bad-suppression", msg))
         if ast is not None and ast.ok and root:
